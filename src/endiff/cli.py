@@ -23,8 +23,8 @@ from .coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
                        PenaltyFamily, write_penalty_landscape)
 from .diffusion import DiffusionConfig, run_trajectory
 from .energy import write_trajectory_csv
-from .errors import EndiffError
-from .graphs import Dataset, load_dataset, sbm_generate
+from .errors import EndiffError, FormatError
+from .graphs import Dataset, load_dataset, read_edges, read_features, sbm_generate
 from .model import Checkpoint, ModelConfig
 from .numerics import row_l2_normalize
 from .suites import SUITES, run_suite
@@ -108,8 +108,15 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     """Apply --config JSON values wherever the flag was left at its default."""
     if args.config is None:
         return
-    with open(args.config, "r", encoding="utf-8") as fh:
-        overrides = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            overrides = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{args.config}:{exc.lineno}: bad JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{args.config}: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise FormatError(f"{args.config}: expected a JSON object")
     defaults = {a.dest: a.default for a in parser._actions}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
@@ -173,24 +180,16 @@ def cmd_diffuse(args) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     inputs = []
+    g = None
     if args.features is not None:
-        # labels are not needed to diffuse, so skip the full dataset loader
-        from .graphs import Graph, _read_lines
-
-        feats = np.array([[float(t) for t in line.split()]
-                          for line in _read_lines(args.features)])
+        z0 = read_features(args.features)
         inputs.append(args.features)
-        g = None
         if args.edges is not None:
-            pairs = [tuple(int(t) for t in line.split())
-                     for line in _read_lines(args.edges)]
-            g = Graph.from_edge_list(feats.shape[0], pairs)
+            g = read_edges(args.edges, z0.shape[0])
             inputs.append(args.edges)
-        z0 = feats
     else:
         rng = np.random.default_rng(args.seed)
         z0 = rng.standard_normal((args.n, args.dim))
-        g = None
         if args.coupling in ("gcn_sym", "gin", "gat_masked"):
             from .graphs import er_graph
 

@@ -12,10 +12,11 @@ Cora adapter: content lines "id f1 ... fD class_name"; cites lines
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import DimensionError, FormatError, ParameterError
 from .numerics import as_matrix
 
 ADJACENCY_MODES = ("sym", "row", "gin", "identity", "all_one")
@@ -55,6 +56,83 @@ class Graph:
             a[u, v] = 1.0
             a[v, u] = 1.0
         return a
+
+    @cached_property
+    def sym_operator(self) -> "SymOperator":
+        """D^-1/2 A D^-1/2 in O(E) storage, built on first use and kept."""
+        return SymOperator(self.n, np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
+
+
+# Neighbour slots that reach fewer rows than this are summed by a single
+# scatter-add: on them the fixed cost of one numpy call per slot outweighs
+# the arithmetic.
+SLOT_MIN_ROWS = 64
+
+
+class SymOperator:
+    """The sym-normalized adjacency D^-1/2 A D^-1/2 as neighbour lists.
+
+    Built from an E x 2 array of undirected edges. Each row keeps its
+    neighbours in ascending order with weights d_i^-1/2 d_j^-1/2; isolated
+    nodes have empty (zero) rows. `apply(V)` costs O(E d) time and O(E d)
+    scratch, and never forms an N x N array. The operator is symmetric, so
+    it is also its own transpose.
+    """
+
+    def __init__(self, n: int, edges: np.ndarray):
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        deg = np.bincount(src, minlength=n)
+        inv_sqrt = np.zeros(n)
+        inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+        by_row = np.lexsort((dst, src))
+        rows, cols = src[by_row], dst[by_row]
+        weights = inv_sqrt[rows] * inv_sqrt[cols]
+        row_start = np.cumsum(deg) - deg
+        # Rows ordered by falling degree: slot k holds the k-th neighbour of
+        # every row with degree > k, and those rows are a prefix of the order.
+        # The slots cover each stored entry once, so there is no padding.
+        self.n = n
+        self._order = np.argsort(-deg, kind="stable")
+        counts = np.searchsorted(-deg[self._order],
+                                 -np.arange(deg.max(initial=0)), side="left")
+        # Long slots are added as contiguous prefixes of the sorted rows; the
+        # short ones are pooled as (target row, neighbour, weight) entries.
+        self._slots = []
+        short_rows, short_pos = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for k, count in enumerate(counts.tolist()):
+            pos = row_start[self._order[:count]] + k
+            if count >= SLOT_MIN_ROWS:
+                self._slots.append((count, cols[pos], weights[pos][:, None]))
+            else:
+                short_rows.append(np.arange(count))
+                short_pos.append(pos)
+        targets = np.concatenate(short_rows)
+        if not self._slots:  # nothing to permute back: scatter to node ids
+            targets = self._order[targets]
+        pos = np.concatenate(short_pos)
+        self._short = (targets, cols[pos], weights[pos][:, None])
+        self._short_index: dict[int, np.ndarray] = {}  # by d: flat scatter targets
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """(D^-1/2 A D^-1/2) @ v for an N x d matrix v."""
+        v = as_matrix(v)
+        n, d = v.shape
+        if n != self.n:
+            raise DimensionError(f"operator on {self.n} nodes applied to {n} rows")
+        rows, cols, weights = self._short
+        index = self._short_index.get(d)
+        if index is None:
+            index = self._short_index[d] = (rows[:, None] * d + np.arange(d)).ravel()
+        acc = np.bincount(index, weights=(weights * v[cols]).ravel(),
+                          minlength=n * d).reshape(n, d).astype(np.float64, copy=False)
+        if not self._slots:
+            return acc
+        for count, slot_cols, slot_weights in self._slots:
+            acc[:count] += slot_weights * v[slot_cols]
+        out = np.empty_like(acc)
+        out[self._order] = acc
+        return out
 
 
 @dataclass
@@ -204,54 +282,82 @@ def sbm_generate(
     return Dataset(features=feats, labels=labels, split=split, graph=graph)
 
 
-def _read_lines(path) -> list[str]:
+def _read_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each non-blank line; numbers count every line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as exc:
+            return [(ln, line.rstrip("\n")) for ln, line in enumerate(fh, 1)
+                    if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def read_features(path) -> np.ndarray:
+    """N x D matrix from a features file; bad floats, ragged rows and
+    non-finite values are rejected with the file and line."""
+    lines = _read_lines(path)
+    if not lines:
+        raise FormatError(f"{path}: no feature rows")
+    try:
+        features = np.array([[float(tok) for tok in line.split()] for _, line in lines])
+    except ValueError:  # a bad float, or rows of unequal length
+        raise _feature_error(path, lines) from None
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}:{lines[bad[0]][0]}: non-finite value")
+    return features
+
+
+def _feature_error(path, lines) -> FormatError:
+    """The error of the first line that stops a features file from parsing."""
+    width = None
+    for ln, line in lines:
+        try:
+            row = [float(tok) for tok in line.split()]
+        except ValueError:
+            return FormatError(f"{path}:{ln}: bad float")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            return FormatError(f"{path}:{ln}: inconsistent column count")
+    return FormatError(f"{path}: malformed features")
+
+
+def read_edges(path, n: int) -> Graph:
+    """Graph on n nodes from an edges file of "u v" pairs; self-loops are
+    dropped, directed and repeated pairs merged."""
+    pairs = []
+    for ln, line in _read_lines(path):
+        toks = line.split()
+        if len(toks) != 2:
+            raise FormatError(f"{path}:{ln}: expected 'u v'")
+        try:
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: bad node id") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"{path}:{ln}: node id out of range")
+        if u != v:
+            pairs.append((u, v))
+    return Graph.from_edge_list(n, pairs)
 
 
 def load_dataset(features_path, labels_path, edges_path=None, split_path=None) -> Dataset:
     """Load a dataset from the plain-text formats described at module top."""
-    feat_lines = _read_lines(features_path)
-    feats = []
-    for ln, line in enumerate(feat_lines, 1):
-        try:
-            feats.append([float(tok) for tok in line.split()])
-        except ValueError:
-            raise FormatError(f"{features_path}:{ln}: bad float") from None
-        if len(feats[-1]) != len(feats[0]):
-            raise FormatError(f"{features_path}:{ln}: inconsistent column count")
-    features = np.array(feats)
+    features = read_features(features_path)
     n = features.shape[0]
 
     label_lines = _read_lines(labels_path)
     if len(label_lines) != n:
         raise FormatError(f"{labels_path}: expected {n} rows, got {len(label_lines)}")
     labels = np.empty(n, dtype=np.int64)
-    for ln, line in enumerate(label_lines, 1):
+    for i, (ln, line) in enumerate(label_lines):
         try:
-            labels[ln - 1] = int(line.strip())
+            labels[i] = int(line.strip())
         except ValueError:
             raise FormatError(f"{labels_path}:{ln}: bad label") from None
 
-    graph = None
-    if edges_path is not None:
-        pairs = []
-        for ln, line in enumerate(_read_lines(edges_path), 1):
-            toks = line.split()
-            if len(toks) != 2:
-                raise FormatError(f"{edges_path}:{ln}: expected 'u v'")
-            try:
-                u, v = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise FormatError(f"{edges_path}:{ln}: bad node id") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise FormatError(f"{edges_path}:{ln}: node id out of range")
-            if u != v:
-                pairs.append((u, v))
-        graph = Graph.from_edge_list(n, pairs)
+    graph = None if edges_path is None else read_edges(edges_path, n)
 
     if split_path is not None:
         split_lines = _read_lines(split_path)
@@ -260,11 +366,11 @@ def load_dataset(features_path, labels_path, edges_path=None, split_path=None) -
                 f"{split_path}: expected {n} rows, got {len(split_lines)}"
             )
         split = np.empty(n, dtype=object)
-        for ln, line in enumerate(split_lines, 1):
+        for i, (ln, line) in enumerate(split_lines):
             tag = line.strip()
             if tag not in ("train", "val", "test"):
                 raise FormatError(f"{split_path}:{ln}: bad split tag {tag!r}")
-            split[ln - 1] = tag
+            split[i] = tag
     else:
         split = np.full(n, "test", dtype=object)
 
@@ -280,7 +386,7 @@ def load_cora(content_path, cites_path, per_class_train: int = 20,
     feats = []
     class_ids: dict[str, int] = {}
     labels = []
-    for ln, line in enumerate(_read_lines(content_path), 1):
+    for ln, line in _read_lines(content_path):
         toks = line.split()
         if len(toks) < 3:
             raise FormatError(f"{content_path}:{ln}: too few columns")
@@ -295,7 +401,7 @@ def load_cora(content_path, cites_path, per_class_train: int = 20,
         labels.append(class_ids.setdefault(cls, len(class_ids)))
     n = len(ids)
     pairs = []
-    for ln, line in enumerate(_read_lines(cites_path), 1):
+    for ln, line in _read_lines(cites_path):
         toks = line.split()
         if len(toks) != 2:
             raise FormatError(f"{cites_path}:{ln}: expected 'cited citing'")

@@ -4,8 +4,9 @@ Pipeline per forward pass: input projection + LayerNorm + ReLU, then K
 propagation layers. Each layer projects per-head Q/K/V, L2-normalizes the
 Q and K rows, propagates V through either the linear simple-attention form
 or the dense sigmoid-kernel form, optionally adds a sym-normalized graph
-channel, averages heads, and blends with the previous state at step size
-tau before a LayerNorm. The output head is a plain affine map.
+channel (the graph's cached sparse operator, O(E d) per head), averages
+heads, and blends with the previous state at step size tau before a
+LayerNorm. The output head is a plain affine map.
 
 Attention here acts on the projected Q/K rows; the diffusion and energy
 modules audit the un-projected dynamics on the state itself. That split is
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ContractError, DimensionError, FormatError, ParameterError
-from .graphs import Graph, normalized_adjacency
+from .graphs import Graph
 from .tape import Ref, Tape
 
 VARIANTS = ("simple", "advanced", "mlp")  # mlp: identity coupling, no mixing
@@ -135,9 +136,7 @@ def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
     refs = {name: t.parameter(name, val) for name, val in params.items()}
     x_ref = t.constant(x)
 
-    graph_op = None
-    if cfg.use_graph:
-        graph_op = t.constant(normalized_adjacency(g, "sym"))
+    graph_op = g.sym_operator if cfg.use_graph else None
 
     pre = t.add(t.matmul(x_ref, t.transpose(refs["W_I"])),
                 t.broadcast_row(refs["b_I"], n))
@@ -163,7 +162,7 @@ def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
                 else:
                     p = _advanced_head(t, qt, kt, v)
             if graph_op is not None:
-                p = t.add(p, t.matmul(graph_op, v))
+                p = t.add(p, t.sym_apply(graph_op, v))
             heads.append(p)
         p_bar = heads[0] if len(heads) == 1 else t.mean_over_list(heads)
         blend = t.add(t.scale(p_bar, cfg.tau), t.scale(z, 1.0 - cfg.tau))

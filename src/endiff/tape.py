@@ -83,6 +83,12 @@ class Tape:
             lambda g: (g @ bv.T, av.T @ g),
         )
 
+    def sym_apply(self, op, a: Ref) -> Ref:
+        """op.apply(a) for a fixed symmetric linear operator `op`, such as
+        `Graph.sym_operator`. Symmetry makes op.apply(g) the VJP."""
+        return self._record("sym-apply", op.apply(a.value), (a.idx,),
+                            lambda g: (op.apply(g),))
+
     def _elemwise_pair(self, kind, a: Ref, b: Ref, value, vjp) -> Ref:
         if a.value.shape != b.value.shape:
             raise DimensionError(
@@ -143,7 +149,6 @@ class Tape:
 
     def layer_norm(self, a: Ref, eps: float = LAYER_NORM_EPS) -> Ref:
         av = a.value
-        d = av.shape[1]
         mean = av.mean(axis=1, keepdims=True)
         var = np.mean((av - mean) ** 2, axis=1, keepdims=True)
         std = np.sqrt(var + eps)
@@ -154,7 +159,6 @@ class Tape:
             gy = np.mean(g * y, axis=1, keepdims=True)
             return ((g - gm - y * gy) / std,)
 
-        _ = d
         return self._record("layer-norm", y, (a.idx,), vjp)
 
     def row_softmax(self, a: Ref) -> Ref:

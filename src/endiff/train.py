@@ -166,10 +166,12 @@ class TrainResult:
     test_metric: float
 
 
-def _evaluate(params, dataset: Dataset, cfg: ModelConfig, metric_kind: str,
-              tag: str) -> float:
+def _evaluate(params, dataset: Dataset, cfg: ModelConfig,
+              metric_kind: str) -> tuple[float, float]:
+    """(val, test) metrics from one forward over the whole dataset."""
     logits, _ = forward(params, dataset.features, dataset.graph, cfg)
-    return metric(metric_kind, logits.value, dataset.labels, dataset.mask(tag))
+    return tuple(metric(metric_kind, logits.value, dataset.labels, dataset.mask(tag))
+                 for tag in ("val", "test"))
 
 
 def _metric_improved(kind: str, new: float, best: float) -> bool:
@@ -202,9 +204,11 @@ def train_loop(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig)
             bmask = dataset.mask("train")[idx]
             if not bmask.any():
                 continue
-            sub_g = None
-            if dataset.graph is not None:
-                sub_g = induced_subgraph(dataset.graph, idx)
+            # A full batch is every node in order, so it keeps the dataset's
+            # graph and the operator cached on it.
+            sub_g = dataset.graph
+            if sub_g is not None and train_cfg.batch_size:
+                sub_g = induced_subgraph(sub_g, idx)
             logits, tape = forward(params, dataset.features[idx], sub_g, model_cfg)
             if loss_kind == "mse":
                 target = dataset.labels[idx].astype(np.float64).reshape(-1, 1)
@@ -215,8 +219,7 @@ def train_loop(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig)
             grads = tape.backward(lnode)
             adam_step(params, grads, state, train_cfg.lr, train_cfg.weight_decay)
 
-        val_m = _evaluate(params, dataset, model_cfg, train_cfg.metric, "val")
-        test_m = _evaluate(params, dataset, model_cfg, train_cfg.metric, "test")
+        val_m, test_m = _evaluate(params, dataset, model_cfg, train_cfg.metric)
         history.append({
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),

@@ -194,3 +194,47 @@ def test_config_file_merges_with_flags_winning(tmp_path, capsys):
                             "--out", str(tmp_path)], capsys)
     assert code == 0
     assert (tmp_path / "landscape_softmax.csv").exists()
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("features", "0.1 0.2\n0.3 oops\n", 2),
+    ("features", "0.1 0.2\n0.3 nan\n", 2),
+    ("edges", "0 1\n0 1 1\n", 2),
+    ("edges", "0 1\n\n0 x\n", 3),
+])
+def test_diffuse_bad_input_names_file_and_line(tmp_path, capsys, name, text, line):
+    paths = {"features": tmp_path / "features.txt", "edges": tmp_path / "edges.txt"}
+    paths["features"].write_text("0.1 0.2\n0.3 0.4\n")
+    paths["edges"].write_text("0 1\n")
+    paths[name].write_text(text)
+    code, _, err = run_cli(["diffuse", "--coupling", "gcn_sym", "--steps", "2",
+                            "--features", str(paths["features"]),
+                            "--edges", str(paths["edges"]),
+                            "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert f"{name}.txt:{line}:" in err
+    assert "Traceback" not in err
+
+
+def test_diffuse_reads_features_and_edges(tmp_path, capsys):
+    f = tmp_path / "features.txt"
+    f.write_text("1 0\n0 1\n1 1\n")
+    e = tmp_path / "edges.txt"
+    e.write_text("0 1\n1 2\n2 2\n")
+    code, out, _ = run_cli(["diffuse", "--coupling", "gcn_sym", "--steps", "3",
+                            "--features", str(f), "--edges", str(e),
+                            "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "out" / "manifest_diffuse.json").read_text())
+    assert len(manifest["input_digests"]) == 2
+
+
+@pytest.mark.parametrize("data", [b'{"family": "simple",', b"[1, 2]", b"\xff\xfe{}"])
+def test_malformed_config_is_runtime_error(tmp_path, capsys, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    code, _, err = run_cli(["landscape", "--config", str(cfg),
+                            "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {cfg}")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from endiff.errors import FormatError, ParameterError
+from endiff.errors import DimensionError, FormatError, ParameterError
 from endiff.graphs import (Dataset, Graph, er_graph, is_connected, knn_graph,
                            load_cora, load_dataset, normalized_adjacency,
-                           sbm_generate)
+                           read_edges, read_features, sbm_generate)
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -49,6 +51,55 @@ def test_normalized_adjacency_isolated_node():
     sym = normalized_adjacency(g, "sym")
     assert np.allclose(sym[2], 0.0)
     assert np.all(np.isfinite(sym))
+
+
+@st.composite
+def _graph_and_block(draw):
+    n = draw(st.integers(1, 24))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=3 * n))
+    d = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    v = np.random.default_rng(seed).standard_normal((n, d))
+    return Graph.from_edge_list(n, edges), v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_block())
+@example((Graph(1, ()), np.ones((1, 2))))
+@example((Graph(4, ()), np.arange(8.0).reshape(4, 2)))
+@example((Graph(5, ((0, 1), (1, 2))), np.arange(10.0).reshape(5, 2)))
+def test_sym_operator_matches_dense(case):
+    # random graphs, including N = 1, the empty edge set and isolated nodes
+    g, v = case
+    want = normalized_adjacency(g, "sym") @ v
+    got = g.sym_operator.apply(v)
+    assert got.dtype == np.float64 and got.shape == v.shape
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+    isolated = np.asarray(g.degrees) == 0
+    assert np.all(got[isolated] == 0.0)
+
+
+@pytest.mark.parametrize("graph", [
+    er_graph(160, 0.1, 0),
+    Graph.from_edge_list(161, [(0, j) for j in range(1, 160)]),  # star + isolated
+])
+def test_sym_operator_long_and_short_slots_match_dense(graph):
+    # both kernels run: slots reaching >= SLOT_MIN_ROWS rows and the short rest
+    op = graph.sym_operator
+    assert op._slots and op._short[0].size
+    for d in (1, 8, 32):
+        v = np.random.default_rng(d).standard_normal((graph.n, d))
+        want = normalized_adjacency(graph, "sym") @ v
+        assert np.max(np.abs(op.apply(v) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sym_operator_is_cached_and_checks_rows():
+    g = Graph.from_edge_list(3, [(0, 1), (1, 2)])
+    assert g.sym_operator is g.sym_operator
+    with pytest.raises(DimensionError):
+        g.sym_operator.apply(np.ones((4, 2)))
 
 
 def test_knn_graph_basic():
@@ -165,6 +216,29 @@ def test_load_dataset_errors_name_file_and_line(tmp_path):
     bad_split = _write(tmp_path, "split.txt", "train\nholdout\n")
     with pytest.raises(FormatError, match=r"split\.txt:2"):
         load_dataset(f2, l, None, bad_split)
+
+
+def test_load_dataset_rejects_non_finite_features(tmp_path):
+    l = _write(tmp_path, "labels.txt", "0\n1\n")
+    for i, bad in enumerate(("nan", "inf", "-inf")):
+        f = _write(tmp_path, f"f{i}.txt", f"1.0 2.0\n3.0 {bad}\n")
+        with pytest.raises(FormatError, match=rf"f{i}\.txt:2: non-finite value"):
+            load_dataset(f, l)
+
+
+def test_reader_line_numbers_count_blank_lines(tmp_path):
+    f = _write(tmp_path, "features.txt", "1.0\n\n2.0\nx\n")
+    with pytest.raises(FormatError, match=r"features\.txt:4: bad float"):
+        read_features(f)
+    ragged = _write(tmp_path, "ragged.txt", "1.0 2.0\n\n3.0\n")
+    with pytest.raises(FormatError, match=r"ragged\.txt:3: inconsistent"):
+        read_features(ragged)
+    e = _write(tmp_path, "edges.txt", "0 1\n\n1 2 3\n")
+    with pytest.raises(FormatError, match=r"edges\.txt:3: expected 'u v'"):
+        read_edges(e, 3)
+    empty = _write(tmp_path, "empty.txt", "\n")
+    with pytest.raises(FormatError, match=r"empty\.txt: no feature rows"):
+        read_features(empty)
 
 
 def test_load_dataset_length_mismatch(tmp_path):

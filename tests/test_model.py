@@ -163,6 +163,40 @@ def test_graph_channel_changes_output():
     assert not np.allclose(with_g.value, no_g.value)
 
 
+@pytest.mark.parametrize("use_source", [False, True])
+def test_graph_forward_matches_dense_oracle(use_source):
+    from endiff.suites import _dense_simple_forward
+
+    cfg = _cfg(layers=2, heads=2, use_graph=True, use_source=use_source)
+    for seed in range(5):
+        params = init_model(cfg, seed)
+        x = np.random.default_rng((seed, 7)).standard_normal((20, 3))
+        g = er_graph(20, 0.15, seed)
+        logits, _ = forward(params, x, g, cfg)
+        ref = _dense_simple_forward(params, x, g, cfg)
+        assert np.max(np.abs(logits.value - ref)) <= 1e-9
+
+
+def test_graph_forward_builds_no_dense_adjacency(monkeypatch):
+    import endiff.graphs as graphs
+    import endiff.model as model
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense adjacency built on the model path")
+
+    monkeypatch.setattr(graphs, "normalized_adjacency", refuse)
+    monkeypatch.setattr(model, "normalized_adjacency", refuse, raising=False)
+    monkeypatch.setattr(graphs.Graph, "adjacency", refuse)
+    cfg = _cfg(layers=2, heads=2, use_graph=True)
+    params = init_model(cfg, 0)
+    x = np.random.default_rng(1).standard_normal((12, 3))
+    logits, tape = forward(params, x, er_graph(12, 0.3, 1), cfg)
+    loss = tape.masked_cross_entropy(logits, np.zeros(12, dtype=int),
+                                     np.ones(12, dtype=bool))
+    grads = tape.backward(loss)
+    assert all(np.all(np.isfinite(v)) for v in grads.values())
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = _cfg(layers=2, heads=2)
     params = init_model(cfg, 10)

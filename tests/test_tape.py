@@ -64,6 +64,21 @@ def test_matmul_grad():
     )
 
 
+def test_sym_apply_value_and_grad():
+    from endiff.graphs import Graph, normalized_adjacency
+
+    g = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 0), (3, 1)])  # node 4 isolated
+    op = g.sym_operator
+    v = np.random.default_rng(3).standard_normal((5, 2))
+    t = Tape()
+    out = t.sym_apply(op, t.constant(v))
+    assert np.allclose(out.value, normalized_adjacency(g, "sym") @ v, atol=1e-15)
+    _gradcheck(
+        lambda t, r: t.sum_all(t.hadamard(t.sym_apply(op, r["v"]), r["w"])),
+        {"v": (5, 2), "w": (5, 2)},
+    )
+
+
 def test_elementwise_grads():
     _gradcheck(
         lambda t, r: t.sum_all(t.hadamard(t.add(r["a"], r["b"]),

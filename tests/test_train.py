@@ -226,6 +226,30 @@ def test_train_loop_minibatch_with_graph():
     assert len(res.history) == 3
 
 
+def test_train_loop_full_batch_reuses_graph_and_evaluates_once(monkeypatch):
+    import endiff.train as train
+
+    ds = sbm_generate(2, 15, 0.3, 0.05, 4, 1.0, seed=0)
+    cfg = ModelConfig(variant="simple", input_dim=4, hidden_dim=4,
+                      output_dim=2, layers=1, use_graph=True)
+    seen = []
+    real_forward = train.forward
+
+    def counting_forward(params, x, g, model_cfg):
+        seen.append(g)
+        return real_forward(params, x, g, model_cfg)
+
+    def refuse(*args):
+        raise AssertionError("full batch rebuilt the graph")
+
+    monkeypatch.setattr(train, "forward", counting_forward)
+    monkeypatch.setattr(train, "induced_subgraph", refuse)
+    res = train_loop(ds, cfg, TrainConfig(lr=0.01, epochs=3, seed=0))
+    assert len(res.history) == 3
+    assert len(seen) == 2 * 3  # one training and one evaluation forward per epoch
+    assert all(g is ds.graph for g in seen)
+
+
 def test_write_history_csv(tmp_path):
     history = [{"epoch": 0, "train_loss": 0.5, "val_metric": 0.7,
                 "test_metric": 0.65}]
