@@ -104,26 +104,45 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--feat-shift", type=float, default=0.5)
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Apply --config JSON values wherever the flag was left at its default."""
-    if args.config is None:
-        return
+def _config_defaults(path: Path, parser: argparse.ArgumentParser) -> dict:
+    """--config JSON values as parser defaults, each passed through its
+    flag's own type and choices, so that explicit flags still win."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{args.config}:{exc.lineno}: bad JSON: {exc.msg}") from None
+        raise FormatError(f"{path}:{exc.lineno}: bad JSON: {exc.msg}") from None
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{args.config}: {exc}") from None
+        raise FormatError(f"{path}: {exc}") from None
     if not isinstance(overrides, dict):
-        raise FormatError(f"{args.config}: expected a JSON object")
-    defaults = {a.dest: a.default for a in parser._actions}
+        raise FormatError(f"{path}: expected a JSON object")
+    actions = {a.dest: a for a in parser._actions if a.default is not argparse.SUPPRESS}
+    defaults = {}
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise EndiffError(f"{args.config}: unknown config key {key!r}")
-        if getattr(args, dest) == defaults.get(dest):
-            setattr(args, dest, value)
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise FormatError(f"{path}: unknown config key {key!r}")
+        defaults[action.dest] = _config_value(path, key, action, value)
+    return defaults
+
+
+def _config_value(path: Path, key: str, action: argparse.Action, value):
+    if action.nargs == 0:  # a store_true flag
+        if isinstance(value, bool):
+            return value
+        raise FormatError(f"{path}: {key}: expected true or false, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise FormatError(f"{path}: {key}: invalid value {value!r}")
+    convert = action.type or str
+    try:
+        converted = convert(str(value))
+    except ValueError:
+        raise FormatError(
+            f"{path}: {key}: invalid {convert.__name__} value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise FormatError(f"{path}: {key}: invalid choice {value!r} "
+                          f"(choose from {', '.join(map(str, action.choices))})")
+    return converted
 
 
 def _resolve_dataset(args) -> tuple[Dataset, list[Path]]:
@@ -176,6 +195,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
+    if args.edges is not None and args.features is None:
+        args.parser.error("--edges needs --features")
     started = time.monotonic()
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -380,7 +401,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, args.parser)
+        if args.config is not None:
+            args.parser.set_defaults(**_config_defaults(args.config, args.parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except EndiffError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingSpec, attention_scores, build_coupling
+from .coupling import CouplingSpec, build_coupling
 from .errors import ContractError, DimensionError, ParameterError
 from .graphs import Graph, normalized_adjacency
 from .numerics import as_matrix, row_l2_normalize, row_norms
@@ -24,7 +24,6 @@ class DiffusionConfig:
     tau: float = 0.5
     steps: int = 1
     beta: float = 0.0
-    source: np.ndarray | None = None  # defaults to Z^(0) when beta > 0
     graph_blend: bool = False
     record_every: int = 1
 
@@ -71,30 +70,13 @@ def _check_step_shapes(z: np.ndarray, s: np.ndarray) -> None:
         )
 
 
-def euler_step(z: np.ndarray, s: np.ndarray, tau: float,
-               assume_unit_row_sums: bool = False) -> np.ndarray:
-    """One explicit-Euler step Z' = Z - tau * (diag(S 1) - S) Z.
-
-    assume_unit_row_sums reproduces the simplified textbook form
-    (1 - tau) Z + tau S Z, which only matches when S is row-stochastic.
-    """
+def euler_step(z: np.ndarray, s: np.ndarray, tau: float) -> np.ndarray:
+    """One explicit-Euler step Z' = Z - tau * (diag(S 1) - S) Z."""
     z = as_matrix(z)
     s = as_matrix(s)
     _check_step_shapes(z, s)
-    if assume_unit_row_sums:
-        return (1.0 - tau) * z + tau * (s @ z)
     row_sums = s.sum(axis=1, keepdims=True)
     return z - tau * (row_sums * z - s @ z)
-
-
-def euler_step_source(z: np.ndarray, s: np.ndarray, tau: float, beta: float,
-                      h: np.ndarray) -> np.ndarray:
-    """Euler step augmented with the external input term tau * beta * H."""
-    h = as_matrix(h)
-    z = as_matrix(z)
-    if h.shape != z.shape:
-        raise DimensionError(f"source {h.shape} does not match embeddings {z.shape}")
-    return euler_step(z, s, tau) + tau * beta * h
 
 
 def graph_blended_step(z: np.ndarray, s_attn: np.ndarray, g: Graph,
@@ -143,7 +125,7 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     Attention families re-normalize the state to unit rows before each
     diffusivity inference (the dot-product identity behind the scores needs
     it); static families build their coupling once and reuse it. The source
-    term defaults to the initial state.
+    term (beta > 0) is the initial state.
     """
     z = as_matrix(z0).copy()
     static_s = None
@@ -152,9 +134,7 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     else:
         z = row_l2_normalize(z)
 
-    h = cfg.source if cfg.source is not None else z.copy()
-    if cfg.beta > 0 and as_matrix(h).shape != z.shape:
-        raise DimensionError("source shape must match embeddings")
+    h = z.copy()
     if cfg.graph_blend and g is None:
         raise ParameterError("graph_blend requires a graph")
 
@@ -184,10 +164,8 @@ __all__ = [
     "DiffusionConfig",
     "Trajectory",
     "euler_step",
-    "euler_step_source",
     "graph_blended_step",
     "linear_simple_propagate",
     "dense_simple_propagate",
     "run_trajectory",
-    "attention_scores",
 ]

@@ -302,6 +302,12 @@ def read_features(path) -> np.ndarray:
         features = np.array([[float(tok) for tok in line.split()] for _, line in lines])
     except ValueError:  # a bad float, or rows of unequal length
         raise _feature_error(path, lines) from None
+    return _finite_rows(path, features, lines)
+
+
+def _finite_rows(path, features: np.ndarray, lines) -> np.ndarray:
+    """features, whose row i was read from lines[i], or a FormatError naming
+    the line of its first non-finite row."""
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}:{lines[bad[0]][0]}: non-finite value")
@@ -386,7 +392,8 @@ def load_cora(content_path, cites_path, per_class_train: int = 20,
     feats = []
     class_ids: dict[str, int] = {}
     labels = []
-    for ln, line in _read_lines(content_path):
+    lines = _read_lines(content_path)
+    for ln, line in lines:
         toks = line.split()
         if len(toks) < 3:
             raise FormatError(f"{content_path}:{ln}: too few columns")
@@ -399,6 +406,7 @@ def load_cora(content_path, cites_path, per_class_train: int = 20,
         except ValueError:
             raise FormatError(f"{content_path}:{ln}: bad feature") from None
         labels.append(class_ids.setdefault(cls, len(class_ids)))
+    features = _finite_rows(content_path, np.array(feats), lines)
     n = len(ids)
     pairs = []
     for ln, line in _read_lines(cites_path):
@@ -419,4 +427,4 @@ def load_cora(content_path, cites_path, per_class_train: int = 20,
     rest = rng.permutation(np.flatnonzero(split != "train"))
     split[rest[:n_val]] = "val"
     split[rest[n_val : n_val + n_test]] = "test"
-    return Dataset(features=np.array(feats), labels=labels, split=split, graph=graph)
+    return Dataset(features=features, labels=labels, split=split, graph=graph)

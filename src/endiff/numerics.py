@@ -1,8 +1,8 @@
-"""Dense float64 matrix arithmetic and spectral brackets for coupling Laplacians.
+"""Dense float64 helpers: row normalization, coupling Laplacians and their
+spectral bracket, and central-difference gradients.
 
-All public operations work on 2-D numpy arrays of float64 and are
-deterministic: no parallel reductions, fixed summation order (numpy's
-row-major contractions on a single thread).
+All public operations work on 2-D numpy arrays of float64. The bracket is
+the extreme singular values from LAPACK's SVD (`numpy.linalg.svd`).
 """
 
 from __future__ import annotations
@@ -23,20 +23,6 @@ def as_matrix(x) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
-
-
-def check_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise ContractError(f"{what} contains non-finite entries")
-    return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def row_l2_normalize(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
@@ -74,102 +60,10 @@ class SpectralBracket:
             )
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending."""
-    a = as_matrix(a).copy()
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"Jacobi needs a square matrix, got {a.shape}")
-    if n == 1:
-        return a.ravel().copy()
-    scale = max(np.abs(a).max(), 1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale * 1e-2:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-    return np.sort(np.diag(a))
-
-
-def power_iteration_largest(m: np.ndarray, tol: float = 1e-9, max_iter: int = 10000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Deterministic start vector (all-ones plus a small index ramp to avoid
-    orthogonal starts on structured matrices).
-    """
-    m = as_matrix(m)
-    n = m.shape[0]
-    v = np.ones(n) + np.arange(n) / max(n, 1)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (m @ v))
-        if abs(new_lam - lam) <= tol * max(abs(new_lam), 1.0):
-            return new_lam
-        lam = new_lam
-    return lam
-
-
-# Instances up to this size get a full dense eigensolve for the bracket;
-# larger ones fall back to power iteration (descent/bound audits only run
-# at small N, where the smallest singular value must be sharp).
-DENSE_BRACKET_LIMIT = 64
-
-
 def laplacian_spectral_bracket(s: np.ndarray) -> SpectralBracket:
-    """Bracket (largest, smallest singular value) of the Laplacian of s.
-
-    Singular values are computed from the eigenvalues of delta^T delta:
-    a full Jacobi eigensolve for small instances, power iteration with
-    deflation by spectral shift otherwise.
-    """
-    s = as_matrix(s)
-    if s.shape[0] != s.shape[1]:
-        raise DimensionError(f"spectral bracket needs a square matrix, got {s.shape}")
-    delta = laplacian(s)
-    gram = delta.T @ delta
-    n = gram.shape[0]
-    if n <= DENSE_BRACKET_LIMIT:
-        eigs = jacobi_eigenvalues(gram)
-        lo = float(np.sqrt(max(eigs[0], 0.0)))
-        hi = float(np.sqrt(max(eigs[-1], 0.0)))
-    else:
-        top = power_iteration_largest(gram)
-        # Largest eigenvalue of (top*I - gram) is top - min_eig. Both the
-        # shifted estimate and any Rayleigh quotient over-estimate min_eig,
-        # so take the tighter of the two; the all-ones direction is in the
-        # Laplacian's null space by construction and pins min_eig at ~0.
-        shifted = top * np.eye(n) - gram
-        residual = power_iteration_largest(shifted)
-        ones = np.ones(n) / np.sqrt(n)
-        rayleigh = float(ones @ (gram @ ones))
-        min_eig = min(max(top - residual, 0.0), max(rayleigh, 0.0))
-        lo = float(np.sqrt(min_eig))
-        hi = float(np.sqrt(max(top, 0.0)))
-    if lo > hi:
-        lo = hi
-    return SpectralBracket(lambda_max=hi, lambda_min=lo)
+    """Bracket (largest, smallest singular value) of the Laplacian of s."""
+    sv = np.linalg.svd(laplacian(s), compute_uv=False)
+    return SpectralBracket(lambda_max=float(sv[0]), lambda_min=float(sv[-1]))
 
 
 def finite_diff_grad(fn, at: np.ndarray, h: float = 1e-5) -> np.ndarray:

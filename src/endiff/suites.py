@@ -345,5 +345,5 @@ def run_suite(name: str, **kwargs) -> dict:
     return report
 
 
-def run_all(**kwargs) -> list[dict]:
+def run_all() -> list[dict]:
     return [run_suite(name) for name in SUITES]

@@ -1,9 +1,11 @@
 """A minimal reverse-mode differentiation tape over dense float64 matrices.
 
-The tape records primitive operations in execution order; `backward` runs
-reverse accumulation from a scalar loss and fills per-parameter gradients.
-A tape is confined to a single thread for its lifetime; distinct tapes are
-independent.
+Each primitive is a `Tape` method: it computes its value eagerly and records
+the value with its vector-Jacobian product, in execution order. `backward`
+runs reverse accumulation from a scalar loss and fills per-parameter
+gradients. The graph channel enters through `sym_apply`, which takes a
+symmetric operator instead of a dense matrix. A tape is confined to a single
+thread for its lifetime; distinct tapes are independent.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ class Ref:
 
 
 class _Node:
-    __slots__ = ("kind", "value", "parents", "vjp")
+    __slots__ = ("value", "parents", "vjp")
 
-    def __init__(self, kind, value, parents, vjp):
-        self.kind = kind
+    def __init__(self, value, parents, vjp):
         self.value = value
         self.parents = parents  # parent node indices, aligned with vjp outputs
         self.vjp = vjp  # grad_out -> tuple of parent grads (or None)
@@ -58,17 +59,17 @@ class Tape:
 
     # -- leaves ---------------------------------------------------------
 
-    def _record(self, kind, value, parents, vjp) -> Ref:
-        self.nodes.append(_Node(kind, value, parents, vjp))
+    def _record(self, value, parents, vjp) -> Ref:
+        self.nodes.append(_Node(value, parents, vjp))
         return Ref(self, len(self.nodes) - 1)
 
     def constant(self, value) -> Ref:
-        return self._record("constant", as_matrix(value), (), None)
+        return self._record(as_matrix(value), (), None)
 
     def parameter(self, name: str, value) -> Ref:
         if name in self.params:
             raise ContractError(f"parameter {name!r} already registered")
-        ref = self._record("parameter", as_matrix(value), (), None)
+        ref = self._record(as_matrix(value), (), None)
         self.params[name] = ref.idx
         return ref
 
@@ -79,14 +80,14 @@ class Tape:
         if av.shape[1] != bv.shape[0]:
             raise DimensionError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
         return self._record(
-            "matmul", av @ bv, (a.idx, b.idx),
+            av @ bv, (a.idx, b.idx),
             lambda g: (g @ bv.T, av.T @ g),
         )
 
     def sym_apply(self, op, a: Ref) -> Ref:
         """op.apply(a) for a fixed symmetric linear operator `op`, such as
         `Graph.sym_operator`. Symmetry makes op.apply(g) the VJP."""
-        return self._record("sym-apply", op.apply(a.value), (a.idx,),
+        return self._record(op.apply(a.value), (a.idx,),
                             lambda g: (op.apply(g),))
 
     def _elemwise_pair(self, kind, a: Ref, b: Ref, value, vjp) -> Ref:
@@ -94,21 +95,16 @@ class Tape:
             raise DimensionError(
                 f"{kind} shape mismatch: {a.value.shape} vs {b.value.shape}"
             )
-        return self._record(kind, value, (a.idx, b.idx), vjp)
+        return self._record(value, (a.idx, b.idx), vjp)
 
     def add(self, a: Ref, b: Ref) -> Ref:
         return self._elemwise_pair(
             "add", a, b, a.value + b.value, lambda g: (g, g)
         )
 
-    def sub(self, a: Ref, b: Ref) -> Ref:
-        return self._elemwise_pair(
-            "sub", a, b, a.value - b.value, lambda g: (g, -g)
-        )
-
     def scale(self, a: Ref, c: float) -> Ref:
         c = float(c)
-        return self._record("scale", c * a.value, (a.idx,), lambda g: (c * g,))
+        return self._record(c * a.value, (a.idx,), lambda g: (c * g,))
 
     def hadamard(self, a: Ref, b: Ref) -> Ref:
         av, bv = a.value, b.value
@@ -118,19 +114,19 @@ class Tape:
 
     def sigmoid(self, a: Ref) -> Ref:
         y = _sigmoid(a.value)
-        return self._record("sigmoid", y, (a.idx,), lambda g: (g * y * (1.0 - y),))
+        return self._record(y, (a.idx,), lambda g: (g * y * (1.0 - y),))
 
     def relu(self, a: Ref) -> Ref:
         av = a.value
         mask = av > 0
-        return self._record("relu", av * mask, (a.idx,), lambda g: (g * mask,))
+        return self._record(av * mask, (a.idx,), lambda g: (g * mask,))
 
     def reciprocal(self, a: Ref) -> Ref:
         y = 1.0 / a.value
-        return self._record("reciprocal", y, (a.idx,), lambda g: (-g * y * y,))
+        return self._record(y, (a.idx,), lambda g: (-g * y * y,))
 
     def transpose(self, a: Ref) -> Ref:
-        return self._record("transpose", a.value.T.copy(), (a.idx,), lambda g: (g.T,))
+        return self._record(a.value.T.copy(), (a.idx,), lambda g: (g.T,))
 
     def row_l2_normalize(self, a: Ref, eps: float = NORM_EPS) -> Ref:
         av = a.value
@@ -145,7 +141,7 @@ class Tape:
             grad = np.where(live, (g - y * dot) / denom, g / denom)
             return (grad,)
 
-        return self._record("row-l2-normalize", y, (a.idx,), vjp)
+        return self._record(y, (a.idx,), vjp)
 
     def layer_norm(self, a: Ref, eps: float = LAYER_NORM_EPS) -> Ref:
         av = a.value
@@ -159,19 +155,7 @@ class Tape:
             gy = np.mean(g * y, axis=1, keepdims=True)
             return ((g - gm - y * gy) / std,)
 
-        return self._record("layer-norm", y, (a.idx,), vjp)
-
-    def row_softmax(self, a: Ref) -> Ref:
-        av = a.value
-        shifted = av - av.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=1, keepdims=True)
-
-        def vjp(g):
-            dot = np.sum(g * p, axis=1, keepdims=True)
-            return (p * (g - dot),)
-
-        return self._record("row-softmax", p, (a.idx,), vjp)
+        return self._record(y, (a.idx,), vjp)
 
     def mean_over_list(self, refs: list[Ref]) -> Ref:
         if not refs:
@@ -183,7 +167,7 @@ class Tape:
         k = len(refs)
         value = sum(r.value for r in refs) / k
         return self._record(
-            "mean-over-list", value, tuple(r.idx for r in refs),
+            value, tuple(r.idx for r in refs),
             lambda g: tuple(g / k for _ in range(k)),
         )
 
@@ -195,14 +179,14 @@ class Tape:
                 f"diag-scale-rows needs a {av.shape[0]}x1 scale, got {vv.shape}"
             )
         return self._record(
-            "diag-scale-rows", av * vv, (a.idx, v.idx),
+            av * vv, (a.idx, v.idx),
             lambda g: (g * vv, np.sum(g * av, axis=1, keepdims=True)),
         )
 
     def row_sum(self, a: Ref) -> Ref:
         av = a.value
         return self._record(
-            "row-sum", av.sum(axis=1, keepdims=True), (a.idx,),
+            av.sum(axis=1, keepdims=True), (a.idx,),
             lambda g: (np.broadcast_to(g, av.shape).copy(),),
         )
 
@@ -211,18 +195,18 @@ class Tape:
         if rv.shape[0] != 1:
             raise DimensionError(f"broadcast-row needs a 1xd row, got {rv.shape}")
         return self._record(
-            "broadcast-row", np.repeat(rv, n, axis=0), (row.idx,),
+            np.repeat(rv, n, axis=0), (row.idx,),
             lambda g: (g.sum(axis=0, keepdims=True),),
         )
 
     def add_scalar(self, a: Ref, c: float) -> Ref:
         c = float(c)
-        return self._record("add-scalar", a.value + c, (a.idx,), lambda g: (g,))
+        return self._record(a.value + c, (a.idx,), lambda g: (g,))
 
     def sum_all(self, a: Ref) -> Ref:
         av = a.value
         return self._record(
-            "sum-all", np.array([[av.sum()]]), (a.idx,),
+            np.array([[av.sum()]]), (a.idx,),
             lambda g: (np.full_like(av, g[0, 0]),),
         )
 
@@ -250,7 +234,7 @@ class Tape:
             grad[rows] = p * (g[0, 0] / rows.size)
             return (grad,)
 
-        return self._record("masked-cross-entropy", value, (logits.idx,), vjp)
+        return self._record(value, (logits.idx,), vjp)
 
     def masked_mse(self, pred: Ref, target: np.ndarray, mask: np.ndarray) -> Ref:
         pv = pred.value
@@ -269,37 +253,7 @@ class Tape:
             grad[rows] = diff * (2.0 * g[0, 0] / diff.size)
             return (grad,)
 
-        return self._record("masked-mse", value, (pred.idx,), vjp)
-
-    # -- generic dispatch (contract surface) ----------------------------
-
-    _KIND_METHODS = {
-        "matmul": "matmul",
-        "add": "add",
-        "sub": "sub",
-        "scale": "scale",
-        "hadamard": "hadamard",
-        "sigmoid": "sigmoid",
-        "relu": "relu",
-        "row-l2-normalize": "row_l2_normalize",
-        "layer-norm": "layer_norm",
-        "row-softmax": "row_softmax",
-        "mean-over-list": "mean_over_list",
-        "transpose": "transpose",
-        "diag-scale-rows": "diag_scale_rows",
-        "row-sum": "row_sum",
-        "broadcast-row": "broadcast_row",
-        "reciprocal": "reciprocal",
-        "sum-all": "sum_all",
-        "add-scalar": "add_scalar",
-    }
-
-    def apply(self, kind: str, *args) -> Ref:
-        try:
-            method = self._KIND_METHODS[kind]
-        except KeyError:
-            raise ContractError(f"unknown primitive kind {kind!r}") from None
-        return getattr(self, method)(*args)
+        return self._record(value, (pred.idx,), vjp)
 
     # -- reverse pass ---------------------------------------------------
 
@@ -331,11 +285,3 @@ class Tape:
             grads.setdefault(name, np.zeros_like(self.nodes[idx].value))
         return grads
 
-
-def tape_forward(tape: Tape, kind: str, *inputs) -> Ref:
-    """Record one primitive on the tape; value equals the eager computation."""
-    return tape.apply(kind, *inputs)
-
-
-def tape_backward(tape: Tape, loss: Ref) -> dict[str, np.ndarray]:
-    return tape.backward(loss)

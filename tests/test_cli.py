@@ -196,6 +196,45 @@ def test_config_file_merges_with_flags_winning(tmp_path, capsys):
     assert (tmp_path / "landscape_softmax.csv").exists()
 
 
+def test_config_never_overrides_an_explicit_flag(tmp_path, capsys):
+    # --tau 0.5 equals the flag's default, and still beats the config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau": 0.25, "steps": 2}))
+    for argv, tau in ((["--tau", "0.5"], 0.5), ([], 0.25)):
+        out_dir = tmp_path / f"tau{tau}"
+        code, _, _ = run_cli(["diffuse", "--config", str(cfg), "--out", str(out_dir)]
+                             + argv, capsys)
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest_diffuse.json").read_text())
+        assert manifest["config"]["tau"] == tau
+        assert manifest["config"]["steps"] == 2
+
+
+@pytest.mark.parametrize("data", [{"steps": "ten"}, {"steps": 2.5}, {"steps": [2]},
+                                  {"coupling": "nope"}, {"use-source": 1},
+                                  {"no-such-flag": 1}])
+def test_config_values_go_through_the_flags_type_and_choices(tmp_path, capsys, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, _, err = run_cli(["diffuse", "--config", str(cfg),
+                            "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {cfg}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_diffuse_edges_without_features_is_usage_error(tmp_path, capsys):
+    e = tmp_path / "edges.txt"
+    e.write_text("0 1\n1 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["diffuse", "--coupling", "gcn_sym", "--edges", str(e),
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--edges needs --features" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name, text, line", [
     ("features", "0.1 0.2\n0.3 oops\n", 2),
     ("features", "0.1 0.2\n0.3 nan\n", 2),

@@ -4,7 +4,7 @@ import pytest
 from endiff.coupling import CouplingSpec, PenaltyFamily, build_coupling
 from endiff.diffusion import (DiffusionConfig, Trajectory,
                               dense_simple_propagate, euler_step,
-                              euler_step_source, graph_blended_step,
+                              graph_blended_step,
                               linear_simple_propagate, run_trajectory)
 from endiff.errors import ContractError, DimensionError, ParameterError
 from endiff.graphs import Graph, er_graph, normalized_adjacency
@@ -18,17 +18,6 @@ def test_euler_step_matches_laplacian_form():
     tau = 0.3
     expected = z - tau * laplacian(s) @ z
     assert np.allclose(euler_step(z, s, tau), expected, atol=1e-12)
-
-
-def test_euler_step_row_stochastic_shortcut():
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal((5, 2))
-    s = np.abs(rng.standard_normal((5, 5)))
-    s /= s.sum(axis=1, keepdims=True)
-    tau = 0.4
-    general = euler_step(z, s, tau)
-    shortcut = euler_step(z, s, tau, assume_unit_row_sums=True)
-    assert np.allclose(general, shortcut, atol=1e-12)
 
 
 def test_euler_step_identity_coupling_fixed_point():
@@ -52,18 +41,6 @@ def test_euler_step_shape_errors():
         euler_step(np.ones((3, 2)), np.ones((4, 4)), 0.5)
     with pytest.raises(DimensionError):
         euler_step(np.ones((3, 2)), np.ones((3, 4)), 0.5)
-
-
-def test_euler_step_source_adds_scaled_input():
-    rng = np.random.default_rng(4)
-    z = rng.standard_normal((5, 3))
-    s = np.abs(rng.standard_normal((5, 5)))
-    h = rng.standard_normal((5, 3))
-    base = euler_step(z, s, 0.5)
-    out = euler_step_source(z, s, 0.5, 2.0, h)
-    assert np.allclose(out, base + 0.5 * 2.0 * h)
-    with pytest.raises(DimensionError):
-        euler_step_source(z, s, 0.5, 1.0, np.ones((2, 3)))
 
 
 def test_graph_blended_step_halves_tau_on_sum():

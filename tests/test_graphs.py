@@ -271,3 +271,11 @@ def test_load_cora_adapter(tmp_path):
     assert np.sum(ds.mask("train")) == 4
     assert np.sum(ds.mask("val")) == 2
     assert np.sum(ds.mask("test")) == 2
+
+
+def test_load_cora_rejects_non_finite_features(tmp_path):
+    ci = _write(tmp_path, "x.cites", "p0 p1\n")
+    for i, bad in enumerate(("nan", "inf", "-inf")):
+        c = _write(tmp_path, f"x{i}.content", f"p0 0 1 a\n\np1 {bad} 2 b\n")
+        with pytest.raises(FormatError, match=rf"x{i}\.content:3: non-finite value"):
+            load_cora(c, ci)

@@ -1,23 +1,10 @@
 import numpy as np
 import pytest
 
-from endiff.errors import DimensionError
-from endiff.numerics import (DENSE_BRACKET_LIMIT, NORM_EPS, finite_diff_grad,
-                             jacobi_eigenvalues, laplacian,
-                             laplacian_spectral_bracket, matmul,
-                             power_iteration_largest, row_l2_normalize)
-
-
-def test_matmul_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 3))
-    b = rng.standard_normal((3, 5))
-    assert np.allclose(matmul(a, b), a @ b)
-
-
-def test_matmul_shape_error():
-    with pytest.raises(DimensionError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
+from endiff.coupling import CouplingSpec, build_coupling
+from endiff.graphs import Graph
+from endiff.numerics import (NORM_EPS, finite_diff_grad, laplacian,
+                             laplacian_spectral_bracket, row_l2_normalize)
 
 
 def test_row_l2_normalize_unit_rows():
@@ -50,34 +37,42 @@ def test_laplacian_rows_sum_to_zero():
     assert np.allclose(lap.sum(axis=1), 0.0)
 
 
-def test_jacobi_against_numpy():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((8, 8))
-    sym = a + a.T
-    ours = jacobi_eigenvalues(sym)
-    ref = np.sort(np.linalg.eigvalsh(sym))
-    assert np.allclose(ours, ref, atol=1e-10)
-
-
-def test_power_iteration_against_numpy():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((12, 12))
-    sym = a @ a.T  # PSD so the dominant eigenvalue is the largest
-    ours = power_iteration_largest(sym)
-    assert abs(ours - np.max(np.linalg.eigvalsh(sym))) < 1e-7
-
-
-@pytest.mark.parametrize("n", [5, 16, DENSE_BRACKET_LIMIT + 10])
+@pytest.mark.parametrize("n", [5, 16, 74])
 def test_spectral_bracket_matches_svd(n):
-    # svd oracle: bracket ends are the extreme singular values of the
-    # Laplacian, whatever route (Jacobi or power iteration) computed them
-    rng = np.random.default_rng(n)
-    s = np.abs(rng.standard_normal((n, n)))
-    s = 0.5 * (s + s.T)
+    # gcn_sym on the cycle C_n is A/2, so the Laplacian I - A/2 has the
+    # singular values 1 - cos(2 pi k / n): 0, and 2 for even n or
+    # 1 + cos(pi / n) for odd n
+    g = Graph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    bracket = laplacian_spectral_bracket(build_coupling(CouplingSpec("gcn_sym"), g=g))
+    top = 2.0 if n % 2 == 0 else 1.0 + np.cos(np.pi / n)
+    assert bracket.lambda_max == pytest.approx(top, rel=1e-12)
+    assert bracket.lambda_min == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 70])
+def test_spectral_bracket_all_one(n):
+    # ones/N: the Laplacian I - J/N projects out the all-ones vector
+    s = build_coupling(CouplingSpec("all_one"), z=np.zeros((n, 1)))
     bracket = laplacian_spectral_bracket(s)
-    sv = np.linalg.svd(laplacian(s), compute_uv=False)
-    assert bracket.lambda_max == pytest.approx(sv.max(), rel=1e-7, abs=1e-8)
-    assert bracket.lambda_min == pytest.approx(sv.min(), rel=1e-6, abs=1e-6)
+    assert bracket.lambda_max == pytest.approx(1.0 if n > 1 else 0.0, abs=1e-12)
+    assert bracket.lambda_min == pytest.approx(0.0, abs=1e-12)
+
+
+def test_spectral_bracket_non_symmetric():
+    # singular values of a non-symmetric Laplacian are the square roots of
+    # the eigenvalues of its Gram matrix, not its own eigenvalues
+    rng = np.random.default_rng(11)
+    s = np.abs(rng.standard_normal((12, 12)))
+    s /= s.sum(axis=1, keepdims=True)
+    s[0] *= 3.0
+    delta = laplacian(s)
+    eigs = np.linalg.eigvalsh(delta.T @ delta)
+    bracket = laplacian_spectral_bracket(s)
+    assert bracket.lambda_max == pytest.approx(np.sqrt(eigs[-1]), rel=1e-12)
+    # rows of the Laplacian sum to zero, so the smallest singular value is 0,
+    # which the Gram route resolves only to about sqrt(machine epsilon)
+    assert bracket.lambda_min == pytest.approx(0.0, abs=1e-12)
+    assert bracket.lambda_max > np.max(np.abs(np.linalg.eigvals(delta))) + 1e-3
 
 
 def test_spectral_bracket_zero_min_on_row_sum_laplacian():
