@@ -11,20 +11,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
-                       PenaltyFamily, write_penalty_landscape)
+from .coupling import (ATTENTION_FAMILIES, PENALTY_KINDS, STATIC_FAMILIES,
+                       CouplingSpec, PenaltyFamily, write_penalty_landscape)
 from .diffusion import DiffusionConfig, run_trajectory
 from .energy import write_trajectory_csv
 from .errors import EndiffError, FormatError
-from .graphs import Dataset, load_dataset, read_edges, read_features, sbm_generate
+from .graphs import (Dataset, atomic_write_text, load_dataset, read_edges,
+                     read_features, sbm_generate)
 from .model import Checkpoint, ModelConfig
 from .numerics import row_l2_normalize
 from .suites import SUITES, run_suite
@@ -44,18 +43,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_manifest(out_dir: Path, command: str, config: dict,
                    inputs: list, outputs: list, started: float) -> Path:
     manifest = {
@@ -67,7 +54,7 @@ def write_manifest(out_dir: Path, command: str, config: dict,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
     path = out_dir / f"manifest_{command}.json"
-    _atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
     return path
 
 
@@ -197,6 +184,13 @@ def cmd_synth(args) -> int:
 def cmd_diffuse(args) -> int:
     if args.edges is not None and args.features is None:
         args.parser.error("--edges needs --features")
+    if (args.use_source and args.coupling in ATTENTION_FAMILIES
+            and (args.coupling, args.penalty) != ("attention", "quadratic")):
+        # The source pushes pairwise distances past 4, out of the penalty's
+        # domain. Only the unmasked quadratic family (S = 1/N) keeps every
+        # step's differences a convex mix of unit-row differences.
+        args.parser.error(f"--use-source is not supported with --coupling "
+                          f"{args.coupling} --penalty {args.penalty}")
     started = time.monotonic()
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -248,7 +242,7 @@ def cmd_audit(args) -> int:
         report = run_suite(name, **kwargs)
         reports.append(report)
         path = out / f"audit_{name}.json"
-        _atomic_write_text(path, json.dumps(report, indent=2, default=float) + "\n")
+        atomic_write_text(path, json.dumps(report, indent=2, default=float) + "\n")
         outputs.append(path)
         print(f"{name}: {'pass' if report['passed'] else 'FAIL'} "
               f"({report['violations']} violation(s))")
@@ -348,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diffuse", help="run a diffusion trajectory to CSV")
     _add_common(p)
     p.add_argument("--coupling", default="gcn_sym",
-                   choices=STATIC_FAMILIES + ("attention", "gat_masked"))
+                   choices=STATIC_FAMILIES + ATTENTION_FAMILIES)
     p.add_argument("--penalty", default="simple", choices=PENALTY_KINDS)
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=50)

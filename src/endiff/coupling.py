@@ -3,6 +3,11 @@
 Each attention family is defined by a scalar penalty function delta of the
 squared pairwise distance; its derivative f is the un-normalized attention
 score. Valid squared distances lie in [0, 4] (unit-norm embeddings).
+
+The dynamics see a coupling only through the `Coupling` protocol:
+`SimpleAttention` applies the simple family in O(N d^2) from shared
+accumulators, and `DenseCoupling` wraps a `build_coupling` array for every
+other family.
 """
 
 from __future__ import annotations
@@ -10,10 +15,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ParameterError
+from .errors import ContractError, DimensionError, DomainError, ParameterError
 from .graphs import Graph, normalized_adjacency
 from .numerics import as_matrix, row_norms
 
@@ -203,6 +209,105 @@ def build_coupling(spec: CouplingSpec, z: np.ndarray | None = None,
         omega[dead, dead] = 1.0
         sums = omega.sum(axis=1)
     return omega / sums[:, None]
+
+
+class Coupling(Protocol):
+    """A row coupling S on N nodes, seen only through what the dynamics use."""
+
+    n: int
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """S @ v for an N x d' matrix v."""
+
+    def row_sums(self) -> np.ndarray:
+        """S @ 1 as an N-vector."""
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix S; for oracles and tests only."""
+
+
+def _check_rows(n: int, v: np.ndarray) -> np.ndarray:
+    v = as_matrix(v)
+    if v.shape[0] != n:
+        raise DimensionError(f"coupling on {n} nodes applied to {v.shape[0]} rows")
+    return v
+
+
+class SimpleAttention:
+    """Row-normalized simple-attention coupling s_ij = (1 + z_i.z_j) / sum_k
+    (1 + z_i.z_k) of unit-norm rows Z, without materializing S.
+
+    With the accumulators sum_j v_j and Z^T V, S V costs O(N d d') time and
+    O(d d') scratch. The denominators N + z_i.sum_j z_j are at least 2 for
+    unit rows, so no row degenerates.
+    """
+
+    def __init__(self, z: np.ndarray):
+        z = as_matrix(z)
+        if np.max(np.abs(row_norms(z) - 1.0)) > 1e-6:
+            raise ContractError("simple attention requires unit-norm embedding rows")
+        self.z = z
+        self.n = z.shape[0]
+        self._denominator = self.n + z @ z.sum(axis=0)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        v = _check_rows(self.n, v)
+        numerator = v.sum(axis=0)[None, :] + self.z @ (self.z.T @ v)
+        return numerator / self._denominator[:, None]
+
+    def row_sums(self) -> np.ndarray:
+        return self.apply(np.ones((self.n, 1)))[:, 0]
+
+    def dense(self) -> np.ndarray:
+        return build_coupling(CouplingSpec("attention", PenaltyFamily("simple")), self.z)
+
+
+class DenseCoupling:
+    """A materialized N x N coupling array."""
+
+    def __init__(self, s: np.ndarray):
+        s = as_matrix(s)
+        if s.shape[0] != s.shape[1]:
+            raise DimensionError(f"coupling must be square, got {s.shape}")
+        self.s = s
+        self.n = s.shape[0]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.s @ _check_rows(self.n, v)
+
+    def row_sums(self) -> np.ndarray:
+        return self.s.sum(axis=1)
+
+    def dense(self) -> np.ndarray:
+        return self.s
+
+
+class CouplingSum:
+    """The sum of couplings on the same N nodes."""
+
+    def __init__(self, *parts: Coupling):
+        if len({p.n for p in parts}) != 1:
+            raise DimensionError("summed couplings must share one node count")
+        self.parts = parts
+        self.n = parts[0].n
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return sum(p.apply(v) for p in self.parts)
+
+    def row_sums(self) -> np.ndarray:
+        return sum(p.row_sums() for p in self.parts)
+
+    def dense(self) -> np.ndarray:
+        return sum(p.dense() for p in self.parts)
+
+
+def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
+                      g: Graph | None = None) -> Coupling:
+    """The coupling of spec at embeddings z: `SimpleAttention` for unmasked
+    simple attention, the `build_coupling` array otherwise."""
+    if spec.family == "attention" and spec.penalty.kind == "simple":
+        return SimpleAttention(z)
+    return DenseCoupling(build_coupling(spec, z, g))
 
 
 def penalty_landscape(p: PenaltyFamily, step: float = 0.01) -> np.ndarray:

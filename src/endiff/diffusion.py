@@ -2,9 +2,9 @@
 
 The core update is z' = Z - tau * (diag(S 1) - S) Z: each node keeps a
 (1 - tau * row_sum) share of its own state and absorbs a tau-weighted mix
-of the others. Variants add a source term, blend an attention coupling
-with the observed graph, or compute the simple-attention propagation in
-O(N) without materializing S.
+of the others. The coupling S is a `coupling.Coupling` operator, so simple
+attention runs in O(N d^2) per step without materializing S. Variants add
+a source term or blend an attention coupling with the observed graph.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingSpec, build_coupling
+from .coupling import (Coupling, CouplingSpec, CouplingSum, DenseCoupling,
+                       SimpleAttention, build_coupling, coupling_operator)
 from .errors import ContractError, DimensionError, ParameterError
 from .graphs import Graph, normalized_adjacency
-from .numerics import as_matrix, row_l2_normalize, row_norms
+from .numerics import as_matrix, row_l2_normalize
 
 
 @dataclass(frozen=True)
@@ -61,61 +62,33 @@ class Trajectory:
         return [z for _, z in self.snapshots]
 
 
-def _check_step_shapes(z: np.ndarray, s: np.ndarray) -> None:
-    if s.shape[0] != s.shape[1]:
-        raise DimensionError(f"coupling must be square, got {s.shape}")
-    if s.shape[0] != z.shape[0]:
-        raise DimensionError(
-            f"coupling {s.shape} does not match embeddings {z.shape}"
-        )
-
-
-def euler_step(z: np.ndarray, s: np.ndarray, tau: float) -> np.ndarray:
+def euler_step(z: np.ndarray, s: Coupling, tau: float) -> np.ndarray:
     """One explicit-Euler step Z' = Z - tau * (diag(S 1) - S) Z."""
     z = as_matrix(z)
-    s = as_matrix(s)
-    _check_step_shapes(z, s)
-    row_sums = s.sum(axis=1, keepdims=True)
-    return z - tau * (row_sums * z - s @ z)
+    if s.n != z.shape[0]:
+        raise DimensionError(
+            f"coupling on {s.n} nodes does not match embeddings {z.shape}")
+    return z - tau * (s.row_sums()[:, None] * z - s.apply(z))
 
 
-def graph_blended_step(z: np.ndarray, s_attn: np.ndarray, g: Graph,
+def graph_blended_step(z: np.ndarray, s_attn: Coupling, g: Graph,
                        tau: float) -> np.ndarray:
     """Euler step on the average of an attention coupling and the
     sym-normalized observed adjacency (each weighted tau/2)."""
-    z = as_matrix(z)
-    s_attn = as_matrix(s_attn)
-    _check_step_shapes(z, s_attn)
-    if g.n != z.shape[0]:
-        raise DimensionError(f"graph n={g.n} does not match embeddings {z.shape}")
-    blended = s_attn + normalized_adjacency(g, "sym")
+    blended = CouplingSum(s_attn, DenseCoupling(normalized_adjacency(g, "sym")))
     return euler_step(z, blended, tau / 2.0)
 
 
 def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
-    """Row-normalized simple-attention propagation sum_j s_ij z_j in O(N).
-
-    Uses the shared accumulators sum_j z_j (a d-vector) and sum_j z_j z_j^T
-    (a d x d matrix) instead of the dense N x N coupling.
-    """
-    z = as_matrix(z)
-    if np.max(np.abs(row_norms(z) - 1.0)) > 1e-6:
-        raise ContractError("linear_simple_propagate requires unit-norm rows")
-    n = z.shape[0]
-    col_total = z.sum(axis=0)  # sum_j z_j
-    gram = z.T @ z  # sum_j z_j z_j^T
-    numerator = col_total[None, :] + z @ gram
-    denominator = n + z @ col_total
-    return numerator / denominator[:, None]
+    """Row-normalized simple-attention propagation sum_j s_ij z_j in O(N d^2),
+    through the accumulators of `SimpleAttention` instead of the dense
+    N x N coupling."""
+    return SimpleAttention(z).apply(z)
 
 
 def dense_simple_propagate(z: np.ndarray) -> np.ndarray:
     """O(N^2) reference for linear_simple_propagate (materializes S)."""
-    from .coupling import PenaltyFamily
-
-    z = as_matrix(z)
-    s = build_coupling(CouplingSpec("attention", PenaltyFamily("simple")), z)
-    return s @ z
+    return SimpleAttention(z).dense() @ as_matrix(z)
 
 
 def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
@@ -131,6 +104,7 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     static_s = None
     if not spec.is_attention:
         static_s = build_coupling(spec, z, g)
+        static_op = DenseCoupling(static_s)
     else:
         z = row_l2_normalize(z)
 
@@ -143,9 +117,9 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     for k in range(cfg.steps):
         if spec.is_attention:
             state = row_l2_normalize(state)
-            s = build_coupling(spec, state, g)
+            s = coupling_operator(spec, state, g)
         else:
-            s = static_s
+            s = static_op
         if cfg.graph_blend:
             nxt = graph_blended_step(state, s, g, cfg.tau)
         else:

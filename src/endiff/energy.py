@@ -4,6 +4,10 @@ Pairwise sums follow the all-ordered-pairs convention (i and j both range
 over all nodes, diagonal included), which matches the row-normalization
 denominators of the attention couplings. For a symmetric coupling the
 weighted pairwise term equals 2 * tr(Z^T (D - S) Z).
+
+Pairwise distances do not change when every row is shifted by the same
+vector, so diversity and the simple family's penalty are evaluated in
+closed form on the centred rows Y = Z - mean(Z), in O(N d) and O(N d^2).
 """
 
 from __future__ import annotations
@@ -14,14 +18,18 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .coupling import (CouplingSpec, PenaltyFamily, attention_scores,
-                       penalty_delta_array)
+                       coupling_operator, penalty_delta_array)
 from .diffusion import Trajectory
 from .errors import ContractError, DimensionError, ParameterError
-from .graphs import Graph, normalized_adjacency
+from .graphs import Graph, atomic_write_text
 from .numerics import as_matrix, laplacian, laplacian_spectral_bracket, row_l2_normalize
 
 DESCENT_SLACK = 1e-9
 BOUND_REL_SLACK = 1e-8
+# Squared row norms up to 1 + this count as inside the unit ball, so unit
+# rows that round just above 1 keep the closed form; pairs then reach at
+# most u = 4 + 4e-12, well inside the pairwise domain check's slack.
+UNIT_BALL_SLACK = 1e-12
 
 
 def _pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
@@ -65,15 +73,36 @@ def source_energy(z, z_prev, s, lam: float, eta: float, h) -> float:
     return quadratic_energy(z, z_prev + eta * h, s, lam)
 
 
+def _penalty_sum(penalty: PenaltyFamily, z: np.ndarray) -> float:
+    """sum_ij delta(||z_i - z_j||^2) over all ordered pairs.
+
+    The simple family, delta(u) = 2u - u^2/4, takes its exact closed form
+    when every row lies in the unit ball (up to rounding), which keeps every
+    pairwise u in the domain [0, 4]. With b_i = |y_i|^2: sum u = 2N sum b
+    and sum u^2 = 2N sum b^2 + 2 (sum b)^2 + 4 ||Y^T Y||_F^2. Any other case
+    goes pair by pair, which rejects a u outside the domain.
+    """
+    if (penalty.kind == "simple"
+            and np.max(np.sum(z * z, axis=1)) <= 1.0 + UNIT_BALL_SLACK):
+        n = z.shape[0]
+        y = z - z.mean(axis=0)
+        b = np.sum(y * y, axis=1)
+        sum_b = float(b.sum())
+        gram = y.T @ y
+        sum_u = 2.0 * n * sum_b
+        sum_u2 = (2.0 * n * float(b @ b) + 2.0 * sum_b**2
+                  + 4.0 * float(np.sum(gram * gram)))
+        return 2.0 * sum_u - 0.25 * sum_u2
+    return float(np.sum(penalty_delta_array(penalty, _pairwise_sq_dists(z))))
+
+
 def regularized_energy(z, z_prev, penalty: PenaltyFamily, lam: float) -> float:
     """||Z - Z_prev||_F^2 + lam * sum_ij delta(||z_i - z_j||^2)."""
     z = as_matrix(z)
     z_prev = as_matrix(z_prev)
     _check_same_shape(z, z_prev)
-    d2 = _pairwise_sq_dists(z)
     local = float(np.sum((z - z_prev) ** 2))
-    pen = float(np.sum(penalty_delta_array(penalty, d2)))
-    return local + lam * pen
+    return local + lam * _penalty_sum(penalty, z)
 
 
 def surrogate_energy(z, z_prev, omega, penalty: PenaltyFamily, lam: float) -> float:
@@ -104,18 +133,23 @@ def graph_regularized_energy(z, z_prev, penalty: PenaltyFamily, g: Graph,
     _check_same_shape(z, z_prev)
     if g.n != z.shape[0]:
         raise DimensionError(f"graph n={g.n} does not match {z.shape}")
-    d2 = _pairwise_sq_dists(z)
     local = float(np.sum((z - z_prev) ** 2))
-    pen = float(np.sum(penalty_delta_array(penalty, d2)))
-    a_tilde = normalized_adjacency(g, "sym")
-    edge_term = float(np.sum(a_tilde * d2))
+    pen = _penalty_sum(penalty, z)
+    # sum_ij a_ij ||z_i - z_j||^2 with a = D^-1/2 A D^-1/2, one term per
+    # edge and direction
+    u, v = g.edge_array[:, 0], g.edge_array[:, 1]
+    deg = np.asarray(g.degrees, dtype=np.float64)
+    weights = 1.0 / np.sqrt(deg[u] * deg[v])
+    edge_term = 2.0 * float(weights @ np.sum((z[u] - z[v]) ** 2, axis=1))
     return local + 0.5 * lam * pen + 0.5 * lam * edge_term
 
 
 def diversity(z) -> float:
-    """sum_{i<j} ||z_i - z_j||^2, the embedding-collapse diagnostic."""
+    """sum_{i<j} ||z_i - z_j||^2 = N ||Z - mean(Z)||_F^2, the
+    embedding-collapse diagnostic, in O(N d)."""
     z = as_matrix(z)
-    return 0.5 * float(np.sum(_pairwise_sq_dists(z)))
+    y = z - z.mean(axis=0)
+    return z.shape[0] * float(np.sum(y * y))
 
 
 @dataclass
@@ -274,23 +308,22 @@ def inferred_omega(penalty: PenaltyFamily, z) -> np.ndarray:
 
 
 def write_trajectory_csv(traj: Trajectory, path, lam: float | None = None) -> None:
-    """Trajectory CSV: step, energy, diversity, min_row_sum, max_row_sum."""
+    """Trajectory CSV: step, energy, diversity, min_row_sum, max_row_sum.
+
+    The row sums are S 1 of the coupling each snapshot diffuses with. The
+    text is built first and written once, so a run that fails part way
+    leaves no partial file.
+    """
     if lam is None:
         lam = traj.config.tau
-    mats = traj.matrices
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,energy,diversity,min_row_sum,max_row_sum\n")
-        for pos, (k, z) in enumerate(traj.snapshots):
-            if pos == 0:
-                energy = float("nan")
-            else:
-                energy = _trajectory_energy(traj, pos, lam)
-            if traj.spec.is_attention:
-                from .coupling import build_coupling
-
-                s = build_coupling(traj.spec, row_l2_normalize(z), traj.graph)
-            else:
-                s = traj.static_coupling
-            sums = s.sum(axis=1)
-            fh.write(f"{k},{energy:.17g},{diversity(z):.17g},"
+    lines = ["step,energy,diversity,min_row_sum,max_row_sum\n"]
+    for pos, (k, z) in enumerate(traj.snapshots):
+        energy = float("nan") if pos == 0 else _trajectory_energy(traj, pos, lam)
+        if traj.spec.is_attention:
+            s = coupling_operator(traj.spec, row_l2_normalize(z), traj.graph)
+            sums = s.row_sums()
+        else:
+            sums = traj.static_coupling.sum(axis=1)
+        lines.append(f"{k},{energy:.17g},{diversity(z):.17g},"
                      f"{sums.min():.17g},{sums.max():.17g}\n")
+    atomic_write_text(path, "".join(lines))

@@ -11,8 +11,11 @@ Cora adapter: content lines "id f1 ... fD class_name"; cites lines
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -58,9 +61,17 @@ class Graph:
         return a
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only E x 2 int64 array, built on first use
+        and kept."""
+        arr = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
     def sym_operator(self) -> "SymOperator":
         """D^-1/2 A D^-1/2 in O(E) storage, built on first use and kept."""
-        return SymOperator(self.n, np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
+        return SymOperator(self.n, self.edge_array)
 
 
 # Neighbour slots that reach fewer rows than this are summed by a single
@@ -295,31 +306,31 @@ def _read_lines(path) -> list[tuple[int, str]]:
 def read_features(path) -> np.ndarray:
     """N x D matrix from a features file; bad floats, ragged rows and
     non-finite values are rejected with the file and line."""
-    lines = _read_lines(path)
+    return _feature_matrix(path, _read_lines(path), str.split)
+
+
+def _feature_matrix(path, lines, tokens) -> np.ndarray:
+    """Matrix of the feature tokens `tokens(text)` of each (line number,
+    text) line, or a FormatError naming the first line with a bad float, a
+    ragged row or a non-finite value."""
     if not lines:
         raise FormatError(f"{path}: no feature rows")
     try:
-        features = np.array([[float(tok) for tok in line.split()] for _, line in lines])
+        features = np.array([[float(tok) for tok in tokens(line)] for _, line in lines])
     except ValueError:  # a bad float, or rows of unequal length
-        raise _feature_error(path, lines) from None
-    return _finite_rows(path, features, lines)
-
-
-def _finite_rows(path, features: np.ndarray, lines) -> np.ndarray:
-    """features, whose row i was read from lines[i], or a FormatError naming
-    the line of its first non-finite row."""
+        raise _feature_error(path, lines, tokens) from None
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}:{lines[bad[0]][0]}: non-finite value")
     return features
 
 
-def _feature_error(path, lines) -> FormatError:
+def _feature_error(path, lines, tokens) -> FormatError:
     """The error of the first line that stops a features file from parsing."""
     width = None
     for ln, line in lines:
         try:
-            row = [float(tok) for tok in line.split()]
+            row = [float(tok) for tok in tokens(line)]
         except ValueError:
             return FormatError(f"{path}:{ln}: bad float")
         if width is None:
@@ -327,6 +338,21 @@ def _feature_error(path, lines) -> FormatError:
         elif len(row) != width:
             return FormatError(f"{path}:{ln}: inconsistent column count")
     return FormatError(f"{path}: malformed features")
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text through a temporary file in the same directory, so the
+    path holds the old file or the whole new one, never a part."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_edges(path, n: int) -> Graph:
@@ -389,7 +415,6 @@ def load_cora(content_path, cites_path, per_class_train: int = 20,
     content file; the split takes per_class_train labeled nodes per class,
     then n_val / n_test from the remainder in a seeded shuffle."""
     ids: dict[str, int] = {}
-    feats = []
     class_ids: dict[str, int] = {}
     labels = []
     lines = _read_lines(content_path)
@@ -397,16 +422,12 @@ def load_cora(content_path, cites_path, per_class_train: int = 20,
         toks = line.split()
         if len(toks) < 3:
             raise FormatError(f"{content_path}:{ln}: too few columns")
-        node_id, *values, cls = toks
+        node_id, cls = toks[0], toks[-1]
         if node_id in ids:
             raise FormatError(f"{content_path}:{ln}: duplicate id {node_id}")
         ids[node_id] = len(ids)
-        try:
-            feats.append([float(v) for v in values])
-        except ValueError:
-            raise FormatError(f"{content_path}:{ln}: bad feature") from None
         labels.append(class_ids.setdefault(cls, len(class_ids)))
-    features = _finite_rows(content_path, np.array(feats), lines)
+    features = _feature_matrix(content_path, lines, lambda line: line.split()[1:-1])
     n = len(ids)
     pairs = []
     for ln, line in _read_lines(cites_path):

@@ -192,6 +192,8 @@ class Checkpoint:
                 raise ContractError(
                     f"checkpoint parameter {name} has shape {arr.shape}, want {shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise ContractError(f"parameter {name} is not finite")
             self.params[name] = arr
 
     def save(self, path) -> None:
@@ -211,15 +213,22 @@ class Checkpoint:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise FormatError(f"{path}: expected a JSON object")
         for key in ("config", "params"):
-            if key not in payload:
-                raise FormatError(f"{path}: missing {key!r}")
+            if not isinstance(payload.get(key), dict):
+                raise FormatError(f"{path}: missing {key!r} object")
         try:
             cfg = ModelConfig(**payload["config"])
         except (TypeError, ParameterError) as exc:
             raise FormatError(f"{path}: bad config: {exc}") from exc
-        params = {k: np.array(v, dtype=np.float64)
-                  for k, v in payload["params"].items()}
+        params = {}
+        for name, value in payload["params"].items():
+            try:
+                params[name] = np.array(value, dtype=np.float64)
+            except (TypeError, ValueError):  # ragged rows or non-numbers
+                raise FormatError(
+                    f"{path}: parameter {name} is not a numeric array") from None
         try:
             return Checkpoint(config=cfg, params=params,
                               meta=payload.get("meta", {}))

@@ -110,9 +110,11 @@ def minibatch_partition(n: int, batch_size: int, seed: int, epoch: int) -> list[
 
 def induced_subgraph(g: Graph, idx: np.ndarray) -> Graph:
     """Subgraph on idx with in-batch edges only, nodes relabeled 0..len-1."""
-    pos = {int(node): i for i, node in enumerate(idx)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    return Graph(n=len(idx), edges=tuple(edges))
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[idx] = np.arange(len(idx))
+    ends = pos[g.edge_array]
+    kept = ends[(ends >= 0).all(axis=1)]
+    return Graph(n=len(idx), edges=tuple(zip(*kept.T.tolist())))
 
 
 def metric(kind: str, predictions, labels, mask) -> float:

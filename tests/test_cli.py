@@ -277,3 +277,75 @@ def test_malformed_config_is_runtime_error(tmp_path, capsys, data):
                             "--out", str(tmp_path)], capsys)
     assert code == 1
     assert err.startswith(f"error: {cfg}")
+
+
+def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys):
+    run = tmp_path / "r"
+    assert run_cli(["train", "--synth", "sbm", "--per-block", "10", "--epochs", "1",
+                    "--hidden", "4", "--layers", "1", "--out", str(run)], capsys)[0] == 0
+    ckpt = run / "checkpoint.json"
+    payload = json.loads(ckpt.read_text())
+    for name, bad, why in (("W_O", float("nan"), "is not finite"),
+                           ("b_I", float("inf"), "is not finite"),
+                           ("W_O", "x", "is not a numeric array"),
+                           ("W_O", [1.0], "is not a numeric array")):
+        trial = json.loads(json.dumps(payload))
+        row = trial["params"][name]
+        (row[0] if isinstance(row[0], list) else row)[0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(trial))  # json writes NaN / Infinity
+        code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
+                                "--checkpoint", str(path),
+                                "--out", str(tmp_path / "e")], capsys)
+        assert code == 1
+        assert err == f"error: {path}: parameter {name} {why}\n"
+    for text, why in (("5", "expected a JSON object"),
+                      ('{"config": {}, "params": [1, 2]}', "missing 'params' object")):
+        path.write_text(text)
+        code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
+                                "--checkpoint", str(path),
+                                "--out", str(tmp_path / "e")], capsys)
+        assert code == 1
+        assert err == f"error: {path}: {why}\n"
+
+
+@pytest.mark.parametrize("coupling", ["attention", "gat_masked"])
+@pytest.mark.parametrize("penalty", ["simple", "advanced", "softmax", "quadratic"])
+def test_diffuse_source_with_attention(tmp_path, capsys, coupling, penalty):
+    # only unmasked quadratic attention keeps source runs in the domain
+    argv = ["diffuse", "--coupling", coupling, "--penalty", penalty,
+            "--use-source", "--n", "50", "--steps", "5",
+            "--out", str(tmp_path / "out")]
+    if (coupling, penalty) == ("attention", "quadratic"):
+        assert run_cli(argv, capsys)[0] == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert (f"--use-source is not supported with --coupling {coupling} "
+            f"--penalty {penalty}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_diffuse_simple_attention_builds_no_dense_array(tmp_path, capsys, monkeypatch):
+    import endiff.coupling as coupling
+    import endiff.diffusion as diffusion
+    import endiff.energy as energy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("N x N array built on the simple-attention path")
+
+    for mod, name in ((coupling, "build_coupling"), (coupling, "attention_scores"),
+                      (diffusion, "build_coupling"), (energy, "_pairwise_sq_dists")):
+        monkeypatch.setattr(mod, name, refuse)
+    code, out, _ = run_cli(["diffuse", "--coupling", "attention", "--penalty", "simple",
+                            "--tau", "0.25", "--steps", "6", "--n", "40",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in
+            open(json.loads(out.strip().splitlines()[-1])["csv"]).read().splitlines()[1:]]
+    assert len(rows) == 7
+    energies = [float(r[1]) for r in rows[1:]]
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
+    sums = np.array([[float(r[3]), float(r[4])] for r in rows])
+    assert np.all(np.abs(sums - 1.0) <= 1e-12)

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from endiff.coupling import (CouplingSpec, PenaltyFamily, attention_scores,
-                             build_coupling, penalty_conjugate, penalty_delta,
+from endiff.coupling import (CouplingSpec, CouplingSum, DenseCoupling,
+                             PenaltyFamily, SimpleAttention, attention_scores,
+                             build_coupling, coupling_operator,
+                             penalty_conjugate, penalty_delta,
                              penalty_delta_array, penalty_f, penalty_f_range,
                              penalty_landscape)
-from endiff.errors import ContractError, DomainError, ParameterError
-from endiff.graphs import Graph
+from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
+from endiff.graphs import Graph, er_graph
 from endiff.numerics import row_l2_normalize
 
 FD_FAMILIES = [PenaltyFamily("simple"), PenaltyFamily("advanced"),
@@ -178,3 +182,75 @@ def test_penalty_landscape_table():
     assert table.shape == (9, 3)
     assert table[0, 0] == 0.0 and table[0, 1] == 2.0 and table[0, 2] == 0.0
     assert table[-1, 0] == 4.0
+
+
+SIMPLE = CouplingSpec("attention", PenaltyFamily("simple"))
+
+
+@st.composite
+def _unit_rows_and_block(draw):
+    """Unit rows Z (with repeated and antipodal rows mixed in) and a block V."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = row_l2_normalize(rng.standard_normal((n, d)))
+    for i in range(1, n):
+        pick = draw(st.sampled_from(("own", "repeat", "antipode")))
+        if pick != "own":
+            j = draw(st.integers(0, i - 1))
+            z[i] = z[j] if pick == "repeat" else -z[j]
+    v = rng.standard_normal((n, draw(st.integers(1, 4))))
+    return z, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit_rows_and_block())
+@example((np.array([[1.0, 0.0]]), np.array([[2.0]])))
+@example((np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[1.0], [-1.0]])))
+def test_simple_attention_matches_dense_coupling(case):
+    # accumulator form against the materialized row-normalized coupling
+    z, v = case
+    s = build_coupling(SIMPLE, z)
+    op = SimpleAttention(z)
+    scale = float(np.max(np.abs(v)))  # S is row-stochastic: |S V| <= max |V|
+    assert np.max(np.abs(op.apply(v) - s @ v)) <= 1e-12 * scale
+    assert np.max(np.abs(op.row_sums() - s.sum(axis=1))) <= 1e-12
+    assert np.array_equal(op.dense(), s)
+
+
+def test_simple_attention_requires_unit_rows():
+    with pytest.raises(ContractError):
+        SimpleAttention(np.ones((4, 3)))
+    with pytest.raises(DimensionError):
+        SimpleAttention(np.eye(3)).apply(np.ones((4, 2)))
+
+
+def test_dense_coupling_and_sum():
+    rng = np.random.default_rng(0)
+    s = rng.random((5, 5))
+    v = rng.standard_normal((5, 2))
+    op = DenseCoupling(s)
+    assert np.array_equal(op.apply(v), s @ v)
+    assert np.array_equal(op.row_sums(), s.sum(axis=1))
+    both = CouplingSum(op, SimpleAttention(row_l2_normalize(rng.standard_normal((5, 3)))))
+    dense = both.dense()
+    assert np.allclose(both.apply(v), dense @ v, atol=1e-12)
+    assert np.allclose(both.row_sums(), dense.sum(axis=1), atol=1e-12)
+    with pytest.raises(DimensionError):
+        DenseCoupling(np.ones((3, 4)))
+    with pytest.raises(DimensionError):
+        op.apply(np.ones((4, 2)))
+    with pytest.raises(DimensionError):
+        CouplingSum(op, DenseCoupling(np.eye(3)))
+
+
+def test_coupling_operator_picks_the_accumulator_form_for_simple_attention():
+    z = row_l2_normalize(np.random.default_rng(1).standard_normal((6, 3)))
+    g = er_graph(6, 0.5, 0)
+    assert isinstance(coupling_operator(SIMPLE, z), SimpleAttention)
+    for spec in (CouplingSpec("attention", PenaltyFamily("advanced")),
+                 CouplingSpec("gat_masked", PenaltyFamily("simple"), g),
+                 CouplingSpec("gcn_sym")):
+        op = coupling_operator(spec, z, g)
+        assert isinstance(op, DenseCoupling)
+        assert np.array_equal(op.dense(), build_coupling(spec, z, g))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from endiff.coupling import CouplingSpec, PenaltyFamily, build_coupling
+from endiff.coupling import (CouplingSpec, DenseCoupling, PenaltyFamily,
+                             build_coupling)
 from endiff.diffusion import (DiffusionConfig, Trajectory,
                               dense_simple_propagate, euler_step,
                               graph_blended_step,
@@ -17,13 +18,13 @@ def test_euler_step_matches_laplacian_form():
     s = np.abs(rng.standard_normal((6, 6)))
     tau = 0.3
     expected = z - tau * laplacian(s) @ z
-    assert np.allclose(euler_step(z, s, tau), expected, atol=1e-12)
+    assert np.allclose(euler_step(z, DenseCoupling(s), tau), expected, atol=1e-12)
 
 
 def test_euler_step_identity_coupling_fixed_point():
     # S = I: the Laplacian vanishes, nothing moves
     z = np.random.default_rng(2).standard_normal((4, 3))
-    assert np.allclose(euler_step(z, np.eye(4), 0.7), z)
+    assert np.allclose(euler_step(z, DenseCoupling(np.eye(4)), 0.7), z)
 
 
 def test_euler_step_preserves_column_means_for_symmetric_coupling():
@@ -32,15 +33,15 @@ def test_euler_step_preserves_column_means_for_symmetric_coupling():
     z = rng.standard_normal((8, 4))
     s = np.abs(rng.standard_normal((8, 8)))
     s = 0.5 * (s + s.T)
-    out = euler_step(z, s, 0.25)
+    out = euler_step(z, DenseCoupling(s), 0.25)
     assert np.allclose(out.mean(axis=0), z.mean(axis=0), atol=1e-12)
 
 
 def test_euler_step_shape_errors():
     with pytest.raises(DimensionError):
-        euler_step(np.ones((3, 2)), np.ones((4, 4)), 0.5)
+        euler_step(np.ones((3, 2)), DenseCoupling(np.ones((4, 4))), 0.5)
     with pytest.raises(DimensionError):
-        euler_step(np.ones((3, 2)), np.ones((3, 4)), 0.5)
+        euler_step(np.ones((3, 2)), DenseCoupling(np.ones((3, 4))), 0.5)
 
 
 def test_graph_blended_step_halves_tau_on_sum():
@@ -49,8 +50,8 @@ def test_graph_blended_step_halves_tau_on_sum():
     z = rng.standard_normal((6, 3))
     s_attn = np.abs(rng.standard_normal((6, 6)))
     blended = s_attn + normalized_adjacency(g, "sym")
-    assert np.allclose(graph_blended_step(z, s_attn, g, 0.6),
-                       euler_step(z, blended, 0.3))
+    assert np.allclose(graph_blended_step(z, DenseCoupling(s_attn), g, 0.6),
+                       euler_step(z, DenseCoupling(blended), 0.3))
 
 
 def test_linear_simple_propagate_matches_dense():
@@ -98,7 +99,7 @@ def test_run_trajectory_static_records_every_step():
     s = build_coupling(CouplingSpec("gcn_sym"), g=g)
     manual = z0.copy()
     for k in range(5):
-        manual = euler_step(manual, s, 0.5)
+        manual = euler_step(manual, DenseCoupling(s), 0.5)
         assert np.allclose(traj.matrices[k + 1], manual, atol=1e-12)
 
 
@@ -121,7 +122,7 @@ def test_run_trajectory_attention_normalizes_state_per_step():
     for k in range(3):
         state = row_l2_normalize(traj.matrices[k])
         s = build_coupling(spec, state)
-        assert np.allclose(traj.matrices[k + 1], euler_step(state, s, 0.25),
+        assert np.allclose(traj.matrices[k + 1], euler_step(state, DenseCoupling(s), 0.25),
                            atol=1e-12)
 
 
@@ -133,7 +134,7 @@ def test_run_trajectory_source_defaults_to_initial_state():
                           DiffusionConfig(steps=2, beta=1.0), g)
     assert np.allclose(traj.source, z0)
     s = build_coupling(CouplingSpec("gcn_sym"), g=g)
-    step1 = euler_step(z0, s, 0.5) + 0.5 * z0
+    step1 = euler_step(z0, DenseCoupling(s), 0.5) + 0.5 * z0
     assert np.allclose(traj.matrices[1], step1, atol=1e-12)
 
 
@@ -150,7 +151,7 @@ def test_row_stochastic_update_is_convex_combination():
     z = row_l2_normalize(rng.standard_normal((15, 4)))
     spec = CouplingSpec("attention", PenaltyFamily("simple"))
     s = build_coupling(spec, z)
-    out = euler_step(z, s, 0.5)
+    out = euler_step(z, DenseCoupling(s), 0.5)
     for j in range(z.shape[1]):
         assert out[:, j].max() <= z[:, j].max() + 1e-12
         assert out[:, j].min() >= z[:, j].min() - 1e-12

@@ -2,15 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from endiff.coupling import CouplingSpec, PenaltyFamily, penalty_delta
+import endiff.energy as energy
+from endiff.coupling import (CouplingSpec, PenaltyFamily, penalty_delta,
+                             penalty_delta_array)
 from endiff.diffusion import DiffusionConfig, run_trajectory
-from endiff.energy import (audit_bounds, audit_descent, diversity,
-                           graph_regularized_energy, inferred_omega,
+from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent,
+                           diversity, graph_regularized_energy, inferred_omega,
                            quadratic_energy, quadratic_energy_loop,
                            regularized_energy, source_energy,
                            surrogate_energy, write_trajectory_csv)
-from endiff.errors import ContractError, DimensionError, ParameterError
+from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
 from endiff.graphs import er_graph, normalized_adjacency
 from endiff.numerics import row_l2_normalize
 
@@ -205,3 +209,99 @@ def test_write_trajectory_csv(tmp_path):
     assert len(lines) == 6  # header + snapshots 0..4
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "nan"
+
+
+SIMPLE_P = PenaltyFamily("simple")
+
+
+def _close(fast: float, slow: float, z: np.ndarray) -> bool:
+    """Agreement to 1e-12 relative; the pairwise oracle's own rounding,
+    about 1e-16 * N * sum |z_i|^2, bounds it where rows nearly coincide."""
+    return fast == pytest.approx(slow, rel=1e-12,
+                                 abs=1e-12 * z.shape[0] * float(np.sum(z * z)))
+
+
+@st.composite
+def _ball_rows(draw):
+    """Rows in the closed unit ball: on the sphere, inside it, at the
+    origin, and repeated (collapsed)."""
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((n, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    for i in range(n):
+        pick = draw(st.sampled_from(("sphere", "inside", "origin", "repeat")))
+        if pick == "inside":
+            z[i] *= draw(st.floats(0.0, 1.0))
+        elif pick == "origin":
+            z[i] = 0.0
+        elif pick == "repeat" and i > 0:
+            z[i] = z[draw(st.integers(0, i - 1))]
+    z_prev = rng.standard_normal((n, d))
+    return z, z_prev, draw(st.floats(0.0, 1.0))
+
+
+def _pairwise_penalty(z):
+    return float(np.sum(penalty_delta_array(SIMPLE_P, _pairwise_sq_dists(z))))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("closed form fell back to the pairwise path")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ball_rows())
+@example((np.array([[0.6, 0.8]]), np.zeros((1, 2)), 1.0))  # N = 1
+@example((np.tile([[0.0, 1.0]], (4, 1)), np.ones((4, 2)), 0.5))  # collapsed
+@example((np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros((2, 2)), 1.0))  # u = 4
+def test_simple_energies_closed_form_match_pairwise(case):
+    z, z_prev, lam = case
+    g = er_graph(z.shape[0], 0.4, z.shape[0])
+    local = float(np.sum((z - z_prev) ** 2))
+    pen = _pairwise_penalty(z)
+    edges = float(np.sum(normalized_adjacency(g, "sym") * _pairwise_sq_dists(z)))
+    slow = local + lam * pen
+    slow_graph = local + 0.5 * lam * pen + 0.5 * lam * edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_pairwise_sq_dists", _refuse)
+        fast = regularized_energy(z, z_prev, SIMPLE_P, lam)
+        fast_graph = graph_regularized_energy(z, z_prev, SIMPLE_P, g, lam)
+    assert _close(fast, slow, z)
+    assert _close(fast_graph, slow_graph, z)
+
+
+def test_simple_energy_outside_the_unit_ball_uses_the_pairwise_domain():
+    # a row norm above 1 with every pair still in [0, 4]: pairwise value
+    z = np.array([[1.2, 0.0], [1.0, 0.0], [0.9, 0.3]])
+    assert regularized_energy(z, z, SIMPLE_P, 0.7) == pytest.approx(
+        0.7 * _pairwise_penalty(z), rel=1e-12)
+    # a pair at u = 9 > 4 is outside the penalty's domain
+    z = np.array([[1.5, 0.0], [-1.5, 0.0], [0.0, 1.0]])
+    with pytest.raises(DomainError):
+        regularized_energy(z, z, SIMPLE_P, 0.7)
+    with pytest.raises(DomainError):
+        graph_regularized_energy(z, z, SIMPLE_P, er_graph(3, 0.5, 0), 0.7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from((1e-6, 1.0, 1e3)), st.booleans())
+def test_diversity_matches_pairwise_and_is_never_negative(n, d, seed, scale, collapse):
+    rng = np.random.default_rng(seed)
+    z = scale * rng.standard_normal((n, d))
+    if collapse:  # every row the same point, away from the origin
+        z[:] = z[0]
+    fast = diversity(z)
+    assert fast >= 0.0
+    assert _close(fast, 0.5 * float(_pairwise_sq_dists(z).sum()), z)
+
+
+def test_failed_trajectory_csv_leaves_no_file(tmp_path):
+    # the source pushes rows out of the unit ball and pairs past u = 4
+    z0 = row_l2_normalize(np.random.default_rng(0).standard_normal((12, 3)))
+    spec = CouplingSpec("attention", PenaltyFamily("simple"))
+    traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.5, steps=6, beta=1.0))
+    with pytest.raises(DomainError):
+        write_trajectory_csv(traj, tmp_path / "traj.csv")
+    assert list(tmp_path.iterdir()) == []

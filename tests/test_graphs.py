@@ -279,3 +279,13 @@ def test_load_cora_rejects_non_finite_features(tmp_path):
         c = _write(tmp_path, f"x{i}.content", f"p0 0 1 a\n\np1 {bad} 2 b\n")
         with pytest.raises(FormatError, match=rf"x{i}\.content:3: non-finite value"):
             load_cora(c, ci)
+
+
+def test_load_cora_rejects_ragged_rows(tmp_path):
+    ci = _write(tmp_path, "x.cites", "p0 p1\n")
+    c = _write(tmp_path, "x.content", "p0 0 1 a\np1 2 b\n")
+    with pytest.raises(FormatError, match=r"x\.content:2: inconsistent column count"):
+        load_cora(c, ci)
+    c = _write(tmp_path, "y.content", "p0 0 1 a\np1 2 oops b\n")
+    with pytest.raises(FormatError, match=r"y\.content:2: bad float"):
+        load_cora(c, ci)

@@ -117,6 +117,22 @@ def test_induced_subgraph_drops_cross_batch_edges():
     assert sub.edges == ((0, 1),)  # (0,1) kept, (1,2) and (3,4) cut
 
 
+@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_induced_subgraph_matches_the_edge_scan(n, p, seed):
+    # keeps the edge order and relabelling of a scan over the edge list
+    from endiff.graphs import er_graph
+
+    g = er_graph(n, p, seed)
+    rng = np.random.default_rng(seed)
+    idx = rng.permutation(n)[: rng.integers(1, n + 1)]
+    pos = {int(node): i for i, node in enumerate(idx)}
+    want = tuple((pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos)
+    sub = induced_subgraph(g, idx)
+    assert sub.n == len(idx)
+    assert sub.edges == want
+    assert all(type(x) is int for e in sub.edges for x in e)
+
+
 def test_metric_accuracy_and_mse():
     pred = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0]])
     labels = np.array([0, 1, 1])
