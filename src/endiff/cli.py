@@ -24,9 +24,10 @@ from .energy import write_trajectory_csv
 from .errors import EndiffError, FormatError
 from .graphs import (Dataset, atomic_write_text, load_dataset, read_edges,
                      read_features, sbm_generate)
-from .model import Checkpoint, ModelConfig
+from .model import Checkpoint, ModelConfig, forward
 from .numerics import row_l2_normalize
 from .suites import SUITES, run_suite
+from .tape import Eager
 from .train import TrainConfig, metric, train_loop, write_history_csv
 
 EXIT_OK = 0
@@ -182,6 +183,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
+    for flag in ("n", "dim"):
+        if getattr(args, flag) < 1:
+            args.parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if args.edges is not None and args.features is None:
         args.parser.error("--edges needs --features")
     if (args.use_source and args.coupling in ATTENTION_FAMILIES
@@ -293,14 +297,12 @@ def cmd_eval(args) -> int:
     ds, inputs = _resolve_dataset(args)
     ckpt = Checkpoint.load(args.checkpoint)
     inputs.append(args.checkpoint)
-    from .model import forward
-
-    logits, _ = forward(ckpt.params, ds.features, ds.graph, ckpt.config)
+    logits, _ = forward(ckpt.params, ds.features, ds.graph, ckpt.config,
+                        tape=Eager())
     values = {}
     for tag in ("train", "val", "test"):
         if ds.mask(tag).any():
-            values[tag] = metric(args.metric, logits.value, ds.labels,
-                                 ds.mask(tag))
+            values[tag] = metric(args.metric, logits, ds.labels, ds.mask(tag))
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(out, "eval", _public_config(args), inputs, [], started)

@@ -15,6 +15,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,20 +33,28 @@ class Graph:
     degrees: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        seen = set()
-        deg = [0] * self.n
-        for u, v in self.edges:
-            if u == v:
+        e = self.edge_array
+        lo, hi = e.min(axis=1), e.max(axis=1)
+        loop = lo == hi
+        outside = (lo < 0) | (hi >= self.n)
+        # lo * n + hi names an in-range pair uniquely. A key an out-of-range
+        # edge shares never decides the first fault: that edge is a fault
+        # itself, and its range fault outranks the repeat.
+        key = lo * self.n + hi
+        order = np.argsort(key, kind="stable")
+        repeat = np.zeros(len(e), dtype=bool)
+        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+        bad = np.flatnonzero(loop | outside | repeat)
+        if bad.size:  # the edge a scan in edge order would stop at
+            i = bad[0]
+            u, v = self.edges[i]
+            if loop[i]:
                 raise ParameterError(f"self-loop ({u},{v}) not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if outside[i]:
                 raise ParameterError(f"edge ({u},{v}) out of range for n={self.n}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ParameterError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-            deg[u] += 1
-            deg[v] += 1
-        object.__setattr__(self, "degrees", tuple(deg))
+            raise ParameterError(f"duplicate edge ({u},{v})")
+        deg = np.bincount(e.ravel(), minlength=self.n)
+        object.__setattr__(self, "degrees", tuple(deg.tolist()))
 
     @staticmethod
     def from_edge_list(n: int, edges) -> "Graph":
@@ -64,7 +73,10 @@ class Graph:
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only E x 2 int64 array, built on first use
         and kept."""
-        arr = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64)
+        if flat.size != 2 * len(self.edges):
+            raise ParameterError("every edge must be a (u, v) pair")
+        arr = flat.reshape(-1, 2)
         arr.flags.writeable = False
         return arr
 
@@ -123,7 +135,9 @@ class SymOperator:
             targets = self._order[targets]
         pos = np.concatenate(short_pos)
         self._short = (targets, cols[pos], weights[pos][:, None])
-        self._short_index: dict[int, np.ndarray] = {}  # by d: flat scatter targets
+        # Flat scatter targets for the last column count d; a model applies
+        # one d throughout, and a stacked forward's d changes per stack.
+        self._short_index = (0, np.zeros(0, np.int64))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(D^-1/2 A D^-1/2) @ v for an N x d matrix v."""
@@ -132,9 +146,10 @@ class SymOperator:
         if n != self.n:
             raise DimensionError(f"operator on {self.n} nodes applied to {n} rows")
         rows, cols, weights = self._short
-        index = self._short_index.get(d)
-        if index is None:
-            index = self._short_index[d] = (rows[:, None] * d + np.arange(d)).ravel()
+        cached_d, index = self._short_index
+        if cached_d != d:
+            index = (rows[:, None] * d + np.arange(d)).ravel()
+            self._short_index = (d, index)
         acc = np.bincount(index, weights=(weights * v[cols]).ravel(),
                           minlength=n * d).reshape(n, d).astype(np.float64, copy=False)
         if not self._slots:

@@ -6,7 +6,9 @@ Q and K rows, propagates V through either the linear simple-attention form
 or the dense sigmoid-kernel form, optionally adds a sym-normalized graph
 channel (the graph's cached sparse operator, O(E d) per head), averages
 heads, and blends with the previous state at step size tau before a
-LayerNorm. The output head is a plain affine map.
+LayerNorm. The output head is a plain affine map. `forward` runs on a
+recording `Tape` for training, or on the non-recording `Eager` evaluator,
+whose parameters may be stacks of matrices that run one forward each.
 
 Attention here acts on the projected Q/K rows; the diffusion and energy
 modules audit the un-projected dynamics on the state itself. That split is
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, FormatError, ParameterError
 from .graphs import Graph
-from .tape import Ref, Tape
+from .tape import Eager, Ref, Tape
 
 VARIANTS = ("simple", "advanced", "mlp")  # mlp: identity coupling, no mixing
 ACTIVATIONS = ("none", "relu")
@@ -110,11 +112,52 @@ def _advanced_head(t: Tape, qt: Ref, kt: Ref, v: Ref) -> Ref:
     return t.diag_scale_rows(t.matmul(a, v), t.reciprocal(t.row_sum(a)))
 
 
+def _head(t, z, refs, k: int, h: int, cfg: ModelConfig, graph_op):
+    """Head h of layer k: attention over the projected rows, plus the
+    graph channel."""
+    if cfg.use_feature_transform:
+        q = t.matmul(z, t.transpose(refs[f"W_Q_{k}_{h}"]))
+        key = t.matmul(z, t.transpose(refs[f"W_K_{k}_{h}"]))
+        v = t.matmul(z, t.transpose(refs[f"W_V_{k}_{h}"]))
+    else:
+        q = key = v = z
+    if cfg.variant == "mlp":
+        p = v
+    else:
+        qt = t.row_l2_normalize(q)
+        kt = t.row_l2_normalize(key)
+        if cfg.variant == "simple":
+            p = _simple_head(t, qt, kt, v, z.shape[-2])
+        else:
+            p = _advanced_head(t, qt, kt, v)
+    if graph_op is not None:
+        p = t.add(p, t.sym_apply(graph_op, v))
+    return p
+
+
+def _layer(t, z, z0, refs, k: int, cfg: ModelConfig, graph_op):
+    """Layer k: mean of the heads, blended with the state at step tau
+    (plus the source), then LayerNorm. Intermediate values die with the
+    call, which keeps a stacked `Eager` forward's memory low."""
+    heads = [_head(t, z, refs, k, h, cfg, graph_op) for h in range(cfg.heads)]
+    p_bar = heads[0] if len(heads) == 1 else t.mean_over_list(heads)
+    blend = t.add(t.scale(p_bar, cfg.tau), t.scale(z, 1.0 - cfg.tau))
+    if cfg.use_source:
+        blend = t.add(blend, t.scale(z0, cfg.tau))
+    z = t.layer_norm(blend)
+    if cfg.activation_between_layers == "relu":
+        z = t.relu(z)
+    return z
+
+
 def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
-            cfg: ModelConfig, tape: Tape | None = None) -> tuple[Ref, Tape]:
-    """Record the full forward pass; returns the N x C logits node and its
-    tape. Parameters are registered on the tape so backward() can fill
-    their gradients."""
+            cfg: ModelConfig, tape: Tape | Eager | None = None
+            ) -> tuple[Ref | np.ndarray, Tape | Eager]:
+    """Run the full forward pass on `tape` (a new `Tape` by default) and
+    return the N x C logits with the evaluator. On a `Tape` the logits are a
+    node and the parameters are registered so backward() can fill their
+    gradients. On an `Eager` the logits are an array, and a parameter given
+    as a B x r x c stack yields B x N x C logits."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise DimensionError(
@@ -126,7 +169,7 @@ def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
     if set(params) != set(expected):
         raise ContractError("parameter registry does not match config")
     for name, shape in expected.items():
-        if params[name].shape != shape:
+        if params[name].shape[-2:] != shape:
             raise DimensionError(
                 f"parameter {name} has shape {params[name].shape}, want {shape}"
             )
@@ -138,39 +181,11 @@ def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
 
     graph_op = g.sym_operator if cfg.use_graph else None
 
-    pre = t.add(t.matmul(x_ref, t.transpose(refs["W_I"])),
-                t.broadcast_row(refs["b_I"], n))
-    z0 = t.relu(t.layer_norm(pre))
-
+    z0 = t.relu(t.layer_norm(t.add(t.matmul(x_ref, t.transpose(refs["W_I"])),
+                                   t.broadcast_row(refs["b_I"], n))))
     z = z0
     for k in range(cfg.layers):
-        heads = []
-        for h in range(cfg.heads):
-            if cfg.use_feature_transform:
-                q = t.matmul(z, t.transpose(refs[f"W_Q_{k}_{h}"]))
-                key = t.matmul(z, t.transpose(refs[f"W_K_{k}_{h}"]))
-                v = t.matmul(z, t.transpose(refs[f"W_V_{k}_{h}"]))
-            else:
-                q = key = v = z
-            if cfg.variant == "mlp":
-                p = v
-            else:
-                qt = t.row_l2_normalize(q)
-                kt = t.row_l2_normalize(key)
-                if cfg.variant == "simple":
-                    p = _simple_head(t, qt, kt, v, n)
-                else:
-                    p = _advanced_head(t, qt, kt, v)
-            if graph_op is not None:
-                p = t.add(p, t.sym_apply(graph_op, v))
-            heads.append(p)
-        p_bar = heads[0] if len(heads) == 1 else t.mean_over_list(heads)
-        blend = t.add(t.scale(p_bar, cfg.tau), t.scale(z, 1.0 - cfg.tau))
-        if cfg.use_source:
-            blend = t.add(blend, t.scale(z0, cfg.tau))
-        z = t.layer_norm(blend)
-        if cfg.activation_between_layers == "relu":
-            z = t.relu(z)
+        z = _layer(t, z, z0, refs, k, cfg, graph_op)
 
     logits = t.add(t.matmul(z, refs["W_O"]), t.broadcast_row(refs["b_O"], n))
     return logits, t

@@ -1,5 +1,6 @@
 """Dense float64 helpers: row normalization, coupling Laplacians and their
-spectral bracket, and central-difference gradients.
+spectral bracket, and central-difference gradients over a stack of bumped
+copies.
 
 All public operations work on 2-D numpy arrays of float64. The bracket is
 the extreme singular values from LAPACK's SVD (`numpy.linalg.svd`).
@@ -67,17 +68,24 @@ def laplacian_spectral_bracket(s: np.ndarray) -> SpectralBracket:
 
 
 def finite_diff_grad(fn, at: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a matrix."""
+    """Central-difference gradient of a scalar function of a matrix.
+
+    With m = at.size, `fn` gets one (2m, r, c) stack of copies of `at`:
+    copy k has its k-th entry (row-major) raised by h and copy m + k has it
+    lowered by h. It returns the 2m function values, in stack order.
+    """
     if h <= 0:
         raise ContractError("h must be positive")
     at = as_matrix(at)
-    grad = np.zeros_like(at)
-    for i in range(at.shape[0]):
-        for j in range(at.shape[1]):
-            bump = at.copy()
-            bump[i, j] = at[i, j] + h
-            fp = fn(bump)
-            bump[i, j] = at[i, j] - h
-            fm = fn(bump)
-            grad[i, j] = (fp - fm) / (2.0 * h)
-    return grad
+    m = at.size
+    flat = at.ravel()
+    stack = np.tile(flat, (2, m, 1))
+    k = np.arange(m)
+    stack[0, k, k] = flat + h
+    stack[1, k, k] = flat - h
+    values = np.asarray(fn(stack.reshape((2 * m,) + at.shape)), dtype=np.float64)
+    if values.shape != (2 * m,):
+        raise DimensionError(
+            f"finite-difference function must return {2 * m} values, "
+            f"got shape {values.shape}")
+    return ((values[:m] - values[m:]) / (2.0 * h)).reshape(at.shape)

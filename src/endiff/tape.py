@@ -1,4 +1,5 @@
-"""A minimal reverse-mode differentiation tape over dense float64 matrices.
+"""A minimal reverse-mode differentiation tape over dense float64 matrices,
+and a non-recording evaluator with the same primitives.
 
 Each primitive is a `Tape` method: it computes its value eagerly and records
 the value with its vector-Jacobian product, in execution order. `backward`
@@ -6,6 +7,11 @@ runs reverse accumulation from a scalar loss and fills per-parameter
 gradients. The graph channel enters through `sym_apply`, which takes a
 symmetric operator instead of a dense matrix. A tape is confined to a single
 thread for its lifetime; distinct tapes are independent.
+
+`Eager` computes the same values from plain arrays and records nothing, for
+forwards that are never differentiated (evaluation, finite differences). Its
+inputs may carry leading batch axes: a stack of B matrices evaluates B
+forwards in one pass.
 """
 
 from __future__ import annotations
@@ -43,6 +49,60 @@ class _Node:
         self.vjp = vjp  # grad_out -> tuple of parent grads (or None)
 
 
+def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+
+
+def _check_pair(kind: str, a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[-2:] != b.shape[-2:]:
+        raise DimensionError(f"{kind} shape mismatch: {a.shape} vs {b.shape}")
+
+
+def _check_row_scale(a: np.ndarray, v: np.ndarray) -> None:
+    if v.shape[-2:] != (a.shape[-2], 1):
+        raise DimensionError(
+            f"diag-scale-rows needs a {a.shape[-2]}x1 scale, got {v.shape}"
+        )
+
+
+def _check_row(row: np.ndarray) -> None:
+    if row.shape[-2] != 1:
+        raise DimensionError(f"broadcast-row needs a 1xd row, got {row.shape}")
+
+
+def _row_l2_normalize(a: np.ndarray, eps: float):
+    norms = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+    denom = np.maximum(norms, eps)
+    return a / denom, norms, denom
+
+
+def _layer_norm(a: np.ndarray, eps: float):
+    mean = a.mean(axis=-1, keepdims=True)
+    var = np.mean((a - mean) ** 2, axis=-1, keepdims=True)
+    std = np.sqrt(var + eps)
+    return (a - mean) / std, std
+
+
+def _cross_entropy(logits: np.ndarray, labels, mask):
+    """Negative log-softmax likelihood of each masked row over the last two
+    axes: (masked rows, their labels, shifted logits, per-row losses)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    mask = np.asarray(mask, dtype=bool)
+    n = logits.shape[-2]
+    if labels.shape[0] != n or mask.shape[0] != n:
+        raise DimensionError("labels/mask length must match logits rows")
+    rows = np.flatnonzero(mask)
+    if rows.size == 0:
+        raise ContractError("mask selects no rows")
+    sel = logits[..., rows, :]
+    top = sel.max(axis=-1, keepdims=True)
+    shifted = sel - top
+    lse = np.log(np.sum(np.exp(shifted), axis=-1)) + top[..., 0]
+    picked = sel[..., np.arange(rows.size), labels[rows]]
+    return rows, labels[rows], shifted, lse - picked
+
+
 def _sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -77,8 +137,7 @@ class Tape:
 
     def matmul(self, a: Ref, b: Ref) -> Ref:
         av, bv = a.value, b.value
-        if av.shape[1] != bv.shape[0]:
-            raise DimensionError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
+        _check_matmul(av, bv)
         return self._record(
             av @ bv, (a.idx, b.idx),
             lambda g: (g @ bv.T, av.T @ g),
@@ -91,10 +150,7 @@ class Tape:
                             lambda g: (op.apply(g),))
 
     def _elemwise_pair(self, kind, a: Ref, b: Ref, value, vjp) -> Ref:
-        if a.value.shape != b.value.shape:
-            raise DimensionError(
-                f"{kind} shape mismatch: {a.value.shape} vs {b.value.shape}"
-            )
+        _check_pair(kind, a.value, b.value)
         return self._record(value, (a.idx, b.idx), vjp)
 
     def add(self, a: Ref, b: Ref) -> Ref:
@@ -129,10 +185,7 @@ class Tape:
         return self._record(a.value.T.copy(), (a.idx,), lambda g: (g.T,))
 
     def row_l2_normalize(self, a: Ref, eps: float = NORM_EPS) -> Ref:
-        av = a.value
-        norms = np.sqrt(np.sum(av * av, axis=1, keepdims=True))
-        denom = np.maximum(norms, eps)
-        y = av / denom
+        y, norms, denom = _row_l2_normalize(a.value, eps)
 
         def vjp(g):
             # Rows at/below eps are a plain 1/eps scaling.
@@ -144,11 +197,7 @@ class Tape:
         return self._record(y, (a.idx,), vjp)
 
     def layer_norm(self, a: Ref, eps: float = LAYER_NORM_EPS) -> Ref:
-        av = a.value
-        mean = av.mean(axis=1, keepdims=True)
-        var = np.mean((av - mean) ** 2, axis=1, keepdims=True)
-        std = np.sqrt(var + eps)
-        y = (av - mean) / std
+        y, std = _layer_norm(a.value, eps)
 
         def vjp(g):
             gm = g.mean(axis=1, keepdims=True)
@@ -174,10 +223,7 @@ class Tape:
     def diag_scale_rows(self, a: Ref, v: Ref) -> Ref:
         """Multiply row i of `a` by scalar v[i, 0]."""
         av, vv = a.value, v.value
-        if vv.shape != (av.shape[0], 1):
-            raise DimensionError(
-                f"diag-scale-rows needs a {av.shape[0]}x1 scale, got {vv.shape}"
-            )
+        _check_row_scale(av, vv)
         return self._record(
             av * vv, (a.idx, v.idx),
             lambda g: (g * vv, np.sum(g * av, axis=1, keepdims=True)),
@@ -192,8 +238,7 @@ class Tape:
 
     def broadcast_row(self, row: Ref, n: int) -> Ref:
         rv = row.value
-        if rv.shape[0] != 1:
-            raise DimensionError(f"broadcast-row needs a 1xd row, got {rv.shape}")
+        _check_row(rv)
         return self._record(
             np.repeat(rv, n, axis=0), (row.idx,),
             lambda g: (g.sum(axis=0, keepdims=True),),
@@ -213,23 +258,13 @@ class Tape:
     def masked_cross_entropy(self, logits: Ref, labels: np.ndarray, mask: np.ndarray) -> Ref:
         """Mean negative log-softmax likelihood over masked rows (1x1 output)."""
         lv = logits.value
-        labels = np.asarray(labels, dtype=np.int64)
-        mask = np.asarray(mask, dtype=bool)
-        if labels.shape[0] != lv.shape[0] or mask.shape[0] != lv.shape[0]:
-            raise DimensionError("labels/mask length must match logits rows")
-        rows = np.flatnonzero(mask)
-        if rows.size == 0:
-            raise ContractError("mask selects no rows")
-        sel = lv[rows]
-        shifted = sel - sel.max(axis=1, keepdims=True)
-        lse = np.log(np.sum(np.exp(shifted), axis=1)) + sel.max(axis=1)
-        picked = sel[np.arange(rows.size), labels[rows]]
-        value = np.array([[float(np.mean(lse - picked))]])
+        rows, targets, shifted, losses = _cross_entropy(lv, labels, mask)
+        value = np.array([[float(np.mean(losses))]])
 
         def vjp(g):
             p = np.exp(shifted)
             p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(rows.size), labels[rows]] -= 1.0
+            p[np.arange(rows.size), targets] -= 1.0
             grad = np.zeros_like(lv)
             grad[rows] = p * (g[0, 0] / rows.size)
             return (grad,)
@@ -285,3 +320,85 @@ class Tape:
             grads.setdefault(name, np.zeros_like(self.nodes[idx].value))
         return grads
 
+
+
+class Eager:
+    """The `Tape` primitives that `model.forward` and the cross-entropy loss
+    use, evaluated on plain arrays with nothing recorded.
+
+    Every input may carry leading batch axes in front of its last two
+    (matrix) axes, and inputs broadcast against each other over them, so a
+    stack of B parameter matrices runs B forwards at once. On 2-D inputs
+    each value is the one `Tape` computes.
+    """
+
+    def constant(self, value) -> np.ndarray:
+        return np.asarray(value, dtype=np.float64)
+
+    def parameter(self, name: str, value) -> np.ndarray:
+        return np.asarray(value, dtype=np.float64)
+
+    def matmul(self, a, b):
+        _check_matmul(a, b)
+        return a @ b
+
+    def sym_apply(self, op, a):
+        """op.apply on every matrix of `a`, with the batch folded into
+        columns: one N x (B d) application."""
+        n, d = a.shape[-2:]
+        cols = np.moveaxis(a, -2, 0).reshape(n, -1)
+        out = op.apply(cols).reshape((n,) + a.shape[:-2] + (d,))
+        return np.moveaxis(out, 0, -2)
+
+    def add(self, a, b):
+        _check_pair("add", a, b)
+        return a + b
+
+    def scale(self, a, c: float):
+        return float(c) * a
+
+    def sigmoid(self, a):
+        return _sigmoid(a)
+
+    def relu(self, a):
+        return a * (a > 0)
+
+    def reciprocal(self, a):
+        return 1.0 / a
+
+    def transpose(self, a):
+        # A contiguous copy, as the tape makes: BLAS picks its kernel by
+        # layout, and the same layout keeps 2-D values equal bit for bit.
+        return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+    def row_l2_normalize(self, a, eps: float = NORM_EPS):
+        return _row_l2_normalize(a, eps)[0]
+
+    def layer_norm(self, a, eps: float = LAYER_NORM_EPS):
+        return _layer_norm(a, eps)[0]
+
+    def mean_over_list(self, values: list):
+        if not values:
+            raise ContractError("mean-over-list needs at least one input")
+        for v in values:
+            _check_pair("mean-over-list", values[0], v)
+        return sum(values) / len(values)
+
+    def diag_scale_rows(self, a, v):
+        _check_row_scale(a, v)
+        return a * v
+
+    def row_sum(self, a):
+        return a.sum(axis=-1, keepdims=True)
+
+    def broadcast_row(self, row, n: int):
+        _check_row(row)
+        return np.broadcast_to(row, row.shape[:-2] + (n, row.shape[-1]))
+
+    def add_scalar(self, a, c: float):
+        return a + float(c)
+
+    def masked_cross_entropy(self, logits, labels, mask) -> np.ndarray:
+        """Mean masked-row loss of each matrix in the stack: an array of
+        shape logits.shape[:-2] (a 0-d array for a single matrix)."""
+        return np.mean(_cross_entropy(logits, labels, mask)[3], axis=-1)

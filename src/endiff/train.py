@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, ParameterError, UndefinedMetricError
 from .graphs import Dataset, Graph
 from .model import Checkpoint, ModelConfig, forward, init_model
-from .tape import Ref, Tape
+from .tape import Eager, Ref
 
 LOSS_KINDS = ("cross_entropy", "mse")
 METRIC_KINDS = ("accuracy", "rocauc", "mse")
@@ -170,9 +170,10 @@ class TrainResult:
 
 def _evaluate(params, dataset: Dataset, cfg: ModelConfig,
               metric_kind: str) -> tuple[float, float]:
-    """(val, test) metrics from one forward over the whole dataset."""
-    logits, _ = forward(params, dataset.features, dataset.graph, cfg)
-    return tuple(metric(metric_kind, logits.value, dataset.labels, dataset.mask(tag))
+    """(val, test) metrics from one non-recording forward over the whole
+    dataset."""
+    logits, _ = forward(params, dataset.features, dataset.graph, cfg, tape=Eager())
+    return tuple(metric(metric_kind, logits, dataset.labels, dataset.mask(tag))
                  for tag in ("val", "test"))
 
 

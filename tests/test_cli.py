@@ -349,3 +349,35 @@ def test_diffuse_simple_attention_builds_no_dense_array(tmp_path, capsys, monkey
     assert all(b <= a for a, b in zip(energies, energies[1:]))
     sums = np.array([[float(r[3]), float(r[4])] for r in rows])
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-3"), ("--dim", "0")])
+def test_diffuse_size_below_one_is_usage_error(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["diffuse", "--coupling", "attention", flag, value,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_records_no_tape(tmp_path, capsys, monkeypatch):
+    from endiff.tape import Tape
+
+    run = tmp_path / "r"
+    assert run_cli(["train", "--synth", "sbm", "--per-block", "10", "--use-graph",
+                    "--epochs", "2", "--hidden", "4", "--out", str(run)], capsys)[0] == 0
+    code, out, _ = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
+                            "--checkpoint", str(run / "checkpoint.json"),
+                            "--out", str(tmp_path / "e1")], capsys)
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval recorded a tape node")
+
+    monkeypatch.setattr(Tape, "_record", refuse)
+    code, out2, _ = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
+                             "--checkpoint", str(run / "checkpoint.json"),
+                             "--out", str(tmp_path / "e2")], capsys)
+    assert code == 0
+    assert out2 == out

@@ -18,6 +18,63 @@ def test_graph_rejects_self_loops_and_duplicates():
         Graph(n=2, edges=((0, 5),))
 
 
+def _edge_scan(n, edges):
+    """The edge-by-edge validation Graph used to run: the first fault's
+    message, or the degrees."""
+    seen = set()
+    deg = [0] * n
+    for u, v in edges:
+        if u == v:
+            return f"self-loop ({u},{v}) not allowed"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) out of range for n={n}"
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return f"duplicate edge ({u},{v})"
+        seen.add(key)
+        deg[u] += 1
+        deg[v] += 1
+    return tuple(deg)
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 12))
+    # ends run a little past both sides of [0, n) so that every fault occurs
+    end = st.integers(-2, n + 1) | st.sampled_from([-(2**40), 2**40, n - 1, 0])
+    edges = draw(st.lists(st.tuples(end, end), max_size=10))
+    return n, tuple(edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_lists())
+@example((1, ()))
+@example((3, ()))
+@example((3, ((0, 1), (1, 0))))
+@example((3, ((0, 1), (2, 2), (0, 5))))
+@example((3, ((0, 5), (2, 2))))
+@example((3, ((0, 1), (4, 4))))  # a self-loop out of range is a self-loop
+@example((3, ((-1, -1),)))
+@example((3, ((1, 2), (0, 4), (1, 1))))  # 0*3+4 == 1*3+1: keys collide
+@example((2, ((1, 0), (0, 1), (0, 0))))
+def test_graph_validation_matches_the_edge_scan(case):
+    n, edges = case
+    want = _edge_scan(n, edges)
+    if isinstance(want, str):
+        with pytest.raises(ParameterError) as exc:
+            Graph(n=n, edges=edges)
+        assert str(exc.value) == want
+    else:
+        g = Graph(n=n, edges=edges)
+        assert g.degrees == want
+        assert all(type(d) is int for d in g.degrees)
+
+
+def test_graph_rejects_an_edge_that_is_not_a_pair():
+    with pytest.raises(ParameterError, match="pair"):
+        Graph(n=3, edges=((0, 1, 2),))
+
+
 def test_from_edge_list_symmetrizes_and_dedups():
     g = Graph.from_edge_list(4, [(1, 0), (0, 1), (2, 3), (3, 3)])
     assert g.edges == ((0, 1), (2, 3))

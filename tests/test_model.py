@@ -5,6 +5,7 @@ from endiff.errors import ContractError, DimensionError, FormatError, ParameterE
 from endiff.graphs import er_graph
 from endiff.model import (Checkpoint, ModelConfig, count_params, forward,
                           init_model, parameter_shapes)
+from endiff.tape import Eager, Tape
 
 
 def _cfg(**kw):
@@ -238,3 +239,108 @@ def test_parameter_shapes_without_feature_transform():
     out, _ = forward(params, x, None, cfg)
     assert out.shape == (5, 2)
     assert count_params(cfg) == 3 * 4 + 4 + 4 * 2 + 2
+
+
+_EVALUATOR_CASES = [
+    dict(variant=variant, use_graph=use_graph, use_source=use_source,
+         activation_between_layers=act, use_feature_transform=transform)
+    for variant in ("simple", "advanced", "mlp")
+    for use_graph in (False, True)
+    for use_source in (False, True)
+    for act in ("none", "relu")
+    for transform in (True, False)
+]
+
+
+def _evaluator_setup(n, **kw):
+    cfg = _cfg(layers=2, heads=2, hidden_dim=5, **kw)
+    params = init_model(cfg, n)
+    x = np.random.default_rng(n).standard_normal((n, 3))
+    g = er_graph(n, 0.5, n) if cfg.use_graph else None
+    return cfg, params, x, g
+
+
+@pytest.mark.parametrize("n", [1, 9])
+@pytest.mark.parametrize("case", _EVALUATOR_CASES)
+def test_eager_forward_matches_tape(case, n):
+    cfg, params, x, g = _evaluator_setup(n, **case)
+    on_tape, _ = forward(params, x, g, cfg)
+    eager, ev = forward(params, x, g, cfg, tape=Eager())
+    assert isinstance(eager, np.ndarray) and isinstance(ev, Eager)
+    assert eager.shape == (n, 2)
+    scale = np.max(np.abs(on_tape.value))
+    assert np.max(np.abs(eager - on_tape.value)) <= 1e-12 * scale
+    labels = np.arange(n) % 2
+    mask = np.ones(n, dtype=bool)
+    loss = Tape().masked_cross_entropy(on_tape, labels, mask).value[0, 0]
+    assert ev.masked_cross_entropy(eager, labels, mask).shape == ()
+    assert ev.masked_cross_entropy(eager, labels, mask) == pytest.approx(loss, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("case", [
+    dict(variant="simple"),
+    dict(variant="advanced", use_graph=True, use_source=True),
+    dict(variant="simple", use_graph=True, activation_between_layers="relu"),
+    dict(variant="advanced", use_feature_transform=False),
+])
+def test_stacked_forward_slices_match_single_forwards(case, n):
+    cfg, params, x, g = _evaluator_setup(n, **case)
+    rng = np.random.default_rng(3)
+    labels = np.arange(n) % 2
+    mask = np.ones(n, dtype=bool)
+    for name, value in params.items():
+        stack = value + 0.1 * rng.standard_normal((4,) + value.shape)
+        logits, ev = forward({**params, name: stack}, x, g, cfg, tape=Eager())
+        losses = ev.masked_cross_entropy(logits, labels, mask)
+        assert logits.shape == (4, n, 2) and losses.shape == (4,)
+        for k in range(4):
+            single, _ = forward({**params, name: stack[k]}, x, g, cfg, tape=Eager())
+            scale = np.max(np.abs(single))
+            assert np.max(np.abs(logits[k] - single)) <= 1e-12 * scale
+            assert losses[k] == pytest.approx(
+                ev.masked_cross_entropy(single, labels, mask), rel=1e-12)
+
+
+def test_tape_rejects_a_stacked_parameter():
+    cfg, params, x, _ = _evaluator_setup(4)
+    stacked = {**params, "W_I": np.stack([params["W_I"]] * 2)}
+    with pytest.raises(DimensionError):
+        forward(stacked, x, None, cfg)
+    with pytest.raises(DimensionError):
+        Tape().parameter("W", np.ones((2, 3, 3)))
+    for bad in ((2, 5, 4), (2, 4, 3)):  # the trailing two axes are still checked
+        with pytest.raises(DimensionError, match="parameter W_I has shape"):
+            forward({**params, "W_I": np.ones(bad)}, x, None, cfg, tape=Eager())
+
+
+def test_gradcheck_suite_catches_a_wrong_gradient(monkeypatch):
+    from endiff.suites import suite_gradcheck
+
+    real = Tape.layer_norm
+
+    def skewed(self, a, *args, **kwargs):
+        ref = real(self, a, *args, **kwargs)
+        node = self.nodes[ref.idx]
+        vjp = node.vjp
+        node.vjp = lambda g: tuple(1.01 * grad for grad in vjp(g))
+        return ref
+
+    monkeypatch.setattr(Tape, "layer_norm", skewed)
+    report = suite_gradcheck()
+    assert report["passed"] is False
+    assert report["violations"] > 0
+    assert report["max_rel_err"] > 1e-3
+    for detail in report["per_config"].values():
+        assert detail["failures"]  # every configuration sees it
+
+
+def test_gradcheck_model_handles_unused_parameters():
+    from endiff.suites import gradcheck_model
+
+    # the mlp variant projects Q and K but never uses them
+    cfg = ModelConfig(variant="mlp", input_dim=3, hidden_dim=4, output_dim=2,
+                      layers=1, heads=1)
+    errors = gradcheck_model(cfg, n=6)
+    assert set(errors) == set(parameter_shapes(cfg))
+    assert max(errors.values()) < 1e-5

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from endiff.coupling import CouplingSpec, build_coupling
+from endiff.errors import ContractError, DimensionError
 from endiff.graphs import Graph
 from endiff.numerics import (NORM_EPS, finite_diff_grad, laplacian,
                              laplacian_spectral_bracket, row_l2_normalize)
@@ -85,11 +86,48 @@ def test_spectral_bracket_zero_min_on_row_sum_laplacian():
 def test_finite_diff_grad_quadratic():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
 
-    def fn(m):
-        return float(np.sum(m * m))
+    def fn(stack):
+        return np.sum(stack * stack, axis=(1, 2))
 
     g = finite_diff_grad(fn, a, 1e-5)
     assert np.allclose(g, 2 * a, atol=1e-8)
+
+
+def _coupled(m):
+    # non-separable: every entry's derivative depends on the others
+    return np.log(np.sum(np.exp(m @ m.T))) + np.prod(np.sin(m)) * m[0, -1]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 2), (4, 4)])
+def test_finite_diff_grad_stack_matches_per_entry_differences(shape):
+    a = np.random.default_rng(sum(shape)).standard_normal(shape)
+    h = 1e-5
+    seen = []
+
+    def fn(stack):
+        seen.append(stack.shape)
+        return [_coupled(m) for m in stack]
+
+    got = finite_diff_grad(fn, a, h)
+    want = np.zeros(shape)
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            up, down = a.copy(), a.copy()
+            up[i, j] += h
+            down[i, j] -= h
+            want[i, j] = (_coupled(up) - _coupled(down)) / (2.0 * h)
+    assert seen == [(2 * a.size,) + shape]  # one call on the whole stack
+    assert np.array_equal(got, want)
+
+
+def test_finite_diff_grad_contract():
+    a = np.ones((2, 3))
+    with pytest.raises(ContractError):
+        finite_diff_grad(lambda s: np.zeros(len(s)), a, 0.0)
+    with pytest.raises(ContractError):
+        finite_diff_grad(lambda s: np.zeros(len(s)), a, -1e-5)
+    with pytest.raises(DimensionError):  # one value, not one per copy
+        finite_diff_grad(lambda s: float(np.sum(s)), a, 1e-5)
 
 
 def test_norm_eps_is_tiny():

@@ -8,7 +8,7 @@ from endiff.tape import Tape
 
 def _gradcheck(build_loss, shapes, seed=0, h=1e-6, tol=1e-6):
     """build_loss(tape, {name: Ref}) -> scalar Ref; checks every parameter
-    against central differences."""
+    against central differences, one tape per bumped copy in the stack."""
     rng = np.random.default_rng(seed)
     values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
     tape = Tape()
@@ -16,11 +16,14 @@ def _gradcheck(build_loss, shapes, seed=0, h=1e-6, tol=1e-6):
     loss = build_loss(tape, refs)
     grads = tape.backward(loss)
     for name in shapes:
-        def fn(mat, _name=name):
-            t2 = Tape()
-            r2 = {n: t2.parameter(n, mat if n == _name else values[n])
-                  for n in shapes}
-            return float(build_loss(t2, r2).value[0, 0])
+        def fn(stack, _name=name):
+            losses = []
+            for mat in stack:
+                t2 = Tape()
+                r2 = {n: t2.parameter(n, mat if n == _name else values[n])
+                      for n in shapes}
+                losses.append(build_loss(t2, r2).value[0, 0])
+            return losses
 
         fd = finite_diff_grad(fn, values[name], h)
         denom = max(np.max(np.abs(fd)), 1e-8)

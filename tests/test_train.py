@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from endiff.errors import ContractError, ParameterError, UndefinedMetricError
 from endiff.graphs import Dataset, Graph, sbm_generate
-from endiff.model import ModelConfig
+from endiff.model import ModelConfig, forward, init_model
 from endiff.tape import Tape
 from endiff.train import (AdamState, TrainConfig, adam_step, induced_subgraph,
                           loss, metric, minibatch_partition, train_loop,
@@ -251,9 +251,9 @@ def test_train_loop_full_batch_reuses_graph_and_evaluates_once(monkeypatch):
     seen = []
     real_forward = train.forward
 
-    def counting_forward(params, x, g, model_cfg):
+    def counting_forward(params, x, g, model_cfg, tape=None):
         seen.append(g)
-        return real_forward(params, x, g, model_cfg)
+        return real_forward(params, x, g, model_cfg, tape=tape)
 
     def refuse(*args):
         raise AssertionError("full batch rebuilt the graph")
@@ -264,6 +264,25 @@ def test_train_loop_full_batch_reuses_graph_and_evaluates_once(monkeypatch):
     assert len(res.history) == 3
     assert len(seen) == 2 * 3  # one training and one evaluation forward per epoch
     assert all(g is ds.graph for g in seen)
+
+
+def test_evaluate_records_no_tape(monkeypatch):
+    from endiff.train import _evaluate
+
+    ds = sbm_generate(2, 15, 0.3, 0.05, 4, 1.0, seed=0)
+    cfg = ModelConfig(variant="advanced", input_dim=4, hidden_dim=4,
+                      output_dim=2, layers=2, heads=2, use_graph=True,
+                      use_source=True)
+    params = init_model(cfg, 0)
+    logits, _ = forward(params, ds.features, ds.graph, cfg)
+    want = tuple(metric("accuracy", logits.value, ds.labels, ds.mask(tag))
+                 for tag in ("val", "test"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluation recorded a tape node")
+
+    monkeypatch.setattr(Tape, "_record", refuse)
+    assert _evaluate(params, ds, cfg, "accuracy") == want
 
 
 def test_write_history_csv(tmp_path):
