@@ -12,7 +12,7 @@ import numpy as np
 from endiff import (CouplingSpec, DiffusionConfig, PenaltyFamily,
                     audit_bounds, audit_descent, laplacian_spectral_bracket,
                     row_l2_normalize, run_trajectory)
-from endiff.graphs import er_graph, normalized_adjacency
+from endiff.graphs import er_graph
 
 rng = np.random.default_rng(0)
 g = er_graph(16, 0.3, seed=0)
@@ -20,8 +20,7 @@ z0 = rng.standard_normal((16, 4))
 
 # Static coupling: the step size comes from the Laplacian's largest
 # singular value, safely inside the descent region.
-s = normalized_adjacency(g, "sym")
-bracket = laplacian_spectral_bracket(s)
+bracket = laplacian_spectral_bracket(g.sym_operator.dense())
 tau = 0.9 / bracket.lambda_max
 print(f"graph: n=16, |E|={len(g.edges)}, "
       f"spectral bracket [{bracket.lambda_min:.3g}, {bracket.lambda_max:.3g}], "

@@ -22,8 +22,8 @@ from .coupling import (ATTENTION_FAMILIES, PENALTY_KINDS, STATIC_FAMILIES,
 from .diffusion import DiffusionConfig, run_trajectory
 from .energy import write_trajectory_csv
 from .errors import EndiffError, FormatError
-from .graphs import (Dataset, atomic_write_text, load_dataset, read_edges,
-                     read_features, sbm_generate)
+from .graphs import (Dataset, atomic_write_text, er_graph, load_dataset,
+                     read_edges, read_features, sbm_generate)
 from .model import Checkpoint, ModelConfig, forward
 from .numerics import row_l2_normalize
 from .suites import SUITES, run_suite
@@ -172,7 +172,7 @@ def cmd_synth(args) -> int:
     with open(paths["labels"], "w", encoding="utf-8") as fh:
         fh.writelines(f"{v}\n" for v in ds.labels)
     with open(paths["edges"], "w", encoding="utf-8") as fh:
-        fh.writelines(f"{u} {v}\n" for u, v in ds.graph.edges)
+        fh.writelines(f"{u} {v}\n" for u, v in ds.graph.edges.tolist())
     with open(paths["split"], "w", encoding="utf-8") as fh:
         fh.writelines(f"{tag}\n" for tag in ds.split)
     write_manifest(out, "synth", _public_config(args), [],
@@ -210,8 +210,6 @@ def cmd_diffuse(args) -> int:
         rng = np.random.default_rng(args.seed)
         z0 = rng.standard_normal((args.n, args.dim))
         if args.coupling in ("gcn_sym", "gin", "gat_masked"):
-            from .graphs import er_graph
-
             g = er_graph(args.n, 0.3, args.seed)
     if args.coupling in STATIC_FAMILIES:
         spec = CouplingSpec(args.coupling)

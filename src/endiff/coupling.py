@@ -4,10 +4,12 @@ Each attention family is defined by a scalar penalty function delta of the
 squared pairwise distance; its derivative f is the un-normalized attention
 score. Valid squared distances lie in [0, 4] (unit-norm embeddings).
 
-The dynamics see a coupling only through the `Coupling` protocol:
-`SimpleAttention` applies the simple family in O(N d^2) from shared
-accumulators, and `DenseCoupling` wraps a `build_coupling` array for every
-other family.
+The dynamics see a coupling only through the `Coupling` protocol, built by
+`coupling_operator`: identity, gin, gcn_sym and gat_masked are sparse edge
+operators (`graphs.EdgeOperator`), all_one and quadratic attention the
+column mean (`MeanCoupling`), simple attention `SimpleAttention`. Only
+advanced and softmax attention materialize N x N (`build_coupling`), which
+is otherwise the dense oracle of the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, ParameterError
-from .graphs import Graph, normalized_adjacency
+from .graphs import EdgeOperator, Graph
 from .numerics import as_matrix, row_norms
 
 log = logging.getLogger(__name__)
@@ -161,7 +163,11 @@ def attention_scores(p: PenaltyFamily, z: np.ndarray) -> np.ndarray:
     """Pairwise scores f(||z_i - z_j||^2) via the dot-product identity
     ||z_i - z_j||^2 = 2 - 2 z_i.z_j, valid for unit-norm rows."""
     z = as_matrix(z)
-    gram = z @ z.T
+    return _scores(p, z @ z.T)
+
+
+def _scores(p: PenaltyFamily, gram: np.ndarray) -> np.ndarray:
+    """f(2 - 2 g) of an array of dot products g of unit rows."""
     z_sq = np.clip(2.0 - 2.0 * gram, 0.0, Z_SQ_MAX)
     if p.kind == "simple":
         return 2.0 - 0.5 * z_sq
@@ -172,33 +178,25 @@ def attention_scores(p: PenaltyFamily, z: np.ndarray) -> np.ndarray:
     return np.ones_like(z_sq)
 
 
-def build_coupling(spec: CouplingSpec, z: np.ndarray | None = None,
-                   g: Graph | None = None) -> np.ndarray:
-    """Coupling matrix for one layer.
-
-    Static families delegate to normalized_adjacency; attention families
-    row-normalize the pairwise scores of the current embeddings, optionally
-    masked to graph edges plus self-loops (gat_masked).
-    """
-    if spec.family in STATIC_FAMILIES:
-        if spec.family in ("identity", "all_one"):
-            if g is None and z is None:
-                raise ParameterError(f"{spec.family} needs a graph or embeddings for N")
-            n = g.n if g is not None else as_matrix(z).shape[0]
-            return normalized_adjacency(Graph(n=n, edges=()), spec.family)
-        if g is None:
-            raise ParameterError(f"{spec.family} requires a graph")
-        mode = "sym" if spec.family == "gcn_sym" else "gin"
-        return normalized_adjacency(g, mode)
-
+def _unit_rows(z: np.ndarray) -> np.ndarray:
     z = as_matrix(z)
-    norms = row_norms(z)
-    if np.max(np.abs(norms - 1.0)) > 1e-6:
+    if np.max(np.abs(row_norms(z) - 1.0), initial=0.0) > 1e-6:
         raise ContractError("attention couplings require unit-norm embedding rows")
+    return z
+
+
+def build_coupling(spec: CouplingSpec, z: np.ndarray) -> np.ndarray:
+    """The N x N attention coupling at unit-norm embeddings z: pairwise
+    scores row-normalized, masked to the graph's edges plus self-loops for
+    gat_masked. A row whose scores sum to zero falls back to a self-loop."""
+    if not spec.is_attention:
+        raise ParameterError(f"{spec.family} is not an attention family; "
+                             "use coupling_operator")
+    z = _unit_rows(z)
     omega = attention_scores(spec.penalty, z)
     if spec.family == "gat_masked":
-        mask_graph = spec.graph_mask if spec.graph_mask is not None else g
-        mask = mask_graph.adjacency() + np.eye(mask_graph.n)
+        mask, (u, v) = np.eye(z.shape[0]), spec.graph_mask.edges.T
+        mask[u, v] = mask[v, u] = 1.0
         omega = omega * mask
     sums = omega.sum(axis=1)
     dead = sums <= 0.0
@@ -209,6 +207,27 @@ def build_coupling(spec: CouplingSpec, z: np.ndarray | None = None,
         omega[dead, dead] = 1.0
         sums = omega.sum(axis=1)
     return omega / sums[:, None]
+
+
+def gat_masked_coupling(p: PenaltyFamily, z: np.ndarray, g: Graph) -> EdgeOperator:
+    """The gat_masked coupling on the edges of g plus self-loops in O(E d):
+    scores f(2 - 2 z_i.z_j) of unit rows, each row normalized by its sum
+    (`np.bincount`), with `build_coupling`'s self-loop fallback for a row
+    whose scores sum to zero."""
+    z = _unit_rows(z)
+    if z.shape[0] != g.n:
+        raise DimensionError(f"graph n={g.n} does not match embeddings {z.shape}")
+    lay = g.neighbours
+    edge = _scores(p, np.einsum("ij,ij->i", z[lay.rows], z[lay.cols]))
+    loop = _scores(p, np.einsum("ij,ij->i", z, z))
+    sums = np.bincount(lay.rows, weights=edge, minlength=g.n) + loop
+    dead = sums <= 0.0
+    if np.any(dead):
+        log.warning("gat_masked_coupling: %d degenerate row(s) fell back to "
+                    "self-loops", int(dead.sum()))
+        edge[dead[lay.rows]] = 0.0
+        loop[dead] = sums[dead] = 1.0
+    return EdgeOperator(lay, edge / sums[lay.rows], loop / sums)
 
 
 class Coupling(Protocol):
@@ -243,10 +262,7 @@ class SimpleAttention:
     """
 
     def __init__(self, z: np.ndarray):
-        z = as_matrix(z)
-        if np.max(np.abs(row_norms(z) - 1.0)) > 1e-6:
-            raise ContractError("simple attention requires unit-norm embedding rows")
-        self.z = z
+        self.z = z = _unit_rows(z)
         self.n = z.shape[0]
         self._denominator = self.n + z @ z.sum(axis=0)
 
@@ -282,32 +298,48 @@ class DenseCoupling:
         return self.s
 
 
-class CouplingSum:
-    """The sum of couplings on the same N nodes."""
+class MeanCoupling:
+    """S = 1 1^T / N: every row takes the column mean, in O(N d)."""
 
-    def __init__(self, *parts: Coupling):
-        if len({p.n for p in parts}) != 1:
-            raise DimensionError("summed couplings must share one node count")
-        self.parts = parts
-        self.n = parts[0].n
+    def __init__(self, n: int):
+        self.n = n
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return sum(p.apply(v) for p in self.parts)
+        v = _check_rows(self.n, v)
+        return np.repeat(v.mean(axis=0, keepdims=True), self.n, axis=0)
 
     def row_sums(self) -> np.ndarray:
-        return sum(p.row_sums() for p in self.parts)
+        return np.ones(self.n)
 
     def dense(self) -> np.ndarray:
-        return sum(p.dense() for p in self.parts)
+        return np.full((self.n, self.n), 1.0 / self.n)
 
 
 def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
                       g: Graph | None = None) -> Coupling:
-    """The coupling of spec at embeddings z: `SimpleAttention` for unmasked
-    simple attention, the `build_coupling` array otherwise."""
-    if spec.family == "attention" and spec.penalty.kind == "simple":
+    """The coupling of spec at embeddings z (attention) or on graph g
+    (static); only unmasked advanced and softmax attention materialize
+    an N x N array."""
+    if spec.family in ("identity", "all_one"):
+        if g is None and z is None:
+            raise ParameterError(f"{spec.family} needs a graph or embeddings for N")
+        n = g.n if g is not None else as_matrix(z).shape[0]
+        if spec.family == "all_one":
+            return MeanCoupling(n)
+        return EdgeOperator(Graph(n, ()).neighbours, np.zeros(0), np.ones(n))
+    if g is None and spec.family in ("gcn_sym", "gin"):
+        raise ParameterError(f"{spec.family} requires a graph")
+    if spec.family == "gcn_sym":
+        return g.sym_operator
+    if spec.family == "gin":  # A + I
+        return EdgeOperator(g.neighbours, np.ones(len(g.neighbours.rows)), np.ones(g.n))
+    if spec.family == "gat_masked":
+        return gat_masked_coupling(spec.penalty, z, spec.graph_mask)
+    if spec.penalty.kind == "simple":
         return SimpleAttention(z)
-    return DenseCoupling(build_coupling(spec, z, g))
+    if spec.penalty.kind == "quadratic":  # f = 1, so every s_ij = 1/N
+        return MeanCoupling(_unit_rows(z).shape[0])
+    return DenseCoupling(build_coupling(spec, z))
 
 
 def penalty_landscape(p: PenaltyFamily, step: float = 0.01) -> np.ndarray:

@@ -3,20 +3,20 @@
 The core update is z' = Z - tau * (diag(S 1) - S) Z: each node keeps a
 (1 - tau * row_sum) share of its own state and absorbs a tau-weighted mix
 of the others. The coupling S is a `coupling.Coupling` operator, so simple
-attention runs in O(N d^2) per step without materializing S. Variants add
-a source term or blend an attention coupling with the observed graph.
+attention runs in O(N d^2) and every graph family in O(E d) per step
+without materializing S. Variants add a source term or blend an attention
+coupling with the observed graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (Coupling, CouplingSpec, CouplingSum, DenseCoupling,
-                       SimpleAttention, build_coupling, coupling_operator)
+from .coupling import Coupling, CouplingSpec, SimpleAttention, coupling_operator
 from .errors import ContractError, DimensionError, ParameterError
-from .graphs import Graph, normalized_adjacency
+from .graphs import Graph
 from .numerics import as_matrix, row_l2_normalize
 
 
@@ -46,7 +46,7 @@ class Trajectory:
     spec: CouplingSpec
     graph: Graph | None = None
     source: np.ndarray | None = None
-    static_coupling: np.ndarray | None = field(default=None, repr=False)
+    coupling: Coupling | None = None  # the static coupling; None for attention
 
     def __post_init__(self):
         steps = [k for k, _ in self.snapshots]
@@ -65,18 +65,24 @@ class Trajectory:
 def euler_step(z: np.ndarray, s: Coupling, tau: float) -> np.ndarray:
     """One explicit-Euler step Z' = Z - tau * (diag(S 1) - S) Z."""
     z = as_matrix(z)
+    return z - tau * _laplacian_apply(s, z)
+
+
+def _laplacian_apply(s: Coupling, z: np.ndarray) -> np.ndarray:
+    """(diag(S 1) - S) Z."""
     if s.n != z.shape[0]:
         raise DimensionError(
             f"coupling on {s.n} nodes does not match embeddings {z.shape}")
-    return z - tau * (s.row_sums()[:, None] * z - s.apply(z))
+    return s.row_sums()[:, None] * z - s.apply(z)
 
 
 def graph_blended_step(z: np.ndarray, s_attn: Coupling, g: Graph,
                        tau: float) -> np.ndarray:
-    """Euler step on the average of an attention coupling and the
-    sym-normalized observed adjacency (each weighted tau/2)."""
-    blended = CouplingSum(s_attn, DenseCoupling(normalized_adjacency(g, "sym")))
-    return euler_step(z, blended, tau / 2.0)
+    """Euler step on the sum of an attention coupling and the
+    sym-normalized observed adjacency, each weighted tau/2."""
+    z = as_matrix(z)
+    lap = _laplacian_apply(s_attn, z) + _laplacian_apply(g.sym_operator, z)
+    return z - tau / 2.0 * lap
 
 
 def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
@@ -84,11 +90,6 @@ def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
     through the accumulators of `SimpleAttention` instead of the dense
     N x N coupling."""
     return SimpleAttention(z).apply(z)
-
-
-def dense_simple_propagate(z: np.ndarray) -> np.ndarray:
-    """O(N^2) reference for linear_simple_propagate (materializes S)."""
-    return SimpleAttention(z).dense() @ as_matrix(z)
 
 
 def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
@@ -101,12 +102,9 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     term (beta > 0) is the initial state.
     """
     z = as_matrix(z0).copy()
-    static_s = None
-    if not spec.is_attention:
-        static_s = build_coupling(spec, z, g)
-        static_op = DenseCoupling(static_s)
-    else:
+    if spec.is_attention:
         z = row_l2_normalize(z)
+    static = None if spec.is_attention else coupling_operator(spec, z, g)
 
     h = z.copy()
     if cfg.graph_blend and g is None:
@@ -117,9 +115,7 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     for k in range(cfg.steps):
         if spec.is_attention:
             state = row_l2_normalize(state)
-            s = coupling_operator(spec, state, g)
-        else:
-            s = static_op
+        s = static if static is not None else coupling_operator(spec, state, g)
         if cfg.graph_blend:
             nxt = graph_blended_step(state, s, g, cfg.tau)
         else:
@@ -130,16 +126,4 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
         if (k + 1) % cfg.record_every == 0 or (k + 1) == cfg.steps:
             snapshots.append((k + 1, state.copy()))
     return Trajectory(snapshots=snapshots, config=cfg, spec=spec, graph=g,
-                      source=h if cfg.beta > 0 else None,
-                      static_coupling=static_s)
-
-
-__all__ = [
-    "DiffusionConfig",
-    "Trajectory",
-    "euler_step",
-    "graph_blended_step",
-    "linear_simple_propagate",
-    "dense_simple_propagate",
-    "run_trajectory",
-]
+                      source=h if cfg.beta > 0 else None, coupling=static)

@@ -2,8 +2,9 @@
 
 Pairwise sums follow the all-ordered-pairs convention (i and j both range
 over all nodes, diagonal included), which matches the row-normalization
-denominators of the attention couplings. For a symmetric coupling the
-weighted pairwise term equals 2 * tr(Z^T (D - S) Z).
+denominators of the attention couplings. A coupling-weighted pairwise sum
+takes one `apply` of the coupling (`_coupled_pair_sum`), so it costs
+O(E d) on a graph and never forms an N x N array.
 
 Pairwise distances do not change when every row is shifted by the same
 vector, so diversity and the simple family's penalty are evaluated in
@@ -17,12 +18,12 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .coupling import (CouplingSpec, PenaltyFamily, attention_scores,
-                       coupling_operator, penalty_delta_array)
+from .coupling import (Coupling, PenaltyFamily, attention_scores,
+                       coupling_operator, penalty_conjugate, penalty_delta_array)
 from .diffusion import Trajectory
 from .errors import ContractError, DimensionError, ParameterError
 from .graphs import Graph, atomic_write_text
-from .numerics import as_matrix, laplacian, laplacian_spectral_bracket, row_l2_normalize
+from .numerics import as_matrix, laplacian_spectral_bracket, row_l2_normalize
 
 DESCENT_SLACK = 1e-9
 BOUND_REL_SLACK = 1e-8
@@ -43,26 +44,30 @@ def _check_same_shape(z: np.ndarray, z_prev: np.ndarray) -> None:
         raise DimensionError(f"shape mismatch: {z.shape} vs {z_prev.shape}")
 
 
-def quadratic_energy(z, z_prev, s, lam: float) -> float:
-    """||Z - Z_prev||_F^2 + lam * sum_ij s_ij ||z_i - z_j||^2.
+def _coupled_pair_sum(s: Coupling, z: np.ndarray) -> float:
+    """sum_ij s_ij ||z_i - z_j||^2 = sum_i r_i b_i + (S b)_i - 2 y_i.(S Y)_i
+    over the centred rows Y = Z - mean(Z), with b_i = ||y_i||^2 and r = S 1,
+    from one `apply` on [Y | b]; exact for an asymmetric S too. Centring
+    keeps the terms small when the rows gather around a common point, and
+    a diagonal entry's terms cancel exactly row by row."""
+    if s.n != z.shape[0]:
+        raise DimensionError(f"coupling on {s.n} nodes does not match {z.shape}")
+    y = z - z.mean(axis=0)
+    b = (y * y).sum(axis=1)
+    sy = s.apply(np.column_stack([y, b]))
+    per_row = s.row_sums() * b + sy[:, -1] - 2.0 * (y * sy[:, :-1]).sum(axis=1)
+    return float(per_row.sum())
 
-    The pairwise term is evaluated through the trace identity
-    2 * lam * tr(Z^T (D - S) Z); the double-loop form is kept as the test
-    oracle.
-    """
+
+def quadratic_energy(z, z_prev, s: Coupling, lam: float) -> float:
+    """||Z - Z_prev||_F^2 + lam * sum_ij s_ij ||z_i - z_j||^2."""
     z = as_matrix(z)
     z_prev = as_matrix(z_prev)
-    s = as_matrix(s)
     _check_same_shape(z, z_prev)
-    if s.shape != (z.shape[0], z.shape[0]):
-        raise DimensionError(f"coupling {s.shape} does not match {z.shape}")
     if lam < 0:
         raise ParameterError("lam must be >= 0")
     local = float(np.sum((z - z_prev) ** 2))
-    # the distance sum only sees the symmetric part of s
-    sym = 0.5 * (s + s.T)
-    smooth = 2.0 * lam * float(np.trace(z.T @ laplacian(sym) @ z))
-    return local + smooth
+    return local + lam * _coupled_pair_sum(s, z)
 
 
 def source_energy(z, z_prev, s, lam: float, eta: float, h) -> float:
@@ -109,8 +114,6 @@ def surrogate_energy(z, z_prev, omega, penalty: PenaltyFamily, lam: float) -> fl
     """Variational upper bound: the pairwise penalty is replaced by
     omega_ij * ||z_i - z_j||^2 - delta~(omega_ij) with the concave
     conjugate delta~."""
-    from .coupling import penalty_conjugate
-
     z = as_matrix(z)
     z_prev = as_matrix(z_prev)
     omega = as_matrix(omega)
@@ -126,21 +129,17 @@ def surrogate_energy(z, z_prev, omega, penalty: PenaltyFamily, lam: float) -> fl
 
 def graph_regularized_energy(z, z_prev, penalty: PenaltyFamily, g: Graph,
                              lam: float) -> float:
-    """Regularized energy plus a quadratic penalty on observed edges,
-    each half-weighted (the graph-blended dynamics descend this form)."""
+    """Regularized energy plus the quadratic penalty
+    sum_ij a_ij ||z_i - z_j||^2 of the sym-normalized adjacency a, each
+    half-weighted. The graph-blended dynamics step on the same two halves
+    but do not always descend this energy: on seeded ER(20, 0.3) instances
+    at tau = 0.25 some steps raise it."""
     z = as_matrix(z)
     z_prev = as_matrix(z_prev)
     _check_same_shape(z, z_prev)
-    if g.n != z.shape[0]:
-        raise DimensionError(f"graph n={g.n} does not match {z.shape}")
+    edge_term = _coupled_pair_sum(g.sym_operator, z)
     local = float(np.sum((z - z_prev) ** 2))
     pen = _penalty_sum(penalty, z)
-    # sum_ij a_ij ||z_i - z_j||^2 with a = D^-1/2 A D^-1/2, one term per
-    # edge and direction
-    u, v = g.edge_array[:, 0], g.edge_array[:, 1]
-    deg = np.asarray(g.degrees, dtype=np.float64)
-    weights = 1.0 / np.sqrt(deg[u] * deg[v])
-    edge_term = 2.0 * float(weights @ np.sum((z[u] - z[v]) ** 2, axis=1))
     return local + 0.5 * lam * pen + 0.5 * lam * edge_term
 
 
@@ -187,27 +186,24 @@ def _trajectory_energy(traj: Trajectory, k_next: int, lam: float) -> float:
     graph-regularized variants when configured."""
     cfg = traj.config
     spec = traj.spec
-    z = traj.matrices[k_next]
-    z_prev = traj.matrices[k_next - 1]
+    z = traj.snapshots[k_next][1]
+    z_prev = traj.snapshots[k_next - 1][1]
     eta = lam * cfg.beta
     if spec.is_attention:
         anchor = z_prev if cfg.beta == 0 else z_prev + eta * traj.source
         if cfg.graph_blend:
             return graph_regularized_energy(z, anchor, spec.penalty, traj.graph, lam)
         return regularized_energy(z, anchor, spec.penalty, lam)
-    s = traj.static_coupling
     if cfg.beta > 0:
-        return source_energy(z, z_prev, s, lam, eta, traj.source)
-    return quadratic_energy(z, z_prev, s, lam)
+        return source_energy(z, z_prev, traj.coupling, lam, eta, traj.source)
+    return quadratic_energy(z, z_prev, traj.coupling, lam)
 
 
-def audit_descent(traj: Trajectory, spec: CouplingSpec | None = None,
-                  lam: float | None = None,
+def audit_descent(traj: Trajectory, lam: float | None = None,
                   slack: float = DESCENT_SLACK) -> EnergyReport:
     """Check E(Z^(k+1), k) <= E(Z^(k), k-1) along a fully recorded
     trajectory; lam defaults to tau (gradient step fixed at one)."""
     _require_dense_recording(traj)
-    spec = spec or traj.spec
     if lam is None:
         lam = traj.config.tau
     mats = traj.matrices
@@ -237,20 +233,16 @@ def audit_descent(traj: Trajectory, spec: CouplingSpec | None = None,
     )
 
 
-def audit_bounds(traj: Trajectory, s: np.ndarray | None = None,
-                 lam: float | None = None, tau: float | None = None) -> EnergyReport:
+def audit_bounds(traj: Trajectory) -> EnergyReport:
     """Check the per-step energy bracket
     (1 - tau*l1)^2 E_k <= E_{k+1} <= (1 - tau*l2)^2 E_k for a static
-    coupling, with l1/l2 the largest/smallest singular values of its
-    Laplacian."""
+    coupling at lam = tau, with l1/l2 the largest/smallest singular values
+    of its Laplacian (an SVD of the dense coupling)."""
     _require_dense_recording(traj)
     if traj.spec.is_attention or traj.config.beta > 0 or traj.config.graph_blend:
         raise ContractError("bound audit applies to plain static-coupling runs")
-    s = as_matrix(s) if s is not None else traj.static_coupling
-    tau = tau if tau is not None else traj.config.tau
-    if lam is None:
-        lam = tau
-    bracket = laplacian_spectral_bracket(s)
+    tau = lam = traj.config.tau
+    bracket = laplacian_spectral_bracket(traj.coupling.dense())
     if tau > 1.0 / bracket.lambda_max + 1e-12:
         raise ContractError(
             f"tau={tau} exceeds 1/lambda_max={1.0 / bracket.lambda_max}"
@@ -288,42 +280,27 @@ def audit_bounds(traj: Trajectory, s: np.ndarray | None = None,
     )
 
 
-def quadratic_energy_loop(z, z_prev, s, lam: float) -> float:
-    """Double-loop oracle form of quadratic_energy (audit cross-check)."""
-    z = as_matrix(z)
-    z_prev = as_matrix(z_prev)
-    s = as_matrix(s)
-    total = float(np.sum((z - z_prev) ** 2))
-    n = z.shape[0]
-    for i in range(n):
-        for j in range(n):
-            total += lam * s[i, j] * float(np.sum((z[i] - z[j]) ** 2))
-    return total
-
-
 def inferred_omega(penalty: PenaltyFamily, z) -> np.ndarray:
     """Variational parameters from the diffusivity inference: the raw
     pairwise scores f(||z_i - z_j||^2) before row normalization."""
     return attention_scores(penalty, row_l2_normalize(as_matrix(z)))
 
 
-def write_trajectory_csv(traj: Trajectory, path, lam: float | None = None) -> None:
-    """Trajectory CSV: step, energy, diversity, min_row_sum, max_row_sum.
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Trajectory CSV: step, energy (at lam = tau), diversity, min_row_sum,
+    max_row_sum.
 
     The row sums are S 1 of the coupling each snapshot diffuses with. The
     text is built first and written once, so a run that fails part way
     leaves no partial file.
     """
-    if lam is None:
-        lam = traj.config.tau
+    lam = traj.config.tau
     lines = ["step,energy,diversity,min_row_sum,max_row_sum\n"]
     for pos, (k, z) in enumerate(traj.snapshots):
         energy = float("nan") if pos == 0 else _trajectory_energy(traj, pos, lam)
-        if traj.spec.is_attention:
-            s = coupling_operator(traj.spec, row_l2_normalize(z), traj.graph)
-            sums = s.row_sums()
-        else:
-            sums = traj.static_coupling.sum(axis=1)
+        s = (coupling_operator(traj.spec, row_l2_normalize(z), traj.graph)
+             if traj.spec.is_attention else traj.coupling)
+        sums = s.row_sums()
         lines.append(f"{k},{energy:.17g},{diversity(z):.17g},"
                      f"{sums.min():.17g},{sums.max():.17g}\n")
     atomic_write_text(path, "".join(lines))

@@ -1,4 +1,4 @@
-"""Undirected graph container, normalizations, kNN construction, synthetic data.
+"""Undirected graph container, its sparse edge operators, kNN, synthetic data.
 
 File formats (plain text, one record per line):
   features  whitespace-separated floats, one node per line
@@ -15,7 +15,6 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +22,21 @@ import numpy as np
 from .errors import DimensionError, FormatError, ParameterError
 from .numerics import as_matrix
 
-ADJACENCY_MODES = ("sym", "row", "gin", "identity", "all_one")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
+    """An undirected simple graph on nodes 0..n-1. `edges`, its only edge
+    storage, is a read-only E x 2 int64 array with one row per edge in
+    either orientation, copied from any E x 2 integer input."""
+
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     degrees: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        e = self.edge_array
+        e = _as_pairs(self.edges)
+        e.flags.writeable = False
+        object.__setattr__(self, "edges", e)
         lo, hi = e.min(axis=1), e.max(axis=1)
         loop = lo == hi
         outside = (lo < 0) | (hi >= self.n)
@@ -47,7 +50,7 @@ class Graph:
         bad = np.flatnonzero(loop | outside | repeat)
         if bad.size:  # the edge a scan in edge order would stop at
             i = bad[0]
-            u, v = self.edges[i]
+            u, v = e[i]
             if loop[i]:
                 raise ParameterError(f"self-loop ({u},{v}) not allowed")
             if outside[i]:
@@ -58,32 +61,41 @@ class Graph:
 
     @staticmethod
     def from_edge_list(n: int, edges) -> "Graph":
-        """Build a graph from possibly directed/duplicated pairs."""
-        dedup = sorted({(min(u, v), max(u, v)) for u, v in edges if u != v})
-        return Graph(n=n, edges=tuple(dedup))
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
+        """Build a graph from possibly directed/duplicated pairs; self-loops
+        are dropped, and the edges come out as ascending (min, max) rows."""
+        e = np.sort(_as_pairs(edges), axis=1)
+        e = e[e[:, 0] != e[:, 1]]
+        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+        first = np.ones(len(e), dtype=bool)
+        first[1:] = np.any(e[1:] != e[:-1], axis=1)
+        return Graph(n=n, edges=e[first])
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only E x 2 int64 array, built on first use
+    def neighbours(self) -> "NeighbourLayout":
+        """Both directions of every edge in row order, built on first use
         and kept."""
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64)
-        if flat.size != 2 * len(self.edges):
-            raise ParameterError("every edge must be a (u, v) pair")
-        arr = flat.reshape(-1, 2)
-        arr.flags.writeable = False
-        return arr
+        return NeighbourLayout(self.n, self.edges)
 
     @cached_property
-    def sym_operator(self) -> "SymOperator":
+    def sym_operator(self) -> "EdgeOperator":
         """D^-1/2 A D^-1/2 in O(E) storage, built on first use and kept."""
-        return SymOperator(self.n, self.edge_array)
+        lay = self.neighbours
+        inv_sqrt = np.zeros(self.n)
+        inv_sqrt[lay.deg > 0] = 1.0 / np.sqrt(lay.deg[lay.deg > 0])
+        return EdgeOperator(lay, inv_sqrt[lay.rows] * inv_sqrt[lay.cols])
+
+
+def _as_pairs(edges) -> np.ndarray:
+    """A fresh E x 2 int64 array of the pairs `edges`."""
+    try:
+        e = np.array(edges, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError("every edge must be a (u, v) pair of integers") from None
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ParameterError("every edge must be a (u, v) pair")
+    return e
 
 
 # Neighbour slots that reach fewer rows than this are summed by a single
@@ -92,73 +104,103 @@ class Graph:
 SLOT_MIN_ROWS = 64
 
 
-class SymOperator:
-    """The sym-normalized adjacency D^-1/2 A D^-1/2 as neighbour lists.
-
-    Built from an E x 2 array of undirected edges. Each row keeps its
-    neighbours in ascending order with weights d_i^-1/2 d_j^-1/2; isolated
-    nodes have empty (zero) rows. `apply(V)` costs O(E d) time and O(E d)
-    scratch, and never forms an N x N array. The operator is symmetric, so
-    it is also its own transpose.
-    """
+class NeighbourLayout:
+    """Both directions of every edge as (row, col) entries sorted by row,
+    then col, and the plan by which `EdgeOperator` sums them; every
+    operator on one graph shares it."""
 
     def __init__(self, n: int, edges: np.ndarray):
         src = np.concatenate([edges[:, 0], edges[:, 1]])
         dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        deg = np.bincount(src, minlength=n)
-        inv_sqrt = np.zeros(n)
-        inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
         by_row = np.lexsort((dst, src))
-        rows, cols = src[by_row], dst[by_row]
-        weights = inv_sqrt[rows] * inv_sqrt[cols]
-        row_start = np.cumsum(deg) - deg
+        self.n = n
+        self.rows, self.cols = src[by_row], dst[by_row]
+        self.deg = np.bincount(src, minlength=n)
+        row_start = np.cumsum(self.deg) - self.deg
         # Rows ordered by falling degree: slot k holds the k-th neighbour of
         # every row with degree > k, and those rows are a prefix of the order.
         # The slots cover each stored entry once, so there is no padding.
-        self.n = n
-        self._order = np.argsort(-deg, kind="stable")
-        counts = np.searchsorted(-deg[self._order],
-                                 -np.arange(deg.max(initial=0)), side="left")
+        self.order = np.argsort(-self.deg, kind="stable")
+        counts = np.searchsorted(-self.deg[self.order],
+                                 -np.arange(self.deg.max(initial=0)), side="left")
         # Long slots are added as contiguous prefixes of the sorted rows; the
-        # short ones are pooled as (target row, neighbour, weight) entries.
-        self._slots = []
+        # short ones are pooled as (target row, entry) pairs.
+        self.slots = []
         short_rows, short_pos = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for k, count in enumerate(counts.tolist()):
-            pos = row_start[self._order[:count]] + k
+            pos = row_start[self.order[:count]] + k
             if count >= SLOT_MIN_ROWS:
-                self._slots.append((count, cols[pos], weights[pos][:, None]))
+                self.slots.append((count, pos, self.cols[pos]))
             else:
                 short_rows.append(np.arange(count))
                 short_pos.append(pos)
         targets = np.concatenate(short_rows)
-        if not self._slots:  # nothing to permute back: scatter to node ids
-            targets = self._order[targets]
+        if not self.slots:  # nothing to permute back: scatter to node ids
+            targets = self.order[targets]
         pos = np.concatenate(short_pos)
-        self._short = (targets, cols[pos], weights[pos][:, None])
+        self.short = (targets, pos, self.cols[pos])
         # Flat scatter targets for the last column count d; a model applies
         # one d throughout, and a stacked forward's d changes per stack.
         self._short_index = (0, np.zeros(0, np.int64))
 
+    def short_index(self, d: int) -> np.ndarray:
+        """Flat targets in an N x d block of the pooled short entries."""
+        if self._short_index[0] != d:
+            self._short_index = (d, (self.short[0][:, None] * d + np.arange(d)).ravel())
+        return self._short_index[1]
+
+
+class EdgeOperator:
+    """The coupling S = W + diag(c): one weight of W per entry of a
+    `NeighbourLayout`, in its row order, and an optional diagonal c.
+
+    `apply(V)` costs O(E d) time and scratch and never forms an N x N array;
+    the entries are summed in one fixed order, the diagonal added last.
+    """
+
+    def __init__(self, layout: NeighbourLayout, weights: np.ndarray,
+                 diagonal: np.ndarray | None = None):
+        self.n = layout.n
+        self.layout = layout
+        self.weights = weights
+        self.diagonal = diagonal
+        self._slots = [(count, cols, weights[pos][:, None])
+                       for count, pos, cols in layout.slots]
+        targets, pos, cols = layout.short
+        self._short = (targets, cols, weights[pos][:, None])
+        sums = np.bincount(layout.rows, weights=weights, minlength=self.n)
+        self._row_sums = sums if diagonal is None else sums + diagonal
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """(D^-1/2 A D^-1/2) @ v for an N x d matrix v."""
+        """S @ v for an N x d matrix v."""
         v = as_matrix(v)
         n, d = v.shape
         if n != self.n:
             raise DimensionError(f"operator on {self.n} nodes applied to {n} rows")
-        rows, cols, weights = self._short
-        cached_d, index = self._short_index
-        if cached_d != d:
-            index = (rows[:, None] * d + np.arange(d)).ravel()
-            self._short_index = (d, index)
-        acc = np.bincount(index, weights=(weights * v[cols]).ravel(),
+        _, cols, weights = self._short
+        out = np.bincount(self.layout.short_index(d), weights=(weights * v[cols]).ravel(),
                           minlength=n * d).reshape(n, d).astype(np.float64, copy=False)
-        if not self._slots:
-            return acc
-        for count, slot_cols, slot_weights in self._slots:
-            acc[:count] += slot_weights * v[slot_cols]
-        out = np.empty_like(acc)
-        out[self._order] = acc
+        if self._slots:
+            acc = out
+            for count, slot_cols, slot_weights in self._slots:
+                acc[:count] += slot_weights * v[slot_cols]
+            out = np.empty_like(acc)
+            out[self.layout.order] = acc
+        if self.diagonal is not None:
+            out += self.diagonal[:, None] * v
         return out
+
+    def row_sums(self) -> np.ndarray:
+        """S @ 1, computed once."""
+        return self._row_sums
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix S; for oracles and tests only."""
+        s = np.zeros((self.n, self.n))
+        s[self.layout.rows, self.layout.cols] = self.weights
+        if self.diagonal is not None:
+            s[np.diag_indices(self.n)] += self.diagonal
+        return s
 
 
 @dataclass
@@ -191,57 +233,31 @@ class Dataset:
         return self.split == tag
 
 
-def normalized_adjacency(g: Graph, mode: str) -> np.ndarray:
-    """Coupling matrix for the static families.
-
-    sym: D^-1/2 A D^-1/2, row: D^-1 A, gin: A + I, identity: I,
-    all_one: ones / N. Isolated nodes get zero off-diagonal rows in the
-    degree-normalized modes.
-    """
-    if mode not in ADJACENCY_MODES:
-        raise ParameterError(f"unknown adjacency mode {mode!r}")
-    n = g.n
-    if mode == "identity":
-        return np.eye(n)
-    if mode == "all_one":
-        return np.full((n, n), 1.0 / n)
-    a = g.adjacency()
-    if mode == "gin":
-        return a + np.eye(n)
-    deg = np.asarray(g.degrees, dtype=np.float64)
-    if mode == "row":
-        inv = np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)
-        return inv[:, None] * a
-    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
-    return inv_sqrt[:, None] * a * inv_sqrt[None, :]
-
-
 def er_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), deterministic per seed."""
     if n < 1 or not (0.0 <= p <= 1.0):
         raise ParameterError(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
     rng = np.random.default_rng(seed)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return Graph.from_edge_list(n, edges)
+    # one draw per pair i < j in row-major order, the stream of a scalar
+    # draw per pair
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(i.size) < p
+    return Graph(n=n, edges=np.stack([i[keep], j[keep]], axis=1))
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == g.n
+    """Whether node 0 reaches every node, growing the reached set across
+    every edge at once; O(E) per hop of the graph's diameter."""
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    seen = np.zeros(g.n, dtype=bool)
+    seen[:1] = True
+    while True:
+        grown = seen.copy()
+        grown[u[seen[v]]] = True
+        grown[v[seen[u]]] = True
+        if np.array_equal(grown, seen):
+            return bool(seen.all())
+        seen = grown
 
 
 def knn_graph(features: np.ndarray, k: int) -> Graph:
@@ -257,11 +273,9 @@ def knn_graph(features: np.ndarray, k: int) -> Graph:
     sq = np.sum(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.fill_diagonal(d2, np.inf)
-    edges = []
-    for i in range(n):
-        # argsort is stable, so equal distances resolve to lower indices
-        nearest = np.argsort(d2[i], kind="stable")[:k]
-        edges.extend((i, int(j)) for j in nearest)
+    # argsort is stable, so equal distances resolve to lower indices
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    edges = np.stack([np.repeat(np.arange(n), k), nearest.ravel()], axis=1)
     return Graph.from_edge_list(n, edges)
 
 
@@ -373,7 +387,7 @@ def atomic_write_text(path, text: str) -> None:
 def read_edges(path, n: int) -> Graph:
     """Graph on n nodes from an edges file of "u v" pairs; self-loops are
     dropped, directed and repeated pairs merged."""
-    pairs = []
+    ids = []
     for ln, line in _read_lines(path):
         toks = line.split()
         if len(toks) != 2:
@@ -384,9 +398,8 @@ def read_edges(path, n: int) -> Graph:
             raise FormatError(f"{path}:{ln}: bad node id") from None
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"{path}:{ln}: node id out of range")
-        if u != v:
-            pairs.append((u, v))
-    return Graph.from_edge_list(n, pairs)
+        ids += (u, v)
+    return Graph.from_edge_list(n, np.array(ids, dtype=np.int64).reshape(-1, 2))
 
 
 def load_dataset(features_path, labels_path, edges_path=None, split_path=None) -> Dataset:

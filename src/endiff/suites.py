@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coupling import CouplingSpec, PenaltyFamily
-from .diffusion import (DiffusionConfig, dense_simple_propagate,
-                        linear_simple_propagate, run_trajectory)
+from .coupling import CouplingSpec, PenaltyFamily, SimpleAttention
+from .diffusion import DiffusionConfig, linear_simple_propagate, run_trajectory
 from .energy import audit_bounds, audit_descent, diversity
 from .errors import ParameterError
-from .graphs import Graph, er_graph, is_connected, normalized_adjacency
+from .graphs import Graph, er_graph, is_connected
 from .model import ModelConfig, forward, init_model
 from .numerics import (finite_diff_grad, laplacian_spectral_bracket,
                        row_l2_normalize)
@@ -29,19 +28,13 @@ SUITES = ("thm1", "prop1", "thm2", "oversmooth", "linear_equiv", "gradcheck")
 GRADCHECK_STACK = 32
 
 
-def _er_instance(seed: int, n: int = 16, p: float = 0.3, d: int = 4):
-    g = er_graph(n, p, seed)
-    rng = np.random.default_rng((seed, 1))
-    z0 = rng.standard_normal((n, d))
-    return g, z0
-
-
-def _static_run(seed: int, steps: int = 20):
-    """One sym-normalized static instance at tau = 0.9 / lambda_max."""
-    g, z0 = _er_instance(seed)
+def _static_run(seed: int, steps: int = 20, n: int = 16):
+    """One sym-normalized static instance on ER(n, 0.3) at
+    tau = 0.9 / lambda_max."""
+    g = er_graph(n, 0.3, seed)
+    z0 = np.random.default_rng((seed, 1)).standard_normal((n, 4))
     spec = CouplingSpec("gcn_sym")
-    s = normalized_adjacency(g, "sym")
-    bracket = laplacian_spectral_bracket(s)
+    bracket = laplacian_spectral_bracket(g.sym_operator.dense())
     if bracket.lambda_max <= 0:
         return None  # edgeless instance, nothing to diffuse
     tau = min(0.9 / bracket.lambda_max, 1.0)
@@ -212,7 +205,7 @@ def _dense_simple_forward(params, x, g, cfg: ModelConfig) -> np.ndarray:
     n = x.shape[0]
     z0 = np.maximum(lnorm(x @ params["W_I"].T + params["b_I"]), 0.0)
     z = z0
-    a_graph = normalized_adjacency(g, "sym") if cfg.use_graph else None
+    a_graph = g.sym_operator.dense() if cfg.use_graph else None
     for k in range(cfg.layers):
         heads = []
         for h in range(cfg.heads):
@@ -247,7 +240,7 @@ def suite_linear_equiv(seeds: int = 50, n: int = 64, d: int = 8) -> dict:
     for seed in range(seeds):
         rng = np.random.default_rng((seed, 4))
         z = row_l2_normalize(rng.standard_normal((n, d)))
-        diff = np.max(np.abs(linear_simple_propagate(z) - dense_simple_propagate(z)))
+        diff = np.max(np.abs(linear_simple_propagate(z) - SimpleAttention(z).dense() @ z))
         max_prop = max(max_prop, float(diff))
 
         x = rng.standard_normal((n, d))

@@ -112,9 +112,8 @@ def induced_subgraph(g: Graph, idx: np.ndarray) -> Graph:
     """Subgraph on idx with in-batch edges only, nodes relabeled 0..len-1."""
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[idx] = np.arange(len(idx))
-    ends = pos[g.edge_array]
-    kept = ends[(ends >= 0).all(axis=1)]
-    return Graph(n=len(idx), edges=tuple(zip(*kept.T.tolist())))
+    ends = pos[g.edges]
+    return Graph(n=len(idx), edges=ends[(ends >= 0).all(axis=1)])
 
 
 def metric(kind: str, predictions, labels, mask) -> float:

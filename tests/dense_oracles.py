@@ -1,0 +1,70 @@
+"""Dense N x N reference forms that the sparse couplings and the energies
+are checked against. They loop or materialize on purpose and are meant
+for small N only."""
+
+import numpy as np
+
+from endiff.coupling import CouplingSpec, PenaltyFamily, build_coupling, coupling_operator
+
+STATIC_MODES = ("sym", "gin", "identity", "all_one")
+
+
+def adjacency(g) -> np.ndarray:
+    """The 0/1 adjacency matrix, one edge at a time."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges.tolist():
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
+
+
+def normalized_adjacency(g, mode: str) -> np.ndarray:
+    """Coupling matrix of a static family.
+
+    sym: D^-1/2 A D^-1/2, gin: A + I, identity: I, all_one: ones / N.
+    Isolated nodes get zero rows in sym.
+    """
+    if mode not in STATIC_MODES:
+        raise ValueError(f"unknown adjacency mode {mode!r}")
+    n = g.n
+    if mode == "identity":
+        return np.eye(n)
+    if mode == "all_one":
+        return np.full((n, n), 1.0 / n)
+    a = adjacency(g)
+    if mode == "gin":
+        return a + np.eye(n)
+    deg = np.asarray(g.degrees, dtype=np.float64)
+    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
+    return inv_sqrt[:, None] * a * inv_sqrt[None, :]
+
+
+def pair_sum_loop(z, s) -> float:
+    """sum_ij s_ij ||z_i - z_j||^2, one pair at a time."""
+    n = z.shape[0]
+    return sum(s[i, j] * float(np.sum((z[i] - z[j]) ** 2))
+               for i in range(n) for j in range(n))
+
+
+def quadratic_energy_loop(z, z_prev, s, lam: float) -> float:
+    """Double-loop form of quadratic_energy with a dense coupling s."""
+    return float(np.sum((z - z_prev) ** 2)) + lam * pair_sum_loop(z, s)
+
+
+SPARSE_CASES = ("identity", "all_one", "gcn_sym", "gin", "gat_simple",
+                "gat_advanced", "gat_softmax", "gat_quadratic", "quadratic")
+STATIC_FAMILY_MODES = {"identity": "identity", "all_one": "all_one",
+                       "gcn_sym": "sym", "gin": "gin"}
+
+
+def sparse_case(name, g, z):
+    """(operator, dense oracle) of one of SPARSE_CASES on g at unit rows z:
+    a static family, gat_masked under a penalty, or quadratic attention."""
+    if name in STATIC_FAMILY_MODES:
+        return (coupling_operator(CouplingSpec(name), z, g),
+                normalized_adjacency(g, STATIC_FAMILY_MODES[name]))
+    if name == "quadratic":
+        spec = CouplingSpec("attention", PenaltyFamily("quadratic"))
+    else:
+        spec = CouplingSpec("gat_masked", PenaltyFamily(name[4:], dim_scale=4.0), g)
+    return coupling_operator(spec, z, g), build_coupling(spec, z)

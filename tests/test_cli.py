@@ -329,14 +329,13 @@ def test_diffuse_source_with_attention(tmp_path, capsys, coupling, penalty):
 
 def test_diffuse_simple_attention_builds_no_dense_array(tmp_path, capsys, monkeypatch):
     import endiff.coupling as coupling
-    import endiff.diffusion as diffusion
     import endiff.energy as energy
 
     def refuse(*args, **kwargs):
         raise AssertionError("N x N array built on the simple-attention path")
 
     for mod, name in ((coupling, "build_coupling"), (coupling, "attention_scores"),
-                      (diffusion, "build_coupling"), (energy, "_pairwise_sq_dists")):
+                      (energy, "_pairwise_sq_dists")):
         monkeypatch.setattr(mod, name, refuse)
     code, out, _ = run_cli(["diffuse", "--coupling", "attention", "--penalty", "simple",
                             "--tau", "0.25", "--steps", "6", "--n", "40",
@@ -349,6 +348,34 @@ def test_diffuse_simple_attention_builds_no_dense_array(tmp_path, capsys, monkey
     assert all(b <= a for a, b in zip(energies, energies[1:]))
     sums = np.array([[float(r[3]), float(r[4])] for r in rows])
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--coupling", "identity"], ["--coupling", "all_one"],
+    ["--coupling", "gcn_sym"], ["--coupling", "gin"],
+    ["--coupling", "gat_masked"], ["--coupling", "attention", "--penalty", "quadratic"],
+    ["--coupling", "gcn_sym", "--use-source"],
+])
+def test_diffuse_sparse_families_build_no_dense_array(tmp_path, capsys, monkeypatch, argv):
+    import endiff.coupling as coupling
+    import endiff.graphs as graphs
+    import endiff.numerics as numerics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("N x N array built on a sparse coupling path")
+
+    for cls in (graphs.EdgeOperator, coupling.DenseCoupling,
+                coupling.MeanCoupling, coupling.SimpleAttention):
+        monkeypatch.setattr(cls, "dense", refuse)
+    monkeypatch.setattr(coupling, "build_coupling", refuse)
+    monkeypatch.setattr(numerics, "laplacian", refuse)
+    code, out, _ = run_cli(["diffuse", *argv, "--tau", "0.25", "--steps", "4",
+                            "--n", "30", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in
+            open(json.loads(out.strip().splitlines()[-1])["csv"]).read().splitlines()[1:]]
+    assert len(rows) == 5
+    assert all(np.isfinite(float(v)) for r in rows[1:] for v in r)
 
 
 @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-3"), ("--dim", "0")])

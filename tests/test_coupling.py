@@ -5,14 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from endiff.coupling import (CouplingSpec, CouplingSum, DenseCoupling,
-                             PenaltyFamily, SimpleAttention, attention_scores,
-                             build_coupling, coupling_operator,
+from dense_oracles import SPARSE_CASES, adjacency, sparse_case
+from endiff.coupling import (CouplingSpec, DenseCoupling,
+                             MeanCoupling, PenaltyFamily, SimpleAttention,
+                             attention_scores, build_coupling,
+                             coupling_operator, gat_masked_coupling,
                              penalty_conjugate, penalty_delta,
                              penalty_delta_array, penalty_f, penalty_f_range,
                              penalty_landscape)
+from endiff.diffusion import graph_blended_step
 from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
-from endiff.graphs import Graph, er_graph
+from endiff.graphs import EdgeOperator, Graph, er_graph
 from endiff.numerics import row_l2_normalize
 
 FD_FAMILIES = [PenaltyFamily("simple"), PenaltyFamily("advanced"),
@@ -151,19 +154,26 @@ def test_build_coupling_gat_masked_support():
     z = row_l2_normalize(rng.standard_normal((4, 3)))
     g = Graph.from_edge_list(4, [(0, 1), (2, 3)])
     s = build_coupling(CouplingSpec("gat_masked", PenaltyFamily("simple"), g), z)
-    mask = g.adjacency() + np.eye(4)
+    mask = adjacency(g) + np.eye(4)
     assert np.all(s[mask == 0] == 0)
     assert np.allclose(s.sum(axis=1), 1.0)
 
 
 def test_build_coupling_static_families():
+    # static families are edge operators, never dense arrays
     g = Graph.from_edge_list(3, [(0, 1), (1, 2)])
-    assert np.allclose(build_coupling(CouplingSpec("identity"), g=g), np.eye(3))
-    assert np.allclose(build_coupling(CouplingSpec("all_one"), g=g), 1.0 / 3)
-    gin = build_coupling(CouplingSpec("gin"), g=g)
-    assert np.allclose(gin, g.adjacency() + np.eye(3))
+    for family in ("identity", "all_one", "gcn_sym", "gin"):
+        with pytest.raises(ParameterError, match="not an attention family"):
+            build_coupling(CouplingSpec(family), np.eye(3))
+    op = coupling_operator(CouplingSpec("identity"), g=g)
+    assert np.array_equal(op.dense(), np.eye(3))
+    assert np.allclose(coupling_operator(CouplingSpec("all_one"), g=g).dense(), 1.0 / 3)
+    gin = coupling_operator(CouplingSpec("gin"), g=g).dense()
+    assert np.array_equal(gin, adjacency(g) + np.eye(3))
     with pytest.raises(ParameterError):
-        build_coupling(CouplingSpec("gcn_sym"))  # no graph
+        coupling_operator(CouplingSpec("gcn_sym"))  # no graph
+    with pytest.raises(ParameterError):
+        coupling_operator(CouplingSpec("all_one"))  # no N
 
 
 def test_build_coupling_degenerate_row_fallback():
@@ -232,25 +242,113 @@ def test_dense_coupling_and_sum():
     op = DenseCoupling(s)
     assert np.array_equal(op.apply(v), s @ v)
     assert np.array_equal(op.row_sums(), s.sum(axis=1))
-    both = CouplingSum(op, SimpleAttention(row_l2_normalize(rng.standard_normal((5, 3)))))
-    dense = both.dense()
-    assert np.allclose(both.apply(v), dense @ v, atol=1e-12)
-    assert np.allclose(both.row_sums(), dense.sum(axis=1), atol=1e-12)
+    # a graph-blended step diffuses on the sum of two couplings
+    g = er_graph(5, 0.5, 0)
+    z = row_l2_normalize(rng.standard_normal((5, 3)))
+    both = s + g.sym_operator.dense()
+    want = z - 0.25 * (np.diag(both.sum(axis=1)) - both) @ z
+    assert np.allclose(graph_blended_step(z, op, g, 0.5), want, atol=1e-12)
     with pytest.raises(DimensionError):
         DenseCoupling(np.ones((3, 4)))
     with pytest.raises(DimensionError):
         op.apply(np.ones((4, 2)))
     with pytest.raises(DimensionError):
-        CouplingSum(op, DenseCoupling(np.eye(3)))
+        graph_blended_step(z, DenseCoupling(np.eye(3)), g, 0.5)
 
 
 def test_coupling_operator_picks_the_accumulator_form_for_simple_attention():
     z = row_l2_normalize(np.random.default_rng(1).standard_normal((6, 3)))
     g = er_graph(6, 0.5, 0)
     assert isinstance(coupling_operator(SIMPLE, z), SimpleAttention)
-    for spec in (CouplingSpec("attention", PenaltyFamily("advanced")),
-                 CouplingSpec("gat_masked", PenaltyFamily("simple"), g),
-                 CouplingSpec("gcn_sym")):
+    # only unmasked advanced and softmax attention stay dense
+    for kind in ("advanced", "softmax"):
+        spec = CouplingSpec("attention", PenaltyFamily(kind))
         op = coupling_operator(spec, z, g)
         assert isinstance(op, DenseCoupling)
-        assert np.array_equal(op.dense(), build_coupling(spec, z, g))
+        assert np.array_equal(op.dense(), build_coupling(spec, z))
+    assert coupling_operator(CouplingSpec("gcn_sym"), z, g) is g.sym_operator
+    for family in ("identity", "gin"):
+        assert isinstance(coupling_operator(CouplingSpec(family), z, g), EdgeOperator)
+    gat = CouplingSpec("gat_masked", PenaltyFamily("simple"), g)
+    assert isinstance(coupling_operator(gat, z, g), EdgeOperator)
+    quad = CouplingSpec("attention", PenaltyFamily("quadratic"))
+    for spec in (quad, CouplingSpec("all_one")):
+        assert isinstance(coupling_operator(spec, z, g), MeanCoupling)
+
+
+@st.composite
+def _graph_rows_block(draw):
+    """A random graph (N = 1, no edges and isolated nodes included), unit
+    rows Z on it and a block V."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    g = Graph.from_edge_list(n, draw(st.lists(pairs, max_size=3 * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = row_l2_normalize(rng.standard_normal((n, draw(st.integers(1, 4)))))
+    return g, z, rng.standard_normal((n, draw(st.integers(1, 3))))
+
+
+def _assert_operator_matches(op, want, v):
+    # every entry of S, S V and S 1 to 1e-12 of the magnitudes summed
+    assert op.n == want.shape[0]
+    assert np.max(np.abs(op.dense() - want)) <= 1e-12 * np.max(np.abs(want), initial=1.0)
+    scale = np.abs(want) @ np.abs(v)
+    assert np.all(np.abs(op.apply(v) - want @ v) <= 1e-12 * scale + 1e-300)
+    sums = op.row_sums()
+    assert sums.shape == (op.n,)
+    assert np.all(np.abs(sums - want.sum(axis=1)) <= 1e-12 * np.abs(want).sum(axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_rows_block(), st.sampled_from(SPARSE_CASES))
+@example((Graph(1, ()), np.array([[0.6, 0.8]]), np.array([[2.0]])), "gin")
+@example((Graph(1, ()), np.array([[0.6, 0.8]]), np.array([[2.0]])), "gat_simple")
+@example((Graph(4, ()), np.eye(4), np.arange(8.0).reshape(4, 2)), "gat_advanced")
+@example((Graph(4, ()), np.eye(4), np.arange(8.0).reshape(4, 2)), "identity")
+@example((Graph(5, ((0, 1), (1, 2))), np.eye(3)[[0, 1, 2, 0, 1]],
+          np.arange(10.0).reshape(5, 2)), "gcn_sym")
+def test_sparse_couplings_match_their_dense_oracles(case, name):
+    g, z, v = case
+    op, want = sparse_case(name, g, z)
+    _assert_operator_matches(op, want, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_rows_block(), st.booleans())
+def test_edge_operator_with_asymmetric_weights(case, with_diagonal):
+    g, _, v = case
+    rng = np.random.default_rng(len(g.edges))
+    lay = g.neighbours
+    weights = rng.uniform(-1.0, 2.0, len(lay.rows))
+    diagonal = rng.uniform(-1.0, 2.0, g.n) if with_diagonal else None
+    want = np.zeros((g.n, g.n))
+    for i, j, w in zip(lay.rows.tolist(), lay.cols.tolist(), weights.tolist()):
+        want[i, j] += w  # one entry per direction of every edge
+    if with_diagonal:
+        want += np.diag(diagonal)
+    _assert_operator_matches(EdgeOperator(lay, weights, diagonal), want, v)
+
+
+def test_gat_masked_coupling_falls_back_to_self_loops(monkeypatch, caplog):
+    import endiff.coupling as coupling
+
+    z = row_l2_normalize(np.random.default_rng(0).standard_normal((4, 3)))
+    g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    spec = CouplingSpec("gat_masked", PenaltyFamily("simple"), g)
+    dense_scores = coupling.attention_scores
+    monkeypatch.setattr(coupling, "attention_scores",
+                        lambda p, z: np.zeros_like(dense_scores(p, z)))
+    monkeypatch.setattr(coupling, "_scores", lambda p, gram: np.zeros_like(gram))
+    op = coupling_operator(spec, z, g)
+    assert np.array_equal(op.dense(), np.eye(4))
+    assert np.array_equal(build_coupling(spec, z), np.eye(4))
+    assert np.array_equal(op.row_sums(), np.ones(4))
+    assert "degenerate row" in caplog.text
+
+
+def test_gat_masked_coupling_checks_its_inputs():
+    g = Graph.from_edge_list(3, [(0, 1)])
+    with pytest.raises(ContractError):
+        gat_masked_coupling(PenaltyFamily("simple"), np.ones((3, 2)), g)
+    with pytest.raises(DimensionError):
+        gat_masked_coupling(PenaltyFamily("simple"), np.eye(4), g)

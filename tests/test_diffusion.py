@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from dense_oracles import normalized_adjacency
 from endiff.coupling import (CouplingSpec, DenseCoupling, PenaltyFamily,
-                             build_coupling)
-from endiff.diffusion import (DiffusionConfig, Trajectory,
-                              dense_simple_propagate, euler_step,
-                              graph_blended_step,
-                              linear_simple_propagate, run_trajectory)
+                             SimpleAttention, build_coupling)
+from endiff.diffusion import (DiffusionConfig, Trajectory, euler_step,
+                              graph_blended_step, linear_simple_propagate,
+                              run_trajectory)
 from endiff.errors import ContractError, DimensionError, ParameterError
-from endiff.graphs import Graph, er_graph, normalized_adjacency
+from endiff.graphs import Graph, er_graph
 from endiff.numerics import laplacian, row_l2_normalize
 
 
@@ -60,7 +60,7 @@ def test_linear_simple_propagate_matches_dense():
         rng = np.random.default_rng(seed)
         z = row_l2_normalize(rng.standard_normal((40, 8)))
         linear = linear_simple_propagate(z)
-        dense = dense_simple_propagate(z)
+        dense = SimpleAttention(z).dense() @ z
         assert np.max(np.abs(linear - dense)) <= 1e-10
 
 
@@ -96,7 +96,7 @@ def test_run_trajectory_static_records_every_step():
     z0 = rng.standard_normal((8, 3))
     traj = run_trajectory(z0, CouplingSpec("gcn_sym"), DiffusionConfig(steps=5), g)
     assert traj.steps == [0, 1, 2, 3, 4, 5]
-    s = build_coupling(CouplingSpec("gcn_sym"), g=g)
+    s = normalized_adjacency(g, "sym")
     manual = z0.copy()
     for k in range(5):
         manual = euler_step(manual, DenseCoupling(s), 0.5)
@@ -133,7 +133,7 @@ def test_run_trajectory_source_defaults_to_initial_state():
     traj = run_trajectory(z0, CouplingSpec("gcn_sym"),
                           DiffusionConfig(steps=2, beta=1.0), g)
     assert np.allclose(traj.source, z0)
-    s = build_coupling(CouplingSpec("gcn_sym"), g=g)
+    s = normalized_adjacency(g, "sym")
     step1 = euler_step(z0, DenseCoupling(s), 0.5) + 0.5 * z0
     assert np.allclose(traj.matrices[1], step1, atol=1e-12)
 

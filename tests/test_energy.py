@@ -6,16 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import endiff.energy as energy
-from endiff.coupling import (CouplingSpec, PenaltyFamily, penalty_delta,
+from dense_oracles import (SPARSE_CASES, normalized_adjacency, pair_sum_loop,
+                           quadratic_energy_loop, sparse_case)
+from endiff.coupling import (CouplingSpec, DenseCoupling, PenaltyFamily,
+                             coupling_operator, penalty_delta,
                              penalty_delta_array)
 from endiff.diffusion import DiffusionConfig, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent,
                            diversity, graph_regularized_energy, inferred_omega,
-                           quadratic_energy, quadratic_energy_loop,
-                           regularized_energy, source_energy,
+                           quadratic_energy, regularized_energy, source_energy,
                            surrogate_energy, write_trajectory_csv)
 from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
-from endiff.graphs import er_graph, normalized_adjacency
+from endiff.graphs import EdgeOperator, Graph, er_graph
 from endiff.numerics import row_l2_normalize
 
 
@@ -25,24 +27,24 @@ def test_quadratic_energy_matches_double_loop():
     z = rng.standard_normal((7, 3))
     zp = rng.standard_normal((7, 3))
     s = np.abs(rng.standard_normal((7, 7)))
-    fast = quadratic_energy(z, zp, s, 0.7)
+    fast = quadratic_energy(z, zp, DenseCoupling(s), 0.7)
     slow = quadratic_energy_loop(z, zp, s, 0.7)
     assert fast == pytest.approx(slow, rel=1e-12)
 
 
 def test_quadratic_energy_zero_at_rest_with_identity_coupling():
     z = np.random.default_rng(1).standard_normal((4, 2))
-    assert quadratic_energy(z, z, np.eye(4), 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert quadratic_energy(z, z, DenseCoupling(np.eye(4)), 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quadratic_energy_errors():
     z = np.ones((3, 2))
     with pytest.raises(DimensionError):
-        quadratic_energy(z, np.ones((4, 2)), np.ones((3, 3)), 1.0)
+        quadratic_energy(z, np.ones((4, 2)), DenseCoupling(np.ones((3, 3))), 1.0)
     with pytest.raises(DimensionError):
-        quadratic_energy(z, z, np.ones((4, 4)), 1.0)
+        quadratic_energy(z, z, DenseCoupling(np.ones((4, 4))), 1.0)
     with pytest.raises(ParameterError):
-        quadratic_energy(z, z, np.ones((3, 3)), -1.0)
+        quadratic_energy(z, z, DenseCoupling(np.ones((3, 3))), -1.0)
 
 
 def test_source_energy_shifts_anchor():
@@ -50,7 +52,7 @@ def test_source_energy_shifts_anchor():
     z = rng.standard_normal((5, 3))
     zp = rng.standard_normal((5, 3))
     h = rng.standard_normal((5, 3))
-    s = np.abs(rng.standard_normal((5, 5)))
+    s = DenseCoupling(np.abs(rng.standard_normal((5, 5))))
     direct = source_energy(z, zp, s, 0.5, 0.3, h)
     assert direct == pytest.approx(quadratic_energy(z, zp + 0.3 * h, s, 0.5))
 
@@ -64,7 +66,8 @@ def test_regularized_energy_quadratic_family_matches_quadratic_form():
     reg = regularized_energy(z, zp, p, 0.4)
     ones = np.ones((6, 6))
     # sum_ij ||z_i - z_j||^2 = 2 * tr(Z^T (N I - 11^T) Z)
-    assert reg == pytest.approx(quadratic_energy(z, zp, 0.5 * ones, 0.8), rel=1e-10)
+    half = DenseCoupling(0.5 * ones)
+    assert reg == pytest.approx(quadratic_energy(z, zp, half, 0.8), rel=1e-10)
 
 
 def test_surrogate_tight_at_inferred_omega():
@@ -160,10 +163,9 @@ def test_audit_descent_attention():
 
 def test_audit_bounds_bracket_holds():
     from endiff.numerics import laplacian_spectral_bracket
-    from endiff.graphs import normalized_adjacency as na
 
     g = er_graph(10, 0.4, 3)
-    s = na(g, "sym")
+    s = normalized_adjacency(g, "sym")
     bracket = laplacian_spectral_bracket(s)
     tau = 0.9 / bracket.lambda_max
     z0 = np.random.default_rng(3).standard_normal((10, 3))
@@ -305,3 +307,91 @@ def test_failed_trajectory_csv_leaves_no_file(tmp_path):
     with pytest.raises(DomainError):
         write_trajectory_csv(traj, tmp_path / "traj.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+@st.composite
+def _coupled_case(draw):
+    """A coupling on a random graph (N = 1, no edges and isolated nodes
+    included) with its dense oracle, rows Z in the unit ball, Z_prev, H."""
+    n = draw(st.integers(1, 10))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    g = Graph.from_edge_list(n, draw(st.lists(pairs, max_size=3 * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    unit = row_l2_normalize(rng.standard_normal((n, d)))
+    name = draw(st.sampled_from(SPARSE_CASES + ("asymmetric", "dense_asymmetric")))
+    if name == "asymmetric":  # an edge operator with one-sided weights
+        lay = g.neighbours
+        op = EdgeOperator(lay, rng.uniform(0.0, 2.0, len(lay.rows)),
+                          rng.uniform(0.0, 2.0, n))
+        want = np.zeros((n, n))
+        want[lay.rows, lay.cols] = op.weights
+        want += np.diag(op.diagonal)
+    elif name == "dense_asymmetric":
+        want = rng.uniform(0.0, 2.0, (n, n))
+        op = DenseCoupling(want)
+    else:
+        op, want = sparse_case(name, g, unit)
+    z = unit * rng.uniform(0.0, 1.0, (n, 1))
+    return g, op, want, z, rng.standard_normal((n, d)), rng.standard_normal((n, d))
+
+
+def _pair_terms(z, s):
+    """sum_ij |s_ij| (|z_i|^2 + |z_j|^2): the size of the terms that cancel
+    in a pairwise sum, which bounds its rounding."""
+    b = np.sum((z - z.mean(axis=0)) ** 2, axis=1)
+    return float(np.sum(np.abs(s) * (b[:, None] + b[None, :])))
+
+
+def _fixed_case(name, n, edges):
+    g = Graph.from_edge_list(n, edges)
+    rng = np.random.default_rng(n)
+    z = 0.9 * row_l2_normalize(rng.standard_normal((n, 3)))
+    op, want = sparse_case(name, g, z / 0.9)
+    return g, op, want, z, rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coupled_case(), st.floats(0.0, 2.0), st.floats(0.0, 1.5))
+@example(_fixed_case("gin", 1, []), 0.7, 0.3)  # N = 1
+@example(_fixed_case("gat_simple", 4, []), 0.7, 0.3)  # no edges
+@example(_fixed_case("gcn_sym", 6, [(0, 1), (1, 2)]), 0.7, 0.3)  # isolated nodes
+def test_coupled_energies_match_the_pairwise_loop(case, lam, eta):
+    g, op, s, z, z_prev, h = case
+    with pytest.MonkeyPatch.context() as mp:  # the fast forms stay sparse
+        mp.setattr(type(op), "dense", _refuse)
+        fast = quadratic_energy(z, z_prev, op, lam)
+        fast_source = source_energy(z, z_prev, op, lam, eta, h)
+    floor = 1e-12 * lam * _pair_terms(z, s)
+    assert fast == pytest.approx(quadratic_energy_loop(z, z_prev, s, lam),
+                                 rel=1e-12, abs=floor)
+    assert fast_source == pytest.approx(
+        quadratic_energy_loop(z, z_prev + eta * h, s, lam), rel=1e-12, abs=floor)
+
+    a = normalized_adjacency(g, "sym")
+    slow = (float(np.sum((z - z_prev) ** 2)) + 0.5 * lam * _pairwise_penalty(z)
+            + 0.5 * lam * pair_sum_loop(z, a))
+    assert graph_regularized_energy(z, z_prev, SIMPLE_P, g, lam) == pytest.approx(
+        slow, rel=1e-12, abs=floor + 1e-12 * lam * _pair_terms(z, a)
+        + 1e-12 * z.shape[0] * float(np.sum(z * z)))
+
+
+def test_quadratic_energy_is_exact_on_a_diagonal_coupling():
+    # each diagonal entry's terms cancel row by row: S = I gives exactly 0
+    z = np.random.default_rng(3).standard_normal((6, 4))
+    op = coupling_operator(CouplingSpec("identity"), z)
+    assert quadratic_energy(z, z, op, 0.7) == 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="graph-blended attention does not always descend "
+                   "graph_regularized_energy")
+def test_graph_blended_dynamics_descend_the_graph_regularized_energy():
+    # ER(20, 0.3) seed 49 at tau = 0.25: one step raises the energy by ~0.245
+    g = er_graph(20, 0.3, 49)
+    z0 = row_l2_normalize(np.random.default_rng((49, 2)).standard_normal((20, 8)))
+    spec = CouplingSpec("attention", PenaltyFamily("simple"))
+    traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.25, steps=10,
+                                                    graph_blend=True), g)
+    rep = audit_descent(traj, lam=0.25, slack=1e-8)
+    assert rep.num_violations == 0, rep.violations

@@ -3,10 +3,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import adjacency, normalized_adjacency
 from endiff.errors import DimensionError, FormatError, ParameterError
 from endiff.graphs import (Dataset, Graph, er_graph, is_connected, knn_graph,
-                           load_cora, load_dataset, normalized_adjacency,
-                           read_edges, read_features, sbm_generate)
+                           load_cora, load_dataset, read_edges, read_features,
+                           sbm_generate)
+
+
+def _has_edge(g, u, v):
+    """Whether (u, v) is a row of g.edges; `in` on an array is an
+    elementwise test, not a row test."""
+    return bool(np.any(np.all(g.edges == (u, v), axis=1)))
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -77,37 +84,39 @@ def test_graph_rejects_an_edge_that_is_not_a_pair():
 
 def test_from_edge_list_symmetrizes_and_dedups():
     g = Graph.from_edge_list(4, [(1, 0), (0, 1), (2, 3), (3, 3)])
-    assert g.edges == ((0, 1), (2, 3))
+    assert np.array_equal(g.edges, [(0, 1), (2, 3)])
     assert g.degrees == (1, 1, 1, 1)
 
 
 def test_adjacency_symmetric():
+    # the dense oracle the edge operators are checked against
     g = Graph.from_edge_list(3, [(0, 1), (1, 2)])
-    a = g.adjacency()
+    a = adjacency(g)
     assert np.allclose(a, a.T)
     assert a.sum() == 4
 
 
 def test_normalized_adjacency_modes():
+    # hand values of the dense oracle, and the edge operators against it
     g = Graph.from_edge_list(3, [(0, 1), (1, 2)])
-    a = g.adjacency()
+    a = adjacency(g)
     sym = normalized_adjacency(g, "sym")
     # path graph: middle node degree 2, ends degree 1
     assert sym[0, 1] == pytest.approx(1.0 / np.sqrt(2))
-    row = normalized_adjacency(g, "row")
-    assert np.allclose(row.sum(axis=1), 1.0)
+    assert np.array_equal(g.sym_operator.dense(), sym)
     assert np.allclose(normalized_adjacency(g, "gin"), a + np.eye(3))
     assert np.allclose(normalized_adjacency(g, "identity"), np.eye(3))
     assert np.allclose(normalized_adjacency(g, "all_one"), 1.0 / 3)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError):
         normalized_adjacency(g, "spectral")
 
 
 def test_normalized_adjacency_isolated_node():
     g = Graph(n=3, edges=((0, 1),))
-    sym = normalized_adjacency(g, "sym")
-    assert np.allclose(sym[2], 0.0)
-    assert np.all(np.isfinite(sym))
+    for sym in (normalized_adjacency(g, "sym"), g.sym_operator.dense()):
+        assert np.allclose(sym[2], 0.0)
+        assert np.all(np.isfinite(sym))
+    assert g.sym_operator.row_sums()[2] == 0.0
 
 
 @st.composite
@@ -163,8 +172,8 @@ def test_knn_graph_basic():
     # four points on a line: nearest neighbor chains
     feats = np.array([[0.0], [1.0], [2.0], [10.0]])
     g = knn_graph(feats, 1)
-    assert (0, 1) in g.edges
-    assert (2, 3) in g.edges  # 10's nearest is 2 (symmetrized)
+    assert _has_edge(g, 0, 1)
+    assert _has_edge(g, 2, 3)  # 10's nearest is 2 (symmetrized)
     with pytest.raises(ParameterError):
         knn_graph(feats, 0)
     with pytest.raises(ParameterError):
@@ -175,16 +184,87 @@ def test_knn_graph_tie_break_deterministic():
     feats = np.array([[0.0], [1.0], [-1.0]])  # 1 and -1 equidistant from 0
     g = knn_graph(feats, 1)
     g2 = knn_graph(feats, 1)
-    assert g.edges == g2.edges
-    assert (0, 1) in g.edges  # stable argsort prefers the lower index
+    assert np.array_equal(g.edges, g2.edges)
+    assert _has_edge(g, 0, 1)  # stable argsort prefers the lower index
 
 
 def test_er_graph_deterministic_and_density():
     g1 = er_graph(30, 0.3, 7)
     g2 = er_graph(30, 0.3, 7)
-    assert g1.edges == g2.edges
+    assert np.array_equal(g1.edges, g2.edges)
     possible = 30 * 29 / 2
     assert 0.15 < len(g1.edges) / possible < 0.45
+
+
+def _er_scalar_loop(n, p, seed):
+    """The scalar-draw generator er_graph replaced: one rng.random() per
+    pair i < j in row-major order."""
+    rng = np.random.default_rng(seed)
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
+@pytest.mark.parametrize("n, p, seed", [(1, 0.3, 0), (2, 1.0, 1), (16, 0.3, 5),
+                                        (30, 1.0, 2), (57, 0.1, 9), (40, 0.0, 3)])
+def test_er_graph_matches_the_scalar_draw_stream(n, p, seed):
+    g = er_graph(n, p, seed)
+    want = np.array(_er_scalar_loop(n, p, seed), dtype=np.int64).reshape(-1, 2)
+    assert np.array_equal(g.edges, want)
+
+
+def test_knn_graph_matches_the_row_loop_with_duplicated_points():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((300, 3))
+    x[150:] = x[:150]  # every point twice: ties everywhere
+    k = 4
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d2, np.inf)
+    pairs = [(i, int(j)) for i in range(300)
+             for j in np.argsort(d2[i], kind="stable")[:k]]
+    want = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    assert np.array_equal(knn_graph(x, k).edges, want)
+
+
+def _bfs_connected(n, edges):
+    adj = {i: [] for i in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.floats(0.0, 0.4), st.integers(0, 2**32 - 1))
+def test_is_connected_matches_a_bfs(n, p, seed):
+    g = er_graph(n, p, seed)
+    assert is_connected(g) == _bfs_connected(n, g.edges.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+def test_from_edge_list_matches_the_sorted_pair_set(case):
+    n, pairs = case
+    g = Graph.from_edge_list(n, pairs)
+    want = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    assert np.array_equal(g.edges, np.array(want, dtype=np.int64).reshape(-1, 2))
+    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+
+
+def test_graph_edges_are_a_read_only_copy():
+    e = np.array([[0, 1], [1, 2]])
+    g = Graph(n=3, edges=e)
+    e[0, 0] = 2
+    assert np.array_equal(g.edges, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 2
+    assert Graph(n=2, edges=()).edges.shape == (0, 2)
 
 
 def test_is_connected():
@@ -207,7 +287,7 @@ def test_sbm_generate_shapes_and_split():
 
 def test_sbm_homophily():
     ds = sbm_generate(2, 50, 0.3, 0.02, 4, 0.5, seed=1)
-    same = sum(ds.labels[u] == ds.labels[v] for u, v in ds.graph.edges)
+    same = sum(ds.labels[u] == ds.labels[v] for u, v in ds.graph.edges.tolist())
     assert same / len(ds.graph.edges) > 0.8
 
 
@@ -215,7 +295,7 @@ def test_sbm_deterministic_per_seed():
     a = sbm_generate(2, 20, 0.2, 0.05, 4, 0.5, seed=3)
     b = sbm_generate(2, 20, 0.2, 0.05, 4, 0.5, seed=3)
     assert np.array_equal(a.features, b.features)
-    assert a.graph.edges == b.graph.edges
+    assert np.array_equal(a.graph.edges, b.graph.edges)
     assert np.array_equal(a.split, b.split)
 
 
@@ -246,7 +326,7 @@ def test_load_dataset_round_trip(tmp_path):
     ds = load_dataset(f, l, e, s)
     assert ds.features.shape == (3, 2)
     assert ds.labels.tolist() == [0, 1, -1]
-    assert ds.graph.edges == ((0, 1), (1, 2))
+    assert np.array_equal(ds.graph.edges, [(0, 1), (1, 2)])
     assert ds.split.tolist() == ["train", "val", "test"]
     assert ds.num_classes == 2
 
@@ -298,6 +378,75 @@ def test_reader_line_numbers_count_blank_lines(tmp_path):
         read_features(empty)
 
 
+def _edges_by_line(path, n):
+    """Reference reader: the sorted (min, max) pairs, or the message of the
+    first bad line, reading one line at a time."""
+    pairs = set()
+    with open(path, encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, 1):
+            toks = line.split()
+            if not toks:
+                continue
+            if len(toks) != 2:
+                return f"{path}:{ln}: expected 'u v'"
+            try:
+                u, v = int(toks[0]), int(toks[1])
+            except ValueError:
+                return f"{path}:{ln}: bad node id"
+            if not (0 <= u < n and 0 <= v < n):
+                return f"{path}:{ln}: node id out of range"
+            if u != v:
+                pairs.add((min(u, v), max(u, v)))
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+@st.composite
+def _edge_files(draw):
+    """Edge-file text on n nodes: good pairs in both directions, repeats and
+    self-loops, mixed with bad tokens, wrong arity, out-of-range ids and
+    blank lines."""
+    n = draw(st.integers(1, 6))
+    good = st.integers(0, n - 1).map(str)
+    bad = st.sampled_from(["-1", str(n), "99", str(10**30), "x", "1.5", "0x1",
+                           "+1", "1_0", "\u0663", "--2"])
+    token = st.one_of(good, good, good, bad)
+    sep = st.sampled_from([" ", "\t", "  "])
+    pair = st.tuples(good, good).map(" ".join)
+    line = st.one_of(
+        pair, pair, pair,
+        pair.map(lambda s: " ".join(reversed(s.split()))),
+        good.map(lambda u: f"{u} {u}"),
+        st.lists(token, min_size=0, max_size=3).flatmap(
+            lambda toks: sep.map(lambda s: s.join(toks))),
+        st.sampled_from(["", "   ", "\t"]),
+    )
+    lines = draw(st.lists(line, max_size=12))
+    return n, "".join(f"{l}\n" for l in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_files())
+@example((3, ""))
+@example((3, "0 1\n1 0\n\n2 2\n"))
+@example((3, "0 1\n\n0 x\n5 5\n"))
+@example((2, f"0 {10**30}\n0 1 1\n"))
+def test_read_edges_matches_the_line_by_line_reader(case):
+    import tempfile
+    from pathlib import Path
+
+    n, text = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "edges.txt"
+        path.write_text(text, encoding="utf-8")
+        want = _edges_by_line(path, n)
+        if isinstance(want, str):
+            with pytest.raises(FormatError) as exc:
+                read_edges(path, n)
+            assert str(exc.value) == want
+        else:
+            assert np.array_equal(read_edges(path, n).edges, want)
+
+
 def test_load_dataset_length_mismatch(tmp_path):
     f = _write(tmp_path, "features.txt", "1.0\n2.0\n")
     l = _write(tmp_path, "labels.txt", "0\n")
@@ -324,7 +473,7 @@ def test_load_cora_adapter(tmp_path):
     assert ds.features.shape == (10, 3)
     assert ds.num_classes == 2
     # unknown ids in cites are skipped
-    assert ds.graph.edges == ((0, 1), (2, 3))
+    assert np.array_equal(ds.graph.edges, [(0, 1), (2, 3)])
     assert np.sum(ds.mask("train")) == 4
     assert np.sum(ds.mask("val")) == 2
     assert np.sum(ds.mask("test")) == 2

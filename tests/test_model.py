@@ -179,15 +179,20 @@ def test_graph_forward_matches_dense_oracle(use_source):
 
 
 def test_graph_forward_builds_no_dense_adjacency(monkeypatch):
+    import endiff.coupling as coupling
     import endiff.graphs as graphs
-    import endiff.model as model
+    import endiff.numerics as numerics
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense adjacency built on the model path")
 
-    monkeypatch.setattr(graphs, "normalized_adjacency", refuse)
-    monkeypatch.setattr(model, "normalized_adjacency", refuse, raising=False)
-    monkeypatch.setattr(graphs.Graph, "adjacency", refuse)
+    # the dense builders that remain: every operator's dense() and the
+    # N x N attention and Laplacian arrays
+    for cls in (graphs.EdgeOperator, coupling.DenseCoupling,
+                coupling.MeanCoupling, coupling.SimpleAttention):
+        monkeypatch.setattr(cls, "dense", refuse)
+    monkeypatch.setattr(coupling, "build_coupling", refuse)
+    monkeypatch.setattr(numerics, "laplacian", refuse)
     cfg = _cfg(layers=2, heads=2, use_graph=True)
     params = init_model(cfg, 0)
     x = np.random.default_rng(1).standard_normal((12, 3))

@@ -61,7 +61,8 @@ def test_matmul_grad():
 
 
 def test_sym_apply_value_and_grad():
-    from endiff.graphs import Graph, normalized_adjacency
+    from dense_oracles import normalized_adjacency
+    from endiff.graphs import Graph
 
     g = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 0), (3, 1)])  # node 4 isolated
     op = g.sym_operator
