@@ -166,15 +166,12 @@ def cmd_synth(args) -> int:
                       args.feat_dim, args.feat_shift, args.seed)
     paths = {name: out / f"{name}.txt"
              for name in ("features", "labels", "edges", "split")}
-    with open(paths["features"], "w", encoding="utf-8") as fh:
-        for row in ds.features:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    with open(paths["labels"], "w", encoding="utf-8") as fh:
-        fh.writelines(f"{v}\n" for v in ds.labels)
-    with open(paths["edges"], "w", encoding="utf-8") as fh:
-        fh.writelines(f"{u} {v}\n" for u, v in ds.graph.edges.tolist())
-    with open(paths["split"], "w", encoding="utf-8") as fh:
-        fh.writelines(f"{tag}\n" for tag in ds.split)
+    atomic_write_text(paths["features"], "".join(
+        " ".join(f"{v:.17g}" for v in row) + "\n" for row in ds.features))
+    atomic_write_text(paths["labels"], "".join(f"{v}\n" for v in ds.labels))
+    atomic_write_text(paths["edges"], "".join(
+        f"{u} {v}\n" for u, v in ds.graph.edges.tolist()))
+    atomic_write_text(paths["split"], "".join(f"{tag}\n" for tag in ds.split))
     write_manifest(out, "synth", _public_config(args), [],
                    list(paths.values()), started)
     print(json.dumps({"nodes": ds.n, "edges": len(ds.graph.edges),

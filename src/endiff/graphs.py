@@ -11,8 +11,8 @@ Cora adapter: content lines "id f1 ... fD class_name"; cites lines
 
 from __future__ import annotations
 
+import io
 import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -279,6 +279,10 @@ def knn_graph(features: np.ndarray, k: int) -> Graph:
     return Graph.from_edge_list(n, edges)
 
 
+# Rows of the pair grid that one block-model edge draw covers.
+SBM_BLOCK_ROWS = 64
+
+
 def sbm_generate(
     blocks: int,
     per_block: int,
@@ -293,6 +297,11 @@ def sbm_generate(
     Features are unit-variance Gaussian noise plus a per-block mean offset
     of magnitude feat_shift along axis (block index mod feat_dim). Split is
     a stratified 10/10/80 train/val/test shuffle, deterministic per seed.
+
+    The edges take one uniform draw per pair i < j whose probability is
+    above 0, in row-major order, after the features and before the split;
+    pairs at p = 0 draw nothing. The draw runs in blocks of SBM_BLOCK_ROWS
+    rows, so its scratch is O(SBM_BLOCK_ROWS * N), never one entry per pair.
     """
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ParameterError(f"need 0 <= p_out <= p_in <= 1, got {p_in}, {p_out}")
@@ -304,13 +313,17 @@ def sbm_generate(
     feats = rng.standard_normal((n, feat_dim))
     for b in range(blocks):
         feats[labels == b, b % feat_dim] += feat_shift
+    cols = np.arange(n)
     edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = p_in if labels[i] == labels[j] else p_out
-            if p > 0.0 and rng.random() < p:
-                edges.append((i, j))
-    graph = Graph.from_edge_list(n, edges)
+    for lo in range(0, n, SBM_BLOCK_ROWS):
+        same = labels[lo:lo + SBM_BLOCK_ROWS, None] == labels
+        live = cols > cols[lo:lo + SBM_BLOCK_ROWS, None]
+        live &= np.where(same, p_in > 0.0, p_out > 0.0)
+        # one array draw is the stream of that many scalar draws
+        live[live] = rng.random(np.count_nonzero(live)) < np.where(same[live], p_in, p_out)
+        i, j = np.nonzero(live)
+        edges.append(np.stack([i + lo, j], axis=1))
+    graph = Graph.from_edge_list(n, np.concatenate(edges))
     split = np.empty(n, dtype=object)
     for b in range(blocks):
         idx = rng.permutation(np.flatnonzero(labels == b))
@@ -373,9 +386,12 @@ def atomic_write_text(path, text: str) -> None:
     """Write text through a temporary file in the same directory, so the
     path holds the old file or the whole new one, never a part."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # "x" never reuses an existing name and, unlike mkstemp's 0600, gives
+    # the file the mode a plain open() would
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -387,6 +403,44 @@ def atomic_write_text(path, text: str) -> None:
 def read_edges(path, n: int) -> Graph:
     """Graph on n nodes from an edges file of "u v" pairs; self-loops are
     dropped, directed and repeated pairs merged."""
+    ids = _edge_ids(path, n)
+    if ids is None:
+        ids = _edge_ids_by_line(path, n)
+    return Graph.from_edge_list(n, ids)
+
+
+# The bytes of an edges file whose ids one numpy pass parses as int() would:
+# ASCII digits, blanks and line breaks. int() also takes signs, underscores
+# and non-ASCII digits, which go to the line scan.
+EDGE_FILE_BYTES = b"0123456789 \t\r\n"
+
+
+def _edge_ids(path, n: int) -> np.ndarray | None:
+    """The E x 2 ids of a well-formed edges file of EDGE_FILE_BYTES alone,
+    parsed in one numpy pass; None for any other file."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    if data.translate(None, EDGE_FILE_BYTES):
+        return None
+    if not data.strip():
+        return np.zeros((0, 2), np.int64)
+    # loadtxt takes \r\n as a line break, as the line scan's text mode does,
+    # and raises on a lone \r, on a ragged row and on an id past int64
+    try:
+        ids = np.loadtxt(io.StringIO(data.decode("ascii")), dtype=np.int64, ndmin=2,
+                         comments=None)
+    except ValueError:
+        return None
+    if ids.shape[1] != 2 or np.any(ids >= n):
+        return None
+    return ids
+
+
+def _edge_ids_by_line(path, n: int) -> np.ndarray:
+    """The E x 2 ids of an edges file read one line at a time, or a
+    FormatError naming the first bad line."""
     ids = []
     for ln, line in _read_lines(path):
         toks = line.split()
@@ -399,7 +453,7 @@ def read_edges(path, n: int) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"{path}:{ln}: node id out of range")
         ids += (u, v)
-    return Graph.from_edge_list(n, np.array(ids, dtype=np.int64).reshape(-1, 2))
+    return np.array(ids, dtype=np.int64).reshape(-1, 2)
 
 
 def load_dataset(features_path, labels_path, edges_path=None, split_path=None) -> Dataset:

@@ -1,10 +1,11 @@
 """Dense N x N reference forms that the sparse couplings and the energies
-are checked against. They loop or materialize on purpose and are meant
-for small N only."""
+are checked against, and the scalar-draw block-model generator. They loop
+or materialize on purpose and are meant for small N only."""
 
 import numpy as np
 
 from endiff.coupling import CouplingSpec, PenaltyFamily, build_coupling, coupling_operator
+from endiff.graphs import Dataset, Graph
 
 STATIC_MODES = ("sym", "gin", "identity", "all_one")
 
@@ -68,3 +69,30 @@ def sparse_case(name, g, z):
     else:
         spec = CouplingSpec("gat_masked", PenaltyFamily(name[4:], dim_scale=4.0), g)
     return coupling_operator(spec, z, g), build_coupling(spec, z)
+
+
+def sbm_generate_loop(blocks, per_block, p_in, p_out, feat_dim, feat_shift, seed):
+    """sbm_generate with one scalar rng.random() per pair i < j with p > 0,
+    drawn in a double loop over the pairs."""
+    rng = np.random.default_rng(seed)
+    n = blocks * per_block
+    labels = np.repeat(np.arange(blocks), per_block)
+    feats = rng.standard_normal((n, feat_dim))
+    for b in range(blocks):
+        feats[labels == b, b % feat_dim] += feat_shift
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = p_in if labels[i] == labels[j] else p_out
+            if p > 0.0 and rng.random() < p:
+                edges.append((i, j))
+    graph = Graph.from_edge_list(n, edges)
+    split = np.empty(n, dtype=object)
+    for b in range(blocks):
+        idx = rng.permutation(np.flatnonzero(labels == b))
+        n_train = max(1, round(0.1 * idx.size))
+        n_val = max(1, round(0.1 * idx.size))
+        split[idx[:n_train]] = "train"
+        split[idx[n_train : n_train + n_val]] = "val"
+        split[idx[n_train + n_val :]] = "test"
+    return Dataset(features=feats, labels=labels, split=split, graph=graph)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -70,6 +73,59 @@ def test_synth_then_train_then_eval(tmp_path, capsys):
     values = json.loads(out.strip().splitlines()[-1])
     assert values["metric"] == "accuracy"
     assert 0.0 <= values["test"] <= 1.0
+
+
+# The benchmark's synth flags (perfbench/workloads.py, size "full").
+BENCH_SYNTH = ["--blocks", "4", "--per-block", "500", "--p-in", "0.02", "--p-out", "0.002",
+               "--feat-dim", "16", "--feat-shift", "1.0"]
+
+# sha256 of the files `synth` writes with BENCH_SYNTH, as the scalar-draw
+# generator (dense_oracles.sbm_generate_loop) makes them; a change to the
+# draw stream or the file format fails here.
+BENCH_DIGESTS = {
+    "1": {
+        "features": "c2e12c7231ec46ae14c2671eca3111e0f72d3d12aa07a5637980e14e77861093",
+        "labels": "0f5cd824bd098c9ee5d8fc441c64559443e7eaf0e7f04f39b285dc70fce072bf",
+        "edges": "9d871c92425c3e1bf1dd005b35fb68c6d8f51cb85a6968a413ddb58143b8bf8d",
+        "split": "411a0e1612459b9566124a966b926b9573dcc2bee1cecf8cded735bd254f8b17",
+    },
+    "7919": {
+        "features": "e811baf13ddbe1bc1d3ba3fc04f42bc91d14ec1d1fd9130deeb5cd45ada5faea",
+        "labels": "0f5cd824bd098c9ee5d8fc441c64559443e7eaf0e7f04f39b285dc70fce072bf",
+        "edges": "2fc28d20ba139a7a39e9d8cf47cb25caa9d3adc7e79e05baeb7500fcc3b3b5ed",
+        "split": "b176dd5a497e2747b99373690cb1569d5c2e65f7972fa585b4b46812b4922680",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_DIGESTS))
+def test_synth_benchmark_inputs_keep_their_digests(tmp_path, capsys, seed):
+    code, _, _ = run_cli(["synth", *BENCH_SYNTH, "--seed", seed, "--out", str(tmp_path)],
+                         capsys)
+    assert code == 0
+    got = {name: hashlib.sha256((tmp_path / f"{name}.txt").read_bytes()).hexdigest()
+           for name in BENCH_DIGESTS[seed]}
+    assert got == BENCH_DIGESTS[seed]
+
+
+def test_interrupted_synth_leaves_the_old_files_whole(tmp_path, capsys, monkeypatch):
+    argv = ["synth", "--blocks", "2", "--per-block", "20", "--out", str(tmp_path)]
+    assert run_cli([*argv, "--seed", "1"], capsys)[0] == 0
+    names = [f"{name}.txt" for name in ("features", "labels", "edges", "split")]
+    old = {name: (tmp_path / name).read_bytes() for name in names}
+    umask = os.umask(0)
+    os.umask(umask)
+    for name in names:
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
+
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("endiff.graphs.os.replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--seed", "2"])
+    assert {name: (tmp_path / name).read_bytes() for name in names} == old
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_train_reruns_are_byte_identical(tmp_path, capsys):

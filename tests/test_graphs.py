@@ -3,11 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import adjacency, normalized_adjacency
+from dense_oracles import adjacency, normalized_adjacency, sbm_generate_loop
 from endiff.errors import DimensionError, FormatError, ParameterError
-from endiff.graphs import (Dataset, Graph, er_graph, is_connected, knn_graph,
-                           load_cora, load_dataset, read_edges, read_features,
-                           sbm_generate)
+from endiff.graphs import (SBM_BLOCK_ROWS, Dataset, Graph, er_graph, is_connected,
+                           knn_graph, load_cora, load_dataset, read_edges,
+                           read_features, sbm_generate)
 
 
 def _has_edge(g, u, v):
@@ -312,6 +312,44 @@ def test_sbm_rejects_bad_probs():
         sbm_generate(2, 10, 0.1, 0.5, 4, 0.5, seed=0)  # p_out > p_in
 
 
+_PROBS = st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 40), _PROBS, _PROBS, st.integers(1, 5),
+       st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+@example(1, 1, 0.3, 0.0, 1, 1.0, 0)  # N = 1: no pair at all
+@example(1, SBM_BLOCK_ROWS + 1, 0.3, 0.0, 2, 1.0, 1)  # one block, N past a row block
+@example(3, 45, 0.2, 0.0, 4, 0.5, 2)  # p_out = 0, N = 135 is no multiple of the rows
+@example(2, 70, 0.0, 0.0, 3, 1.0, 3)  # p_in = p_out = 0: no draw
+@example(5, 30, 1.0, 1.0, 2, 0.0, 4)  # p = 1: every pair
+@example(SBM_BLOCK_ROWS + 3, 1, 0.9, 0.1, 3, 1.0, 5)  # per_block = 1
+def test_sbm_generate_matches_the_scalar_double_loop(blocks, per_block, p_a, p_b,
+                                                     feat_dim, shift, seed):
+    p_in, p_out = max(p_a, p_b), min(p_a, p_b)
+    got = sbm_generate(blocks, per_block, p_in, p_out, feat_dim, shift, seed)
+    want = sbm_generate_loop(blocks, per_block, p_in, p_out, feat_dim, shift, seed)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.split, want.split)
+    assert np.array_equal(got.graph.edges, want.graph.edges)
+
+
+def test_sbm_generate_scratch_is_row_blocks_not_pairs():
+    import tracemalloc
+
+    n = 4000
+    pair_array = n * n // 2 * 8  # one int64 or float64 per pair i < j: 64 MB
+    tracemalloc.start()
+    try:
+        ds = sbm_generate(4, n // 4, 0.002, 0.002, 2, 1.0, seed=0)  # every pair draws
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == n and len(ds.graph.edges) > 0
+    assert peak < pair_array / 4, f"peak {peak / 1e6:.1f} MB"
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -445,6 +483,35 @@ def test_read_edges_matches_the_line_by_line_reader(case):
             assert str(exc.value) == want
         else:
             assert np.array_equal(read_edges(path, n).edges, want)
+
+
+@pytest.mark.parametrize("n, text", [
+    (3, "0 1\r\n1 2\r\n"), (3, "0 1\r1 2\r\r0 x\r"), (3, "0 1\r\n\r\n2 5\r\n"),
+    (9, "007 1\n 2\t\t3 \n"), (3, " \t\n\n"), (3, "0 1 2\n0 1 2\n"), (3, "0\n1\n"),
+    (3, f"0 {2**63 - 1}\n"), (3, f"0 {2**63}\n"), (20, "+1 0\n1_0 2\n"),
+    (3, "0 1\n1 \u0662\n"), (3, "\ufeff0 1\n"), (3, "0 1\x0c1 2\n"),
+])
+def test_read_edges_line_breaks_and_ids_past_the_fast_path(tmp_path, n, text):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(text.encode("utf-8"))
+    want = _edges_by_line(path, n)
+    if isinstance(want, str):
+        with pytest.raises(FormatError) as exc:
+            read_edges(path, n)
+        assert str(exc.value) == want
+    else:
+        assert np.array_equal(read_edges(path, n).edges, want)
+
+
+def test_read_edges_parses_a_plain_file_without_the_line_scan(tmp_path, monkeypatch):
+    path = _write(tmp_path, "edges.txt", "0 1\n\n2 1\r\n\t3 0 \n1 0\n")
+
+    def line_scan(path, n):
+        raise AssertionError("line scan")
+
+    monkeypatch.setattr("endiff.graphs._edge_ids_by_line", line_scan)
+    assert np.array_equal(read_edges(path, 4).edges, [(0, 1), (0, 3), (1, 2)])
+    assert read_edges(_write(tmp_path, "blank.txt", "\n \n"), 4).edges.shape == (0, 2)
 
 
 def test_load_dataset_length_mismatch(tmp_path):
