@@ -65,10 +65,15 @@ class Graph:
         are dropped, and the edges come out as ascending (min, max) rows."""
         e = np.sort(_as_pairs(edges), axis=1)
         e = e[e[:, 0] != e[:, 1]]
-        e = e[np.lexsort((e[:, 1], e[:, 0]))]
-        first = np.ones(len(e), dtype=bool)
-        first[1:] = np.any(e[1:] != e[:-1], axis=1)
-        return Graph(n=n, edges=e[first])
+        outside = (e[:, 0] < 0) | (e[:, 1] >= n)
+        if outside.any():  # no key for these: Graph names the first one
+            return Graph(n=n, edges=e[outside])
+        # lo * n + hi orders the in-range pairs as (lo, hi), one key per
+        # pair. np.unique would import numpy.ma on first use, about 15 ms.
+        key = np.sort(e[:, 0] * n + e[:, 1])
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        return Graph(n=n, edges=np.stack(np.divmod(key[first], n), axis=1))
 
     @cached_property
     def neighbours(self) -> "NeighbourLayout":
@@ -112,7 +117,7 @@ class NeighbourLayout:
     def __init__(self, n: int, edges: np.ndarray):
         src = np.concatenate([edges[:, 0], edges[:, 1]])
         dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        by_row = np.lexsort((dst, src))
+        by_row = np.argsort(src * n + dst)  # one key per entry: (row, col) order
         self.n = n
         self.rows, self.cols = src[by_row], dst[by_row]
         self.deg = np.bincount(src, minlength=n)
@@ -345,9 +350,41 @@ def _read_lines(path) -> list[tuple[int, str]]:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _load_numeric(path, file_bytes: bytes, dtype) -> np.ndarray | None:
+    """The rows of a file made of `file_bytes` alone, parsed by one
+    np.loadtxt pass (0 x 0 for a blank one); None for any other file or one
+    loadtxt rejects."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    if data.translate(None, file_bytes):
+        return None
+    if not data.strip():
+        return np.zeros((0, 0), dtype)
+    # newline=None breaks lines at \r\n, \r and \n, as the line scan's text
+    # mode does; loadtxt skips blank lines, as _read_lines does, and raises
+    # on a bad number, a ragged row and an integer past int64
+    text = io.StringIO(data.decode("ascii"), newline=None)
+    try:
+        return np.loadtxt(text, dtype=dtype, ndmin=2, comments=None)
+    except ValueError:
+        return None
+
+
+# The bytes of a features file whose values one numpy pass parses as float()
+# would: ASCII digits, signs, points, exponents, blanks and line breaks.
+# float() also takes nan, inf, underscores and non-ASCII digits, which go to
+# the line scan.
+FEATURE_FILE_BYTES = b"0123456789+-.eE \t\r\n"
+
+
 def read_features(path) -> np.ndarray:
     """N x D matrix from a features file; bad floats, ragged rows and
     non-finite values are rejected with the file and line."""
+    features = _load_numeric(path, FEATURE_FILE_BYTES, np.float64)
+    if features is not None and features.size and np.isfinite(features).all():
+        return features
     return _feature_matrix(path, _read_lines(path), str.split)
 
 
@@ -418,24 +455,10 @@ EDGE_FILE_BYTES = b"0123456789 \t\r\n"
 def _edge_ids(path, n: int) -> np.ndarray | None:
     """The E x 2 ids of a well-formed edges file of EDGE_FILE_BYTES alone,
     parsed in one numpy pass; None for any other file."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
+    ids = _load_numeric(path, EDGE_FILE_BYTES, np.int64)
+    if ids is None or (ids.size and (ids.shape[1] != 2 or np.any(ids >= n))):
         return None
-    if data.translate(None, EDGE_FILE_BYTES):
-        return None
-    if not data.strip():
-        return np.zeros((0, 2), np.int64)
-    # loadtxt takes \r\n as a line break, as the line scan's text mode does,
-    # and raises on a lone \r, on a ragged row and on an id past int64
-    try:
-        ids = np.loadtxt(io.StringIO(data.decode("ascii")), dtype=np.int64, ndmin=2,
-                         comments=None)
-    except ValueError:
-        return None
-    if ids.shape[1] != 2 or np.any(ids >= n):
-        return None
-    return ids
+    return ids.reshape(-1, 2)
 
 
 def _edge_ids_by_line(path, n: int) -> np.ndarray:

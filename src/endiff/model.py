@@ -3,12 +3,15 @@
 Pipeline per forward pass: input projection + LayerNorm + ReLU, then K
 propagation layers. Each layer projects per-head Q/K/V, L2-normalizes the
 Q and K rows, propagates V through either the linear simple-attention form
-or the dense sigmoid-kernel form, optionally adds a sym-normalized graph
-channel (the graph's cached sparse operator, O(E d) per head), averages
-heads, and blends with the previous state at step size tau before a
-LayerNorm. The output head is a plain affine map. `forward` runs on a
-recording `Tape` for training, or on the non-recording `Eager` evaluator,
-whose parameters may be stacks of matrices that run one forward each.
+(one fused tape primitive per head, O(N d^2)) or the dense sigmoid-kernel
+form, and averages the heads. The optional sym-normalized graph channel S
+is linear, so mean_h (P_h + S V_h) = mean_h P_h + S mean_h V_h: it costs one
+application of the graph's cached sparse operator per layer, O(E d), on the
+mean of the heads' V. The result is blended with the previous state at step
+size tau before a LayerNorm. The output head is a plain affine map.
+`forward` runs on a recording `Tape` for training, or on the non-recording
+`Eager` evaluator, whose parameters may be stacks of matrices that run one
+forward each.
 
 Attention here acts on the projected Q/K rows; the diffusion and energy
 modules audit the un-projected dynamics on the state itself. That split is
@@ -96,25 +99,15 @@ def count_params(cfg: ModelConfig) -> int:
     return total
 
 
-def _simple_head(t: Tape, qt: Ref, kt: Ref, v: Ref, n: int) -> Ref:
-    # Linear O(N) form: P = R [1(1^T V) + Q~(K~^T V)], R = diag^-1(N + Q~(K~^T 1))
-    ones = t.constant(np.ones((n, 1)))
-    kt_t = t.transpose(kt)
-    denom = t.add_scalar(t.matmul(qt, t.matmul(kt_t, ones)), float(n))
-    col_v = t.matmul(t.transpose(ones), v)
-    numer = t.add(t.broadcast_row(col_v, n), t.matmul(qt, t.matmul(kt_t, v)))
-    return t.diag_scale_rows(numer, t.reciprocal(denom))
-
-
 def _advanced_head(t: Tape, qt: Ref, kt: Ref, v: Ref) -> Ref:
     # Dense form: A~ = sigmoid(Q~ K~^T), P = diag^-1(A~ 1) A~ V
     a = t.sigmoid(t.matmul(qt, t.transpose(kt)))
     return t.diag_scale_rows(t.matmul(a, v), t.reciprocal(t.row_sum(a)))
 
 
-def _head(t, z, refs, k: int, h: int, cfg: ModelConfig, graph_op):
-    """Head h of layer k: attention over the projected rows, plus the
-    graph channel."""
+def _head(t, z, refs, k: int, h: int, cfg: ModelConfig):
+    """Head h of layer k: attention over the projected rows, and the V it
+    propagated."""
     if cfg.use_feature_transform:
         q = t.matmul(z, t.transpose(refs[f"W_Q_{k}_{h}"]))
         key = t.matmul(z, t.transpose(refs[f"W_K_{k}_{h}"]))
@@ -122,25 +115,27 @@ def _head(t, z, refs, k: int, h: int, cfg: ModelConfig, graph_op):
     else:
         q = key = v = z
     if cfg.variant == "mlp":
-        p = v
-    else:
-        qt = t.row_l2_normalize(q)
-        kt = t.row_l2_normalize(key)
-        if cfg.variant == "simple":
-            p = _simple_head(t, qt, kt, v, z.shape[-2])
-        else:
-            p = _advanced_head(t, qt, kt, v)
-    if graph_op is not None:
-        p = t.add(p, t.sym_apply(graph_op, v))
-    return p
+        return v, v
+    qt = t.row_l2_normalize(q)
+    kt = t.row_l2_normalize(key)
+    if cfg.variant == "simple":
+        return t.linear_attention(qt, kt, v), v
+    return _advanced_head(t, qt, kt, v), v
+
+
+def _mean(t, refs):
+    return refs[0] if len(refs) == 1 else t.mean_over_list(refs)
 
 
 def _layer(t, z, z0, refs, k: int, cfg: ModelConfig, graph_op):
-    """Layer k: mean of the heads, blended with the state at step tau
-    (plus the source), then LayerNorm. Intermediate values die with the
-    call, which keeps a stacked `Eager` forward's memory low."""
-    heads = [_head(t, z, refs, k, h, cfg, graph_op) for h in range(cfg.heads)]
-    p_bar = heads[0] if len(heads) == 1 else t.mean_over_list(heads)
+    """Layer k: mean of the heads plus the graph channel on the mean of
+    their V, blended with the state at step tau (plus the source), then
+    LayerNorm. Intermediate values die with the call, which keeps a stacked
+    `Eager` forward's memory low."""
+    heads = [_head(t, z, refs, k, h, cfg) for h in range(cfg.heads)]
+    p_bar = _mean(t, [p for p, _ in heads])
+    if graph_op is not None:
+        p_bar = t.add(p_bar, t.sym_apply(graph_op, _mean(t, [v for _, v in heads])))
     blend = t.add(t.scale(p_bar, cfg.tau), t.scale(z, 1.0 - cfg.tau))
     if cfg.use_source:
         blend = t.add(blend, t.scale(z0, cfg.tau))

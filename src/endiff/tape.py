@@ -5,8 +5,10 @@ Each primitive is a `Tape` method: it computes its value eagerly and records
 the value with its vector-Jacobian product, in execution order. `backward`
 runs reverse accumulation from a scalar loss and fills per-parameter
 gradients. The graph channel enters through `sym_apply`, which takes a
-symmetric operator instead of a dense matrix. A tape is confined to a single
-thread for its lifetime; distinct tapes are independent.
+symmetric operator instead of a dense matrix, and a simple-attention head is
+the one fused primitive `linear_attention`, whose VJP runs through the same
+O(N d^2) accumulators as its value. A tape is confined to a single thread for
+its lifetime; distinct tapes are independent.
 
 `Eager` computes the same values from plain arrays and records nothing, for
 forwards that are never differentiated (evaluation, finite differences). Its
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, DomainError
 from .numerics import LAYER_NORM_EPS, NORM_EPS, as_matrix
 
 
@@ -103,6 +105,23 @@ def _cross_entropy(logits: np.ndarray, labels, mask):
     return rows, labels[rows], shifted, lse - picked
 
 
+def _linear_attention(qt: np.ndarray, kt: np.ndarray, v: np.ndarray):
+    """(1^T V + Q~(K~^T V)) / (N + Q~(K~^T 1)) row by row, over the last two
+    axes, from the accumulators of V with a ones column appended, V1 = [V 1]:
+    K~^T V1 (d x (m+1)) and 1^T V1. Returns (value, K~^T V1, denominators);
+    no N x N array is formed."""
+    if qt.shape[-1] != kt.shape[-1] or kt.shape[-2] != v.shape[-2]:
+        raise DimensionError(
+            f"linear attention shape mismatch: {qt.shape}, {kt.shape}, {v.shape}")
+    v1 = np.concatenate([v, np.ones(v.shape[:-1] + (1,))], axis=-1)
+    kv1 = np.swapaxes(kt, -1, -2) @ v1
+    acc = v1.sum(axis=-2, keepdims=True) + qt @ kv1  # [numerators | denominators]
+    denom = acc[..., -1:]
+    if np.any(denom <= 0):
+        raise DomainError("linear attention denominator N + q~.sum(k~) is not positive")
+    return acc[..., :-1] / denom, kv1, denom
+
+
 def _sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -148,6 +167,25 @@ class Tape:
         `Graph.sym_operator`. Symmetry makes op.apply(g) the VJP."""
         return self._record(op.apply(a.value), (a.idx,),
                             lambda g: (op.apply(g),))
+
+    def linear_attention(self, qt: Ref, kt: Ref, v: Ref) -> Ref:
+        """Simple attention S V with S = diag^-1(N + Q~ K~^T 1)(1 + Q~ K~^T),
+        in O(N d^2). The VJP is the non-causal linear-transformer gradient
+        through the same accumulators (Katharopoulos et al. 2020, sec. 3)."""
+        qv, kv, vv = qt.value, kt.value, v.value
+        out, kv1, denom = _linear_attention(qv, kv, vv)
+
+        def vjp(g):
+            # adjoint of [numerators | denominators], then of the accumulators
+            g_num = g / denom
+            g_acc = np.concatenate(
+                [g_num, -np.sum(g_num * out, axis=1, keepdims=True)], axis=1)
+            g_kv1 = qv.T @ g_acc
+            g_kt = vv @ g_kv1[:, :-1].T + g_kv1[:, -1]  # the ones column adds a row
+            g_v = kv @ g_kv1[:, :-1] + g_num.sum(axis=0, keepdims=True)
+            return g_acc @ kv1.T, g_kt, g_v
+
+        return self._record(out, (qt.idx, kt.idx, v.idx), vjp)
 
     def _elemwise_pair(self, kind, a: Ref, b: Ref, value, vjp) -> Ref:
         _check_pair(kind, a.value, b.value)
@@ -243,10 +281,6 @@ class Tape:
             np.repeat(rv, n, axis=0), (row.idx,),
             lambda g: (g.sum(axis=0, keepdims=True),),
         )
-
-    def add_scalar(self, a: Ref, c: float) -> Ref:
-        c = float(c)
-        return self._record(a.value + c, (a.idx,), lambda g: (g,))
 
     def sum_all(self, a: Ref) -> Ref:
         av = a.value
@@ -350,6 +384,9 @@ class Eager:
         out = op.apply(cols).reshape((n,) + a.shape[:-2] + (d,))
         return np.moveaxis(out, 0, -2)
 
+    def linear_attention(self, qt, kt, v):
+        return _linear_attention(qt, kt, v)[0]
+
     def add(self, a, b):
         _check_pair("add", a, b)
         return a + b
@@ -394,9 +431,6 @@ class Eager:
     def broadcast_row(self, row, n: int):
         _check_row(row)
         return np.broadcast_to(row, row.shape[:-2] + (n, row.shape[-1]))
-
-    def add_scalar(self, a, c: float):
-        return a + float(c)
 
     def masked_cross_entropy(self, logits, labels, mask) -> np.ndarray:
         """Mean masked-row loss of each matrix in the stack: an array of

@@ -1,6 +1,7 @@
 """Dense N x N reference forms that the sparse couplings and the energies
-are checked against, and the scalar-draw block-model generator. They loop
-or materialize on purpose and are meant for small N only."""
+are checked against, the scalar-draw block-model generator, the two-key
+edge sorts and the composed simple-attention head. They loop, materialize
+or record node by node on purpose and are meant for small N only."""
 
 import numpy as np
 
@@ -96,3 +97,34 @@ def sbm_generate_loop(blocks, per_block, p_in, p_out, feat_dim, feat_shift, seed
         split[idx[n_train : n_train + n_val]] = "val"
         split[idx[n_train + n_val :]] = "test"
     return Dataset(features=feats, labels=labels, split=split, graph=graph)
+
+
+def from_edge_list_lexsort(n, edges):
+    """Graph.from_edge_list ordering the pairs by np.lexsort on two keys."""
+    e = np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    e = e[e[:, 0] != e[:, 1]]
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    first = np.ones(len(e), dtype=bool)
+    first[1:] = np.any(e[1:] != e[:-1], axis=1)
+    return Graph(n=n, edges=e[first])
+
+
+def layout_lexsort(edges):
+    """(rows, cols) of both directions of every edge, ordered by np.lexsort
+    on (row, col)."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    by_row = np.lexsort((dst, src))
+    return src[by_row], dst[by_row]
+
+
+def linear_attention_composed(t, qt, kt, v):
+    """Tape.linear_attention recorded as the eleven primitives it fuses:
+    R [1(1^T V) + Q~(K~^T V)] with R = diag^-1(N + Q~(K~^T 1))."""
+    n = v.shape[0]
+    ones = t.constant(np.ones((n, 1)))
+    kt_t = t.transpose(kt)
+    denom = t.add(t.matmul(qt, t.matmul(kt_t, ones)), t.constant(np.full((n, 1), float(n))))
+    col_v = t.matmul(t.transpose(ones), v)
+    numer = t.add(t.broadcast_row(col_v, n), t.matmul(qt, t.matmul(kt_t, v)))
+    return t.diag_scale_rows(numer, t.reciprocal(denom))

@@ -108,6 +108,25 @@ def test_synth_benchmark_inputs_keep_their_digests(tmp_path, capsys, seed):
     assert got == BENCH_DIGESTS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(BENCH_DIGESTS))
+def test_benchmark_features_parse_as_float_does(tmp_path, capsys, monkeypatch, seed):
+    import endiff.graphs as graphs
+
+    assert run_cli(["synth", *BENCH_SYNTH, "--seed", seed, "--out", str(tmp_path)],
+                   capsys)[0] == 0
+    path = tmp_path / "features.txt"
+    want = np.array([[float(tok) for tok in line.split()]
+                     for line in path.read_text().splitlines()])
+
+    def line_scan(*args):
+        raise AssertionError("line scan")
+
+    monkeypatch.setattr(graphs, "_read_lines", line_scan)  # the numpy pass alone
+    got = graphs.read_features(path)
+    assert got.shape == (2000, 16)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_interrupted_synth_leaves_the_old_files_whole(tmp_path, capsys, monkeypatch):
     argv = ["synth", "--blocks", "2", "--per-block", "20", "--out", str(tmp_path)]
     assert run_cli([*argv, "--seed", "1"], capsys)[0] == 0
@@ -333,6 +352,25 @@ def test_malformed_config_is_runtime_error(tmp_path, capsys, data):
                             "--out", str(tmp_path)], capsys)
     assert code == 1
     assert err.startswith(f"error: {cfg}")
+
+
+def test_eval_with_a_zero_attention_denominator_is_runtime_error(tmp_path, capsys):
+    run = tmp_path / "r"
+    assert run_cli(["train", "--synth", "sbm", "--per-block", "10", "--epochs", "1",
+                    "--hidden", "4", "--layers", "1", "--out", str(run)], capsys)[0] == 0
+    ckpt = run / "checkpoint.json"
+    payload = json.loads(ckpt.read_text())
+    assert payload["config"]["variant"] == "simple"
+    # the input layer's rows are >= 0 and not all 0, so every q~ is e1 and
+    # every k~ is -e1: each denominator N + q~ . sum(k~) is N - N = 0
+    w_q = [[1.0] * 4] + [[0.0] * 4] * 3
+    payload["params"]["W_Q_0_0"] = w_q
+    payload["params"]["W_K_0_0"] = [[-x for x in row] for row in w_q]
+    ckpt.write_text(json.dumps(payload))
+    code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
+                            "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "denominator" in err
 
 
 def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import adjacency, normalized_adjacency, sbm_generate_loop
+from dense_oracles import (adjacency, from_edge_list_lexsort, layout_lexsort,
+                           normalized_adjacency, sbm_generate_loop)
 from endiff.errors import DimensionError, FormatError, ParameterError
 from endiff.graphs import (SBM_BLOCK_ROWS, Dataset, Graph, er_graph, is_connected,
                            knn_graph, load_cora, load_dataset, read_edges,
@@ -257,6 +258,28 @@ def test_from_edge_list_matches_the_sorted_pair_set(case):
     assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=150))))
+def test_single_key_edge_sort_matches_the_lexsort(case):
+    # small n against many pairs draws repeats and self-loops; the reversed
+    # copies repeat pairs in the other direction
+    n, pairs = case
+    pairs = pairs + [(v, u) for u, v in pairs[::3]]
+    g = Graph.from_edge_list(n, pairs)
+    assert np.array_equal(g.edges, from_edge_list_lexsort(n, pairs).edges)
+    rows, cols = layout_lexsort(g.edges)
+    assert np.array_equal(g.neighbours.rows, rows)
+    assert np.array_equal(g.neighbours.cols, cols)
+
+
+def test_from_edge_list_reports_out_of_range_ids():
+    for bad in ((0, 5), (-1, 2), (2**40, 1), (-(2**40), 0), (2**62, 2**62 - 1)):
+        with pytest.raises(ParameterError, match=r"out of range for n=5"):
+            Graph.from_edge_list(5, [(0, 1), (1, 0), bad, (3, 3)])
+
+
 def test_graph_edges_are_a_read_only_copy():
     e = np.array([[0, 1], [1, 2]])
     g = Graph(n=3, edges=e)
@@ -414,6 +437,95 @@ def test_reader_line_numbers_count_blank_lines(tmp_path):
     empty = _write(tmp_path, "empty.txt", "\n")
     with pytest.raises(FormatError, match=r"empty\.txt: no feature rows"):
         read_features(empty)
+
+
+def test_read_features_parses_a_plain_file_without_the_line_scan(tmp_path, monkeypatch):
+    path = tmp_path / "features.txt"
+    path.write_bytes(b"1 2\n\n-3.5e-1 +4.\r\n\t5E2 .5 \r-0 1e-320\r")
+
+    def line_scan(path):
+        raise AssertionError("line scan")
+
+    monkeypatch.setattr("endiff.graphs._read_lines", line_scan)
+    got = read_features(path)
+    want = [[1.0, 2.0], [-0.35, 4.0], [500.0, 0.5], [-0.0, 1e-320]]
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_read_features_matches_float_on_repr_floats(tmp_path):
+    rng = np.random.default_rng(12)
+    bits = rng.integers(0, 2**63, size=(300, 7), dtype=np.int64) * rng.choice([-1, 1], (300, 7))
+    values = bits.view(np.float64)
+    values = np.where(np.isfinite(values), values, rng.standard_normal(values.shape))
+    path = tmp_path / "features.txt"
+    path.write_text("".join(" ".join(map(repr, row.tolist())) + "\n" for row in values))
+    got = read_features(path)
+    want = np.array([[float(tok) for tok in line.split()]
+                     for line in path.read_text().splitlines()])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got.view(np.int64), values.view(np.int64))
+
+
+def _features_by_line(path):
+    """Reference reader: the matrix, or the message of the first bad line,
+    reading one line at a time with float()."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, 1):
+            toks = line.split()
+            if not toks:
+                continue
+            try:
+                row = [float(tok) for tok in toks]
+            except ValueError:
+                return f"{path}:{ln}: bad float"
+            if rows and len(row) != len(rows[0][1]):
+                return f"{path}:{ln}: inconsistent column count"
+            rows.append((ln, row))
+    if not rows:
+        return f"{path}: no feature rows"
+    for ln, row in rows:
+        if not np.isfinite(row).all():
+            return f"{path}:{ln}: non-finite value"
+    return np.array([row for _, row in rows])
+
+
+@st.composite
+def _feature_files(draw):
+    """Features-file bytes: floats in several spellings, mixed with tokens
+    over the fast path's alphabet that may not parse, ragged rows, blank
+    lines and every line break."""
+    good = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from([repr(x), f"{x:.17g}", f"{x:.3e}", f"{x:+.2f}"]))
+    soup = st.text(alphabet="0123456789+-.eE", min_size=1, max_size=6)
+    odd = st.sampled_from(["1e400", "-1e999", "nan", "inf", "1_0", "0x1p3", "\u0663"])
+    token = st.one_of(good, good, soup, odd)
+    width = draw(st.integers(1, 3))
+    row = st.one_of(st.lists(good, min_size=width, max_size=width),
+                    st.lists(token, min_size=0, max_size=4))
+    sep = st.sampled_from([" ", "\t", "  "])
+    lines = draw(st.lists(st.tuples(row, sep), max_size=8))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(s.join(toks) + draw(ends) for toks, s in lines).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feature_files())
+def test_read_features_matches_the_line_by_line_reader(data):
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "features.txt"
+        path.write_bytes(data)
+        want = _features_by_line(path)
+        if isinstance(want, str):
+            with pytest.raises(FormatError) as exc:
+                read_features(path)
+            assert str(exc.value) == want
+        else:
+            got = read_features(path)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _edges_by_line(path, n):

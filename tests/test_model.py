@@ -203,6 +203,32 @@ def test_graph_forward_builds_no_dense_adjacency(monkeypatch):
     assert all(np.all(np.isfinite(v)) for v in grads.values())
 
 
+def test_graph_channel_is_one_apply_per_layer(monkeypatch):
+    import endiff.graphs as graphs
+
+    calls = []
+    real = graphs.EdgeOperator.apply
+
+    def counted(self, v):
+        calls.append(v.shape)
+        return real(self, v)
+
+    monkeypatch.setattr(graphs.EdgeOperator, "apply", counted)
+    cfg = _cfg(layers=2, heads=3, use_graph=True)
+    params = init_model(cfg, 0)
+    n = 10
+    x = np.random.default_rng(2).standard_normal((n, 3))
+    g = er_graph(n, 0.4, 2)
+    labels, mask = np.zeros(n, dtype=int), np.ones(n, dtype=bool)
+    logits, tape = forward(params, x, g, cfg)
+    tape.backward(tape.masked_cross_entropy(logits, labels, mask))
+    assert len(calls) == 4  # one per layer forward, one per layer backward
+    calls.clear()
+    stack = np.stack([params["W_V_1_2"]] * 5)
+    forward({**params, "W_V_1_2": stack}, x, g, cfg, tape=Eager())
+    assert calls == [(n, 4), (n, 5 * 4)]  # the stack rides in one apply
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = _cfg(layers=2, heads=2)
     params = init_model(cfg, 10)
@@ -319,25 +345,42 @@ def test_tape_rejects_a_stacked_parameter():
             forward({**params, "W_I": np.ones(bad)}, x, None, cfg, tape=Eager())
 
 
-def test_gradcheck_suite_catches_a_wrong_gradient(monkeypatch):
-    from endiff.suites import suite_gradcheck
+def _skew_vjp(monkeypatch, primitive: str) -> None:
+    """Scale every VJP the Tape primitive records by 1.01."""
+    real = getattr(Tape, primitive)
 
-    real = Tape.layer_norm
-
-    def skewed(self, a, *args, **kwargs):
-        ref = real(self, a, *args, **kwargs)
+    def skewed(self, *args, **kwargs):
+        ref = real(self, *args, **kwargs)
         node = self.nodes[ref.idx]
         vjp = node.vjp
         node.vjp = lambda g: tuple(1.01 * grad for grad in vjp(g))
         return ref
 
-    monkeypatch.setattr(Tape, "layer_norm", skewed)
+    monkeypatch.setattr(Tape, primitive, skewed)
+
+
+def test_gradcheck_suite_catches_a_wrong_gradient(monkeypatch):
+    from endiff.suites import suite_gradcheck
+
+    _skew_vjp(monkeypatch, "layer_norm")
     report = suite_gradcheck()
     assert report["passed"] is False
     assert report["violations"] > 0
     assert report["max_rel_err"] > 1e-3
     for detail in report["per_config"].values():
         assert detail["failures"]  # every configuration sees it
+
+
+def test_gradcheck_suite_catches_a_wrong_linear_attention_gradient(monkeypatch):
+    from endiff.suites import suite_gradcheck
+
+    _skew_vjp(monkeypatch, "linear_attention")
+    report = suite_gradcheck()
+    assert report["passed"] is False
+    simple = {k: v for k, v in report["per_config"].items() if k.startswith("simple")}
+    assert len(simple) == 4
+    for detail in simple.values():
+        assert detail["failures"]  # every simple configuration sees it
 
 
 def test_gradcheck_model_handles_unused_parameters():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from endiff.errors import ContractError, DimensionError
-from endiff.numerics import finite_diff_grad
-from endiff.tape import Tape
+from dense_oracles import linear_attention_composed
+from endiff.errors import ContractError, DimensionError, DomainError
+from endiff.numerics import finite_diff_grad, row_l2_normalize
+from endiff.tape import Eager, Tape
 
 
 def _gradcheck(build_loss, shapes, seed=0, h=1e-6, tol=1e-6):
@@ -206,3 +209,75 @@ def test_matmul_dimension_error():
     b = tape.constant(np.ones((2, 3)))
     with pytest.raises(DimensionError):
         tape.matmul(a, b)
+
+
+@st.composite
+def _attention_inputs(draw):
+    """Q~, K~, V and an upstream weight W: unit K~ rows and Q~ rows of norm
+    below 0.9, so every denominator is at least N / 10."""
+    n, d, m = draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qt = draw(st.floats(0.0, 0.9)) * row_l2_normalize(rng.standard_normal((n, d)))
+    kt = row_l2_normalize(rng.standard_normal((n, d)))
+    return qt, kt, rng.standard_normal((n, m)), rng.standard_normal((n, m))
+
+
+def _attention_grads(head, qt, kt, v, w):
+    t = Tape()
+    refs = [t.parameter(name, val) for name, val in (("qt", qt), ("kt", kt), ("v", v))]
+    out = head(t, *refs)
+    return out.value, t.backward(t.sum_all(t.hadamard(out, t.constant(w))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_attention_inputs())
+def test_linear_attention_matches_the_composed_head(case):
+    qt, kt, v, w = case
+    value, grads = _attention_grads(Tape.linear_attention, qt, kt, v, w)
+    want, want_grads = _attention_grads(linear_attention_composed, qt, kt, v, w)
+    assert np.max(np.abs(value - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+    for name, grad in want_grads.items():
+        assert grads[name].shape == grad.shape
+        assert np.max(np.abs(grads[name] - grad)) <= 1e-10 * max(np.max(np.abs(grad)), 1.0)
+
+
+def test_linear_attention_grad():
+    _gradcheck(
+        lambda t, r: t.sum_all(t.hadamard(
+            t.linear_attention(t.scale(r["q"], 0.2), t.scale(r["k"], 0.2), r["v"]),
+            r["w"])),
+        {"q": (5, 3), "k": (5, 3), "v": (5, 2), "w": (5, 2)},
+        seed=10,
+    )
+
+
+def test_eager_linear_attention_on_a_stack_matches_each_slice():
+    rng = np.random.default_rng(11)
+    ev = Eager()
+    qt = 0.5 * ev.row_l2_normalize(rng.standard_normal((3, 6, 4)))
+    kt = ev.row_l2_normalize(rng.standard_normal((3, 6, 4)))
+    v = rng.standard_normal((3, 6, 2))
+    for args in ((qt, kt, v), (qt, kt[0], v[0]), (qt[0], kt[0], v)):
+        stacked = ev.linear_attention(*args)
+        assert stacked.shape == (3, 6, 2)
+        for k in range(3):
+            single = [a[k] if a.ndim == 3 else a for a in args]
+            t = Tape()
+            on_tape = t.linear_attention(*(t.constant(a) for a in single)).value
+            assert np.array_equal(ev.linear_attention(*single), on_tape)
+            assert np.max(np.abs(stacked[k] - on_tape)) <= 1e-12 * np.max(np.abs(on_tape))
+
+
+def test_linear_attention_rejects_a_zero_denominator():
+    # every k~ is -q~ = -e1, so N + q~ . sum_j k~_j is exactly 0
+    n = 4
+    qt = np.zeros((n, 3))
+    qt[:, 0] = 1.0
+    v = np.ones((n, 2))
+    t = Tape()
+    with pytest.raises(DomainError, match="denominator"):
+        t.linear_attention(t.constant(qt), t.constant(-qt), t.constant(v))
+    with pytest.raises(DomainError, match="denominator"):
+        Eager().linear_attention(np.stack([0.5 * qt, qt]), -qt, v)
+    with pytest.raises(DimensionError):
+        t.linear_attention(t.constant(qt), t.constant(qt[:, :2]), t.constant(v))
