@@ -227,6 +227,8 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.seeds is not None and args.seeds < 1:
+        args.parser.error(f"--seeds must be >= 1, got {args.seeds}")
     started = time.monotonic()
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -395,6 +397,8 @@ def main(argv=None) -> int:
         if args.config is not None:
             args.parser.set_defaults(**_config_defaults(args.config, args.parser))
             args = parser.parse_args(argv)
+        if args.seed < 0:  # numpy's generators take no negative seed
+            args.parser.error(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except EndiffError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, ParameterError
-from .graphs import EdgeOperator, Graph
+from .graphs import EdgeOperator, Graph, atomic_write_text
 from .numerics import as_matrix, row_norms
 
 log = logging.getLogger(__name__)
@@ -351,7 +351,5 @@ def penalty_landscape(p: PenaltyFamily, step: float = 0.01) -> np.ndarray:
 
 def write_penalty_landscape(path, p: PenaltyFamily, step: float = 0.01) -> None:
     table = penalty_landscape(p, step)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("z_sq,f,delta\n")
-        for u, f_val, d_val in table:
-            fh.write(f"{u:.2f},{f_val:.17g},{d_val:.17g}\n")
+    atomic_write_text(path, "z_sq,f,delta\n" + "".join(
+        f"{u:.2f},{f_val:.17g},{d_val:.17g}\n" for u, f_val, d_val in table))

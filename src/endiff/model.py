@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ContractError, DimensionError, FormatError, ParameterError
-from .graphs import Graph
+from .graphs import Graph, atomic_write_text
 from .tape import Eager, Ref, Tape
 
 VARIANTS = ("simple", "advanced", "mlp")  # mlp: identity coupling, no mixing
@@ -212,16 +212,14 @@ class Checkpoint:
             "params": {k: v.tolist() for k, v in self.params.items()},
             "meta": self.meta,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
     @staticmethod
     def load(path) -> "Checkpoint":
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise FormatError(f"{path}: expected a JSON object")

@@ -1,14 +1,17 @@
 """A minimal reverse-mode differentiation tape over dense float64 matrices,
 and a non-recording evaluator with the same primitives.
 
-Each primitive is a `Tape` method: it computes its value eagerly and records
-the value with its vector-Jacobian product, in execution order. `backward`
-runs reverse accumulation from a scalar loss and fills per-parameter
-gradients. The graph channel enters through `sym_apply`, which takes a
-symmetric operator instead of a dense matrix, and a simple-attention head is
-the one fused primitive `linear_attention`, whose VJP runs through the same
-O(N d^2) accumulators as its value. A tape is confined to a single thread for
-its lifetime; distinct tapes are independent.
+Each primitive is a `Tape` method: it computes its value eagerly, records
+its parents and vector-Jacobian product in execution order, and returns the
+value in a `Ref`. The tape keeps no values: each lives as long as its Refs
+or a VJP that captured it. `backward` runs reverse accumulation from a
+scalar loss, fills per-parameter gradients and releases each node it runs,
+so a tape is differentiated once. The graph channel enters through
+`sym_apply`, which takes a symmetric operator instead of a dense matrix, and
+a simple-attention head is the one fused primitive `linear_attention`, whose
+VJP runs through the same O(N d^2) accumulators as its value. A tape is
+confined to a single thread for its lifetime; distinct tapes are
+independent.
 
 `Eager` computes the same values from plain arrays and records nothing, for
 forwards that are never differentiated (evaluation, finite differences). Its
@@ -25,30 +28,20 @@ from .numerics import LAYER_NORM_EPS, NORM_EPS, as_matrix
 
 
 class Ref:
-    """Handle to a recorded tape node."""
+    """A tape node's value, and its index on the tape that recorded it. The
+    value lives here, not on the tape, so it dies with its last Ref unless a
+    VJP captured it."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "value")
 
-    def __init__(self, tape: "Tape", idx: int):
+    def __init__(self, tape: "Tape", idx: int, value: np.ndarray):
         self.tape = tape
         self.idx = idx
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.nodes[self.idx].value
+        self.value = value
 
     @property
     def shape(self):
         return self.value.shape
-
-
-class _Node:
-    __slots__ = ("value", "parents", "vjp")
-
-    def __init__(self, value, parents, vjp):
-        self.value = value
-        self.parents = parents  # parent node indices, aligned with vjp outputs
-        self.vjp = vjp  # grad_out -> tuple of parent grads (or None)
 
 
 def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
@@ -133,14 +126,16 @@ def _sigmoid(x):
 
 class Tape:
     def __init__(self):
-        self.nodes: list[_Node] = []
-        self.params: dict[str, int] = {}
+        # (parent indices aligned with the vjp's outputs, vjp or None);
+        # None once backward has run the node
+        self.nodes: list[tuple | None] = []
+        self.params: dict[str, tuple[int, tuple]] = {}  # name -> (idx, shape)
 
     # -- leaves ---------------------------------------------------------
 
     def _record(self, value, parents, vjp) -> Ref:
-        self.nodes.append(_Node(value, parents, vjp))
-        return Ref(self, len(self.nodes) - 1)
+        self.nodes.append((parents, vjp))
+        return Ref(self, len(self.nodes) - 1, value)
 
     def constant(self, value) -> Ref:
         return self._record(as_matrix(value), (), None)
@@ -149,7 +144,7 @@ class Tape:
         if name in self.params:
             raise ContractError(f"parameter {name!r} already registered")
         ref = self._record(as_matrix(value), (), None)
-        self.params[name] = ref.idx
+        self.params[name] = (ref.idx, ref.shape)
         return ref
 
     # -- primitives -----------------------------------------------------
@@ -327,33 +322,38 @@ class Tape:
     # -- reverse pass ---------------------------------------------------
 
     def backward(self, loss: Ref) -> dict[str, np.ndarray]:
-        """Reverse accumulation from a scalar loss; returns parameter grads."""
+        """Reverse accumulation from a scalar loss; returns parameter grads.
+        Each node is released once its VJP has run, so a tape is
+        differentiated once."""
         if loss.tape is not self:
             raise ContractError("loss belongs to a different tape")
-        if loss.value.shape != (1, 1):
-            raise ContractError(f"loss must be 1x1, got {loss.value.shape}")
+        if loss.shape != (1, 1):
+            raise ContractError(f"loss must be 1x1, got {loss.shape}")
         adjoint: dict[int, np.ndarray] = {loss.idx: np.ones((1, 1))}
         grads: dict[str, np.ndarray] = {}
-        param_idx = {idx: name for name, idx in self.params.items()}
+        param_idx = {idx: name for name, (idx, _) in self.params.items()}
         for idx in range(loss.idx, -1, -1):
             g = adjoint.pop(idx, None)
             if g is None:
                 continue
             node = self.nodes[idx]
+            if node is None:
+                raise ContractError("backward already ran through this tape")
+            self.nodes[idx] = None
             if idx in param_idx:
                 name = param_idx[idx]
                 grads[name] = grads.get(name, 0.0) + g
-            if node.vjp is None:
+            parents, vjp = node
+            if vjp is None:
                 continue
-            for parent, pg in zip(node.parents, node.vjp(g)):
+            for parent, pg in zip(parents, vjp(g)):
                 if parent in adjoint:
                     adjoint[parent] = adjoint[parent] + pg
                 else:
                     adjoint[parent] = pg
-        for name, idx in self.params.items():
-            grads.setdefault(name, np.zeros_like(self.nodes[idx].value))
+        for name, (_, shape) in self.params.items():
+            grads.setdefault(name, np.zeros(shape))
         return grads
-
 
 
 class Eager:

@@ -1,4 +1,4 @@
-"""Optimization loop, losses, metrics, and mini-batch partitioning.
+"""Optimization loop, metrics, and mini-batch partitioning.
 
 Semi-supervised setting: the loss sees only the masked (labeled) rows, the
 forward pass sees every row in the batch. Mini-batches carry their induced
@@ -12,11 +12,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError, UndefinedMetricError
-from .graphs import Dataset, Graph
+from .graphs import Dataset, Graph, atomic_write_text
 from .model import Checkpoint, ModelConfig, forward, init_model
-from .tape import Eager, Ref
+from .tape import Eager
 
-LOSS_KINDS = ("cross_entropy", "mse")
 METRIC_KINDS = ("accuracy", "rocauc", "mse")
 
 ADAM_BETA1 = 0.9
@@ -62,16 +61,6 @@ class AdamState:
             v={k: np.zeros_like(p) for k, p in params.items()},
             t=0,
         )
-
-
-def loss(kind: str, logits: Ref, labels, mask) -> Ref:
-    """Scalar tape node for the masked training objective."""
-    if kind not in LOSS_KINDS:
-        raise ParameterError(f"unknown loss kind {kind!r}")
-    tape = logits.tape
-    if kind == "cross_entropy":
-        return tape.masked_cross_entropy(logits, labels, mask)
-    return tape.masked_mse(logits, labels, mask)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -189,7 +178,6 @@ def train_loop(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig)
     if model_cfg.use_graph and dataset.graph is None:
         raise ContractError("model wants a graph but dataset has none")
 
-    loss_kind = "mse" if train_cfg.metric == "mse" else "cross_entropy"
     params = init_model(model_cfg, train_cfg.seed)
     state = AdamState.for_params(params)
     history = []
@@ -212,11 +200,11 @@ def train_loop(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig)
             if sub_g is not None and train_cfg.batch_size:
                 sub_g = induced_subgraph(sub_g, idx)
             logits, tape = forward(params, dataset.features[idx], sub_g, model_cfg)
-            if loss_kind == "mse":
+            if train_cfg.metric == "mse":
                 target = dataset.labels[idx].astype(np.float64).reshape(-1, 1)
-                lnode = loss("mse", logits, target, bmask)
+                lnode = tape.masked_mse(logits, target, bmask)
             else:
-                lnode = loss("cross_entropy", logits, dataset.labels[idx], bmask)
+                lnode = tape.masked_cross_entropy(logits, dataset.labels[idx], bmask)
             epoch_losses.append(float(lnode.value[0, 0]))
             grads = tape.backward(lnode)
             adam_step(params, grads, state, train_cfg.lr, train_cfg.weight_decay)
@@ -258,11 +246,9 @@ def train_loop(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig)
 
 def write_history_csv(history: list[dict], path) -> None:
     """Metric-history CSV: epoch, train_loss, val_metric, test_metric."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_metric,test_metric\n")
-        for row in history:
-            fh.write(f"{row['epoch']},{row['train_loss']:.17g},"
-                     f"{row['val_metric']:.17g},{row['test_metric']:.17g}\n")
+    atomic_write_text(path, "epoch,train_loss,val_metric,test_metric\n" + "".join(
+        f"{row['epoch']},{row['train_loss']:.17g},"
+        f"{row['val_metric']:.17g},{row['test_metric']:.17g}\n" for row in history))
 
 
 def mlp_mode_config(cfg: ModelConfig) -> ModelConfig:

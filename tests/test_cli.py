@@ -1,10 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import stat
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from endiff.cli import main
 
@@ -502,3 +508,109 @@ def test_eval_records_no_tape(tmp_path, capsys, monkeypatch):
                              "--out", str(tmp_path / "e2")], capsys)
     assert code == 0
     assert out2 == out
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_audit_seeds_below_one_is_usage_error(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--suite", "thm1", "--seeds", value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"--seeds must be >= 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "diffuse", "audit"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# A small run of each command; flags drawn after these override them.
+_CHEAP = {
+    "synth": ["--per-block", "4"],
+    "diffuse": ["--n", "4", "--steps", "2"],
+    "audit": ["--suite", "thm1", "--seeds", "1"],
+    "train": ["--synth", "sbm", "--per-block", "4", "--epochs", "1", "--hidden", "2"],
+    "eval": ["--synth", "sbm", "--per-block", "4"],
+    "landscape": ["--family", "simple"],
+}
+_DATA = ("--per-block", "--blocks", "--p-in", "--p-out", "--feat-dim", "--feat-shift",
+         "--synth")
+_DATA_FILES = ("--features", "--labels", "--edges", "--split")
+_MODEL = ("--tau", "--layers", "--hidden", "--heads", "--variant")
+# Per command: (flags that take a value, switches, flags that take a file).
+_FLAGS = {
+    "synth": (_DATA, (), _DATA_FILES),
+    "diffuse": (("--coupling", "--penalty", "--tau", "--steps", "--n", "--dim"),
+                ("--use-source",), ("--features", "--edges")),
+    "audit": (("--suite", "--seeds"), (), ()),
+    "train": (_DATA + _MODEL + ("--lr", "--weight-decay", "--epochs", "--batch-size",
+                                "--patience", "--metric"),
+              ("--use-graph", "--use-source"), _DATA_FILES),
+    "eval": (_DATA + ("--metric",), (), _DATA_FILES + ("--checkpoint",)),
+    "landscape": (("--family", "--dim-scale"), (), ()),
+}
+# Numbers and words, half and half; none large enough to make a run slow.
+_VALUES = (st.sampled_from(("0", "-1", "1", "2", "0.5", "-0.5", "nan", "inf"))
+           | st.sampled_from(("x", "", "sbm", "thm1", "prop1", "linear_equiv", "simple",
+                              "advanced", "mlp", "quadratic", "attention", "gin",
+                              "gat_masked", "mse", "rocauc")))
+
+
+def _tokens(command):
+    flags, switches, files = _FLAGS[command]
+    token = st.one_of(
+        st.tuples(st.sampled_from(flags + ("--seed", "--bogus")), _VALUES),
+        # bytes: a file with these contents; None: a path that does not exist
+        st.tuples(st.sampled_from(files + ("--config",)), st.none() | st.binary(max_size=24)),
+        *([st.tuples(st.sampled_from(switches))] if switches else []),
+    )
+    return st.lists(token, max_size=4)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", *_CHEAP["train"], "--out", str(out)]) == 0
+    return out / "checkpoint.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_CHEAP)).flatmap(
+    lambda command: st.tuples(st.just(command), _tokens(command))))
+@example(("synth", [("--seed", "-1")]))
+@example(("eval", [("--checkpoint", b"\x80")]))
+def test_every_exit_code_is_documented_and_no_traceback(small_checkpoint, run):
+    """Bad flag values, unknown choices and flags, missing and malformed
+    files: every run ends in 0, 1, 2 or 3 with a one-line error, never an
+    uncaught exception."""
+    command, tokens = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = [command, *_CHEAP[command], "--out", str(tmp / "out")]
+        if command == "eval":
+            argv += ["--checkpoint", str(small_checkpoint)]
+        for i, token in enumerate(tokens):
+            if len(token) == 2 and not isinstance(token[1], str):
+                path = tmp / f"input{i}"
+                if token[1] is not None:
+                    path.write_bytes(token[1])
+                token = (token[0], str(path))
+            argv += token
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: "), (argv, err)
+    if code == 2:
+        assert "error: " in err, (argv, err)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -345,15 +347,47 @@ def test_tape_rejects_a_stacked_parameter():
             forward({**params, "W_I": np.ones(bad)}, x, None, cfg, tape=Eager())
 
 
+# Primitives whose outputs feed only VJPs that need the adjoint alone.
+_UNCAPTURED = ("add", "scale", "mean_over_list", "sym_apply", "broadcast_row")
+
+
+@pytest.mark.parametrize("variant", ["simple", "advanced", "mlp"])
+def test_tape_forward_frees_values_no_vjp_captured(monkeypatch, variant):
+    outputs = {name: [] for name in _UNCAPTURED}
+    for name in _UNCAPTURED:
+        def recording(self, *args, _real=getattr(Tape, name), _out=outputs[name]):
+            ref = _real(self, *args)
+            _out.append(weakref.ref(ref.value))
+            return ref
+
+        monkeypatch.setattr(Tape, name, recording)
+    cfg, params, x, g = _evaluator_setup(9, variant=variant, use_graph=True,
+                                         use_source=True)
+    logits, tape = forward(params, x, g, cfg)  # the tape stays alive
+    assert all(outputs.values())  # every primitive ran
+    alive = [w() for ws in outputs.values() for w in ws if w() is not None]
+    assert len(alive) == 1 and alive[0] is logits.value
+
+
+def test_backward_consumes_the_tape():
+    cfg, params, x, g = _evaluator_setup(9, use_graph=True)
+    logits, tape = forward(params, x, g, cfg)
+    loss = tape.masked_cross_entropy(logits, np.arange(9) % 2, np.ones(9, dtype=bool))
+    tape.backward(loss)
+    assert all(node is None for node in tape.nodes)  # every node feeds the loss
+    with pytest.raises(ContractError, match="already ran"):
+        tape.backward(loss)
+
+
 def _skew_vjp(monkeypatch, primitive: str) -> None:
     """Scale every VJP the Tape primitive records by 1.01."""
     real = getattr(Tape, primitive)
 
     def skewed(self, *args, **kwargs):
         ref = real(self, *args, **kwargs)
-        node = self.nodes[ref.idx]
-        vjp = node.vjp
-        node.vjp = lambda g: tuple(1.01 * grad for grad in vjp(g))
+        parents, vjp = self.nodes[ref.idx]
+        self.nodes[ref.idx] = (parents,
+                               lambda g: tuple(1.01 * grad for grad in vjp(g)))
         return ref
 
     monkeypatch.setattr(Tape, primitive, skewed)

@@ -49,6 +49,16 @@ def test_backward_requires_scalar():
         tape.backward(p)
 
 
+def test_backward_through_a_released_node_is_a_contract_error():
+    tape = Tape()
+    w = tape.parameter("w", np.ones((2, 2)))
+    first = tape.sum_all(tape.scale(w, 3.0))
+    assert np.allclose(tape.backward(first)["w"], 3.0)
+    second = tape.sum_all(tape.scale(w, 2.0))  # new nodes on a released leaf
+    with pytest.raises(ContractError, match="already ran"):
+        tape.backward(second)
+
+
 def test_duplicate_parameter_name_rejected():
     tape = Tape()
     tape.parameter("w", np.ones((1, 1)))

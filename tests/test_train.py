@@ -4,11 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from endiff.errors import ContractError, ParameterError, UndefinedMetricError
+from endiff.coupling import PenaltyFamily, write_penalty_landscape
 from endiff.graphs import Dataset, Graph, sbm_generate
-from endiff.model import ModelConfig, forward, init_model
+from endiff.model import Checkpoint, ModelConfig, forward, init_model
 from endiff.tape import Tape
 from endiff.train import (AdamState, TrainConfig, adam_step, induced_subgraph,
-                          loss, metric, minibatch_partition, train_loop,
+                          metric, minibatch_partition, train_loop,
                           write_history_csv)
 
 
@@ -21,24 +22,6 @@ def test_train_config_validation():
         TrainConfig(patience=-1)
     with pytest.raises(ParameterError):
         TrainConfig(metric="f1")
-
-
-def test_loss_cross_entropy_values():
-    tape = Tape()
-    logits = tape.constant(np.zeros((4, 3)))
-    out = loss("cross_entropy", logits, np.array([0, 1, 2, 0]),
-               np.ones(4, dtype=bool))
-    assert out.value[0, 0] == pytest.approx(np.log(3))
-    with pytest.raises(ParameterError):
-        loss("hinge", logits, np.zeros(4, dtype=int), np.ones(4, dtype=bool))
-
-
-def test_loss_mse_zero_for_exact_fit():
-    tape = Tape()
-    target = np.array([[1.0], [2.0]])
-    pred = tape.constant(target)
-    out = loss("mse", pred, target, np.ones(2, dtype=bool))
-    assert out.value[0, 0] == 0.0
 
 
 def test_adam_zero_grad_no_motion():
@@ -293,3 +276,33 @@ def test_write_history_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_metric,test_metric"
     assert lines[1].startswith("0,0.5,")
+
+
+def _write_checkpoint(path, version):
+    cfg = ModelConfig(input_dim=2, hidden_dim=2, output_dim=2, layers=1)
+    Checkpoint(config=cfg, params=init_model(cfg, version), meta={}).save(path)
+
+
+def _write_history(path, version):
+    write_history_csv([{"epoch": version, "train_loss": 0.5, "val_metric": 0.7,
+                        "test_metric": 0.6}], path)
+
+
+def _write_landscape(path, version):
+    write_penalty_landscape(path, PenaltyFamily(("simple", "advanced")[version]))
+
+
+@pytest.mark.parametrize("write", [_write_checkpoint, _write_history, _write_landscape])
+def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out"
+    write(path, 0)
+    old = path.read_bytes()
+
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("endiff.graphs.os.replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        write(path, 1)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
