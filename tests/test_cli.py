@@ -510,21 +510,18 @@ def test_eval_records_no_tape(tmp_path, capsys, monkeypatch):
     assert out2 == out
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_audit_seeds_below_one_is_usage_error(tmp_path, capsys, value):
+@pytest.mark.parametrize("argv, message", [
+    (["audit", "--suite", "thm1", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["audit", "--suite", "thm1", "--seeds", "-1"], "--seeds must be >= 1, got -1"),
+    (["synth", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["diffuse", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["audit", "--seed", "-1"], "--seed must be >= 0, got -1"),
+])
+def test_seed_counts_out_of_range_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main(["audit", "--suite", "thm1", "--seeds", value, "--out", str(tmp_path / "out")])
+        main([*argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert f"--seeds must be >= 1, got {value}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["synth", "diffuse", "audit"])
-def test_negative_seed_is_usage_error(tmp_path, capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--seed", "-1", "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
