@@ -21,7 +21,7 @@ from .energy import (EnergyReport, audit_bounds, audit_descent, diversity,
                      quadratic_energy, regularized_energy, surrogate_energy)
 from .errors import EndiffError
 from .graphs import Dataset, Graph, knn_graph, load_cora, load_dataset, sbm_generate
-from .model import Checkpoint, ModelConfig, count_params, forward, init_model
+from .model import Checkpoint, ModelConfig, forward, init_model
 from .numerics import laplacian, laplacian_spectral_bracket, row_l2_normalize
 from .tape import Tape
 from .train import AdamState, TrainConfig, adam_step, metric, train_loop
@@ -32,7 +32,7 @@ __all__ = [
     "AdamState", "Checkpoint", "CouplingSpec", "Dataset", "DiffusionConfig",
     "EndiffError", "EnergyReport", "Graph", "ModelConfig", "PenaltyFamily",
     "Tape", "TrainConfig", "Trajectory", "adam_step", "audit_bounds",
-    "audit_descent", "build_coupling", "count_params", "diversity",
+    "audit_descent", "build_coupling", "diversity",
     "euler_step", "forward", "init_model", "knn_graph", "laplacian",
     "laplacian_spectral_bracket", "linear_simple_propagate", "load_cora",
     "load_dataset", "metric", "penalty_delta", "penalty_f",

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import (ATTENTION_FAMILIES, PENALTY_KINDS, STATIC_FAMILIES,
-                       CouplingSpec, PenaltyFamily, write_penalty_landscape)
+                       CouplingSpec, PenaltyFamily, coupling_operator,
+                       write_penalty_landscape)
 from .diffusion import DiffusionConfig, run_trajectory
 from .energy import write_trajectory_csv
 from .errors import EndiffError, FormatError
@@ -193,8 +194,6 @@ def cmd_diffuse(args) -> int:
         args.parser.error(f"--use-source is not supported with --coupling "
                           f"{args.coupling} --penalty {args.penalty}")
     started = time.monotonic()
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     inputs = []
     g = None
     if args.features is not None:
@@ -210,6 +209,12 @@ def cmd_diffuse(args) -> int:
             g = er_graph(args.n, 0.3, args.seed)
     if args.coupling in STATIC_FAMILIES:
         spec = CouplingSpec(args.coupling)
+        # With S >= 0 the step Z - tau (diag(S 1) - S) Z mixes the rows
+        # convexly while tau * max_i (S 1)_i <= 1; above it a run can diverge.
+        top = float(coupling_operator(spec, z0, g).row_sums().max())
+        if args.tau * top > 1.0:
+            args.parser.error(f"--tau {args.tau} times the largest row sum {top:g} "
+                              f"of the {args.coupling} coupling exceeds 1")
     else:
         penalty = PenaltyFamily(args.penalty)
         mask = g if args.coupling == "gat_masked" else None
@@ -218,6 +223,8 @@ def cmd_diffuse(args) -> int:
     cfg = DiffusionConfig(tau=args.tau, steps=args.steps,
                           beta=1.0 if args.use_source else 0.0)
     traj = run_trajectory(z0, spec, cfg, g)
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"trajectory_{args.coupling}_tau{args.tau}.csv"
     write_trajectory_csv(traj, csv_path)
     write_manifest(out, "diffuse", _public_config(args), inputs,
@@ -256,7 +263,8 @@ def _model_config_from_args(args, ds: Dataset) -> ModelConfig:
         variant=args.variant,
         input_dim=ds.features.shape[1],
         hidden_dim=args.hidden,
-        output_dim=max(ds.num_classes, 1),
+        # mse regresses the label value: one output per node
+        output_dim=1 if args.metric == "mse" else max(ds.num_classes, 1),
         layers=args.layers,
         heads=args.heads,
         tau=args.tau,

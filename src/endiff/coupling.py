@@ -44,8 +44,9 @@ class PenaltyFamily:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ParameterError(f"unknown penalty kind {self.kind!r}")
-        if self.dim_scale <= 0:
-            raise ParameterError("dim_scale must be positive")
+        if not 0 < self.dim_scale < math.inf:
+            raise ParameterError(
+                f"dim_scale must be positive and finite, got {self.dim_scale}")
 
 
 def _check_domain(z_sq: float) -> float:

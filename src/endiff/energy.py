@@ -1,4 +1,12 @@
-"""Energy functionals and the descent / bound / over-smoothing audits.
+"""Energy functionals, the descent and ratio-bracket audits, and the
+trajectory CSV.
+
+The functionals take the energy weight lam as an argument. A trajectory's
+energies, which both audits and the CSV read, fix lam = tau in one place
+(`_trajectory_energy`): the paper fixes the gradient step at one, so
+every audited statement (Thm 1, Prop 1, Thm 2) holds at lam = tau. The
+two audits share one pass over those energies (`_audited_energies`) and
+differ only in the test they apply to consecutive pairs.
 
 Pairwise sums follow the all-ordered-pairs convention (i and j both range
 over all nodes, diagonal included), which matches the row-normalization
@@ -13,8 +21,7 @@ closed form on the centred rows Y = Z - mean(Z), in O(N d) and O(N d^2).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,39 +160,29 @@ def diversity(z) -> float:
 
 @dataclass
 class EnergyReport:
+    """What an audit read off a trajectory: the per-step energies
+    E(Z^(k), k-1) for k = 1..K at lam = tau, and one dict per step that
+    broke the audited statement. The bound audit adds the Laplacian's
+    (lambda_max, lambda_min) and the range of the observed energy ratios."""
+
     energies: list[float]
-    descent_ok: list[bool]
-    violations: list[dict] = field(default_factory=list)
-    diversity_series: list[float] = field(default_factory=list)
-    lam: float = 0.0
-    tau: float = 0.0
+    violations: list[dict]
     bracket: tuple[float, float] | None = None
     min_ratio: float | None = None
     max_ratio: float | None = None
-    notes: dict = field(default_factory=dict)
 
     @property
     def num_violations(self) -> int:
         return len(self.violations)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=float)
 
-
-def _require_dense_recording(traj: Trajectory) -> None:
-    if traj.config.record_every != 1:
-        raise ContractError("audits need record_every = 1")
-    steps = traj.steps
-    if steps != list(range(len(steps))):
-        raise ContractError("audits need every step recorded")
-
-
-def _trajectory_energy(traj: Trajectory, k_next: int, lam: float) -> float:
+def _trajectory_energy(traj: Trajectory, k_next: int) -> float:
     """E(Z^(k_next), k_next-1) with the energy form matching the trajectory:
     quadratic for static couplings, regularized for attention, source /
-    graph-regularized variants when configured."""
+    graph-regularized variants when configured, at lam = tau."""
     cfg = traj.config
     spec = traj.spec
+    lam = cfg.tau
     z = traj.snapshots[k_next][1]
     z_prev = traj.snapshots[k_next - 1][1]
     eta = lam * cfg.beta
@@ -199,49 +196,40 @@ def _trajectory_energy(traj: Trajectory, k_next: int, lam: float) -> float:
     return quadratic_energy(z, z_prev, traj.coupling, lam)
 
 
-def audit_descent(traj: Trajectory, lam: float | None = None,
-                  slack: float = DESCENT_SLACK) -> EnergyReport:
+def _audited_energies(traj: Trajectory) -> list[float]:
+    """E(Z^(k), k-1) for k = 1..K of a trajectory that recorded every
+    step."""
+    if traj.config.record_every != 1:
+        raise ContractError("audits need record_every = 1")
+    steps = traj.steps
+    if steps != list(range(len(steps))):
+        raise ContractError("audits need every step recorded")
+    return [_trajectory_energy(traj, k) for k in range(1, len(steps))]
+
+
+def audit_descent(traj: Trajectory, slack: float = DESCENT_SLACK) -> EnergyReport:
     """Check E(Z^(k+1), k) <= E(Z^(k), k-1) along a fully recorded
-    trajectory; lam defaults to tau (gradient step fixed at one)."""
-    _require_dense_recording(traj)
-    if lam is None:
-        lam = traj.config.tau
-    mats = traj.matrices
-    if len(mats) < 3:
+    trajectory."""
+    energies = _audited_energies(traj)
+    if len(energies) < 2:
         raise ContractError("descent audit needs at least two steps")
-    energies = [_trajectory_energy(traj, k, lam) for k in range(1, len(mats))]
-    flags = []
-    violations = []
-    for k in range(1, len(energies)):
-        ok = energies[k] <= energies[k - 1] + slack
-        flags.append(bool(ok))
-        if not ok:
-            violations.append({
-                "step": k,
-                "energy_prev": energies[k - 1],
-                "energy_next": energies[k],
-                "excess": energies[k] - energies[k - 1],
-            })
-    return EnergyReport(
-        energies=energies,
-        descent_ok=flags,
-        violations=violations,
-        diversity_series=[diversity(m) for m in mats],
-        lam=lam,
-        tau=traj.config.tau,
-        notes={"lam_rule": "lam = tau (gradient step alpha fixed at 1)"},
-    )
+    violations = [
+        {"step": k, "energy_prev": e_prev, "energy_next": e_next,
+         "excess": e_next - e_prev}
+        for k, (e_prev, e_next) in enumerate(zip(energies, energies[1:]), 1)
+        if not e_next <= e_prev + slack
+    ]
+    return EnergyReport(energies=energies, violations=violations)
 
 
 def audit_bounds(traj: Trajectory) -> EnergyReport:
     """Check the per-step energy bracket
     (1 - tau*l1)^2 E_k <= E_{k+1} <= (1 - tau*l2)^2 E_k for a static
-    coupling at lam = tau, with l1/l2 the largest/smallest singular values
-    of its Laplacian (an SVD of the dense coupling)."""
-    _require_dense_recording(traj)
+    coupling, with l1/l2 the largest/smallest singular values of its
+    Laplacian (an SVD of the dense coupling)."""
     if traj.spec.is_attention or traj.config.beta > 0 or traj.config.graph_blend:
         raise ContractError("bound audit applies to plain static-coupling runs")
-    tau = lam = traj.config.tau
+    tau = traj.config.tau
     bracket = laplacian_spectral_bracket(traj.coupling.dense())
     if tau > 1.0 / bracket.lambda_max + 1e-12:
         raise ContractError(
@@ -249,31 +237,21 @@ def audit_bounds(traj: Trajectory) -> EnergyReport:
         )
     lo = (1.0 - tau * bracket.lambda_max) ** 2
     hi = (1.0 - tau * bracket.lambda_min) ** 2
-    mats = traj.matrices
-    energies = [_trajectory_energy(traj, k, lam) for k in range(1, len(mats))]
-    flags = []
+    energies = _audited_energies(traj)
+    pairs = list(zip(energies, energies[1:]))
     violations = []
-    ratios = []
-    for k in range(1, len(energies)):
-        e_prev, e_next = energies[k - 1], energies[k]
+    for k, (e_prev, e_next) in enumerate(pairs, 1):
         slack = BOUND_REL_SLACK * max(e_prev, 1e-300)
-        ok = (lo * e_prev - slack <= e_next <= hi * e_prev + slack)
-        if e_prev > 0:
-            ratios.append(e_next / e_prev)
-        flags.append(bool(ok))
-        if not ok:
+        if not lo * e_prev - slack <= e_next <= hi * e_prev + slack:
             violations.append({
                 "step": k,
                 "ratio": e_next / e_prev if e_prev > 0 else float("inf"),
                 "bracket": [lo, hi],
             })
+    ratios = [e_next / e_prev for e_prev, e_next in pairs if e_prev > 0]
     return EnergyReport(
         energies=energies,
-        descent_ok=flags,
         violations=violations,
-        diversity_series=[diversity(m) for m in mats],
-        lam=lam,
-        tau=tau,
         bracket=(bracket.lambda_max, bracket.lambda_min),
         min_ratio=min(ratios) if ratios else None,
         max_ratio=max(ratios) if ratios else None,
@@ -294,10 +272,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     text is built first and written once, so a run that fails part way
     leaves no partial file.
     """
-    lam = traj.config.tau
     lines = ["step,energy,diversity,min_row_sum,max_row_sum\n"]
     for pos, (k, z) in enumerate(traj.snapshots):
-        energy = float("nan") if pos == 0 else _trajectory_energy(traj, pos, lam)
+        energy = float("nan") if pos == 0 else _trajectory_energy(traj, pos)
         s = (coupling_operator(traj.spec, row_l2_normalize(z), traj.graph)
              if traj.spec.is_attention else traj.coupling)
         sums = s.row_sums()

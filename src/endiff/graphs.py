@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -31,7 +31,6 @@ class Graph:
 
     n: int
     edges: np.ndarray
-    degrees: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         e = _as_pairs(self.edges)
@@ -56,8 +55,6 @@ class Graph:
             if outside[i]:
                 raise ParameterError(f"edge ({u},{v}) out of range for n={self.n}")
             raise ParameterError(f"duplicate edge ({u},{v})")
-        deg = np.bincount(e.ravel(), minlength=self.n)
-        object.__setattr__(self, "degrees", tuple(deg.tolist()))
 
     @staticmethod
     def from_edge_list(n: int, edges) -> "Graph":
@@ -312,6 +309,8 @@ def sbm_generate(
         raise ParameterError(f"need 0 <= p_out <= p_in <= 1, got {p_in}, {p_out}")
     if blocks < 1 or per_block < 1 or feat_dim < 1:
         raise ParameterError("blocks, per_block and feat_dim must be >= 1")
+    if not np.isfinite(feat_shift):
+        raise ParameterError(f"feat_shift must be finite, got {feat_shift}")
     rng = np.random.default_rng(seed)
     n = blocks * per_block
     labels = np.repeat(np.arange(blocks), per_block)

@@ -91,14 +91,6 @@ def init_model(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def count_params(cfg: ModelConfig) -> int:
-    d, dd, c = cfg.hidden_dim, cfg.input_dim, cfg.output_dim
-    total = dd * d + d + d * c + c
-    if cfg.use_feature_transform:
-        total += cfg.layers * cfg.heads * 3 * d * d
-    return total
-
-
 def _advanced_head(t: Tape, qt: Ref, kt: Ref, v: Ref) -> Ref:
     # Dense form: A~ = sigmoid(Q~ K~^T), P = diag^-1(A~ 1) A~ V
     a = t.sigmoid(t.matmul(qt, t.transpose(kt)))

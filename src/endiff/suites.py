@@ -121,7 +121,7 @@ def suite_thm2(seeds: int = 100, taus=(0.1, 0.25, 0.5),
                 rng = np.random.default_rng((seed, 2))
                 z0 = row_l2_normalize(rng.standard_normal((n, d)))
                 traj = run_trajectory(z0, spec, DiffusionConfig(tau=tau, steps=steps))
-                rep = audit_descent(traj, lam=tau, slack=1e-8)
+                rep = audit_descent(traj, slack=1e-8)
                 count += rep.num_violations
             if tau in taus:
                 gated_violations += count
@@ -348,7 +348,3 @@ def run_suite(name: str, **kwargs) -> dict:
     for key in _REPORT_KEYS:
         report.setdefault(key, None)
     return report
-
-
-def run_all() -> list[dict]:
-    return [run_suite(name) for name in SUITES]

@@ -34,14 +34,15 @@ class TrainConfig:
     metric: str = "accuracy"
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ParameterError("lr must be > 0")
+        if not 0 < self.lr < np.inf:
+            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
         if self.patience < 0:
             raise ParameterError("patience must be >= 0")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ParameterError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 0:
             raise ParameterError("batch_size must be >= 0")
         if self.metric not in METRIC_KINDS:

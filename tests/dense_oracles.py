@@ -36,7 +36,7 @@ def normalized_adjacency(g, mode: str) -> np.ndarray:
     a = adjacency(g)
     if mode == "gin":
         return a + np.eye(n)
-    deg = np.asarray(g.degrees, dtype=np.float64)
+    deg = a.sum(axis=1)
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 

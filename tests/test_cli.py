@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import stat
 import tempfile
@@ -79,6 +80,26 @@ def test_synth_then_train_then_eval(tmp_path, capsys):
     values = json.loads(out.strip().splitlines()[-1])
     assert values["metric"] == "accuracy"
     assert 0.0 <= values["test"] <= 1.0
+
+
+def test_train_and_eval_with_the_mse_metric(tmp_path, capsys):
+    # mse regresses the label value, so the model has one output
+    data = ["--synth", "sbm", "--per-block", "10", "--metric", "mse"]
+    run = tmp_path / "run"
+    code, out, err = run_cli(["train", *data, "--epochs", "3", "--hidden", "4",
+                              "--out", str(run)], capsys)
+    assert code == 0, err
+    summary = json.loads(out.strip().splitlines()[-1])
+    hist = np.loadtxt(run / "history.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert hist.shape == (3, 4) and np.all(np.isfinite(hist))
+    assert json.loads((run / "checkpoint.json").read_text())["config"]["output_dim"] == 1
+    code, out, err = run_cli(["eval", *data, "--checkpoint", str(run / "checkpoint.json"),
+                              "--out", str(tmp_path / "eval")], capsys)
+    assert code == 0, err
+    values = json.loads(out.strip().splitlines()[-1])
+    assert values["metric"] == "mse"
+    assert (values["val"], values["test"]) == (summary["val_metric"],
+                                               summary["test_metric"])
 
 
 # The benchmark's synth flags (perfbench/workloads.py, size "full").
@@ -452,7 +473,7 @@ def test_diffuse_simple_attention_builds_no_dense_array(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("argv", [
     ["--coupling", "identity"], ["--coupling", "all_one"],
-    ["--coupling", "gcn_sym"], ["--coupling", "gin"],
+    ["--coupling", "gcn_sym"], ["--coupling", "gin", "--tau", "0.05"],
     ["--coupling", "gat_masked"], ["--coupling", "attention", "--penalty", "quadratic"],
     ["--coupling", "gcn_sym", "--use-source"],
 ])
@@ -469,13 +490,48 @@ def test_diffuse_sparse_families_build_no_dense_array(tmp_path, capsys, monkeypa
         monkeypatch.setattr(cls, "dense", refuse)
     monkeypatch.setattr(coupling, "build_coupling", refuse)
     monkeypatch.setattr(numerics, "laplacian", refuse)
-    code, out, _ = run_cli(["diffuse", *argv, "--tau", "0.25", "--steps", "4",
+    code, out, _ = run_cli(["diffuse", "--tau", "0.25", *argv, "--steps", "4",
                             "--n", "30", "--out", str(tmp_path)], capsys)
     assert code == 0
     rows = [line.split(",") for line in
             open(json.loads(out.strip().splitlines()[-1])["csv"]).read().splitlines()[1:]]
     assert len(rows) == 5
     assert all(np.isfinite(float(v)) for r in rows[1:] for v in r)
+
+
+def test_diffuse_tau_above_the_row_sum_bound_is_usage_error(tmp_path, capsys):
+    # gin is A + I: on the default ER(32, 0.3) graph its largest row sum is 15
+    with pytest.raises(SystemExit) as exc:
+        main(["diffuse", "--coupling", "gin", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert ("--tau 0.5 times the largest row sum 15 of the gin coupling exceeds 1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+_TRAIN_TINY = ["train", "--synth", "sbm", "--per-block", "4", "--epochs", "1",
+               "--hidden", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["landscape", "--family", "softmax", "--dim-scale", "nan"],
+     "dim_scale must be positive and finite, got nan"),
+    (["landscape", "--dim-scale", "inf"], "dim_scale must be positive and finite, got inf"),
+    (["synth", "--feat-shift", "nan"], "feat_shift must be finite, got nan"),
+    (["synth", "--feat-shift=-inf"], "feat_shift must be finite, got -inf"),
+    ([*_TRAIN_TINY, "--lr", "nan"], "lr must be finite and > 0, got nan"),
+    ([*_TRAIN_TINY, "--lr", "inf"], "lr must be finite and > 0, got inf"),
+    ([*_TRAIN_TINY, "--weight-decay", "inf"],
+     "weight_decay must be finite and >= 0, got inf"),
+    ([*_TRAIN_TINY, "--weight-decay", "nan"],
+     "weight_decay must be finite and >= 0, got nan"),
+])
+def test_non_finite_settings_are_runtime_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code, _, err = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-3"), ("--dim", "0")])
@@ -557,6 +613,27 @@ _VALUES = (st.sampled_from(("0", "-1", "1", "2", "0.5", "-0.5", "nan", "inf"))
                               "gat_masked", "mse", "rocauc")))
 
 
+def _non_finite(path: Path) -> list:
+    """The non-finite numbers in a file a run wrote, leaving out the
+    trajectory CSV's step-0 energy, which is NaN by design."""
+    if path.suffix == ".json":
+        found = []
+        json.loads(path.read_text(), parse_constant=found.append)
+        return found
+    rows = [line.replace(",", " ").split() for line in path.read_text().splitlines()]
+    if path.name.startswith("trajectory_"):
+        assert rows[1][1] == "nan"
+        del rows[1][1]
+
+    def bad(token):
+        try:
+            return not math.isfinite(float(token))
+        except ValueError:  # a word, not a number
+            return False
+
+    return [token for row in rows for token in row if bad(token)]
+
+
 def _tokens(command):
     flags, switches, files = _FLAGS[command]
     token = st.one_of(
@@ -581,10 +658,12 @@ def small_checkpoint(tmp_path_factory):
     lambda command: st.tuples(st.just(command), _tokens(command))))
 @example(("synth", [("--seed", "-1")]))
 @example(("eval", [("--checkpoint", b"\x80")]))
+@example(("landscape", [("--dim-scale", "nan")]))
+@example(("synth", [("--feat-shift", "inf")]))
 def test_every_exit_code_is_documented_and_no_traceback(small_checkpoint, run):
     """Bad flag values, unknown choices and flags, missing and malformed
     files: every run ends in 0, 1, 2 or 3 with a one-line error, never an
-    uncaught exception."""
+    uncaught exception, and a run that exits 0 wrote only finite numbers."""
     command, tokens = run
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -604,6 +683,10 @@ def test_every_exit_code_is_documented_and_no_traceback(small_checkpoint, run):
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
+        if code == 0:
+            written = {str(p): _non_finite(p) for p in (tmp / "out").rglob("*")
+                       if p.is_file()}
+            assert not any(written.values()), (argv, written)
     err = err.getvalue()
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -128,9 +126,7 @@ def _static_traj(seed=0, steps=6, tau=0.4):
 def test_audit_descent_static_passes():
     rep = audit_descent(_static_traj())
     assert rep.num_violations == 0
-    assert all(rep.descent_ok)
     assert len(rep.energies) == 6
-    assert rep.lam == rep.tau == 0.4
 
 
 def test_audit_descent_flags_fabricated_violation():
@@ -158,7 +154,6 @@ def test_audit_descent_attention():
     traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.25, steps=8))
     rep = audit_descent(traj, slack=1e-8)
     assert rep.num_violations == 0
-    assert rep.diversity_series[0] > 0
 
 
 def test_audit_bounds_bracket_holds():
@@ -192,14 +187,6 @@ def test_audit_bounds_rejects_attention_runs():
     traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.25, steps=3))
     with pytest.raises(ContractError):
         audit_bounds(traj)
-
-
-def test_energy_report_json_round_trips():
-    rep = audit_descent(_static_traj())
-    payload = json.loads(rep.to_json())
-    assert payload["lam"] == pytest.approx(0.4)
-    assert payload["violations"] == []
-    assert len(payload["energies"]) == len(rep.energies)
 
 
 def test_write_trajectory_csv(tmp_path):
@@ -393,5 +380,5 @@ def test_graph_blended_dynamics_descend_the_graph_regularized_energy():
     spec = CouplingSpec("attention", PenaltyFamily("simple"))
     traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.25, steps=10,
                                                     graph_blend=True), g)
-    rep = audit_descent(traj, lam=0.25, slack=1e-8)
+    rep = audit_descent(traj, slack=1e-8)
     assert rep.num_violations == 0, rep.violations
