@@ -34,6 +34,8 @@ COUPLING_FAMILIES = STATIC_FAMILIES + ATTENTION_FAMILIES
 
 Z_SQ_MAX = 4.0
 _DOMAIN_SLACK = 1e-9
+# Below this dim_scale the softmax delta(4) = 2 (e - 1/e) exp(1/sqrt(d)) overflows.
+DIM_SCALE_MIN = math.log(np.finfo(float).max / (2.0 * (math.e - math.exp(-1.0)))) ** -2
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,9 @@ class PenaltyFamily:
         if not 0 < self.dim_scale < math.inf:
             raise ParameterError(
                 f"dim_scale must be positive and finite, got {self.dim_scale}")
+        if self.dim_scale < DIM_SCALE_MIN:
+            raise ParameterError(f"dim_scale must be >= {DIM_SCALE_MIN!r}, below which "
+                                 f"the softmax penalty overflows, got {self.dim_scale}")
 
 
 def _check_domain(z_sq: float) -> float:

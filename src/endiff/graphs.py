@@ -262,25 +262,6 @@ def is_connected(g: Graph) -> bool:
         seen = grown
 
 
-def knn_graph(features: np.ndarray, k: int) -> Graph:
-    """Symmetrized k-nearest-neighbor graph over Euclidean distances.
-
-    Ties are broken toward the smaller node index, which makes the result
-    deterministic for duplicated points.
-    """
-    x = as_matrix(features)
-    n = x.shape[0]
-    if not (1 <= k < n):
-        raise ParameterError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, np.inf)
-    # argsort is stable, so equal distances resolve to lower indices
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    edges = np.stack([np.repeat(np.arange(n), k), nearest.ravel()], axis=1)
-    return Graph.from_edge_list(n, edges)
-
-
 # Rows of the pair grid that one block-model edge draw covers.
 SBM_BLOCK_ROWS = 64
 

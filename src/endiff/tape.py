@@ -221,11 +221,10 @@ class Tape:
         y, norms, denom = _row_l2_normalize(a.value, eps)
 
         def vjp(g):
-            # Rows at/below eps are a plain 1/eps scaling.
-            live = norms > eps
+            # Rows at/below eps are a plain 1/eps scaling: no projection.
             dot = np.sum(g * y, axis=1, keepdims=True)
-            grad = np.where(live, (g - y * dot) / denom, g / denom)
-            return (grad,)
+            dot[norms <= eps] = 0.0
+            return ((g - y * dot) / denom,)
 
         return self._record(y, (a.idx,), vjp)
 

@@ -157,50 +157,48 @@ class TrainResult:
     test_metric: float
 
 
+def _scores(logits, dataset: Dataset, metric_kind: str) -> tuple[float, float]:
+    """(val, test) metrics of whole-dataset logits."""
+    return tuple(metric(metric_kind, logits, dataset.labels, dataset.mask(tag))
+                 for tag in ("val", "test"))
+
+
 def _evaluate(params, dataset: Dataset, cfg: ModelConfig,
               metric_kind: str) -> tuple[float, float]:
     """(val, test) metrics from one non-recording forward over the whole
     dataset."""
     logits, _ = forward(params, dataset.features, dataset.graph, cfg, tape=Eager())
-    return tuple(metric(metric_kind, logits, dataset.labels, dataset.mask(tag))
-                 for tag in ("val", "test"))
+    return _scores(logits, dataset, metric_kind)
 
 
 def _metric_improved(kind: str, new: float, best: float) -> bool:
     return new < best if kind == "mse" else new > best
 
 
-def train_loop(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainResult:
-    """Full-protocol training: per epoch partition / forward / masked loss /
-    backward / Adam; tracks the validation metric and reports the test
-    metric of the best-validation epoch. Ties keep the earlier epoch."""
-    if not dataset.mask("train").any() or not dataset.mask("val").any():
-        raise ContractError("dataset needs non-empty train and val splits")
-    if model_cfg.use_graph and dataset.graph is None:
-        raise ContractError("model wants a graph but dataset has none")
+def _epochs(params, dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig):
+    """Train `params` in place, yielding each epoch's (epoch, train loss,
+    (val, test)) scored on the parameters its last Adam step left.
 
-    params = init_model(model_cfg, train_cfg.seed)
+    A full batch is every node in order, so it keeps the dataset's graph and
+    its cached operator, and epoch e+1's training forward is epoch e's
+    evaluation (Tape and Eager logits agree bit for bit). Epoch e is yielded
+    before that forward's backward, so a caller that stops there keeps epoch
+    e's parameters."""
     state = AdamState.for_params(params)
-    history = []
-    best_metric = None
-    best_params = None
-    best_epoch = -1
-    stale = 0
-
+    full_batch = train_cfg.batch_size == 0
     for epoch in range(train_cfg.epochs):
         epoch_losses = []
-        batches = minibatch_partition(dataset.n, train_cfg.batch_size,
-                                      train_cfg.seed, epoch)
-        for idx in batches:
+        for idx in minibatch_partition(dataset.n, train_cfg.batch_size,
+                                       train_cfg.seed, epoch):
             bmask = dataset.mask("train")[idx]
             if not bmask.any():
                 continue
-            # A full batch is every node in order, so it keeps the dataset's
-            # graph and the operator cached on it.
             sub_g = dataset.graph
-            if sub_g is not None and train_cfg.batch_size:
+            if sub_g is not None and not full_batch:
                 sub_g = induced_subgraph(sub_g, idx)
             logits, tape = forward(params, dataset.features[idx], sub_g, model_cfg)
+            if full_batch and epoch:
+                yield epoch - 1, loss, _scores(logits.value, dataset, train_cfg.metric)
             if train_cfg.metric == "mse":
                 target = dataset.labels[idx].astype(np.float64).reshape(-1, 1)
                 lnode = tape.masked_mse(logits, target, bmask)
@@ -209,14 +207,30 @@ def train_loop(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig)
             epoch_losses.append(float(lnode.value[0, 0]))
             grads = tape.backward(lnode)
             adam_step(params, grads, state, train_cfg.lr, train_cfg.weight_decay)
+        loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
+        if not full_batch or epoch == train_cfg.epochs - 1:
+            yield epoch, loss, _evaluate(params, dataset, model_cfg, train_cfg.metric)
 
-        val_m, test_m = _evaluate(params, dataset, model_cfg, train_cfg.metric)
-        history.append({
-            "epoch": epoch,
-            "train_loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
-            "val_metric": val_m,
-            "test_metric": test_m,
-        })
+
+def train_loop(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainResult:
+    """Full-protocol training: per epoch partition / forward / masked loss /
+    backward / Adam; tracks the validation metric and reports the test
+    metric of the best-validation epoch. Ties keep the earlier epoch. A
+    full-batch epoch is scored on the next epoch's training forward, so E
+    epochs take E + 1 forwards; a mini-batch epoch ends in an evaluation
+    forward over the whole dataset."""
+    if not dataset.mask("train").any() or not dataset.mask("val").any():
+        raise ContractError("dataset needs non-empty train and val splits")
+    if model_cfg.use_graph and dataset.graph is None:
+        raise ContractError("model wants a graph but dataset has none")
+
+    params = init_model(model_cfg, train_cfg.seed)
+    history = []
+    best_metric, best_params, best_epoch, stale = None, None, -1, 0
+
+    for epoch, loss, (val_m, test_m) in _epochs(params, dataset, model_cfg, train_cfg):
+        history.append({"epoch": epoch, "train_loss": loss,
+                        "val_metric": val_m, "test_metric": test_m})
         if best_metric is None or _metric_improved(train_cfg.metric, val_m, best_metric):
             best_metric = val_m
             best_params = {k: v.copy() for k, v in params.items()}

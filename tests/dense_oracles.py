@@ -1,12 +1,16 @@
 """Dense N x N reference forms that the sparse couplings and the energies
 are checked against, the scalar-draw block-model generator, the two-key
-edge sorts and the composed simple-attention head. They loop, materialize
-or record node by node on purpose and are meant for small N only."""
+edge sorts, the composed simple-attention head and the two-forward training
+loop. They loop, materialize, record node by node or recompute on purpose
+and are meant for small N only."""
 
 import numpy as np
 
 from endiff.coupling import CouplingSpec, PenaltyFamily, build_coupling, coupling_operator
 from endiff.graphs import Dataset, Graph
+from endiff.model import Checkpoint, forward, init_model
+from endiff.train import (AdamState, TrainResult, _evaluate, _metric_improved,
+                          adam_step, induced_subgraph, minibatch_partition)
 
 STATIC_MODES = ("sym", "gin", "identity", "all_one")
 
@@ -128,3 +132,70 @@ def linear_attention_composed(t, qt, kt, v):
     col_v = t.matmul(t.transpose(ones), v)
     numer = t.add(t.broadcast_row(col_v, n), t.matmul(qt, t.matmul(kt_t, v)))
     return t.diag_scale_rows(numer, t.reciprocal(denom))
+
+
+def train_loop_two_forwards(dataset, model_cfg, train_cfg):
+    """train_loop with a separate evaluation forward after every epoch's
+    Adam step, full batch included: 2E forwards for E full-batch epochs."""
+    params = init_model(model_cfg, train_cfg.seed)
+    state = AdamState.for_params(params)
+    history = []
+    best_metric = None
+    best_params = None
+    best_epoch = -1
+    stale = 0
+
+    for epoch in range(train_cfg.epochs):
+        epoch_losses = []
+        batches = minibatch_partition(dataset.n, train_cfg.batch_size,
+                                      train_cfg.seed, epoch)
+        for idx in batches:
+            bmask = dataset.mask("train")[idx]
+            if not bmask.any():
+                continue
+            sub_g = dataset.graph
+            if sub_g is not None and train_cfg.batch_size:
+                sub_g = induced_subgraph(sub_g, idx)
+            logits, tape = forward(params, dataset.features[idx], sub_g, model_cfg)
+            if train_cfg.metric == "mse":
+                target = dataset.labels[idx].astype(np.float64).reshape(-1, 1)
+                lnode = tape.masked_mse(logits, target, bmask)
+            else:
+                lnode = tape.masked_cross_entropy(logits, dataset.labels[idx], bmask)
+            epoch_losses.append(float(lnode.value[0, 0]))
+            grads = tape.backward(lnode)
+            adam_step(params, grads, state, train_cfg.lr, train_cfg.weight_decay)
+
+        val_m, test_m = _evaluate(params, dataset, model_cfg, train_cfg.metric)
+        history.append({
+            "epoch": epoch,
+            "train_loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
+            "val_metric": val_m,
+            "test_metric": test_m,
+        })
+        if best_metric is None or _metric_improved(train_cfg.metric, val_m, best_metric):
+            best_metric = val_m
+            best_params = {k: v.copy() for k, v in params.items()}
+            best_epoch = epoch
+            stale = 0
+        else:
+            stale += 1
+            if train_cfg.patience and stale >= train_cfg.patience:
+                break
+
+    test_best = history[best_epoch]["test_metric"]
+    ckpt = Checkpoint(
+        config=model_cfg,
+        params=best_params,
+        meta={
+            "epoch": best_epoch,
+            "seed": train_cfg.seed,
+            "metrics": {
+                "val": best_metric,
+                "test": test_best,
+                "metric_kind": train_cfg.metric,
+            },
+        },
+    )
+    return TrainResult(checkpoint=ckpt, history=history,
+                       best_epoch=best_epoch, test_metric=test_best)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endiff.cli import main
+from endiff.coupling import DIM_SCALE_MIN
 
 
 def run_cli(args, capsys):
@@ -532,6 +533,27 @@ def test_non_finite_settings_are_runtime_errors(tmp_path, capsys, argv, message)
     assert code == 1
     assert err == f"error: {message}\n"
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("dim_scale", [1e-6, float(np.nextafter(DIM_SCALE_MIN, 0.0))])
+def test_landscape_dim_scale_whose_penalty_overflows_is_runtime_error(tmp_path, capsys,
+                                                                     dim_scale):
+    out = tmp_path / "out"
+    code, _, err = run_cli(["landscape", "--family", "softmax", "--dim-scale",
+                            repr(dim_scale), "--out", str(out)], capsys)
+    assert code == 1
+    assert err == (f"error: dim_scale must be >= {DIM_SCALE_MIN!r}, below which the "
+                   f"softmax penalty overflows, got {dim_scale!r}\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_landscape_at_the_smallest_dim_scale_is_finite(tmp_path, capsys):
+    code, _, _ = run_cli(["landscape", "--family", "softmax", "--dim-scale",
+                          repr(DIM_SCALE_MIN), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    table = np.loadtxt(tmp_path / "landscape_softmax.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(table).all()
+    assert table[-1, 2] > 1e308  # delta(4) sits at the top of the float range
 
 
 @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-3"), ("--dim", "0")])

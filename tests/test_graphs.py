@@ -7,14 +7,8 @@ from dense_oracles import (adjacency, from_edge_list_lexsort, layout_lexsort,
                            normalized_adjacency, sbm_generate_loop)
 from endiff.errors import DimensionError, FormatError, ParameterError
 from endiff.graphs import (SBM_BLOCK_ROWS, Dataset, Graph, er_graph, is_connected,
-                           knn_graph, load_cora, load_dataset, read_edges,
-                           read_features, sbm_generate)
-
-
-def _has_edge(g, u, v):
-    """Whether (u, v) is a row of g.edges; `in` on an array is an
-    elementwise test, not a row test."""
-    return bool(np.any(np.all(g.edges == (u, v), axis=1)))
+                           load_cora, load_dataset, read_edges, read_features,
+                           sbm_generate)
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -168,26 +162,6 @@ def test_sym_operator_is_cached_and_checks_rows():
         g.sym_operator.apply(np.ones((4, 2)))
 
 
-def test_knn_graph_basic():
-    # four points on a line: nearest neighbor chains
-    feats = np.array([[0.0], [1.0], [2.0], [10.0]])
-    g = knn_graph(feats, 1)
-    assert _has_edge(g, 0, 1)
-    assert _has_edge(g, 2, 3)  # 10's nearest is 2 (symmetrized)
-    with pytest.raises(ParameterError):
-        knn_graph(feats, 0)
-    with pytest.raises(ParameterError):
-        knn_graph(feats, 4)
-
-
-def test_knn_graph_tie_break_deterministic():
-    feats = np.array([[0.0], [1.0], [-1.0]])  # 1 and -1 equidistant from 0
-    g = knn_graph(feats, 1)
-    g2 = knn_graph(feats, 1)
-    assert np.array_equal(g.edges, g2.edges)
-    assert _has_edge(g, 0, 1)  # stable argsort prefers the lower index
-
-
 def test_er_graph_deterministic_and_density():
     g1 = er_graph(30, 0.3, 7)
     g2 = er_graph(30, 0.3, 7)
@@ -209,20 +183,6 @@ def test_er_graph_matches_the_scalar_draw_stream(n, p, seed):
     g = er_graph(n, p, seed)
     want = np.array(_er_scalar_loop(n, p, seed), dtype=np.int64).reshape(-1, 2)
     assert np.array_equal(g.edges, want)
-
-
-def test_knn_graph_matches_the_row_loop_with_duplicated_points():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((300, 3))
-    x[150:] = x[:150]  # every point twice: ties everywhere
-    k = 4
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, np.inf)
-    pairs = [(i, int(j)) for i in range(300)
-             for j in np.argsort(d2[i], kind="stable")[:k]]
-    want = sorted({(min(u, v), max(u, v)) for u, v in pairs})
-    assert np.array_equal(knn_graph(x, k).edges, want)
 
 
 def _bfs_connected(n, edges):

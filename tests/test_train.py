@@ -217,12 +217,19 @@ def test_train_loop_early_stop_and_best_epoch():
     assert res.checkpoint.meta["epoch"] == res.best_epoch
 
 
-def test_train_loop_minibatch_with_graph():
-    ds = sbm_generate(2, 15, 0.3, 0.05, 4, 1.0, seed=0)
-    cfg = ModelConfig(variant="simple", input_dim=4, hidden_dim=4,
-                      output_dim=2, layers=1, use_graph=True)
-    res = train_loop(ds, cfg, TrainConfig(lr=0.01, epochs=3, batch_size=10, seed=0))
-    assert len(res.history) == 3
+def _count_forwards(monkeypatch, ds, cfg, train_cfg):
+    """train_loop's result and the graphs its forwards saw, by evaluator."""
+    import endiff.train as train
+
+    seen = {"Tape": [], "Eager": []}
+    real_forward = train.forward
+
+    def counting_forward(params, x, g, model_cfg, tape=None):
+        seen["Tape" if tape is None else type(tape).__name__].append(g)
+        return real_forward(params, x, g, model_cfg, tape=tape)
+
+    monkeypatch.setattr(train, "forward", counting_forward)
+    return train_loop(ds, cfg, train_cfg), seen
 
 
 def test_train_loop_full_batch_reuses_graph_and_evaluates_once(monkeypatch):
@@ -231,22 +238,79 @@ def test_train_loop_full_batch_reuses_graph_and_evaluates_once(monkeypatch):
     ds = sbm_generate(2, 15, 0.3, 0.05, 4, 1.0, seed=0)
     cfg = ModelConfig(variant="simple", input_dim=4, hidden_dim=4,
                       output_dim=2, layers=1, use_graph=True)
-    seen = []
-    real_forward = train.forward
-
-    def counting_forward(params, x, g, model_cfg, tape=None):
-        seen.append(g)
-        return real_forward(params, x, g, model_cfg, tape=tape)
 
     def refuse(*args):
         raise AssertionError("full batch rebuilt the graph")
 
-    monkeypatch.setattr(train, "forward", counting_forward)
     monkeypatch.setattr(train, "induced_subgraph", refuse)
-    res = train_loop(ds, cfg, TrainConfig(lr=0.01, epochs=3, seed=0))
+    res, seen = _count_forwards(monkeypatch, ds, cfg,
+                                TrainConfig(lr=0.01, epochs=3, seed=0))
     assert len(res.history) == 3
-    assert len(seen) == 2 * 3  # one training and one evaluation forward per epoch
-    assert all(g is ds.graph for g in seen)
+    # Each training forward scores the epoch before it; only the last
+    # epoch takes an evaluation forward of its own.
+    assert len(seen["Tape"]) == 3 and len(seen["Eager"]) == 1
+    assert all(g is ds.graph for g in seen["Tape"] + seen["Eager"])
+
+    # A patience stop on row 1 is read off epoch 2's training forward,
+    # which then takes no backward; no evaluation forward runs.
+    res, seen = _count_forwards(monkeypatch, ds, cfg,
+                                TrainConfig(lr=0.01, epochs=10, patience=1, seed=0))
+    assert len(res.history) == 2
+    assert len(seen["Tape"]) == 3 and len(seen["Eager"]) == 0
+
+
+def test_train_loop_minibatch_with_graph(monkeypatch):
+    ds = sbm_generate(2, 15, 0.3, 0.05, 4, 1.0, seed=0)
+    cfg = ModelConfig(variant="simple", input_dim=4, hidden_dim=4,
+                      output_dim=2, layers=1, use_graph=True)
+    res, seen = _count_forwards(monkeypatch, ds, cfg,
+                                TrainConfig(lr=0.01, epochs=3, batch_size=10, seed=0))
+    assert len(res.history) == 3
+    # One training forward per batch with a labeled row, one evaluation
+    # forward per epoch.
+    steps = sum(ds.mask("train")[idx].any() for epoch in range(3)
+                for idx in minibatch_partition(ds.n, 10, 0, epoch))
+    assert len(seen["Tape"]) == steps and len(seen["Eager"]) == 3
+
+
+# (variant, use_graph, use_source, metric, epochs, batch_size, patience,
+#  history rows): the rows pin whether patience stopped the run.
+ORACLE_CASES = {
+    "full-simple-graph": ("simple", True, False, "accuracy", 6, 0, 0, 6),
+    "full-advanced-source-patience": ("advanced", True, True, "accuracy", 12, 0, 2, 3),
+    "full-earliest-stop": ("simple", True, True, "accuracy", 10, 0, 1, 2),
+    "full-mlp-mse": ("mlp", False, False, "mse", 5, 0, 0, 5),
+    "full-mlp-mse-patience": ("mlp", False, True, "mse", 40, 0, 1, 17),
+    "full-one-epoch": ("simple", False, False, "accuracy", 1, 0, 0, 1),
+    "full-rocauc": ("advanced", False, True, "rocauc", 4, 0, 0, 4),
+    "mini-advanced-graph": ("advanced", True, False, "accuracy", 4, 10, 0, 4),
+    "mini-simple-source-mse-patience": ("simple", True, True, "mse", 8, 7, 2, 5),
+    "mini-earliest-stop": ("mlp", False, False, "accuracy", 10, 10, 1, 2),
+    "mini-one-epoch": ("simple", True, False, "accuracy", 1, 12, 0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_train_loop_matches_the_two_forward_oracle(case):
+    from dense_oracles import train_loop_two_forwards
+
+    variant, graph, source, kind, epochs, batch, patience, rows = ORACLE_CASES[case]
+    ds = sbm_generate(2, 15, 0.3, 0.05, 4, 1.0, seed=0)
+    cfg = ModelConfig(variant=variant, input_dim=4, hidden_dim=4,
+                      output_dim=1 if kind == "mse" else 2, layers=2, heads=2,
+                      use_graph=graph, use_source=source)
+    tcfg = TrainConfig(lr=0.05, epochs=epochs, batch_size=batch,
+                       patience=patience, seed=1, metric=kind)
+    got = train_loop(ds, cfg, tcfg)
+    want = train_loop_two_forwards(ds, cfg, tcfg)
+    assert len(got.history) == rows
+    assert got.history == want.history
+    assert got.best_epoch == want.best_epoch
+    assert got.test_metric == want.test_metric
+    assert got.checkpoint.meta == want.checkpoint.meta
+    assert got.checkpoint.params.keys() == want.checkpoint.params.keys()
+    for name, value in want.checkpoint.params.items():
+        assert np.array_equal(got.checkpoint.params[name], value), name
 
 
 def test_evaluate_records_no_tape(monkeypatch):
