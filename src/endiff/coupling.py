@@ -1,8 +1,12 @@
 """Coupling matrices and the penalty pairs (f, delta) behind attention weights.
 
-Each attention family is defined by a scalar penalty function delta of the
-squared pairwise distance; its derivative f is the un-normalized attention
-score. Valid squared distances lie in [0, 4] (unit-norm embeddings).
+Each attention family is defined by a penalty delta of the squared pairwise
+distance; its derivative f is the un-normalized attention score. Valid
+squared distances lie in [0, 4] (unit-norm embeddings). `penalty_f` and
+`penalty_delta` are the one definition of each family's pair: they take a
+float or an array, and every caller (the couplings, the energies, the
+conjugate and the landscape tables) goes through them and their one domain
+check.
 
 The dynamics see a coupling only through the `Coupling` protocol, built by
 `coupling_operator`: identity, gin, gcn_sym and gat_masked are sparse edge
@@ -14,7 +18,6 @@ is otherwise the dense oracle of the tests.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -25,8 +28,6 @@ from .errors import ContractError, DimensionError, DomainError, ParameterError
 from .graphs import EdgeOperator, Graph, atomic_write_text
 from .numerics import as_matrix, row_norms
 
-log = logging.getLogger(__name__)
-
 PENALTY_KINDS = ("simple", "advanced", "softmax", "quadratic")
 STATIC_FAMILIES = ("identity", "all_one", "gcn_sym", "gin")
 ATTENTION_FAMILIES = ("attention", "gat_masked")
@@ -36,6 +37,9 @@ Z_SQ_MAX = 4.0
 _DOMAIN_SLACK = 1e-9
 # Below this dim_scale the softmax delta(4) = 2 (e - 1/e) exp(1/sqrt(d)) overflows.
 DIM_SCALE_MIN = math.log(np.finfo(float).max / (2.0 * (math.e - math.exp(-1.0)))) ** -2
+_CONJUGATE_TOL = 1e-10  # golden-section bracket width
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LANDSCAPE_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -53,94 +57,86 @@ class PenaltyFamily:
             raise ParameterError(f"dim_scale must be >= {DIM_SCALE_MIN!r}, below which "
                                  f"the softmax penalty overflows, got {self.dim_scale}")
 
-
-def _check_domain(z_sq: float) -> float:
-    z_sq = float(z_sq)
-    if not (-_DOMAIN_SLACK <= z_sq <= Z_SQ_MAX + _DOMAIN_SLACK):
-        raise DomainError(f"z_sq={z_sq} outside [0, {Z_SQ_MAX}]")
-    return min(max(z_sq, 0.0), Z_SQ_MAX)
+    @property
+    def softmax_scale(self) -> float:
+        """The softmax family's factor exp(1/sqrt(dim_scale))."""
+        return math.exp(1.0 / math.sqrt(self.dim_scale))
 
 
-def penalty_f(p: PenaltyFamily, z_sq: float) -> float:
-    """Un-normalized attention score f(z^2), the derivative of delta."""
-    u = _check_domain(z_sq)
+def _check_within(name: str, x, lo: float, hi: float) -> np.ndarray:
+    """x as a float64 array; a value outside [lo, hi] by more than
+    _DOMAIN_SLACK, or NaN, raises DomainError naming the first one."""
+    x = np.asarray(x, dtype=np.float64)
+    inside = (x >= lo - _DOMAIN_SLACK) & (x <= hi + _DOMAIN_SLACK)
+    if not inside.all():
+        raise DomainError(f"{name}={float(x[~inside][0])} outside [{lo}, {hi}]")
+    return x
+
+
+def _domain(z_sq) -> np.ndarray:
+    return np.clip(_check_within("z_sq", z_sq, 0.0, Z_SQ_MAX), 0.0, Z_SQ_MAX)
+
+
+def penalty_f(p: PenaltyFamily, z_sq):
+    """Un-normalized attention score f(z^2), the derivative of delta, of a
+    float or elementwise of an array."""
+    u = _domain(z_sq)
     if p.kind == "simple":
         return 2.0 - 0.5 * u
     if p.kind == "advanced":
-        return 1.0 / (1.0 + math.exp(0.5 * u - 1.0))
+        return 1.0 / (1.0 + np.exp(0.5 * u - 1.0))
     if p.kind == "softmax":
-        return math.exp(1.0 - 0.5 * u) * math.exp(1.0 / math.sqrt(p.dim_scale))
-    return 1.0  # quadratic: delta(u) = u
+        return np.exp(1.0 - 0.5 * u) * p.softmax_scale
+    return np.ones_like(u)[()]  # quadratic: delta(u) = u; [()] unwraps a 0-d result
 
 
-def penalty_delta(p: PenaltyFamily, z_sq: float) -> float:
-    """Penalty delta(z^2); the softmax family is the antiderivative of f
-    anchored at delta(0) = 0."""
-    u = _check_domain(z_sq)
-    if p.kind == "simple":
-        return 2.0 * u - 0.25 * u * u
-    if p.kind == "advanced":
-        return u - 2.0 * math.log(math.exp(0.5 * u - 1.0) + 1.0)
-    if p.kind == "softmax":
-        scale = math.exp(1.0 / math.sqrt(p.dim_scale))
-        return 2.0 * scale * (math.e - math.exp(1.0 - 0.5 * u))
-    return u
-
-
-def penalty_delta_array(p: PenaltyFamily, z_sq: np.ndarray) -> np.ndarray:
-    """Vectorized penalty_delta over an array of squared distances."""
-    u = np.asarray(z_sq, dtype=np.float64)
-    if np.any(u < -_DOMAIN_SLACK) or np.any(u > Z_SQ_MAX + _DOMAIN_SLACK):
-        raise DomainError(f"z_sq values outside [0, {Z_SQ_MAX}]")
-    u = np.clip(u, 0.0, Z_SQ_MAX)
+def penalty_delta(p: PenaltyFamily, z_sq):
+    """Penalty delta(z^2) of a float or elementwise of an array; the softmax
+    family is the antiderivative of f anchored at delta(0) = 0."""
+    u = _domain(z_sq)
     if p.kind == "simple":
         return 2.0 * u - 0.25 * u * u
     if p.kind == "advanced":
         return u - 2.0 * np.log(np.exp(0.5 * u - 1.0) + 1.0)
     if p.kind == "softmax":
-        scale = math.exp(1.0 / math.sqrt(p.dim_scale))
-        return 2.0 * scale * (math.e - np.exp(1.0 - 0.5 * u))
+        return 2.0 * p.softmax_scale * (math.e - np.exp(1.0 - 0.5 * u))
     return u
 
 
 def penalty_f_range(p: PenaltyFamily) -> tuple[float, float]:
     """Range of f over the valid interval (f is non-increasing)."""
-    return penalty_f(p, Z_SQ_MAX), penalty_f(p, 0.0)
+    lo, hi = penalty_f(p, np.array([Z_SQ_MAX, 0.0]))
+    return float(lo), float(hi)
 
 
-def penalty_conjugate(p: PenaltyFamily, omega: float, tol: float = 1e-10) -> float:
-    """Concave conjugate delta~(omega) = inf_{y in [0,4]} (omega*y - delta(y)).
+def penalty_conjugate(p: PenaltyFamily, omega):
+    """Concave conjugate delta~(omega) = inf_{y in [0,4]} (omega*y - delta(y))
+    of a float or elementwise of an array.
 
-    Closed form for the simple family; bracketed golden-section search
-    otherwise (the objective is unimodal because f is monotone).
+    Closed form for the simple family; otherwise a bracketed golden-section
+    search, run on every omega at once (the objective is unimodal because f
+    is monotone).
     """
     lo, hi = penalty_f_range(p)
-    if not (lo - 1e-9 <= omega <= hi + 1e-9):
-        raise DomainError(f"omega={omega} outside the range of f [{lo}, {hi}]")
-    if p.kind == "simple":
-        y = 2.0 * (2.0 - omega)
-        y = min(max(y, 0.0), Z_SQ_MAX)
-        return omega * y - penalty_delta(p, y)
+    w = _check_within("omega", omega, lo, hi)
 
     def objective(y):
-        return omega * y - penalty_delta(p, y)
+        return w * y - penalty_delta(p, y)
 
-    a, b = 0.0, Z_SQ_MAX
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
+    if p.kind == "simple":
+        return objective(np.clip(2.0 * (2.0 - w), 0.0, Z_SQ_MAX))
+    a, b = np.zeros_like(w), np.full_like(w, Z_SQ_MAX)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-    y = 0.5 * (a + b)
-    return min(objective(y), objective(0.0), objective(Z_SQ_MAX))
+    while np.max(b - a, initial=0.0) > _CONJUGATE_TOL:
+        left = fc < fd  # the minimum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fx = objective(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return np.minimum(objective(0.5 * (a + b)),
+                      np.minimum(objective(0.0), objective(Z_SQ_MAX)))[()]
 
 
 @dataclass(frozen=True)
@@ -165,36 +161,45 @@ class CouplingSpec:
         return self.family in ATTENTION_FAMILIES
 
 
+def _unit_sq_dists(gram: np.ndarray) -> np.ndarray:
+    """||z_i - z_j||^2 = 2 - 2 z_i.z_j of dot products of unit rows,
+    clipped to the domain against rounding."""
+    return np.clip(2.0 - 2.0 * gram, 0.0, Z_SQ_MAX)
+
+
 def attention_scores(p: PenaltyFamily, z: np.ndarray) -> np.ndarray:
     """Pairwise scores f(||z_i - z_j||^2) via the dot-product identity
     ||z_i - z_j||^2 = 2 - 2 z_i.z_j, valid for unit-norm rows."""
     z = as_matrix(z)
-    return _scores(p, z @ z.T)
-
-
-def _scores(p: PenaltyFamily, gram: np.ndarray) -> np.ndarray:
-    """f(2 - 2 g) of an array of dot products g of unit rows."""
-    z_sq = np.clip(2.0 - 2.0 * gram, 0.0, Z_SQ_MAX)
-    if p.kind == "simple":
-        return 2.0 - 0.5 * z_sq
-    if p.kind == "advanced":
-        return 1.0 / (1.0 + np.exp(0.5 * z_sq - 1.0))
-    if p.kind == "softmax":
-        return np.exp(1.0 - 0.5 * z_sq) * math.exp(1.0 / math.sqrt(p.dim_scale))
-    return np.ones_like(z_sq)
+    return penalty_f(p, _unit_sq_dists(z @ z.T))
 
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
     z = as_matrix(z)
-    if np.max(np.abs(row_norms(z) - 1.0), initial=0.0) > 1e-6:
-        raise ContractError("attention couplings require unit-norm embedding rows")
+    norms = row_norms(z)
+    bad = ~(np.abs(norms - 1.0) <= 1e-6)  # NaN and inf rows fail too
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ContractError("attention couplings require finite unit-norm embedding "
+                            f"rows; row {i} has norm {norms[i]}")
     return z
+
+
+def _row_normalizers(sums: np.ndarray) -> np.ndarray:
+    """The score row sums an attention coupling divides by. Every row holds
+    its own pair at u <= 4e-6 and f(0) > 0 for every family, so a row sum
+    that is not positive means a score broke that contract."""
+    bad = ~(sums > 0.0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ContractError(f"attention row {i} has score sum {sums[i]}, not positive")
+    return sums
 
 
 def build_coupling(spec: CouplingSpec, z: np.ndarray) -> np.ndarray:
     """The N x N attention coupling at unit-norm embeddings z: pairwise
     scores row-normalized, masked to the graph's edges plus self-loops for
-    gat_masked. A row whose scores sum to zero falls back to a self-loop."""
+    gat_masked."""
     if not spec.is_attention:
         raise ParameterError(f"{spec.family} is not an attention family; "
                              "use coupling_operator")
@@ -204,35 +209,20 @@ def build_coupling(spec: CouplingSpec, z: np.ndarray) -> np.ndarray:
         mask, (u, v) = np.eye(z.shape[0]), spec.graph_mask.edges.T
         mask[u, v] = mask[v, u] = 1.0
         omega = omega * mask
-    sums = omega.sum(axis=1)
-    dead = sums <= 0.0
-    if np.any(dead):
-        log.warning("build_coupling: %d degenerate row(s) fell back to self-loops",
-                    int(dead.sum()))
-        omega[dead, :] = 0.0
-        omega[dead, dead] = 1.0
-        sums = omega.sum(axis=1)
-    return omega / sums[:, None]
+    return omega / _row_normalizers(omega.sum(axis=1))[:, None]
 
 
 def gat_masked_coupling(p: PenaltyFamily, z: np.ndarray, g: Graph) -> EdgeOperator:
     """The gat_masked coupling on the edges of g plus self-loops in O(E d):
     scores f(2 - 2 z_i.z_j) of unit rows, each row normalized by its sum
-    (`np.bincount`), with `build_coupling`'s self-loop fallback for a row
-    whose scores sum to zero."""
+    (`np.bincount`)."""
     z = _unit_rows(z)
     if z.shape[0] != g.n:
         raise DimensionError(f"graph n={g.n} does not match embeddings {z.shape}")
     lay = g.neighbours
-    edge = _scores(p, np.einsum("ij,ij->i", z[lay.rows], z[lay.cols]))
-    loop = _scores(p, np.einsum("ij,ij->i", z, z))
-    sums = np.bincount(lay.rows, weights=edge, minlength=g.n) + loop
-    dead = sums <= 0.0
-    if np.any(dead):
-        log.warning("gat_masked_coupling: %d degenerate row(s) fell back to "
-                    "self-loops", int(dead.sum()))
-        edge[dead[lay.rows]] = 0.0
-        loop[dead] = sums[dead] = 1.0
+    edge = penalty_f(p, _unit_sq_dists(np.einsum("ij,ij->i", z[lay.rows], z[lay.cols])))
+    loop = penalty_f(p, _unit_sq_dists(np.einsum("ij,ij->i", z, z)))
+    sums = _row_normalizers(np.bincount(lay.rows, weights=edge, minlength=g.n) + loop)
     return EdgeOperator(lay, edge / sums[lay.rows], loop / sums)
 
 
@@ -348,14 +338,9 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
     return DenseCoupling(build_coupling(spec, z))
 
 
-def penalty_landscape(p: PenaltyFamily, step: float = 0.01) -> np.ndarray:
-    """Table of (z_sq, f, delta) rows over [0, 4]."""
-    grid = np.arange(0.0, Z_SQ_MAX + step / 2, step)
-    rows = [(u, penalty_f(p, u), penalty_delta(p, u)) for u in grid]
-    return np.array(rows)
-
-
-def write_penalty_landscape(path, p: PenaltyFamily, step: float = 0.01) -> None:
-    table = penalty_landscape(p, step)
+def write_penalty_landscape(path, p: PenaltyFamily) -> None:
+    """CSV table of (z_sq, f, delta) rows over [0, 4] in steps of 0.01."""
+    u = np.arange(0.0, Z_SQ_MAX + _LANDSCAPE_STEP / 2, _LANDSCAPE_STEP)
+    rows = zip(u.tolist(), penalty_f(p, u).tolist(), penalty_delta(p, u).tolist())
     atomic_write_text(path, "z_sq,f,delta\n" + "".join(
-        f"{u:.2f},{f_val:.17g},{d_val:.17g}\n" for u, f_val, d_val in table))
+        f"{u_val:.2f},{f_val:.17g},{d_val:.17g}\n" for u_val, f_val, d_val in rows))

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (Coupling, PenaltyFamily, attention_scores,
-                       coupling_operator, penalty_conjugate, penalty_delta_array)
+from .coupling import (Coupling, PenaltyFamily, coupling_operator, penalty_conjugate,
+                       penalty_delta)
 from .diffusion import Trajectory
 from .errors import ContractError, DimensionError, ParameterError
 from .graphs import Graph, atomic_write_text
@@ -105,7 +105,7 @@ def _penalty_sum(penalty: PenaltyFamily, z: np.ndarray) -> float:
         sum_u2 = (2.0 * n * float(b @ b) + 2.0 * sum_b**2
                   + 4.0 * float(np.sum(gram * gram)))
         return 2.0 * sum_u - 0.25 * sum_u2
-    return float(np.sum(penalty_delta_array(penalty, _pairwise_sq_dists(z))))
+    return float(np.sum(penalty_delta(penalty, _pairwise_sq_dists(z))))
 
 
 def regularized_energy(z, z_prev, penalty: PenaltyFamily, lam: float) -> float:
@@ -130,7 +130,7 @@ def surrogate_energy(z, z_prev, omega, penalty: PenaltyFamily, lam: float) -> fl
     d2 = _pairwise_sq_dists(z)
     local = float(np.sum((z - z_prev) ** 2))
     pair = float(np.sum(omega * d2))
-    conj = sum(penalty_conjugate(penalty, w) for w in omega.ravel())
+    conj = float(np.sum(penalty_conjugate(penalty, omega)))
     return local + lam * (pair - conj)
 
 
@@ -256,12 +256,6 @@ def audit_bounds(traj: Trajectory) -> EnergyReport:
         min_ratio=min(ratios) if ratios else None,
         max_ratio=max(ratios) if ratios else None,
     )
-
-
-def inferred_omega(penalty: PenaltyFamily, z) -> np.ndarray:
-    """Variational parameters from the diffusivity inference: the raw
-    pairwise scores f(||z_i - z_j||^2) before row normalization."""
-    return attention_scores(penalty, row_l2_normalize(as_matrix(z)))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -1,12 +1,16 @@
 """Dense N x N reference forms that the sparse couplings and the energies
-are checked against, the scalar-draw block-model generator, the two-key
-edge sorts, the composed simple-attention head and the two-forward training
-loop. They loop, materialize, record node by node or recompute on purpose
-and are meant for small N only."""
+are checked against, the scalar penalty pair, the scalar-draw block-model
+generator, the two-key edge sorts, the composed simple-attention head and
+the two-forward training loop. They loop, materialize, record node by node
+or recompute on purpose and are meant for small N only."""
+
+import math
 
 import numpy as np
 
-from endiff.coupling import CouplingSpec, PenaltyFamily, build_coupling, coupling_operator
+from endiff.coupling import (Z_SQ_MAX, CouplingSpec, PenaltyFamily, build_coupling,
+                             coupling_operator)
+from endiff.errors import DomainError
 from endiff.graphs import Dataset, Graph
 from endiff.model import Checkpoint, forward, init_model
 from endiff.train import (AdamState, TrainResult, _evaluate, _metric_improved,
@@ -74,6 +78,38 @@ def sparse_case(name, g, z):
     else:
         spec = CouplingSpec("gat_masked", PenaltyFamily(name[4:], dim_scale=4.0), g)
     return coupling_operator(spec, z, g), build_coupling(spec, z)
+
+
+def _check_domain_scalar(z_sq: float) -> float:
+    z_sq = float(z_sq)
+    if not (-1e-9 <= z_sq <= Z_SQ_MAX + 1e-9):
+        raise DomainError(f"z_sq={z_sq} outside [0, {Z_SQ_MAX}]")
+    return min(max(z_sq, 0.0), Z_SQ_MAX)
+
+
+def penalty_f_scalar(p: PenaltyFamily, z_sq: float) -> float:
+    """f(z^2) of one float, on `math`."""
+    u = _check_domain_scalar(z_sq)
+    if p.kind == "simple":
+        return 2.0 - 0.5 * u
+    if p.kind == "advanced":
+        return 1.0 / (1.0 + math.exp(0.5 * u - 1.0))
+    if p.kind == "softmax":
+        return math.exp(1.0 - 0.5 * u) * math.exp(1.0 / math.sqrt(p.dim_scale))
+    return 1.0
+
+
+def penalty_delta_scalar(p: PenaltyFamily, z_sq: float) -> float:
+    """delta(z^2) of one float, on `math`."""
+    u = _check_domain_scalar(z_sq)
+    if p.kind == "simple":
+        return 2.0 * u - 0.25 * u * u
+    if p.kind == "advanced":
+        return u - 2.0 * math.log(math.exp(0.5 * u - 1.0) + 1.0)
+    if p.kind == "softmax":
+        scale = math.exp(1.0 / math.sqrt(p.dim_scale))
+        return 2.0 * scale * (math.e - math.exp(1.0 - 0.5 * u))
+    return u
 
 
 def sbm_generate_loop(blocks, per_block, p_in, p_out, feat_dim, feat_shift, seed):

@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from endiff.coupling import PenaltyFamily, penalty_delta, penalty_f
-from endiff.energy import (inferred_omega, regularized_energy,
-                           surrogate_energy)
+from endiff.coupling import PenaltyFamily, attention_scores, penalty_delta, penalty_f
+from endiff.energy import regularized_energy, surrogate_energy
 from endiff.graphs import load_cora, sbm_generate
 from endiff.model import ModelConfig
 from endiff.numerics import row_l2_normalize
@@ -70,7 +69,7 @@ def test_surrogate_tightness_and_bound():
     for kind in ("simple", "advanced"):
         p = PenaltyFamily(kind)
         reg = regularized_energy(z, zp, p, lam)
-        omega = inferred_omega(p, z)
+        omega = attention_scores(p, row_l2_normalize(z))
         worst_gap = max(worst_gap, abs(surrogate_energy(z, zp, omega, p, lam) - reg))
         f_lo = penalty_f(p, 4.0)
         f_hi = penalty_f(p, 0.0)

@@ -43,6 +43,25 @@ def test_landscape_writes_tables(tmp_path, capsys):
     assert manifest["outputs"]
 
 
+# sha256 of `landscape --family all` at the default --dim-scale. The simple
+# and quadratic tables are exact arithmetic on the grid; the advanced and
+# softmax ones go through numpy's exp and log, whose last digits may differ
+# between numpy builds and CPUs.
+LANDSCAPE_DIGESTS = {
+    "simple": "4d4f7d5cb377c681b1555240f50a8d5743e5448ebdd74bf4de1c37278ddb5e42",
+    "advanced": "3fd09ebe5e2828a3acdf68ccd8f40271fb410b7509accb2842d0a08f651bbaac",
+    "softmax": "c5aa0fdb82e66c57afb95e1e9fbf12b0c60b3921f8bdf37f7a7e4226db476efb",
+    "quadratic": "92edebd703b46d22a7ad784ecb1f36124b731e0a6e970a1b32ecfe3723fdcde1",
+}
+
+
+def test_landscape_tables_keep_their_digests(tmp_path, capsys):
+    assert run_cli(["landscape", "--family", "all", "--out", str(tmp_path)], capsys)[0] == 0
+    got = {kind: hashlib.sha256((tmp_path / f"landscape_{kind}.csv").read_bytes()).hexdigest()
+           for kind in LANDSCAPE_DIGESTS}
+    assert got == LANDSCAPE_DIGESTS
+
+
 def test_synth_then_train_then_eval(tmp_path, capsys):
     data = tmp_path / "data"
     code, out, _ = run_cli(["synth", "--per-block", "15", "--blocks", "2",

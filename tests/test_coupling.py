@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import SPARSE_CASES, adjacency, sparse_case
-from endiff.coupling import (CouplingSpec, DenseCoupling,
-                             MeanCoupling, PenaltyFamily, SimpleAttention,
-                             attention_scores, build_coupling,
+from dense_oracles import (SPARSE_CASES, adjacency, penalty_delta_scalar,
+                           penalty_f_scalar, sparse_case)
+from endiff.coupling import (DIM_SCALE_MIN, PENALTY_KINDS, Z_SQ_MAX, CouplingSpec,
+                             DenseCoupling, MeanCoupling, PenaltyFamily,
+                             SimpleAttention, attention_scores, build_coupling,
                              coupling_operator, gat_masked_coupling,
-                             penalty_conjugate, penalty_delta,
-                             penalty_delta_array, penalty_f, penalty_f_range,
-                             penalty_landscape)
+                             penalty_conjugate, penalty_delta, penalty_f,
+                             penalty_f_range, write_penalty_landscape)
 from endiff.diffusion import graph_blended_step
 from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
 from endiff.graphs import EdgeOperator, Graph, er_graph
@@ -75,40 +75,80 @@ def test_penalty_domain_error():
         penalty_f(p, 4.5)
     with pytest.raises(DomainError):
         penalty_delta(p, -0.5)
-    with pytest.raises(DomainError):
-        penalty_delta_array(p, np.array([1.0, 9.0]))
+    # the first bad value is named, and NaN is never inside the domain
+    with pytest.raises(DomainError, match=r"z_sq=9.0 outside"):
+        penalty_delta(p, np.array([1.0, 9.0, -3.0]))
+    with pytest.raises(DomainError, match=r"z_sq=nan outside"):
+        penalty_delta(p, np.array([1.0, np.nan]))
+    with pytest.raises(DomainError, match=r"z_sq=nan outside"):
+        penalty_f(p, math.nan)
 
 
-def test_penalty_delta_array_matches_scalar():
-    grid = np.linspace(0.0, 4.0, 41)
-    for p in FD_FAMILIES + [PenaltyFamily("quadratic")]:
-        vec = penalty_delta_array(p, grid)
-        ref = np.array([penalty_delta(p, u) for u in grid])
-        assert np.allclose(vec, ref, atol=1e-14)
+_PENALTIES = st.builds(PenaltyFamily, st.sampled_from(PENALTY_KINDS),
+                       st.floats(DIM_SCALE_MIN, 1e6))
+_IN_DOMAIN = st.one_of(st.floats(-1e-9, Z_SQ_MAX + 1e-9), st.sampled_from((0.0, Z_SQ_MAX)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PENALTIES, st.lists(_IN_DOMAIN, min_size=1, max_size=20),
+       st.sampled_from((math.nan, -1e-8, Z_SQ_MAX + 1e-8, math.inf, -math.inf)))
+@example(PenaltyFamily("softmax", DIM_SCALE_MIN), [0.0, Z_SQ_MAX], math.nan)
+def test_penalty_pair_matches_the_scalar_oracle(p, us, outside):
+    # Both functions are monotone on [0, 4], so max(|g(0)|, |g(4)|) is the
+    # largest value either takes there; each is held to 1e-13 of that.
+    for pair, oracle in ((penalty_f, penalty_f_scalar), (penalty_delta, penalty_delta_scalar)):
+        want = np.array([oracle(p, u) for u in us])
+        tol = 1e-13 * max(abs(oracle(p, 0.0)), abs(oracle(p, Z_SQ_MAX)))
+        got = pair(p, np.array(us))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= tol)
+        assert all(abs(pair(p, u) - w) <= tol for u, w in zip(us, want))
+        for bad in (outside, np.array(us + [outside])):
+            with pytest.raises(DomainError):
+                pair(p, bad)
+
+
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+@pytest.mark.parametrize("dim_scale", [DIM_SCALE_MIN, 1e12])
+def test_every_family_scores_a_node_with_itself_positively(kind, dim_scale):
+    # every attention row holds its own pair at u ~ 0, so no row sum can
+    # reach zero while f(0) > 0 and f >= 0 on the domain
+    p = PenaltyFamily(kind, dim_scale)
+    f = penalty_f(p, np.linspace(0.0, Z_SQ_MAX, 401))
+    assert 0.0 < f[0] < math.inf
+    assert np.all(f >= 0.0)
 
 
 def test_conjugate_simple_closed_form():
     p = PenaltyFamily("simple")
     # delta~(omega) = inf_y (omega*y - delta(y)); optimum at y = 2(2-omega)
-    for omega in [0.0, 0.5, 1.0, 1.5, 2.0]:
-        y = 2.0 * (2.0 - omega)
-        expected = omega * y - penalty_delta(p, y)
-        assert penalty_conjugate(p, omega) == pytest.approx(expected, abs=1e-12)
+    omega = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    y = 2.0 * (2.0 - omega)
+    expected = omega * y - penalty_delta(p, y)
+    assert np.allclose(penalty_conjugate(p, omega), expected, rtol=0.0, atol=1e-12)
+    for w, want in zip(omega, expected):
+        assert penalty_conjugate(p, w) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", FD_FAMILIES, ids=lambda p: p.kind)
 def test_conjugate_against_grid_oracle(p):
     lo, hi = penalty_f_range(p)
     ys = np.linspace(0.0, 4.0, 40001)
-    deltas = penalty_delta_array(p, ys)
-    for omega in np.linspace(lo, hi, 7):
+    deltas = penalty_delta(p, ys)
+    omegas = np.linspace(lo, hi, 7)
+    together = penalty_conjugate(p, omegas.reshape(7, 1))
+    assert together.shape == (7, 1)
+    for omega, got in zip(omegas, together[:, 0]):
         oracle = float(np.min(omega * ys - deltas))
         assert penalty_conjugate(p, omega) == pytest.approx(oracle, abs=1e-7)
+        assert got == pytest.approx(penalty_conjugate(p, omega), abs=1e-14)
 
 
 def test_conjugate_out_of_range():
     with pytest.raises(DomainError):
         penalty_conjugate(PenaltyFamily("simple"), 3.0)
+    with pytest.raises(DomainError, match="omega=nan outside"):
+        penalty_conjugate(PenaltyFamily("advanced"), np.array([0.5, np.nan]))
 
 
 def test_coupling_spec_validation():
@@ -177,9 +217,8 @@ def test_build_coupling_static_families():
 
 
 def test_build_coupling_degenerate_row_fallback():
-    # gat_masked with an isolated node still has its self-loop, but a
-    # quadratic penalty zero-masked row would die; force it via a graph
-    # mask on an isolated node with a penalty that is zero at distance 0
+    # an isolated node's gat_masked row holds only its self-loop, which
+    # alone normalizes it
     z = np.eye(3)  # unit rows, pairwise distance sqrt(2)
     g = Graph(n=3, edges=((0, 1),))
     p = PenaltyFamily("simple")
@@ -187,11 +226,14 @@ def test_build_coupling_degenerate_row_fallback():
     assert np.allclose(s.sum(axis=1), 1.0)
 
 
-def test_penalty_landscape_table():
-    table = penalty_landscape(PenaltyFamily("simple"), step=0.5)
-    assert table.shape == (9, 3)
+def test_penalty_landscape_table(tmp_path):
+    write_penalty_landscape(tmp_path / "simple.csv", PenaltyFamily("simple"))
+    lines = (tmp_path / "simple.csv").read_text().splitlines()
+    assert lines[0] == "z_sq,f,delta"
+    table = np.loadtxt(lines[1:], delimiter=",")
+    assert table.shape == (401, 3)
     assert table[0, 0] == 0.0 and table[0, 1] == 2.0 and table[0, 2] == 0.0
-    assert table[-1, 0] == 4.0
+    assert table[-1].tolist() == [4.0, 0.0, 4.0]
 
 
 SIMPLE = CouplingSpec("attention", PenaltyFamily("simple"))
@@ -329,21 +371,30 @@ def test_edge_operator_with_asymmetric_weights(case, with_diagonal):
     _assert_operator_matches(EdgeOperator(lay, weights, diagonal), want, v)
 
 
-def test_gat_masked_coupling_falls_back_to_self_loops(monkeypatch, caplog):
+def test_attention_row_sum_that_is_not_positive_breaks_the_contract(monkeypatch):
     import endiff.coupling as coupling
 
     z = row_l2_normalize(np.random.default_rng(0).standard_normal((4, 3)))
     g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    spec = CouplingSpec("gat_masked", PenaltyFamily("simple"), g)
-    dense_scores = coupling.attention_scores
-    monkeypatch.setattr(coupling, "attention_scores",
-                        lambda p, z: np.zeros_like(dense_scores(p, z)))
-    monkeypatch.setattr(coupling, "_scores", lambda p, gram: np.zeros_like(gram))
-    op = coupling_operator(spec, z, g)
-    assert np.array_equal(op.dense(), np.eye(4))
-    assert np.array_equal(build_coupling(spec, z), np.eye(4))
-    assert np.array_equal(op.row_sums(), np.ones(4))
-    assert "degenerate row" in caplog.text
+    gat = CouplingSpec("gat_masked", PenaltyFamily("simple"), g)
+    monkeypatch.setattr(coupling, "penalty_f", lambda p, u: np.zeros_like(u))
+    for build in (lambda: coupling_operator(gat, z, g), lambda: build_coupling(gat, z),
+                  lambda: build_coupling(CouplingSpec("attention", PenaltyFamily()), z)):
+        with pytest.raises(ContractError, match="row 0 has score sum 0.0"):
+            build()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_attention_couplings_reject_non_finite_rows(bad):
+    z = np.eye(3)
+    z[1, 0] = bad
+    g = Graph.from_edge_list(3, [(0, 1)])
+    for spec in (SIMPLE, CouplingSpec("attention", PenaltyFamily("advanced")),
+                 CouplingSpec("gat_masked", PenaltyFamily("simple"), g)):
+        with pytest.raises(ContractError, match=f"row 1 has norm {bad}"):
+            coupling_operator(spec, z, g)
+        with pytest.raises(ContractError, match=f"row 1 has norm {bad}"):
+            build_coupling(spec, z)
 
 
 def test_gat_masked_coupling_checks_its_inputs():

@@ -7,11 +7,10 @@ import endiff.energy as energy
 from dense_oracles import (SPARSE_CASES, normalized_adjacency, pair_sum_loop,
                            quadratic_energy_loop, sparse_case)
 from endiff.coupling import (CouplingSpec, DenseCoupling, PenaltyFamily,
-                             coupling_operator, penalty_delta,
-                             penalty_delta_array)
+                             attention_scores, coupling_operator, penalty_delta)
 from endiff.diffusion import DiffusionConfig, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent,
-                           diversity, graph_regularized_energy, inferred_omega,
+                           diversity, graph_regularized_energy,
                            quadratic_energy, regularized_energy, source_energy,
                            surrogate_energy, write_trajectory_csv)
 from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
@@ -74,7 +73,7 @@ def test_surrogate_tight_at_inferred_omega():
     zp = rng.standard_normal((8, 4))
     for kind in ("simple", "advanced"):
         p = PenaltyFamily(kind)
-        omega = inferred_omega(p, z)
+        omega = attention_scores(p, row_l2_normalize(z))
         sur = surrogate_energy(z, zp, omega, p, 0.6)
         reg = regularized_energy(z, zp, p, 0.6)
         assert abs(sur - reg) <= 1e-7
@@ -232,7 +231,7 @@ def _ball_rows(draw):
 
 
 def _pairwise_penalty(z):
-    return float(np.sum(penalty_delta_array(SIMPLE_P, _pairwise_sq_dists(z))))
+    return float(np.sum(penalty_delta(SIMPLE_P, _pairwise_sq_dists(z))))
 
 
 def _refuse(*args, **kwargs):
