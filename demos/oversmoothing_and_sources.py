@@ -26,13 +26,11 @@ print(f"{'steps':>6}  {'no source':>12}  {'with source':>12}")
 
 spec = CouplingSpec("gcn_sym")
 for steps in (10, 50, 200, 500):
-    plain = run_trajectory(z0, spec, DiffusionConfig(tau=0.5, steps=steps,
-                                                     record_every=steps), g)
+    plain = run_trajectory(z0, spec, DiffusionConfig(tau=0.5, steps=steps), g)
     anchored = run_trajectory(z0, spec, DiffusionConfig(tau=0.5, steps=steps,
-                                                        beta=1.0,
-                                                        record_every=steps), g)
-    print(f"{steps:>6}  {diversity(plain.matrices[-1]):>12.3e}  "
-          f"{diversity(anchored.matrices[-1]):>12.3e}")
+                                                        beta=1.0), g)
+    print(f"{steps:>6}  {diversity(plain.snapshots[-1]):>12.3e}  "
+          f"{diversity(anchored.snapshots[-1]):>12.3e}")
 
 print("\nwithout the source the rows collapse geometrically; with it the")
 print("fixed point keeps a constant fraction of the initial diversity.")

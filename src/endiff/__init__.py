@@ -3,7 +3,7 @@
 Library layout:
   numerics   dense linear algebra helpers, spectral brackets, finite diffs
   tape       reverse-mode autodiff over float64 matrices
-  graphs     graph container, normalizations, synthetic and file datasets
+  graphs     graph container, sparse edge operators, synthetic and file datasets
   coupling   penalty families (f, delta) and coupling-matrix construction
   diffusion  explicit-Euler steppers and trajectory runner
   energy     energy functionals and descent / bound audits

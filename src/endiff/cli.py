@@ -36,6 +36,9 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
+# The coupling families that diffuse on a graph: --edges, or a seeded ER graph.
+_GRAPH_FAMILIES = ("gcn_sym", "gin", "gat_masked")
+
 
 def _sha256(path) -> str:
     digest = hashlib.sha256()
@@ -186,6 +189,9 @@ def cmd_diffuse(args) -> int:
             args.parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if args.edges is not None and args.features is None:
         args.parser.error("--edges needs --features")
+    if (args.features is not None and args.edges is None
+            and args.coupling in _GRAPH_FAMILIES):
+        args.parser.error(f"--coupling {args.coupling} with --features needs --edges")
     if (args.use_source and args.coupling in ATTENTION_FAMILIES
             and (args.coupling, args.penalty) != ("attention", "quadratic")):
         # The source pushes pairwise distances past 4, out of the penalty's
@@ -205,7 +211,7 @@ def cmd_diffuse(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         z0 = rng.standard_normal((args.n, args.dim))
-        if args.coupling in ("gcn_sym", "gin", "gat_masked"):
+        if args.coupling in _GRAPH_FAMILIES:
             g = er_graph(args.n, 0.3, args.seed)
     if args.coupling in STATIC_FAMILIES:
         spec = CouplingSpec(args.coupling)

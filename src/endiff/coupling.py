@@ -261,6 +261,7 @@ class SimpleAttention:
         self.z = z = _unit_rows(z)
         self.n = z.shape[0]
         self._denominator = self.n + z @ z.sum(axis=0)
+        self._row_sums = self.apply(np.ones((self.n, 1)))[:, 0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = _check_rows(self.n, v)
@@ -268,7 +269,7 @@ class SimpleAttention:
         return numerator / self._denominator[:, None]
 
     def row_sums(self) -> np.ndarray:
-        return self.apply(np.ones((self.n, 1)))[:, 0]
+        return self._row_sums
 
     def dense(self) -> np.ndarray:
         return build_coupling(CouplingSpec("attention", PenaltyFamily("simple")), self.z)
@@ -283,12 +284,13 @@ class DenseCoupling:
             raise DimensionError(f"coupling must be square, got {s.shape}")
         self.s = s
         self.n = s.shape[0]
+        self._row_sums = s.sum(axis=1)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.s @ _check_rows(self.n, v)
 
     def row_sums(self) -> np.ndarray:
-        return self.s.sum(axis=1)
+        return self._row_sums
 
     def dense(self) -> np.ndarray:
         return self.s

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Coupling, CouplingSpec, SimpleAttention, coupling_operator
-from .errors import ContractError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
 from .graphs import Graph
 from .numerics import as_matrix, row_l2_normalize
 
@@ -26,7 +26,6 @@ class DiffusionConfig:
     steps: int = 1
     beta: float = 0.0
     graph_blend: bool = False
-    record_every: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
@@ -35,31 +34,21 @@ class DiffusionConfig:
             raise ParameterError("steps must be >= 1")
         if self.beta < 0.0:
             raise ParameterError("beta must be >= 0")
-        if self.record_every < 1:
-            raise ParameterError("record_every must be >= 1")
 
 
 @dataclass
 class Trajectory:
-    snapshots: list[tuple[int, np.ndarray]]
+    """The states Z^(0), ..., Z^(K) of a run, indexed by step, and for each
+    the row sums S 1 of the coupling it diffuses with; the last state's is
+    the coupling a further step would use."""
+
+    snapshots: list[np.ndarray]
+    row_sums: list[np.ndarray]
     config: DiffusionConfig
     spec: CouplingSpec
     graph: Graph | None = None
     source: np.ndarray | None = None
     coupling: Coupling | None = None  # the static coupling; None for attention
-
-    def __post_init__(self):
-        steps = [k for k, _ in self.snapshots]
-        if not steps or steps[0] != 0 or any(a >= b for a, b in zip(steps, steps[1:])):
-            raise ContractError("snapshots must start at step 0 and strictly increase")
-
-    @property
-    def steps(self) -> list[int]:
-        return [k for k, _ in self.snapshots]
-
-    @property
-    def matrices(self) -> list[np.ndarray]:
-        return [z for _, z in self.snapshots]
 
 
 def euler_step(z: np.ndarray, s: Coupling, tau: float) -> np.ndarray:
@@ -94,36 +83,43 @@ def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
 
 def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
                    g: Graph | None = None) -> Trajectory:
-    """Iterate the configured diffusion for cfg.steps steps.
+    """Iterate the configured diffusion for cfg.steps steps, recording every
+    state and the row sums of the coupling it diffuses with.
 
     Attention families re-normalize the state to unit rows before each
     diffusivity inference (the dot-product identity behind the scores needs
-    it); static families build their coupling once and reuse it. The source
-    term (beta > 0) is the initial state.
+    it), so they build steps + 1 couplings, the last one only for its row
+    sums; static families build their coupling once and reuse it. The source
+    term (beta > 0) is the initial state. Graph blending adds the observed
+    graph to an attention coupling, so it needs both.
     """
-    z = as_matrix(z0).copy()
-    if spec.is_attention:
-        z = row_l2_normalize(z)
-    static = None if spec.is_attention else coupling_operator(spec, z, g)
-
-    h = z.copy()
     if cfg.graph_blend and g is None:
         raise ParameterError("graph_blend requires a graph")
+    if cfg.graph_blend and not spec.is_attention:
+        raise ParameterError(f"graph_blend requires an attention family, not {spec.family}")
+    z = row_l2_normalize(z0) if spec.is_attention else as_matrix(z0).copy()
+    static = None if spec.is_attention else coupling_operator(spec, z, g)
 
-    snapshots = [(0, z.copy())]
-    state = z
-    for k in range(cfg.steps):
-        if spec.is_attention:
-            state = row_l2_normalize(state)
-        s = static if static is not None else coupling_operator(spec, state, g)
+    def coupled(z: np.ndarray) -> tuple[np.ndarray, Coupling]:
+        """The state a step from z diffuses and the coupling it steps with."""
+        if static is not None:
+            return z, static
+        z = row_l2_normalize(z)
+        return z, coupling_operator(spec, z, g)
+
+    snapshots = [z]
+    state, s = coupled(z)
+    row_sums = [s.row_sums()]
+    for _ in range(cfg.steps):
         if cfg.graph_blend:
             nxt = graph_blended_step(state, s, g, cfg.tau)
         else:
             nxt = euler_step(state, s, cfg.tau)
         if cfg.beta > 0:
-            nxt = nxt + cfg.tau * cfg.beta * h
-        state = nxt
-        if (k + 1) % cfg.record_every == 0 or (k + 1) == cfg.steps:
-            snapshots.append((k + 1, state.copy()))
-    return Trajectory(snapshots=snapshots, config=cfg, spec=spec, graph=g,
-                      source=h if cfg.beta > 0 else None, coupling=static)
+            nxt = nxt + cfg.tau * cfg.beta * snapshots[0]
+        snapshots.append(nxt)
+        state, s = coupled(nxt)
+        row_sums.append(s.row_sums())
+    return Trajectory(snapshots=snapshots, row_sums=row_sums, config=cfg, spec=spec,
+                      graph=g, source=snapshots[0] if cfg.beta > 0 else None,
+                      coupling=static)

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (Coupling, PenaltyFamily, coupling_operator, penalty_conjugate,
-                       penalty_delta)
+from .coupling import Coupling, PenaltyFamily, penalty_conjugate, penalty_delta
 from .diffusion import Trajectory
 from .errors import ContractError, DimensionError, ParameterError
 from .graphs import Graph, atomic_write_text
-from .numerics import as_matrix, laplacian_spectral_bracket, row_l2_normalize
+from .numerics import as_matrix, laplacian_spectral_bracket
 
 DESCENT_SLACK = 1e-9
 BOUND_REL_SLACK = 1e-8
@@ -183,8 +182,8 @@ def _trajectory_energy(traj: Trajectory, k_next: int) -> float:
     cfg = traj.config
     spec = traj.spec
     lam = cfg.tau
-    z = traj.snapshots[k_next][1]
-    z_prev = traj.snapshots[k_next - 1][1]
+    z = traj.snapshots[k_next]
+    z_prev = traj.snapshots[k_next - 1]
     eta = lam * cfg.beta
     if spec.is_attention:
         anchor = z_prev if cfg.beta == 0 else z_prev + eta * traj.source
@@ -197,19 +196,12 @@ def _trajectory_energy(traj: Trajectory, k_next: int) -> float:
 
 
 def _audited_energies(traj: Trajectory) -> list[float]:
-    """E(Z^(k), k-1) for k = 1..K of a trajectory that recorded every
-    step."""
-    if traj.config.record_every != 1:
-        raise ContractError("audits need record_every = 1")
-    steps = traj.steps
-    if steps != list(range(len(steps))):
-        raise ContractError("audits need every step recorded")
-    return [_trajectory_energy(traj, k) for k in range(1, len(steps))]
+    """E(Z^(k), k-1) for k = 1..K."""
+    return [_trajectory_energy(traj, k) for k in range(1, len(traj.snapshots))]
 
 
 def audit_descent(traj: Trajectory, slack: float = DESCENT_SLACK) -> EnergyReport:
-    """Check E(Z^(k+1), k) <= E(Z^(k), k-1) along a fully recorded
-    trajectory."""
+    """Check E(Z^(k+1), k) <= E(Z^(k), k-1) along a trajectory."""
     energies = _audited_energies(traj)
     if len(energies) < 2:
         raise ContractError("descent audit needs at least two steps")
@@ -227,7 +219,7 @@ def audit_bounds(traj: Trajectory) -> EnergyReport:
     (1 - tau*l1)^2 E_k <= E_{k+1} <= (1 - tau*l2)^2 E_k for a static
     coupling, with l1/l2 the largest/smallest singular values of its
     Laplacian (an SVD of the dense coupling)."""
-    if traj.spec.is_attention or traj.config.beta > 0 or traj.config.graph_blend:
+    if traj.spec.is_attention or traj.config.beta > 0:
         raise ContractError("bound audit applies to plain static-coupling runs")
     tau = traj.config.tau
     bracket = laplacian_spectral_bracket(traj.coupling.dense())
@@ -262,16 +254,13 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV: step, energy (at lam = tau), diversity, min_row_sum,
     max_row_sum.
 
-    The row sums are S 1 of the coupling each snapshot diffuses with. The
-    text is built first and written once, so a run that fails part way
-    leaves no partial file.
+    The row sums are the run's record of S 1 for the coupling each snapshot
+    diffuses with. The text is built first and written once, so a run that
+    fails part way leaves no partial file.
     """
     lines = ["step,energy,diversity,min_row_sum,max_row_sum\n"]
-    for pos, (k, z) in enumerate(traj.snapshots):
-        energy = float("nan") if pos == 0 else _trajectory_energy(traj, pos)
-        s = (coupling_operator(traj.spec, row_l2_normalize(z), traj.graph)
-             if traj.spec.is_attention else traj.coupling)
-        sums = s.row_sums()
+    for k, (z, sums) in enumerate(zip(traj.snapshots, traj.row_sums)):
+        energy = float("nan") if k == 0 else _trajectory_energy(traj, k)
         lines.append(f"{k},{energy:.17g},{diversity(z):.17g},"
                      f"{sums.min():.17g},{sums.max():.17g}\n")
     atomic_write_text(path, "".join(lines))

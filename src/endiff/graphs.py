@@ -1,4 +1,4 @@
-"""Undirected graph container, its sparse edge operators, kNN, synthetic data.
+"""Undirected graph container, its sparse edge operators, synthetic data.
 
 File formats (plain text, one record per line):
   features  whitespace-separated floats, one node per line

@@ -166,11 +166,10 @@ def suite_oversmooth(seeds: int = 5, steps: int = 500) -> dict:
                 CouplingSpec("attention", PenaltyFamily("simple")), 1.0, None),
         }
         for name, (spec, beta, graph) in cases.items():
-            cfg = DiffusionConfig(tau=0.5, steps=steps, beta=beta,
-                                  record_every=steps)
+            cfg = DiffusionConfig(tau=0.5, steps=steps, beta=beta)
             traj = run_trajectory(z0, spec, cfg, graph)
-            d0 = diversity(traj.matrices[0])
-            d1 = diversity(traj.matrices[-1])
+            d0 = diversity(traj.snapshots[0])
+            d1 = diversity(traj.snapshots[-1])
             ratio = d1 / d0
             ratios.setdefault(name, []).append(ratio)
             if beta == 0.0 and ratio > 1e-6:

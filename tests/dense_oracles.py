@@ -1,7 +1,8 @@
 """Dense N x N reference forms that the sparse couplings and the energies
 are checked against, the scalar penalty pair, the scalar-draw block-model
-generator, the two-key edge sorts, the composed simple-attention head and
-the two-forward training loop. They loop, materialize, record node by node
+generator, the two-key edge sorts, the composed simple-attention head,
+the two-forward training loop and a trajectory's coupling row sums rebuilt
+per snapshot. They loop, materialize, record node by node
 or recompute on purpose and are meant for small N only."""
 
 import math
@@ -13,6 +14,7 @@ from endiff.coupling import (Z_SQ_MAX, CouplingSpec, PenaltyFamily, build_coupli
 from endiff.errors import DomainError
 from endiff.graphs import Dataset, Graph
 from endiff.model import Checkpoint, forward, init_model
+from endiff.numerics import row_l2_normalize
 from endiff.train import (AdamState, TrainResult, _evaluate, _metric_improved,
                           adam_step, induced_subgraph, minibatch_partition)
 
@@ -235,3 +237,12 @@ def train_loop_two_forwards(dataset, model_cfg, train_cfg):
     )
     return TrainResult(checkpoint=ckpt, history=history,
                        best_epoch=best_epoch, test_metric=test_best)
+
+
+def rebuilt_row_sums(traj) -> list:
+    """Each snapshot's coupling row sums S 1, rebuilt from the snapshot: an
+    attention coupling on the re-normalized state, else the run's one
+    static coupling."""
+    return [(coupling_operator(traj.spec, row_l2_normalize(z), traj.graph)
+             if traj.spec.is_attention else traj.coupling).row_sums()
+            for z in traj.snapshots]

@@ -357,6 +357,27 @@ def test_diffuse_edges_without_features_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("coupling", ["gcn_sym", "gin", "gat_masked"])
+def test_diffuse_graph_family_with_features_needs_edges(tmp_path, capsys, coupling):
+    f = tmp_path / "features.txt"
+    f.write_text("1 0\n0 1\n1 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["diffuse", "--coupling", coupling, "--features", str(f),
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"--coupling {coupling} with --features needs --edges" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_diffuse_attention_builds_one_coupling_per_step_and_one_more(
+        tmp_path, capsys, coupling_builds):
+    code, _, _ = run_cli(["diffuse", "--coupling", "attention", "--penalty", "simple",
+                          "--tau", "0.25", "--steps", "20", "--n", "16",
+                          "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert coupling_builds == ["attention"] * 21
+
+
 @pytest.mark.parametrize("name, text, line", [
     ("features", "0.1 0.2\n0.3 oops\n", 2),
     ("features", "0.1 0.2\n0.3 nan\n", 2),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dense_oracles import normalized_adjacency
-from endiff.coupling import (CouplingSpec, DenseCoupling, PenaltyFamily,
-                             SimpleAttention, build_coupling)
-from endiff.diffusion import (DiffusionConfig, Trajectory, euler_step,
-                              graph_blended_step, linear_simple_propagate,
-                              run_trajectory)
+from dense_oracles import normalized_adjacency, rebuilt_row_sums
+from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
+                             DenseCoupling, PenaltyFamily, SimpleAttention,
+                             build_coupling)
+from endiff.diffusion import (DiffusionConfig, euler_step, graph_blended_step,
+                              linear_simple_propagate, run_trajectory)
+from endiff.energy import write_trajectory_csv
 from endiff.errors import ContractError, DimensionError, ParameterError
 from endiff.graphs import Graph, er_graph
 from endiff.numerics import laplacian, row_l2_normalize
@@ -80,35 +81,17 @@ def test_diffusion_config_validation():
         DiffusionConfig(beta=-1.0)
 
 
-def test_trajectory_snapshot_contract():
-    cfg = DiffusionConfig()
-    spec = CouplingSpec("identity")
-    with pytest.raises(ContractError):
-        Trajectory(snapshots=[(1, np.ones((2, 2)))], config=cfg, spec=spec)
-    with pytest.raises(ContractError):
-        Trajectory(snapshots=[(0, np.ones((2, 2))), (0, np.ones((2, 2)))],
-                   config=cfg, spec=spec)
-
-
 def test_run_trajectory_static_records_every_step():
     rng = np.random.default_rng(6)
     g = er_graph(8, 0.4, 1)
     z0 = rng.standard_normal((8, 3))
     traj = run_trajectory(z0, CouplingSpec("gcn_sym"), DiffusionConfig(steps=5), g)
-    assert traj.steps == [0, 1, 2, 3, 4, 5]
+    assert len(traj.snapshots) == len(traj.row_sums) == 6
     s = normalized_adjacency(g, "sym")
     manual = z0.copy()
     for k in range(5):
         manual = euler_step(manual, DenseCoupling(s), 0.5)
-        assert np.allclose(traj.matrices[k + 1], manual, atol=1e-12)
-
-
-def test_run_trajectory_record_every():
-    rng = np.random.default_rng(7)
-    z0 = rng.standard_normal((6, 2))
-    traj = run_trajectory(z0, CouplingSpec("identity"),
-                          DiffusionConfig(steps=7, record_every=3))
-    assert traj.steps == [0, 3, 6, 7]
+        assert np.allclose(traj.snapshots[k + 1], manual, atol=1e-12)
 
 
 def test_run_trajectory_attention_normalizes_state_per_step():
@@ -117,12 +100,12 @@ def test_run_trajectory_attention_normalizes_state_per_step():
     spec = CouplingSpec("attention", PenaltyFamily("simple"))
     traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.25, steps=3))
     # step 0 snapshot is the normalized start
-    assert np.allclose(np.linalg.norm(traj.matrices[0], axis=1), 1.0)
+    assert np.allclose(np.linalg.norm(traj.snapshots[0], axis=1), 1.0)
     # each later snapshot is one euler step from the re-normalized previous
     for k in range(3):
-        state = row_l2_normalize(traj.matrices[k])
+        state = row_l2_normalize(traj.snapshots[k])
         s = build_coupling(spec, state)
-        assert np.allclose(traj.matrices[k + 1], euler_step(state, DenseCoupling(s), 0.25),
+        assert np.allclose(traj.snapshots[k + 1], euler_step(state, DenseCoupling(s), 0.25),
                            atol=1e-12)
 
 
@@ -135,7 +118,7 @@ def test_run_trajectory_source_defaults_to_initial_state():
     assert np.allclose(traj.source, z0)
     s = normalized_adjacency(g, "sym")
     step1 = euler_step(z0, DenseCoupling(s), 0.5) + 0.5 * z0
-    assert np.allclose(traj.matrices[1], step1, atol=1e-12)
+    assert np.allclose(traj.snapshots[1], step1, atol=1e-12)
 
 
 def test_run_trajectory_graph_blend_requires_graph():
@@ -143,6 +126,39 @@ def test_run_trajectory_graph_blend_requires_graph():
     spec = CouplingSpec("attention", PenaltyFamily("simple"))
     with pytest.raises(ParameterError):
         run_trajectory(z0, spec, DiffusionConfig(steps=1, graph_blend=True))
+
+
+@pytest.mark.parametrize("family", STATIC_FAMILIES)
+def test_run_trajectory_graph_blend_requires_attention(family):
+    # the blended step would descend an energy the audits do not score
+    g = er_graph(12, 0.4, 0)
+    z0 = np.random.default_rng(12).standard_normal((12, 3))
+    with pytest.raises(ParameterError, match="attention"):
+        run_trajectory(z0, CouplingSpec(family), DiffusionConfig(steps=2, graph_blend=True), g)
+
+
+def _every_family() -> list:
+    """(spec, graph) for each static family, gat_masked and attention under
+    each penalty."""
+    g = er_graph(12, 0.4, 3)
+    return ([pytest.param(CouplingSpec(f), g, id=f) for f in STATIC_FAMILIES]
+            + [pytest.param(CouplingSpec("gat_masked", PenaltyFamily("advanced"), g), g,
+                            id="gat_masked")]
+            + [pytest.param(CouplingSpec("attention", PenaltyFamily(k)), None,
+                            id=f"attention-{k}") for k in PENALTY_KINDS])
+
+
+@pytest.mark.parametrize("spec, g", _every_family())
+def test_a_run_records_the_row_sums_it_stepped_with(spec, g, coupling_builds, tmp_path):
+    # attention builds one coupling per step plus one for the last state's
+    # row sums; a static family builds its one coupling; the CSV builds none
+    z0 = np.random.default_rng(13).standard_normal((12, 3))
+    traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.1, steps=4), g)
+    write_trajectory_csv(traj, tmp_path / "traj.csv")
+    assert coupling_builds == [spec.family] * (5 if spec.is_attention else 1)
+    assert len(traj.row_sums) == len(traj.snapshots) == 5
+    for got, want in zip(traj.row_sums, rebuilt_row_sums(traj)):
+        assert np.array_equal(got, want)
 
 
 def test_row_stochastic_update_is_convex_combination():

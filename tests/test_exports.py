@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,31 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
     missing = [attr for attr in exported if not hasattr(mod, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _unused_imports(source: str) -> list:
+    """The names a module imports and never reads, with their lines."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_unused_import_scan_sees_one():
+    assert _unused_imports("import os\nfrom a.b import c as d, e\ne()\n") == [
+        (1, "os"), (2, "d")]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in Path(endiff.__file__).parent.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_module_imports_a_name_it_never_uses(path):
+    # __init__.py imports to re-export, so it is left out
+    source = (Path(endiff.__file__).parent / path).read_text()
+    assert _unused_imports(source) == []
