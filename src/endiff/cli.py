@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import (ATTENTION_FAMILIES, PENALTY_KINDS, STATIC_FAMILIES,
-                       CouplingSpec, PenaltyFamily, coupling_operator,
-                       write_penalty_landscape)
+from .coupling import (ATTENTION_FAMILIES, GRAPH_FAMILIES, PENALTY_KINDS,
+                       STATIC_FAMILIES, CouplingSpec, PenaltyFamily,
+                       coupling_operator, write_penalty_landscape)
 from .diffusion import DiffusionConfig, run_trajectory
 from .energy import write_trajectory_csv
 from .errors import EndiffError, FormatError
@@ -35,9 +35,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
-
-# The coupling families that diffuse on a graph: --edges, or a seeded ER graph.
-_GRAPH_FAMILIES = ("gcn_sym", "gin", "gat_masked")
 
 
 def _sha256(path) -> str:
@@ -190,7 +187,7 @@ def cmd_diffuse(args) -> int:
     if args.edges is not None and args.features is None:
         args.parser.error("--edges needs --features")
     if (args.features is not None and args.edges is None
-            and args.coupling in _GRAPH_FAMILIES):
+            and args.coupling in GRAPH_FAMILIES):
         args.parser.error(f"--coupling {args.coupling} with --features needs --edges")
     if (args.use_source and args.coupling in ATTENTION_FAMILIES
             and (args.coupling, args.penalty) != ("attention", "quadratic")):
@@ -211,7 +208,7 @@ def cmd_diffuse(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         z0 = rng.standard_normal((args.n, args.dim))
-        if args.coupling in _GRAPH_FAMILIES:
+        if args.coupling in GRAPH_FAMILIES:  # a seeded ER graph
             g = er_graph(args.n, 0.3, args.seed)
     if args.coupling in STATIC_FAMILIES:
         spec = CouplingSpec(args.coupling)
@@ -222,9 +219,7 @@ def cmd_diffuse(args) -> int:
             args.parser.error(f"--tau {args.tau} times the largest row sum {top:g} "
                               f"of the {args.coupling} coupling exceeds 1")
     else:
-        penalty = PenaltyFamily(args.penalty)
-        mask = g if args.coupling == "gat_masked" else None
-        spec = CouplingSpec(args.coupling, penalty, mask)
+        spec = CouplingSpec(args.coupling, PenaltyFamily(args.penalty))
         z0 = row_l2_normalize(z0)
     cfg = DiffusionConfig(tau=args.tau, steps=args.steps,
                           beta=1.0 if args.use_source else 0.0)

@@ -13,7 +13,8 @@ The dynamics see a coupling only through the `Coupling` protocol, built by
 operators (`graphs.EdgeOperator`), all_one and quadratic attention the
 column mean (`MeanCoupling`), simple attention `SimpleAttention`. Only
 advanced and softmax attention materialize N x N (`build_coupling`), which
-is otherwise the dense oracle of the tests.
+is otherwise the dense oracle of the tests. The GRAPH_FAMILIES take their
+graph from `coupling_operator`'s `g`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ PENALTY_KINDS = ("simple", "advanced", "softmax", "quadratic")
 STATIC_FAMILIES = ("identity", "all_one", "gcn_sym", "gin")
 ATTENTION_FAMILIES = ("attention", "gat_masked")
 COUPLING_FAMILIES = STATIC_FAMILIES + ATTENTION_FAMILIES
+GRAPH_FAMILIES = ("gcn_sym", "gin", "gat_masked")  # the ones that need a graph
 
 Z_SQ_MAX = 4.0
 _DOMAIN_SLACK = 1e-9
@@ -143,7 +145,6 @@ def penalty_conjugate(p: PenaltyFamily, omega):
 class CouplingSpec:
     family: str
     penalty: PenaltyFamily | None = None
-    graph_mask: Graph | None = None
 
     def __post_init__(self):
         if self.family not in COUPLING_FAMILIES:
@@ -153,8 +154,6 @@ class CouplingSpec:
                 raise ParameterError(f"{self.family} requires a penalty family")
         elif self.penalty is not None:
             raise ParameterError(f"{self.family} does not take a penalty")
-        if self.family == "gat_masked" and self.graph_mask is None:
-            raise ParameterError("gat_masked requires graph_mask")
 
     @property
     def is_attention(self) -> bool:
@@ -197,18 +196,13 @@ def _row_normalizers(sums: np.ndarray) -> np.ndarray:
 
 
 def build_coupling(spec: CouplingSpec, z: np.ndarray) -> np.ndarray:
-    """The N x N attention coupling at unit-norm embeddings z: pairwise
-    scores row-normalized, masked to the graph's edges plus self-loops for
-    gat_masked."""
-    if not spec.is_attention:
-        raise ParameterError(f"{spec.family} is not an attention family; "
-                             "use coupling_operator")
+    """The N x N unmasked attention coupling at unit-norm embeddings z:
+    pairwise scores, row-normalized."""
+    if spec.family != "attention":
+        raise ParameterError(f"{spec.family} is not an attention family with a "
+                             "dense form; use coupling_operator")
     z = _unit_rows(z)
     omega = attention_scores(spec.penalty, z)
-    if spec.family == "gat_masked":
-        mask, (u, v) = np.eye(z.shape[0]), spec.graph_mask.edges.T
-        mask[u, v] = mask[v, u] = 1.0
-        omega = omega * mask
     return omega / _row_normalizers(omega.sum(axis=1))[:, None]
 
 
@@ -315,9 +309,9 @@ class MeanCoupling:
 
 def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
                       g: Graph | None = None) -> Coupling:
-    """The coupling of spec at embeddings z (attention) or on graph g
-    (static); only unmasked advanced and softmax attention materialize
-    an N x N array."""
+    """The coupling of spec at embeddings z (attention) or on graph g (a
+    static family); gat_masked needs both. Only unmasked advanced and
+    softmax attention materialize an N x N array."""
     if spec.family in ("identity", "all_one"):
         if g is None and z is None:
             raise ParameterError(f"{spec.family} needs a graph or embeddings for N")
@@ -325,14 +319,14 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
         if spec.family == "all_one":
             return MeanCoupling(n)
         return EdgeOperator(Graph(n, ()).neighbours, np.zeros(0), np.ones(n))
-    if g is None and spec.family in ("gcn_sym", "gin"):
+    if g is None and spec.family in GRAPH_FAMILIES:
         raise ParameterError(f"{spec.family} requires a graph")
     if spec.family == "gcn_sym":
         return g.sym_operator
     if spec.family == "gin":  # A + I
         return EdgeOperator(g.neighbours, np.ones(len(g.neighbours.rows)), np.ones(g.n))
     if spec.family == "gat_masked":
-        return gat_masked_coupling(spec.penalty, z, spec.graph_mask)
+        return gat_masked_coupling(spec.penalty, z, g)
     if spec.penalty.kind == "simple":
         return SimpleAttention(z)
     if spec.penalty.kind == "quadratic":  # f = 1, so every s_ij = 1/N

@@ -15,8 +15,9 @@ takes one `apply` of the coupling (`_coupled_pair_sum`), so it costs
 O(E d) on a graph and never forms an N x N array.
 
 Pairwise distances do not change when every row is shifted by the same
-vector, so diversity and the simple family's penalty are evaluated in
-closed form on the centred rows Y = Z - mean(Z), in O(N d) and O(N d^2).
+vector, so diversity and the quadratic and simple families' penalties are
+evaluated in closed form on the centred rows Y = Z - mean(Z), in O(N d) for
+the first two and O(N d^2) for the last.
 """
 
 from __future__ import annotations
@@ -76,31 +77,26 @@ def quadratic_energy(z, z_prev, s: Coupling, lam: float) -> float:
     return local + lam * _coupled_pair_sum(s, z)
 
 
-def source_energy(z, z_prev, s, lam: float, eta: float, h) -> float:
-    """Quadratic energy with the anchor shifted to Z_prev + eta * H."""
-    z_prev = as_matrix(z_prev)
-    h = as_matrix(h)
-    _check_same_shape(z_prev, h)
-    return quadratic_energy(z, z_prev + eta * h, s, lam)
-
-
 def _penalty_sum(penalty: PenaltyFamily, z: np.ndarray) -> float:
     """sum_ij delta(||z_i - z_j||^2) over all ordered pairs.
 
-    The simple family, delta(u) = 2u - u^2/4, takes its exact closed form
-    when every row lies in the unit ball (up to rounding), which keeps every
-    pairwise u in the domain [0, 4]. With b_i = |y_i|^2: sum u = 2N sum b
-    and sum u^2 = 2N sum b^2 + 2 (sum b)^2 + 4 ||Y^T Y||_F^2. Any other case
+    The quadratic family, delta(u) = u, and the simple family,
+    delta(u) = 2u - u^2/4, take their exact closed forms when every row lies
+    in the unit ball (up to rounding), which keeps every pairwise u in the
+    domain [0, 4]. With b_i = |y_i|^2: sum u = 2N sum b, in O(N d), and
+    sum u^2 = 2N sum b^2 + 2 (sum b)^2 + 4 ||Y^T Y||_F^2. Any other case
     goes pair by pair, which rejects a u outside the domain.
     """
-    if (penalty.kind == "simple"
+    if (penalty.kind in ("simple", "quadratic")
             and np.max(np.sum(z * z, axis=1)) <= 1.0 + UNIT_BALL_SLACK):
         n = z.shape[0]
         y = z - z.mean(axis=0)
         b = np.sum(y * y, axis=1)
         sum_b = float(b.sum())
-        gram = y.T @ y
         sum_u = 2.0 * n * sum_b
+        if penalty.kind == "quadratic":
+            return sum_u
+        gram = y.T @ y
         sum_u2 = (2.0 * n * float(b @ b) + 2.0 * sum_b**2
                   + 4.0 * float(np.sum(gram * gram)))
         return 2.0 * sum_u - 0.25 * sum_u2
@@ -177,22 +173,20 @@ class EnergyReport:
 
 def _trajectory_energy(traj: Trajectory, k_next: int) -> float:
     """E(Z^(k_next), k_next-1) with the energy form matching the trajectory:
-    quadratic for static couplings, regularized for attention, source /
-    graph-regularized variants when configured, at lam = tau."""
+    quadratic for static couplings, regularized for attention, the
+    graph-regularized variant when configured, at lam = tau. A source term
+    shifts the anchor to Z_prev + tau * beta * H."""
     cfg = traj.config
     spec = traj.spec
     lam = cfg.tau
     z = traj.snapshots[k_next]
     z_prev = traj.snapshots[k_next - 1]
-    eta = lam * cfg.beta
-    if spec.is_attention:
-        anchor = z_prev if cfg.beta == 0 else z_prev + eta * traj.source
-        if cfg.graph_blend:
-            return graph_regularized_energy(z, anchor, spec.penalty, traj.graph, lam)
-        return regularized_energy(z, anchor, spec.penalty, lam)
-    if cfg.beta > 0:
-        return source_energy(z, z_prev, traj.coupling, lam, eta, traj.source)
-    return quadratic_energy(z, z_prev, traj.coupling, lam)
+    anchor = z_prev if cfg.beta == 0 else z_prev + lam * cfg.beta * traj.source
+    if not spec.is_attention:
+        return quadratic_energy(z, anchor, traj.coupling, lam)
+    if cfg.graph_blend:
+        return graph_regularized_energy(z, anchor, spec.penalty, traj.graph, lam)
+    return regularized_energy(z, anchor, spec.penalty, lam)
 
 
 def _audited_energies(traj: Trajectory) -> list[float]:

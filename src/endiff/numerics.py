@@ -26,13 +26,19 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def row_l2_normalize(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Divide each row by max(its L2 norm, eps)."""
+def row_l2_divisors(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+    """max(L2 norm, eps) of each row of m, as a column: what
+    `row_l2_normalize` and the tape primitive of that name divide by. Rows
+    run along the last axis; leading axes are a batch."""
     if eps <= 0:
         raise ContractError("eps must be positive")
+    return np.maximum(np.sqrt(np.sum(m * m, axis=-1, keepdims=True)), eps)
+
+
+def row_l2_normalize(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+    """Divide each row by max(its L2 norm, eps)."""
     m = as_matrix(m)
-    norms = np.sqrt(np.sum(m * m, axis=1, keepdims=True))
-    return m / np.maximum(norms, eps)
+    return m / row_l2_divisors(m, eps)
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:

@@ -1,22 +1,26 @@
 """A minimal reverse-mode differentiation tape over dense float64 matrices,
-and a non-recording evaluator with the same primitives.
+and `Eager`, the tape that records nothing.
 
-Each primitive is a `Tape` method: it computes its value eagerly, records
-its parents and vector-Jacobian product in execution order, and returns the
-value in a `Ref`. The tape keeps no values: each lives as long as its Refs
-or a VJP that captured it. `backward` runs reverse accumulation from a
-scalar loss, fills per-parameter gradients and releases each node it runs,
-so a tape is differentiated once. The graph channel enters through
-`sym_apply`, which takes a symmetric operator instead of a dense matrix, and
-a simple-attention head is the one fused primitive `linear_attention`, whose
+Each primitive is one `Tape` method. It reads its operands through `_value`,
+computes its value once over the last two (matrix) axes, and hands the
+value, its operands and its vector-Jacobian product to `_record`, which
+appends a node in execution order and returns the value in a `Ref`. The
+tape keeps no values: each lives as long as its Refs or a VJP that captured
+it. The VJPs are 2-D. `backward` runs reverse accumulation from a scalar
+loss, fills per-parameter gradients and releases each node it runs, so a
+tape is differentiated once. The graph channel enters through `sym_apply`,
+which takes a symmetric operator instead of a dense matrix, and a
+simple-attention head is the one fused primitive `linear_attention`, whose
 VJP runs through the same O(N d^2) accumulators as its value. A tape is
 confined to a single thread for its lifetime; distinct tapes are
 independent.
 
-`Eager` computes the same values from plain arrays and records nothing, for
-forwards that are never differentiated (evaluation, finite differences). Its
-inputs may carry leading batch axes: a stack of B matrices evaluates B
-forwards in one pass.
+`Eager` overrides the two hooks: its operands are plain arrays and
+`_record` returns the bare value, so forwards that are never differentiated
+(evaluation, finite differences) run the very same primitives. Its inputs
+may carry leading batch axes: a stack of B matrices evaluates B forwards in
+one pass. Besides the leaves, it overrides only the two primitives whose
+batch behaviour differs, `sym_apply` and `masked_cross_entropy`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError
-from .numerics import LAYER_NORM_EPS, NORM_EPS, as_matrix
+from .numerics import LAYER_NORM_EPS, NORM_EPS, as_matrix, row_l2_divisors
 
 
 class Ref:
@@ -42,41 +46,6 @@ class Ref:
     @property
     def shape(self):
         return self.value.shape
-
-
-def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-
-
-def _check_pair(kind: str, a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[-2:] != b.shape[-2:]:
-        raise DimensionError(f"{kind} shape mismatch: {a.shape} vs {b.shape}")
-
-
-def _check_row_scale(a: np.ndarray, v: np.ndarray) -> None:
-    if v.shape[-2:] != (a.shape[-2], 1):
-        raise DimensionError(
-            f"diag-scale-rows needs a {a.shape[-2]}x1 scale, got {v.shape}"
-        )
-
-
-def _check_row(row: np.ndarray) -> None:
-    if row.shape[-2] != 1:
-        raise DimensionError(f"broadcast-row needs a 1xd row, got {row.shape}")
-
-
-def _row_l2_normalize(a: np.ndarray, eps: float):
-    norms = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
-    denom = np.maximum(norms, eps)
-    return a / denom, norms, denom
-
-
-def _layer_norm(a: np.ndarray, eps: float):
-    mean = a.mean(axis=-1, keepdims=True)
-    var = np.mean((a - mean) ** 2, axis=-1, keepdims=True)
-    std = np.sqrt(var + eps)
-    return (a - mean) / std, std
 
 
 def _cross_entropy(logits: np.ndarray, labels, mask):
@@ -98,32 +67,6 @@ def _cross_entropy(logits: np.ndarray, labels, mask):
     return rows, labels[rows], shifted, lse - picked
 
 
-def _linear_attention(qt: np.ndarray, kt: np.ndarray, v: np.ndarray):
-    """(1^T V + Q~(K~^T V)) / (N + Q~(K~^T 1)) row by row, over the last two
-    axes, from the accumulators of V with a ones column appended, V1 = [V 1]:
-    K~^T V1 (d x (m+1)) and 1^T V1. Returns (value, K~^T V1, denominators);
-    no N x N array is formed."""
-    if qt.shape[-1] != kt.shape[-1] or kt.shape[-2] != v.shape[-2]:
-        raise DimensionError(
-            f"linear attention shape mismatch: {qt.shape}, {kt.shape}, {v.shape}")
-    v1 = np.concatenate([v, np.ones(v.shape[:-1] + (1,))], axis=-1)
-    kv1 = np.swapaxes(kt, -1, -2) @ v1
-    acc = v1.sum(axis=-2, keepdims=True) + qt @ kv1  # [numerators | denominators]
-    denom = acc[..., -1:]
-    if np.any(denom <= 0):
-        raise DomainError("linear attention denominator N + q~.sum(k~) is not positive")
-    return acc[..., :-1] / denom, kv1, denom
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 class Tape:
     def __init__(self):
         # (parent indices aligned with the vjp's outputs, vjp or None);
@@ -131,10 +74,15 @@ class Tape:
         self.nodes: list[tuple | None] = []
         self.params: dict[str, tuple[int, tuple]] = {}  # name -> (idx, shape)
 
-    # -- leaves ---------------------------------------------------------
+    # -- hooks and leaves -----------------------------------------------
+
+    def _value(self, ref: Ref) -> np.ndarray:
+        return ref.value
 
     def _record(self, value, parents, vjp) -> Ref:
-        self.nodes.append((parents, vjp))
+        """A node of `value` whose VJP maps its adjoint to those of the
+        `parents` Refs; the node keeps their indices, not their values."""
+        self.nodes.append((tuple(p.idx for p in parents), vjp))
         return Ref(self, len(self.nodes) - 1, value)
 
     def constant(self, value) -> Ref:
@@ -150,25 +98,35 @@ class Tape:
     # -- primitives -----------------------------------------------------
 
     def matmul(self, a: Ref, b: Ref) -> Ref:
-        av, bv = a.value, b.value
-        _check_matmul(av, bv)
-        return self._record(
-            av @ bv, (a.idx, b.idx),
-            lambda g: (g @ bv.T, av.T @ g),
-        )
+        av, bv = self._value(a), self._value(b)
+        if av.shape[-1] != bv.shape[-2]:
+            raise DimensionError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
+        return self._record(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
     def sym_apply(self, op, a: Ref) -> Ref:
         """op.apply(a) for a fixed symmetric linear operator `op`, such as
         `Graph.sym_operator`. Symmetry makes op.apply(g) the VJP."""
-        return self._record(op.apply(a.value), (a.idx,),
+        return self._record(op.apply(self._value(a)), (a,),
                             lambda g: (op.apply(g),))
 
     def linear_attention(self, qt: Ref, kt: Ref, v: Ref) -> Ref:
         """Simple attention S V with S = diag^-1(N + Q~ K~^T 1)(1 + Q~ K~^T),
-        in O(N d^2). The VJP is the non-causal linear-transformer gradient
-        through the same accumulators (Katharopoulos et al. 2020, sec. 3)."""
-        qv, kv, vv = qt.value, kt.value, v.value
-        out, kv1, denom = _linear_attention(qv, kv, vv)
+        in O(N d^2): (1^T V + Q~(K~^T V)) / (N + Q~(K~^T 1)) row by row, from
+        the accumulators of V with a ones column appended, V1 = [V 1]:
+        K~^T V1 (d x (m+1)) and 1^T V1. No N x N array is formed. The VJP is
+        the non-causal linear-transformer gradient through the same
+        accumulators (Katharopoulos et al. 2020, sec. 3)."""
+        qv, kv, vv = self._value(qt), self._value(kt), self._value(v)
+        if qv.shape[-1] != kv.shape[-1] or kv.shape[-2] != vv.shape[-2]:
+            raise DimensionError(
+                f"linear attention shape mismatch: {qv.shape}, {kv.shape}, {vv.shape}")
+        v1 = np.concatenate([vv, np.ones(vv.shape[:-1] + (1,))], axis=-1)
+        kv1 = np.swapaxes(kv, -1, -2) @ v1
+        acc = v1.sum(axis=-2, keepdims=True) + qv @ kv1  # [numerators | denominators]
+        denom = acc[..., -1:]
+        if np.any(denom <= 0):
+            raise DomainError("linear attention denominator N + q~.sum(k~) is not positive")
+        out = acc[..., :-1] / denom
 
         def vjp(g):
             # adjoint of [numerators | denominators], then of the accumulators
@@ -180,112 +138,123 @@ class Tape:
             g_v = kv @ g_kv1[:, :-1] + g_num.sum(axis=0, keepdims=True)
             return g_acc @ kv1.T, g_kt, g_v
 
-        return self._record(out, (qt.idx, kt.idx, v.idx), vjp)
+        return self._record(out, (qt, kt, v), vjp)
 
-    def _elemwise_pair(self, kind, a: Ref, b: Ref, value, vjp) -> Ref:
-        _check_pair(kind, a.value, b.value)
-        return self._record(value, (a.idx, b.idx), vjp)
+    def _pair(self, kind, a: Ref, b: Ref):
+        av, bv = self._value(a), self._value(b)
+        if av.shape[-2:] != bv.shape[-2:]:
+            raise DimensionError(f"{kind} shape mismatch: {av.shape} vs {bv.shape}")
+        return av, bv
 
     def add(self, a: Ref, b: Ref) -> Ref:
-        return self._elemwise_pair(
-            "add", a, b, a.value + b.value, lambda g: (g, g)
-        )
+        av, bv = self._pair("add", a, b)
+        return self._record(av + bv, (a, b), lambda g: (g, g))
 
     def scale(self, a: Ref, c: float) -> Ref:
         c = float(c)
-        return self._record(c * a.value, (a.idx,), lambda g: (c * g,))
+        return self._record(c * self._value(a), (a,), lambda g: (c * g,))
 
     def hadamard(self, a: Ref, b: Ref) -> Ref:
-        av, bv = a.value, b.value
-        return self._elemwise_pair(
-            "hadamard", a, b, av * bv, lambda g: (g * bv, g * av)
-        )
+        av, bv = self._pair("hadamard", a, b)
+        return self._record(av * bv, (a, b), lambda g: (g * bv, g * av))
 
     def sigmoid(self, a: Ref) -> Ref:
-        y = _sigmoid(a.value)
-        return self._record(y, (a.idx,), lambda g: (g * y * (1.0 - y),))
+        x = self._value(a)
+        y = np.empty_like(x)
+        pos = x >= 0
+        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        y[~pos] = ex / (1.0 + ex)
+        return self._record(y, (a,), lambda g: (g * y * (1.0 - y),))
 
     def relu(self, a: Ref) -> Ref:
-        av = a.value
+        av = self._value(a)
         mask = av > 0
-        return self._record(av * mask, (a.idx,), lambda g: (g * mask,))
+        return self._record(av * mask, (a,), lambda g: (g * mask,))
 
     def reciprocal(self, a: Ref) -> Ref:
-        y = 1.0 / a.value
-        return self._record(y, (a.idx,), lambda g: (-g * y * y,))
+        y = 1.0 / self._value(a)
+        return self._record(y, (a,), lambda g: (-g * y * y,))
 
     def transpose(self, a: Ref) -> Ref:
-        return self._record(a.value.T.copy(), (a.idx,), lambda g: (g.T,))
+        # A contiguous copy: BLAS picks its kernel by layout, so a view
+        # could change a product's last bits.
+        return self._record(np.swapaxes(self._value(a), -1, -2).copy(), (a,),
+                            lambda g: (g.T,))
 
     def row_l2_normalize(self, a: Ref, eps: float = NORM_EPS) -> Ref:
-        y, norms, denom = _row_l2_normalize(a.value, eps)
+        av = self._value(a)
+        denom = row_l2_divisors(av, eps)
+        y = av / denom
 
         def vjp(g):
             # Rows at/below eps are a plain 1/eps scaling: no projection.
             dot = np.sum(g * y, axis=1, keepdims=True)
-            dot[norms <= eps] = 0.0
+            dot[denom <= eps] = 0.0
             return ((g - y * dot) / denom,)
 
-        return self._record(y, (a.idx,), vjp)
+        return self._record(y, (a,), vjp)
 
     def layer_norm(self, a: Ref, eps: float = LAYER_NORM_EPS) -> Ref:
-        y, std = _layer_norm(a.value, eps)
+        av = self._value(a)
+        mean = av.mean(axis=-1, keepdims=True)
+        std = np.sqrt(np.mean((av - mean) ** 2, axis=-1, keepdims=True) + eps)
+        y = (av - mean) / std
 
         def vjp(g):
             gm = g.mean(axis=1, keepdims=True)
             gy = np.mean(g * y, axis=1, keepdims=True)
             return ((g - gm - y * gy) / std,)
 
-        return self._record(y, (a.idx,), vjp)
+        return self._record(y, (a,), vjp)
 
     def mean_over_list(self, refs: list[Ref]) -> Ref:
         if not refs:
             raise ContractError("mean-over-list needs at least one input")
-        shape = refs[0].value.shape
-        for r in refs:
-            if r.value.shape != shape:
-                raise DimensionError("mean-over-list inputs must share a shape")
+        values = [self._value(r) for r in refs]
+        if any(v.shape[-2:] != values[0].shape[-2:] for v in values):
+            raise DimensionError("mean-over-list inputs must share a shape")
         k = len(refs)
-        value = sum(r.value for r in refs) / k
-        return self._record(
-            value, tuple(r.idx for r in refs),
-            lambda g: tuple(g / k for _ in range(k)),
-        )
+        return self._record(sum(values) / k, refs,
+                            lambda g: tuple(g / k for _ in range(k)))
 
     def diag_scale_rows(self, a: Ref, v: Ref) -> Ref:
         """Multiply row i of `a` by scalar v[i, 0]."""
-        av, vv = a.value, v.value
-        _check_row_scale(av, vv)
+        av, vv = self._value(a), self._value(v)
+        if vv.shape[-2:] != (av.shape[-2], 1):
+            raise DimensionError(
+                f"diag-scale-rows needs a {av.shape[-2]}x1 scale, got {vv.shape}")
         return self._record(
-            av * vv, (a.idx, v.idx),
+            av * vv, (a, v),
             lambda g: (g * vv, np.sum(g * av, axis=1, keepdims=True)),
         )
 
     def row_sum(self, a: Ref) -> Ref:
-        av = a.value
+        av = self._value(a)
         return self._record(
-            av.sum(axis=1, keepdims=True), (a.idx,),
+            av.sum(axis=-1, keepdims=True), (a,),
             lambda g: (np.broadcast_to(g, av.shape).copy(),),
         )
 
     def broadcast_row(self, row: Ref, n: int) -> Ref:
-        rv = row.value
-        _check_row(rv)
+        rv = self._value(row)
+        if rv.shape[-2] != 1:
+            raise DimensionError(f"broadcast-row needs a 1xd row, got {rv.shape}")
         return self._record(
-            np.repeat(rv, n, axis=0), (row.idx,),
+            np.broadcast_to(rv, rv.shape[:-2] + (n, rv.shape[-1])), (row,),
             lambda g: (g.sum(axis=0, keepdims=True),),
         )
 
     def sum_all(self, a: Ref) -> Ref:
-        av = a.value
+        av = self._value(a)
         return self._record(
-            np.array([[av.sum()]]), (a.idx,),
+            np.array([[av.sum()]]), (a,),
             lambda g: (np.full_like(av, g[0, 0]),),
         )
 
     def masked_cross_entropy(self, logits: Ref, labels: np.ndarray, mask: np.ndarray) -> Ref:
         """Mean negative log-softmax likelihood over masked rows (1x1 output)."""
-        lv = logits.value
+        lv = self._value(logits)
         rows, targets, shifted, losses = _cross_entropy(lv, labels, mask)
         value = np.array([[float(np.mean(losses))]])
 
@@ -297,10 +266,10 @@ class Tape:
             grad[rows] = p * (g[0, 0] / rows.size)
             return (grad,)
 
-        return self._record(value, (logits.idx,), vjp)
+        return self._record(value, (logits,), vjp)
 
     def masked_mse(self, pred: Ref, target: np.ndarray, mask: np.ndarray) -> Ref:
-        pv = pred.value
+        pv = self._value(pred)
         target = as_matrix(target)
         mask = np.asarray(mask, dtype=bool)
         if target.shape != pv.shape or mask.shape[0] != pv.shape[0]:
@@ -316,7 +285,7 @@ class Tape:
             grad[rows] = diff * (2.0 * g[0, 0] / diff.size)
             return (grad,)
 
-        return self._record(value, (pred.idx,), vjp)
+        return self._record(value, (pred,), vjp)
 
     # -- reverse pass ---------------------------------------------------
 
@@ -355,25 +324,30 @@ class Tape:
         return grads
 
 
-class Eager:
-    """The `Tape` primitives that `model.forward` and the cross-entropy loss
-    use, evaluated on plain arrays with nothing recorded.
+class Eager(Tape):
+    """The `Tape` that records nothing: every primitive takes and returns
+    plain arrays, and no VJP is kept.
 
     Every input may carry leading batch axes in front of its last two
     (matrix) axes, and inputs broadcast against each other over them, so a
     stack of B parameter matrices runs B forwards at once. On 2-D inputs
-    each value is the one `Tape` computes.
+    each value is the one `Tape` computes, bit for bit.
     """
+
+    def __init__(self):
+        pass  # no nodes and no parameter registry
+
+    def _value(self, value: np.ndarray) -> np.ndarray:
+        return value
+
+    def _record(self, value, parents, vjp) -> np.ndarray:
+        return value
 
     def constant(self, value) -> np.ndarray:
         return np.asarray(value, dtype=np.float64)
 
     def parameter(self, name: str, value) -> np.ndarray:
         return np.asarray(value, dtype=np.float64)
-
-    def matmul(self, a, b):
-        _check_matmul(a, b)
-        return a @ b
 
     def sym_apply(self, op, a):
         """op.apply on every matrix of `a`, with the batch folded into
@@ -382,54 +356,6 @@ class Eager:
         cols = np.moveaxis(a, -2, 0).reshape(n, -1)
         out = op.apply(cols).reshape((n,) + a.shape[:-2] + (d,))
         return np.moveaxis(out, 0, -2)
-
-    def linear_attention(self, qt, kt, v):
-        return _linear_attention(qt, kt, v)[0]
-
-    def add(self, a, b):
-        _check_pair("add", a, b)
-        return a + b
-
-    def scale(self, a, c: float):
-        return float(c) * a
-
-    def sigmoid(self, a):
-        return _sigmoid(a)
-
-    def relu(self, a):
-        return a * (a > 0)
-
-    def reciprocal(self, a):
-        return 1.0 / a
-
-    def transpose(self, a):
-        # A contiguous copy, as the tape makes: BLAS picks its kernel by
-        # layout, and the same layout keeps 2-D values equal bit for bit.
-        return np.ascontiguousarray(np.swapaxes(a, -1, -2))
-
-    def row_l2_normalize(self, a, eps: float = NORM_EPS):
-        return _row_l2_normalize(a, eps)[0]
-
-    def layer_norm(self, a, eps: float = LAYER_NORM_EPS):
-        return _layer_norm(a, eps)[0]
-
-    def mean_over_list(self, values: list):
-        if not values:
-            raise ContractError("mean-over-list needs at least one input")
-        for v in values:
-            _check_pair("mean-over-list", values[0], v)
-        return sum(values) / len(values)
-
-    def diag_scale_rows(self, a, v):
-        _check_row_scale(a, v)
-        return a * v
-
-    def row_sum(self, a):
-        return a.sum(axis=-1, keepdims=True)
-
-    def broadcast_row(self, row, n: int):
-        _check_row(row)
-        return np.broadcast_to(row, row.shape[:-2] + (n, row.shape[-1]))
 
     def masked_cross_entropy(self, logits, labels, mask) -> np.ndarray:
         """Mean masked-row loss of each matrix in the stack: an array of

@@ -108,8 +108,8 @@ def induced_subgraph(g: Graph, idx: np.ndarray) -> Graph:
 
 def metric(kind: str, predictions, labels, mask) -> float:
     """accuracy: argmax agreement; rocauc: Mann-Whitney with tie midranks
-    on the positive-class score; mse: mean squared error. All over masked
-    rows only."""
+    on the positive-class score; mse: mean squared error of a single
+    output. All over masked rows only."""
     if kind not in METRIC_KINDS:
         raise ParameterError(f"unknown metric {kind!r}")
     predictions = np.asarray(predictions, dtype=np.float64)
@@ -123,6 +123,9 @@ def metric(kind: str, predictions, labels, mask) -> float:
     if kind == "accuracy":
         return float(np.mean(np.argmax(pred, axis=1) == lab))
     if kind == "mse":
+        if pred.ndim == 2 and pred.shape[1] > 1:
+            raise DimensionError(
+                f"mse needs one output per node, got {pred.shape[1]} outputs")
         target = np.asarray(lab, dtype=np.float64).reshape(pred.shape)
         return float(np.mean((pred - target) ** 2))
     # rocauc
@@ -181,9 +184,9 @@ def _epochs(params, dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainCo
 
     A full batch is every node in order, so it keeps the dataset's graph and
     its cached operator, and epoch e+1's training forward is epoch e's
-    evaluation (Tape and Eager logits agree bit for bit). Epoch e is yielded
-    before that forward's backward, so a caller that stops there keeps epoch
-    e's parameters."""
+    evaluation (Eager runs Tape's primitives, so their logits agree bit for
+    bit). Epoch e is yielded before that forward's backward, so a caller
+    that stops there keeps epoch e's parameters."""
     state = AdamState.for_params(params)
     full_batch = train_cfg.batch_size == 0
     for epoch in range(train_cfg.epochs):

@@ -1,16 +1,17 @@
-"""Dense N x N reference forms that the sparse couplings and the energies
-are checked against, the scalar penalty pair, the scalar-draw block-model
-generator, the two-key edge sorts, the composed simple-attention head,
-the two-forward training loop and a trajectory's coupling row sums rebuilt
-per snapshot. They loop, materialize, record node by node
-or recompute on purpose and are meant for small N only."""
+"""Dense N x N reference forms that the sparse couplings (the masked
+attention coupling among them) and the energies are checked against, the
+scalar penalty pair, the scalar-draw block-model generator, the two-key
+edge sorts, the composed simple-attention head, the two-forward training
+loop and a trajectory's coupling row sums rebuilt per snapshot. They loop,
+materialize, record node by node or recompute on purpose and are meant for
+small N only."""
 
 import math
 
 import numpy as np
 
-from endiff.coupling import (Z_SQ_MAX, CouplingSpec, PenaltyFamily, build_coupling,
-                             coupling_operator)
+from endiff.coupling import (Z_SQ_MAX, CouplingSpec, PenaltyFamily, attention_scores,
+                             build_coupling, coupling_operator)
 from endiff.errors import DomainError
 from endiff.graphs import Dataset, Graph
 from endiff.model import Checkpoint, forward, init_model
@@ -77,9 +78,19 @@ def sparse_case(name, g, z):
                 normalized_adjacency(g, STATIC_FAMILY_MODES[name]))
     if name == "quadratic":
         spec = CouplingSpec("attention", PenaltyFamily("quadratic"))
-    else:
-        spec = CouplingSpec("gat_masked", PenaltyFamily(name[4:], dim_scale=4.0), g)
-    return coupling_operator(spec, z, g), build_coupling(spec, z)
+        return coupling_operator(spec, z, g), build_coupling(spec, z)
+    p = PenaltyFamily(name[4:], dim_scale=4.0)
+    return coupling_operator(CouplingSpec("gat_masked", p), z, g), gat_masked_dense(p, z, g)
+
+
+def gat_masked_dense(p: PenaltyFamily, z, g) -> np.ndarray:
+    """The N x N gat_masked coupling at unit rows z: pairwise scores masked
+    to the edges of g plus self-loops, each row divided by its sum. The
+    oracle of `coupling.gat_masked_coupling`."""
+    mask, (u, v) = np.eye(z.shape[0]), g.edges.T
+    mask[u, v] = mask[v, u] = 1.0
+    omega = attention_scores(p, z) * mask
+    return omega / omega.sum(axis=1)[:, None]
 
 
 def _check_domain_scalar(z_sq: float) -> float:

@@ -520,6 +520,7 @@ def test_diffuse_simple_attention_builds_no_dense_array(tmp_path, capsys, monkey
 ])
 def test_diffuse_sparse_families_build_no_dense_array(tmp_path, capsys, monkeypatch, argv):
     import endiff.coupling as coupling
+    import endiff.energy as energy
     import endiff.graphs as graphs
     import endiff.numerics as numerics
 
@@ -531,6 +532,7 @@ def test_diffuse_sparse_families_build_no_dense_array(tmp_path, capsys, monkeypa
         monkeypatch.setattr(cls, "dense", refuse)
     monkeypatch.setattr(coupling, "build_coupling", refuse)
     monkeypatch.setattr(numerics, "laplacian", refuse)
+    monkeypatch.setattr(energy, "_pairwise_sq_dists", refuse)
     code, out, _ = run_cli(["diffuse", "--tau", "0.25", *argv, "--steps", "4",
                             "--n", "30", "--out", str(tmp_path)], capsys)
     assert code == 0
@@ -722,6 +724,7 @@ def small_checkpoint(tmp_path_factory):
 @example(("eval", [("--checkpoint", b"\x80")]))
 @example(("landscape", [("--dim-scale", "nan")]))
 @example(("synth", [("--feat-shift", "inf")]))
+@example(("eval", [("--metric", "mse")]))
 def test_every_exit_code_is_documented_and_no_traceback(small_checkpoint, run):
     """Bad flag values, unknown choices and flags, missing and malformed
     files: every run ends in 0, 1, 2 or 3 with a one-line error, never an

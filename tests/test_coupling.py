@@ -158,8 +158,6 @@ def test_coupling_spec_validation():
         CouplingSpec("attention")  # needs a penalty
     with pytest.raises(ParameterError):
         CouplingSpec("gcn_sym", PenaltyFamily("simple"))  # static, no penalty
-    with pytest.raises(ParameterError):
-        CouplingSpec("gat_masked", PenaltyFamily("simple"))  # needs mask
 
 
 def test_attention_scores_dot_identity():
@@ -193,7 +191,7 @@ def test_build_coupling_gat_masked_support():
     rng = np.random.default_rng(3)
     z = row_l2_normalize(rng.standard_normal((4, 3)))
     g = Graph.from_edge_list(4, [(0, 1), (2, 3)])
-    s = build_coupling(CouplingSpec("gat_masked", PenaltyFamily("simple"), g), z)
+    s = coupling_operator(CouplingSpec("gat_masked", PenaltyFamily("simple")), z, g).dense()
     mask = adjacency(g) + np.eye(4)
     assert np.all(s[mask == 0] == 0)
     assert np.allclose(s.sum(axis=1), 1.0)
@@ -210,8 +208,12 @@ def test_build_coupling_static_families():
     assert np.allclose(coupling_operator(CouplingSpec("all_one"), g=g).dense(), 1.0 / 3)
     gin = coupling_operator(CouplingSpec("gin"), g=g).dense()
     assert np.array_equal(gin, adjacency(g) + np.eye(3))
-    with pytest.raises(ParameterError):
-        coupling_operator(CouplingSpec("gcn_sym"))  # no graph
+    gat = CouplingSpec("gat_masked", PenaltyFamily("simple"))
+    with pytest.raises(ParameterError, match="not an attention family"):
+        build_coupling(gat, np.eye(3))  # its dense form is a test oracle
+    for spec in (CouplingSpec("gcn_sym"), gat):
+        with pytest.raises(ParameterError, match="requires a graph"):
+            coupling_operator(spec, np.eye(3))
     with pytest.raises(ParameterError):
         coupling_operator(CouplingSpec("all_one"))  # no N
 
@@ -222,7 +224,7 @@ def test_build_coupling_degenerate_row_fallback():
     z = np.eye(3)  # unit rows, pairwise distance sqrt(2)
     g = Graph(n=3, edges=((0, 1),))
     p = PenaltyFamily("simple")
-    s = build_coupling(CouplingSpec("gat_masked", p, g), z)
+    s = coupling_operator(CouplingSpec("gat_masked", p), z, g).dense()
     assert np.allclose(s.sum(axis=1), 1.0)
 
 
@@ -311,7 +313,7 @@ def test_coupling_operator_picks_the_accumulator_form_for_simple_attention():
     assert coupling_operator(CouplingSpec("gcn_sym"), z, g) is g.sym_operator
     for family in ("identity", "gin"):
         assert isinstance(coupling_operator(CouplingSpec(family), z, g), EdgeOperator)
-    gat = CouplingSpec("gat_masked", PenaltyFamily("simple"), g)
+    gat = CouplingSpec("gat_masked", PenaltyFamily("simple"))
     assert isinstance(coupling_operator(gat, z, g), EdgeOperator)
     quad = CouplingSpec("attention", PenaltyFamily("quadratic"))
     for spec in (quad, CouplingSpec("all_one")):
@@ -376,9 +378,9 @@ def test_attention_row_sum_that_is_not_positive_breaks_the_contract(monkeypatch)
 
     z = row_l2_normalize(np.random.default_rng(0).standard_normal((4, 3)))
     g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    gat = CouplingSpec("gat_masked", PenaltyFamily("simple"), g)
+    gat = CouplingSpec("gat_masked", PenaltyFamily("simple"))
     monkeypatch.setattr(coupling, "penalty_f", lambda p, u: np.zeros_like(u))
-    for build in (lambda: coupling_operator(gat, z, g), lambda: build_coupling(gat, z),
+    for build in (lambda: coupling_operator(gat, z, g),
                   lambda: build_coupling(CouplingSpec("attention", PenaltyFamily()), z)):
         with pytest.raises(ContractError, match="row 0 has score sum 0.0"):
             build()
@@ -390,11 +392,12 @@ def test_attention_couplings_reject_non_finite_rows(bad):
     z[1, 0] = bad
     g = Graph.from_edge_list(3, [(0, 1)])
     for spec in (SIMPLE, CouplingSpec("attention", PenaltyFamily("advanced")),
-                 CouplingSpec("gat_masked", PenaltyFamily("simple"), g)):
+                 CouplingSpec("gat_masked", PenaltyFamily("simple"))):
         with pytest.raises(ContractError, match=f"row 1 has norm {bad}"):
             coupling_operator(spec, z, g)
-        with pytest.raises(ContractError, match=f"row 1 has norm {bad}"):
-            build_coupling(spec, z)
+        if spec.family == "attention":
+            with pytest.raises(ContractError, match=f"row 1 has norm {bad}"):
+                build_coupling(spec, z)
 
 
 def test_gat_masked_coupling_checks_its_inputs():

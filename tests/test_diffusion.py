@@ -142,7 +142,7 @@ def _every_family() -> list:
     each penalty."""
     g = er_graph(12, 0.4, 3)
     return ([pytest.param(CouplingSpec(f), g, id=f) for f in STATIC_FAMILIES]
-            + [pytest.param(CouplingSpec("gat_masked", PenaltyFamily("advanced"), g), g,
+            + [pytest.param(CouplingSpec("gat_masked", PenaltyFamily("advanced")), g,
                             id="gat_masked")]
             + [pytest.param(CouplingSpec("attention", PenaltyFamily(k)), None,
                             id=f"attention-{k}") for k in PENALTY_KINDS])

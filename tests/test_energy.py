@@ -11,7 +11,7 @@ from endiff.coupling import (CouplingSpec, DenseCoupling, PenaltyFamily,
 from endiff.diffusion import DiffusionConfig, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent,
                            diversity, graph_regularized_energy,
-                           quadratic_energy, regularized_energy, source_energy,
+                           quadratic_energy, regularized_energy,
                            surrogate_energy, write_trajectory_csv)
 from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
 from endiff.graphs import EdgeOperator, Graph, er_graph
@@ -42,16 +42,6 @@ def test_quadratic_energy_errors():
         quadratic_energy(z, z, DenseCoupling(np.ones((4, 4))), 1.0)
     with pytest.raises(ParameterError):
         quadratic_energy(z, z, DenseCoupling(np.ones((3, 3))), -1.0)
-
-
-def test_source_energy_shifts_anchor():
-    rng = np.random.default_rng(2)
-    z = rng.standard_normal((5, 3))
-    zp = rng.standard_normal((5, 3))
-    h = rng.standard_normal((5, 3))
-    s = DenseCoupling(np.abs(rng.standard_normal((5, 5))))
-    direct = source_energy(z, zp, s, 0.5, 0.3, h)
-    assert direct == pytest.approx(quadratic_energy(z, zp + 0.3 * h, s, 0.5))
 
 
 def test_regularized_energy_quadratic_family_matches_quadratic_form():
@@ -207,6 +197,7 @@ def test_write_trajectory_csv_attention_reads_the_run(tmp_path):
 
 
 SIMPLE_P = PenaltyFamily("simple")
+QUADRATIC_P = PenaltyFamily("quadratic")
 
 
 def _close(fast: float, slow: float, z: np.ndarray) -> bool:
@@ -237,8 +228,8 @@ def _ball_rows(draw):
     return z, z_prev, draw(st.floats(0.0, 1.0))
 
 
-def _pairwise_penalty(z):
-    return float(np.sum(penalty_delta(SIMPLE_P, _pairwise_sq_dists(z))))
+def _pairwise_penalty(z, p=SIMPLE_P):
+    return float(np.sum(penalty_delta(p, _pairwise_sq_dists(z))))
 
 
 def _refuse(*args, **kwargs):
@@ -264,6 +255,29 @@ def test_simple_energies_closed_form_match_pairwise(case):
         fast_graph = graph_regularized_energy(z, z_prev, SIMPLE_P, g, lam)
     assert _close(fast, slow, z)
     assert _close(fast_graph, slow_graph, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ball_rows())
+@example((np.array([[0.6, 0.8]]), np.zeros((1, 2)), 1.0))  # N = 1
+@example((np.tile([[0.0, 1.0]], (4, 1)), np.ones((4, 2)), 0.5))  # collapsed
+@example((np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros((2, 2)), 1.0))  # u = 4
+def test_quadratic_energy_closed_form_matches_pairwise(case):
+    z, z_prev, lam = case
+    slow = float(np.sum((z - z_prev) ** 2)) + lam * _pairwise_penalty(z, QUADRATIC_P)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_pairwise_sq_dists", _refuse)
+        fast = regularized_energy(z, z_prev, QUADRATIC_P, lam)
+    assert _close(fast, slow, z)
+
+
+def test_quadratic_energy_outside_the_unit_ball_goes_pair_by_pair():
+    z = np.array([[1.2, 0.0], [1.0, 0.0], [0.9, 0.3]])
+    assert regularized_energy(z, z, QUADRATIC_P, 0.7) == 0.7 * _pairwise_penalty(
+        z, QUADRATIC_P)
+    z = np.array([[1.5, 0.0], [-1.5, 0.0], [0.0, 1.0]])  # u = 9 > 4
+    with pytest.raises(DomainError):
+        regularized_energy(z, z, QUADRATIC_P, 0.7)
 
 
 def test_simple_energy_outside_the_unit_ball_uses_the_pairwise_domain():
@@ -354,7 +368,7 @@ def test_coupled_energies_match_the_pairwise_loop(case, lam, eta):
     with pytest.MonkeyPatch.context() as mp:  # the fast forms stay sparse
         mp.setattr(type(op), "dense", _refuse)
         fast = quadratic_energy(z, z_prev, op, lam)
-        fast_source = source_energy(z, z_prev, op, lam, eta, h)
+        fast_source = quadratic_energy(z, z_prev + eta * h, op, lam)
     floor = 1e-12 * lam * _pair_terms(z, s)
     assert fast == pytest.approx(quadratic_energy_loop(z, z_prev, s, lam),
                                  rel=1e-12, abs=floor)

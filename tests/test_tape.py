@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dense_oracles import linear_attention_composed
 from endiff.errors import ContractError, DimensionError, DomainError
+from endiff.graphs import Graph
 from endiff.numerics import finite_diff_grad, row_l2_normalize
 from endiff.tape import Eager, Tape
 
@@ -34,12 +35,64 @@ def _gradcheck(build_loss, shapes, seed=0, h=1e-6, tol=1e-6):
         assert err < tol, f"{name}: rel err {err}"
 
 
-def test_forward_values_match_eager():
-    tape = Tape()
-    a = tape.constant([[1.0, 2.0], [3.0, 4.0]])
-    b = tape.constant([[1.0, 0.0], [0.0, 1.0]])
-    out = tape.matmul(a, b)
-    assert np.allclose(out.value, [[1, 2], [3, 4]])
+def _operands():
+    """2-D inputs for every primitive; row 0 of `a` is zero, below eps."""
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((2, 6, 4))
+    a[0] = 0.0
+    return {"a": a, "b": b, "w": rng.standard_normal((4, 3)),
+            "col": rng.uniform(0.5, 2.0, (6, 1)), "row": rng.standard_normal((1, 4)),
+            "qt": 0.5 * row_l2_normalize(b[::-1]), "kt": row_l2_normalize(b)}
+
+
+_OPERANDS = _operands()
+_LABELS, _MASK = np.arange(6) % 4, np.arange(6) % 3 != 1
+# Each primitive on one evaluator: x maps the names of _OPERANDS to its operands.
+_PRIMITIVES = {
+    "constant": lambda e, x: e.constant(_OPERANDS["a"]),
+    "parameter": lambda e, x: e.parameter("p", _OPERANDS["a"]),
+    "matmul": lambda e, x: e.matmul(x["a"], x["w"]),
+    "sym_apply": lambda e, x: e.sym_apply(
+        Graph.from_edge_list(6, [(0, 1), (1, 2), (3, 4)]).sym_operator, x["b"]),
+    "linear_attention": lambda e, x: e.linear_attention(x["qt"], x["kt"], x["a"]),
+    "add": lambda e, x: e.add(x["a"], x["b"]),
+    "scale": lambda e, x: e.scale(x["a"], -0.3),
+    "hadamard": lambda e, x: e.hadamard(x["a"], x["b"]),
+    "sigmoid": lambda e, x: e.sigmoid(x["b"]),
+    "relu": lambda e, x: e.relu(x["b"]),
+    "reciprocal": lambda e, x: e.reciprocal(x["b"]),
+    "transpose": lambda e, x: e.transpose(x["b"]),
+    "row_l2_normalize": lambda e, x: e.row_l2_normalize(x["a"]),
+    "layer_norm": lambda e, x: e.layer_norm(x["a"]),
+    "mean_over_list": lambda e, x: e.mean_over_list([x["a"], x["b"], x["a"]]),
+    "diag_scale_rows": lambda e, x: e.diag_scale_rows(x["b"], x["col"]),
+    "row_sum": lambda e, x: e.row_sum(x["b"]),
+    "broadcast_row": lambda e, x: e.broadcast_row(x["row"], 6),
+    "sum_all": lambda e, x: e.sum_all(x["b"]),
+    "masked_cross_entropy": lambda e, x: e.masked_cross_entropy(x["b"], _LABELS, _MASK),
+    "masked_mse": lambda e, x: e.masked_mse(x["b"], _OPERANDS["a"], _MASK),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVES))
+def test_tape_and_eager_compute_the_same_bits(name):
+    t = Tape()
+    on_tape = _PRIMITIVES[name](t, {k: t.constant(v) for k, v in _OPERANDS.items()}).value
+    eager = _PRIMITIVES[name](Eager(), _OPERANDS)
+    if name == "masked_cross_entropy":  # one loss per matrix: 0-d for one matrix
+        on_tape = on_tape[0, 0]
+    assert np.shape(eager) == np.shape(on_tape)
+    assert np.array_equal(eager, on_tape)
+
+
+def test_eager_defines_only_its_hooks_and_batch_overrides():
+    # Every other primitive is Tape's own definition, so the two cannot drift.
+    own = {name for name, member in vars(Eager).items() if callable(member)}
+    assert own == {"__init__", "_value", "_record", "constant", "parameter",
+                   "sym_apply", "masked_cross_entropy"}
+    primitives = {name for name, member in vars(Tape).items()
+                  if callable(member) and not name.startswith("_")}
+    assert primitives - {"backward"} == set(_PRIMITIVES)
 
 
 def test_backward_requires_scalar():

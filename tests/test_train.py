@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from endiff.errors import ContractError, ParameterError, UndefinedMetricError
+from endiff.errors import ContractError, DimensionError, ParameterError, UndefinedMetricError
 from endiff.coupling import PenaltyFamily, write_penalty_landscape
 from endiff.graphs import Dataset, Graph, sbm_generate
 from endiff.model import Checkpoint, ModelConfig, forward, init_model
@@ -124,6 +124,8 @@ def test_metric_accuracy_and_mse():
     mse_pred = np.array([[1.0], [2.0]])
     assert metric("mse", mse_pred, np.array([1.0, 4.0]),
                   np.ones(2, dtype=bool)) == pytest.approx(2.0)
+    with pytest.raises(DimensionError, match="got 2 outputs"):
+        metric("mse", pred, labels, mask)  # one label per node, two outputs
 
 
 def test_metric_rocauc_hand_value():
