@@ -47,7 +47,6 @@ class Trajectory:
     config: DiffusionConfig
     spec: CouplingSpec
     graph: Graph | None = None
-    source: np.ndarray | None = None
     coupling: Coupling | None = None  # the static coupling; None for attention
 
 
@@ -121,5 +120,4 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
         state, s = coupled(nxt)
         row_sums.append(s.row_sums())
     return Trajectory(snapshots=snapshots, row_sums=row_sums, config=cfg, spec=spec,
-                      graph=g, source=snapshots[0] if cfg.beta > 0 else None,
-                      coupling=static)
+                      graph=g, coupling=static)

@@ -175,13 +175,13 @@ def _trajectory_energy(traj: Trajectory, k_next: int) -> float:
     """E(Z^(k_next), k_next-1) with the energy form matching the trajectory:
     quadratic for static couplings, regularized for attention, the
     graph-regularized variant when configured, at lam = tau. A source term
-    shifts the anchor to Z_prev + tau * beta * H."""
+    shifts the anchor to Z_prev + tau * beta * Z^(0), the source."""
     cfg = traj.config
     spec = traj.spec
     lam = cfg.tau
     z = traj.snapshots[k_next]
     z_prev = traj.snapshots[k_next - 1]
-    anchor = z_prev if cfg.beta == 0 else z_prev + lam * cfg.beta * traj.source
+    anchor = z_prev if cfg.beta == 0 else z_prev + lam * cfg.beta * traj.snapshots[0]
     if not spec.is_attention:
         return quadratic_energy(z, anchor, traj.coupling, lam)
     if cfg.graph_blend:

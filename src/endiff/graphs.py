@@ -2,7 +2,8 @@
 
 File formats (plain text, one record per line):
   features  whitespace-separated floats, one node per line
-  labels    one integer per line, -1 marks unlabeled
+  labels    one integer >= -1 per line; -1 marks an unlabeled row, which is
+            neither trained nor scored
   edges     "u v" integer pair, 0-indexed; directed input is symmetrized
   split     one of train/val/test per line
 Cora adapter: content lines "id f1 ... fD class_name"; cites lines
@@ -232,7 +233,9 @@ class Dataset:
         return int(labeled.max()) + 1 if labeled.size else 0
 
     def mask(self, tag: str) -> np.ndarray:
-        return self.split == tag
+        """The labeled rows tagged `tag`: an unlabeled (-1) row is neither
+        trained nor scored."""
+        return (self.split == tag) & (self.labels >= 0)
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:
@@ -471,8 +474,11 @@ def load_dataset(features_path, labels_path, edges_path=None, split_path=None) -
     for i, (ln, line) in enumerate(label_lines):
         try:
             labels[i] = int(line.strip())
-        except ValueError:
+        except (ValueError, OverflowError):
             raise FormatError(f"{labels_path}:{ln}: bad label") from None
+    below = np.flatnonzero(labels < -1)  # -1 is the one unlabeled mark
+    if below.size:
+        raise FormatError(f"{labels_path}:{label_lines[below[0]][0]}: bad label")
 
     graph = None if edges_path is None else read_edges(edges_path, n)
 

@@ -1,13 +1,14 @@
 """Trainable all-pair propagation network built on the autodiff tape.
 
 Pipeline per forward pass: input projection + LayerNorm + ReLU, then K
-propagation layers. Each layer projects per-head Q/K/V, L2-normalizes the
-Q and K rows, propagates V through either the linear simple-attention form
-(one fused tape primitive per head, O(N d^2)) or the dense sigmoid-kernel
-form, and averages the heads. The optional sym-normalized graph channel S
-is linear, so mean_h (P_h + S V_h) = mean_h P_h + S mean_h V_h: it costs one
-application of the graph's cached sparse operator per layer, O(E d), on the
-mean of the heads' V. The result is blended with the previous state at step
+propagation layers. Each layer projects per-head Q/K/V and propagates V
+through one tape primitive per head, which L2-normalizes the Q and K rows
+itself: the linear simple-attention form (`linear_attention`, O(N d^2)) or
+the dense sigmoid-kernel form (`sigmoid_attention`, O(N^2 d)). The heads
+are averaged. The optional sym-normalized graph channel S is linear, so
+mean_h (P_h + S V_h) = mean_h P_h + S mean_h V_h: it costs one application
+of the graph's cached sparse operator per layer, O(E d), on the mean of the
+heads' V. The result is blended with the previous state at step
 size tau before a LayerNorm. The output head is a plain affine map.
 `forward` runs on a recording `Tape` for training, or on the non-recording
 `Eager` evaluator, whose parameters may be stacks of matrices that run one
@@ -91,12 +92,6 @@ def init_model(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def _advanced_head(t: Tape, qt: Ref, kt: Ref, v: Ref) -> Ref:
-    # Dense form: A~ = sigmoid(Q~ K~^T), P = diag^-1(A~ 1) A~ V
-    a = t.sigmoid(t.matmul(qt, t.transpose(kt)))
-    return t.diag_scale_rows(t.matmul(a, v), t.reciprocal(t.row_sum(a)))
-
-
 def _head(t, z, refs, k: int, h: int, cfg: ModelConfig):
     """Head h of layer k: attention over the projected rows, and the V it
     propagated."""
@@ -108,11 +103,9 @@ def _head(t, z, refs, k: int, h: int, cfg: ModelConfig):
         q = key = v = z
     if cfg.variant == "mlp":
         return v, v
-    qt = t.row_l2_normalize(q)
-    kt = t.row_l2_normalize(key)
     if cfg.variant == "simple":
-        return t.linear_attention(qt, kt, v), v
-    return _advanced_head(t, qt, kt, v), v
+        return t.linear_attention(q, key, v), v
+    return t.sigmoid_attention(q, key, v), v
 
 
 def _mean(t, refs):

@@ -28,8 +28,9 @@ def as_matrix(x) -> np.ndarray:
 
 def row_l2_divisors(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     """max(L2 norm, eps) of each row of m, as a column: what
-    `row_l2_normalize` and the tape primitive of that name divide by. Rows
-    run along the last axis; leading axes are a batch."""
+    `row_l2_normalize` divides by, and the attention-head tape primitives
+    their Q and K rows. Rows run along the last axis; leading axes are a
+    batch."""
     if eps <= 0:
         raise ContractError("eps must be positive")
     return np.maximum(np.sqrt(np.sum(m * m, axis=-1, keepdims=True)), eps)

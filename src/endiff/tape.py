@@ -9,11 +9,13 @@ tape keeps no values: each lives as long as its Refs or a VJP that captured
 it. The VJPs are 2-D. `backward` runs reverse accumulation from a scalar
 loss, fills per-parameter gradients and releases each node it runs, so a
 tape is differentiated once. The graph channel enters through `sym_apply`,
-which takes a symmetric operator instead of a dense matrix, and a
-simple-attention head is the one fused primitive `linear_attention`, whose
-VJP runs through the same O(N d^2) accumulators as its value. A tape is
-confined to a single thread for its lifetime; distinct tapes are
-independent.
+which takes a symmetric operator instead of a dense matrix. An attention
+head is one primitive on the head's raw Q, K and V that row-normalizes Q
+and K itself: `linear_attention` (simple), whose VJP runs through the same
+O(N d^2) accumulators as its value, or `sigmoid_attention` (advanced). The
+tape has only the primitives a model forward and its loss run; composed
+forms used as test oracles live with the tests. A tape is confined to a
+single thread for its lifetime; distinct tapes are independent.
 
 `Eager` overrides the two hooks: its operands are plain arrays and
 `_record` returns the bare value, so forwards that are never differentiated
@@ -67,6 +69,25 @@ def _cross_entropy(logits: np.ndarray, labels, mask):
     return rows, labels[rows], shifted, lse - picked
 
 
+def _row_normalized_vjp(g: np.ndarray, y: np.ndarray, div: np.ndarray) -> np.ndarray:
+    """The adjoint of x from that of y = x / div. Rows at/below NORM_EPS are
+    a plain 1/NORM_EPS scaling: no projection."""
+    dot = np.sum(g * y, axis=1, keepdims=True)
+    dot[div <= NORM_EPS] = 0.0
+    return (g - y * dot) / div
+
+
+def _through_normalizations(vjp, qt, q_div, kt, k_div):
+    """A head's VJP to (Q~, K~, V), continued through the Q and K row
+    normalizations once its own temporaries are freed."""
+    def head_vjp(g):
+        g_qt, g_kt, g_v = vjp(g)
+        return (_row_normalized_vjp(g_qt, qt, q_div),
+                _row_normalized_vjp(g_kt, kt, k_div), g_v)
+
+    return head_vjp
+
+
 class Tape:
     def __init__(self):
         # (parent indices aligned with the vjp's outputs, vjp or None);
@@ -95,6 +116,16 @@ class Tape:
         self.params[name] = (ref.idx, ref.shape)
         return ref
 
+    def _head_operands(self, kind: str, q: Ref, k: Ref, v: Ref):
+        """An attention head's Q~, its row divisors, K~, its row divisors and
+        V: the values of its projections, with Q and K row-normalized."""
+        qv, kv, vv = self._value(q), self._value(k), self._value(v)
+        if qv.shape[-1] != kv.shape[-1] or kv.shape[-2] != vv.shape[-2]:
+            raise DimensionError(
+                f"{kind} attention shape mismatch: {qv.shape}, {kv.shape}, {vv.shape}")
+        q_div, k_div = row_l2_divisors(qv), row_l2_divisors(kv)
+        return qv / q_div, q_div, kv / k_div, k_div, vv
+
     # -- primitives -----------------------------------------------------
 
     def matmul(self, a: Ref, b: Ref) -> Ref:
@@ -109,20 +140,19 @@ class Tape:
         return self._record(op.apply(self._value(a)), (a,),
                             lambda g: (op.apply(g),))
 
-    def linear_attention(self, qt: Ref, kt: Ref, v: Ref) -> Ref:
-        """Simple attention S V with S = diag^-1(N + Q~ K~^T 1)(1 + Q~ K~^T),
-        in O(N d^2): (1^T V + Q~(K~^T V)) / (N + Q~(K~^T 1)) row by row, from
-        the accumulators of V with a ones column appended, V1 = [V 1]:
-        K~^T V1 (d x (m+1)) and 1^T V1. No N x N array is formed. The VJP is
-        the non-causal linear-transformer gradient through the same
-        accumulators (Katharopoulos et al. 2020, sec. 3)."""
-        qv, kv, vv = self._value(qt), self._value(kt), self._value(v)
-        if qv.shape[-1] != kv.shape[-1] or kv.shape[-2] != vv.shape[-2]:
-            raise DimensionError(
-                f"linear attention shape mismatch: {qv.shape}, {kv.shape}, {vv.shape}")
+    def linear_attention(self, q: Ref, k: Ref, v: Ref) -> Ref:
+        """Simple attention S V with S = diag^-1(N + Q~ K~^T 1)(1 + Q~ K~^T)
+        on the row-normalized projections Q~ and K~, in O(N d^2):
+        (1^T V + Q~(K~^T V)) / (N + Q~(K~^T 1)) row by row, from the
+        accumulators of V with a ones column appended, V1 = [V 1]: K~^T V1
+        (d x (m+1)) and 1^T V1. No N x N array is formed. The VJP is the
+        non-causal linear-transformer gradient through the same accumulators
+        (Katharopoulos et al. 2020, sec. 3), then through both
+        normalizations."""
+        qt, q_div, kt, k_div, vv = self._head_operands("linear", q, k, v)
         v1 = np.concatenate([vv, np.ones(vv.shape[:-1] + (1,))], axis=-1)
-        kv1 = np.swapaxes(kv, -1, -2) @ v1
-        acc = v1.sum(axis=-2, keepdims=True) + qv @ kv1  # [numerators | denominators]
+        kv1 = np.swapaxes(kt, -1, -2) @ v1
+        acc = v1.sum(axis=-2, keepdims=True) + qt @ kv1  # [numerators | denominators]
         denom = acc[..., -1:]
         if np.any(denom <= 0):
             raise DomainError("linear attention denominator N + q~.sum(k~) is not positive")
@@ -133,67 +163,61 @@ class Tape:
             g_num = g / denom
             g_acc = np.concatenate(
                 [g_num, -np.sum(g_num * out, axis=1, keepdims=True)], axis=1)
-            g_kv1 = qv.T @ g_acc
+            g_kv1 = qt.T @ g_acc
             g_kt = vv @ g_kv1[:, :-1].T + g_kv1[:, -1]  # the ones column adds a row
-            g_v = kv @ g_kv1[:, :-1] + g_num.sum(axis=0, keepdims=True)
+            g_v = kt @ g_kv1[:, :-1] + g_num.sum(axis=0, keepdims=True)
             return g_acc @ kv1.T, g_kt, g_v
 
-        return self._record(out, (qt, kt, v), vjp)
+        return self._record(out, (q, k, v),
+                            _through_normalizations(vjp, qt, q_div, kt, k_div))
 
-    def _pair(self, kind, a: Ref, b: Ref):
-        av, bv = self._value(a), self._value(b)
-        if av.shape[-2:] != bv.shape[-2:]:
-            raise DimensionError(f"{kind} shape mismatch: {av.shape} vs {bv.shape}")
-        return av, bv
+    def sigmoid_attention(self, q: Ref, k: Ref, v: Ref) -> Ref:
+        """Advanced attention S V with S = diag^-1(A 1) A and the dense
+        sigmoid kernel A = sigmoid(Q~ K~^T) on the row-normalized projections
+        Q~ and K~, in O(N^2 d). Value and VJP run the operations of the
+        composed chain (normalize, transpose, matmul, sigmoid, matmul, row
+        sum, reciprocal, row scale) in its order, K~^T as a contiguous copy
+        included, so they match it bit for bit."""
+        qt, q_div, kt, k_div, vv = self._head_operands("sigmoid", q, k, v)
+        kt_t = np.swapaxes(kt, -1, -2).copy()  # the chain's contiguous K~^T
+        scores = qt @ kt_t
+        a = np.empty_like(scores)  # the sigmoid, without overflow either side
+        pos = scores >= 0
+        a[pos] = 1.0 / (1.0 + np.exp(-scores[pos]))
+        ex = np.exp(scores[~pos])
+        a[~pos] = ex / (1.0 + ex)
+        av = a @ vv
+        r = 1.0 / a.sum(axis=-1, keepdims=True)
+
+        def vjp(g):
+            g_av = g * r
+            g_rs = -np.sum(g * av, axis=1, keepdims=True) * r * r
+            g_scores = (g_rs + g_av @ vv.T) * a * (1.0 - a)
+            return g_scores @ kt_t.T, (qt.T @ g_scores).T, a.T @ g_av
+
+        return self._record(av * r, (q, k, v),
+                            _through_normalizations(vjp, qt, q_div, kt, k_div))
 
     def add(self, a: Ref, b: Ref) -> Ref:
-        av, bv = self._pair("add", a, b)
+        av, bv = self._value(a), self._value(b)
+        if av.shape[-2:] != bv.shape[-2:]:
+            raise DimensionError(f"add shape mismatch: {av.shape} vs {bv.shape}")
         return self._record(av + bv, (a, b), lambda g: (g, g))
 
     def scale(self, a: Ref, c: float) -> Ref:
         c = float(c)
         return self._record(c * self._value(a), (a,), lambda g: (c * g,))
 
-    def hadamard(self, a: Ref, b: Ref) -> Ref:
-        av, bv = self._pair("hadamard", a, b)
-        return self._record(av * bv, (a, b), lambda g: (g * bv, g * av))
-
-    def sigmoid(self, a: Ref) -> Ref:
-        x = self._value(a)
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
-        return self._record(y, (a,), lambda g: (g * y * (1.0 - y),))
-
     def relu(self, a: Ref) -> Ref:
         av = self._value(a)
         mask = av > 0
         return self._record(av * mask, (a,), lambda g: (g * mask,))
-
-    def reciprocal(self, a: Ref) -> Ref:
-        y = 1.0 / self._value(a)
-        return self._record(y, (a,), lambda g: (-g * y * y,))
 
     def transpose(self, a: Ref) -> Ref:
         # A contiguous copy: BLAS picks its kernel by layout, so a view
         # could change a product's last bits.
         return self._record(np.swapaxes(self._value(a), -1, -2).copy(), (a,),
                             lambda g: (g.T,))
-
-    def row_l2_normalize(self, a: Ref, eps: float = NORM_EPS) -> Ref:
-        av = self._value(a)
-        denom = row_l2_divisors(av, eps)
-        y = av / denom
-
-        def vjp(g):
-            # Rows at/below eps are a plain 1/eps scaling: no projection.
-            dot = np.sum(g * y, axis=1, keepdims=True)
-            dot[denom <= eps] = 0.0
-            return ((g - y * dot) / denom,)
-
-        return self._record(y, (a,), vjp)
 
     def layer_norm(self, a: Ref, eps: float = LAYER_NORM_EPS) -> Ref:
         av = self._value(a)
@@ -218,24 +242,6 @@ class Tape:
         return self._record(sum(values) / k, refs,
                             lambda g: tuple(g / k for _ in range(k)))
 
-    def diag_scale_rows(self, a: Ref, v: Ref) -> Ref:
-        """Multiply row i of `a` by scalar v[i, 0]."""
-        av, vv = self._value(a), self._value(v)
-        if vv.shape[-2:] != (av.shape[-2], 1):
-            raise DimensionError(
-                f"diag-scale-rows needs a {av.shape[-2]}x1 scale, got {vv.shape}")
-        return self._record(
-            av * vv, (a, v),
-            lambda g: (g * vv, np.sum(g * av, axis=1, keepdims=True)),
-        )
-
-    def row_sum(self, a: Ref) -> Ref:
-        av = self._value(a)
-        return self._record(
-            av.sum(axis=-1, keepdims=True), (a,),
-            lambda g: (np.broadcast_to(g, av.shape).copy(),),
-        )
-
     def broadcast_row(self, row: Ref, n: int) -> Ref:
         rv = self._value(row)
         if rv.shape[-2] != 1:
@@ -243,13 +249,6 @@ class Tape:
         return self._record(
             np.broadcast_to(rv, rv.shape[:-2] + (n, rv.shape[-1])), (row,),
             lambda g: (g.sum(axis=0, keepdims=True),),
-        )
-
-    def sum_all(self, a: Ref) -> Ref:
-        av = self._value(a)
-        return self._record(
-            np.array([[av.sum()]]), (a,),
-            lambda g: (np.full_like(av, g[0, 0]),),
         )
 
     def masked_cross_entropy(self, logits: Ref, labels: np.ndarray, mask: np.ndarray) -> Ref:

@@ -1,10 +1,10 @@
 """Dense N x N reference forms that the sparse couplings (the masked
 attention coupling among them) and the energies are checked against, the
 scalar penalty pair, the scalar-draw block-model generator, the two-key
-edge sorts, the composed simple-attention head, the two-forward training
-loop and a trajectory's coupling row sums rebuilt per snapshot. They loop,
-materialize, record node by node or recompute on purpose and are meant for
-small N only."""
+edge sorts, the tape of composed primitives and the two attention heads
+built from them, the two-forward training loop and a trajectory's coupling
+row sums rebuilt per snapshot. They loop, materialize, record node by node
+or recompute on purpose and are meant for small N only."""
 
 import math
 
@@ -12,10 +12,11 @@ import numpy as np
 
 from endiff.coupling import (Z_SQ_MAX, CouplingSpec, PenaltyFamily, attention_scores,
                              build_coupling, coupling_operator)
-from endiff.errors import DomainError
+from endiff.errors import DimensionError, DomainError
 from endiff.graphs import Dataset, Graph
 from endiff.model import Checkpoint, forward, init_model
-from endiff.numerics import row_l2_normalize
+from endiff.numerics import NORM_EPS, row_l2_divisors, row_l2_normalize
+from endiff.tape import Eager, Tape
 from endiff.train import (AdamState, TrainResult, _evaluate, _metric_improved,
                           adam_step, induced_subgraph, minibatch_partition)
 
@@ -171,16 +172,89 @@ def layout_lexsort(edges):
     return src[by_row], dst[by_row]
 
 
-def linear_attention_composed(t, qt, kt, v):
-    """Tape.linear_attention recorded as the eleven primitives it fuses:
-    R [1(1^T V) + Q~(K~^T V)] with R = diag^-1(N + Q~(K~^T 1))."""
+class ComposedTape(Tape):
+    """A Tape with the elementwise and row-wise primitives the fused heads
+    replace, each with its own VJP, for the composed oracles and for losses
+    such as sum_all(hadamard(out, W)) in tests."""
+
+    def hadamard(self, a, b):
+        av, bv = self._value(a), self._value(b)
+        if av.shape[-2:] != bv.shape[-2:]:
+            raise DimensionError(f"hadamard shape mismatch: {av.shape} vs {bv.shape}")
+        return self._record(av * bv, (a, b), lambda g: (g * bv, g * av))
+
+    def sigmoid(self, a):
+        x = self._value(a)
+        y = np.empty_like(x)
+        pos = x >= 0
+        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        y[~pos] = ex / (1.0 + ex)
+        return self._record(y, (a,), lambda g: (g * y * (1.0 - y),))
+
+    def reciprocal(self, a):
+        y = 1.0 / self._value(a)
+        return self._record(y, (a,), lambda g: (-g * y * y,))
+
+    def row_l2_normalize(self, a):
+        av = self._value(a)
+        denom = row_l2_divisors(av)
+        y = av / denom
+
+        def vjp(g):
+            # Rows at/below eps are a plain 1/eps scaling: no projection.
+            dot = np.sum(g * y, axis=1, keepdims=True)
+            dot[denom <= NORM_EPS] = 0.0
+            return ((g - y * dot) / denom,)
+
+        return self._record(y, (a,), vjp)
+
+    def diag_scale_rows(self, a, v):
+        """Multiply row i of `a` by scalar v[i, 0]."""
+        av, vv = self._value(a), self._value(v)
+        if vv.shape[-2:] != (av.shape[-2], 1):
+            raise DimensionError(
+                f"diag-scale-rows needs a {av.shape[-2]}x1 scale, got {vv.shape}")
+        return self._record(av * vv, (a, v),
+                            lambda g: (g * vv, np.sum(g * av, axis=1, keepdims=True)))
+
+    def row_sum(self, a):
+        av = self._value(a)
+        return self._record(av.sum(axis=-1, keepdims=True), (a,),
+                            lambda g: (np.broadcast_to(g, av.shape).copy(),))
+
+    def sum_all(self, a):
+        av = self._value(a)
+        return self._record(np.array([[av.sum()]]), (a,),
+                            lambda g: (np.full_like(av, g[0, 0]),))
+
+
+class ComposedEager(ComposedTape, Eager):
+    """The composed primitives on the Tape that records nothing."""
+
+
+def linear_attention_composed(t, q, k, v):
+    """Tape.linear_attention recorded as the primitives it fuses:
+    R [1(1^T V) + Q~(K~^T V)] with R = diag^-1(N + Q~(K~^T 1)), on
+    Q~ and K~, the row-normalized Q and K."""
     n = v.shape[0]
+    qt = t.row_l2_normalize(q)
     ones = t.constant(np.ones((n, 1)))
-    kt_t = t.transpose(kt)
+    kt_t = t.transpose(t.row_l2_normalize(k))
     denom = t.add(t.matmul(qt, t.matmul(kt_t, ones)), t.constant(np.full((n, 1), float(n))))
     col_v = t.matmul(t.transpose(ones), v)
     numer = t.add(t.broadcast_row(col_v, n), t.matmul(qt, t.matmul(kt_t, v)))
     return t.diag_scale_rows(numer, t.reciprocal(denom))
+
+
+def sigmoid_attention_composed(t, q, k, v):
+    """Tape.sigmoid_attention recorded as the primitives it fuses, in
+    the order the model once ran them: diag^-1(A 1) A V with
+    A = sigmoid(Q~ K~^T)."""
+    qt = t.row_l2_normalize(q)
+    kt = t.row_l2_normalize(k)
+    a = t.sigmoid(t.matmul(qt, t.transpose(kt)))
+    return t.diag_scale_rows(t.matmul(a, v), t.reciprocal(t.row_sum(a)))
 
 
 def train_loop_two_forwards(dataset, model_cfg, train_cfg):

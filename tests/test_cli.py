@@ -219,6 +219,12 @@ def test_train_malformed_file_names_file_and_line(tmp_path, capsys):
                             "--labels", str(l), "--out", str(tmp_path)], capsys)
     assert code == 1
     assert "features.txt:2" in err
+    f.write_text("1.0\n2.0\n")
+    l.write_text("0\n-7\n")
+    code, _, err = run_cli(["train", "--features", str(f),
+                            "--labels", str(l), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert f"error: {l}:2: bad label" in err
 
 
 def test_eval_shape_mismatch_is_runtime_error(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_run_trajectory_source_defaults_to_initial_state():
     g = er_graph(6, 0.5, 2)
     traj = run_trajectory(z0, CouplingSpec("gcn_sym"),
                           DiffusionConfig(steps=2, beta=1.0), g)
-    assert np.allclose(traj.source, z0)
+    assert np.array_equal(traj.snapshots[0], z0)
     s = normalized_adjacency(g, "sym")
     step1 = euler_step(z0, DenseCoupling(s), 0.5) + 0.5 * z0
     assert np.allclose(traj.snapshots[1], step1, atol=1e-12)

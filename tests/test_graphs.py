@@ -349,6 +349,7 @@ def test_load_dataset_round_trip(tmp_path):
     assert np.array_equal(ds.graph.edges, [(0, 1), (1, 2)])
     assert ds.split.tolist() == ["train", "val", "test"]
     assert ds.num_classes == 2
+    assert not ds.mask("test").any()  # the one test row is unlabeled
 
 
 def test_load_dataset_defaults(tmp_path):
@@ -373,6 +374,11 @@ def test_load_dataset_errors_name_file_and_line(tmp_path):
     bad_split = _write(tmp_path, "split.txt", "train\nholdout\n")
     with pytest.raises(FormatError, match=r"split\.txt:2"):
         load_dataset(f2, l, None, bad_split)
+
+    for bad in ("-7", "-2", str(2**70)):  # -1 is the one negative label
+        bad_labels = _write(tmp_path, "bad_labels.txt", f"-1\n{bad}\n")
+        with pytest.raises(FormatError, match=r"bad_labels\.txt:2: bad label"):
+            load_dataset(f2, bad_labels)
 
 
 def test_load_dataset_rejects_non_finite_features(tmp_path):

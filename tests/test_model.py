@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from dense_oracles import ComposedEager
 from endiff.errors import ContractError, DimensionError, FormatError, ParameterError
 from endiff.graphs import er_graph
 from endiff.model import (Checkpoint, ModelConfig, forward, init_model,
@@ -141,7 +142,7 @@ def test_advanced_implicit_attention_is_row_stochastic():
     z0 = np.maximum(z0, 0.0)
     q = row_l2_normalize(z0 @ params["W_Q_0_0"].T)
     k = row_l2_normalize(z0 @ params["W_K_0_0"].T)
-    a = Eager().sigmoid(q @ k.T)
+    a = ComposedEager().sigmoid(q @ k.T)
     s = a / a.sum(axis=1, keepdims=True)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
@@ -421,6 +422,18 @@ def test_gradcheck_suite_catches_a_wrong_linear_attention_gradient(monkeypatch):
     assert len(simple) == 4
     for detail in simple.values():
         assert detail["failures"]  # every simple configuration sees it
+
+
+def test_gradcheck_suite_catches_a_wrong_sigmoid_attention_gradient(monkeypatch):
+    from endiff.suites import suite_gradcheck
+
+    _skew_vjp(monkeypatch, "sigmoid_attention")
+    report = suite_gradcheck()
+    assert report["passed"] is False
+    advanced = {k: v for k, v in report["per_config"].items() if k.startswith("advanced")}
+    assert len(advanced) == 4
+    for detail in advanced.values():
+        assert detail["failures"]  # every advanced configuration sees it
 
 
 def test_gradcheck_model_handles_unused_parameters():

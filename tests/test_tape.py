@@ -3,19 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import linear_attention_composed
+from dense_oracles import (ComposedEager, ComposedTape, linear_attention_composed,
+                           sigmoid_attention_composed)
 from endiff.errors import ContractError, DimensionError, DomainError
 from endiff.graphs import Graph
-from endiff.numerics import finite_diff_grad, row_l2_normalize
+from endiff.numerics import finite_diff_grad, row_l2_divisors
 from endiff.tape import Eager, Tape
 
 
 def _gradcheck(build_loss, shapes, seed=0, h=1e-6, tol=1e-6):
-    """build_loss(tape, {name: Ref}) -> scalar Ref; checks every parameter
-    against central differences, one tape per bumped copy in the stack."""
+    """build_loss(tape, {name: Ref}) -> scalar Ref on a ComposedTape; checks
+    every parameter against central differences, one tape per bumped copy in
+    the stack."""
     rng = np.random.default_rng(seed)
     values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-    tape = Tape()
+    tape = ComposedTape()
     refs = {name: tape.parameter(name, val) for name, val in values.items()}
     loss = build_loss(tape, refs)
     grads = tape.backward(loss)
@@ -23,7 +25,7 @@ def _gradcheck(build_loss, shapes, seed=0, h=1e-6, tol=1e-6):
         def fn(stack, _name=name):
             losses = []
             for mat in stack:
-                t2 = Tape()
+                t2 = ComposedTape()
                 r2 = {n: t2.parameter(n, mat if n == _name else values[n])
                       for n in shapes}
                 losses.append(build_loss(t2, r2).value[0, 0])
@@ -42,19 +44,21 @@ def _operands():
     a[0] = 0.0
     return {"a": a, "b": b, "w": rng.standard_normal((4, 3)),
             "col": rng.uniform(0.5, 2.0, (6, 1)), "row": rng.standard_normal((1, 4)),
-            "qt": 0.5 * row_l2_normalize(b[::-1]), "kt": row_l2_normalize(b)}
+            "q": 0.5 * b[::-1], "k": b}
 
 
 _OPERANDS = _operands()
 _LABELS, _MASK = np.arange(6) % 4, np.arange(6) % 3 != 1
 # Each primitive on one evaluator: x maps the names of _OPERANDS to its operands.
+# The composed primitives the fused heads replaced live on ComposedTape.
 _PRIMITIVES = {
     "constant": lambda e, x: e.constant(_OPERANDS["a"]),
     "parameter": lambda e, x: e.parameter("p", _OPERANDS["a"]),
     "matmul": lambda e, x: e.matmul(x["a"], x["w"]),
     "sym_apply": lambda e, x: e.sym_apply(
         Graph.from_edge_list(6, [(0, 1), (1, 2), (3, 4)]).sym_operator, x["b"]),
-    "linear_attention": lambda e, x: e.linear_attention(x["qt"], x["kt"], x["a"]),
+    "linear_attention": lambda e, x: e.linear_attention(x["q"], x["k"], x["a"]),
+    "sigmoid_attention": lambda e, x: e.sigmoid_attention(x["a"], x["k"], x["b"]),
     "add": lambda e, x: e.add(x["a"], x["b"]),
     "scale": lambda e, x: e.scale(x["a"], -0.3),
     "hadamard": lambda e, x: e.hadamard(x["a"], x["b"]),
@@ -76,9 +80,9 @@ _PRIMITIVES = {
 
 @pytest.mark.parametrize("name", sorted(_PRIMITIVES))
 def test_tape_and_eager_compute_the_same_bits(name):
-    t = Tape()
+    t = ComposedTape()
     on_tape = _PRIMITIVES[name](t, {k: t.constant(v) for k, v in _OPERANDS.items()}).value
-    eager = _PRIMITIVES[name](Eager(), _OPERANDS)
+    eager = _PRIMITIVES[name](ComposedEager(), _OPERANDS)
     if name == "masked_cross_entropy":  # one loss per matrix: 0-d for one matrix
         on_tape = on_tape[0, 0]
     assert np.shape(eager) == np.shape(on_tape)
@@ -92,7 +96,8 @@ def test_eager_defines_only_its_hooks_and_batch_overrides():
                    "sym_apply", "masked_cross_entropy"}
     primitives = {name for name, member in vars(Tape).items()
                   if callable(member) and not name.startswith("_")}
-    assert primitives - {"backward"} == set(_PRIMITIVES)
+    composed = {name for name in vars(ComposedTape) if not name.startswith("_")}
+    assert primitives - {"backward"} == set(_PRIMITIVES) - composed
 
 
 def test_backward_requires_scalar():
@@ -103,7 +108,7 @@ def test_backward_requires_scalar():
 
 
 def test_backward_through_a_released_node_is_a_contract_error():
-    tape = Tape()
+    tape = ComposedTape()
     w = tape.parameter("w", np.ones((2, 2)))
     first = tape.sum_all(tape.scale(w, 3.0))
     assert np.allclose(tape.backward(first)["w"], 3.0)
@@ -202,7 +207,7 @@ def test_broadcast_row_and_transpose_grads():
 
 def test_reused_node_accumulates_gradient():
     # w appears twice; d/dw sum(w + w) = 2
-    tape = Tape()
+    tape = ComposedTape()
     w = tape.parameter("w", np.full((2, 2), 3.0))
     loss = tape.sum_all(tape.add(w, w))
     grads = tape.backward(loss)
@@ -210,7 +215,7 @@ def test_reused_node_accumulates_gradient():
 
 
 def test_unused_parameter_gets_zero_grad():
-    tape = Tape()
+    tape = ComposedTape()
     w = tape.parameter("w", np.ones((2, 2)))
     u = tape.parameter("unused", np.ones((3, 3)))
     loss = tape.sum_all(w)
@@ -275,33 +280,53 @@ def test_matmul_dimension_error():
 
 
 @st.composite
-def _attention_inputs(draw):
-    """Q~, K~, V and an upstream weight W: unit K~ rows and Q~ rows of norm
-    below 0.9, so every denominator is at least N / 10."""
+def _attention_inputs(draw, signed: bool):
+    """Q, K, V and an upstream weight W, with some Q and K rows zero or of
+    norm below NORM_EPS. Unsigned Q and K keep every simple-attention
+    denominator N + q~ . sum(k~) at N or above."""
     n, d, m = draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    qt = draw(st.floats(0.0, 0.9)) * row_l2_normalize(rng.standard_normal((n, d)))
-    kt = row_l2_normalize(rng.standard_normal((n, d)))
-    return qt, kt, rng.standard_normal((n, m)), rng.standard_normal((n, m))
+    q, k = rng.standard_normal((2, n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if not signed:
+        q, k = np.abs(q), np.abs(k)
+    for x in (q, k):
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.2] *= 1e-18  # norm below NORM_EPS
+    return q, k, rng.standard_normal((n, m)), rng.standard_normal((n, m))
 
 
-def _attention_grads(head, qt, kt, v, w):
-    t = Tape()
-    refs = [t.parameter(name, val) for name, val in (("qt", qt), ("kt", kt), ("v", v))]
+def _attention_grads(head, q, k, v, w):
+    t = ComposedTape()
+    refs = [t.parameter(name, val) for name, val in (("q", q), ("k", k), ("v", v))]
     out = head(t, *refs)
     return out.value, t.backward(t.sum_all(t.hadamard(out, t.constant(w))))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_attention_inputs())
+@given(_attention_inputs(signed=False))
 def test_linear_attention_matches_the_composed_head(case):
-    qt, kt, v, w = case
-    value, grads = _attention_grads(Tape.linear_attention, qt, kt, v, w)
-    want, want_grads = _attention_grads(linear_attention_composed, qt, kt, v, w)
+    # The composed chain forms its accumulators in another order, so the two
+    # agree to rounding, not bit for bit. A Q or K gradient row is 1/divisor
+    # times an O(1) adjoint, and 1/NORM_EPS = 1e12 for a row below NORM_EPS,
+    # so rows are compared times their divisors.
+    q, k = case[:2]
+    value, grads = _attention_grads(Tape.linear_attention, *case)
+    want, want_grads = _attention_grads(linear_attention_composed, *case)
     assert np.max(np.abs(value - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+    for name, div in (("q", row_l2_divisors(q)), ("k", row_l2_divisors(k)), ("v", 1.0)):
+        got, grad = grads[name] * div, want_grads[name] * div
+        assert got.shape == grad.shape
+        assert np.max(np.abs(got - grad)) <= 1e-12 * max(np.max(np.abs(grad)), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_attention_inputs(signed=True))
+def test_sigmoid_attention_matches_the_composed_head_bit_for_bit(case):
+    value, grads = _attention_grads(Tape.sigmoid_attention, *case)
+    want, want_grads = _attention_grads(sigmoid_attention_composed, *case)
+    assert np.array_equal(value, want)
     for name, grad in want_grads.items():
-        assert grads[name].shape == grad.shape
-        assert np.max(np.abs(grads[name] - grad)) <= 1e-10 * max(np.max(np.abs(grad)), 1.0)
+        assert np.array_equal(grads[name], grad)
 
 
 def test_linear_attention_grad():
@@ -314,33 +339,54 @@ def test_linear_attention_grad():
     )
 
 
-def test_eager_linear_attention_on_a_stack_matches_each_slice():
-    rng = np.random.default_rng(11)
-    ev = Eager()
-    qt = 0.5 * ev.row_l2_normalize(rng.standard_normal((3, 6, 4)))
-    kt = ev.row_l2_normalize(rng.standard_normal((3, 6, 4)))
+def test_sigmoid_attention_grad():
+    _gradcheck(
+        lambda t, r: t.sum_all(t.hadamard(
+            t.sigmoid_attention(r["q"], r["k"], r["v"]), r["w"])),
+        {"q": (5, 3), "k": (5, 3), "v": (5, 2), "w": (5, 2)},
+        seed=13,
+    )
+
+
+def _stack_slices_match(primitive: str, seed: int):
+    """An Eager head on a stack, and broadcast against single matrices,
+    matches the Tape head on each slice."""
+    rng = np.random.default_rng(seed)
+    q, k = rng.standard_normal((2, 3, 6, 4))
+    q[:, 0] = 0.0  # a zero row
     v = rng.standard_normal((3, 6, 2))
-    for args in ((qt, kt, v), (qt, kt[0], v[0]), (qt[0], kt[0], v)):
-        stacked = ev.linear_attention(*args)
+    head = getattr(Eager(), primitive)
+    for args in ((q, k, v), (q, k[0], v[0]), (q[0], k[0], v)):
+        stacked = head(*args)
         assert stacked.shape == (3, 6, 2)
-        for k in range(3):
-            single = [a[k] if a.ndim == 3 else a for a in args]
+        for i in range(3):
+            single = [a[i] if a.ndim == 3 else a for a in args]
             t = Tape()
-            on_tape = t.linear_attention(*(t.constant(a) for a in single)).value
-            assert np.array_equal(ev.linear_attention(*single), on_tape)
-            assert np.max(np.abs(stacked[k] - on_tape)) <= 1e-12 * np.max(np.abs(on_tape))
+            on_tape = getattr(t, primitive)(*(t.constant(a) for a in single)).value
+            assert np.array_equal(head(*single), on_tape)
+            assert np.max(np.abs(stacked[i] - on_tape)) <= 1e-12 * np.max(np.abs(on_tape))
+
+
+def test_eager_linear_attention_on_a_stack_matches_each_slice():
+    _stack_slices_match("linear_attention", 11)
+
+
+def test_eager_sigmoid_attention_on_a_stack_matches_each_slice():
+    _stack_slices_match("sigmoid_attention", 14)
 
 
 def test_linear_attention_rejects_a_zero_denominator():
     # every k~ is -q~ = -e1, so N + q~ . sum_j k~_j is exactly 0
     n = 4
-    qt = np.zeros((n, 3))
-    qt[:, 0] = 1.0
+    q = np.zeros((n, 3))
+    q[:, 0] = 1.0
     v = np.ones((n, 2))
     t = Tape()
     with pytest.raises(DomainError, match="denominator"):
-        t.linear_attention(t.constant(qt), t.constant(-qt), t.constant(v))
+        t.linear_attention(t.constant(q), t.constant(-q), t.constant(v))
     with pytest.raises(DomainError, match="denominator"):
-        Eager().linear_attention(np.stack([0.5 * qt, qt]), -qt, v)
+        Eager().linear_attention(np.stack([0.5 * q, q]), -q, v)
     with pytest.raises(DimensionError):
-        t.linear_attention(t.constant(qt), t.constant(qt[:, :2]), t.constant(v))
+        t.linear_attention(t.constant(q), t.constant(q[:, :2]), t.constant(v))
+    with pytest.raises(DimensionError):
+        t.sigmoid_attention(t.constant(q), t.constant(q), t.constant(v[:3]))

@@ -167,6 +167,19 @@ def _tiny_dataset(seed=0, n_per=20):
     return Dataset(features=feats, labels=labels, split=split)
 
 
+def test_unlabeled_rows_are_neither_trained_nor_scored():
+    # Four -1 rows give the same run whichever split tags them.
+    ds = _tiny_dataset(seed=4)
+    ds.labels[:4] = -1
+    cfg = ModelConfig(variant="simple", input_dim=2, hidden_dim=4, output_dim=2,
+                      layers=1)
+    histories = []
+    for tag in ("train", "val", "test"):
+        ds.split[:4] = tag
+        histories.append(train_loop(ds, cfg, TrainConfig(epochs=3)).history)
+    assert histories[0] == histories[1] == histories[2]
+
+
 def test_train_loop_requires_splits():
     ds = _tiny_dataset()
     ds.split[:] = "test"
@@ -313,6 +326,31 @@ def test_train_loop_matches_the_two_forward_oracle(case):
     assert got.checkpoint.params.keys() == want.checkpoint.params.keys()
     for name, value in want.checkpoint.params.items():
         assert np.array_equal(got.checkpoint.params[name], value), name
+
+
+def test_training_runs_every_public_tape_primitive_and_nothing_else(monkeypatch):
+    # A Tape method that no configuration runs is surface kept for tests
+    # alone; composed forms belong in dense_oracles.ComposedTape.
+    public = {name for name, member in vars(Tape).items()
+              if callable(member) and not name.startswith("_")}
+    ran = set()
+    for name in public:
+        def recording(self, *args, _name=name, _real=getattr(Tape, name), **kwargs):
+            ran.add(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tape, name, recording)
+    ds = sbm_generate(2, 8, 0.4, 0.05, 3, 1.0, seed=0)
+    for variant in ("simple", "advanced", "mlp"):
+        for use_graph in (False, True):
+            for use_source in (False, True):
+                for kind in ("accuracy", "mse"):
+                    cfg = ModelConfig(variant=variant, input_dim=3, hidden_dim=4,
+                                      output_dim=1 if kind == "mse" else 2,
+                                      layers=1, heads=2, use_graph=use_graph,
+                                      use_source=use_source)
+                    train_loop(ds, cfg, TrainConfig(epochs=1, metric=kind))
+    assert ran == public
 
 
 def test_evaluate_records_no_tape(monkeypatch):
