@@ -1,23 +1,23 @@
 """Trainable all-pair propagation network built on the autodiff tape.
 
 Pipeline per forward pass: input projection + LayerNorm + ReLU, then K
-propagation layers. Each layer projects per-head Q/K/V and propagates V
-through one tape primitive per head, which L2-normalizes the Q and K rows
-itself: the linear simple-attention form (`linear_attention`, O(N d^2)) or
-the dense sigmoid-kernel form (`sigmoid_attention`, O(N^2 d)). The heads
-are averaged. The optional sym-normalized graph channel S is linear, so
+propagation layers. Each layer projects every head's Q/K/V at once, one
+(H, N, d) stack per role, and propagates V through one tape primitive call
+for all heads, which L2-normalizes the Q and K rows itself: the linear
+simple-attention form (`linear_attention`, O(N d^2)) or the dense
+sigmoid-kernel form (`sigmoid_attention`, O(N^2 d)). The heads are
+averaged. The optional sym-normalized graph channel S is linear, so
 mean_h (P_h + S V_h) = mean_h P_h + S mean_h V_h: it costs one application
 of the graph's cached sparse operator per layer, O(E d), on the mean of the
-heads' V. The result is blended with the previous state at step
-size tau before a LayerNorm. The output head is a plain affine map.
-`forward` runs on a recording `Tape` for training, or on the non-recording
-`Eager` evaluator, whose parameters may be stacks of matrices that run one
-forward each.
+heads' V. The result is blended with the previous state at step size tau
+before a LayerNorm. The output head is a plain affine map. `forward` runs
+on a recording `Tape` for training, or on the non-recording `Eager`
+evaluator, whose parameters may be stacks of matrices that run one forward
+each.
 
 Attention here acts on the projected Q/K rows; the diffusion and energy
-modules audit the un-projected dynamics on the state itself. That split is
-intentional: this module is the learned network, those are the analysis
-tools.
+modules audit the un-projected dynamics on the state itself: this module
+is the learned network, those are the analysis tools.
 """
 
 from __future__ import annotations
@@ -57,8 +57,15 @@ class ModelConfig:
                 f"unknown activation {self.activation_between_layers!r}"
             )
         for name in ("input_dim", "hidden_dim", "output_dim", "layers", "heads"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ParameterError(f"{name} must be >= 1")
+        for name in ("use_graph", "use_feature_transform", "use_source"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ParameterError(f"{name} must be true or false, got {value!r}")
         if not (0.0 < self.tau <= 1.0):
             raise ParameterError(f"tau must be in (0, 1], got {self.tau}")
 
@@ -92,38 +99,27 @@ def init_model(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def _head(t, z, refs, k: int, h: int, cfg: ModelConfig):
-    """Head h of layer k: attention over the projected rows, and the V it
-    propagated."""
-    if cfg.use_feature_transform:
-        q = t.matmul(z, t.transpose(refs[f"W_Q_{k}_{h}"]))
-        key = t.matmul(z, t.transpose(refs[f"W_K_{k}_{h}"]))
-        v = t.matmul(z, t.transpose(refs[f"W_V_{k}_{h}"]))
-    else:
-        q = key = v = z
-    if cfg.variant == "mlp":
-        return v, v
-    if cfg.variant == "simple":
-        return t.linear_attention(q, key, v), v
-    return t.sigmoid_attention(q, key, v), v
-
-
-def _mean(t, refs):
-    return refs[0] if len(refs) == 1 else t.mean_over_list(refs)
-
-
 def _layer(t, z, z0, refs, k: int, cfg: ModelConfig, graph_op):
-    """Layer k: mean of the heads plus the graph channel on the mean of
+    """Layer k on a state z and source z0 that carry a unit head axis: the
+    mean of every head's attention, plus the graph channel on the mean of
     their V, blended with the state at step tau (plus the source), then
     LayerNorm. Intermediate values die with the call, which keeps a stacked
     `Eager` forward's memory low."""
-    heads = [_head(t, z, refs, k, h, cfg) for h in range(cfg.heads)]
-    p_bar = _mean(t, [p for p, _ in heads])
+    if cfg.use_feature_transform:
+        q, key, v = (t.matmul(z, t.transpose(t.stack(
+            [refs[f"W_{role}_{k}_{h}"] for h in range(cfg.heads)]))) for role in "QKV")
+    else:
+        q = key = v = z  # every head would be this one
+    attention = {"simple": t.linear_attention, "advanced": t.sigmoid_attention}
+    p = attention[cfg.variant](q, key, v) if cfg.variant in attention else v  # mlp: no mixing
+    p_bar = t.head_mean(p)
     if graph_op is not None:
-        p_bar = t.add(p_bar, t.sym_apply(graph_op, _mean(t, [v for _, v in heads])))
-    blend = t.add(t.scale(p_bar, cfg.tau), t.scale(z, 1.0 - cfg.tau))
+        p_bar = t.add(p_bar, t.sym_apply(graph_op, t.head_mean(v)))
+    blend = t.add(t.scale(t.stack([p_bar]), cfg.tau), t.scale(z, 1.0 - cfg.tau))
     if cfg.use_source:
         blend = t.add(blend, t.scale(z0, cfg.tau))
+    if k == cfg.layers - 1:
+        blend = t.head_mean(blend)  # drop the unit head axis
     z = t.layer_norm(blend)
     if cfg.activation_between_layers == "relu":
         z = t.relu(z)
@@ -157,13 +153,13 @@ def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
     t = tape if tape is not None else Tape()
     n = x.shape[0]
     refs = {name: t.parameter(name, val) for name, val in params.items()}
-    x_ref = t.constant(x)
 
     graph_op = g.sym_operator if cfg.use_graph else None
 
-    z0 = t.relu(t.layer_norm(t.add(t.matmul(x_ref, t.transpose(refs["W_I"])),
-                                   t.broadcast_row(refs["b_I"], n))))
-    z = z0
+    # The state is a stack of one head until the last layer's mean: copies of
+    # a stacked parameter sit in front of its head axis.
+    z = z0 = t.relu(t.layer_norm(t.stack([t.add(
+        t.matmul(t.constant(x), t.transpose(refs["W_I"])), t.broadcast_row(refs["b_I"], n))])))
     for k in range(cfg.layers):
         z = _layer(t, z, z0, refs, k, cfg, graph_op)
 

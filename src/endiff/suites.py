@@ -287,7 +287,7 @@ def gradcheck_model(cfg: ModelConfig, seed: int = 0, n: int = 12,
                 lg, ev = forward({**params, _name: part}, x, g, cfg, tape=Eager())
                 # A parameter the forward ignores leaves one loss for every copy.
                 losses.append(np.broadcast_to(
-                    ev.masked_cross_entropy(lg, labels, mask), part.shape[:1]))
+                    ev.masked_cross_entropy(lg, labels, mask)[..., 0, 0], part.shape[:1]))
             return np.concatenate(losses)
 
         fd = finite_diff_grad(stacked_loss, params[name], h)

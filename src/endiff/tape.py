@@ -1,28 +1,29 @@
-"""A minimal reverse-mode differentiation tape over dense float64 matrices,
+"""A minimal reverse-mode differentiation tape over dense float64 arrays,
 and `Eager`, the tape that records nothing.
 
 Each primitive is one `Tape` method. It reads its operands through `_value`,
 computes its value once over the last two (matrix) axes, and hands the
 value, its operands and its vector-Jacobian product to `_record`, which
-appends a node in execution order and returns the value in a `Ref`. The
-tape keeps no values: each lives as long as its Refs or a VJP that captured
-it. The VJPs are 2-D. `backward` runs reverse accumulation from a scalar
-loss, fills per-parameter gradients and releases each node it runs, so a
-tape is differentiated once. The graph channel enters through `sym_apply`,
-which takes a symmetric operator instead of a dense matrix. An attention
-head is one primitive on the head's raw Q, K and V that row-normalizes Q
-and K itself: `linear_attention` (simple), whose VJP runs through the same
-O(N d^2) accumulators as its value, or `sigmoid_attention` (advanced). The
-tape has only the primitives a model forward and its loss run; composed
-forms used as test oracles live with the tests. A tape is confined to a
-single thread for its lifetime; distinct tapes are independent.
+appends a node in execution order and returns the value in a `Ref`. Leading
+axes are a batch that operands broadcast over, and each VJP sums its adjoint
+back over the axes its operand was broadcast along, so one node carries all
+of a layer's (H, N, d) heads: `stack` puts the per-head weight matrices on a
+head axis and `head_mean` averages over it. The tape keeps no values: each
+lives as long as its Refs or a VJP that captured it. A parameter is a named
+leaf, not a node. `backward` runs reverse accumulation from a 1x1 loss,
+fills per-parameter gradients and releases the parameter registry and each
+node it runs, so a tape is differentiated once. `sym_apply` takes a
+symmetric operator instead of a dense matrix. An attention primitive takes
+raw Q, K and V and row-normalizes Q and K itself: `linear_attention`
+(simple), whose VJP runs through the same O(N d^2) accumulators as its
+value, or `sigmoid_attention` (advanced). The tape has only the primitives
+a model forward and its loss run; composed forms used as test oracles live
+with the tests. A tape is confined to a single thread for its lifetime.
 
-`Eager` overrides the two hooks: its operands are plain arrays and
-`_record` returns the bare value, so forwards that are never differentiated
-(evaluation, finite differences) run the very same primitives. Its inputs
-may carry leading batch axes: a stack of B matrices evaluates B forwards in
-one pass. Besides the leaves, it overrides only the two primitives whose
-batch behaviour differs, `sym_apply` and `masked_cross_entropy`.
+`Eager` overrides only the two hooks and the two leaves: its operands are
+plain arrays and `_record` returns the bare value, so forwards that are
+never differentiated (evaluation, finite differences) run the very same
+primitives.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ from .numerics import LAYER_NORM_EPS, NORM_EPS, as_matrix, row_l2_divisors
 
 
 class Ref:
-    """A tape node's value, and its index on the tape that recorded it. The
-    value lives here, not on the tape, so it dies with its last Ref unless a
-    VJP captured it."""
+    """A recorded value, and the key its adjoint accumulates under on the
+    tape that recorded it: a node index, or a parameter's name. The value
+    lives here, not on the tape, so it dies with its last Ref unless a VJP
+    captured it."""
 
     __slots__ = ("tape", "idx", "value")
 
-    def __init__(self, tape: "Tape", idx: int, value: np.ndarray):
+    def __init__(self, tape: "Tape", idx: int | str, value: np.ndarray):
         self.tape = tape
         self.idx = idx
         self.value = value
@@ -50,50 +52,37 @@ class Ref:
         return self.value.shape
 
 
-def _cross_entropy(logits: np.ndarray, labels, mask):
-    """Negative log-softmax likelihood of each masked row over the last two
-    axes: (masked rows, their labels, shifted logits, per-row losses)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
-    n = logits.shape[-2]
-    if labels.shape[0] != n or mask.shape[0] != n:
-        raise DimensionError("labels/mask length must match logits rows")
-    rows = np.flatnonzero(mask)
-    if rows.size == 0:
-        raise ContractError("mask selects no rows")
-    sel = logits[..., rows, :]
-    top = sel.max(axis=-1, keepdims=True)
-    shifted = sel - top
-    lse = np.log(np.sum(np.exp(shifted), axis=-1)) + top[..., 0]
-    picked = sel[..., np.arange(rows.size), labels[rows]]
-    return rows, labels[rows], shifted, lse - picked
+def _mT(x: np.ndarray) -> np.ndarray:
+    """x with its last two axes swapped: a view."""
+    return x.swapaxes(-1, -2)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """The adjoint g summed over the leading axes an operand of `shape` was
+    broadcast along."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 def _row_normalized_vjp(g: np.ndarray, y: np.ndarray, div: np.ndarray) -> np.ndarray:
-    """The adjoint of x from that of y = x / div. Rows at/below NORM_EPS are
-    a plain 1/NORM_EPS scaling: no projection."""
-    dot = np.sum(g * y, axis=1, keepdims=True)
-    dot[div <= NORM_EPS] = 0.0
-    return (g - y * dot) / div
-
-
-def _through_normalizations(vjp, qt, q_div, kt, k_div):
-    """A head's VJP to (Q~, K~, V), continued through the Q and K row
-    normalizations once its own temporaries are freed."""
-    def head_vjp(g):
-        g_qt, g_kt, g_v = vjp(g)
-        return (_row_normalized_vjp(g_qt, qt, q_div),
-                _row_normalized_vjp(g_kt, kt, k_div), g_v)
-
-    return head_vjp
+    """The adjoint of x from g, that of y = x / div, in one array beside g.
+    Rows at/below NORM_EPS are a plain 1/NORM_EPS scaling: no projection."""
+    out = y * np.where(div <= NORM_EPS, 0.0, np.sum(g * y, axis=-1, keepdims=True))
+    np.subtract(g, out, out=out)
+    out /= div
+    return _unbroadcast(out, y.shape)
 
 
 class Tape:
     def __init__(self):
-        # (parent indices aligned with the vjp's outputs, vjp or None);
+        # (parent keys aligned with the vjp's outputs, vjp or None);
         # None once backward has run the node
         self.nodes: list[tuple | None] = []
-        self.params: dict[str, tuple[int, tuple]] = {}  # name -> (idx, shape)
+        # name -> shape; None once backward has filled the gradients
+        self.params: dict[str, tuple] | None = {}
 
     # -- hooks and leaves -----------------------------------------------
 
@@ -102,7 +91,7 @@ class Tape:
 
     def _record(self, value, parents, vjp) -> Ref:
         """A node of `value` whose VJP maps its adjoint to those of the
-        `parents` Refs; the node keeps their indices, not their values."""
+        `parents` Refs; the node keeps their keys, not their values."""
         self.nodes.append((tuple(p.idx for p in parents), vjp))
         return Ref(self, len(self.nodes) - 1, value)
 
@@ -110,11 +99,12 @@ class Tape:
         return self._record(as_matrix(value), (), None)
 
     def parameter(self, name: str, value) -> Ref:
+        """A named leaf, not a node: its adjoint accumulates under its name."""
         if name in self.params:
             raise ContractError(f"parameter {name!r} already registered")
-        ref = self._record(as_matrix(value), (), None)
-        self.params[name] = (ref.idx, ref.shape)
-        return ref
+        value = as_matrix(value)
+        self.params[name] = value.shape
+        return Ref(self, name, value)
 
     def _head_operands(self, kind: str, q: Ref, k: Ref, v: Ref):
         """An attention head's Q~, its row divisors, K~, its row divisors and
@@ -132,13 +122,19 @@ class Tape:
         av, bv = self._value(a), self._value(b)
         if av.shape[-1] != bv.shape[-2]:
             raise DimensionError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
-        return self._record(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+        return self._record(av @ bv, (a, b), lambda g: (
+            _unbroadcast(g @ _mT(bv), av.shape), _unbroadcast(_mT(av) @ g, bv.shape)))
 
     def sym_apply(self, op, a: Ref) -> Ref:
-        """op.apply(a) for a fixed symmetric linear operator `op`, such as
-        `Graph.sym_operator`. Symmetry makes op.apply(g) the VJP."""
-        return self._record(op.apply(self._value(a)), (a,),
-                            lambda g: (op.apply(g),))
+        """op.apply on every matrix of `a`, for a fixed symmetric linear
+        operator `op` such as `Graph.sym_operator`, with any leading axes
+        folded into columns: one N x (B d) application. Symmetry makes the
+        same application the VJP."""
+        def apply(x):
+            rows = np.moveaxis(x, -2, 0)
+            return np.moveaxis(op.apply(rows.reshape(len(rows), -1)).reshape(rows.shape), 0, -2)
+
+        return self._record(apply(self._value(a)), (a,), lambda g: (apply(g),))
 
     def linear_attention(self, q: Ref, k: Ref, v: Ref) -> Ref:
         """Simple attention S V with S = diag^-1(N + Q~ K~^T 1)(1 + Q~ K~^T)
@@ -151,25 +147,33 @@ class Tape:
         normalizations."""
         qt, q_div, kt, k_div, vv = self._head_operands("linear", q, k, v)
         v1 = np.concatenate([vv, np.ones(vv.shape[:-1] + (1,))], axis=-1)
-        kv1 = np.swapaxes(kt, -1, -2) @ v1
+        kv1 = _mT(kt) @ v1
         acc = v1.sum(axis=-2, keepdims=True) + qt @ kv1  # [numerators | denominators]
-        denom = acc[..., -1:]
+        del v1
+        denom = acc[..., -1:].copy()  # the VJP keeps this column, not acc
         if np.any(denom <= 0):
             raise DomainError("linear attention denominator N + q~.sum(k~) is not positive")
         out = acc[..., :-1] / denom
 
         def vjp(g):
-            # adjoint of [numerators | denominators], then of the accumulators
+            # adjoint of [numerators | denominators], then of the accumulators;
+            # each N x d adjoint is made once the one before it is final
             g_num = g / denom
             g_acc = np.concatenate(
-                [g_num, -np.sum(g_num * out, axis=1, keepdims=True)], axis=1)
-            g_kv1 = qt.T @ g_acc
-            g_kt = vv @ g_kv1[:, :-1].T + g_kv1[:, -1]  # the ones column adds a row
-            g_v = kt @ g_kv1[:, :-1] + g_num.sum(axis=0, keepdims=True)
-            return g_acc @ kv1.T, g_kt, g_v
+                [g_num, -np.sum(g_num * out, axis=-1, keepdims=True)], axis=-1)
+            g_ones = g_num.sum(axis=-2, keepdims=True)
+            del g_num
+            g_kv1 = _mT(qt) @ g_acc
+            g_q = _row_normalized_vjp(g_acc @ _mT(kv1), qt, q_div)
+            del g_acc
+            g_k = vv @ _mT(g_kv1[..., :-1])
+            g_k += g_kv1[..., None, :, -1]  # the ones column adds a row
+            g_k = _row_normalized_vjp(g_k, kt, k_div)
+            g_v = kt @ g_kv1[..., :-1]
+            g_v += g_ones
+            return g_q, g_k, _unbroadcast(g_v, vv.shape)
 
-        return self._record(out, (q, k, v),
-                            _through_normalizations(vjp, qt, q_div, kt, k_div))
+        return self._record(out, (q, k, v), vjp)
 
     def sigmoid_attention(self, q: Ref, k: Ref, v: Ref) -> Ref:
         """Advanced attention S V with S = diag^-1(A 1) A and the dense
@@ -179,7 +183,7 @@ class Tape:
         sum, reciprocal, row scale) in its order, K~^T as a contiguous copy
         included, so they match it bit for bit."""
         qt, q_div, kt, k_div, vv = self._head_operands("sigmoid", q, k, v)
-        kt_t = np.swapaxes(kt, -1, -2).copy()  # the chain's contiguous K~^T
+        kt_t = _mT(kt).copy()  # the chain's contiguous K~^T
         scores = qt @ kt_t
         a = np.empty_like(scores)  # the sigmoid, without overflow either side
         pos = scores >= 0
@@ -191,18 +195,21 @@ class Tape:
 
         def vjp(g):
             g_av = g * r
-            g_rs = -np.sum(g * av, axis=1, keepdims=True) * r * r
-            g_scores = (g_rs + g_av @ vv.T) * a * (1.0 - a)
-            return g_scores @ kt_t.T, (qt.T @ g_scores).T, a.T @ g_av
+            g_rs = -np.sum(g * av, axis=-1, keepdims=True) * r * r
+            g_scores = (g_rs + g_av @ _mT(vv)) * a * (1.0 - a)
+            return (_row_normalized_vjp(g_scores @ _mT(kt_t), qt, q_div),
+                    _row_normalized_vjp(_mT(_mT(qt) @ g_scores), kt, k_div),
+                    _unbroadcast(_mT(a) @ g_av, vv.shape))
 
-        return self._record(av * r, (q, k, v),
-                            _through_normalizations(vjp, qt, q_div, kt, k_div))
+        return self._record(av * r, (q, k, v), vjp)
 
     def add(self, a: Ref, b: Ref) -> Ref:
         av, bv = self._value(a), self._value(b)
         if av.shape[-2:] != bv.shape[-2:]:
             raise DimensionError(f"add shape mismatch: {av.shape} vs {bv.shape}")
-        return self._record(av + bv, (a, b), lambda g: (g, g))
+        sa, sb = av.shape, bv.shape
+        return self._record(av + bv, (a, b),
+                            lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
     def scale(self, a: Ref, c: float) -> Ref:
         c = float(c)
@@ -216,8 +223,7 @@ class Tape:
     def transpose(self, a: Ref) -> Ref:
         # A contiguous copy: BLAS picks its kernel by layout, so a view
         # could change a product's last bits.
-        return self._record(np.swapaxes(self._value(a), -1, -2).copy(), (a,),
-                            lambda g: (g.T,))
+        return self._record(_mT(self._value(a)).copy(), (a,), lambda g: (_mT(g),))
 
     def layer_norm(self, a: Ref, eps: float = LAYER_NORM_EPS) -> Ref:
         av = self._value(a)
@@ -226,112 +232,122 @@ class Tape:
         y = (av - mean) / std
 
         def vjp(g):
-            gm = g.mean(axis=1, keepdims=True)
-            gy = np.mean(g * y, axis=1, keepdims=True)
+            gm = g.mean(axis=-1, keepdims=True)
+            gy = np.mean(g * y, axis=-1, keepdims=True)
             return ((g - gm - y * gy) / std,)
 
         return self._record(y, (a,), vjp)
 
-    def mean_over_list(self, refs: list[Ref]) -> Ref:
-        if not refs:
-            raise ContractError("mean-over-list needs at least one input")
+    def stack(self, refs: list[Ref]) -> Ref:
+        """The operands on a new head axis -3, in front of their rows, and
+        broadcast against each other over their leading axes: a layer's H
+        weight matrices as one (H, r, c) value, or a state as a stack of one
+        head. The VJP splits the adjoint along that axis."""
         values = [self._value(r) for r in refs]
-        if any(v.shape[-2:] != values[0].shape[-2:] for v in values):
-            raise DimensionError("mean-over-list inputs must share a shape")
-        k = len(refs)
-        return self._record(sum(values) / k, refs,
-                            lambda g: tuple(g / k for _ in range(k)))
+        shapes = [v.shape for v in values]
+        return self._record(
+            np.stack(np.broadcast_arrays(*values), axis=-3), refs,
+            lambda g: tuple(_unbroadcast(g[..., i, :, :], s) for i, s in enumerate(shapes)))
+
+    def head_mean(self, a: Ref) -> Ref:
+        """The mean over the head axis -3: the heads summed in order, then
+        divided by their count."""
+        av = self._value(a)
+        shape, h = av.shape, av.shape[-3]
+        return self._record(av.sum(axis=-3) / h, (a,),
+                            lambda g: (np.broadcast_to((g / h)[..., None, :, :], shape),))
 
     def broadcast_row(self, row: Ref, n: int) -> Ref:
         rv = self._value(row)
-        if rv.shape[-2] != 1:
-            raise DimensionError(f"broadcast-row needs a 1xd row, got {rv.shape}")
-        return self._record(
-            np.broadcast_to(rv, rv.shape[:-2] + (n, rv.shape[-1])), (row,),
-            lambda g: (g.sum(axis=0, keepdims=True),),
-        )
+        shape = rv.shape
+        if shape[-2] != 1:
+            raise DimensionError(f"broadcast-row needs a 1xd row, got {shape}")
+        return self._record(np.broadcast_to(rv, shape[:-2] + (n, shape[-1])), (row,),
+                            lambda g: (_unbroadcast(g, shape),))
 
     def masked_cross_entropy(self, logits: Ref, labels: np.ndarray, mask: np.ndarray) -> Ref:
-        """Mean negative log-softmax likelihood over masked rows (1x1 output)."""
+        """Mean negative log-softmax likelihood over the masked rows of each
+        N x C matrix of the logits: a 1x1 loss per matrix."""
         lv = self._value(logits)
-        rows, targets, shifted, losses = _cross_entropy(lv, labels, mask)
-        value = np.array([[float(np.mean(losses))]])
+        labels = np.asarray(labels, dtype=np.int64)
+        mask = np.asarray(mask, dtype=bool)
+        n = lv.shape[-2]
+        if labels.shape[0] != n or mask.shape[0] != n:
+            raise DimensionError("labels/mask length must match logits rows")
+        rows = np.flatnonzero(mask)
+        if rows.size == 0:
+            raise ContractError("mask selects no rows")
+        targets = labels[rows]
+        sel = lv[..., rows, :]
+        top = sel.max(axis=-1, keepdims=True)
+        shifted = sel - top
+        lse = np.log(np.sum(np.exp(shifted), axis=-1)) + top[..., 0]
+        losses = lse - sel[..., np.arange(rows.size), targets]
 
         def vjp(g):
             p = np.exp(shifted)
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(rows.size), targets] -= 1.0
+            p /= p.sum(axis=-1, keepdims=True)
+            p[..., np.arange(rows.size), targets] -= 1.0
             grad = np.zeros_like(lv)
-            grad[rows] = p * (g[0, 0] / rows.size)
+            grad[..., rows, :] = p * (g / rows.size)
             return (grad,)
 
-        return self._record(value, (logits,), vjp)
+        return self._record(np.mean(losses, axis=-1)[..., None, None], (logits,), vjp)
 
     def masked_mse(self, pred: Ref, target: np.ndarray, mask: np.ndarray) -> Ref:
+        """Mean squared error over the masked rows of each matrix of `pred`
+        against one target matrix: a 1x1 loss per matrix."""
         pv = self._value(pred)
         target = as_matrix(target)
         mask = np.asarray(mask, dtype=bool)
-        if target.shape != pv.shape or mask.shape[0] != pv.shape[0]:
+        if target.shape != pv.shape[-2:] or mask.shape[0] != pv.shape[-2]:
             raise DimensionError("target/mask shapes must match predictions")
         rows = np.flatnonzero(mask)
         if rows.size == 0:
             raise ContractError("mask selects no rows")
-        diff = pv[rows] - target[rows]
-        value = np.array([[float(np.mean(diff**2))]])
+        diff = pv[..., rows, :] - target[rows]
+        count = diff.shape[-2] * diff.shape[-1]
 
         def vjp(g):
             grad = np.zeros_like(pv)
-            grad[rows] = diff * (2.0 * g[0, 0] / diff.size)
+            grad[..., rows, :] = diff * (2.0 * g / count)
             return (grad,)
 
-        return self._record(value, (pred,), vjp)
+        return self._record(np.mean(diff**2, axis=(-2, -1))[..., None, None], (pred,), vjp)
 
     # -- reverse pass ---------------------------------------------------
 
     def backward(self, loss: Ref) -> dict[str, np.ndarray]:
-        """Reverse accumulation from a scalar loss; returns parameter grads.
-        Each node is released once its VJP has run, so a tape is
-        differentiated once."""
+        """Reverse accumulation from a 1x1 loss; returns parameter grads.
+        The parameter registry is released first and each node once its VJP
+        has run, so a tape is differentiated once."""
         if loss.tape is not self:
             raise ContractError("loss belongs to a different tape")
         if loss.shape != (1, 1):
             raise ContractError(f"loss must be 1x1, got {loss.shape}")
-        adjoint: dict[int, np.ndarray] = {loss.idx: np.ones((1, 1))}
-        grads: dict[str, np.ndarray] = {}
-        param_idx = {idx: name for name, (idx, _) in self.params.items()}
-        for idx in range(loss.idx, -1, -1):
+        params, self.params = self.params, None
+        if params is None:
+            raise ContractError("backward already ran through this tape")
+        adjoint: dict[int | str, np.ndarray] = {loss.idx: np.ones((1, 1))}
+        for idx in range(len(self.nodes) - 1, -1, -1):
             g = adjoint.pop(idx, None)
             if g is None:
                 continue
-            node = self.nodes[idx]
-            if node is None:
-                raise ContractError("backward already ran through this tape")
+            parents, vjp = self.nodes[idx]
             self.nodes[idx] = None
-            if idx in param_idx:
-                name = param_idx[idx]
-                grads[name] = grads.get(name, 0.0) + g
-            parents, vjp = node
             if vjp is None:
                 continue
             for parent, pg in zip(parents, vjp(g)):
-                if parent in adjoint:
-                    adjoint[parent] = adjoint[parent] + pg
-                else:
-                    adjoint[parent] = pg
-        for name, (_, shape) in self.params.items():
-            grads.setdefault(name, np.zeros(shape))
-        return grads
+                adjoint[parent] = adjoint[parent] + pg if parent in adjoint else pg
+        return {name: adjoint[name] if name in adjoint else np.zeros(shape)
+                for name, shape in params.items()}
 
 
 class Eager(Tape):
     """The `Tape` that records nothing: every primitive takes and returns
-    plain arrays, and no VJP is kept.
-
-    Every input may carry leading batch axes in front of its last two
-    (matrix) axes, and inputs broadcast against each other over them, so a
-    stack of B parameter matrices runs B forwards at once. On 2-D inputs
-    each value is the one `Tape` computes, bit for bit.
-    """
+    plain arrays, and no VJP is kept. Inputs broadcast over their leading
+    axes, so a stack of B parameter matrices runs B forwards at once; on 2-D
+    inputs each value is the one `Tape` computes, bit for bit."""
 
     def __init__(self):
         pass  # no nodes and no parameter registry
@@ -347,16 +363,3 @@ class Eager(Tape):
 
     def parameter(self, name: str, value) -> np.ndarray:
         return np.asarray(value, dtype=np.float64)
-
-    def sym_apply(self, op, a):
-        """op.apply on every matrix of `a`, with the batch folded into
-        columns: one N x (B d) application."""
-        n, d = a.shape[-2:]
-        cols = np.moveaxis(a, -2, 0).reshape(n, -1)
-        out = op.apply(cols).reshape((n,) + a.shape[:-2] + (d,))
-        return np.moveaxis(out, 0, -2)
-
-    def masked_cross_entropy(self, logits, labels, mask) -> np.ndarray:
-        """Mean masked-row loss of each matrix in the stack: an array of
-        shape logits.shape[:-2] (a 0-d array for a single matrix)."""
-        return np.mean(_cross_entropy(logits, labels, mask)[3], axis=-1)

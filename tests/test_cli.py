@@ -467,6 +467,16 @@ def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys):
                                 "--out", str(tmp_path / "e")], capsys)
         assert code == 1
         assert err == f"error: {path}: parameter {name} {why}\n"
+    for key, value in (("heads", 2.5), ("layers", 1.5), ("use_graph", "no")):
+        trial = json.loads(json.dumps(payload))
+        trial["config"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(trial))
+        code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
+                                "--checkpoint", str(path),
+                                "--out", str(tmp_path / "e")], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}: bad config: {key} must be")
     for text, why in (("5", "expected a JSON object"),
                       ('{"config": {}, "params": [1, 2]}', "missing 'params' object")):
         path.write_text(text)

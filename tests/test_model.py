@@ -1,4 +1,6 @@
+import json
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,6 +35,13 @@ def test_config_validation():
         _cfg(tau=1.5)
     with pytest.raises(ParameterError):
         _cfg(activation_between_layers="gelu")
+    for key, value in (("heads", 2.5), ("layers", True), ("hidden_dim", "4")):
+        with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+            _cfg(**{key: value})
+    for key, value in (("use_graph", "no"), ("use_source", 1)):
+        with pytest.raises(ParameterError, match=f"{key} must be true or false"):
+            _cfg(**{key: value})
+    assert _cfg(heads=np.int64(2), use_graph=np.bool_(True)).heads == 2
 
 
 def test_init_shapes_and_bounds():
@@ -170,11 +179,12 @@ def test_graph_channel_changes_output():
     assert not np.allclose(with_g.value, no_g.value)
 
 
+@pytest.mark.parametrize("heads", [2, 3])
 @pytest.mark.parametrize("use_source", [False, True])
-def test_graph_forward_matches_dense_oracle(use_source):
+def test_graph_forward_matches_dense_oracle(use_source, heads):
     from endiff.suites import _dense_simple_forward
 
-    cfg = _cfg(layers=2, heads=2, use_graph=True, use_source=use_source)
+    cfg = _cfg(layers=2, heads=heads, use_graph=True, use_source=use_source)
     for seed in range(5):
         params = init_model(cfg, seed)
         x = np.random.default_rng((seed, 7)).standard_normal((20, 3))
@@ -265,6 +275,15 @@ def test_checkpoint_load_errors(tmp_path):
     missing.write_text('{"config": {}}')
     with pytest.raises(FormatError):
         Checkpoint.load(missing)
+    cfg = _cfg()
+    params = {k: v.tolist() for k, v in init_model(cfg, 0).items()}
+    for key, value in (("heads", 2.5), ("layers", 1.5), ("heads", True),
+                       ("use_graph", "no"), ("use_source", 0)):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"config": {**asdict(cfg), key: value}, "params": params}))
+        with pytest.raises(FormatError) as exc:
+            Checkpoint.load(path)
+        assert str(exc.value).startswith(f"{path}: bad config: {key} must be")
 
 
 def test_parameter_shapes_without_feature_transform():
@@ -309,8 +328,8 @@ def test_eager_forward_matches_tape(case, n):
     assert np.max(np.abs(eager - on_tape.value)) <= 1e-12 * scale
     labels = np.arange(n) % 2
     mask = np.ones(n, dtype=bool)
-    loss = Tape().masked_cross_entropy(on_tape, labels, mask).value[0, 0]
-    assert ev.masked_cross_entropy(eager, labels, mask).shape == ()
+    loss = Tape().masked_cross_entropy(on_tape, labels, mask).value
+    assert ev.masked_cross_entropy(eager, labels, mask).shape == (1, 1)
     assert ev.masked_cross_entropy(eager, labels, mask) == pytest.approx(loss, rel=1e-12)
 
 
@@ -330,13 +349,46 @@ def test_stacked_forward_slices_match_single_forwards(case, n):
         stack = value + 0.1 * rng.standard_normal((4,) + value.shape)
         logits, ev = forward({**params, name: stack}, x, g, cfg, tape=Eager())
         losses = ev.masked_cross_entropy(logits, labels, mask)
-        assert logits.shape == (4, n, 2) and losses.shape == (4,)
+        assert logits.shape == (4, n, 2) and losses.shape == (4, 1, 1)
         for k in range(4):
             single, _ = forward({**params, name: stack[k]}, x, g, cfg, tape=Eager())
             scale = np.max(np.abs(single))
             assert np.max(np.abs(logits[k] - single)) <= 1e-12 * scale
             assert losses[k] == pytest.approx(
                 ev.masked_cross_entropy(single, labels, mask), rel=1e-12)
+
+
+@pytest.mark.parametrize("heads", [2, 3])
+@pytest.mark.parametrize("variant", ["simple", "advanced"])
+def test_stacked_forward_with_as_many_copies_as_heads(variant, heads):
+    # numpy broadcasts a (B, N, d) state against an (H, d, d) weight stack
+    # when B == H, pairing copy i with head i; the copy axis must sit in
+    # front of the head axis instead.
+    cfg = _cfg(variant=variant, layers=2, heads=heads, hidden_dim=5,
+               use_graph=True, use_source=True)
+    n = 7
+    params = init_model(cfg, n)
+    x = np.random.default_rng(n).standard_normal((n, 3))
+    g = er_graph(n, 0.5, n)
+    rng = np.random.default_rng(5)
+    for name, value in params.items():
+        stack = value + 0.1 * rng.standard_normal((heads,) + value.shape)
+        logits, _ = forward({**params, name: stack}, x, g, cfg, tape=Eager())
+        assert logits.shape == (heads, n, 2)
+        for c in range(heads):
+            single, _ = forward({**params, name: stack[c]}, x, g, cfg, tape=Eager())
+            assert np.max(np.abs(logits[c] - single)) <= 1e-12 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("variant", ["simple", "advanced"])
+def test_nodes_per_forward_do_not_grow_with_heads(variant):
+    counts = []
+    for heads in (1, 2, 4):
+        cfg = _cfg(variant=variant, layers=2, heads=heads, hidden_dim=32, use_graph=True)
+        x = np.random.default_rng(0).standard_normal((10, 3))
+        _, tape = forward(init_model(cfg, 0), x, er_graph(10, 0.4, 0), cfg)
+        counts.append(len(tape.nodes))
+    assert counts == [counts[0]] * 3
 
 
 def test_tape_rejects_a_stacked_parameter():
@@ -352,7 +404,7 @@ def test_tape_rejects_a_stacked_parameter():
 
 
 # Primitives whose outputs feed only VJPs that need the adjoint alone.
-_UNCAPTURED = ("add", "scale", "mean_over_list", "sym_apply", "broadcast_row")
+_UNCAPTURED = ("add", "scale", "stack", "head_mean", "sym_apply", "broadcast_row")
 
 
 @pytest.mark.parametrize("variant", ["simple", "advanced", "mlp"])
@@ -434,6 +486,17 @@ def test_gradcheck_suite_catches_a_wrong_sigmoid_attention_gradient(monkeypatch)
     assert len(advanced) == 4
     for detail in advanced.values():
         assert detail["failures"]  # every advanced configuration sees it
+
+
+def test_gradcheck_suite_catches_a_wrong_stack_gradient(monkeypatch):
+    from endiff.suites import suite_gradcheck
+
+    _skew_vjp(monkeypatch, "stack")
+    report = suite_gradcheck()
+    assert report["passed"] is False
+    heads = {f"W_{role}_{k}_{h}" for role in "QKV" for k in range(2) for h in range(2)}
+    for detail in report["per_config"].values():
+        assert heads <= set(detail["failures"])  # every head's split adjoint
 
 
 def test_gradcheck_model_handles_unused_parameters():

@@ -68,7 +68,8 @@ _PRIMITIVES = {
     "transpose": lambda e, x: e.transpose(x["b"]),
     "row_l2_normalize": lambda e, x: e.row_l2_normalize(x["a"]),
     "layer_norm": lambda e, x: e.layer_norm(x["a"]),
-    "mean_over_list": lambda e, x: e.mean_over_list([x["a"], x["b"], x["a"]]),
+    "stack": lambda e, x: e.stack([x["a"], x["b"], x["a"]]),
+    "head_mean": lambda e, x: e.head_mean(e.stack([x["a"], x["b"], x["a"]])),
     "diag_scale_rows": lambda e, x: e.diag_scale_rows(x["b"], x["col"]),
     "row_sum": lambda e, x: e.row_sum(x["b"]),
     "broadcast_row": lambda e, x: e.broadcast_row(x["row"], 6),
@@ -83,17 +84,14 @@ def test_tape_and_eager_compute_the_same_bits(name):
     t = ComposedTape()
     on_tape = _PRIMITIVES[name](t, {k: t.constant(v) for k, v in _OPERANDS.items()}).value
     eager = _PRIMITIVES[name](ComposedEager(), _OPERANDS)
-    if name == "masked_cross_entropy":  # one loss per matrix: 0-d for one matrix
-        on_tape = on_tape[0, 0]
     assert np.shape(eager) == np.shape(on_tape)
     assert np.array_equal(eager, on_tape)
 
 
-def test_eager_defines_only_its_hooks_and_batch_overrides():
-    # Every other primitive is Tape's own definition, so the two cannot drift.
+def test_eager_defines_only_its_hooks_and_leaves():
+    # Every primitive is Tape's own definition, so the two cannot drift.
     own = {name for name, member in vars(Eager).items() if callable(member)}
-    assert own == {"__init__", "_value", "_record", "constant", "parameter",
-                   "sym_apply", "masked_cross_entropy"}
+    assert own == {"__init__", "_value", "_record", "constant", "parameter"}
     primitives = {name for name, member in vars(Tape).items()
                   if callable(member) and not name.startswith("_")}
     composed = {name for name in vars(ComposedTape) if not name.startswith("_")}
@@ -179,10 +177,14 @@ def test_layer_norm_grad():
     )
 
 
-def test_mean_over_list_grad():
+def test_stack_and_head_mean_grads():
+    # x is broadcast over the head axis of the weight stack, so its adjoint
+    # is summed back over it
     _gradcheck(
-        lambda t, r: t.sum_all(t.mean_over_list([r["a"], r["b"], r["c"]])),
-        {"a": (2, 3), "b": (2, 3), "c": (2, 3)},
+        lambda t, r: t.sum_all(t.hadamard(t.head_mean(t.relu(t.matmul(
+            r["x"], t.stack([r["a"], r["b"], r["c"]])))), r["w"])),
+        {"x": (4, 2), "a": (2, 3), "b": (2, 3), "c": (2, 3), "w": (4, 3)},
+        seed=4,
     )
 
 
@@ -346,6 +348,35 @@ def test_sigmoid_attention_grad():
         {"q": (5, 3), "k": (5, 3), "v": (5, 2), "w": (5, 2)},
         seed=13,
     )
+
+
+@pytest.mark.parametrize("primitive", ["linear_attention", "sigmoid_attention"])
+def test_attention_over_a_head_axis_grad(primitive):
+    # Two heads; Q is one matrix broadcast over both, so its adjoint is
+    # summed back over the head axis.
+    _gradcheck(
+        lambda t, r: t.sum_all(t.hadamard(t.head_mean(getattr(t, primitive)(
+            t.scale(r["q"], 0.2), t.stack([t.scale(r["k0"], 0.2), r["k1"]]),
+            t.stack([r["v0"], r["v1"]]))), r["w"])),
+        {"q": (5, 3), "k0": (5, 3), "k1": (5, 3), "v0": (5, 2), "v1": (5, 2),
+         "w": (5, 2)},
+        seed=15,
+    )
+
+
+def test_tape_heads_match_their_single_head_bits():
+    rng = np.random.default_rng(16)
+    q, k = rng.standard_normal((2, 3, 6, 4))
+    q[:, 0] = 0.0  # a zero row
+    v = rng.standard_normal((3, 6, 2))
+    for primitive in ("linear_attention", "sigmoid_attention"):
+        t = Tape()
+        stacked = getattr(t, primitive)(*(t.stack([t.constant(m) for m in x])
+                                          for x in (q, k, v))).value
+        for h in range(3):
+            t = Tape()
+            single = getattr(t, primitive)(*(t.constant(x[h]) for x in (q, k, v)))
+            assert np.array_equal(stacked[h], single.value)
 
 
 def _stack_slices_match(primitive: str, seed: int):
