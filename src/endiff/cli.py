@@ -27,7 +27,7 @@ from .graphs import (Dataset, atomic_write_text, er_graph, load_dataset,
                      read_edges, read_features, sbm_generate)
 from .model import Checkpoint, ModelConfig, forward
 from .numerics import row_l2_normalize
-from .suites import SUITES, run_suite
+from .suites import SEEDED_SUITES, SUITES, run_suite
 from .tape import Eager
 from .train import TrainConfig, metric, train_loop, write_history_csv
 
@@ -237,6 +237,8 @@ def cmd_diffuse(args) -> int:
 def cmd_audit(args) -> int:
     if args.seeds is not None and args.seeds < 1:
         args.parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    if args.seeds is not None and args.suite not in SEEDED_SUITES + ("all",):
+        args.parser.error(f"--seeds does not apply to --suite {args.suite}")
     started = time.monotonic()
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -245,8 +247,7 @@ def cmd_audit(args) -> int:
     outputs = []
     for name in names:
         kwargs = {}
-        if args.seeds is not None and name in ("thm1", "prop1", "thm2",
-                                               "oversmooth", "linear_equiv"):
+        if args.seeds is not None and name in SEEDED_SUITES:
             kwargs["seeds"] = args.seeds
         report = run_suite(name, **kwargs)
         reports.append(report)

@@ -4,8 +4,8 @@ The core update is z' = Z - tau * (diag(S 1) - S) Z: each node keeps a
 (1 - tau * row_sum) share of its own state and absorbs a tau-weighted mix
 of the others. The coupling S is a `coupling.Coupling` operator, so simple
 attention runs in O(N d^2) and every graph family in O(E d) per step
-without materializing S. Variants add a source term or blend an attention
-coupling with the observed graph.
+without materializing S. A variant adds the initial state as a source
+term.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class DiffusionConfig:
     tau: float = 0.5
     steps: int = 1
     beta: float = 0.0
-    graph_blend: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
@@ -46,7 +45,6 @@ class Trajectory:
     row_sums: list[np.ndarray]
     config: DiffusionConfig
     spec: CouplingSpec
-    graph: Graph | None = None
     coupling: Coupling | None = None  # the static coupling; None for attention
 
 
@@ -62,15 +60,6 @@ def _laplacian_apply(s: Coupling, z: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"coupling on {s.n} nodes does not match embeddings {z.shape}")
     return s.row_sums()[:, None] * z - s.apply(z)
-
-
-def graph_blended_step(z: np.ndarray, s_attn: Coupling, g: Graph,
-                       tau: float) -> np.ndarray:
-    """Euler step on the sum of an attention coupling and the
-    sym-normalized observed adjacency, each weighted tau/2."""
-    z = as_matrix(z)
-    lap = _laplacian_apply(s_attn, z) + _laplacian_apply(g.sym_operator, z)
-    return z - tau / 2.0 * lap
 
 
 def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
@@ -89,13 +78,8 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     diffusivity inference (the dot-product identity behind the scores needs
     it), so they build steps + 1 couplings, the last one only for its row
     sums; static families build their coupling once and reuse it. The source
-    term (beta > 0) is the initial state. Graph blending adds the observed
-    graph to an attention coupling, so it needs both.
+    term (beta > 0) is the initial state. The GRAPH_FAMILIES couple along g.
     """
-    if cfg.graph_blend and g is None:
-        raise ParameterError("graph_blend requires a graph")
-    if cfg.graph_blend and not spec.is_attention:
-        raise ParameterError(f"graph_blend requires an attention family, not {spec.family}")
     z = row_l2_normalize(z0) if spec.is_attention else as_matrix(z0).copy()
     static = None if spec.is_attention else coupling_operator(spec, z, g)
 
@@ -110,14 +94,11 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     state, s = coupled(z)
     row_sums = [s.row_sums()]
     for _ in range(cfg.steps):
-        if cfg.graph_blend:
-            nxt = graph_blended_step(state, s, g, cfg.tau)
-        else:
-            nxt = euler_step(state, s, cfg.tau)
+        nxt = euler_step(state, s, cfg.tau)
         if cfg.beta > 0:
             nxt = nxt + cfg.tau * cfg.beta * snapshots[0]
         snapshots.append(nxt)
         state, s = coupled(nxt)
         row_sums.append(s.row_sums())
     return Trajectory(snapshots=snapshots, row_sums=row_sums, config=cfg, spec=spec,
-                      graph=g, coupling=static)
+                      coupling=static)

@@ -29,7 +29,7 @@ import numpy as np
 from .coupling import Coupling, PenaltyFamily, penalty_conjugate, penalty_delta
 from .diffusion import Trajectory
 from .errors import ContractError, DimensionError, ParameterError
-from .graphs import Graph, atomic_write_text
+from .graphs import atomic_write_text
 from .numerics import as_matrix, laplacian_spectral_bracket
 
 DESCENT_SLACK = 1e-9
@@ -129,22 +129,6 @@ def surrogate_energy(z, z_prev, omega, penalty: PenaltyFamily, lam: float) -> fl
     return local + lam * (pair - conj)
 
 
-def graph_regularized_energy(z, z_prev, penalty: PenaltyFamily, g: Graph,
-                             lam: float) -> float:
-    """Regularized energy plus the quadratic penalty
-    sum_ij a_ij ||z_i - z_j||^2 of the sym-normalized adjacency a, each
-    half-weighted. The graph-blended dynamics step on the same two halves
-    but do not always descend this energy: on seeded ER(20, 0.3) instances
-    at tau = 0.25 some steps raise it."""
-    z = as_matrix(z)
-    z_prev = as_matrix(z_prev)
-    _check_same_shape(z, z_prev)
-    edge_term = _coupled_pair_sum(g.sym_operator, z)
-    local = float(np.sum((z - z_prev) ** 2))
-    pen = _penalty_sum(penalty, z)
-    return local + 0.5 * lam * pen + 0.5 * lam * edge_term
-
-
 def diversity(z) -> float:
     """sum_{i<j} ||z_i - z_j||^2 = N ||Z - mean(Z)||_F^2, the
     embedding-collapse diagnostic, in O(N d)."""
@@ -173,9 +157,9 @@ class EnergyReport:
 
 def _trajectory_energy(traj: Trajectory, k_next: int) -> float:
     """E(Z^(k_next), k_next-1) with the energy form matching the trajectory:
-    quadratic for static couplings, regularized for attention, the
-    graph-regularized variant when configured, at lam = tau. A source term
-    shifts the anchor to Z_prev + tau * beta * Z^(0), the source."""
+    quadratic for static couplings, regularized for attention, at
+    lam = tau. A source term shifts the anchor to
+    Z_prev + tau * beta * Z^(0), the source."""
     cfg = traj.config
     spec = traj.spec
     lam = cfg.tau
@@ -184,8 +168,6 @@ def _trajectory_energy(traj: Trajectory, k_next: int) -> float:
     anchor = z_prev if cfg.beta == 0 else z_prev + lam * cfg.beta * traj.snapshots[0]
     if not spec.is_attention:
         return quadratic_energy(z, anchor, traj.coupling, lam)
-    if cfg.graph_blend:
-        return graph_regularized_energy(z, anchor, spec.penalty, traj.graph, lam)
     return regularized_energy(z, anchor, spec.penalty, lam)
 
 

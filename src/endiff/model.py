@@ -32,7 +32,10 @@ from .graphs import Graph, atomic_write_text
 from .tape import Eager, Ref, Tape
 
 VARIANTS = ("simple", "advanced", "mlp")  # mlp: identity coupling, no mixing
-ACTIVATIONS = ("none", "relu")
+
+# Config keys of older checkpoints, with the one value every CLI run wrote:
+# a checkpoint holding it loads, any other value is a bad config.
+_RETIRED_CONFIG = {"use_feature_transform": True, "activation_between_layers": "none"}
 
 
 @dataclass(frozen=True)
@@ -45,28 +48,22 @@ class ModelConfig:
     heads: int = 1
     tau: float = 0.5
     use_graph: bool = False
-    use_feature_transform: bool = True
     use_source: bool = False
-    activation_between_layers: str = "none"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown variant {self.variant!r}")
-        if self.activation_between_layers not in ACTIVATIONS:
-            raise ParameterError(
-                f"unknown activation {self.activation_between_layers!r}"
-            )
         for name in ("input_dim", "hidden_dim", "output_dim", "layers", "heads"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ParameterError(f"{name} must be >= 1")
-        for name in ("use_graph", "use_feature_transform", "use_source"):
+        for name in ("use_graph", "use_source"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
                 raise ParameterError(f"{name} must be true or false, got {value!r}")
-        if not (0.0 < self.tau <= 1.0):
+        if isinstance(self.tau, bool) or not (0.0 < self.tau <= 1.0):
             raise ParameterError(f"tau must be in (0, 1], got {self.tau}")
 
 
@@ -76,11 +73,10 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     convention the shapes follow)."""
     d, dd, c = cfg.hidden_dim, cfg.input_dim, cfg.output_dim
     shapes = {"W_I": (d, dd), "b_I": (1, d)}
-    if cfg.use_feature_transform:
-        for k in range(cfg.layers):
-            for h in range(cfg.heads):
-                for role in ("Q", "K", "V"):
-                    shapes[f"W_{role}_{k}_{h}"] = (d, d)
+    for k in range(cfg.layers):
+        for h in range(cfg.heads):
+            for role in ("Q", "K", "V"):
+                shapes[f"W_{role}_{k}_{h}"] = (d, d)
     shapes["W_O"] = (d, c)
     shapes["b_O"] = (1, c)
     return shapes
@@ -105,11 +101,8 @@ def _layer(t, z, z0, refs, k: int, cfg: ModelConfig, graph_op):
     their V, blended with the state at step tau (plus the source), then
     LayerNorm. Intermediate values die with the call, which keeps a stacked
     `Eager` forward's memory low."""
-    if cfg.use_feature_transform:
-        q, key, v = (t.matmul(z, t.transpose(t.stack(
-            [refs[f"W_{role}_{k}_{h}"] for h in range(cfg.heads)]))) for role in "QKV")
-    else:
-        q = key = v = z  # every head would be this one
+    q, key, v = (t.matmul(z, t.transpose(t.stack(
+        [refs[f"W_{role}_{k}_{h}"] for h in range(cfg.heads)]))) for role in "QKV")
     attention = {"simple": t.linear_attention, "advanced": t.sigmoid_attention}
     p = attention[cfg.variant](q, key, v) if cfg.variant in attention else v  # mlp: no mixing
     p_bar = t.head_mean(p)
@@ -120,10 +113,7 @@ def _layer(t, z, z0, refs, k: int, cfg: ModelConfig, graph_op):
         blend = t.add(blend, t.scale(z0, cfg.tau))
     if k == cfg.layers - 1:
         blend = t.head_mean(blend)  # drop the unit head axis
-    z = t.layer_norm(blend)
-    if cfg.activation_between_layers == "relu":
-        z = t.relu(z)
-    return z
+    return t.layer_norm(blend)
 
 
 def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
@@ -207,8 +197,14 @@ class Checkpoint:
         for key in ("config", "params"):
             if not isinstance(payload.get(key), dict):
                 raise FormatError(f"{path}: missing {key!r} object")
+        config = dict(payload["config"])
+        for key, kept in _RETIRED_CONFIG.items():
+            old = config.pop(key, kept)
+            if type(old) is not type(kept) or old != kept:
+                raise FormatError(f"{path}: bad config: {key} must be "
+                                  f"{json.dumps(kept)}, got {old!r}")
         try:
-            cfg = ModelConfig(**payload["config"])
+            cfg = ModelConfig(**config)
         except (TypeError, ParameterError) as exc:
             raise FormatError(f"{path}: bad config: {exc}") from exc
         params = {}

@@ -137,16 +137,11 @@ def metric(kind: str, predictions, labels, mask) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("rocauc undefined with a single class")
     scores = pred[:, 1] if pred.ndim == 2 and pred.shape[1] >= 2 else pred.ravel()
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    # a score's ties fill sorted positions [left, right): its 1-based midrank
+    sorted_scores = np.sort(scores)
+    left = np.searchsorted(sorted_scores, scores, side="left")
+    right = np.searchsorted(sorted_scores, scores, side="right")
+    ranks = (left + right + 1) / 2.0
     rank_sum = float(np.sum(ranks[lab == 1]))
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -2,9 +2,10 @@
 attention coupling among them) and the energies are checked against, the
 scalar penalty pair, the scalar-draw block-model generator, the two-key
 edge sorts, the tape of composed primitives and the two attention heads
-built from them, the two-forward training loop and a trajectory's coupling
-row sums rebuilt per snapshot. They loop, materialize, record node by node
-or recompute on purpose and are meant for small N only."""
+built from them, the two-forward training loop, a trajectory's coupling
+row sums rebuilt per snapshot and the tie-by-tie ROC AUC. They loop,
+materialize, record node by node or recompute on purpose and are meant for
+small N only."""
 
 import math
 
@@ -324,10 +325,31 @@ def train_loop_two_forwards(dataset, model_cfg, train_cfg):
                        best_epoch=best_epoch, test_metric=test_best)
 
 
-def rebuilt_row_sums(traj) -> list:
+def rebuilt_row_sums(traj, g) -> list:
     """Each snapshot's coupling row sums S 1, rebuilt from the snapshot: an
-    attention coupling on the re-normalized state, else the run's one
-    static coupling."""
-    return [(coupling_operator(traj.spec, row_l2_normalize(z), traj.graph)
+    attention coupling on the re-normalized state and the run's graph g,
+    else the run's one static coupling."""
+    return [(coupling_operator(traj.spec, row_l2_normalize(z), g)
              if traj.spec.is_attention else traj.coupling).row_sums()
             for z in traj.snapshots]
+
+
+def rocauc_loop(scores, labels) -> float:
+    """Mann-Whitney ROC AUC of binary labels, each run of tied scores given
+    its midrank by walking the sorted scores one tie at a time."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
+        i = j + 1
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    u = float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)

@@ -652,6 +652,8 @@ def test_eval_records_no_tape(tmp_path, capsys, monkeypatch):
     (["synth", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["diffuse", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["audit", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["audit", "--suite", "gradcheck", "--seeds", "7"],
+     "--seeds does not apply to --suite gradcheck"),
 ])
 def test_seed_counts_out_of_range_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ from endiff.coupling import (DIM_SCALE_MIN, PENALTY_KINDS, Z_SQ_MAX, CouplingSpe
                              coupling_operator, gat_masked_coupling,
                              penalty_conjugate, penalty_delta, penalty_f,
                              penalty_f_range, write_penalty_landscape)
-from endiff.diffusion import graph_blended_step
+from endiff.diffusion import euler_step
 from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
 from endiff.graphs import EdgeOperator, Graph, er_graph
 from endiff.numerics import row_l2_normalize
@@ -286,18 +286,12 @@ def test_dense_coupling_and_sum():
     op = DenseCoupling(s)
     assert np.array_equal(op.apply(v), s @ v)
     assert np.array_equal(op.row_sums(), s.sum(axis=1))
-    # a graph-blended step diffuses on the sum of two couplings
-    g = er_graph(5, 0.5, 0)
-    z = row_l2_normalize(rng.standard_normal((5, 3)))
-    both = s + g.sym_operator.dense()
-    want = z - 0.25 * (np.diag(both.sum(axis=1)) - both) @ z
-    assert np.allclose(graph_blended_step(z, op, g, 0.5), want, atol=1e-12)
     with pytest.raises(DimensionError):
         DenseCoupling(np.ones((3, 4)))
     with pytest.raises(DimensionError):
         op.apply(np.ones((4, 2)))
     with pytest.raises(DimensionError):
-        graph_blended_step(z, DenseCoupling(np.eye(3)), g, 0.5)
+        euler_step(np.ones((5, 3)), DenseCoupling(np.eye(3)), 0.5)
 
 
 def test_coupling_operator_picks_the_accumulator_form_for_simple_attention():

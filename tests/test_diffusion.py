@@ -5,11 +5,11 @@ from dense_oracles import normalized_adjacency, rebuilt_row_sums
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
                              DenseCoupling, PenaltyFamily, SimpleAttention,
                              build_coupling)
-from endiff.diffusion import (DiffusionConfig, euler_step, graph_blended_step,
-                              linear_simple_propagate, run_trajectory)
+from endiff.diffusion import (DiffusionConfig, euler_step, linear_simple_propagate,
+                              run_trajectory)
 from endiff.energy import write_trajectory_csv
 from endiff.errors import ContractError, DimensionError, ParameterError
-from endiff.graphs import Graph, er_graph
+from endiff.graphs import er_graph
 from endiff.numerics import laplacian, row_l2_normalize
 
 
@@ -43,16 +43,6 @@ def test_euler_step_shape_errors():
         euler_step(np.ones((3, 2)), DenseCoupling(np.ones((4, 4))), 0.5)
     with pytest.raises(DimensionError):
         euler_step(np.ones((3, 2)), DenseCoupling(np.ones((3, 4))), 0.5)
-
-
-def test_graph_blended_step_halves_tau_on_sum():
-    rng = np.random.default_rng(5)
-    g = er_graph(6, 0.5, 0)
-    z = rng.standard_normal((6, 3))
-    s_attn = np.abs(rng.standard_normal((6, 6)))
-    blended = s_attn + normalized_adjacency(g, "sym")
-    assert np.allclose(graph_blended_step(z, DenseCoupling(s_attn), g, 0.6),
-                       euler_step(z, DenseCoupling(blended), 0.3))
 
 
 def test_linear_simple_propagate_matches_dense():
@@ -121,22 +111,6 @@ def test_run_trajectory_source_defaults_to_initial_state():
     assert np.allclose(traj.snapshots[1], step1, atol=1e-12)
 
 
-def test_run_trajectory_graph_blend_requires_graph():
-    z0 = row_l2_normalize(np.random.default_rng(10).standard_normal((5, 3)))
-    spec = CouplingSpec("attention", PenaltyFamily("simple"))
-    with pytest.raises(ParameterError):
-        run_trajectory(z0, spec, DiffusionConfig(steps=1, graph_blend=True))
-
-
-@pytest.mark.parametrize("family", STATIC_FAMILIES)
-def test_run_trajectory_graph_blend_requires_attention(family):
-    # the blended step would descend an energy the audits do not score
-    g = er_graph(12, 0.4, 0)
-    z0 = np.random.default_rng(12).standard_normal((12, 3))
-    with pytest.raises(ParameterError, match="attention"):
-        run_trajectory(z0, CouplingSpec(family), DiffusionConfig(steps=2, graph_blend=True), g)
-
-
 def _every_family() -> list:
     """(spec, graph) for each static family, gat_masked and attention under
     each penalty."""
@@ -157,7 +131,7 @@ def test_a_run_records_the_row_sums_it_stepped_with(spec, g, coupling_builds, tm
     write_trajectory_csv(traj, tmp_path / "traj.csv")
     assert coupling_builds == [spec.family] * (5 if spec.is_attention else 1)
     assert len(traj.row_sums) == len(traj.snapshots) == 5
-    for got, want in zip(traj.row_sums, rebuilt_row_sums(traj)):
+    for got, want in zip(traj.row_sums, rebuilt_row_sums(traj, g)):
         assert np.array_equal(got, want)
 
 

@@ -4,14 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import endiff.energy as energy
-from dense_oracles import (SPARSE_CASES, normalized_adjacency, pair_sum_loop,
+from dense_oracles import (SPARSE_CASES, normalized_adjacency,
                            quadratic_energy_loop, sparse_case)
 from endiff.coupling import (CouplingSpec, DenseCoupling, PenaltyFamily,
                              attention_scores, coupling_operator, penalty_delta)
 from endiff.diffusion import DiffusionConfig, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent,
-                           diversity, graph_regularized_energy,
-                           quadratic_energy, regularized_energy,
+                           diversity, quadratic_energy, regularized_energy,
                            surrogate_energy, write_trajectory_csv)
 from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
 from endiff.graphs import EdgeOperator, Graph, er_graph
@@ -79,23 +78,6 @@ def test_surrogate_upper_bounds_regularized():
     for _ in range(50):
         omega = rng.uniform(lo, hi, size=(6, 6))
         assert surrogate_energy(z, zp, omega, p, 0.6) >= reg - 1e-9
-
-
-def test_graph_regularized_energy_half_weights():
-    rng = np.random.default_rng(6)
-    g = er_graph(5, 0.6, 0)
-    z = row_l2_normalize(rng.standard_normal((5, 3)))
-    zp = rng.standard_normal((5, 3))
-    p = PenaltyFamily("simple")
-    val = graph_regularized_energy(z, zp, p, g, 0.8)
-    # oracle: explicit double loop with lam/2 on both terms
-    a = normalized_adjacency(g, "sym")
-    expect = float(np.sum((z - zp) ** 2))
-    for i in range(5):
-        for j in range(5):
-            d2 = float(np.sum((z[i] - z[j]) ** 2))
-            expect += 0.4 * penalty_delta(p, d2) + 0.4 * a[i, j] * d2
-    assert val == pytest.approx(expect, rel=1e-10)
 
 
 def test_diversity_hand_value():
@@ -243,18 +225,11 @@ def _refuse(*args, **kwargs):
 @example((np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros((2, 2)), 1.0))  # u = 4
 def test_simple_energies_closed_form_match_pairwise(case):
     z, z_prev, lam = case
-    g = er_graph(z.shape[0], 0.4, z.shape[0])
-    local = float(np.sum((z - z_prev) ** 2))
-    pen = _pairwise_penalty(z)
-    edges = float(np.sum(normalized_adjacency(g, "sym") * _pairwise_sq_dists(z)))
-    slow = local + lam * pen
-    slow_graph = local + 0.5 * lam * pen + 0.5 * lam * edges
+    slow = float(np.sum((z - z_prev) ** 2)) + lam * _pairwise_penalty(z)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy, "_pairwise_sq_dists", _refuse)
         fast = regularized_energy(z, z_prev, SIMPLE_P, lam)
-        fast_graph = graph_regularized_energy(z, z_prev, SIMPLE_P, g, lam)
     assert _close(fast, slow, z)
-    assert _close(fast_graph, slow_graph, z)
 
 
 @settings(max_examples=200, deadline=None)
@@ -289,8 +264,6 @@ def test_simple_energy_outside_the_unit_ball_uses_the_pairwise_domain():
     z = np.array([[1.5, 0.0], [-1.5, 0.0], [0.0, 1.0]])
     with pytest.raises(DomainError):
         regularized_energy(z, z, SIMPLE_P, 0.7)
-    with pytest.raises(DomainError):
-        graph_regularized_energy(z, z, SIMPLE_P, er_graph(3, 0.5, 0), 0.7)
 
 
 @settings(max_examples=200, deadline=None)
@@ -375,30 +348,9 @@ def test_coupled_energies_match_the_pairwise_loop(case, lam, eta):
     assert fast_source == pytest.approx(
         quadratic_energy_loop(z, z_prev + eta * h, s, lam), rel=1e-12, abs=floor)
 
-    a = normalized_adjacency(g, "sym")
-    slow = (float(np.sum((z - z_prev) ** 2)) + 0.5 * lam * _pairwise_penalty(z)
-            + 0.5 * lam * pair_sum_loop(z, a))
-    assert graph_regularized_energy(z, z_prev, SIMPLE_P, g, lam) == pytest.approx(
-        slow, rel=1e-12, abs=floor + 1e-12 * lam * _pair_terms(z, a)
-        + 1e-12 * z.shape[0] * float(np.sum(z * z)))
-
 
 def test_quadratic_energy_is_exact_on_a_diagonal_coupling():
     # each diagonal entry's terms cancel row by row: S = I gives exactly 0
     z = np.random.default_rng(3).standard_normal((6, 4))
     op = coupling_operator(CouplingSpec("identity"), z)
     assert quadratic_energy(z, z, op, 0.7) == 0.0
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="graph-blended attention does not always descend "
-                   "graph_regularized_energy")
-def test_graph_blended_dynamics_descend_the_graph_regularized_energy():
-    # ER(20, 0.3) seed 49 at tau = 0.25: one step raises the energy by ~0.245
-    g = er_graph(20, 0.3, 49)
-    z0 = row_l2_normalize(np.random.default_rng((49, 2)).standard_normal((20, 8)))
-    spec = CouplingSpec("attention", PenaltyFamily("simple"))
-    traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.25, steps=10,
-                                                    graph_blend=True), g)
-    rep = audit_descent(traj, slack=1e-8)
-    assert rep.num_violations == 0, rep.violations

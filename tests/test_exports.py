@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -6,6 +7,9 @@ from pathlib import Path
 import pytest
 
 import endiff
+from endiff.diffusion import DiffusionConfig
+from endiff.model import ModelConfig
+from endiff.train import TrainConfig
 
 MODULES = ["endiff"] + [f"endiff.{m.name}" for m in pkgutil.iter_modules(endiff.__path__)]
 
@@ -47,3 +51,24 @@ def test_no_module_imports_a_name_it_never_uses(path):
     # __init__.py imports to re-export, so it is left out
     source = (Path(endiff.__file__).parent / path).read_text()
     assert _unused_imports(source) == []
+
+
+def _keywords_passed(source: str, callee: str) -> set:
+    """The keyword names some call to `callee` in source passes."""
+    return {kw.arg for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == callee for kw in node.keywords}
+
+
+def test_keyword_scan_sees_every_call():
+    source = "A(x=1)\nB(y=2)\nA(1, z=f(w=3))\n"
+    assert _keywords_passed(source, "A") == {"x", "z"}
+
+
+@pytest.mark.parametrize("config", [ModelConfig, DiffusionConfig, TrainConfig],
+                         ids=lambda cls: cls.__name__)
+def test_every_config_field_has_a_command_line_caller(config):
+    # a field no command sets is a switch only its own tests reach
+    source = (Path(endiff.__file__).parent / "cli.py").read_text()
+    fields = {f.name for f in dataclasses.fields(config)}
+    assert fields - _keywords_passed(source, config.__name__) == set()

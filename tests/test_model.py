@@ -33,8 +33,6 @@ def test_config_validation():
         _cfg(tau=0.0)
     with pytest.raises(ParameterError):
         _cfg(tau=1.5)
-    with pytest.raises(ParameterError):
-        _cfg(activation_between_layers="gelu")
     for key, value in (("heads", 2.5), ("layers", True), ("hidden_dim", "4")):
         with pytest.raises(ParameterError, match=f"{key} must be an integer"):
             _cfg(**{key: value})
@@ -256,6 +254,11 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.meta["epoch"] == 3
     for name in params:
         assert np.array_equal(loaded.params[name], params[name])
+    # written when the config had these keys, with the values every run wrote
+    payload = json.loads(path.read_text())
+    payload["config"].update(use_feature_transform=True, activation_between_layers="none")
+    path.write_text(json.dumps(payload))
+    assert Checkpoint.load(path).config == cfg
 
 
 def test_checkpoint_shape_validation(tmp_path):
@@ -278,7 +281,9 @@ def test_checkpoint_load_errors(tmp_path):
     cfg = _cfg()
     params = {k: v.tolist() for k, v in init_model(cfg, 0).items()}
     for key, value in (("heads", 2.5), ("layers", 1.5), ("heads", True),
-                       ("use_graph", "no"), ("use_source", 0)):
+                       ("use_graph", "no"), ("use_source", 0), ("tau", True),
+                       ("use_feature_transform", False), ("use_feature_transform", 1),
+                       ("activation_between_layers", "relu")):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({"config": {**asdict(cfg), key: value}, "params": params}))
         with pytest.raises(FormatError) as exc:
@@ -286,30 +291,19 @@ def test_checkpoint_load_errors(tmp_path):
         assert str(exc.value).startswith(f"{path}: bad config: {key} must be")
 
 
-def test_parameter_shapes_without_feature_transform():
-    cfg = _cfg(use_feature_transform=False)
-    shapes = parameter_shapes(cfg)
-    assert set(shapes) == {"W_I", "b_I", "W_O", "b_O"}
-    params = init_model(cfg, 0)
-    x = np.random.default_rng(11).standard_normal((5, 3))
-    out, _ = forward(params, x, None, cfg)
-    assert out.shape == (5, 2)
-    assert _param_count(cfg) == 3 * 4 + 4 + 4 * 2 + 2
-
-
 _EVALUATOR_CASES = [
     dict(variant=variant, use_graph=use_graph, use_source=use_source,
-         activation_between_layers=act, use_feature_transform=transform)
+         heads=heads, layers=layers)
     for variant in ("simple", "advanced", "mlp")
     for use_graph in (False, True)
     for use_source in (False, True)
-    for act in ("none", "relu")
-    for transform in (True, False)
+    for heads in (2, 1)
+    for layers in (2, 1)
 ]
 
 
 def _evaluator_setup(n, **kw):
-    cfg = _cfg(layers=2, heads=2, hidden_dim=5, **kw)
+    cfg = _cfg(**{"layers": 2, "heads": 2, "hidden_dim": 5, **kw})
     params = init_model(cfg, n)
     x = np.random.default_rng(n).standard_normal((n, 3))
     g = er_graph(n, 0.5, n) if cfg.use_graph else None
@@ -337,8 +331,8 @@ def test_eager_forward_matches_tape(case, n):
 @pytest.mark.parametrize("case", [
     dict(variant="simple"),
     dict(variant="advanced", use_graph=True, use_source=True),
-    dict(variant="simple", use_graph=True, activation_between_layers="relu"),
-    dict(variant="advanced", use_feature_transform=False),
+    dict(variant="simple", use_graph=True),
+    dict(variant="advanced", heads=1, layers=1),
 ])
 def test_stacked_forward_slices_match_single_forwards(case, n):
     cfg, params, x, g = _evaluator_setup(n, **case)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dense_oracles import rocauc_loop
 from endiff.errors import ContractError, DimensionError, ParameterError, UndefinedMetricError
 from endiff.coupling import PenaltyFamily, write_penalty_landscape
 from endiff.graphs import Dataset, Graph, sbm_generate
@@ -141,6 +142,19 @@ def test_metric_rocauc_ties_use_midranks():
     labels = np.array([0, 1, 0, 1])
     mask = np.ones(4, dtype=bool)
     assert metric("rocauc", scores, labels, mask) == pytest.approx(0.5)
+
+
+@given(st.lists(st.tuples(st.sampled_from((-1.5, -0.0, 0.0, 0.25, 3.0))
+                          | st.floats(-1e3, 1e3), st.booleans()), min_size=2, max_size=40)
+       .filter(lambda rows: len({pos for _, pos in rows}) == 2))
+@example([(0.0, True), (-0.0, False), (0.0, False), (-0.0, True)])  # signed zeros tie
+def test_metric_rocauc_midranks_match_the_tie_loop(rows):
+    scores = np.array([score for score, _ in rows])
+    labels = np.array([int(pos) for _, pos in rows])
+    mask = np.ones(len(rows), dtype=bool)
+    assert metric("rocauc", scores, labels, mask) == rocauc_loop(scores, labels)
+    two_outputs = np.column_stack([np.zeros_like(scores), scores])
+    assert metric("rocauc", two_outputs, labels, mask) == rocauc_loop(scores, labels)
 
 
 def test_metric_rocauc_undefined_cases():
