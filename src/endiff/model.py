@@ -1,18 +1,21 @@
 """Trainable all-pair propagation network built on the autodiff tape.
 
 Pipeline per forward pass: input projection + LayerNorm + ReLU, then K
-propagation layers. Each layer projects every head's Q/K/V at once, one
-(H, N, d) stack per role, and propagates V through one tape primitive call
-for all heads, which L2-normalizes the Q and K rows itself: the linear
+propagation layers. A layer holds one (H, d, d) weight per role, the
+stack of its heads' matrices, and projects the state by it in one matmul:
+one (H, N, d) stack per role. It propagates V through one tape primitive
+call for all heads, which L2-normalizes the Q and K rows itself: the linear
 simple-attention form (`linear_attention`, O(N d^2)) or the dense
-sigmoid-kernel form (`sigmoid_attention`, O(N^2 d)). The heads are
+sigmoid-kernel form (`sigmoid_attention`, O(N^2 d)). The `mlp` variant
+mixes no rows and holds V alone. The heads are
 averaged. The optional sym-normalized graph channel S is linear, so
 mean_h (P_h + S V_h) = mean_h P_h + S mean_h V_h: it costs one application
 of the graph's cached sparse operator per layer, O(E d), on the mean of the
 heads' V. The result is blended with the previous state at step size tau
-before a LayerNorm. The output head is a plain affine map. `forward` runs
-on a recording `Tape` for training, or on the non-recording `Eager`
-evaluator, whose parameters may be stacks of matrices that run one forward
+before a LayerNorm. The output head is a plain affine map. Every weight is
+stored as the right operand of its matmul on row-vector states. `forward`
+runs on a recording `Tape` for training, or on the non-recording `Eager`
+evaluator, whose parameters may be stacks of copies that run one forward
 each.
 
 Attention here acts on the projected Q/K rows; the diffusion and energy
@@ -67,31 +70,48 @@ class ModelConfig:
             raise ParameterError(f"tau must be in (0, 1], got {self.tau}")
 
 
-def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Registry layout; weight matrices act on row vectors from the right
-    of their transpose (W_I is hidden x input, matching the column
-    convention the shapes follow)."""
-    d, dd, c = cfg.hidden_dim, cfg.input_dim, cfg.output_dim
-    shapes = {"W_I": (d, dd), "b_I": (1, d)}
+# The projections each variant's forward reads: mlp mixes no rows, so it
+# needs no Q or K.
+_ROLES = {"simple": "QKV", "advanced": "QKV", "mlp": "V"}
+
+
+def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Registry layout. Each weight is the right operand of its matmul on
+    row-vector states: W_I is input x hidden, and layer k's W_{role}_k is
+    the (H, d, d) stack of its heads' matrices, for each role its variant
+    reads."""
+    d, c = cfg.hidden_dim, cfg.output_dim
+    shapes = {"W_I": (cfg.input_dim, d), "b_I": (1, d)}
     for k in range(cfg.layers):
-        for h in range(cfg.heads):
-            for role in ("Q", "K", "V"):
-                shapes[f"W_{role}_{k}_{h}"] = (d, d)
+        for role in _ROLES[cfg.variant]:
+            shapes[f"W_{role}_{k}"] = (cfg.heads, d, d)
     shapes["W_O"] = (d, c)
     shapes["b_O"] = (1, c)
     return shapes
 
 
 def init_model(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
+    """Glorot-uniform weights, zero biases, deterministic per seed. W_I and
+    each head's matrices are drawn d_out x d_in and stored transposed, in
+    the order (W_I; per layer, per head: Q, K, V; W_O) of the layout that
+    kept one parameter per head, so a seed gives the numbers it gave then.
+    mlp still draws the Q and K matrices it does not keep, which keeps its
+    later draws where they were."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in parameter_shapes(cfg).items():
-        if name.startswith("b_"):
-            params[name] = np.zeros(shape)
-        else:
-            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            params[name] = rng.uniform(-limit, limit, size=shape)
+    d = cfg.hidden_dim
+
+    def glorot(rows, cols):
+        limit = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-limit, limit, size=(rows, cols))
+
+    params = {"W_I": glorot(d, cfg.input_dim).T.copy(), "b_I": np.zeros((1, d))}
+    for k in range(cfg.layers):
+        heads = np.array([[glorot(d, d) for _ in "QKV"] for _ in range(cfg.heads)])
+        for i, role in enumerate("QKV"):
+            if role in _ROLES[cfg.variant]:
+                params[f"W_{role}_{k}"] = heads[:, i].swapaxes(1, 2).copy()
+    params["W_O"] = glorot(d, cfg.output_dim)
+    params["b_O"] = np.zeros((1, cfg.output_dim))
     return params
 
 
@@ -101,14 +121,14 @@ def _layer(t, z, z0, refs, k: int, cfg: ModelConfig, graph_op):
     their V, blended with the state at step tau (plus the source), then
     LayerNorm. Intermediate values die with the call, which keeps a stacked
     `Eager` forward's memory low."""
-    q, key, v = (t.matmul(z, t.transpose(t.stack(
-        [refs[f"W_{role}_{k}_{h}"] for h in range(cfg.heads)]))) for role in "QKV")
+    proj = {role: t.matmul(z, refs[f"W_{role}_{k}"]) for role in _ROLES[cfg.variant]}
+    v = proj["V"]
     attention = {"simple": t.linear_attention, "advanced": t.sigmoid_attention}
-    p = attention[cfg.variant](q, key, v) if cfg.variant in attention else v  # mlp: no mixing
+    p = attention[cfg.variant](proj["Q"], proj["K"], v) if cfg.variant in attention else v
     p_bar = t.head_mean(p)
     if graph_op is not None:
         p_bar = t.add(p_bar, t.sym_apply(graph_op, t.head_mean(v)))
-    blend = t.add(t.scale(t.stack([p_bar]), cfg.tau), t.scale(z, 1.0 - cfg.tau))
+    blend = t.add(t.scale(t.stack(p_bar), cfg.tau), t.scale(z, 1.0 - cfg.tau))
     if cfg.use_source:
         blend = t.add(blend, t.scale(z0, cfg.tau))
     if k == cfg.layers - 1:
@@ -123,7 +143,7 @@ def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
     return the N x C logits with the evaluator. On a `Tape` the logits are a
     node and the parameters are registered so backward() can fill their
     gradients. On an `Eager` the logits are an array, and a parameter given
-    as a B x r x c stack yields B x N x C logits."""
+    as a stack of B copies, a (B, *shape) array, yields B x N x C logits."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise DimensionError(
@@ -134,13 +154,12 @@ def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
     expected = parameter_shapes(cfg)
     if set(params) != set(expected):
         raise ContractError("parameter registry does not match config")
-    for name, shape in expected.items():
-        if params[name].shape[-2:] != shape:
-            raise DimensionError(
-                f"parameter {name} has shape {params[name].shape}, want {shape}"
-            )
-
     t = tape if tape is not None else Tape()
+    for name, shape in expected.items():
+        got = params[name].shape  # only Eager takes stacked copies
+        if got[-len(shape):] != shape or (got != shape and not isinstance(t, Eager)):
+            raise DimensionError(f"parameter {name} has shape {got}, want {shape}")
+
     n = x.shape[0]
     refs = {name: t.parameter(name, val) for name, val in params.items()}
 
@@ -148,8 +167,8 @@ def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
 
     # The state is a stack of one head until the last layer's mean: copies of
     # a stacked parameter sit in front of its head axis.
-    z = z0 = t.relu(t.layer_norm(t.stack([t.add(
-        t.matmul(t.constant(x), t.transpose(refs["W_I"])), t.broadcast_row(refs["b_I"], n))])))
+    z = z0 = t.relu(t.layer_norm(t.stack(t.add(
+        t.matmul(t.constant(x), refs["W_I"]), t.broadcast_row(refs["b_I"], n)))))
     for k in range(cfg.layers):
         z = _layer(t, z, z0, refs, k, cfg, graph_op)
 
@@ -215,7 +234,32 @@ class Checkpoint:
                 raise FormatError(
                     f"{path}: parameter {name} is not a numeric array") from None
         try:
+            if "W_V_0_0" in params:
+                params = _from_per_head(params, cfg)
             return Checkpoint(config=cfg, params=params,
                               meta=payload.get("meta", {}))
         except ContractError as exc:
             raise FormatError(f"{path}: {exc}") from exc
+
+
+def _from_per_head(params: dict[str, np.ndarray], cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """Parameters of a checkpoint in the older per-head layout, where W_I and
+    each head's W_{role}_{k}_{h} were the transposes of the matrices the
+    forward multiplies by, in the current layout. mlp's Q and K heads, which
+    its forward never read, are dropped."""
+    d = cfg.hidden_dim
+    if "W_I" in params:
+        params["W_I"] = params["W_I"].T.copy()
+    for k in range(cfg.layers):
+        for role in "QKV":
+            heads = [params.pop(f"W_{role}_{k}_{h}", None) for h in range(cfg.heads)]
+            if role not in _ROLES[cfg.variant]:
+                continue
+            for h, w in enumerate(heads):
+                if w is None:
+                    raise ContractError(f"checkpoint parameter W_{role}_{k}_{h} is missing")
+                if w.shape != (d, d):
+                    raise ContractError(f"checkpoint parameter W_{role}_{k}_{h} has shape "
+                                        f"{w.shape}, want {(d, d)}")
+            params[f"W_{role}_{k}"] = np.stack(heads).swapaxes(1, 2).copy()
+    return params

@@ -2,7 +2,8 @@
 spectral bracket, and central-difference gradients over a stack of bumped
 copies.
 
-All public operations work on 2-D numpy arrays of float64. The bracket is
+All public operations work on 2-D numpy arrays of float64, except
+`finite_diff_grad`, which takes an array of any rank. The bracket is
 the extreme singular values from LAPACK's SVD (`numpy.linalg.svd`).
 """
 
@@ -75,15 +76,16 @@ def laplacian_spectral_bracket(s: np.ndarray) -> SpectralBracket:
 
 
 def finite_diff_grad(fn, at: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a matrix.
+    """Central-difference gradient of a scalar function of an array of any
+    rank, such as a matrix or a stack of them.
 
-    With m = at.size, `fn` gets one (2m, r, c) stack of copies of `at`:
+    With m = at.size, `fn` gets one (2m, *at.shape) stack of copies of `at`:
     copy k has its k-th entry (row-major) raised by h and copy m + k has it
     lowered by h. It returns the 2m function values, in stack order.
     """
     if h <= 0:
         raise ContractError("h must be positive")
-    at = as_matrix(at)
+    at = np.asarray(at, dtype=np.float64)
     m = at.size
     flat = at.ravel()
     stack = np.tile(flat, (2, m, 1))

@@ -203,15 +203,15 @@ def _dense_simple_forward(params, x, g, cfg: ModelConfig) -> np.ndarray:
         return (m - mean) / np.sqrt(var + LAYER_NORM_EPS)
 
     n = x.shape[0]
-    z0 = np.maximum(lnorm(x @ params["W_I"].T + params["b_I"]), 0.0)
+    z0 = np.maximum(lnorm(x @ params["W_I"] + params["b_I"]), 0.0)
     z = z0
     a_graph = g.sym_operator.dense() if cfg.use_graph else None
     for k in range(cfg.layers):
         heads = []
         for h in range(cfg.heads):
-            q = z @ params[f"W_Q_{k}_{h}"].T
-            key = z @ params[f"W_K_{k}_{h}"].T
-            v = z @ params[f"W_V_{k}_{h}"].T
+            q = z @ params[f"W_Q_{k}"][h]
+            key = z @ params[f"W_K_{k}"][h]
+            v = z @ params[f"W_V_{k}"][h]
             qt = row_l2_normalize(q)
             kt = row_l2_normalize(key)
             attn = 1.0 + qt @ kt.T
@@ -262,9 +262,10 @@ def suite_linear_equiv(seeds: int = 50, n: int = 64, d: int = 8) -> dict:
 def gradcheck_model(cfg: ModelConfig, seed: int = 0, n: int = 12,
                     h: float = 1e-5) -> dict[str, float]:
     """Relative error of every tape gradient against central differences
-    for a masked cross-entropy loss on random data. The differences of one
-    parameter come from non-recording forwards over the stack of its bumped
-    copies, GRADCHECK_STACK copies at a time."""
+    for a masked cross-entropy loss on random data: for a stack of heads,
+    the largest over its matrices, each relative to its own differences.
+    The differences of one parameter come from non-recording forwards over
+    the stack of its bumped copies, GRADCHECK_STACK copies at a time."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, cfg.input_dim))
     labels = rng.integers(0, cfg.output_dim, size=n)
@@ -282,16 +283,15 @@ def gradcheck_model(cfg: ModelConfig, seed: int = 0, n: int = 12,
         def stacked_loss(stack, _name=name):
             losses = []
             for i in range(0, len(stack), GRADCHECK_STACK):
-                part = stack[i:i + GRADCHECK_STACK]
-                lg, ev = forward({**params, _name: part}, x, g, cfg, tape=Eager())
-                # A parameter the forward ignores leaves one loss for every copy.
-                losses.append(np.broadcast_to(
-                    ev.masked_cross_entropy(lg, labels, mask)[..., 0, 0], part.shape[:1]))
+                lg, ev = forward({**params, _name: stack[i:i + GRADCHECK_STACK]},
+                                 x, g, cfg, tape=Eager())
+                losses.append(ev.masked_cross_entropy(lg, labels, mask)[..., 0, 0])
             return np.concatenate(losses)
 
         fd = finite_diff_grad(stacked_loss, params[name], h)
-        denom = max(float(np.max(np.abs(fd))), 1e-8)
-        errors[name] = float(np.max(np.abs(grads[name] - fd))) / denom
+        err = np.max(np.abs(grads[name] - fd), axis=(-2, -1))
+        denom = np.maximum(np.max(np.abs(fd), axis=(-2, -1)), 1e-8)
+        errors[name] = float(np.max(err / denom))
     return errors
 
 

@@ -7,12 +7,14 @@ value, its operands and its vector-Jacobian product to `_record`, which
 appends a node in execution order and returns the value in a `Ref`. Leading
 axes are a batch that operands broadcast over, and each VJP sums its adjoint
 back over the axes its operand was broadcast along, so one node carries all
-of a layer's (H, N, d) heads: `stack` puts the per-head weight matrices on a
-head axis and `head_mean` averages over it. The tape keeps no values: each
-lives as long as its Refs or a VJP that captured it. A parameter is a named
-leaf, not a node. `backward` runs reverse accumulation from a 1x1 loss,
-fills per-parameter gradients and releases the parameter registry and each
-node it runs, so a tape is differentiated once. `sym_apply` takes a
+of a layer's (H, N, d) heads: a projection multiplies the state by an
+(H, d, d) weight parameter, `stack` gives a state its unit head axis and
+`head_mean` averages over that axis. The tape keeps no values: each lives
+as long as its Refs or a VJP that captured it. A leaf is a matrix or a
+stack of them; a parameter is a named leaf, not a node. `backward` runs
+reverse accumulation from a 1x1 loss, fills per-parameter gradients and
+releases the parameter registry and each node it runs, so a tape is
+differentiated once. `sym_apply` takes a
 symmetric operator instead of a dense matrix. An attention primitive takes
 raw Q, K and V and row-normalizes Q and K itself: `linear_attention`
 (simple), whose VJP runs through the same O(N d^2) accumulators as its
@@ -57,6 +59,15 @@ def _mT(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
+def _leaf(value) -> np.ndarray:
+    """A leaf's value: float64 with two axes or more, a matrix or a stack of
+    them."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of them, got ndim={value.ndim}")
+    return value
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """The adjoint g summed over the leading axes an operand of `shape` was
     broadcast along."""
@@ -96,13 +107,13 @@ class Tape:
         return Ref(self, len(self.nodes) - 1, value)
 
     def constant(self, value) -> Ref:
-        return self._record(as_matrix(value), (), None)
+        return self._record(_leaf(value), (), None)
 
     def parameter(self, name: str, value) -> Ref:
         """A named leaf, not a node: its adjoint accumulates under its name."""
         if name in self.params:
             raise ContractError(f"parameter {name!r} already registered")
-        value = as_matrix(value)
+        value = _leaf(value)
         self.params[name] = value.shape
         return Ref(self, name, value)
 
@@ -220,11 +231,6 @@ class Tape:
         mask = av > 0
         return self._record(av * mask, (a,), lambda g: (g * mask,))
 
-    def transpose(self, a: Ref) -> Ref:
-        # A contiguous copy: BLAS picks its kernel by layout, so a view
-        # could change a product's last bits.
-        return self._record(_mT(self._value(a)).copy(), (a,), lambda g: (_mT(g),))
-
     def layer_norm(self, a: Ref, eps: float = LAYER_NORM_EPS) -> Ref:
         av = self._value(a)
         mean = av.mean(axis=-1, keepdims=True)
@@ -238,16 +244,11 @@ class Tape:
 
         return self._record(y, (a,), vjp)
 
-    def stack(self, refs: list[Ref]) -> Ref:
-        """The operands on a new head axis -3, in front of their rows, and
-        broadcast against each other over their leading axes: a layer's H
-        weight matrices as one (H, r, c) value, or a state as a stack of one
-        head. The VJP splits the adjoint along that axis."""
-        values = [self._value(r) for r in refs]
-        shapes = [v.shape for v in values]
-        return self._record(
-            np.stack(np.broadcast_arrays(*values), axis=-3), refs,
-            lambda g: tuple(_unbroadcast(g[..., i, :, :], s) for i, s in enumerate(shapes)))
+    def stack(self, a: Ref) -> Ref:
+        """`a` on a new unit head axis -3, in front of its rows: a view. The
+        model's state is a stack of one head until its last layer's mean."""
+        return self._record(self._value(a)[..., None, :, :], (a,),
+                            lambda g: (g[..., 0, :, :],))
 
     def head_mean(self, a: Ref) -> Ref:
         """The mean over the head axis -3: the heads summed in order, then

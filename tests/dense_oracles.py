@@ -174,9 +174,15 @@ def layout_lexsort(edges):
 
 
 class ComposedTape(Tape):
-    """A Tape with the elementwise and row-wise primitives the fused heads
-    replace, each with its own VJP, for the composed oracles and for losses
-    such as sum_all(hadamard(out, W)) in tests."""
+    """A Tape with the transpose, elementwise and row-wise primitives the
+    fused heads replace, each with its own VJP, for the composed oracles and
+    for losses such as sum_all(hadamard(out, W)) in tests."""
+
+    def transpose(self, a):
+        # A contiguous copy: BLAS picks its kernel by layout, so a view
+        # could change a product's last bits.
+        return self._record(self._value(a).swapaxes(-1, -2).copy(), (a,),
+                            lambda g: (g.swapaxes(-1, -2),))
 
     def hadamard(self, a, b):
         av, bv = self._value(a), self._value(b)

@@ -437,9 +437,9 @@ def test_eval_with_a_zero_attention_denominator_is_runtime_error(tmp_path, capsy
     assert payload["config"]["variant"] == "simple"
     # the input layer's rows are >= 0 and not all 0, so every q~ is e1 and
     # every k~ is -e1: each denominator N + q~ . sum(k~) is N - N = 0
-    w_q = [[1.0] * 4] + [[0.0] * 4] * 3
-    payload["params"]["W_Q_0_0"] = w_q
-    payload["params"]["W_K_0_0"] = [[-x for x in row] for row in w_q]
+    w_q = [[1.0, 0.0, 0.0, 0.0]] * 4
+    payload["params"]["W_Q_0"] = [w_q]
+    payload["params"]["W_K_0"] = [[[-x for x in row] for row in w_q]]
     ckpt.write_text(json.dumps(payload))
     code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
                             "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")], capsys)
@@ -485,6 +485,57 @@ def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys):
                                 "--out", str(tmp_path / "e")], capsys)
         assert code == 1
         assert err == f"error: {path}: {why}\n"
+
+
+# Checkpoints in the per-head layout of older versions (W_I and one
+# W_{role}_{k}_{h} per head, each the transpose of the matrix the forward
+# multiplies by), written by `train --synth sbm --per-block 10 --epochs 5
+# --hidden 4 --layers 2 --heads 2` with `--use-graph --use-source`, and with
+# `--variant mlp`, and the lines that version's `eval --synth sbm
+# --per-block 50` printed for them.
+CHECKPOINTS = Path(__file__).parent / "data"
+PER_HEAD_EVALS = {
+    ("per_head_simple.json", "accuracy"):
+        '{"metric": "accuracy", "train": 0.6, "val": 0.2, "test": 0.5}',
+    ("per_head_simple.json", "rocauc"):
+        '{"metric": "rocauc", "train": 0.32, "val": 0.04, "test": 0.46875}',
+    ("per_head_mlp.json", "accuracy"):
+        '{"metric": "accuracy", "train": 0.6, "val": 0.2, "test": 0.5125}',
+    ("per_head_mlp.json", "rocauc"):
+        '{"metric": "rocauc", "train": 0.56, "val": 0.04, "test": 0.47625}',
+}
+
+
+@pytest.mark.parametrize("name,metric", sorted(PER_HEAD_EVALS))
+def test_per_head_checkpoints_evaluate_as_they_did(tmp_path, capsys, name, metric):
+    code, out, err = run_cli(["eval", "--synth", "sbm", "--per-block", "50",
+                              "--metric", metric, "--checkpoint", str(CHECKPOINTS / name),
+                              "--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert out == PER_HEAD_EVALS[name, metric] + "\n"
+
+
+def test_per_head_checkpoint_with_a_bad_head_is_runtime_error(tmp_path, capsys):
+    payload = json.loads((CHECKPOINTS / "per_head_simple.json").read_text())
+    params = payload["params"]
+    assert np.shape(params["W_V_1_1"]) == (4, 4)
+    for name, value, why in (
+            ("W_K_1_1", None, "checkpoint parameter W_K_1_1 is missing"),
+            ("W_Q_0_1", params["W_Q_0_1"][:3], "checkpoint parameter W_Q_0_1 has shape "
+                                               "(3, 4), want (4, 4)"),
+            ("W_V_1_0", [row[:3] if i == 2 else row for i, row in enumerate(params["W_V_1_0"])],
+             "parameter W_V_1_0 is not a numeric array")):
+        trial = json.loads(json.dumps(payload))
+        if value is None:
+            del trial["params"][name]
+        else:
+            trial["params"][name] = value
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(trial))
+        code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
+                                "--checkpoint", str(path),
+                                "--out", str(tmp_path / "e")], capsys)
+        assert (code, err) == (1, f"error: {path}: {why}\n")
 
 
 @pytest.mark.parametrize("coupling", ["attention", "gat_masked"])

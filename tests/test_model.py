@@ -1,4 +1,5 @@
 import json
+import math
 import weakref
 from dataclasses import asdict
 
@@ -21,7 +22,7 @@ def _cfg(**kw):
 
 
 def _param_count(cfg):
-    return sum(rows * cols for rows, cols in parameter_shapes(cfg).values())
+    return sum(math.prod(shape) for shape in parameter_shapes(cfg).values())
 
 
 def test_config_validation():
@@ -45,14 +46,14 @@ def test_config_validation():
 def test_init_shapes_and_bounds():
     cfg = _cfg()
     params = init_model(cfg, seed=0)
-    assert params["W_I"].shape == (4, 3)
+    assert params["W_I"].shape == (3, 4)
     assert params["b_I"].shape == (1, 4)
-    assert params["W_Q_0_0"].shape == (4, 4)
+    assert params["W_Q_0"].shape == (1, 4, 4)
     assert params["W_O"].shape == (4, 2)
     assert np.all(params["b_I"] == 0.0) and np.all(params["b_O"] == 0.0)
     for name, mat in params.items():
         if name.startswith("W_"):
-            fan = sum(mat.shape)
+            fan = sum(mat.shape[-2:])
             assert np.max(np.abs(mat)) <= np.sqrt(6.0 / fan)
 
 
@@ -79,6 +80,19 @@ def test_count_params_scales_linearly_in_heads():
     doubled = _param_count(_cfg(heads=2))
     qkv = 1 * 1 * 3 * 16
     assert doubled - base == qkv
+
+
+def test_one_weight_per_role_and_layer():
+    # the benchmark's training shape: 3 L + 4 parameters, and mlp, which
+    # mixes no rows, holds no Q or K
+    shape = dict(input_dim=16, hidden_dim=32, output_dim=4, layers=2, heads=2)
+    for variant, names, entries in (("simple", 10, 12964), ("advanced", 10, 12964),
+                                    ("mlp", 6, 4772)):
+        cfg = ModelConfig(variant=variant, **shape)
+        params = init_model(cfg, 0)
+        assert len(params) == names and _param_count(cfg) == entries
+        assert params["W_V_1"].shape == (2, 32, 32)
+        assert ("W_Q_0" in params) == (variant != "mlp")
 
 
 def test_forward_shapes_and_tape():
@@ -113,8 +127,7 @@ def test_duplicate_heads_average_to_single_head():
     params2 = {"W_I": params1["W_I"], "b_I": params1["b_I"],
                "W_O": params1["W_O"], "b_O": params1["b_O"]}
     for role in ("Q", "K", "V"):
-        for h in range(2):
-            params2[f"W_{role}_0_{h}"] = params1[f"W_{role}_0_0"]
+        params2[f"W_{role}_0"] = np.concatenate([params1[f"W_{role}_0"]] * 2)
     x = np.random.default_rng(1).standard_normal((8, 3))
     out1, _ = forward(params1, x, None, cfg1)
     out2, _ = forward(params2, x, None, cfg2)
@@ -142,13 +155,13 @@ def test_advanced_implicit_attention_is_row_stochastic():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((7, 3))
     # replicate the input layer
-    pre = x @ params["W_I"].T + params["b_I"]
+    pre = x @ params["W_I"] + params["b_I"]
     mean = pre.mean(axis=1, keepdims=True)
     z0 = (pre - mean) / np.sqrt(np.mean((pre - mean) ** 2, axis=1,
                                         keepdims=True) + 1e-5)
     z0 = np.maximum(z0, 0.0)
-    q = row_l2_normalize(z0 @ params["W_Q_0_0"].T)
-    k = row_l2_normalize(z0 @ params["W_K_0_0"].T)
+    q = row_l2_normalize(z0 @ params["W_Q_0"][0])
+    k = row_l2_normalize(z0 @ params["W_K_0"][0])
     a = ComposedEager().sigmoid(q @ k.T)
     s = a / a.sum(axis=1, keepdims=True)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
@@ -238,8 +251,8 @@ def test_graph_channel_is_one_apply_per_layer(monkeypatch):
     tape.backward(tape.masked_cross_entropy(logits, labels, mask))
     assert len(calls) == 4  # one per layer forward, one per layer backward
     calls.clear()
-    stack = np.stack([params["W_V_1_2"]] * 5)
-    forward({**params, "W_V_1_2": stack}, x, g, cfg, tape=Eager())
+    stack = np.stack([params["W_V_1"]] * 5)
+    forward({**params, "W_V_1": stack}, x, g, cfg, tape=Eager())
     assert calls == [(n, 4), (n, 5 * 4)]  # the stack rides in one apply
 
 
@@ -259,6 +272,30 @@ def test_checkpoint_round_trip(tmp_path):
     payload["config"].update(use_feature_transform=True, activation_between_layers="none")
     path.write_text(json.dumps(payload))
     assert Checkpoint.load(path).config == cfg
+
+
+@pytest.mark.parametrize("variant", ["simple", "mlp"])
+def test_per_head_checkpoint_loads_as_head_stacks(tmp_path, variant):
+    # the older layout: W_I and one matrix per head and role, each the
+    # transpose of the matrix the forward multiplies by; mlp held Q and K too
+    cfg = _cfg(variant=variant, layers=2, heads=3)
+    params = init_model(cfg, 4)
+    legacy = {name: params[name].tolist() for name in ("b_I", "W_O", "b_O")}
+    legacy["W_I"] = params["W_I"].T.tolist()
+    unread = np.full((4, 4), 9.0)
+    for k in range(2):
+        for h in range(3):
+            for role in "QKV":
+                name = f"W_{role}_{k}"
+                w = params[name][h] if name in params else unread
+                legacy[f"{name}_{h}"] = w.T.tolist()
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps({"config": asdict(cfg), "params": legacy}))
+    loaded = Checkpoint.load(path)
+    assert set(loaded.params) == set(params)
+    for name, value in params.items():
+        assert np.array_equal(loaded.params[name], value)
+        assert loaded.params[name].flags.c_contiguous
 
 
 def test_checkpoint_shape_validation(tmp_path):
@@ -333,6 +370,7 @@ def test_eager_forward_matches_tape(case, n):
     dict(variant="advanced", use_graph=True, use_source=True),
     dict(variant="simple", use_graph=True),
     dict(variant="advanced", heads=1, layers=1),
+    dict(variant="mlp", use_graph=True),
 ])
 def test_stacked_forward_slices_match_single_forwards(case, n):
     cfg, params, x, g = _evaluator_setup(n, **case)
@@ -387,14 +425,16 @@ def test_nodes_per_forward_do_not_grow_with_heads(variant):
 
 def test_tape_rejects_a_stacked_parameter():
     cfg, params, x, _ = _evaluator_setup(4)
-    stacked = {**params, "W_I": np.stack([params["W_I"]] * 2)}
-    with pytest.raises(DimensionError):
-        forward(stacked, x, None, cfg)
-    with pytest.raises(DimensionError):
-        Tape().parameter("W", np.ones((2, 3, 3)))
-    for bad in ((2, 5, 4), (2, 4, 3)):  # the trailing two axes are still checked
-        with pytest.raises(DimensionError, match="parameter W_I has shape"):
-            forward({**params, "W_I": np.ones(bad)}, x, None, cfg, tape=Eager())
+    for name in ("W_I", "W_V_0"):
+        stacked = {**params, name: np.stack([params[name]] * 2)}
+        with pytest.raises(DimensionError, match=f"parameter {name} has shape"):
+            forward(stacked, x, None, cfg)
+    # the trailing axes are still checked: a transposed or per-head layout,
+    # or a wrong number of heads
+    for name, bad in (("W_I", (2, 5, 3)), ("W_I", (2, 4, 3)), ("W_V_0", (4, 5, 5)),
+                      ("W_V_0", (4, 3, 5, 5))):
+        with pytest.raises(DimensionError, match=f"parameter {name} has shape"):
+            forward({**params, name: np.ones(bad)}, x, None, cfg, tape=Eager())
 
 
 # Primitives whose outputs feed only VJPs that need the adjoint alone.
@@ -482,23 +522,59 @@ def test_gradcheck_suite_catches_a_wrong_sigmoid_attention_gradient(monkeypatch)
         assert detail["failures"]  # every advanced configuration sees it
 
 
-def test_gradcheck_suite_catches_a_wrong_stack_gradient(monkeypatch):
+def test_gradcheck_suite_catches_a_wrong_adjoint_for_one_head(monkeypatch):
     from endiff.suites import suite_gradcheck
 
-    _skew_vjp(monkeypatch, "stack")
+    real = Tape.matmul
+
+    def planted(self, a, b):
+        """Scale head 1 of the adjoint of the W_K_1 stack by 1.01."""
+        ref = real(self, a, b)
+        if isinstance(self, Eager) or b.idx != "W_K_1":
+            return ref
+        parents, vjp = self.nodes[ref.idx]
+
+        def wrong(g):
+            g_a, g_b = vjp(g)
+            g_b = g_b.copy()
+            g_b[1] *= 1.01
+            return g_a, g_b
+
+        self.nodes[ref.idx] = (parents, wrong)
+        return ref
+
+    monkeypatch.setattr(Tape, "matmul", planted)
     report = suite_gradcheck()
     assert report["passed"] is False
-    heads = {f"W_{role}_{k}_{h}" for role in "QKV" for k in range(2) for h in range(2)}
+    assert len(report["per_config"]) == 8
     for detail in report["per_config"].values():
-        assert heads <= set(detail["failures"])  # every head's split adjoint
+        assert detail["failures"] == ["W_K_1"]  # every configuration sees it
 
 
-def test_gradcheck_model_handles_unused_parameters():
+def test_gradcheck_model_passes_on_mlp():
     from endiff.suites import gradcheck_model
 
-    # the mlp variant projects Q and K but never uses them
-    cfg = ModelConfig(variant="mlp", input_dim=3, hidden_dim=4, output_dim=2,
-                      layers=1, heads=1)
-    errors = gradcheck_model(cfg, n=6)
-    assert set(errors) == set(parameter_shapes(cfg))
-    assert max(errors.values()) < 1e-5
+    for use_graph in (False, True):
+        for use_source in (False, True):
+            cfg = ModelConfig(variant="mlp", input_dim=5, hidden_dim=8, output_dim=3,
+                              layers=2, heads=2, use_graph=use_graph, use_source=use_source)
+            errors = gradcheck_model(cfg)
+            assert set(errors) == set(parameter_shapes(cfg))
+            assert max(errors.values()) < 1e-5  # suite_gradcheck's tol
+
+
+@pytest.mark.parametrize("use_source", [False, True])
+@pytest.mark.parametrize("use_graph", [False, True])
+@pytest.mark.parametrize("variant", ["simple", "advanced", "mlp"])
+def test_every_parameter_reaches_the_loss(variant, use_graph, use_source):
+    # a registered weight the forward never reads would get an all-zero
+    # gradient, as mlp's Q and K did when every variant held them
+    cfg, params, x, g = _evaluator_setup(9, variant=variant, use_graph=use_graph,
+                                         use_source=use_source)
+    logits, tape = forward(params, x, g, cfg)
+    grads = tape.backward(tape.masked_cross_entropy(logits, np.arange(9) % 2,
+                                                    np.ones(9, dtype=bool)))
+    assert set(grads) == set(params)
+    for name, grad in grads.items():
+        matrices = grad.reshape((-1,) + grad.shape[-2:])
+        assert all(np.any(m != 0.0) for m in matrices), name  # every head too

@@ -44,7 +44,7 @@ def _operands():
     a[0] = 0.0
     return {"a": a, "b": b, "w": rng.standard_normal((4, 3)),
             "col": rng.uniform(0.5, 2.0, (6, 1)), "row": rng.standard_normal((1, 4)),
-            "q": 0.5 * b[::-1], "k": b}
+            "q": 0.5 * b[::-1], "k": b, "heads": np.stack([a, b, a])}
 
 
 _OPERANDS = _operands()
@@ -68,8 +68,8 @@ _PRIMITIVES = {
     "transpose": lambda e, x: e.transpose(x["b"]),
     "row_l2_normalize": lambda e, x: e.row_l2_normalize(x["a"]),
     "layer_norm": lambda e, x: e.layer_norm(x["a"]),
-    "stack": lambda e, x: e.stack([x["a"], x["b"], x["a"]]),
-    "head_mean": lambda e, x: e.head_mean(e.stack([x["a"], x["b"], x["a"]])),
+    "stack": lambda e, x: e.stack(x["a"]),
+    "head_mean": lambda e, x: e.head_mean(x["heads"]),
     "diag_scale_rows": lambda e, x: e.diag_scale_rows(x["b"], x["col"]),
     "row_sum": lambda e, x: e.row_sum(x["b"]),
     "broadcast_row": lambda e, x: e.broadcast_row(x["row"], 6),
@@ -113,6 +113,26 @@ def test_backward_through_a_released_node_is_a_contract_error():
     second = tape.sum_all(tape.scale(w, 2.0))  # new nodes on a released leaf
     with pytest.raises(ContractError, match="already ran"):
         tape.backward(second)
+
+
+def test_leaves_are_matrices_or_stacks_of_them():
+    t = Tape()
+    assert t.parameter("w", np.ones((2, 3, 4))).shape == (2, 3, 4)
+    assert t.constant(np.ones((2, 1, 3, 4))).shape == (2, 1, 3, 4)
+    for bad in (1.0, np.ones(3)):
+        with pytest.raises(DimensionError, match="ndim"):
+            t.parameter("v", bad)
+        with pytest.raises(DimensionError, match="ndim"):
+            t.constant(bad)
+
+
+def test_stack_is_a_view_on_a_unit_head_axis():
+    a = np.arange(6.0).reshape(2, 3)
+    t = Tape()
+    s = t.stack(t.constant(a))
+    assert s.shape == (1, 2, 3) and np.shares_memory(s.value, a)
+    w = t.parameter("w", np.ones((4, 3, 5)))
+    assert t.matmul(s, w).shape == (4, 2, 5)  # the unit axis meets the heads
 
 
 def test_duplicate_parameter_name_rejected():
@@ -178,12 +198,12 @@ def test_layer_norm_grad():
 
 
 def test_stack_and_head_mean_grads():
-    # x is broadcast over the head axis of the weight stack, so its adjoint
-    # is summed back over it
+    # x is broadcast over the head axis of the weight stack and y, given a
+    # unit head axis, over its heads, so their adjoints are summed back
     _gradcheck(
-        lambda t, r: t.sum_all(t.hadamard(t.head_mean(t.relu(t.matmul(
-            r["x"], t.stack([r["a"], r["b"], r["c"]])))), r["w"])),
-        {"x": (4, 2), "a": (2, 3), "b": (2, 3), "c": (2, 3), "w": (4, 3)},
+        lambda t, r: t.sum_all(t.hadamard(t.head_mean(t.relu(t.add(
+            t.matmul(r["x"], r["heads"]), t.stack(r["y"])))), r["w"])),
+        {"x": (4, 2), "heads": (3, 2, 3), "y": (4, 3), "w": (4, 3)},
         seed=4,
     )
 
@@ -356,10 +376,8 @@ def test_attention_over_a_head_axis_grad(primitive):
     # summed back over the head axis.
     _gradcheck(
         lambda t, r: t.sum_all(t.hadamard(t.head_mean(getattr(t, primitive)(
-            t.scale(r["q"], 0.2), t.stack([t.scale(r["k0"], 0.2), r["k1"]]),
-            t.stack([r["v0"], r["v1"]]))), r["w"])),
-        {"q": (5, 3), "k0": (5, 3), "k1": (5, 3), "v0": (5, 2), "v1": (5, 2),
-         "w": (5, 2)},
+            t.scale(r["q"], 0.2), t.scale(r["k"], 0.2), r["v"])), r["w"])),
+        {"q": (5, 3), "k": (2, 5, 3), "v": (2, 5, 2), "w": (5, 2)},
         seed=15,
     )
 
@@ -371,8 +389,7 @@ def test_tape_heads_match_their_single_head_bits():
     v = rng.standard_normal((3, 6, 2))
     for primitive in ("linear_attention", "sigmoid_attention"):
         t = Tape()
-        stacked = getattr(t, primitive)(*(t.stack([t.constant(m) for m in x])
-                                          for x in (q, k, v))).value
+        stacked = getattr(t, primitive)(*(t.constant(x) for x in (q, k, v))).value
         for h in range(3):
             t = Tape()
             single = getattr(t, primitive)(*(t.constant(x[h]) for x in (q, k, v)))
