@@ -15,6 +15,12 @@ column mean (`MeanCoupling`), simple attention `SimpleAttention`. Only
 advanced and softmax attention materialize N x N (`build_coupling`), which
 is otherwise the dense oracle of the tests. The GRAPH_FAMILIES take their
 graph from `coupling_operator`'s `g`.
+
+Unmasked attention takes a stack of states too: a (B, N, d) array over
+leading axes is B couplings on N nodes, built and applied at once, each
+slice bit for bit what its 2-D state alone gives. A 2-D state is the case
+without leading axes. The graph families couple one N x d state, so they
+reject a stack with a `DimensionError`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, ParameterError
 from .graphs import EdgeOperator, Graph, atomic_write_text
-from .numerics import as_matrix, row_norms
+from .numerics import as_matrix, as_stack, row_norms
 
 PENALTY_KINDS = ("simple", "advanced", "softmax", "quadratic")
 STATIC_FAMILIES = ("identity", "all_one", "gcn_sym", "gin")
@@ -168,49 +174,59 @@ def _unit_sq_dists(gram: np.ndarray) -> np.ndarray:
 
 def attention_scores(p: PenaltyFamily, z: np.ndarray) -> np.ndarray:
     """Pairwise scores f(||z_i - z_j||^2) via the dot-product identity
-    ||z_i - z_j||^2 = 2 - 2 z_i.z_j, valid for unit-norm rows."""
-    z = as_matrix(z)
-    return penalty_f(p, _unit_sq_dists(z @ z.T))
+    ||z_i - z_j||^2 = 2 - 2 z_i.z_j, valid for unit-norm rows; per slice of
+    a stack."""
+    z = as_stack(z)
+    return penalty_f(p, _unit_sq_dists(z @ np.swapaxes(z, -1, -2)))
+
+
+def _first_bad_row(bad: np.ndarray) -> tuple[tuple, str]:
+    """Index and name of the first True of a per-row mask (..., N): "row i",
+    or "slice b row i" in a stack, with b counting the slices in C order."""
+    flat = int(np.argmax(bad))
+    b, i = divmod(flat, bad.shape[-1])
+    name = f"row {i}" if bad.ndim == 1 else f"slice {b} row {i}"
+    return np.unravel_index(flat, bad.shape), name
 
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
-    z = as_matrix(z)
+    z = as_stack(z)
     norms = row_norms(z)
     bad = ~(np.abs(norms - 1.0) <= 1e-6)  # NaN and inf rows fail too
     if np.any(bad):
-        i = int(np.argmax(bad))
+        where, name = _first_bad_row(bad)
         raise ContractError("attention couplings require finite unit-norm embedding "
-                            f"rows; row {i} has norm {norms[i]}")
+                            f"rows; {name} has norm {norms[where]}")
     return z
 
 
 def _row_normalizers(sums: np.ndarray) -> np.ndarray:
-    """The score row sums an attention coupling divides by. Every row holds
-    its own pair at u <= 4e-6 and f(0) > 0 for every family, so a row sum
-    that is not positive means a score broke that contract."""
+    """The score row sums (..., N) an attention coupling divides by. Every
+    row holds its own pair at u <= 4e-6 and f(0) > 0 for every family, so a
+    row sum that is not positive means a score broke that contract."""
     bad = ~(sums > 0.0)
     if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ContractError(f"attention row {i} has score sum {sums[i]}, not positive")
+        where, name = _first_bad_row(bad)
+        raise ContractError(f"attention {name} has score sum {sums[where]}, not positive")
     return sums
 
 
 def build_coupling(spec: CouplingSpec, z: np.ndarray) -> np.ndarray:
     """The N x N unmasked attention coupling at unit-norm embeddings z:
-    pairwise scores, row-normalized."""
+    pairwise scores, row-normalized; (..., N, N) for a stack."""
     if spec.family != "attention":
         raise ParameterError(f"{spec.family} is not an attention family with a "
                              "dense form; use coupling_operator")
     z = _unit_rows(z)
     omega = attention_scores(spec.penalty, z)
-    return omega / _row_normalizers(omega.sum(axis=1))[:, None]
+    return omega / _row_normalizers(omega.sum(axis=-1))[..., None]
 
 
 def gat_masked_coupling(p: PenaltyFamily, z: np.ndarray, g: Graph) -> EdgeOperator:
     """The gat_masked coupling on the edges of g plus self-loops in O(E d):
     scores f(2 - 2 z_i.z_j) of unit rows, each row normalized by its sum
-    (`np.bincount`)."""
-    z = _unit_rows(z)
+    (`np.bincount`). z is one N x d state, not a stack."""
+    z = _unit_rows(as_matrix(z))
     if z.shape[0] != g.n:
         raise DimensionError(f"graph n={g.n} does not match embeddings {z.shape}")
     lay = g.neighbours
@@ -221,24 +237,25 @@ def gat_masked_coupling(p: PenaltyFamily, z: np.ndarray, g: Graph) -> EdgeOperat
 
 
 class Coupling(Protocol):
-    """A row coupling S on N nodes, seen only through what the dynamics use."""
+    """A row coupling S on N nodes, seen only through what the dynamics use.
+    A coupling built on a stack of states is a stack of S, one per slice."""
 
     n: int
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """S @ v for an N x d' matrix v."""
+        """S @ v for an N x d' matrix v, or slice by slice for a stack."""
 
     def row_sums(self) -> np.ndarray:
-        """S @ 1 as an N-vector."""
+        """S @ 1 as an N-vector, or (..., N) for a stack."""
 
     def dense(self) -> np.ndarray:
-        """The N x N matrix S; for oracles and tests only."""
+        """The N x N matrix S, or (..., N, N); for oracles and tests only."""
 
 
 def _check_rows(n: int, v: np.ndarray) -> np.ndarray:
-    v = as_matrix(v)
-    if v.shape[0] != n:
-        raise DimensionError(f"coupling on {n} nodes applied to {v.shape[0]} rows")
+    v = as_stack(v)
+    if v.shape[-2] != n:
+        raise DimensionError(f"coupling on {n} nodes applied to {v.shape[-2]} rows")
     return v
 
 
@@ -248,19 +265,20 @@ class SimpleAttention:
 
     With the accumulators sum_j v_j and Z^T V, S V costs O(N d d') time and
     O(d d') scratch. The denominators N + z_i.sum_j z_j are at least 2 for
-    unit rows, so no row degenerates.
+    unit rows, so no row degenerates. Z may be a stack (..., N, d).
     """
 
     def __init__(self, z: np.ndarray):
         self.z = z = _unit_rows(z)
-        self.n = z.shape[0]
-        self._denominator = self.n + z @ z.sum(axis=0)
-        self._row_sums = self.apply(np.ones((self.n, 1)))[:, 0]
+        self.n = z.shape[-2]
+        self._denominator = self.n + (z @ z.sum(axis=-2)[..., None])[..., 0]
+        self._row_sums = self.apply(np.ones(z.shape[:-1] + (1,)))[..., 0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = _check_rows(self.n, v)
-        numerator = v.sum(axis=0)[None, :] + self.z @ (self.z.T @ v)
-        return numerator / self._denominator[:, None]
+        numerator = (v.sum(axis=-2, keepdims=True)
+                     + self.z @ (np.swapaxes(self.z, -1, -2) @ v))
+        return numerator / self._denominator[..., None]
 
     def row_sums(self) -> np.ndarray:
         return self._row_sums
@@ -270,15 +288,15 @@ class SimpleAttention:
 
 
 class DenseCoupling:
-    """A materialized N x N coupling array."""
+    """A materialized N x N coupling array, or a stack (..., N, N) of them."""
 
     def __init__(self, s: np.ndarray):
-        s = as_matrix(s)
-        if s.shape[0] != s.shape[1]:
+        s = as_stack(s)
+        if s.shape[-2] != s.shape[-1]:
             raise DimensionError(f"coupling must be square, got {s.shape}")
         self.s = s
-        self.n = s.shape[0]
-        self._row_sums = s.sum(axis=1)
+        self.n = s.shape[-1]
+        self._row_sums = s.sum(axis=-1)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.s @ _check_rows(self.n, v)
@@ -291,27 +309,33 @@ class DenseCoupling:
 
 
 class MeanCoupling:
-    """S = 1 1^T / N: every row takes the column mean, in O(N d)."""
+    """S = 1 1^T / N: every row takes the column mean, in O(N d); `batch`
+    is the leading shape of a stack of them."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, batch: tuple[int, ...] = ()):
         self.n = n
+        self.batch = tuple(batch)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = _check_rows(self.n, v)
-        return np.repeat(v.mean(axis=0, keepdims=True), self.n, axis=0)
+        return np.repeat(v.mean(axis=-2, keepdims=True), self.n, axis=-2)
 
     def row_sums(self) -> np.ndarray:
-        return np.ones(self.n)
+        return np.ones(self.batch + (self.n,))
 
     def dense(self) -> np.ndarray:
-        return np.full((self.n, self.n), 1.0 / self.n)
+        return np.full(self.batch + (self.n, self.n), 1.0 / self.n)
 
 
 def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
                       g: Graph | None = None) -> Coupling:
     """The coupling of spec at embeddings z (attention) or on graph g (a
     static family); gat_masked needs both. Only unmasked advanced and
-    softmax attention materialize an N x N array."""
+    softmax attention materialize an N x N array. Unmasked attention takes
+    a stack of states; every other family one N x d state."""
+    if z is not None and spec.family != "attention" and np.ndim(z) != 2:
+        raise DimensionError(f"{spec.family} couples one N x d state, not an array "
+                             f"of shape {np.shape(z)}")
     if spec.family in ("identity", "all_one"):
         if g is None and z is None:
             raise ParameterError(f"{spec.family} needs a graph or embeddings for N")
@@ -330,7 +354,8 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
     if spec.penalty.kind == "simple":
         return SimpleAttention(z)
     if spec.penalty.kind == "quadratic":  # f = 1, so every s_ij = 1/N
-        return MeanCoupling(_unit_rows(z).shape[0])
+        z = _unit_rows(z)
+        return MeanCoupling(z.shape[-2], z.shape[:-2])
     return DenseCoupling(build_coupling(spec, z))
 
 

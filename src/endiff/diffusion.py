@@ -6,6 +6,11 @@ of the others. The coupling S is a `coupling.Coupling` operator, so simple
 attention runs in O(N d^2) and every graph family in O(E d) per step
 without materializing S. A variant adds the initial state as a source
 term.
+
+Attention dynamics also step a stack of states: a (B, N, d) start runs B
+independent trajectories at once, one per slice, each bit for bit the run
+of its 2-D start alone. A 2-D start is the case without leading axes.
+Static couplings act on one N x d state.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from .coupling import Coupling, CouplingSpec, SimpleAttention, coupling_operator
 from .errors import DimensionError, ParameterError
 from .graphs import Graph
-from .numerics import as_matrix, row_l2_normalize
+from .numerics import as_matrix, as_stack, row_l2_normalize
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,8 @@ class DiffusionConfig:
 class Trajectory:
     """The states Z^(0), ..., Z^(K) of a run, indexed by step, and for each
     the row sums S 1 of the coupling it diffuses with; the last state's is
-    the coupling a further step would use."""
+    the coupling a further step would use. A stacked run keeps (..., N, d)
+    states and (..., N) row sums."""
 
     snapshots: list[np.ndarray]
     row_sums: list[np.ndarray]
@@ -49,17 +55,18 @@ class Trajectory:
 
 
 def euler_step(z: np.ndarray, s: Coupling, tau: float) -> np.ndarray:
-    """One explicit-Euler step Z' = Z - tau * (diag(S 1) - S) Z."""
-    z = as_matrix(z)
+    """One explicit-Euler step Z' = Z - tau * (diag(S 1) - S) Z, slice by
+    slice for a stack."""
+    z = as_stack(z)
     return z - tau * _laplacian_apply(s, z)
 
 
 def _laplacian_apply(s: Coupling, z: np.ndarray) -> np.ndarray:
     """(diag(S 1) - S) Z."""
-    if s.n != z.shape[0]:
+    if s.n != z.shape[-2]:
         raise DimensionError(
             f"coupling on {s.n} nodes does not match embeddings {z.shape}")
-    return s.row_sums()[:, None] * z - s.apply(z)
+    return s.row_sums()[..., None] * z - s.apply(z)
 
 
 def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
@@ -79,6 +86,7 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     it), so they build steps + 1 couplings, the last one only for its row
     sums; static families build their coupling once and reuse it. The source
     term (beta > 0) is the initial state. The GRAPH_FAMILIES couple along g.
+    Unmasked attention steps a stack of starts (..., N, d) at once.
     """
     z = row_l2_normalize(z0) if spec.is_attention else as_matrix(z0).copy()
     static = None if spec.is_attention else coupling_operator(spec, z, g)

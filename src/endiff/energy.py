@@ -18,6 +18,13 @@ Pairwise distances do not change when every row is shifted by the same
 vector, so diversity and the quadratic and simple families' penalties are
 evaluated in closed form on the centred rows Y = Z - mean(Z), in O(N d) for
 the first two and O(N d^2) for the last.
+
+The attention energies, `diversity` and `audit_descent` take stacked runs:
+states (..., N, d) reduce slice by slice to one value per slice, each bit
+for bit that of the slice alone, and a 2-D state gives a float. The
+unit-ball gate of the closed forms is decided per slice. The static-coupling
+energy, `audit_bounds` and the CSV take one N x d trajectory and reject a
+stack with a `DimensionError`.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .coupling import Coupling, PenaltyFamily, penalty_conjugate, penalty_delta
 from .diffusion import Trajectory
 from .errors import ContractError, DimensionError, ParameterError
 from .graphs import atomic_write_text
-from .numerics import as_matrix, laplacian_spectral_bracket
+from .numerics import as_matrix, as_stack, laplacian_spectral_bracket
 
 DESCENT_SLACK = 1e-9
 BOUND_REL_SLACK = 1e-8
@@ -41,9 +48,25 @@ UNIT_BALL_SLACK = 1e-12
 
 
 def _pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
-    gram = z @ z.T
-    sq = np.diag(gram)
-    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+    gram = z @ np.swapaxes(z, -1, -2)
+    sq = np.diagonal(gram, axis1=-2, axis2=-1)
+    return np.maximum(sq[..., :, None] + sq[..., None, :] - 2.0 * gram, 0.0)
+
+
+def _slice_sum(x: np.ndarray) -> np.ndarray:
+    """The sum of every entry of each matrix slice of x (..., N, d)."""
+    return np.sum(x, axis=(-2, -1))
+
+
+def _per_slice(x: np.ndarray):
+    """A float for a 2-D state's value, the array of values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _check_one_state(z: np.ndarray, what: str) -> None:
+    if z.ndim != 2:
+        raise DimensionError(f"{what} takes one N x d trajectory, not a stack of "
+                             f"shape {z.shape}")
 
 
 def _check_same_shape(z: np.ndarray, z_prev: np.ndarray) -> None:
@@ -77,39 +100,57 @@ def quadratic_energy(z, z_prev, s: Coupling, lam: float) -> float:
     return local + lam * _coupled_pair_sum(s, z)
 
 
-def _penalty_sum(penalty: PenaltyFamily, z: np.ndarray) -> float:
-    """sum_ij delta(||z_i - z_j||^2) over all ordered pairs.
+def _penalty_sum(penalty: PenaltyFamily, z: np.ndarray, in_domain: bool):
+    """sum_ij delta(||z_i - z_j||^2) over all ordered pairs, per slice.
 
     The quadratic family, delta(u) = u, and the simple family,
-    delta(u) = 2u - u^2/4, take their exact closed forms when every row lies
-    in the unit ball (up to rounding), which keeps every pairwise u in the
-    domain [0, 4]. With b_i = |y_i|^2: sum u = 2N sum b, in O(N d), and
-    sum u^2 = 2N sum b^2 + 2 (sum b)^2 + 4 ||Y^T Y||_F^2. Any other case
+    delta(u) = 2u - u^2/4, take their exact closed forms when every pairwise
+    u lies in the domain [0, 4]: for a slice whose rows all lie in the unit
+    ball (up to rounding), or for every slice when the caller knows it
+    (`in_domain`). With b_i = |y_i|^2: sum u = 2N sum b, in O(N d), and
+    sum u^2 = 2N sum b^2 + 2 (sum b)^2 + 4 ||Y^T Y||_F^2. Every other slice
     goes pair by pair, which rejects a u outside the domain.
     """
-    if (penalty.kind in ("simple", "quadratic")
-            and np.max(np.sum(z * z, axis=1)) <= 1.0 + UNIT_BALL_SLACK):
-        n = z.shape[0]
-        y = z - z.mean(axis=0)
-        b = np.sum(y * y, axis=1)
-        sum_b = float(b.sum())
-        sum_u = 2.0 * n * sum_b
-        if penalty.kind == "quadratic":
-            return sum_u
-        gram = y.T @ y
-        sum_u2 = (2.0 * n * float(b @ b) + 2.0 * sum_b**2
-                  + 4.0 * float(np.sum(gram * gram)))
-        return 2.0 * sum_u - 0.25 * sum_u2
-    return float(np.sum(penalty_delta(penalty, _pairwise_sq_dists(z))))
+    closed = np.full(z.shape[:-2], penalty.kind in ("simple", "quadratic"))
+    if not in_domain:
+        closed &= np.max(np.sum(z * z, axis=-1), axis=-1) <= 1.0 + UNIT_BALL_SLACK
+    if closed.all():  # the common case, without copying the closed slices out
+        return _closed_penalty_sum(penalty, z)
+    sums = np.empty(z.shape[:-2])
+    if closed.any():
+        sums[closed] = _closed_penalty_sum(penalty, z[closed])
+    if not closed.all():
+        sums[~closed] = _slice_sum(penalty_delta(penalty, _pairwise_sq_dists(z[~closed])))
+    return sums
 
 
-def regularized_energy(z, z_prev, penalty: PenaltyFamily, lam: float) -> float:
-    """||Z - Z_prev||_F^2 + lam * sum_ij delta(||z_i - z_j||^2)."""
-    z = as_matrix(z)
-    z_prev = as_matrix(z_prev)
+def _closed_penalty_sum(penalty: PenaltyFamily, z: np.ndarray) -> np.ndarray:
+    """The closed forms of `_penalty_sum`, per slice."""
+    n = z.shape[-2]
+    y = z - z.mean(axis=-2, keepdims=True)
+    b = np.sum(y * y, axis=-1)
+    sum_b = b.sum(axis=-1)
+    sum_u = 2.0 * n * sum_b
+    if penalty.kind == "quadratic":
+        return sum_u
+    gram = np.swapaxes(y, -1, -2) @ y
+    b_dot_b = (b[..., None, :] @ b[..., :, None])[..., 0, 0]
+    sum_u2 = 2.0 * n * b_dot_b + 2.0 * sum_b**2 + 4.0 * _slice_sum(gram * gram)
+    return 2.0 * sum_u - 0.25 * sum_u2
+
+
+def _regularized(z, z_prev, penalty: PenaltyFamily, lam: float, in_domain: bool):
+    z = as_stack(z)
+    z_prev = as_stack(z_prev)
     _check_same_shape(z, z_prev)
-    local = float(np.sum((z - z_prev) ** 2))
-    return local + lam * _penalty_sum(penalty, z)
+    local = _slice_sum((z - z_prev) ** 2)
+    return _per_slice(local + lam * _penalty_sum(penalty, z, in_domain))
+
+
+def regularized_energy(z, z_prev, penalty: PenaltyFamily, lam: float):
+    """||Z - Z_prev||_F^2 + lam * sum_ij delta(||z_i - z_j||^2): a float,
+    or one value per slice of a stack."""
+    return _regularized(z, z_prev, penalty, lam, in_domain=False)
 
 
 def surrogate_energy(z, z_prev, omega, penalty: PenaltyFamily, lam: float) -> float:
@@ -129,22 +170,25 @@ def surrogate_energy(z, z_prev, omega, penalty: PenaltyFamily, lam: float) -> fl
     return local + lam * (pair - conj)
 
 
-def diversity(z) -> float:
+def diversity(z):
     """sum_{i<j} ||z_i - z_j||^2 = N ||Z - mean(Z)||_F^2, the
-    embedding-collapse diagnostic, in O(N d)."""
-    z = as_matrix(z)
-    y = z - z.mean(axis=0)
-    return z.shape[0] * float(np.sum(y * y))
+    embedding-collapse diagnostic, in O(N d): a float, or one value per
+    slice of a stack."""
+    z = as_stack(z)
+    y = z - z.mean(axis=-2, keepdims=True)
+    return _per_slice(z.shape[-2] * _slice_sum(y * y))
 
 
 @dataclass
 class EnergyReport:
     """What an audit read off a trajectory: the per-step energies
-    E(Z^(k), k-1) for k = 1..K at lam = tau, and one dict per step that
-    broke the audited statement. The bound audit adds the Laplacian's
-    (lambda_max, lambda_min) and the range of the observed energy ratios."""
+    E(Z^(k), k-1) for k = 1..K at lam = tau (an array over the slices of a
+    stacked run), and one dict per step that broke the audited statement
+    (per slice and step in a stacked run). The bound audit adds the
+    Laplacian's (lambda_max, lambda_min) and the range of the observed
+    energy ratios."""
 
-    energies: list[float]
+    energies: list
     violations: list[dict]
     bracket: tuple[float, float] | None = None
     min_ratio: float | None = None
@@ -155,11 +199,17 @@ class EnergyReport:
         return len(self.violations)
 
 
-def _trajectory_energy(traj: Trajectory, k_next: int) -> float:
+def _trajectory_energy(traj: Trajectory, k_next: int):
     """E(Z^(k_next), k_next-1) with the energy form matching the trajectory:
     quadratic for static couplings, regularized for attention, at
     lam = tau. A source term shifts the anchor to
-    Z_prev + tau * beta * Z^(0), the source."""
+    Z_prev + tau * beta * Z^(0), the source.
+
+    Under quadratic attention (S = 1/N) with beta <= 1, the pair
+    differences of every snapshot are (1 - tau)(s_i - s_j) +
+    tau beta (z0_i - z0_j), with s the unit rows the step diffused and z0
+    the unit-row start: a mix of unit-row differences with total weight at
+    most 1, so every u <= 4 and the closed form needs no gate."""
     cfg = traj.config
     spec = traj.spec
     lam = cfg.tau
@@ -168,23 +218,29 @@ def _trajectory_energy(traj: Trajectory, k_next: int) -> float:
     anchor = z_prev if cfg.beta == 0 else z_prev + lam * cfg.beta * traj.snapshots[0]
     if not spec.is_attention:
         return quadratic_energy(z, anchor, traj.coupling, lam)
-    return regularized_energy(z, anchor, spec.penalty, lam)
+    in_domain = (spec.family == "attention" and spec.penalty.kind == "quadratic"
+                 and cfg.beta <= 1.0)
+    return _regularized(z, anchor, spec.penalty, lam, in_domain)
 
 
-def _audited_energies(traj: Trajectory) -> list[float]:
+def _audited_energies(traj: Trajectory) -> list:
     """E(Z^(k), k-1) for k = 1..K."""
     return [_trajectory_energy(traj, k) for k in range(1, len(traj.snapshots))]
 
 
 def audit_descent(traj: Trajectory, slack: float = DESCENT_SLACK) -> EnergyReport:
-    """Check E(Z^(k+1), k) <= E(Z^(k), k-1) along a trajectory."""
+    """Check E(Z^(k+1), k) <= E(Z^(k), k-1) along a trajectory. A stacked
+    run is checked slice by slice, and each violation names its slice (in
+    C order over the leading axes)."""
     energies = _audited_energies(traj)
     if len(energies) < 2:
         raise ContractError("descent audit needs at least two steps")
+    stacked = np.ndim(energies[0]) > 0
     violations = [
-        {"step": k, "energy_prev": e_prev, "energy_next": e_next,
-         "excess": e_next - e_prev}
-        for k, (e_prev, e_next) in enumerate(zip(energies, energies[1:]), 1)
+        {**({"slice": b} if stacked else {}), "step": k, "energy_prev": e_prev,
+         "energy_next": e_next, "excess": e_next - e_prev}
+        for b, series in enumerate(np.reshape(energies, (len(energies), -1)).T.tolist())
+        for k, (e_prev, e_next) in enumerate(zip(series, series[1:]), 1)
         if not e_next <= e_prev + slack
     ]
     return EnergyReport(energies=energies, violations=violations)
@@ -195,6 +251,7 @@ def audit_bounds(traj: Trajectory) -> EnergyReport:
     (1 - tau*l1)^2 E_k <= E_{k+1} <= (1 - tau*l2)^2 E_k for a static
     coupling, with l1/l2 the largest/smallest singular values of its
     Laplacian (an SVD of the dense coupling)."""
+    _check_one_state(traj.snapshots[0], "the bound audit")
     if traj.spec.is_attention or traj.config.beta > 0:
         raise ContractError("bound audit applies to plain static-coupling runs")
     tau = traj.config.tau
@@ -234,6 +291,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     diffuses with. The text is built first and written once, so a run that
     fails part way leaves no partial file.
     """
+    _check_one_state(traj.snapshots[0], "the trajectory CSV")
     lines = ["step,energy,diversity,min_row_sum,max_row_sum\n"]
     for k, (z, sums) in enumerate(zip(traj.snapshots, traj.row_sums)):
         energy = float("nan") if k == 0 else _trajectory_energy(traj, k)

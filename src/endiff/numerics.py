@@ -2,9 +2,10 @@
 spectral bracket, and central-difference gradients over a stack of bumped
 copies.
 
-All public operations work on 2-D numpy arrays of float64, except
-`finite_diff_grad`, which takes an array of any rank. The bracket is
-the extreme singular values from LAPACK's SVD (`numpy.linalg.svd`).
+The Laplacian and its bracket work on 2-D numpy arrays of float64. The
+row helpers take a matrix or a stack of them over leading axes (`as_stack`),
+and `finite_diff_grad` takes an array of any rank. The bracket is the
+extreme singular values from LAPACK's SVD (`numpy.linalg.svd`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
+def as_stack(x) -> np.ndarray:
+    """x as float64 with rows along its last two axes: an N x d matrix, or a
+    stack of them over leading axes."""
+    m = np.asarray(x, dtype=np.float64)
+    if m.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of them, got ndim={m.ndim}")
+    return m
+
+
 def row_l2_divisors(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     """max(L2 norm, eps) of each row of m, as a column: what
     `row_l2_normalize` divides by, and the attention-head tape primitives
@@ -38,13 +48,13 @@ def row_l2_divisors(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
 
 
 def row_l2_normalize(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Divide each row by max(its L2 norm, eps)."""
-    m = as_matrix(m)
+    """Divide each row by max(its L2 norm, eps), of a matrix or a stack."""
+    m = as_stack(m)
     return m / row_l2_divisors(m, eps)
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(as_matrix(m) ** 2, axis=1))
+    return np.sqrt(np.sum(as_stack(m) ** 2, axis=-1))
 
 
 def laplacian(s: np.ndarray) -> np.ndarray:

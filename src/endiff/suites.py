@@ -3,6 +3,11 @@
 Each suite returns a report dict with at least: suite, seeds, lambda, tau,
 violations, passed. Descent/bound suites add min_ratio / max_ratio;
 collapse suites add diversity_initial / diversity_final.
+
+The attention runs (thm2, and oversmooth's attention cases) step their
+seeds as stacks of at most SEED_STACK states, one trajectory per stack;
+the static runs on per-seed graphs (thm1, prop1, oversmooth's static cases)
+go one seed at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +32,19 @@ SUITES = SEEDED_SUITES + ("gradcheck",)
 # `audit --suite all` by about 2 MB, stacks of 32 by about 0.4 MB, and the
 # larger stacks saved under 0.1 s.
 GRADCHECK_STACK = 32
+
+# Most seeds one stacked attention run steps at once. A run keeps every
+# slice's snapshots, so a stack's memory grows with its size: in-process
+# `audit --suite all` peaked at 39.5 MB one seed at a time, 39.8-39.9 MB
+# with stacks of 10 to 25, 40.5 MB with 50 and 43.6 MB with one stack of
+# 100 thm2 seeds (2 CPUs), while every size from 10 up cut its time from
+# 3.0 s to 1.2-1.6 s.
+SEED_STACK = 20
+
+
+def _seed_chunks(seeds: int) -> list[range]:
+    """The seeds 0..seeds-1 in consecutive stacks of at most SEED_STACK."""
+    return [range(lo, min(lo + SEED_STACK, seeds)) for lo in range(0, seeds, SEED_STACK)]
 
 
 def _static_run(seed: int, steps: int = 20, n: int = 16):
@@ -114,16 +132,16 @@ def suite_thm2(seeds: int = 100, taus=(0.1, 0.25, 0.5),
     beyond tau = 0.5 is an open question, not a guarantee)."""
     gated_violations = 0
     reported = {}
+    starts = [row_l2_normalize(np.stack([
+        np.random.default_rng((seed, 2)).standard_normal((n, d)) for seed in chunk]))
+        for chunk in _seed_chunks(seeds)]
     for family in ("simple", "advanced"):
         spec = CouplingSpec("attention", PenaltyFamily(family))
         for tau in tuple(taus) + tuple(report_taus):
             count = 0
-            for seed in range(seeds):
-                rng = np.random.default_rng((seed, 2))
-                z0 = row_l2_normalize(rng.standard_normal((n, d)))
+            for z0 in starts:
                 traj = run_trajectory(z0, spec, DiffusionConfig(tau=tau, steps=steps))
-                rep = audit_descent(traj, slack=1e-8)
-                count += rep.num_violations
+                count += audit_descent(traj, slack=1e-8).num_violations
             if tau in taus:
                 gated_violations += count
             reported[f"{family}_tau_{tau}"] = count
@@ -152,31 +170,26 @@ def suite_oversmooth(seeds: int = 5, steps: int = 500) -> dict:
     """Collapse dichotomy: without a source term long runs lose all row
     diversity; anchoring to the initial state preserves it. Checked for a
     static connected coupling and for the simple attention coupling."""
+    graphs = [_connected_er(seed) for seed in range(seeds)]
+    starts = np.stack([np.random.default_rng((seed, 3)).standard_normal((g.n, 4))
+                       for seed, g in enumerate(graphs)])
+    static = CouplingSpec("gcn_sym")
+    attention = CouplingSpec("attention", PenaltyFamily("simple"))
+    cases = {"static_nosource": (static, 0.0), "static_source": (static, 1.0),
+             "attention_nosource": (attention, 0.0), "attention_source": (attention, 1.0)}
     violations = 0
     ratios = {}
-    for seed in range(seeds):
-        g = _connected_er(seed)
-        rng = np.random.default_rng((seed, 3))
-        z0 = rng.standard_normal((g.n, 4))
-        cases = {
-            "static_nosource": (CouplingSpec("gcn_sym"), 0.0, g),
-            "static_source": (CouplingSpec("gcn_sym"), 1.0, g),
-            "attention_nosource": (
-                CouplingSpec("attention", PenaltyFamily("simple")), 0.0, None),
-            "attention_source": (
-                CouplingSpec("attention", PenaltyFamily("simple")), 1.0, None),
-        }
-        for name, (spec, beta, graph) in cases.items():
-            cfg = DiffusionConfig(tau=0.5, steps=steps, beta=beta)
-            traj = run_trajectory(z0, spec, cfg, graph)
-            d0 = diversity(traj.snapshots[0])
-            d1 = diversity(traj.snapshots[-1])
-            ratio = d1 / d0
-            ratios.setdefault(name, []).append(ratio)
-            if beta == 0.0 and ratio > 1e-6:
-                violations += 1
-            if beta > 0.0 and ratio < 0.01:
-                violations += 1
+    for name, (spec, beta) in cases.items():
+        cfg = DiffusionConfig(tau=0.5, steps=steps, beta=beta)
+        if spec.is_attention:
+            runs = (run_trajectory(starts[chunk.start:chunk.stop], spec, cfg)
+                    for chunk in _seed_chunks(seeds))
+        else:
+            runs = (run_trajectory(z0, spec, cfg, g) for z0, g in zip(starts, graphs))
+        ratio = np.hstack([diversity(traj.snapshots[-1]) / diversity(traj.snapshots[0])
+                           for traj in runs])
+        ratios[name] = ratio.tolist()
+        violations += int(np.sum(ratio > 1e-6 if beta == 0.0 else ratio < 0.01))
     summary = {k: {"min": float(min(v)), "max": float(max(v))}
                for k, v in ratios.items()}
     return {

@@ -3,7 +3,8 @@ attention coupling among them) and the energies are checked against, the
 scalar penalty pair, the scalar-draw block-model generator, the two-key
 edge sorts, the tape of composed primitives and the two attention heads
 built from them, the two-forward training loop, a trajectory's coupling
-row sums rebuilt per snapshot and the tie-by-tie ROC AUC. They loop,
+row sums rebuilt per snapshot, the thm2 and oversmooth audits one seed at a
+time and the tie-by-tie ROC AUC. They loop,
 materialize, record node by node or recompute on purpose and are meant for
 small N only."""
 
@@ -13,10 +14,13 @@ import numpy as np
 
 from endiff.coupling import (Z_SQ_MAX, CouplingSpec, PenaltyFamily, attention_scores,
                              build_coupling, coupling_operator)
+from endiff.diffusion import DiffusionConfig, run_trajectory
+from endiff.energy import audit_descent, diversity
 from endiff.errors import DimensionError, DomainError
 from endiff.graphs import Dataset, Graph
 from endiff.model import Checkpoint, forward, init_model
 from endiff.numerics import NORM_EPS, row_l2_divisors, row_l2_normalize
+from endiff.suites import _connected_er
 from endiff.tape import Eager, Tape
 from endiff.train import (AdamState, TrainResult, _evaluate, _metric_improved,
                           adam_step, induced_subgraph, minibatch_partition)
@@ -359,3 +363,72 @@ def rocauc_loop(scores, labels) -> float:
     n_neg = int(np.sum(labels == 0))
     u = float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
+
+
+def suite_thm2_per_seed(seeds: int = 100, taus=(0.1, 0.25, 0.5),
+                        report_taus=(0.75, 1.0), steps: int = 10,
+                        n: int = 20, d: int = 8) -> dict:
+    """`suites.suite_thm2` with one trajectory per seed."""
+    gated_violations = 0
+    reported = {}
+    for family in ("simple", "advanced"):
+        spec = CouplingSpec("attention", PenaltyFamily(family))
+        for tau in tuple(taus) + tuple(report_taus):
+            count = 0
+            for seed in range(seeds):
+                rng = np.random.default_rng((seed, 2))
+                z0 = row_l2_normalize(rng.standard_normal((n, d)))
+                traj = run_trajectory(z0, spec, DiffusionConfig(tau=tau, steps=steps))
+                count += audit_descent(traj, slack=1e-8).num_violations
+            if tau in taus:
+                gated_violations += count
+            reported[f"{family}_tau_{tau}"] = count
+    return {
+        "suite": "thm2",
+        "seeds": seeds,
+        "lambda": "lambda = tau",
+        "tau": list(taus),
+        "violations": gated_violations,
+        "ungated_violations": {k: v for k, v in reported.items()
+                               if float(k.rsplit("_", 1)[1]) not in taus},
+        "per_setting": reported,
+        "passed": gated_violations == 0,
+    }
+
+
+def suite_oversmooth_per_seed(seeds: int = 5, steps: int = 500) -> dict:
+    """`suites.suite_oversmooth` with one trajectory per seed and case."""
+    violations = 0
+    ratios = {}
+    for seed in range(seeds):
+        g = _connected_er(seed)
+        rng = np.random.default_rng((seed, 3))
+        z0 = rng.standard_normal((g.n, 4))
+        cases = {
+            "static_nosource": (CouplingSpec("gcn_sym"), 0.0, g),
+            "static_source": (CouplingSpec("gcn_sym"), 1.0, g),
+            "attention_nosource": (
+                CouplingSpec("attention", PenaltyFamily("simple")), 0.0, None),
+            "attention_source": (
+                CouplingSpec("attention", PenaltyFamily("simple")), 1.0, None),
+        }
+        for name, (spec, beta, graph) in cases.items():
+            cfg = DiffusionConfig(tau=0.5, steps=steps, beta=beta)
+            traj = run_trajectory(z0, spec, cfg, graph)
+            ratio = diversity(traj.snapshots[-1]) / diversity(traj.snapshots[0])
+            ratios.setdefault(name, []).append(ratio)
+            if beta == 0.0 and ratio > 1e-6:
+                violations += 1
+            if beta > 0.0 and ratio < 0.01:
+                violations += 1
+    return {
+        "suite": "oversmooth",
+        "seeds": seeds,
+        "lambda": "lambda = tau",
+        "tau": 0.5,
+        "violations": violations,
+        "diversity_initial": 1.0,
+        "diversity_final": {k: {"min": float(min(v)), "max": float(max(v))}
+                            for k, v in ratios.items()},
+        "passed": violations == 0,
+    }

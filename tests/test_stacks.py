@@ -1,0 +1,269 @@
+"""The stack convention of the attention dynamics: a (B, N, d) state is B
+independent states, and every stacked coupling, step, run, energy and audit
+gives on each slice, bit for bit, what the slice alone gives as a 2-D
+state."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import endiff.coupling as coupling
+import endiff.energy as energy
+import endiff.suites as suites
+from dense_oracles import suite_oversmooth_per_seed, suite_thm2_per_seed
+from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
+                             PenaltyFamily, build_coupling, coupling_operator,
+                             gat_masked_coupling)
+from endiff.diffusion import DiffusionConfig, euler_step, run_trajectory
+from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent, diversity,
+                           regularized_energy, write_trajectory_csv)
+from endiff.errors import ContractError, DimensionError
+from endiff.graphs import er_graph
+from endiff.numerics import row_l2_normalize
+from endiff.suites import SEED_STACK
+
+SIMPLE = CouplingSpec("attention", PenaltyFamily("simple"))
+
+
+def _attention(kind: str) -> CouplingSpec:
+    return CouplingSpec("attention", PenaltyFamily(kind))
+
+
+def _assert_slices(stacked, per_slice) -> None:
+    """Slice i of stacked equals per_slice[i] bit for bit, shape included."""
+    stacked = np.asarray(stacked)
+    assert len(stacked) == len(per_slice)
+    for got, want in zip(stacked, per_slice):
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def _unit_stacks(draw):
+    """A stack (B, N, d) of unit-row states, B >= 1 and N >= 1, with repeated
+    and antipodal rows mixed in, and a stack of blocks V."""
+    b, n, d = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = row_l2_normalize(rng.standard_normal((b, n, d)))
+    for i in range(1, n):
+        pick = draw(st.sampled_from(("own", "repeat", "antipode")))
+        if pick != "own":
+            j = draw(st.integers(0, i - 1))
+            z[:, i] = z[:, j] if pick == "repeat" else -z[:, j]
+    return z, rng.standard_normal((b, n, draw(st.integers(1, 3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_stacks(), st.sampled_from(PENALTY_KINDS), st.floats(0.01, 1.0))
+@example((np.array([[[1.0, 0.0]]]), np.array([[[2.0]]])), "simple", 0.5)  # B = N = 1
+def test_stacked_couplings_and_steps_match_their_slices(case, kind, tau):
+    z, v = case
+    spec = _attention(kind)
+    op = coupling_operator(spec, z)
+    slices = [coupling_operator(spec, zi) for zi in z]
+    assert op.n == z.shape[1]
+    _assert_slices(op.apply(v), [s.apply(vi) for s, vi in zip(slices, v)])
+    _assert_slices(op.row_sums(), [s.row_sums() for s in slices])
+    _assert_slices(op.dense(), [s.dense() for s in slices])
+    _assert_slices(euler_step(z, op, tau), [euler_step(zi, s, tau) for zi, s in zip(z, slices)])
+    if kind != "quadratic":
+        _assert_slices(build_coupling(spec, z), [build_coupling(spec, zi) for zi in z])
+
+
+def _runs(z0, spec: CouplingSpec, cfg: DiffusionConfig):
+    """The stacked run of z0 and the run of each slice alone, or None when a
+    slice's run breaks the unit-row contract (tau = 1 sends antipodal rows
+    to their zero mean), which the stacked run must break too."""
+    try:
+        runs = [run_trajectory(zi, spec, cfg) for zi in z0]
+    except ContractError:
+        with pytest.raises(ContractError):
+            run_trajectory(z0, spec, cfg)
+        return None
+    return run_trajectory(z0, spec, cfg), runs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_stacks(), st.sampled_from(PENALTY_KINDS), st.floats(0.01, 1.0),
+       st.sampled_from((0.0, 1.0)), st.integers(1, 4))
+def test_stacked_runs_match_their_slices(case, kind, tau, beta, steps):
+    z0, _ = case
+    runs = _runs(z0, _attention(kind), DiffusionConfig(tau=tau, steps=steps, beta=beta))
+    if runs is None:
+        return
+    traj, runs = runs
+    assert len(traj.snapshots) == len(traj.row_sums) == steps + 1
+    for k in range(steps + 1):
+        _assert_slices(traj.snapshots[k], [run.snapshots[k] for run in runs])
+        _assert_slices(traj.row_sums[k], [run.row_sums[k] for run in runs])
+
+
+@st.composite
+def _gated_stacks(draw):
+    """A stack whose slices fall on both sides of the unit-ball gate of the
+    closed-form energies: rows inside the ball, on the sphere, or a common
+    shift of rows of radius 1/2 that puts them outside it with every pair
+    still within u <= 1. Also an anchor stack and lam."""
+    b, n, d = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = row_l2_normalize(rng.standard_normal((b, n, d)))
+    z = np.empty_like(unit)
+    for i in range(b):
+        where = draw(st.sampled_from(("inside", "sphere", "outside")))
+        if where == "inside":
+            z[i] = unit[i] * rng.uniform(0.0, 1.0, (n, 1))
+        elif where == "sphere":
+            z[i] = unit[i]
+        else:
+            z[i] = 0.5 * unit[i] + 0.9 * row_l2_normalize(rng.standard_normal((1, d)))
+    return z, rng.standard_normal((b, n, d)), draw(st.floats(0.0, 2.0))
+
+
+MIXED = (np.stack([[[0.6, 0.0], [0.0, 0.8]], [[1.2, 0.0], [1.0, 0.3]]]),
+         np.zeros((2, 2, 2)), 0.7)  # slice 0 inside the ball, slice 1 outside
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gated_stacks(), st.sampled_from(PENALTY_KINDS))
+@example(MIXED, "simple")
+@example(MIXED, "quadratic")
+def test_stacked_energies_match_their_slices(case, kind):
+    z, z_prev, lam = case
+    p = PenaltyFamily(kind)
+    _assert_slices(regularized_energy(z, z_prev, p, lam),
+                   [regularized_energy(zi, pi, p, lam) for zi, pi in zip(z, z_prev)])
+    _assert_slices(diversity(z), [diversity(zi) for zi in z])
+
+
+def test_a_two_dimensional_state_gives_floats():
+    z = row_l2_normalize(np.random.default_rng(0).standard_normal((5, 3)))
+    assert type(diversity(z)) is float
+    assert type(regularized_energy(z, z, PenaltyFamily("advanced"), 0.5)) is float
+    assert diversity(z[None]).shape == (1,)
+    assert diversity(np.stack([z[None], z[None]])).shape == (2, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unit_stacks(), st.sampled_from(("simple", "advanced", "quadratic")),
+       st.sampled_from((0.25, 0.5, 1.0)), st.sampled_from((1e-8, 0.0, -1e-3)))
+def test_stacked_descent_audits_match_their_slices(case, kind, tau, slack):
+    # a negative slack flags steps that descend by less than |slack|, so
+    # some slices break the audit and others do not
+    z0, _ = case
+    runs = _runs(z0, _attention(kind), DiffusionConfig(tau=tau, steps=4))
+    if runs is None:
+        return
+    rep = audit_descent(runs[0], slack)
+    reps = [audit_descent(run, slack) for run in runs[1]]
+    for k, energies in enumerate(rep.energies):
+        _assert_slices(energies, [r.energies[k] for r in reps])
+    assert rep.violations == [{"slice": b, **v} for b, r in enumerate(reps)
+                              for v in r.violations]
+    assert rep.num_violations == sum(r.num_violations for r in reps)
+
+
+def test_violations_name_their_slice_in_c_order():
+    z0 = row_l2_normalize(np.random.default_rng(1).standard_normal((2, 3, 6, 2)))
+    traj = run_trajectory(z0, SIMPLE, DiffusionConfig(tau=0.5, steps=3))
+    rep = audit_descent(traj, slack=-np.inf)  # every step of every slice
+    assert [(v["slice"], v["step"]) for v in rep.violations] == [
+        (b, k) for b in range(6) for k in (1, 2)]
+    assert rep.energies[0].shape == (2, 3)
+
+
+def test_stacks_reach_no_single_state_consumer(tmp_path):
+    z = row_l2_normalize(np.random.default_rng(2).standard_normal((2, 6, 3)))
+    g = er_graph(6, 0.5, 0)
+    traj = run_trajectory(z, SIMPLE, DiffusionConfig(tau=0.25, steps=2))
+    with pytest.raises(DimensionError, match="trajectory CSV"):
+        write_trajectory_csv(traj, tmp_path / "traj.csv")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(DimensionError, match="bound audit"):
+        audit_bounds(traj)
+    with pytest.raises(DimensionError):
+        gat_masked_coupling(PenaltyFamily("simple"), z, g)
+    gat = CouplingSpec("gat_masked", PenaltyFamily("simple"))
+    for spec in [CouplingSpec(f) for f in STATIC_FAMILIES] + [gat]:
+        with pytest.raises(DimensionError, match="one N x d state"):
+            coupling_operator(spec, z, g)
+        with pytest.raises(DimensionError):
+            run_trajectory(z, spec, DiffusionConfig(steps=1), g)
+
+
+def test_contract_errors_name_the_slice_and_the_row(monkeypatch):
+    z = row_l2_normalize(np.random.default_rng(3).standard_normal((3, 4, 2)))
+    z[2, 1] = [0.0, 2.0]
+    for kind in PENALTY_KINDS:
+        with pytest.raises(ContractError, match="slice 2 row 1 has norm 2.0"):
+            coupling_operator(_attention(kind), z)
+    with pytest.raises(ContractError, match="; row 1 has norm 2.0"):
+        coupling_operator(SIMPLE, z[2])
+    # slices count in C order over every leading axis
+    with pytest.raises(ContractError, match="slice 5 row 1 has norm 2.0"):
+        coupling_operator(SIMPLE, np.concatenate([row_l2_normalize(z), z]).reshape(2, 3, 4, 2))
+
+    def zero_second_slice(p, u):
+        return np.where(np.arange(len(u))[:, None, None] == 1, 0.0, 1.0)
+
+    monkeypatch.setattr(coupling, "penalty_f", zero_second_slice)
+    with pytest.raises(ContractError, match="attention slice 1 row 0 has score sum 0.0"):
+        build_coupling(_attention("advanced"), row_l2_normalize(z))
+
+
+def _counted_runs(monkeypatch) -> list:
+    """The leading shape of every start `suites` hands `run_trajectory`."""
+    shapes = []
+    run = suites.run_trajectory
+
+    def counted(z0, *args, **kwargs):
+        shapes.append(np.shape(z0)[:-2])
+        return run(z0, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "run_trajectory", counted)
+    return shapes
+
+
+def test_thm2_steps_its_seeds_in_stacks(monkeypatch):
+    # two full stacks and a ragged one, against the audit one seed at a time
+    seeds = 2 * SEED_STACK + 3
+    shapes = _counted_runs(monkeypatch)
+    report = suites.suite_thm2(seeds=seeds)
+    assert len(shapes) == 10 * math.ceil(seeds / SEED_STACK)
+    assert sorted(set(shapes)) == [(3,), (SEED_STACK,)]
+    assert report == suite_thm2_per_seed(seeds=seeds)
+
+
+def test_oversmooth_steps_its_attention_seeds_in_stacks(monkeypatch):
+    seeds, steps = SEED_STACK + 2, 60
+    shapes = _counted_runs(monkeypatch)
+    report = suites.suite_oversmooth(seeds=seeds, steps=steps)
+    # the static cases run per seed on their own graphs, the attention ones
+    # in stacks
+    assert shapes.count(()) == 2 * seeds
+    assert sorted(s for s in shapes if s) == [(2,), (2,), (SEED_STACK,), (SEED_STACK,)]
+    assert report == suite_oversmooth_per_seed(seeds=seeds, steps=steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.integers(1, 6), st.booleans())
+@example(2, 2, 0, 0.5, 1.0, 3, True)
+def test_quadratic_attention_with_a_source_keeps_every_pair_in_the_domain(
+        n, d, seed, tau, beta, steps, antipodes):
+    # the closed-form energy of these runs takes no unit-ball gate; its
+    # argument is that every pairwise u stays within the domain [0, 4]
+    z0 = np.random.default_rng(seed).standard_normal((n, d))
+    if antipodes:  # pairs of rows at u = 4
+        z0[1::2] = -z0[: n // 2 * 2 : 2]
+    cfg = DiffusionConfig(tau=tau, steps=steps, beta=beta)
+    traj = run_trajectory(z0, _attention("quadratic"), cfg)
+    assert max(float(_pairwise_sq_dists(z).max()) for z in traj.snapshots) <= 4.0 + 1e-9
+    for k in range(1, steps + 1):  # the closed form against the pair sum
+        z = traj.snapshots[k]
+        anchor = traj.snapshots[k - 1] + tau * beta * traj.snapshots[0]
+        pairwise = float(np.sum((z - anchor) ** 2) + tau * np.sum(_pairwise_sq_dists(z)))
+        assert energy._trajectory_energy(traj, k) == pytest.approx(
+            pairwise, rel=1e-12, abs=1e-12 * n * float(np.sum(z * z)))
