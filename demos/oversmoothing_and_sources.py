@@ -28,7 +28,7 @@ spec = CouplingSpec("gcn_sym")
 for steps in (10, 50, 200, 500):
     plain = run_trajectory(z0, spec, DiffusionConfig(tau=0.5, steps=steps), g)
     anchored = run_trajectory(z0, spec, DiffusionConfig(tau=0.5, steps=steps,
-                                                        beta=1.0), g)
+                                                        use_source=True), g)
     print(f"{steps:>6}  {diversity(plain.snapshots[-1]):>12.3e}  "
           f"{diversity(anchored.snapshots[-1]):>12.3e}")
 

@@ -61,7 +61,6 @@ def write_manifest(out_dir: Path, command: str, config: dict,
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=Path("."), metavar="DIR")
     p.add_argument("--config", type=Path, default=None,
                    help="JSON file of defaults; explicit flags win")
@@ -78,19 +77,25 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--use-source", action="store_true")
 
 
-def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--features", type=Path)
-    p.add_argument("--labels", type=Path)
-    p.add_argument("--edges", type=Path)
-    p.add_argument("--split", type=Path)
-    p.add_argument("--synth", choices=("sbm",),
-                   help="generate a dataset instead of loading files")
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)  # train's own seed too
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--per-block", type=int, default=100)
     p.add_argument("--p-in", type=float, default=0.2)
     p.add_argument("--p-out", type=float, default=0.02)
     p.add_argument("--feat-dim", type=int, default=8)
     p.add_argument("--feat-shift", type=float, default=0.5)
+
+
+_DATA_FILES = ("features", "labels", "edges", "split")
+
+
+def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
+    for name in _DATA_FILES:
+        p.add_argument(f"--{name}", type=Path)
+    p.add_argument("--synth", choices=("sbm",),
+                   help="generate a dataset instead of loading files")
+    _add_generator_flags(p)
 
 
 def _config_defaults(path: Path, parser: argparse.ArgumentParser) -> dict:
@@ -135,25 +140,24 @@ def _config_value(path: Path, key: str, action: argparse.Action, value):
 
 
 def _resolve_dataset(args) -> tuple[Dataset, list[Path]]:
+    files = (args.features, args.labels, args.edges, args.split)
     if args.synth == "sbm":
+        given = [f"--{name}" for name, p in zip(_DATA_FILES, files) if p is not None]
+        if given:
+            args.parser.error(f"--synth sbm does not take {', '.join(given)}")
         ds = sbm_generate(args.blocks, args.per_block, args.p_in, args.p_out,
                           args.feat_dim, args.feat_shift, args.seed)
         return ds, []
     if args.features is None or args.labels is None:
         raise EndiffError("need --features and --labels, or --synth sbm")
-    ds = load_dataset(args.features, args.labels, args.edges, args.split)
-    inputs = [p for p in (args.features, args.labels, args.edges, args.split)
-              if p is not None]
-    return ds, inputs
+    ds = load_dataset(*files)
+    return ds, [p for p in files if p is not None]
 
 
-def _public_config(args, skip=("config", "out")) -> dict:
-    cfg = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or key in ("func", "parser", "command"):
-            continue
-        cfg[key] = str(value) if isinstance(value, Path) else value
-    return cfg
+def _public_config(args) -> dict:
+    return {key: str(value) if isinstance(value, Path) else value
+            for key, value in sorted(vars(args).items())
+            if key not in ("config", "out", "func", "parser", "command")}
 
 
 # -- commands -----------------------------------------------------------
@@ -221,8 +225,7 @@ def cmd_diffuse(args) -> int:
     else:
         spec = CouplingSpec(args.coupling, PenaltyFamily(args.penalty))
         z0 = row_l2_normalize(z0)
-    cfg = DiffusionConfig(tau=args.tau, steps=args.steps,
-                          beta=1.0 if args.use_source else 0.0)
+    cfg = DiffusionConfig(tau=args.tau, steps=args.steps, use_source=args.use_source)
     traj = run_trajectory(z0, spec, cfg, g)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -245,11 +248,9 @@ def cmd_audit(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     outputs = []
+    seeds = {} if args.seeds is None else {"seeds": args.seeds}
     for name in names:
-        kwargs = {}
-        if args.seeds is not None and name in SEEDED_SUITES:
-            kwargs["seeds"] = args.seeds
-        report = run_suite(name, **kwargs)
+        report = run_suite(name, **(seeds if name in SEEDED_SUITES else {}))
         reports.append(report)
         path = out / f"audit_{name}.json"
         atomic_write_text(path, json.dumps(report, indent=2, default=float) + "\n")
@@ -260,27 +261,17 @@ def cmd_audit(args) -> int:
     return EXIT_OK if all(r["passed"] for r in reports) else EXIT_VIOLATION
 
 
-def _model_config_from_args(args, ds: Dataset) -> ModelConfig:
-    return ModelConfig(
-        variant=args.variant,
-        input_dim=ds.features.shape[1],
-        hidden_dim=args.hidden,
-        # mse regresses the label value: one output per node
-        output_dim=1 if args.metric == "mse" else max(ds.num_classes, 1),
-        layers=args.layers,
-        heads=args.heads,
-        tau=args.tau,
-        use_graph=args.use_graph,
-        use_source=args.use_source,
-    )
-
-
 def cmd_train(args) -> int:
     started = time.monotonic()
+    ds, inputs = _resolve_dataset(args)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    ds, inputs = _resolve_dataset(args)
-    model_cfg = _model_config_from_args(args, ds)
+    model_cfg = ModelConfig(
+        variant=args.variant, input_dim=ds.features.shape[1], hidden_dim=args.hidden,
+        # mse regresses the label value: one output per node
+        output_dim=1 if args.metric == "mse" else max(ds.num_classes, 1),
+        layers=args.layers, heads=args.heads, tau=args.tau,
+        use_graph=args.use_graph, use_source=args.use_source)
     train_cfg = TrainConfig(lr=args.lr, weight_decay=args.weight_decay,
                             epochs=args.epochs, batch_size=args.batch_size,
                             patience=args.patience, seed=args.seed,
@@ -345,11 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a block-model dataset")
     _add_common(p)
-    _add_dataset_flags(p)
+    _add_generator_flags(p)
     p.set_defaults(func=cmd_synth, parser=p)
 
     p = sub.add_parser("diffuse", help="run a diffusion trajectory to CSV")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coupling", default="gcn_sym",
                    choices=STATIC_FAMILIES + ATTENTION_FAMILIES)
     p.add_argument("--penalty", default="simple", choices=PENALTY_KINDS)
@@ -362,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=Path)
     p.set_defaults(func=cmd_diffuse, parser=p)
 
-    p = sub.add_parser("audit", help="run seeded invariant suites")
+    # no abbreviations, or a stray --seed would run as --seeds
+    p = sub.add_parser("audit", help="run seeded invariant suites", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("--seeds", type=int, default=None,
@@ -407,7 +400,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             args.parser.set_defaults(**_config_defaults(args.config, args.parser))
             args = parser.parse_args(argv)
-        if args.seed < 0:  # numpy's generators take no negative seed
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             args.parser.error(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except EndiffError as exc:

@@ -4,8 +4,9 @@ The core update is z' = Z - tau * (diag(S 1) - S) Z: each node keeps a
 (1 - tau * row_sum) share of its own state and absorbs a tau-weighted mix
 of the others. The coupling S is a `coupling.Coupling` operator, so simple
 attention runs in O(N d^2) and every graph family in O(E d) per step
-without materializing S. A variant adds the initial state as a source
-term.
+without materializing S. With `use_source` the step also adds the initial
+state at step size tau, the source term of the paper's DIFFormer layer:
+Z' = Z - tau * (diag(S 1) - S) Z + tau * Z^(0).
 
 Attention dynamics also step a stack of states: a (B, N, d) start runs B
 independent trajectories at once, one per slice, each bit for bit the run
@@ -29,15 +30,16 @@ from .numerics import as_matrix, as_stack, row_l2_normalize
 class DiffusionConfig:
     tau: float = 0.5
     steps: int = 1
-    beta: float = 0.0
+    use_source: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
             raise ParameterError(f"tau must be in (0, 1], got {self.tau}")
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
-        if self.beta < 0.0:
-            raise ParameterError("beta must be >= 0")
+        if not isinstance(self.use_source, (bool, np.bool_)):
+            raise ParameterError(
+                f"use_source must be true or false, got {self.use_source!r}")
 
 
 @dataclass
@@ -84,9 +86,10 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     Attention families re-normalize the state to unit rows before each
     diffusivity inference (the dot-product identity behind the scores needs
     it), so they build steps + 1 couplings, the last one only for its row
-    sums; static families build their coupling once and reuse it. The source
-    term (beta > 0) is the initial state. The GRAPH_FAMILIES couple along g.
-    Unmasked attention steps a stack of starts (..., N, d) at once.
+    sums; static families build their coupling once and reuse it. With
+    cfg.use_source each step adds tau Z^(0), the initial state. The
+    GRAPH_FAMILIES couple along g. Unmasked attention steps a stack of
+    starts (..., N, d) at once.
     """
     z = row_l2_normalize(z0) if spec.is_attention else as_matrix(z0).copy()
     static = None if spec.is_attention else coupling_operator(spec, z, g)
@@ -103,8 +106,8 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     row_sums = [s.row_sums()]
     for _ in range(cfg.steps):
         nxt = euler_step(state, s, cfg.tau)
-        if cfg.beta > 0:
-            nxt = nxt + cfg.tau * cfg.beta * snapshots[0]
+        if cfg.use_source:
+            nxt = nxt + cfg.tau * snapshots[0]
         snapshots.append(nxt)
         state, s = coupled(nxt)
         row_sums.append(s.row_sums())

@@ -202,24 +202,22 @@ class EnergyReport:
 def _trajectory_energy(traj: Trajectory, k_next: int):
     """E(Z^(k_next), k_next-1) with the energy form matching the trajectory:
     quadratic for static couplings, regularized for attention, at
-    lam = tau. A source term shifts the anchor to
-    Z_prev + tau * beta * Z^(0), the source.
+    lam = tau. The source term shifts the anchor to Z_prev + tau * Z^(0).
 
-    Under quadratic attention (S = 1/N) with beta <= 1, the pair
-    differences of every snapshot are (1 - tau)(s_i - s_j) +
-    tau beta (z0_i - z0_j), with s the unit rows the step diffused and z0
-    the unit-row start: a mix of unit-row differences with total weight at
-    most 1, so every u <= 4 and the closed form needs no gate."""
+    Under quadratic attention (S = 1/N), the pair differences of every
+    snapshot are (1 - tau)(s_i - s_j), plus tau (z0_i - z0_j) with the
+    source, with s the unit rows the step diffused and z0 the unit-row
+    start: a mix of unit-row differences with total weight at most 1, so
+    every u <= 4 and the closed form needs no gate."""
     cfg = traj.config
     spec = traj.spec
     lam = cfg.tau
     z = traj.snapshots[k_next]
     z_prev = traj.snapshots[k_next - 1]
-    anchor = z_prev if cfg.beta == 0 else z_prev + lam * cfg.beta * traj.snapshots[0]
+    anchor = z_prev + lam * traj.snapshots[0] if cfg.use_source else z_prev
     if not spec.is_attention:
         return quadratic_energy(z, anchor, traj.coupling, lam)
-    in_domain = (spec.family == "attention" and spec.penalty.kind == "quadratic"
-                 and cfg.beta <= 1.0)
+    in_domain = spec.family == "attention" and spec.penalty.kind == "quadratic"
     return _regularized(z, anchor, spec.penalty, lam, in_domain)
 
 
@@ -252,7 +250,7 @@ def audit_bounds(traj: Trajectory) -> EnergyReport:
     coupling, with l1/l2 the largest/smallest singular values of its
     Laplacian (an SVD of the dense coupling)."""
     _check_one_state(traj.snapshots[0], "the bound audit")
-    if traj.spec.is_attention or traj.config.beta > 0:
+    if traj.spec.is_attention or traj.config.use_source:
         raise ContractError("bound audit applies to plain static-coupling runs")
     tau = traj.config.tau
     bracket = laplacian_spectral_bracket(traj.coupling.dense())

@@ -160,19 +160,18 @@ def forward(params: dict[str, np.ndarray], x: np.ndarray, g: Graph | None,
         if got[-len(shape):] != shape or (got != shape and not isinstance(t, Eager)):
             raise DimensionError(f"parameter {name} has shape {got}, want {shape}")
 
-    n = x.shape[0]
     refs = {name: t.parameter(name, val) for name, val in params.items()}
 
     graph_op = g.sym_operator if cfg.use_graph else None
 
     # The state is a stack of one head until the last layer's mean: copies of
     # a stacked parameter sit in front of its head axis.
-    z = z0 = t.relu(t.layer_norm(t.stack(t.add(
-        t.matmul(t.constant(x), refs["W_I"]), t.broadcast_row(refs["b_I"], n)))))
+    z = z0 = t.relu(t.layer_norm(t.stack(
+        t.add(t.matmul(t.constant(x), refs["W_I"]), refs["b_I"]))))
     for k in range(cfg.layers):
         z = _layer(t, z, z0, refs, k, cfg, graph_op)
 
-    logits = t.add(t.matmul(z, refs["W_O"]), t.broadcast_row(refs["b_O"], n))
+    logits = t.add(t.matmul(z, refs["W_O"]), refs["b_O"])
     return logits, t
 
 

@@ -37,20 +37,18 @@ def as_stack(x) -> np.ndarray:
     return m
 
 
-def row_l2_divisors(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """max(L2 norm, eps) of each row of m, as a column: what
+def row_l2_divisors(m: np.ndarray) -> np.ndarray:
+    """max(L2 norm, NORM_EPS) of each row of m, as a column: what
     `row_l2_normalize` divides by, and the attention-head tape primitives
     their Q and K rows. Rows run along the last axis; leading axes are a
     batch."""
-    if eps <= 0:
-        raise ContractError("eps must be positive")
-    return np.maximum(np.sqrt(np.sum(m * m, axis=-1, keepdims=True)), eps)
+    return np.maximum(np.sqrt(np.sum(m * m, axis=-1, keepdims=True)), NORM_EPS)
 
 
-def row_l2_normalize(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Divide each row by max(its L2 norm, eps), of a matrix or a stack."""
+def row_l2_normalize(m: np.ndarray) -> np.ndarray:
+    """Divide each row by max(its L2 norm, NORM_EPS), of a matrix or a stack."""
     m = as_stack(m)
-    return m / row_l2_divisors(m, eps)
+    return m / row_l2_divisors(m)
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ collapse suites add diversity_initial / diversity_final.
 The attention runs (thm2, and oversmooth's attention cases) step their
 seeds as stacks of at most SEED_STACK states, one trajectory per stack;
 the static runs on per-seed graphs (thm1, prop1, oversmooth's static cases)
-go one seed at a time.
+go one seed at a time. A seeded suite takes only its seed count and
+gradcheck takes nothing: every other setting is a module constant.
 """
 
 from __future__ import annotations
@@ -41,23 +42,34 @@ GRADCHECK_STACK = 32
 # 3.0 s to 1.2-1.6 s.
 SEED_STACK = 20
 
+# Static instances (thm1, prop1): steps and ER nodes. thm2: the gated step
+# sizes, those run for the record only, steps and N x d starts. gradcheck:
+# the largest relative error, and each model's seed, nodes and difference step.
+STATIC_STEPS, STATIC_N = 20, 16
+THM2_TAUS, THM2_REPORT_TAUS = (0.1, 0.25, 0.5), (0.75, 1.0)
+THM2_STEPS, THM2_N, THM2_D = 10, 20, 8
+OVERSMOOTH_STEPS = 500
+LINEAR_EQUIV_N, LINEAR_EQUIV_D = 64, 8
+GRADCHECK_TOL = 1e-5
+GRADCHECK_SEED, GRADCHECK_N, GRADCHECK_H = 0, 12, 1e-5
+
 
 def _seed_chunks(seeds: int) -> list[range]:
     """The seeds 0..seeds-1 in consecutive stacks of at most SEED_STACK."""
     return [range(lo, min(lo + SEED_STACK, seeds)) for lo in range(0, seeds, SEED_STACK)]
 
 
-def _static_run(seed: int, steps: int = 20, n: int = 16):
-    """One sym-normalized static instance on ER(n, 0.3) at
+def _static_run(seed: int):
+    """One sym-normalized static instance on ER(STATIC_N, 0.3) at
     tau = 0.9 / lambda_max."""
-    g = er_graph(n, 0.3, seed)
-    z0 = np.random.default_rng((seed, 1)).standard_normal((n, 4))
+    g = er_graph(STATIC_N, 0.3, seed)
+    z0 = np.random.default_rng((seed, 1)).standard_normal((STATIC_N, 4))
     spec = CouplingSpec("gcn_sym")
     bracket = laplacian_spectral_bracket(g.sym_operator.dense())
     if bracket.lambda_max <= 0:
         return None  # edgeless instance, nothing to diffuse
     tau = min(0.9 / bracket.lambda_max, 1.0)
-    cfg = DiffusionConfig(tau=tau, steps=steps)
+    cfg = DiffusionConfig(tau=tau, steps=STATIC_STEPS)
     return run_trajectory(z0, spec, cfg, g), g
 
 
@@ -122,39 +134,37 @@ def suite_prop1(seeds: int = 100) -> dict:
     }
 
 
-def suite_thm2(seeds: int = 100, taus=(0.1, 0.25, 0.5),
-               report_taus=(0.75, 1.0), steps: int = 10,
-               n: int = 20, d: int = 8) -> dict:
+def suite_thm2(seeds: int = 100) -> dict:
     """Attention-coupling descent for the simple and advanced families.
 
     The gated step sizes must show zero violations at slack 1e-8; larger
     step sizes are run for the record but do not fail the suite (descent
     beyond tau = 0.5 is an open question, not a guarantee)."""
-    gated_violations = 0
-    reported = {}
+    reported, gated, ungated = {}, {}, {}
     starts = [row_l2_normalize(np.stack([
-        np.random.default_rng((seed, 2)).standard_normal((n, d)) for seed in chunk]))
+        np.random.default_rng((seed, 2)).standard_normal((THM2_N, THM2_D))
+        for seed in chunk]))
         for chunk in _seed_chunks(seeds)]
     for family in ("simple", "advanced"):
         spec = CouplingSpec("attention", PenaltyFamily(family))
-        for tau in tuple(taus) + tuple(report_taus):
+        for tau in THM2_TAUS + THM2_REPORT_TAUS:
             count = 0
             for z0 in starts:
-                traj = run_trajectory(z0, spec, DiffusionConfig(tau=tau, steps=steps))
+                traj = run_trajectory(z0, spec, DiffusionConfig(tau=tau, steps=THM2_STEPS))
                 count += audit_descent(traj, slack=1e-8).num_violations
-            if tau in taus:
-                gated_violations += count
-            reported[f"{family}_tau_{tau}"] = count
+            key = f"{family}_tau_{tau}"
+            reported[key] = count
+            (gated if tau in THM2_TAUS else ungated)[key] = count
+    violations = sum(gated.values())
     return {
         "suite": "thm2",
         "seeds": seeds,
         "lambda": "lambda = tau",
-        "tau": list(taus),
-        "violations": gated_violations,
-        "ungated_violations": {k: v for k, v in reported.items()
-                               if float(k.rsplit("_", 1)[1]) not in taus},
+        "tau": list(THM2_TAUS),
+        "violations": violations,
+        "ungated_violations": ungated,
         "per_setting": reported,
-        "passed": gated_violations == 0,
+        "passed": violations == 0,
     }
 
 
@@ -166,7 +176,7 @@ def _connected_er(seed: int, n: int = 16, p: float = 0.3) -> Graph:
     raise ParameterError("could not draw a connected instance")
 
 
-def suite_oversmooth(seeds: int = 5, steps: int = 500) -> dict:
+def suite_oversmooth(seeds: int = 5) -> dict:
     """Collapse dichotomy: without a source term long runs lose all row
     diversity; anchoring to the initial state preserves it. Checked for a
     static connected coupling and for the simple attention coupling."""
@@ -175,12 +185,12 @@ def suite_oversmooth(seeds: int = 5, steps: int = 500) -> dict:
                        for seed, g in enumerate(graphs)])
     static = CouplingSpec("gcn_sym")
     attention = CouplingSpec("attention", PenaltyFamily("simple"))
-    cases = {"static_nosource": (static, 0.0), "static_source": (static, 1.0),
-             "attention_nosource": (attention, 0.0), "attention_source": (attention, 1.0)}
+    cases = {"static_nosource": (static, False), "static_source": (static, True),
+             "attention_nosource": (attention, False), "attention_source": (attention, True)}
     violations = 0
     ratios = {}
-    for name, (spec, beta) in cases.items():
-        cfg = DiffusionConfig(tau=0.5, steps=steps, beta=beta)
+    for name, (spec, use_source) in cases.items():
+        cfg = DiffusionConfig(tau=0.5, steps=OVERSMOOTH_STEPS, use_source=use_source)
         if spec.is_attention:
             runs = (run_trajectory(starts[chunk.start:chunk.stop], spec, cfg)
                     for chunk in _seed_chunks(seeds))
@@ -189,7 +199,7 @@ def suite_oversmooth(seeds: int = 5, steps: int = 500) -> dict:
         ratio = np.hstack([diversity(traj.snapshots[-1]) / diversity(traj.snapshots[0])
                            for traj in runs])
         ratios[name] = ratio.tolist()
-        violations += int(np.sum(ratio > 1e-6 if beta == 0.0 else ratio < 0.01))
+        violations += int(np.sum(ratio < 0.01 if use_source else ratio > 1e-6))
     summary = {k: {"min": float(min(v)), "max": float(max(v))}
                for k, v in ratios.items()}
     return {
@@ -241,9 +251,10 @@ def _dense_simple_forward(params, x, g, cfg: ModelConfig) -> np.ndarray:
     return z @ params["W_O"] + params["b_O"]
 
 
-def suite_linear_equiv(seeds: int = 50, n: int = 64, d: int = 8) -> dict:
+def suite_linear_equiv(seeds: int = 50) -> dict:
     """O(N) simple-attention propagation against the dense O(N^2) oracle,
     both raw and end-to-end through the model forward."""
+    n, d = LINEAR_EQUIV_N, LINEAR_EQUIV_D
     max_prop = 0.0
     max_model = 0.0
     cfg = ModelConfig(variant="simple", input_dim=d, hidden_dim=d,
@@ -272,13 +283,13 @@ def suite_linear_equiv(seeds: int = 50, n: int = 64, d: int = 8) -> dict:
     }
 
 
-def gradcheck_model(cfg: ModelConfig, seed: int = 0, n: int = 12,
-                    h: float = 1e-5) -> dict[str, float]:
+def gradcheck_model(cfg: ModelConfig) -> dict[str, float]:
     """Relative error of every tape gradient against central differences
     for a masked cross-entropy loss on random data: for a stack of heads,
     the largest over its matrices, each relative to its own differences.
     The differences of one parameter come from non-recording forwards over
     the stack of its bumped copies, GRADCHECK_STACK copies at a time."""
+    seed, n = GRADCHECK_SEED, GRADCHECK_N
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, cfg.input_dim))
     labels = rng.integers(0, cfg.output_dim, size=n)
@@ -301,14 +312,14 @@ def gradcheck_model(cfg: ModelConfig, seed: int = 0, n: int = 12,
                 losses.append(ev.masked_cross_entropy(lg, labels, mask)[..., 0, 0])
             return np.concatenate(losses)
 
-        fd = finite_diff_grad(stacked_loss, params[name], h)
+        fd = finite_diff_grad(stacked_loss, params[name], GRADCHECK_H)
         err = np.max(np.abs(grads[name] - fd), axis=(-2, -1))
         denom = np.maximum(np.max(np.abs(fd), axis=(-2, -1)), 1e-8)
         errors[name] = float(np.max(err / denom))
     return errors
 
 
-def suite_gradcheck(tol: float = 1e-5) -> dict:
+def suite_gradcheck() -> dict:
     """Gradient integrity across variants, graph channel, and source."""
     violations = 0
     worst = 0.0
@@ -320,7 +331,7 @@ def suite_gradcheck(tol: float = 1e-5) -> dict:
                                   output_dim=3, layers=2, heads=2, tau=0.5,
                                   use_graph=use_graph, use_source=use_source)
                 errs = gradcheck_model(cfg)
-                bad = {k: v for k, v in errs.items() if v > tol}
+                bad = {k: v for k, v in errs.items() if v > GRADCHECK_TOL}
                 violations += len(bad)
                 worst = max(worst, max(errs.values()))
                 key = f"{variant}_graph{int(use_graph)}_source{int(use_source)}"

@@ -9,7 +9,8 @@ axes are a batch that operands broadcast over, and each VJP sums its adjoint
 back over the axes its operand was broadcast along, so one node carries all
 of a layer's (H, N, d) heads: a projection multiplies the state by an
 (H, d, d) weight parameter, `stack` gives a state its unit head axis and
-`head_mean` averages over that axis. The tape keeps no values: each lives
+`head_mean` averages over that axis. `add` also broadcasts a one-row
+operand, a bias, over the other's rows. The tape keeps no values: each lives
 as long as its Refs or a VJP that captured it. A leaf is a matrix or a
 stack of them; a parameter is a named leaf, not a node. `backward` runs
 reverse accumulation from a 1x1 loss, fills per-parameter gradients and
@@ -69,8 +70,9 @@ def _leaf(value) -> np.ndarray:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """The adjoint g summed over the leading axes an operand of `shape` was
-    broadcast along."""
+    """The adjoint g summed over the axes an operand of `shape` was
+    broadcast along: the leading axes it lacks and those where it has
+    length 1."""
     if g.shape == shape:
         return g
     lead = g.ndim - len(shape)
@@ -215,8 +217,10 @@ class Tape:
         return self._record(av * r, (q, k, v), vjp)
 
     def add(self, a: Ref, b: Ref) -> Ref:
+        """a + b; an operand with one row, a bias, broadcasts over the other's rows."""
         av, bv = self._value(a), self._value(b)
-        if av.shape[-2:] != bv.shape[-2:]:
+        (ra, ca), (rb, cb) = av.shape[-2:], bv.shape[-2:]
+        if ca != cb or (ra != rb and 1 not in (ra, rb)):
             raise DimensionError(f"add shape mismatch: {av.shape} vs {bv.shape}")
         sa, sb = av.shape, bv.shape
         return self._record(av + bv, (a, b),
@@ -231,10 +235,10 @@ class Tape:
         mask = av > 0
         return self._record(av * mask, (a,), lambda g: (g * mask,))
 
-    def layer_norm(self, a: Ref, eps: float = LAYER_NORM_EPS) -> Ref:
+    def layer_norm(self, a: Ref) -> Ref:
         av = self._value(a)
         mean = av.mean(axis=-1, keepdims=True)
-        std = np.sqrt(np.mean((av - mean) ** 2, axis=-1, keepdims=True) + eps)
+        std = np.sqrt(np.mean((av - mean) ** 2, axis=-1, keepdims=True) + LAYER_NORM_EPS)
         y = (av - mean) / std
 
         def vjp(g):
@@ -257,14 +261,6 @@ class Tape:
         shape, h = av.shape, av.shape[-3]
         return self._record(av.sum(axis=-3) / h, (a,),
                             lambda g: (np.broadcast_to((g / h)[..., None, :, :], shape),))
-
-    def broadcast_row(self, row: Ref, n: int) -> Ref:
-        rv = self._value(row)
-        shape = rv.shape
-        if shape[-2] != 1:
-            raise DimensionError(f"broadcast-row needs a 1xd row, got {shape}")
-        return self._record(np.broadcast_to(rv, shape[:-2] + (n, shape[-1])), (row,),
-                            lambda g: (_unbroadcast(g, shape),))
 
     def masked_cross_entropy(self, logits: Ref, labels: np.ndarray, mask: np.ndarray) -> Ref:
         """Mean negative log-softmax likelihood over the masked rows of each

@@ -21,7 +21,7 @@ from endiff.graphs import Dataset, Graph
 from endiff.model import Checkpoint, forward, init_model
 from endiff.numerics import NORM_EPS, row_l2_divisors, row_l2_normalize
 from endiff.suites import _connected_er
-from endiff.tape import Eager, Tape
+from endiff.tape import Eager, Tape, _unbroadcast
 from endiff.train import (AdamState, TrainResult, _evaluate, _metric_improved,
                           adam_step, induced_subgraph, minibatch_partition)
 
@@ -178,9 +178,10 @@ def layout_lexsort(edges):
 
 
 class ComposedTape(Tape):
-    """A Tape with the transpose, elementwise and row-wise primitives the
-    fused heads replace, each with its own VJP, for the composed oracles and
-    for losses such as sum_all(hadamard(out, W)) in tests."""
+    """A Tape with the transpose, elementwise, row-wise and row-broadcast
+    primitives the fused heads and `add` replace, each with its own VJP, for
+    the composed oracles and for losses such as sum_all(hadamard(out, W))
+    in tests."""
 
     def transpose(self, a):
         # A contiguous copy: BLAS picks its kernel by layout, so a view
@@ -238,6 +239,16 @@ class ComposedTape(Tape):
         av = self._value(a)
         return self._record(np.array([[av.sum()]]), (a,),
                             lambda g: (np.full_like(av, g[0, 0]),))
+
+    def broadcast_row(self, row, n):
+        """The 1 x d `row` repeated over n rows: the bias broadcast the
+        model once recorded before `Tape.add` took a one-row operand."""
+        rv = self._value(row)
+        shape = rv.shape
+        if shape[-2] != 1:
+            raise DimensionError(f"broadcast-row needs a 1xd row, got {shape}")
+        return self._record(np.broadcast_to(rv, shape[:-2] + (n, shape[-1])), (row,),
+                            lambda g: (_unbroadcast(g, shape),))
 
 
 class ComposedEager(ComposedTape, Eager):
@@ -405,21 +416,21 @@ def suite_oversmooth_per_seed(seeds: int = 5, steps: int = 500) -> dict:
         rng = np.random.default_rng((seed, 3))
         z0 = rng.standard_normal((g.n, 4))
         cases = {
-            "static_nosource": (CouplingSpec("gcn_sym"), 0.0, g),
-            "static_source": (CouplingSpec("gcn_sym"), 1.0, g),
+            "static_nosource": (CouplingSpec("gcn_sym"), False, g),
+            "static_source": (CouplingSpec("gcn_sym"), True, g),
             "attention_nosource": (
-                CouplingSpec("attention", PenaltyFamily("simple")), 0.0, None),
+                CouplingSpec("attention", PenaltyFamily("simple")), False, None),
             "attention_source": (
-                CouplingSpec("attention", PenaltyFamily("simple")), 1.0, None),
+                CouplingSpec("attention", PenaltyFamily("simple")), True, None),
         }
-        for name, (spec, beta, graph) in cases.items():
-            cfg = DiffusionConfig(tau=0.5, steps=steps, beta=beta)
+        for name, (spec, use_source, graph) in cases.items():
+            cfg = DiffusionConfig(tau=0.5, steps=steps, use_source=use_source)
             traj = run_trajectory(z0, spec, cfg, graph)
             ratio = diversity(traj.snapshots[-1]) / diversity(traj.snapshots[0])
             ratios.setdefault(name, []).append(ratio)
-            if beta == 0.0 and ratio > 1e-6:
+            if not use_source and ratio > 1e-6:
                 violations += 1
-            if beta > 0.0 and ratio < 0.01:
+            if use_source and ratio < 0.01:
                 violations += 1
     return {
         "suite": "oversmooth",

@@ -97,7 +97,7 @@ def test_linear_attention_equivalence():
 
 
 def test_oversmoothing_dichotomy():
-    report = suite_oversmooth(seeds=5, steps=500)
+    report = suite_oversmooth(seeds=5)
     final = report["diversity_final"]
     _verdict("oversmoothing-dichotomy", report["violations"] == 0,
              f"no-source max ratio "
@@ -107,7 +107,7 @@ def test_oversmoothing_dichotomy():
 
 
 def test_gradient_integrity():
-    report = suite_gradcheck(tol=1e-5)
+    report = suite_gradcheck()
     _verdict("gradient-integrity", report["violations"] == 0,
              f"max rel err {report['max_rel_err']:.1e} over "
              f"{len(report['per_config'])} configurations")

@@ -727,9 +727,11 @@ def test_eval_records_no_tape(tmp_path, capsys, monkeypatch):
     (["audit", "--suite", "thm1", "--seeds", "-1"], "--seeds must be >= 1, got -1"),
     (["synth", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["diffuse", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    (["audit", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    # audit and landscape (last) draw no random numbers: they take no --seed
+    (["audit", "--seed", "1"], "unrecognized arguments: --seed 1"),
     (["audit", "--suite", "gradcheck", "--seeds", "7"],
      "--seeds does not apply to --suite gradcheck"),
+    (["landscape", "--seed", "1"], "unrecognized arguments: --seed 1"),
 ])
 def test_seed_counts_out_of_range_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -737,6 +739,36 @@ def test_seed_counts_out_of_range_are_usage_errors(tmp_path, capsys, argv, messa
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_SYNTH_SBM = {"train": ["train", "--synth", "sbm", "--per-block", "4", "--epochs", "1"],
+              "eval": ["eval", "--synth", "sbm", "--per-block", "4",
+                       "--checkpoint", "missing.json"]}
+
+
+@pytest.mark.parametrize("flag", ["--features", "--labels", "--edges", "--split"])
+@pytest.mark.parametrize("command", sorted(_SYNTH_SBM))
+def test_synth_with_a_data_file_is_usage_error(tmp_path, capsys, command, flag):
+    # the generated dataset would leave the file unread
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*_SYNTH_SBM[command], flag, str(tmp_path / "missing.txt"), "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--synth sbm does not take {flag}\n" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_synth_with_a_data_file_from_the_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"features": "missing.txt", "labels": "missing.txt"}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*_SYNTH_SBM["train"], "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--synth sbm does not take --features, --labels\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # A small run of each command; flags drawn after these override them.
@@ -748,13 +780,13 @@ _CHEAP = {
     "eval": ["--synth", "sbm", "--per-block", "4"],
     "landscape": ["--family", "simple"],
 }
-_DATA = ("--per-block", "--blocks", "--p-in", "--p-out", "--feat-dim", "--feat-shift",
-         "--synth")
+_GENERATOR = ("--per-block", "--blocks", "--p-in", "--p-out", "--feat-dim", "--feat-shift")
+_DATA = _GENERATOR + ("--synth",)
 _DATA_FILES = ("--features", "--labels", "--edges", "--split")
 _MODEL = ("--tau", "--layers", "--hidden", "--heads", "--variant")
 # Per command: (flags that take a value, switches, flags that take a file).
 _FLAGS = {
-    "synth": (_DATA, (), _DATA_FILES),
+    "synth": (_GENERATOR, (), ()),
     "diffuse": (("--coupling", "--penalty", "--tau", "--steps", "--n", "--dim"),
                 ("--use-source",), ("--features", "--edges")),
     "audit": (("--suite", "--seeds"), (), ()),

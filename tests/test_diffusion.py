@@ -67,8 +67,6 @@ def test_diffusion_config_validation():
         DiffusionConfig(tau=1.5)
     with pytest.raises(ParameterError):
         DiffusionConfig(steps=0)
-    with pytest.raises(ParameterError):
-        DiffusionConfig(beta=-1.0)
 
 
 def test_run_trajectory_static_records_every_step():
@@ -104,7 +102,7 @@ def test_run_trajectory_source_defaults_to_initial_state():
     z0 = rng.standard_normal((6, 3))
     g = er_graph(6, 0.5, 2)
     traj = run_trajectory(z0, CouplingSpec("gcn_sym"),
-                          DiffusionConfig(steps=2, beta=1.0), g)
+                          DiffusionConfig(steps=2, use_source=True), g)
     assert np.array_equal(traj.snapshots[0], z0)
     s = normalized_adjacency(g, "sym")
     step1 = euler_step(z0, DenseCoupling(s), 0.5) + 0.5 * z0

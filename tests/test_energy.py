@@ -283,7 +283,7 @@ def test_failed_trajectory_csv_leaves_no_file(tmp_path):
     # the source pushes rows out of the unit ball and pairs past u = 4
     z0 = row_l2_normalize(np.random.default_rng(0).standard_normal((12, 3)))
     spec = CouplingSpec("attention", PenaltyFamily("simple"))
-    traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.5, steps=6, beta=1.0))
+    traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.5, steps=6, use_source=True))
     with pytest.raises(DomainError):
         write_trajectory_csv(traj, tmp_path / "traj.csv")
     assert list(tmp_path.iterdir()) == []

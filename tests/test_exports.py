@@ -1,13 +1,17 @@
+import argparse
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import endiff
+from endiff import cli, suites
 from endiff.diffusion import DiffusionConfig
+from endiff.errors import ParameterError
 from endiff.model import ModelConfig
 from endiff.train import TrainConfig
 
@@ -72,3 +76,67 @@ def test_every_config_field_has_a_command_line_caller(config):
     source = (Path(endiff.__file__).parent / "cli.py").read_text()
     fields = {f.name for f in dataclasses.fields(config)}
     assert fields - _keywords_passed(source, config.__name__) == set()
+
+
+def test_diffusion_source_switch_is_a_bool():
+    # the source is on or off, as in ModelConfig; there is no weight
+    for value in (1.0, 1, "true", None):
+        with pytest.raises(ParameterError, match="use_source must be true or false"):
+            DiffusionConfig(use_source=value)
+
+
+def _args_reads(source: str) -> dict:
+    """Per function: the `args.<name>` attributes it reads, its own and
+    those of every helper it passes `args` to, transitively."""
+    funcs = {node.name: node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef)}
+    own, passes = {}, {}
+    for name, fn in funcs.items():
+        own[name] = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        passes[name] = {node.func.id for node in ast.walk(fn)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in funcs
+                        and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)}
+
+    def reads(name, seen):
+        seen.add(name)
+        return own[name].union(*(reads(h, seen) for h in passes[name] - seen))
+
+    return {name: reads(name, set()) for name in funcs}
+
+
+def test_args_scan_follows_helpers_passed_args():
+    source = ("def cmd(args):\n    helper(args)\n    other(1)\n    return args.a\n"
+              "def helper(args):\n    return vars(args), args.b\n"
+              "def other(x):\n    return args.c\n")
+    assert _args_reads(source)["cmd"] == {"a", "b"}
+
+
+def _unread_flags(module) -> dict:
+    """Per subcommand, the flags its command never reads. `config` is read
+    by `main` for every command."""
+    reads = _args_reads(Path(module.__file__).read_text())
+    parser = module.build_parser()
+    commands, = [a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    unread = {}
+    for command, sub in commands.items():
+        dests = {a.dest for a in sub._actions if a.dest not in ("help", "config")}
+        missing = dests - reads[sub.get_default("func").__name__]
+        if missing:
+            unread[command] = missing
+    return unread
+
+
+def test_every_flag_is_read_by_its_command():
+    # a flag its command never reads is accepted and then ignored
+    assert _unread_flags(cli) == {}
+
+
+@pytest.mark.parametrize("name", sorted(suites._SUITE_FNS))
+def test_suites_take_only_their_seed_count(name):
+    # every other setting of a suite is a module constant
+    params = inspect.signature(suites._SUITE_FNS[name]).parameters.values()
+    expected = [("seeds", True)] if name in suites.SEEDED_SUITES else []
+    assert [(p.name, p.default is not p.empty) for p in params] == expected

@@ -438,7 +438,7 @@ def test_tape_rejects_a_stacked_parameter():
 
 
 # Primitives whose outputs feed only VJPs that need the adjoint alone.
-_UNCAPTURED = ("add", "scale", "stack", "head_mean", "sym_apply", "broadcast_row")
+_UNCAPTURED = ("add", "scale", "stack", "head_mean", "sym_apply")
 
 
 @pytest.mark.parametrize("variant", ["simple", "advanced", "mlp"])

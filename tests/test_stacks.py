@@ -88,10 +88,11 @@ def _runs(z0, spec: CouplingSpec, cfg: DiffusionConfig):
 
 @settings(max_examples=100, deadline=None)
 @given(_unit_stacks(), st.sampled_from(PENALTY_KINDS), st.floats(0.01, 1.0),
-       st.sampled_from((0.0, 1.0)), st.integers(1, 4))
-def test_stacked_runs_match_their_slices(case, kind, tau, beta, steps):
+       st.booleans(), st.integers(1, 4))
+def test_stacked_runs_match_their_slices(case, kind, tau, use_source, steps):
     z0, _ = case
-    runs = _runs(z0, _attention(kind), DiffusionConfig(tau=tau, steps=steps, beta=beta))
+    runs = _runs(z0, _attention(kind),
+                 DiffusionConfig(tau=tau, steps=steps, use_source=use_source))
     if runs is None:
         return
     traj, runs = runs
@@ -237,33 +238,33 @@ def test_thm2_steps_its_seeds_in_stacks(monkeypatch):
 
 
 def test_oversmooth_steps_its_attention_seeds_in_stacks(monkeypatch):
-    seeds, steps = SEED_STACK + 2, 60
+    seeds = SEED_STACK + 2
     shapes = _counted_runs(monkeypatch)
-    report = suites.suite_oversmooth(seeds=seeds, steps=steps)
+    report = suites.suite_oversmooth(seeds=seeds)
     # the static cases run per seed on their own graphs, the attention ones
     # in stacks
     assert shapes.count(()) == 2 * seeds
     assert sorted(s for s in shapes if s) == [(2,), (2,), (SEED_STACK,), (SEED_STACK,)]
-    assert report == suite_oversmooth_per_seed(seeds=seeds, steps=steps)
+    assert report == suite_oversmooth_per_seed(seeds=seeds, steps=suites.OVERSMOOTH_STEPS)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 10), st.integers(1, 4), st.integers(0, 2**32 - 1),
-       st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.integers(1, 6), st.booleans())
-@example(2, 2, 0, 0.5, 1.0, 3, True)
+       st.floats(0.01, 1.0), st.booleans(), st.integers(1, 6), st.booleans())
+@example(2, 2, 0, 0.5, True, 3, True)
 def test_quadratic_attention_with_a_source_keeps_every_pair_in_the_domain(
-        n, d, seed, tau, beta, steps, antipodes):
+        n, d, seed, tau, use_source, steps, antipodes):
     # the closed-form energy of these runs takes no unit-ball gate; its
     # argument is that every pairwise u stays within the domain [0, 4]
     z0 = np.random.default_rng(seed).standard_normal((n, d))
     if antipodes:  # pairs of rows at u = 4
         z0[1::2] = -z0[: n // 2 * 2 : 2]
-    cfg = DiffusionConfig(tau=tau, steps=steps, beta=beta)
+    cfg = DiffusionConfig(tau=tau, steps=steps, use_source=use_source)
     traj = run_trajectory(z0, _attention("quadratic"), cfg)
     assert max(float(_pairwise_sq_dists(z).max()) for z in traj.snapshots) <= 4.0 + 1e-9
     for k in range(1, steps + 1):  # the closed form against the pair sum
         z = traj.snapshots[k]
-        anchor = traj.snapshots[k - 1] + tau * beta * traj.snapshots[0]
+        anchor = traj.snapshots[k - 1] + (tau * traj.snapshots[0] if use_source else 0.0)
         pairwise = float(np.sum((z - anchor) ** 2) + tau * np.sum(_pairwise_sq_dists(z)))
         assert energy._trajectory_energy(traj, k) == pytest.approx(
             pairwise, rel=1e-12, abs=1e-12 * n * float(np.sum(z * z)))

@@ -227,6 +227,44 @@ def test_broadcast_row_and_transpose_grads():
     )
 
 
+@pytest.mark.parametrize("bias_first", [False, True])
+def test_add_broadcasts_a_row_as_broadcast_row_then_add_does(bias_first):
+    # the model's biases: add takes the 1 x d row itself, bit for bit
+    rng = np.random.default_rng(8)
+    values = {"a": rng.standard_normal((5, 3)), "b": rng.standard_normal((1, 3)),
+              "w": rng.standard_normal((5, 3))}
+
+    def run(composed):
+        t = ComposedTape()
+        r = {name: t.parameter(name, v) for name, v in values.items()}
+        b = t.broadcast_row(r["b"], 5) if composed else r["b"]
+        out = t.add(b, r["a"]) if bias_first else t.add(r["a"], b)
+        return out.value, t.backward(t.sum_all(t.hadamard(out, r["w"])))
+
+    (value, grads), (want, want_grads) = run(False), run(True)
+    assert np.array_equal(value, want)
+    assert grads.keys() == want_grads.keys()
+    assert all(np.array_equal(grads[k], want_grads[k]) for k in grads)
+    # stacked operands on Eager: copies of the rows, of the bias, or both
+    e = ComposedEager()
+    for a, b in ((rng.standard_normal((4, 5, 3)), values["b"]),
+                 (values["a"], rng.standard_normal((4, 1, 3))),
+                 (rng.standard_normal((4, 5, 3)), rng.standard_normal((4, 1, 3)))):
+        row = e.broadcast_row(b, 5)
+        got, want = (e.add(b, a), e.add(row, a)) if bias_first else (e.add(a, b), e.add(a, row))
+        assert got.shape == (4, 5, 3) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("a, b", [((6, 4), (6, 3)), ((6, 4), (1, 3)), ((6, 4), (3, 4)),
+                                  ((2, 6, 4), (2, 2, 4))])
+def test_add_rejects_mismatched_columns_and_rows_neither_equal_nor_one(a, b):
+    for tape in (Tape(), Eager()):
+        with pytest.raises(DimensionError, match="add shape mismatch"):
+            tape.add(tape.constant(np.ones(a)), tape.constant(np.ones(b)))
+        with pytest.raises(DimensionError, match="add shape mismatch"):
+            tape.add(tape.constant(np.ones(b)), tape.constant(np.ones(a)))
+
+
 def test_reused_node_accumulates_gradient():
     # w appears twice; d/dw sum(w + w) = 2
     tape = ComposedTape()
