@@ -727,10 +727,11 @@ def test_eval_records_no_tape(tmp_path, capsys, monkeypatch):
     (["audit", "--suite", "thm1", "--seeds", "-1"], "--seeds must be >= 1, got -1"),
     (["synth", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["diffuse", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    # audit and landscape (last) draw no random numbers: they take no --seed
-    (["audit", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["train", "--synth", "sbm", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["audit", "--suite", "gradcheck", "--seeds", "7"],
      "--seeds does not apply to --suite gradcheck"),
+    # audit and landscape draw no random numbers: they take no --seed
+    (["audit", "--seed", "1"], "unrecognized arguments: --seed 1"),
     (["landscape", "--seed", "1"], "unrecognized arguments: --seed 1"),
 ])
 def test_seed_counts_out_of_range_are_usage_errors(tmp_path, capsys, argv, message):
