@@ -20,7 +20,7 @@ from .diffusion import (DiffusionConfig, Trajectory, euler_step,
 from .energy import (EnergyReport, audit_bounds, audit_descent, diversity,
                      quadratic_energy, regularized_energy, surrogate_energy)
 from .errors import EndiffError
-from .graphs import Dataset, Graph, load_cora, load_dataset, sbm_generate
+from .graphs import Dataset, Graph, load_dataset, sbm_generate
 from .model import Checkpoint, ModelConfig, forward, init_model
 from .numerics import laplacian, laplacian_spectral_bracket, row_l2_normalize
 from .tape import Tape
@@ -34,7 +34,7 @@ __all__ = [
     "Tape", "TrainConfig", "Trajectory", "adam_step", "audit_bounds",
     "audit_descent", "build_coupling", "diversity",
     "euler_step", "forward", "init_model", "laplacian",
-    "laplacian_spectral_bracket", "linear_simple_propagate", "load_cora",
+    "laplacian_spectral_bracket", "linear_simple_propagate",
     "load_dataset", "metric", "penalty_delta", "penalty_f",
     "quadratic_energy", "regularized_energy", "row_l2_normalize",
     "run_trajectory", "sbm_generate", "surrogate_energy", "train_loop",

@@ -77,25 +77,30 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--use-source", action="store_true")
 
 
-def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)  # train's own seed too
-    p.add_argument("--blocks", type=int, default=2)
-    p.add_argument("--per-block", type=int, default=100)
-    p.add_argument("--p-in", type=float, default=0.2)
-    p.add_argument("--p-out", type=float, default=0.02)
-    p.add_argument("--feat-dim", type=int, default=8)
-    p.add_argument("--feat-shift", type=float, default=0.5)
+# The block model's settings, by dest: type and default. train and eval take
+# them only with --synth sbm, so there they default to None (train's --seed,
+# which seeds its training too, aside), and a value that is not None was
+# given, on the command line or in --config.
+_GENERATOR = {"seed": (int, 0), "blocks": (int, 2), "per_block": (int, 100),
+              "p_in": (float, 0.2), "p_out": (float, 0.02), "feat_dim": (int, 8),
+              "feat_shift": (float, 0.5)}
+
+
+def _add_generator_flags(p: argparse.ArgumentParser, unset=()) -> None:
+    for dest, (kind, default) in _GENERATOR.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=kind,
+                       default=None if dest in unset else default)
 
 
 _DATA_FILES = ("features", "labels", "edges", "split")
 
 
-def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
+def _add_dataset_flags(p: argparse.ArgumentParser, unset) -> None:
     for name in _DATA_FILES:
         p.add_argument(f"--{name}", type=Path)
     p.add_argument("--synth", choices=("sbm",),
                    help="generate a dataset instead of loading files")
-    _add_generator_flags(p)
+    _add_generator_flags(p, unset)
 
 
 def _config_defaults(path: Path, parser: argparse.ArgumentParser) -> dict:
@@ -140,11 +145,28 @@ def _config_value(path: Path, key: str, action: argparse.Action, value):
 
 
 def _resolve_dataset(args) -> tuple[Dataset, list[Path]]:
+    """train's or eval's dataset: generated by --synth sbm, which takes no
+    data file, or read from data files, which take no generator setting.
+    A setting not given takes its default, which the manifest records."""
     files = (args.features, args.labels, args.edges, args.split)
+    generator = {"seed": args.seed, "blocks": args.blocks, "per_block": args.per_block,
+                 "p_in": args.p_in, "p_out": args.p_out, "feat_dim": args.feat_dim,
+                 "feat_shift": args.feat_shift}
+    if args.command == "train":  # train's --seed seeds its training too
+        del generator["seed"]
     if args.synth == "sbm":
         given = [f"--{name}" for name, p in zip(_DATA_FILES, files) if p is not None]
         if given:
             args.parser.error(f"--synth sbm does not take {', '.join(given)}")
+    else:
+        given = ["--" + dest.replace("_", "-")
+                 for dest, value in generator.items() if value is not None]
+        if given:
+            args.parser.error(f"data files do not take {', '.join(given)}")
+    for dest, value in generator.items():
+        if value is None:
+            setattr(args, dest, _GENERATOR[dest][1])
+    if args.synth == "sbm":
         ds = sbm_generate(args.blocks, args.per_block, args.p_in, args.p_out,
                           args.feat_dim, args.feat_shift, args.seed)
         return ds, []
@@ -364,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     _add_common(p)
-    _add_dataset_flags(p)
+    _add_dataset_flags(p, unset=set(_GENERATOR) - {"seed"})
     _add_model_flags(p)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--weight-decay", type=float, default=0.0)
@@ -377,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_common(p)
-    _add_dataset_flags(p)
+    _add_dataset_flags(p, unset=set(_GENERATOR))
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--metric", default="accuracy",
                    choices=("accuracy", "rocauc", "mse"))
@@ -400,7 +422,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             args.parser.set_defaults(**_config_defaults(args.config, args.parser))
             args = parser.parse_args(argv)
-        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+        if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take no negative seed
             args.parser.error(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except EndiffError as exc:

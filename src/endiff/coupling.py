@@ -1,20 +1,26 @@
-"""Coupling matrices and the penalty pairs (f, delta) behind attention weights.
+"""Coupling matrices, the penalty pairs (f, delta) behind attention weights,
+and the one attention kernel that the dynamics and the model share.
 
 Each attention family is defined by a penalty delta of the squared pairwise
 distance; its derivative f is the un-normalized attention score. Valid
 squared distances lie in [0, 4] (unit-norm embeddings). `penalty_f` and
 `penalty_delta` are the one definition of each family's pair: they take a
-float or an array, and every caller (the couplings, the energies, the
-conjugate and the landscape tables) goes through them and their one domain
-check.
+float or an array, and every caller (couplings, model heads, energies,
+conjugate, landscape tables) goes through them and their one domain check.
+
+The kernel takes query rows Q~ and key rows K~ apart: a model layer passes
+its row-normalized projections, the dynamics Q~ = K~ = Z. Simple attention
+runs through accumulators (`simple_attention`, O(N d d')); the dense
+families score every pair (`attention_scores`) and apply S V = (A V) r, r
+the reciprocal row sums (`row_reciprocals`, `attention_apply`).
 
 The dynamics see a coupling only through the `Coupling` protocol, built by
-`coupling_operator`: identity, gin, gcn_sym and gat_masked are sparse edge
-operators (`graphs.EdgeOperator`), all_one and quadratic attention the
-column mean (`MeanCoupling`), simple attention `SimpleAttention`. Only
-advanced and softmax attention materialize N x N (`build_coupling`), which
-is otherwise the dense oracle of the tests. The GRAPH_FAMILIES take their
-graph from `coupling_operator`'s `g`.
+`coupling_operator`, where they check for unit rows: identity, gin, gcn_sym
+and gat_masked are sparse edge operators (`graphs.EdgeOperator`), all_one
+and quadratic attention the column mean (`MeanCoupling`), simple attention
+`SimpleAttention`, and advanced and softmax attention `DenseAttention`, the
+only one holding an N x N array. `build_coupling` materializes S for the
+dense oracles. The GRAPH_FAMILIES take their graph from `g`.
 
 Unmasked attention takes a stack of states too: a (B, N, d) array over
 leading axes is B couplings on N nodes, built and applied at once, each
@@ -172,12 +178,38 @@ def _unit_sq_dists(gram: np.ndarray) -> np.ndarray:
     return np.clip(2.0 - 2.0 * gram, 0.0, Z_SQ_MAX)
 
 
-def attention_scores(p: PenaltyFamily, z: np.ndarray) -> np.ndarray:
-    """Pairwise scores f(||z_i - z_j||^2) via the dot-product identity
-    ||z_i - z_j||^2 = 2 - 2 z_i.z_j, valid for unit-norm rows; per slice of
-    a stack."""
-    z = as_stack(z)
-    return penalty_f(p, _unit_sq_dists(z @ np.swapaxes(z, -1, -2)))
+def attention_scores(p: PenaltyFamily, qt: np.ndarray, kt: np.ndarray) -> np.ndarray:
+    """Pairwise scores f(||q~_i - k~_j||^2) of rows Q~ and K~ via the identity
+    ||q~_i - k~_j||^2 = 2 - 2 q~_i.k~_j of unit rows, per slice of a stack;
+    a shorter row (a model's floored zero row) at its clipped distance."""
+    return penalty_f(p, _unit_sq_dists(qt @ np.swapaxes(kt, -1, -2)))
+
+
+def row_reciprocals(a: np.ndarray) -> np.ndarray:
+    """r = 1 / (A 1) of scores A, a column (..., N, 1)."""
+    return 1.0 / _row_normalizers(a.sum(axis=-1))[..., None]
+
+
+def attention_apply(a: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """S V = (A V) r, the dense families' one application, O(N^2 d')."""
+    return (a @ v) * r
+
+
+def simple_attention(qt: np.ndarray, kt: np.ndarray, v: np.ndarray):
+    """Simple attention S V, s_ij = (1 + q~_i.k~_j) / sum_l (1 + q~_i.k~_l),
+    in O(N d d'): with V1 = [V 1], K~^T V1 and 1^T V1 give each row's
+    numerators and, in the ones column, its denominator N + q~_i.sum_j k~_j.
+    Returns S V, the denominator column and K~^T V1, which a gradient
+    reads. Unit rows keep a denominator at 2 or more when Q~ = K~; one that
+    signed projections cancel to 0 or below raises DomainError."""
+    v1 = np.concatenate([v, np.ones(v.shape[:-1] + (1,))], axis=-1)
+    kv1 = np.swapaxes(kt, -1, -2) @ v1
+    acc = v1.sum(axis=-2, keepdims=True) + qt @ kv1  # [numerators | denominators]
+    del v1
+    denom = acc[..., -1:].copy()  # a gradient keeps this column, not acc
+    if np.any(denom <= 0):
+        raise DomainError("simple attention denominator N + q~.sum(k~) is not positive")
+    return acc[..., :-1] / denom, denom, kv1
 
 
 def _first_bad_row(bad: np.ndarray) -> tuple[tuple, str]:
@@ -213,12 +245,13 @@ def _row_normalizers(sums: np.ndarray) -> np.ndarray:
 
 def build_coupling(spec: CouplingSpec, z: np.ndarray) -> np.ndarray:
     """The N x N unmasked attention coupling at unit-norm embeddings z:
-    pairwise scores, row-normalized; (..., N, N) for a stack."""
+    pairwise scores, row-normalized; (..., N, N) for a stack. The dense
+    oracle of the couplings and of the linear_equiv audit."""
     if spec.family != "attention":
         raise ParameterError(f"{spec.family} is not an attention family with a "
                              "dense form; use coupling_operator")
     z = _unit_rows(z)
-    omega = attention_scores(spec.penalty, z)
+    omega = attention_scores(spec.penalty, z, z)
     return omega / _row_normalizers(omega.sum(axis=-1))[..., None]
 
 
@@ -260,25 +293,17 @@ def _check_rows(n: int, v: np.ndarray) -> np.ndarray:
 
 
 class SimpleAttention:
-    """Row-normalized simple-attention coupling s_ij = (1 + z_i.z_j) / sum_k
-    (1 + z_i.z_k) of unit-norm rows Z, without materializing S.
-
-    With the accumulators sum_j v_j and Z^T V, S V costs O(N d d') time and
-    O(d d') scratch. The denominators N + z_i.sum_j z_j are at least 2 for
-    unit rows, so no row degenerates. Z may be a stack (..., N, d).
-    """
+    """Simple attention at unit-norm rows Z (..., N, d), without forming S.
+    Its row sums S 1 are exactly 1: the kernel divides the ones column's
+    numerators by themselves."""
 
     def __init__(self, z: np.ndarray):
         self.z = z = _unit_rows(z)
         self.n = z.shape[-2]
-        self._denominator = self.n + (z @ z.sum(axis=-2)[..., None])[..., 0]
-        self._row_sums = self.apply(np.ones(z.shape[:-1] + (1,)))[..., 0]
+        self._row_sums = np.ones(z.shape[:-1])
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        v = _check_rows(self.n, v)
-        numerator = (v.sum(axis=-2, keepdims=True)
-                     + self.z @ (np.swapaxes(self.z, -1, -2) @ v))
-        return numerator / self._denominator[..., None]
+        return simple_attention(self.z, self.z, _check_rows(self.n, v))[0]
 
     def row_sums(self) -> np.ndarray:
         return self._row_sums
@@ -287,25 +312,25 @@ class SimpleAttention:
         return build_coupling(CouplingSpec("attention", PenaltyFamily("simple")), self.z)
 
 
-class DenseCoupling:
-    """A materialized N x N coupling array, or a stack (..., N, N) of them."""
+class DenseAttention:
+    """Advanced or softmax attention at unit-norm rows Z: the scores A, and
+    r, applied as (A V) r; (..., N, N) scores for a stack."""
 
-    def __init__(self, s: np.ndarray):
-        s = as_stack(s)
-        if s.shape[-2] != s.shape[-1]:
-            raise DimensionError(f"coupling must be square, got {s.shape}")
-        self.s = s
-        self.n = s.shape[-1]
-        self._row_sums = s.sum(axis=-1)
+    def __init__(self, p: PenaltyFamily, z: np.ndarray):
+        z = _unit_rows(z)
+        self.n = z.shape[-2]
+        self.a = attention_scores(p, z, z)
+        self.r = row_reciprocals(self.a)
+        self._row_sums = self.apply(np.ones(z.shape[:-1] + (1,)))[..., 0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.s @ _check_rows(self.n, v)
+        return attention_apply(self.a, self.r, _check_rows(self.n, v))
 
     def row_sums(self) -> np.ndarray:
         return self._row_sums
 
     def dense(self) -> np.ndarray:
-        return self.s
+        return self.a * self.r
 
 
 class MeanCoupling:
@@ -331,8 +356,8 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
                       g: Graph | None = None) -> Coupling:
     """The coupling of spec at embeddings z (attention) or on graph g (a
     static family); gat_masked needs both. Only unmasked advanced and
-    softmax attention materialize an N x N array. Unmasked attention takes
-    a stack of states; every other family one N x d state."""
+    softmax attention hold an N x N array. Unmasked attention takes a stack
+    of states; every other family one N x d state."""
     if z is not None and spec.family != "attention" and np.ndim(z) != 2:
         raise DimensionError(f"{spec.family} couples one N x d state, not an array "
                              f"of shape {np.shape(z)}")
@@ -356,7 +381,7 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
     if spec.penalty.kind == "quadratic":  # f = 1, so every s_ij = 1/N
         z = _unit_rows(z)
         return MeanCoupling(z.shape[-2], z.shape[:-2])
-    return DenseCoupling(build_coupling(spec, z))
+    return DenseAttention(spec.penalty, z)
 
 
 def write_penalty_landscape(path, p: PenaltyFamily) -> None:

@@ -72,9 +72,9 @@ def _laplacian_apply(s: Coupling, z: np.ndarray) -> np.ndarray:
 
 
 def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
-    """Row-normalized simple-attention propagation sum_j s_ij z_j in O(N d^2),
-    through the accumulators of `SimpleAttention` instead of the dense
-    N x N coupling."""
+    """Simple-attention propagation S Z of unit rows z in O(N d^2). It stays
+    as the one call that replays a propagation: the linear_equiv audit and
+    the benchmark's diffuse check (perfbench/checks.py) use it."""
     return SimpleAttention(z).apply(z)
 
 

@@ -6,8 +6,6 @@ File formats (plain text, one record per line):
             neither trained nor scored
   edges     "u v" integer pair, 0-indexed; directed input is symmetrized
   split     one of train/val/test per line
-Cora adapter: content lines "id f1 ... fD class_name"; cites lines
-"cited citing".
 """
 
 from __future__ import annotations
@@ -368,31 +366,31 @@ def read_features(path) -> np.ndarray:
     features = _load_numeric(path, FEATURE_FILE_BYTES, np.float64)
     if features is not None and features.size and np.isfinite(features).all():
         return features
-    return _feature_matrix(path, _read_lines(path), str.split)
+    return _feature_matrix(path, _read_lines(path))
 
 
-def _feature_matrix(path, lines, tokens) -> np.ndarray:
-    """Matrix of the feature tokens `tokens(text)` of each (line number,
-    text) line, or a FormatError naming the first line with a bad float, a
-    ragged row or a non-finite value."""
+def _feature_matrix(path, lines) -> np.ndarray:
+    """Matrix of the whitespace-separated floats of each (line number, text)
+    line, or a FormatError naming the first line with a bad float, a ragged
+    row or a non-finite value."""
     if not lines:
         raise FormatError(f"{path}: no feature rows")
     try:
-        features = np.array([[float(tok) for tok in tokens(line)] for _, line in lines])
+        features = np.array([[float(tok) for tok in line.split()] for _, line in lines])
     except ValueError:  # a bad float, or rows of unequal length
-        raise _feature_error(path, lines, tokens) from None
+        raise _feature_error(path, lines) from None
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}:{lines[bad[0]][0]}: non-finite value")
     return features
 
 
-def _feature_error(path, lines, tokens) -> FormatError:
+def _feature_error(path, lines) -> FormatError:
     """The error of the first line that stops a features file from parsing."""
     width = None
     for ln, line in lines:
         try:
-            row = [float(tok) for tok in tokens(line)]
+            row = [float(tok) for tok in line.split()]
         except ValueError:
             return FormatError(f"{path}:{ln}: bad float")
         if width is None:
@@ -497,46 +495,4 @@ def load_dataset(features_path, labels_path, edges_path=None, split_path=None) -
     else:
         split = np.full(n, "test", dtype=object)
 
-    return Dataset(features=features, labels=labels, split=split, graph=graph)
-
-
-def load_cora(content_path, cites_path, per_class_train: int = 20,
-              n_val: int = 500, n_test: int = 1000, seed: int = 0) -> Dataset:
-    """Cora-format adapter: class indices by first appearance, node order by
-    content file; the split takes per_class_train labeled nodes per class,
-    then n_val / n_test from the remainder in a seeded shuffle."""
-    ids: dict[str, int] = {}
-    class_ids: dict[str, int] = {}
-    labels = []
-    lines = _read_lines(content_path)
-    for ln, line in lines:
-        toks = line.split()
-        if len(toks) < 3:
-            raise FormatError(f"{content_path}:{ln}: too few columns")
-        node_id, cls = toks[0], toks[-1]
-        if node_id in ids:
-            raise FormatError(f"{content_path}:{ln}: duplicate id {node_id}")
-        ids[node_id] = len(ids)
-        labels.append(class_ids.setdefault(cls, len(class_ids)))
-    features = _feature_matrix(content_path, lines, lambda line: line.split()[1:-1])
-    n = len(ids)
-    pairs = []
-    for ln, line in _read_lines(cites_path):
-        toks = line.split()
-        if len(toks) != 2:
-            raise FormatError(f"{cites_path}:{ln}: expected 'cited citing'")
-        a, b = toks
-        if a in ids and b in ids and a != b:
-            pairs.append((ids[a], ids[b]))
-    graph = Graph.from_edge_list(n, pairs)
-    labels = np.asarray(labels, dtype=np.int64)
-
-    rng = np.random.default_rng(seed)
-    split = np.full(n, "none", dtype=object)  # nodes outside the protocol stay unused
-    for c in range(labels.max() + 1):
-        members = np.flatnonzero(labels == c)
-        split[members[:per_class_train]] = "train"
-    rest = rng.permutation(np.flatnonzero(split != "train"))
-    split[rest[:n_val]] = "val"
-    split[rest[n_val : n_val + n_test]] = "test"
     return Dataset(features=features, labels=labels, split=split, graph=graph)

@@ -4,23 +4,21 @@ Pipeline per forward pass: input projection + LayerNorm + ReLU, then K
 propagation layers. A layer holds one (H, d, d) weight per role, the
 stack of its heads' matrices, and projects the state by it in one matmul:
 one (H, N, d) stack per role. It propagates V through one tape primitive
-call for all heads, which L2-normalizes the Q and K rows itself: the linear
-simple-attention form (`linear_attention`, O(N d^2)) or the dense
-sigmoid-kernel form (`sigmoid_attention`, O(N^2 d)). The `mlp` variant
-mixes no rows and holds V alone. The heads are
-averaged. The optional sym-normalized graph channel S is linear, so
-mean_h (P_h + S V_h) = mean_h P_h + S mean_h V_h: it costs one application
-of the graph's cached sparse operator per layer, O(E d), on the mean of the
-heads' V. The result is blended with the previous state at step size tau
-before a LayerNorm. The output head is a plain affine map. Every weight is
-stored as the right operand of its matmul on row-vector states. `forward`
-runs on a recording `Tape` for training, or on the non-recording `Eager`
-evaluator, whose parameters may be stacks of copies that run one forward
-each.
-
-Attention here acts on the projected Q/K rows; the diffusion and energy
-modules audit the un-projected dynamics on the state itself: this module
-is the learned network, those are the analysis tools.
+call for all heads, which L2-normalizes the Q and K rows itself and takes
+its value from the dynamics' attention kernel in `coupling`: the simple
+family's accumulators (`linear_attention`, O(N d^2)) or the advanced
+family's dense scores (`sigmoid_attention`, O(N^2 d)). So with identity
+projections, one head and unit rows a layer's blend is one Euler step of
+the dynamics. The `mlp` variant mixes no rows and holds V alone. The
+heads are averaged. The optional sym-normalized graph channel S is linear,
+so mean_h (P_h + S V_h) = mean_h P_h + S mean_h V_h: it costs one
+application of the graph's cached sparse operator per layer, O(E d), on
+the mean of the heads' V. The result is blended with the previous state at
+step size tau (plus the source) before a LayerNorm. The output head is a
+plain affine map. Every weight is stored as the right operand of its
+matmul on row-vector states. `forward` runs on a recording `Tape` for
+training, or on the non-recording `Eager` evaluator, whose parameters may
+be stacks of copies that run one forward each.
 """
 
 from __future__ import annotations

@@ -15,13 +15,16 @@ as long as its Refs or a VJP that captured it. A leaf is a matrix or a
 stack of them; a parameter is a named leaf, not a node. `backward` runs
 reverse accumulation from a 1x1 loss, fills per-parameter gradients and
 releases the parameter registry and each node it runs, so a tape is
-differentiated once. `sym_apply` takes a
-symmetric operator instead of a dense matrix. An attention primitive takes
-raw Q, K and V and row-normalizes Q and K itself: `linear_attention`
-(simple), whose VJP runs through the same O(N d^2) accumulators as its
-value, or `sigmoid_attention` (advanced). The tape has only the primitives
-a model forward and its loss run; composed forms used as test oracles live
-with the tests. A tape is confined to a single thread for its lifetime.
+differentiated once. `sym_apply` takes a symmetric operator instead of a
+dense matrix. An attention primitive takes raw Q, K and V, row-normalizes
+Q and K itself and computes no score or S V of its own: it takes its value
+from the attention kernel in `coupling`, the one the diffusion dynamics
+use, and keeps only its VJP, which reads the kernel's state.
+`linear_attention` (simple) runs its gradient through the kernel's O(N d^2)
+accumulators; `sigmoid_attention` (advanced) through its dense scores and
+their row reciprocals. The tape has only the primitives a model forward and
+its loss run; composed forms used as test oracles live with the tests. A
+tape is confined to a single thread for its lifetime.
 
 `Eager` overrides only the two hooks and the two leaves: its operands are
 plain arrays and `_record` returns the bare value, so forwards that are
@@ -33,8 +36,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, DomainError
+from .coupling import (PenaltyFamily, attention_apply, attention_scores, row_reciprocals,
+                       simple_attention)
+from .errors import ContractError, DimensionError
 from .numerics import LAYER_NORM_EPS, NORM_EPS, as_matrix, row_l2_divisors
+
+_ADVANCED = PenaltyFamily("advanced")  # its f(2 - 2 q~.k~) is sigmoid(q~.k~)
 
 
 class Ref:
@@ -150,23 +157,14 @@ class Tape:
         return self._record(apply(self._value(a)), (a,), lambda g: (apply(g),))
 
     def linear_attention(self, q: Ref, k: Ref, v: Ref) -> Ref:
-        """Simple attention S V with S = diag^-1(N + Q~ K~^T 1)(1 + Q~ K~^T)
-        on the row-normalized projections Q~ and K~, in O(N d^2):
-        (1^T V + Q~(K~^T V)) / (N + Q~(K~^T 1)) row by row, from the
-        accumulators of V with a ones column appended, V1 = [V 1]: K~^T V1
-        (d x (m+1)) and 1^T V1. No N x N array is formed. The VJP is the
-        non-causal linear-transformer gradient through the same accumulators
-        (Katharopoulos et al. 2020, sec. 3), then through both
+        """Simple attention S V on the row-normalized projections Q~ and K~,
+        its value `coupling.simple_attention`'s: O(N d^2) through the
+        accumulators K~^T [V 1] and 1^T [V 1], with no N x N array. The VJP
+        is the non-causal linear-transformer gradient through the same
+        accumulators (Katharopoulos et al. 2020, sec. 3), then through both
         normalizations."""
         qt, q_div, kt, k_div, vv = self._head_operands("linear", q, k, v)
-        v1 = np.concatenate([vv, np.ones(vv.shape[:-1] + (1,))], axis=-1)
-        kv1 = _mT(kt) @ v1
-        acc = v1.sum(axis=-2, keepdims=True) + qt @ kv1  # [numerators | denominators]
-        del v1
-        denom = acc[..., -1:].copy()  # the VJP keeps this column, not acc
-        if np.any(denom <= 0):
-            raise DomainError("linear attention denominator N + q~.sum(k~) is not positive")
-        out = acc[..., :-1] / denom
+        out, denom, kv1 = simple_attention(qt, kt, vv)
 
         def vjp(g):
             # adjoint of [numerators | denominators], then of the accumulators;
@@ -189,32 +187,25 @@ class Tape:
         return self._record(out, (q, k, v), vjp)
 
     def sigmoid_attention(self, q: Ref, k: Ref, v: Ref) -> Ref:
-        """Advanced attention S V with S = diag^-1(A 1) A and the dense
-        sigmoid kernel A = sigmoid(Q~ K~^T) on the row-normalized projections
-        Q~ and K~, in O(N^2 d). Value and VJP run the operations of the
-        composed chain (normalize, transpose, matmul, sigmoid, matmul, row
-        sum, reciprocal, row scale) in its order, K~^T as a contiguous copy
-        included, so they match it bit for bit."""
+        """Advanced attention S V = (A V) r on the row-normalized projections
+        Q~ and K~, in O(N^2 d): the advanced penalty's scores
+        A = f(2 - 2 Q~ K~^T) = sigmoid(Q~ K~^T) and r, the reciprocals of
+        their row sums, applied by `coupling.attention_apply`. The VJP runs
+        back through r, A V and the sigmoid's derivative A (1 - A)."""
         qt, q_div, kt, k_div, vv = self._head_operands("sigmoid", q, k, v)
-        kt_t = _mT(kt).copy()  # the chain's contiguous K~^T
-        scores = qt @ kt_t
-        a = np.empty_like(scores)  # the sigmoid, without overflow either side
-        pos = scores >= 0
-        a[pos] = 1.0 / (1.0 + np.exp(-scores[pos]))
-        ex = np.exp(scores[~pos])
-        a[~pos] = ex / (1.0 + ex)
-        av = a @ vv
-        r = 1.0 / a.sum(axis=-1, keepdims=True)
+        a = attention_scores(_ADVANCED, qt, kt)
+        r = row_reciprocals(a)
+        out = attention_apply(a, r, vv)
 
         def vjp(g):
             g_av = g * r
-            g_rs = -np.sum(g * av, axis=-1, keepdims=True) * r * r
+            g_rs = -np.sum(g * out, axis=-1, keepdims=True) * r
             g_scores = (g_rs + g_av @ _mT(vv)) * a * (1.0 - a)
-            return (_row_normalized_vjp(g_scores @ _mT(kt_t), qt, q_div),
-                    _row_normalized_vjp(_mT(_mT(qt) @ g_scores), kt, k_div),
+            return (_row_normalized_vjp(g_scores @ kt, qt, q_div),
+                    _row_normalized_vjp(_mT(g_scores) @ qt, kt, k_div),
                     _unbroadcast(_mT(a) @ g_av, vv.shape))
 
-        return self._record(av * r, (q, k, v), vjp)
+        return self._record(out, (q, k, v), vjp)
 
     def add(self, a: Ref, b: Ref) -> Ref:
         """a + b; an operand with one row, a bias, broadcasts over the other's rows."""

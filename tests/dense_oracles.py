@@ -1,31 +1,53 @@
 """Dense N x N reference forms that the sparse couplings (the masked
-attention coupling among them) and the energies are checked against, the
-scalar penalty pair, the scalar-draw block-model generator, the two-key
-edge sorts, the tape of composed primitives and the two attention heads
-built from them, the two-forward training loop, a trajectory's coupling
-row sums rebuilt per snapshot, the thm2 and oversmooth audits one seed at a
-time and the tie-by-tie ROC AUC. They loop,
-materialize, record node by node or recompute on purpose and are meant for
-small N only."""
+attention coupling among them) and the energies are checked against, a
+materialized coupling array as a `Coupling` (`DenseCoupling`), the scalar
+penalty pair, the scalar-draw block-model generator, the two-key edge
+sorts, the tape of composed primitives and the two attention heads built
+from them, the two-forward training loop, a trajectory's coupling row sums
+rebuilt per snapshot, the thm2 and oversmooth audits one seed at a time and
+the tie-by-tie ROC AUC. They loop, materialize, record node by node or
+recompute on purpose and are meant for small N only."""
 
 import math
 
 import numpy as np
 
-from endiff.coupling import (Z_SQ_MAX, CouplingSpec, PenaltyFamily, attention_scores,
-                             build_coupling, coupling_operator)
+from endiff.coupling import (Z_SQ_MAX, CouplingSpec, PenaltyFamily, _check_rows,
+                             attention_scores, build_coupling, coupling_operator)
 from endiff.diffusion import DiffusionConfig, run_trajectory
 from endiff.energy import audit_descent, diversity
 from endiff.errors import DimensionError, DomainError
 from endiff.graphs import Dataset, Graph
 from endiff.model import Checkpoint, forward, init_model
-from endiff.numerics import NORM_EPS, row_l2_divisors, row_l2_normalize
+from endiff.numerics import NORM_EPS, as_stack, row_l2_divisors, row_l2_normalize
 from endiff.suites import _connected_er
 from endiff.tape import Eager, Tape, _unbroadcast
 from endiff.train import (AdamState, TrainResult, _evaluate, _metric_improved,
                           adam_step, induced_subgraph, minibatch_partition)
 
 STATIC_MODES = ("sym", "gin", "identity", "all_one")
+
+
+class DenseCoupling:
+    """A materialized N x N coupling array, or a stack (..., N, N) of them,
+    seen through the `coupling.Coupling` protocol."""
+
+    def __init__(self, s: np.ndarray):
+        s = as_stack(s)
+        if s.shape[-2] != s.shape[-1]:
+            raise DimensionError(f"coupling must be square, got {s.shape}")
+        self.s = s
+        self.n = s.shape[-1]
+        self._row_sums = s.sum(axis=-1)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.s @ _check_rows(self.n, v)
+
+    def row_sums(self) -> np.ndarray:
+        return self._row_sums
+
+    def dense(self) -> np.ndarray:
+        return self.s
 
 
 def adjacency(g) -> np.ndarray:
@@ -95,7 +117,7 @@ def gat_masked_dense(p: PenaltyFamily, z, g) -> np.ndarray:
     oracle of `coupling.gat_masked_coupling`."""
     mask, (u, v) = np.eye(z.shape[0]), g.edges.T
     mask[u, v] = mask[v, u] = 1.0
-    omega = attention_scores(p, z) * mask
+    omega = attention_scores(p, z, z) * mask
     return omega / omega.sum(axis=1)[:, None]
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import (SPARSE_CASES, adjacency, penalty_delta_scalar,
+from dense_oracles import (SPARSE_CASES, DenseCoupling, adjacency, penalty_delta_scalar,
                            penalty_f_scalar, sparse_case)
 from endiff.coupling import (DIM_SCALE_MIN, PENALTY_KINDS, Z_SQ_MAX, CouplingSpec,
-                             DenseCoupling, MeanCoupling, PenaltyFamily,
+                             DenseAttention, MeanCoupling, PenaltyFamily,
                              SimpleAttention, attention_scores, build_coupling,
                              coupling_operator, gat_masked_coupling,
                              penalty_conjugate, penalty_delta, penalty_f,
@@ -165,7 +165,7 @@ def test_attention_scores_dot_identity():
     rng = np.random.default_rng(0)
     z = row_l2_normalize(rng.standard_normal((10, 5)))
     p = PenaltyFamily("advanced")
-    scores = attention_scores(p, z)
+    scores = attention_scores(p, z, z)
     for i in range(10):
         for j in range(10):
             d2 = float(np.sum((z[i] - z[j]) ** 2))
@@ -302,8 +302,9 @@ def test_coupling_operator_picks_the_accumulator_form_for_simple_attention():
     for kind in ("advanced", "softmax"):
         spec = CouplingSpec("attention", PenaltyFamily(kind))
         op = coupling_operator(spec, z, g)
-        assert isinstance(op, DenseCoupling)
-        assert np.array_equal(op.dense(), build_coupling(spec, z))
+        assert isinstance(op, DenseAttention)
+        # (A V) r against A / (A 1): the same S up to rounding
+        assert np.max(np.abs(op.dense() - build_coupling(spec, z))) <= 1e-15
     assert coupling_operator(CouplingSpec("gcn_sym"), z, g) is g.sym_operator
     for family in ("identity", "gin"):
         assert isinstance(coupling_operator(CouplingSpec(family), z, g), EdgeOperator)

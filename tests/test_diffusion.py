@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dense_oracles import normalized_adjacency, rebuilt_row_sums
+from dense_oracles import DenseCoupling, normalized_adjacency, rebuilt_row_sums
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
-                             DenseCoupling, PenaltyFamily, SimpleAttention,
-                             build_coupling)
+                             PenaltyFamily, SimpleAttention, build_coupling)
 from endiff.diffusion import (DiffusionConfig, euler_step, linear_simple_propagate,
                               run_trajectory)
 from endiff.energy import write_trajectory_csv

@@ -4,10 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import endiff.energy as energy
-from dense_oracles import (SPARSE_CASES, normalized_adjacency,
+from dense_oracles import (SPARSE_CASES, DenseCoupling, normalized_adjacency,
                            quadratic_energy_loop, sparse_case)
-from endiff.coupling import (CouplingSpec, DenseCoupling, PenaltyFamily,
-                             attention_scores, coupling_operator, penalty_delta)
+from endiff.coupling import (CouplingSpec, PenaltyFamily, attention_scores,
+                             coupling_operator, penalty_delta)
 from endiff.diffusion import DiffusionConfig, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent,
                            diversity, quadratic_energy, regularized_energy,
@@ -62,7 +62,7 @@ def test_surrogate_tight_at_inferred_omega():
     zp = rng.standard_normal((8, 4))
     for kind in ("simple", "advanced"):
         p = PenaltyFamily(kind)
-        omega = attention_scores(p, row_l2_normalize(z))
+        omega = attention_scores(p, z, z)
         sur = surrogate_energy(z, zp, omega, p, 0.6)
         reg = regularized_energy(z, zp, p, 0.6)
         assert abs(sur - reg) <= 1e-7

@@ -7,7 +7,7 @@ from dense_oracles import (adjacency, from_edge_list_lexsort, layout_lexsort,
                            normalized_adjacency, sbm_generate_loop)
 from endiff.errors import DimensionError, FormatError, ParameterError
 from endiff.graphs import (SBM_BLOCK_ROWS, Dataset, Graph, er_graph, is_connected,
-                           load_cora, load_dataset, read_edges, read_features,
+                           load_dataset, read_edges, read_features,
                            sbm_generate)
 
 
@@ -602,40 +602,3 @@ def test_dataset_consistency_checks():
     with pytest.raises(ParameterError):
         Dataset(features=np.ones((3, 2)), labels=np.zeros(2),
                 split=np.array(["test"] * 3, dtype=object))
-
-
-def test_load_cora_adapter(tmp_path):
-    content = "\n".join(
-        f"paper{i} {' '.join(str((i + j) % 2) for j in range(3))} class{i % 2}"
-        for i in range(10)
-    )
-    cites = "paper0 paper1\npaper2 paper3\npaperX paper0\n"
-    c = _write(tmp_path, "x.content", content + "\n")
-    ci = _write(tmp_path, "x.cites", cites)
-    ds = load_cora(c, ci, per_class_train=2, n_val=2, n_test=2, seed=0)
-    assert ds.n == 10
-    assert ds.features.shape == (10, 3)
-    assert ds.num_classes == 2
-    # unknown ids in cites are skipped
-    assert np.array_equal(ds.graph.edges, [(0, 1), (2, 3)])
-    assert np.sum(ds.mask("train")) == 4
-    assert np.sum(ds.mask("val")) == 2
-    assert np.sum(ds.mask("test")) == 2
-
-
-def test_load_cora_rejects_non_finite_features(tmp_path):
-    ci = _write(tmp_path, "x.cites", "p0 p1\n")
-    for i, bad in enumerate(("nan", "inf", "-inf")):
-        c = _write(tmp_path, f"x{i}.content", f"p0 0 1 a\n\np1 {bad} 2 b\n")
-        with pytest.raises(FormatError, match=rf"x{i}\.content:3: non-finite value"):
-            load_cora(c, ci)
-
-
-def test_load_cora_rejects_ragged_rows(tmp_path):
-    ci = _write(tmp_path, "x.cites", "p0 p1\n")
-    c = _write(tmp_path, "x.content", "p0 0 1 a\np1 2 b\n")
-    with pytest.raises(FormatError, match=r"x\.content:2: inconsistent column count"):
-        load_cora(c, ci)
-    c = _write(tmp_path, "y.content", "p0 0 1 a\np1 2 oops b\n")
-    with pytest.raises(FormatError, match=r"y\.content:2: bad float"):
-        load_cora(c, ci)

@@ -167,6 +167,72 @@ def test_advanced_implicit_attention_is_row_stochastic():
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("variant", ["simple", "advanced"])
+def test_a_layer_is_one_euler_step_of_the_dynamics(monkeypatch, variant):
+    # one head, no graph, identity Q/K/V weights and a unit-row state: the
+    # blend a layer hands its LayerNorm is one explicit-Euler step at tau
+    from endiff.coupling import CouplingSpec, PenaltyFamily, coupling_operator
+    from endiff.diffusion import euler_step
+    from endiff.model import _layer
+    from endiff.numerics import row_l2_normalize
+
+    n, d, tau = 9, 4, 0.3
+    z = row_l2_normalize(np.random.default_rng(6).standard_normal((n, d)))
+    blends = []
+    real = Eager.layer_norm
+    monkeypatch.setattr(Eager, "layer_norm",
+                        lambda self, a: blends.append(a) or real(self, a))
+    refs = {f"W_{role}_0": np.eye(d)[None] for role in "QKV"}
+    _layer(Eager(), z[None], z[None], refs, 0, _cfg(variant=variant, hidden_dim=d, tau=tau),
+           None)
+    spec = CouplingSpec("attention", PenaltyFamily(variant))
+    step = euler_step(z, coupling_operator(spec, z), tau)
+    assert len(blends) == 1 and blends[0].shape == step.shape
+    assert np.max(np.abs(blends[0] - step)) <= 1e-12 * np.max(np.abs(step))
+
+
+_KERNEL = ("simple_attention", "attention_scores", "attention_apply")
+
+
+@pytest.mark.parametrize("evaluator", [Tape, Eager])
+@pytest.mark.parametrize("variant", ["simple", "advanced"])
+def test_heads_take_their_values_from_the_coupling_kernel(monkeypatch, variant, evaluator):
+    # one kernel call per layer for all of its heads, and no other path
+    import endiff.tape as tape_module
+
+    calls = {name: 0 for name in _KERNEL}
+    for name in _KERNEL:
+        def counted(*args, _real=getattr(tape_module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(tape_module, name, counted)
+    cfg = _cfg(variant=variant, layers=3, heads=2)
+    x = np.random.default_rng(8).standard_normal((6, cfg.input_dim))
+    forward(init_model(cfg, 0), x, None, cfg, tape=evaluator())
+    per_layer = {"simple": ("simple_attention",),
+                 "advanced": ("attention_scores", "attention_apply")}[variant]
+    assert calls == {name: cfg.layers if name in per_layer else 0 for name in _KERNEL}
+
+
+def test_the_tape_computes_no_attention_score():
+    # np.exp runs only in the cross-entropy loss's log-softmax: no
+    # primitive scores a pair of rows itself
+    import ast
+    from pathlib import Path
+
+    import endiff.tape as tape_module
+
+    tree = ast.parse(Path(tape_module.__file__).read_text())
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        defs += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    calls_exp = {fn.name for fn in defs for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute) and node.attr == "exp"
+                 and isinstance(node.value, ast.Name) and node.value.id == "np"}
+    assert calls_exp == {"masked_cross_entropy"}
+
+
 def test_mlp_variant_has_no_cross_node_mixing():
     cfg = _cfg(variant="mlp", layers=2)
     params = init_model(cfg, 6)
@@ -215,7 +281,7 @@ def test_graph_forward_builds_no_dense_adjacency(monkeypatch):
 
     # the dense builders that remain: every operator's dense() and the
     # N x N attention and Laplacian arrays
-    for cls in (graphs.EdgeOperator, coupling.DenseCoupling,
+    for cls in (graphs.EdgeOperator, coupling.DenseAttention,
                 coupling.MeanCoupling, coupling.SimpleAttention):
         monkeypatch.setattr(cls, "dense", refuse)
     monkeypatch.setattr(coupling, "build_coupling", refuse)
