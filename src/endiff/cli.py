@@ -19,7 +19,7 @@ import numpy as np
 
 from .coupling import (ATTENTION_FAMILIES, GRAPH_FAMILIES, PENALTY_KINDS,
                        STATIC_FAMILIES, CouplingSpec, PenaltyFamily,
-                       coupling_operator, write_penalty_landscape)
+                       write_penalty_landscape)
 from .diffusion import DiffusionConfig, run_trajectory
 from .energy import write_trajectory_csv
 from .errors import EndiffError, FormatError
@@ -236,19 +236,17 @@ def cmd_diffuse(args) -> int:
         z0 = rng.standard_normal((args.n, args.dim))
         if args.coupling in GRAPH_FAMILIES:  # a seeded ER graph
             g = er_graph(args.n, 0.3, args.seed)
-    if args.coupling in STATIC_FAMILIES:
-        spec = CouplingSpec(args.coupling)
+    static = args.coupling in STATIC_FAMILIES
+    spec = CouplingSpec(args.coupling, None if static else PenaltyFamily(args.penalty))
+    cfg = DiffusionConfig(tau=args.tau, steps=args.steps, use_source=args.use_source)
+    traj = run_trajectory(z0 if static else row_l2_normalize(z0), spec, cfg, g)
+    if static:
         # With S >= 0 the step Z - tau (diag(S 1) - S) Z mixes the rows
         # convexly while tau * max_i (S 1)_i <= 1; above it a run can diverge.
-        top = float(coupling_operator(spec, z0, g).row_sums().max())
+        top = float(traj.coupling.row_sums().max())
         if args.tau * top > 1.0:
             args.parser.error(f"--tau {args.tau} times the largest row sum {top:g} "
                               f"of the {args.coupling} coupling exceeds 1")
-    else:
-        spec = CouplingSpec(args.coupling, PenaltyFamily(args.penalty))
-        z0 = row_l2_normalize(z0)
-    cfg = DiffusionConfig(tau=args.tau, steps=args.steps, use_source=args.use_source)
-    traj = run_trajectory(z0, spec, cfg, g)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"trajectory_{args.coupling}_tau{args.tau}.csv"

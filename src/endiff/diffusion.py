@@ -16,6 +16,7 @@ Static couplings act on one N x d state.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,33 +43,54 @@ class DiffusionConfig:
                 f"use_source must be true or false, got {self.use_source!r}")
 
 
-@dataclass
-class Trajectory:
-    """The states Z^(0), ..., Z^(K) of a run, indexed by step, and for each
-    the row sums S 1 of the coupling it diffuses with; the last state's is
-    the coupling a further step would use. A stacked run keeps (..., N, d)
-    states and (..., N) row sums."""
+@dataclass(frozen=True)
+class Step:
+    """Step k of a run: the state Z^(k), the state `prev` it stepped from
+    (None at k = 0), and the row sums S 1 of the coupling Z^(k) diffuses
+    with. A stacked run gives (..., N, d) states and (..., N) row sums."""
 
-    snapshots: list[np.ndarray]
-    row_sums: list[np.ndarray]
+    k: int
+    z: np.ndarray
+    prev: np.ndarray | None
+    row_sums: np.ndarray
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """A run from its start Z^(0): iterating it steps the dynamics and
+    yields Z^(0), ..., Z^(K) as `Step`s, keeping only the current state, its
+    predecessor and the start. `coupling` is the coupling Z^(0) diffuses
+    with; a static family reuses it at every step, attention builds one per
+    step on the re-normalized state. Each pass steps the run afresh."""
+
+    start: np.ndarray
     config: DiffusionConfig
     spec: CouplingSpec
-    coupling: Coupling | None = None  # the static coupling; None for attention
+    graph: Graph | None
+    coupling: Coupling
+
+    def __iter__(self) -> Iterator[Step]:
+        cfg, spec, z, s = self.config, self.spec, self.start, self.coupling
+        state = row_l2_normalize(z) if spec.is_attention else z
+        yield Step(0, z, None, s.row_sums())
+        for k in range(1, cfg.steps + 1):
+            prev, z = z, euler_step(state, s, cfg.tau)
+            if cfg.use_source:
+                z = z + cfg.tau * self.start
+            state = row_l2_normalize(z) if spec.is_attention else z
+            if spec.is_attention:
+                s = coupling_operator(spec, state, self.graph)
+            yield Step(k, z, prev, s.row_sums())
 
 
 def euler_step(z: np.ndarray, s: Coupling, tau: float) -> np.ndarray:
     """One explicit-Euler step Z' = Z - tau * (diag(S 1) - S) Z, slice by
     slice for a stack."""
     z = as_stack(z)
-    return z - tau * _laplacian_apply(s, z)
-
-
-def _laplacian_apply(s: Coupling, z: np.ndarray) -> np.ndarray:
-    """(diag(S 1) - S) Z."""
     if s.n != z.shape[-2]:
         raise DimensionError(
             f"coupling on {s.n} nodes does not match embeddings {z.shape}")
-    return s.row_sums()[..., None] * z - s.apply(z)
+    return z - tau * (s.row_sums()[..., None] * z - s.apply(z))
 
 
 def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
@@ -80,36 +102,18 @@ def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
 
 def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
                    g: Graph | None = None) -> Trajectory:
-    """Iterate the configured diffusion for cfg.steps steps, recording every
-    state and the row sums of the coupling it diffuses with.
+    """The configured diffusion from z0 for cfg.steps steps, as a
+    `Trajectory` that steps it when iterated.
 
-    Attention families re-normalize the state to unit rows before each
-    diffusivity inference (the dot-product identity behind the scores needs
-    it), so they build steps + 1 couplings, the last one only for its row
-    sums; static families build their coupling once and reuse it. With
-    cfg.use_source each step adds tau Z^(0), the initial state. The
-    GRAPH_FAMILIES couple along g. Unmasked attention steps a stack of
-    starts (..., N, d) at once.
+    The coupling Z^(0) diffuses with is built here, so a start or graph the
+    family rejects fails at the call. Attention families start from z0's
+    unit rows, re-normalize the state before each diffusivity inference
+    (the dot-product identity behind the scores needs it) and build one
+    more coupling per step, the last one only for its row sums. With
+    cfg.use_source each step adds tau Z^(0). The GRAPH_FAMILIES couple
+    along g. Unmasked attention steps a stack of starts (..., N, d) at
+    once.
     """
     z = row_l2_normalize(z0) if spec.is_attention else as_matrix(z0).copy()
-    static = None if spec.is_attention else coupling_operator(spec, z, g)
-
-    def coupled(z: np.ndarray) -> tuple[np.ndarray, Coupling]:
-        """The state a step from z diffuses and the coupling it steps with."""
-        if static is not None:
-            return z, static
-        z = row_l2_normalize(z)
-        return z, coupling_operator(spec, z, g)
-
-    snapshots = [z]
-    state, s = coupled(z)
-    row_sums = [s.row_sums()]
-    for _ in range(cfg.steps):
-        nxt = euler_step(state, s, cfg.tau)
-        if cfg.use_source:
-            nxt = nxt + cfg.tau * snapshots[0]
-        snapshots.append(nxt)
-        state, s = coupled(nxt)
-        row_sums.append(s.row_sums())
-    return Trajectory(snapshots=snapshots, row_sums=row_sums, config=cfg, spec=spec,
-                      coupling=static)
+    state = row_l2_normalize(z) if spec.is_attention else z
+    return Trajectory(z, cfg, spec, g, coupling_operator(spec, state, g))

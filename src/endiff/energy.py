@@ -4,9 +4,10 @@ trajectory CSV.
 The functionals take the energy weight lam as an argument. A trajectory's
 energies, which both audits and the CSV read, fix lam = tau in one place
 (`_trajectory_energy`): the paper fixes the gradient step at one, so
-every audited statement (Thm 1, Prop 1, Thm 2) holds at lam = tau. The
-two audits share one pass over those energies (`_audited_energies`) and
-differ only in the test they apply to consecutive pairs.
+every audited statement (Thm 1, Prop 1, Thm 2) holds at lam = tau. Each
+audit and the CSV make one pass over the run's steps, reading each step's
+energy as it is made, and the two audits differ only in the test they
+apply to consecutive energies.
 
 Pairwise sums follow the all-ordered-pairs convention (i and j both range
 over all nodes, diagonal included), which matches the row-normalization
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Coupling, PenaltyFamily, penalty_conjugate, penalty_delta
-from .diffusion import Trajectory
+from .diffusion import Step, Trajectory
 from .errors import ContractError, DimensionError, ParameterError
 from .graphs import atomic_write_text
 from .numerics import as_matrix, as_stack, laplacian_spectral_bracket
@@ -199,38 +200,34 @@ class EnergyReport:
         return len(self.violations)
 
 
-def _trajectory_energy(traj: Trajectory, k_next: int):
-    """E(Z^(k_next), k_next-1) with the energy form matching the trajectory:
+def _trajectory_energy(traj: Trajectory, step: Step):
+    """E(Z^(k), k-1) of step k with the energy form matching the trajectory:
     quadratic for static couplings, regularized for attention, at
-    lam = tau. The source term shifts the anchor to Z_prev + tau * Z^(0).
+    lam = tau; NaN at k = 0, which has no predecessor. The source term
+    shifts the anchor to Z^(k-1) + tau * Z^(0).
 
     Under quadratic attention (S = 1/N), the pair differences of every
-    snapshot are (1 - tau)(s_i - s_j), plus tau (z0_i - z0_j) with the
+    state are (1 - tau)(s_i - s_j), plus tau (z0_i - z0_j) with the
     source, with s the unit rows the step diffused and z0 the unit-row
     start: a mix of unit-row differences with total weight at most 1, so
     every u <= 4 and the closed form needs no gate."""
+    if step.prev is None:
+        return float("nan")
     cfg = traj.config
     spec = traj.spec
     lam = cfg.tau
-    z = traj.snapshots[k_next]
-    z_prev = traj.snapshots[k_next - 1]
-    anchor = z_prev + lam * traj.snapshots[0] if cfg.use_source else z_prev
+    anchor = step.prev + lam * traj.start if cfg.use_source else step.prev
     if not spec.is_attention:
-        return quadratic_energy(z, anchor, traj.coupling, lam)
+        return quadratic_energy(step.z, anchor, traj.coupling, lam)
     in_domain = spec.family == "attention" and spec.penalty.kind == "quadratic"
-    return _regularized(z, anchor, spec.penalty, lam, in_domain)
-
-
-def _audited_energies(traj: Trajectory) -> list:
-    """E(Z^(k), k-1) for k = 1..K."""
-    return [_trajectory_energy(traj, k) for k in range(1, len(traj.snapshots))]
+    return _regularized(step.z, anchor, spec.penalty, lam, in_domain)
 
 
 def audit_descent(traj: Trajectory, slack: float = DESCENT_SLACK) -> EnergyReport:
     """Check E(Z^(k+1), k) <= E(Z^(k), k-1) along a trajectory. A stacked
     run is checked slice by slice, and each violation names its slice (in
     C order over the leading axes)."""
-    energies = _audited_energies(traj)
+    energies = [_trajectory_energy(traj, step) for step in traj][1:]
     if len(energies) < 2:
         raise ContractError("descent audit needs at least two steps")
     stacked = np.ndim(energies[0]) > 0
@@ -249,7 +246,7 @@ def audit_bounds(traj: Trajectory) -> EnergyReport:
     (1 - tau*l1)^2 E_k <= E_{k+1} <= (1 - tau*l2)^2 E_k for a static
     coupling, with l1/l2 the largest/smallest singular values of its
     Laplacian (an SVD of the dense coupling)."""
-    _check_one_state(traj.snapshots[0], "the bound audit")
+    _check_one_state(traj.start, "the bound audit")
     if traj.spec.is_attention or traj.config.use_source:
         raise ContractError("bound audit applies to plain static-coupling runs")
     tau = traj.config.tau
@@ -260,7 +257,7 @@ def audit_bounds(traj: Trajectory) -> EnergyReport:
         )
     lo = (1.0 - tau * bracket.lambda_max) ** 2
     hi = (1.0 - tau * bracket.lambda_min) ** 2
-    energies = _audited_energies(traj)
+    energies = [_trajectory_energy(traj, step) for step in traj][1:]
     pairs = list(zip(energies, energies[1:]))
     violations = []
     for k, (e_prev, e_next) in enumerate(pairs, 1):
@@ -285,14 +282,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV: step, energy (at lam = tau), diversity, min_row_sum,
     max_row_sum.
 
-    The row sums are the run's record of S 1 for the coupling each snapshot
+    The row sums are each step's record of S 1 for the coupling its state
     diffuses with. The text is built first and written once, so a run that
     fails part way leaves no partial file.
     """
-    _check_one_state(traj.snapshots[0], "the trajectory CSV")
+    _check_one_state(traj.start, "the trajectory CSV")
     lines = ["step,energy,diversity,min_row_sum,max_row_sum\n"]
-    for k, (z, sums) in enumerate(zip(traj.snapshots, traj.row_sums)):
-        energy = float("nan") if k == 0 else _trajectory_energy(traj, k)
-        lines.append(f"{k},{energy:.17g},{diversity(z):.17g},"
-                     f"{sums.min():.17g},{sums.max():.17g}\n")
+    for step in traj:
+        lines.append(f"{step.k},{_trajectory_energy(traj, step):.17g},"
+                     f"{diversity(step.z):.17g},{step.row_sums.min():.17g},"
+                     f"{step.row_sums.max():.17g}\n")
     atomic_write_text(path, "".join(lines))

@@ -13,6 +13,8 @@ gradcheck takes nothing: every other setting is a module constant.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from .coupling import CouplingSpec, PenaltyFamily, SimpleAttention
@@ -34,12 +36,12 @@ SUITES = SEEDED_SUITES + ("gradcheck",)
 # larger stacks saved under 0.1 s.
 GRADCHECK_STACK = 32
 
-# Most seeds one stacked attention run steps at once. A run keeps every
-# slice's snapshots, so a stack's memory grows with its size: in-process
-# `audit --suite all` peaked at 39.5 MB one seed at a time, 39.8-39.9 MB
-# with stacks of 10 to 25, 40.5 MB with 50 and 43.6 MB with one stack of
-# 100 thm2 seeds (2 CPUs), while every size from 10 up cut its time from
-# 3.0 s to 1.2-1.6 s.
+# Most seeds one stacked attention run steps at once. A run holds only its
+# start and current states, so a stack costs a few states and one step's
+# temporaries per slice: in-process `audit --suite all` peaked at 39.2,
+# 39.1, 39.5 and 41.6 MB with stacks of 10, 20, 50 and 100 (2 CPUs, one
+# BLAS thread), and every size from 10 up cut its time from 3.0 s one seed
+# at a time to 1.2-1.6 s.
 SEED_STACK = 20
 
 # Static instances (thm1, prop1): steps and ER nodes. thm2: the gated step
@@ -61,7 +63,7 @@ def _seed_chunks(seeds: int) -> list[range]:
 
 def _static_run(seed: int):
     """One sym-normalized static instance on ER(STATIC_N, 0.3) at
-    tau = 0.9 / lambda_max."""
+    tau = 0.9 / lambda_max, or None for an edgeless graph."""
     g = er_graph(STATIC_N, 0.3, seed)
     z0 = np.random.default_rng((seed, 1)).standard_normal((STATIC_N, 4))
     spec = CouplingSpec("gcn_sym")
@@ -70,7 +72,7 @@ def _static_run(seed: int):
         return None  # edgeless instance, nothing to diffuse
     tau = min(0.9 / bracket.lambda_max, 1.0)
     cfg = DiffusionConfig(tau=tau, steps=STATIC_STEPS)
-    return run_trajectory(z0, spec, cfg, g), g
+    return run_trajectory(z0, spec, cfg, g)
 
 
 def suite_thm1(seeds: int = 100) -> dict:
@@ -78,10 +80,9 @@ def suite_thm1(seeds: int = 100) -> dict:
     violations = 0
     tested = 0
     for seed in range(seeds):
-        run = _static_run(seed)
-        if run is None:
+        traj = _static_run(seed)
+        if traj is None:
             continue
-        traj, _ = run
         rep = audit_descent(traj, slack=1e-9)
         violations += rep.num_violations
         tested += 1
@@ -103,17 +104,16 @@ def suite_prop1(seeds: int = 100) -> dict:
     max_ratio = -np.inf
     connected_checked = 0
     for seed in range(seeds):
-        run = _static_run(seed)
-        if run is None:
+        traj = _static_run(seed)
+        if traj is None:
             continue
-        traj, g = run
         rep = audit_bounds(traj)
         violations += rep.num_violations
         tested += 1
         if rep.min_ratio is not None:
             min_ratio = min(min_ratio, rep.min_ratio)
             max_ratio = max(max_ratio, rep.max_ratio)
-        if is_connected(g):
+        if is_connected(traj.graph):
             connected_checked += 1
             lam_min = rep.bracket[1]
             if lam_min > 1e-7:
@@ -196,7 +196,7 @@ def suite_oversmooth(seeds: int = 5) -> dict:
                     for chunk in _seed_chunks(seeds))
         else:
             runs = (run_trajectory(z0, spec, cfg, g) for z0, g in zip(starts, graphs))
-        ratio = np.hstack([diversity(traj.snapshots[-1]) / diversity(traj.snapshots[0])
+        ratio = np.hstack([diversity(deque(traj, maxlen=1).pop().z) / diversity(traj.start)
                            for traj in runs])
         ratios[name] = ratio.tolist()
         violations += int(np.sum(ratio < 0.01 if use_source else ratio > 1e-6))

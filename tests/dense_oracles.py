@@ -3,8 +3,8 @@ attention coupling among them) and the energies are checked against, a
 materialized coupling array as a `Coupling` (`DenseCoupling`), the scalar
 penalty pair, the scalar-draw block-model generator, the two-key edge
 sorts, the tape of composed primitives and the two attention heads built
-from them, the two-forward training loop, a trajectory's coupling row sums
-rebuilt per snapshot, the thm2 and oversmooth audits one seed at a time and
+from them, the two-forward training loop, a trajectory's steps kept as a
+list and its coupling row sums rebuilt per state, the thm2 and oversmooth audits one seed at a time and
 the tie-by-tie ROC AUC. They loop, materialize, record node by node or
 recompute on purpose and are meant for small N only."""
 
@@ -368,13 +368,19 @@ def train_loop_two_forwards(dataset, model_cfg, train_cfg):
                        best_epoch=best_epoch, test_metric=test_best)
 
 
+def kept_steps(traj) -> list:
+    """Every step of one pass over traj, kept: the list of states a run
+    itself never holds, for the tests that compare runs step by step."""
+    return list(traj)
+
+
 def rebuilt_row_sums(traj, g) -> list:
-    """Each snapshot's coupling row sums S 1, rebuilt from the snapshot: an
+    """Each state's coupling row sums S 1, rebuilt from the state: an
     attention coupling on the re-normalized state and the run's graph g,
     else the run's one static coupling."""
-    return [(coupling_operator(traj.spec, row_l2_normalize(z), g)
+    return [(coupling_operator(traj.spec, row_l2_normalize(step.z), g)
              if traj.spec.is_attention else traj.coupling).row_sums()
-            for z in traj.snapshots]
+            for step in kept_steps(traj)]
 
 
 def rocauc_loop(scores, labels) -> float:
@@ -448,7 +454,7 @@ def suite_oversmooth_per_seed(seeds: int = 5, steps: int = 500) -> dict:
         for name, (spec, use_source, graph) in cases.items():
             cfg = DiffusionConfig(tau=0.5, steps=steps, use_source=use_source)
             traj = run_trajectory(z0, spec, cfg, graph)
-            ratio = diversity(traj.snapshots[-1]) / diversity(traj.snapshots[0])
+            ratio = diversity(kept_steps(traj)[-1].z) / diversity(traj.start)
             ratios.setdefault(name, []).append(ratio)
             if not use_source and ratio > 1e-6:
                 violations += 1

@@ -414,6 +414,29 @@ def test_diffuse_attention_builds_one_coupling_per_step_and_one_more(
     assert coupling_builds == ["attention"] * 21
 
 
+def test_diffuse_static_builds_its_coupling_once(tmp_path, capsys, coupling_builds):
+    # the tau bound reads the row sums of the coupling the run steps with
+    code, _, _ = run_cli(["diffuse", "--coupling", "gcn_sym", "--tau", "0.25",
+                          "--steps", "20", "--n", "16", "--out", str(tmp_path / "out")],
+                         capsys)
+    assert code == 0
+    assert coupling_builds == ["gcn_sym"]
+
+
+def test_diffuse_failing_part_way_writes_no_csv_and_no_manifest(tmp_path, capsys):
+    # tau = 1 sends two antipodal rows to their zero mean after one step,
+    # and the next coupling rejects the zero rows
+    features = tmp_path / "features.txt"
+    features.write_text("1.0\n-1.0\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(["diffuse", "--coupling", "attention", "--penalty", "quadratic",
+                            "--tau", "1.0", "--steps", "3", "--features", str(features),
+                            "--out", str(out)], capsys)
+    assert code == 1
+    assert "row 0 has norm 0.0" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("name, text, line", [
     ("features", "0.1 0.2\n0.3 oops\n", 2),
     ("features", "0.1 0.2\n0.3 nan\n", 2),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_oracles import DenseCoupling, normalized_adjacency, rebuilt_row_sums
+from dense_oracles import DenseCoupling, kept_steps, normalized_adjacency, rebuilt_row_sums
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
                              PenaltyFamily, SimpleAttention, build_coupling)
 from endiff.diffusion import (DiffusionConfig, euler_step, linear_simple_propagate,
@@ -73,12 +73,14 @@ def test_run_trajectory_static_records_every_step():
     g = er_graph(8, 0.4, 1)
     z0 = rng.standard_normal((8, 3))
     traj = run_trajectory(z0, CouplingSpec("gcn_sym"), DiffusionConfig(steps=5), g)
-    assert len(traj.snapshots) == len(traj.row_sums) == 6
+    steps = kept_steps(traj)
+    assert [step.k for step in steps] == list(range(6))
     s = normalized_adjacency(g, "sym")
     manual = z0.copy()
-    for k in range(5):
+    for before, step in zip(steps, steps[1:]):
+        assert step.prev is before.z
         manual = euler_step(manual, DenseCoupling(s), 0.5)
-        assert np.allclose(traj.snapshots[k + 1], manual, atol=1e-12)
+        assert np.allclose(step.z, manual, atol=1e-12)
 
 
 def test_run_trajectory_attention_normalizes_state_per_step():
@@ -86,14 +88,16 @@ def test_run_trajectory_attention_normalizes_state_per_step():
     z0 = rng.standard_normal((10, 4))
     spec = CouplingSpec("attention", PenaltyFamily("simple"))
     traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.25, steps=3))
-    # step 0 snapshot is the normalized start
-    assert np.allclose(np.linalg.norm(traj.snapshots[0], axis=1), 1.0)
-    # each later snapshot is one euler step from the re-normalized previous
-    for k in range(3):
-        state = row_l2_normalize(traj.snapshots[k])
+    steps = kept_steps(traj)
+    # step 0 is the normalized start
+    assert np.allclose(np.linalg.norm(steps[0].z, axis=1), 1.0)
+    assert steps[0].prev is None
+    # each later state is one euler step from the re-normalized previous
+    for before, step in zip(steps, steps[1:]):
+        assert step.prev is before.z
+        state = row_l2_normalize(before.z)
         s = build_coupling(spec, state)
-        assert np.allclose(traj.snapshots[k + 1], euler_step(state, DenseCoupling(s), 0.25),
-                           atol=1e-12)
+        assert np.allclose(step.z, euler_step(state, DenseCoupling(s), 0.25), atol=1e-12)
 
 
 def test_run_trajectory_source_defaults_to_initial_state():
@@ -102,10 +106,10 @@ def test_run_trajectory_source_defaults_to_initial_state():
     g = er_graph(6, 0.5, 2)
     traj = run_trajectory(z0, CouplingSpec("gcn_sym"),
                           DiffusionConfig(steps=2, use_source=True), g)
-    assert np.array_equal(traj.snapshots[0], z0)
+    assert np.array_equal(traj.start, z0)
     s = normalized_adjacency(g, "sym")
     step1 = euler_step(z0, DenseCoupling(s), 0.5) + 0.5 * z0
-    assert np.allclose(traj.snapshots[1], step1, atol=1e-12)
+    assert np.allclose(kept_steps(traj)[1].z, step1, atol=1e-12)
 
 
 def _every_family() -> list:
@@ -121,15 +125,30 @@ def _every_family() -> list:
 
 @pytest.mark.parametrize("spec, g", _every_family())
 def test_a_run_records_the_row_sums_it_stepped_with(spec, g, coupling_builds, tmp_path):
-    # attention builds one coupling per step plus one for the last state's
-    # row sums; a static family builds its one coupling; the CSV builds none
+    # attention builds one coupling at the call and one per step, the last
+    # only for its row sums; a static family builds its one coupling
     z0 = np.random.default_rng(13).standard_normal((12, 3))
     traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.1, steps=4), g)
     write_trajectory_csv(traj, tmp_path / "traj.csv")
     assert coupling_builds == [spec.family] * (5 if spec.is_attention else 1)
-    assert len(traj.row_sums) == len(traj.snapshots) == 5
-    for got, want in zip(traj.row_sums, rebuilt_row_sums(traj, g)):
-        assert np.array_equal(got, want)
+    steps = kept_steps(traj)
+    assert len(steps) == 5
+    for step, want in zip(steps, rebuilt_row_sums(traj, g)):
+        assert np.array_equal(step.row_sums, want)
+
+
+@pytest.mark.parametrize("spec, g", _every_family())
+def test_a_trajectory_iterated_twice_yields_the_same_steps(spec, g):
+    z0 = np.random.default_rng(14).standard_normal((12, 3))
+    traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.1, steps=4, use_source=True), g)
+    first, second = kept_steps(traj), kept_steps(traj)
+    assert len(first) == len(second) == 5
+    for a, b in zip(first, second):
+        assert a.k == b.k
+        assert np.array_equal(a.z, b.z)
+        assert (a.prev is None) == (b.prev is None)
+        assert a.prev is None or np.array_equal(a.prev, b.prev)
+        assert np.array_equal(a.row_sums, b.row_sums)
 
 
 def test_row_stochastic_update_is_convex_combination():

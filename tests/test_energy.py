@@ -1,14 +1,18 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import endiff.diffusion as diffusion
 import endiff.energy as energy
 from dense_oracles import (SPARSE_CASES, DenseCoupling, normalized_adjacency,
                            quadratic_energy_loop, sparse_case)
 from endiff.coupling import (CouplingSpec, PenaltyFamily, attention_scores,
                              coupling_operator, penalty_delta)
-from endiff.diffusion import DiffusionConfig, run_trajectory
+from endiff.diffusion import DiffusionConfig, euler_step, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent,
                            diversity, quadratic_energy, regularized_energy,
                            surrogate_energy, write_trajectory_csv)
@@ -100,10 +104,15 @@ def test_audit_descent_static_passes():
     assert len(rep.energies) == 6
 
 
-def test_audit_descent_flags_fabricated_violation():
+def test_audit_descent_flags_fabricated_violation(monkeypatch):
     traj = _static_traj()
-    # corrupt a middle snapshot so the energy must jump
-    traj.snapshots[3] = traj.snapshots[3] + 50.0
+    # corrupt the third step's state so the energy must jump
+    made = itertools.count(1)
+
+    def corrupted(z, s, tau):
+        return euler_step(z, s, tau) + (50.0 if next(made) == 3 else 0.0)
+
+    monkeypatch.setattr(diffusion, "euler_step", corrupted)
     rep = audit_descent(traj)
     assert rep.num_violations >= 1
     assert rep.violations[0]["excess"] > 0
@@ -157,7 +166,7 @@ def test_write_trajectory_csv(tmp_path):
     write_trajectory_csv(traj, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,energy,diversity,min_row_sum,max_row_sum"
-    assert len(lines) == 6  # header + snapshots 0..4
+    assert len(lines) == 6  # header + steps 0..4
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "nan"
 
@@ -174,8 +183,8 @@ def test_write_trajectory_csv_attention_reads_the_run(tmp_path):
             for line in path.read_text().splitlines()[1:]]
     assert [row[0] for row in rows] == list(range(6))
     assert [row[1] for row in rows[1:]] == audit_descent(traj).energies
-    assert [row[3:] for row in rows] == [[sums.min(), sums.max()]
-                                         for sums in traj.row_sums]
+    assert [row[3:] for row in rows] == [[step.row_sums.min(), step.row_sums.max()]
+                                         for step in traj]
 
 
 SIMPLE_P = PenaltyFamily("simple")
@@ -287,6 +296,27 @@ def test_failed_trajectory_csv_leaves_no_file(tmp_path):
     with pytest.raises(DomainError):
         write_trajectory_csv(traj, tmp_path / "traj.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+def _traced_peak(consume, z0, steps: int) -> int:
+    """tracemalloc's peak bytes while a simple-attention run of the given
+    steps from z0 is made and handed to consume."""
+    tracemalloc.start()
+    try:
+        consume(run_trajectory(z0, CouplingSpec("attention", PenaltyFamily("simple")),
+                               DiffusionConfig(tau=0.25, steps=steps)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("consumer", ["csv", "descent"])
+def test_a_run_holds_its_current_states_only(consumer, tmp_path):
+    # ten times the steps cost no more memory: no consumer keeps the states
+    z0 = row_l2_normalize(np.random.default_rng(6).standard_normal((2000, 16)))
+    consume = {"csv": lambda traj: write_trajectory_csv(traj, tmp_path / "traj.csv"),
+               "descent": audit_descent}[consumer]
+    assert _traced_peak(consume, z0, 200) <= 1.5 * _traced_peak(consume, z0, 20)
 
 
 @st.composite

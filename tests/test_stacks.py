@@ -4,6 +4,7 @@ gives on each slice, bit for bit, what the slice alone gives as a 2-D
 state."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import endiff.coupling as coupling
 import endiff.energy as energy
 import endiff.suites as suites
-from dense_oracles import suite_oversmooth_per_seed, suite_thm2_per_seed
+from dense_oracles import kept_steps, suite_oversmooth_per_seed, suite_thm2_per_seed
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
                              PenaltyFamily, build_coupling, coupling_operator,
                              gat_masked_coupling)
@@ -79,9 +80,11 @@ def _runs(z0, spec: CouplingSpec, cfg: DiffusionConfig):
     to their zero mean), which the stacked run must break too."""
     try:
         runs = [run_trajectory(zi, spec, cfg) for zi in z0]
+        for run in runs:
+            kept_steps(run)
     except ContractError:
         with pytest.raises(ContractError):
-            run_trajectory(z0, spec, cfg)
+            kept_steps(run_trajectory(z0, spec, cfg))
         return None
     return run_trajectory(z0, spec, cfg), runs
 
@@ -96,10 +99,11 @@ def test_stacked_runs_match_their_slices(case, kind, tau, use_source, steps):
     if runs is None:
         return
     traj, runs = runs
-    assert len(traj.snapshots) == len(traj.row_sums) == steps + 1
-    for k in range(steps + 1):
-        _assert_slices(traj.snapshots[k], [run.snapshots[k] for run in runs])
-        _assert_slices(traj.row_sums[k], [run.row_sums[k] for run in runs])
+    stacked, alone = kept_steps(traj), [kept_steps(run) for run in runs]
+    assert len(stacked) == steps + 1
+    for k, step in enumerate(stacked):
+        _assert_slices(step.z, [run[k].z for run in alone])
+        _assert_slices(step.row_sums, [run[k].row_sums for run in alone])
 
 
 @st.composite
@@ -252,6 +256,7 @@ def test_oversmooth_steps_its_attention_seeds_in_stacks(monkeypatch):
 @given(st.integers(1, 10), st.integers(1, 4), st.integers(0, 2**32 - 1),
        st.floats(0.01, 1.0), st.booleans(), st.integers(1, 6), st.booleans())
 @example(2, 2, 0, 0.5, True, 3, True)
+@example(2, 1, 0, 1.0, False, 2, False)  # two antipodal rows collapse to zero
 def test_quadratic_attention_with_a_source_keeps_every_pair_in_the_domain(
         n, d, seed, tau, use_source, steps, antipodes):
     # the closed-form energy of these runs takes no unit-ball gate; its
@@ -261,10 +266,21 @@ def test_quadratic_attention_with_a_source_keeps_every_pair_in_the_domain(
         z0[1::2] = -z0[: n // 2 * 2 : 2]
     cfg = DiffusionConfig(tau=tau, steps=steps, use_source=use_source)
     traj = run_trajectory(z0, _attention("quadratic"), cfg)
-    assert max(float(_pairwise_sq_dists(z).max()) for z in traj.snapshots) <= 4.0 + 1e-9
-    for k in range(1, steps + 1):  # the closed form against the pair sum
-        z = traj.snapshots[k]
-        anchor = traj.snapshots[k - 1] + (tau * traj.snapshots[0] if use_source else 0.0)
-        pairwise = float(np.sum((z - anchor) ** 2) + tau * np.sum(_pairwise_sq_dists(z)))
-        assert energy._trajectory_energy(traj, k) == pytest.approx(
-            pairwise, rel=1e-12, abs=1e-12 * n * float(np.sum(z * z)))
+    made = 0
+    try:
+        for step in traj:
+            z = step.z
+            assert float(_pairwise_sq_dists(z).max()) <= 4.0 + 1e-9
+            made += 1
+            if step.prev is None:
+                continue
+            # the closed form against the pair sum
+            anchor = step.prev + (tau * traj.start if use_source else 0.0)
+            pairwise = float(np.sum((z - anchor) ** 2) + tau * np.sum(_pairwise_sq_dists(z)))
+            assert energy._trajectory_energy(traj, step) == pytest.approx(
+                pairwise, rel=1e-12, abs=1e-12 * n * float(np.sum(z * z)))
+    except ContractError as exc:
+        # a step sent a row to the origin, say tau = 1 without the source on
+        # rows whose mean is zero, and the next coupling rejects the state
+        assert re.search(r"; row \d+ has norm 0\.0$", str(exc))
+        assert 0 < made <= steps
