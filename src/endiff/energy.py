@@ -136,7 +136,8 @@ def _closed_penalty_sum(penalty: PenaltyFamily, z: np.ndarray) -> np.ndarray:
         return sum_u
     gram = np.swapaxes(y, -1, -2) @ y
     b_dot_b = (b[..., None, :] @ b[..., :, None])[..., 0, 0]
-    sum_u2 = 2.0 * n * b_dot_b + 2.0 * sum_b**2 + 4.0 * _slice_sum(gram * gram)
+    # sum_b * sum_b: a scalar sum_b**2 (a 2-D state) may round apart via pow
+    sum_u2 = 2.0 * n * b_dot_b + 2.0 * sum_b * sum_b + 4.0 * _slice_sum(gram * gram)
     return 2.0 * sum_u - 0.25 * sum_u2
 
 

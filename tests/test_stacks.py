@@ -129,12 +129,19 @@ def _gated_stacks(draw):
 
 MIXED = (np.stack([[[0.6, 0.0], [0.0, 0.8]], [[1.2, 0.0], [1.0, 0.3]]]),
          np.zeros((2, 2, 2)), 0.7)  # slice 0 inside the ball, slice 1 outside
+# a row and three copies of its antipode, as a tau = 1 step leaves them: the
+# squared sum of |y_i|^2 is where a scalar power once rounded apart from
+# the stack's square
+_ROW = [-0.48721221247010954, 0.032744873137818716, 0.8722759971803468, 0.026203397607968748]
+_FLIP = [0.48721221247010993, -0.03274487313781876, -0.8722759971803473, -0.026203397607968765]
+ANTIPODES = (np.array([[_ROW, _FLIP, _ROW, _ROW]]), np.array([[_ROW, _FLIP, _ROW, _ROW]]), 1.0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_gated_stacks(), st.sampled_from(PENALTY_KINDS))
 @example(MIXED, "simple")
 @example(MIXED, "quadratic")
+@example(ANTIPODES, "simple")
 def test_stacked_energies_match_their_slices(case, kind):
     z, z_prev, lam = case
     p = PenaltyFamily(kind)
