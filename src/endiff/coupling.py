@@ -22,23 +22,27 @@ and quadratic attention the column mean (`MeanCoupling`), simple attention
 only one holding an N x N array. `build_coupling` materializes S for the
 dense oracles. The GRAPH_FAMILIES take their graph from `g`.
 
-Unmasked attention takes a stack of states too: a (B, N, d) array over
-leading axes is B couplings on N nodes, built and applied at once, each
-slice bit for bit what its 2-D state alone gives. A 2-D state is the case
-without leading axes. The graph families couple one N x d state, so they
-reject a stack with a `DimensionError`.
+Every family takes a stack of states too, each slice bit for bit what its
+2-D state alone gives; a 2-D state is the case without leading axes.
+Unmasked attention takes a (..., N, d) array over leading axes: that many
+couplings on N nodes, built and applied at once. The other families take a
+(B, N, d) stack with a sequence of B graphs on N nodes each, slice b
+coupled along graph b: the graphs' own operators joined into one
+`graphs.BlockEdgeOperator`. With one `Graph`, or none, they couple one
+N x d state and reject a stack with a `DimensionError`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, ParameterError
-from .graphs import EdgeOperator, Graph, atomic_write_text
+from .graphs import BlockEdgeOperator, EdgeOperator, Graph, atomic_write_text
 from .numerics import as_matrix, as_stack, row_norms
 
 PENALTY_KINDS = ("simple", "advanced", "softmax", "quadratic")
@@ -353,11 +357,14 @@ class MeanCoupling:
 
 
 def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
-                      g: Graph | None = None) -> Coupling:
+                      g: Graph | Sequence[Graph] | None = None) -> Coupling:
     """The coupling of spec at embeddings z (attention) or on graph g (a
     static family); gat_masked needs both. Only unmasked advanced and
     softmax attention hold an N x N array. Unmasked attention takes a stack
-    of states; every other family one N x d state."""
+    of states; every other family one N x d state on one graph, or a
+    (B, N, d) stack on a sequence of B graphs."""
+    if spec.family != "attention" and g is not None and not isinstance(g, Graph):
+        return _block_coupling(spec, z, list(g))
     if z is not None and spec.family != "attention" and np.ndim(z) != 2:
         raise DimensionError(f"{spec.family} couples one N x d state, not an array "
                              f"of shape {np.shape(z)}")
@@ -382,6 +389,26 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
         z = _unit_rows(z)
         return MeanCoupling(z.shape[-2], z.shape[:-2])
     return DenseAttention(spec.penalty, z)
+
+
+def _block_coupling(spec: CouplingSpec, z: np.ndarray | None,
+                    graphs: list[Graph]) -> Coupling:
+    """The coupling of a non-attention family on each of B graphs of equal
+    N, at the slices of a (B, N, d) stack z where it reads one."""
+    if not graphs:
+        raise ParameterError(f"{spec.family} on a sequence of graphs needs at least one")
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise DimensionError("stacked graphs must share one node count, got "
+                             f"{[g.n for g in graphs]}")
+    if z is not None and (np.ndim(z) != 3 or np.shape(z)[:2] != (len(graphs), n)):
+        raise DimensionError(f"{len(graphs)} graphs on {n} nodes couple a "
+                             f"({len(graphs)}, {n}, d) stack, not an array of shape "
+                             f"{np.shape(z)}")
+    if spec.family == "all_one":
+        return MeanCoupling(n, (len(graphs),))
+    return BlockEdgeOperator([coupling_operator(spec, None if z is None else z[b], g)
+                              for b, g in enumerate(graphs)])
 
 
 def write_penalty_landscape(path, p: PenaltyFamily) -> None:

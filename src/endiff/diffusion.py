@@ -8,39 +8,57 @@ without materializing S. With `use_source` the step also adds the initial
 state at step size tau, the source term of the paper's DIFFormer layer:
 Z' = Z - tau * (diag(S 1) - S) Z + tau * Z^(0).
 
-Attention dynamics also step a stack of states: a (B, N, d) start runs B
+Every family also steps a stack of states: a (B, N, d) start runs B
 independent trajectories at once, one per slice, each bit for bit the run
 of its 2-D start alone. A 2-D start is the case without leading axes.
-Static couplings act on one N x d state.
+Attention takes any leading axes; the graph families take a (B, N, d)
+start with a sequence of B graphs of equal N, slice b on graph b. The step
+size tau is one float, or an array of the start's leading shape with one
+tau per slice.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coupling import Coupling, CouplingSpec, SimpleAttention, coupling_operator
 from .errors import DimensionError, ParameterError
 from .graphs import Graph
-from .numerics import as_matrix, as_stack, row_l2_normalize
+from .numerics import as_stack, row_l2_normalize
 
 
 @dataclass(frozen=True)
 class DiffusionConfig:
-    tau: float = 0.5
+    """tau is a float, or an array of them, one per slice of a stacked run,
+    kept as a read-only float64 copy."""
+
+    tau: float | np.ndarray = 0.5
     steps: int = 1
     use_source: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.tau <= 1.0):
+        tau = np.asarray(self.tau)
+        if tau.dtype.kind not in "iuf" or not np.all((tau > 0.0) & (tau <= 1.0)):
             raise ParameterError(f"tau must be in (0, 1], got {self.tau}")
+        if tau.ndim:
+            tau = tau.astype(np.float64)
+            tau.flags.writeable = False
+            object.__setattr__(self, "tau", tau)
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
         if not isinstance(self.use_source, (bool, np.bool_)):
             raise ParameterError(
                 f"use_source must be true or false, got {self.use_source!r}")
+
+    @cached_property
+    def step_size(self):
+        """tau as it scales a state: the float, or the per-slice array as a
+        (..., 1, 1) stack."""
+        return self.tau if np.ndim(self.tau) == 0 else self.tau[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -66,26 +84,28 @@ class Trajectory:
     start: np.ndarray
     config: DiffusionConfig
     spec: CouplingSpec
-    graph: Graph | None
+    graph: Graph | Sequence[Graph] | None
     coupling: Coupling
 
     def __iter__(self) -> Iterator[Step]:
         cfg, spec, z, s = self.config, self.spec, self.start, self.coupling
+        tau = cfg.step_size
         state = row_l2_normalize(z) if spec.is_attention else z
         yield Step(0, z, None, s.row_sums())
         for k in range(1, cfg.steps + 1):
-            prev, z = z, euler_step(state, s, cfg.tau)
+            prev, z = z, euler_step(state, s, tau)
             if cfg.use_source:
-                z = z + cfg.tau * self.start
+                z = z + tau * self.start
             state = row_l2_normalize(z) if spec.is_attention else z
             if spec.is_attention:
                 s = coupling_operator(spec, state, self.graph)
             yield Step(k, z, prev, s.row_sums())
 
 
-def euler_step(z: np.ndarray, s: Coupling, tau: float) -> np.ndarray:
+def euler_step(z: np.ndarray, s: Coupling, tau) -> np.ndarray:
     """One explicit-Euler step Z' = Z - tau * (diag(S 1) - S) Z, slice by
-    slice for a stack."""
+    slice for a stack; tau is a float or broadcasts over the stack, such as
+    a (B, 1, 1) array of per-slice step sizes."""
     z = as_stack(z)
     if s.n != z.shape[-2]:
         raise DimensionError(
@@ -101,7 +121,7 @@ def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
 
 
 def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
-                   g: Graph | None = None) -> Trajectory:
+                   g: Graph | Sequence[Graph] | None = None) -> Trajectory:
     """The configured diffusion from z0 for cfg.steps steps, as a
     `Trajectory` that steps it when iterated.
 
@@ -112,8 +132,12 @@ def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,
     more coupling per step, the last one only for its row sums. With
     cfg.use_source each step adds tau Z^(0). The GRAPH_FAMILIES couple
     along g. Unmasked attention steps a stack of starts (..., N, d) at
-    once.
+    once, the other families a (B, N, d) stack along a sequence of B graphs;
+    an array tau has the stack's leading shape.
     """
-    z = row_l2_normalize(z0) if spec.is_attention else as_matrix(z0).copy()
+    z = row_l2_normalize(z0) if spec.is_attention else as_stack(z0).copy()
+    if np.ndim(cfg.tau) and np.shape(cfg.tau) != z.shape[:-2]:
+        raise DimensionError(f"tau of shape {np.shape(cfg.tau)} does not match the "
+                             f"starts of shape {z.shape}")
     state = row_l2_normalize(z) if spec.is_attention else z
     return Trajectory(z, cfg, spec, g, coupling_operator(spec, state, g))

@@ -20,16 +20,17 @@ vector, so diversity and the quadratic and simple families' penalties are
 evaluated in closed form on the centred rows Y = Z - mean(Z), in O(N d) for
 the first two and O(N d^2) for the last.
 
-The attention energies, `diversity` and `audit_descent` take stacked runs:
-states (..., N, d) reduce slice by slice to one value per slice, each bit
-for bit that of the slice alone, and a 2-D state gives a float. The
-unit-ball gate of the closed forms is decided per slice. The static-coupling
-energy, `audit_bounds` and the CSV take one N x d trajectory and reject a
-stack with a `DimensionError`.
+The energies, `diversity` and both audits take stacked runs: states
+(..., N, d) reduce slice by slice to one value per slice, each bit for bit
+that of the slice alone, and a 2-D state gives a float. The unit-ball gate
+of the closed forms is decided per slice. `audit_bounds` takes a stacked
+static run on a sequence of graphs, not a stacked attention run. The CSV
+takes one N x d trajectory and rejects a stack with a `DimensionError`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .coupling import Coupling, PenaltyFamily, penalty_conjugate, penalty_delta
 from .diffusion import Step, Trajectory
 from .errors import ContractError, DimensionError, ParameterError
 from .graphs import atomic_write_text
-from .numerics import as_matrix, as_stack, laplacian_spectral_bracket
+from .numerics import SpectralBracket, as_matrix, as_stack, laplacian_spectral_bracket
 
 DESCENT_SLACK = 1e-9
 BOUND_REL_SLACK = 1e-8
@@ -75,30 +76,32 @@ def _check_same_shape(z: np.ndarray, z_prev: np.ndarray) -> None:
         raise DimensionError(f"shape mismatch: {z.shape} vs {z_prev.shape}")
 
 
-def _coupled_pair_sum(s: Coupling, z: np.ndarray) -> float:
+def _coupled_pair_sum(s: Coupling, z: np.ndarray) -> np.ndarray:
     """sum_ij s_ij ||z_i - z_j||^2 = sum_i r_i b_i + (S b)_i - 2 y_i.(S Y)_i
     over the centred rows Y = Z - mean(Z), with b_i = ||y_i||^2 and r = S 1,
     from one `apply` on [Y | b]; exact for an asymmetric S too. Centring
     keeps the terms small when the rows gather around a common point, and
-    a diagonal entry's terms cancel exactly row by row."""
-    if s.n != z.shape[0]:
+    a diagonal entry's terms cancel exactly row by row. One value per slice
+    of a stack."""
+    if s.n != z.shape[-2]:
         raise DimensionError(f"coupling on {s.n} nodes does not match {z.shape}")
-    y = z - z.mean(axis=0)
-    b = (y * y).sum(axis=1)
-    sy = s.apply(np.column_stack([y, b]))
-    per_row = s.row_sums() * b + sy[:, -1] - 2.0 * (y * sy[:, :-1]).sum(axis=1)
-    return float(per_row.sum())
+    y = z - z.mean(axis=-2, keepdims=True)
+    b = np.sum(y * y, axis=-1)
+    sy = s.apply(np.concatenate([y, b[..., None]], axis=-1))
+    per_row = s.row_sums() * b + sy[..., -1] - 2.0 * np.sum(y * sy[..., :-1], axis=-1)
+    return np.sum(per_row, axis=-1)
 
 
-def quadratic_energy(z, z_prev, s: Coupling, lam: float) -> float:
-    """||Z - Z_prev||_F^2 + lam * sum_ij s_ij ||z_i - z_j||^2."""
-    z = as_matrix(z)
-    z_prev = as_matrix(z_prev)
+def quadratic_energy(z, z_prev, s: Coupling, lam):
+    """||Z - Z_prev||_F^2 + lam * sum_ij s_ij ||z_i - z_j||^2: a float, or
+    one value per slice of a stack, whose lam may be one per slice."""
+    z = as_stack(z)
+    z_prev = as_stack(z_prev)
     _check_same_shape(z, z_prev)
-    if lam < 0:
+    if np.any(np.less(lam, 0)):
         raise ParameterError("lam must be >= 0")
-    local = float(np.sum((z - z_prev) ** 2))
-    return local + lam * _coupled_pair_sum(s, z)
+    local = _slice_sum((z - z_prev) ** 2)
+    return _per_slice(local + lam * _coupled_pair_sum(s, z))
 
 
 def _penalty_sum(penalty: PenaltyFamily, z: np.ndarray, in_domain: bool):
@@ -188,13 +191,14 @@ class EnergyReport:
     stacked run), and one dict per step that broke the audited statement
     (per slice and step in a stacked run). The bound audit adds the
     Laplacian's (lambda_max, lambda_min) and the range of the observed
-    energy ratios."""
+    energy ratios, None without a positive energy to divide by; a stacked
+    run gives a list of them, one per slice."""
 
     energies: list
     violations: list[dict]
-    bracket: tuple[float, float] | None = None
-    min_ratio: float | None = None
-    max_ratio: float | None = None
+    bracket: tuple[float, float] | list | None = None
+    min_ratio: float | list | None = None
+    max_ratio: float | list | None = None
 
     @property
     def num_violations(self) -> int:
@@ -217,7 +221,7 @@ def _trajectory_energy(traj: Trajectory, step: Step):
     cfg = traj.config
     spec = traj.spec
     lam = cfg.tau
-    anchor = step.prev + lam * traj.start if cfg.use_source else step.prev
+    anchor = step.prev + cfg.step_size * traj.start if cfg.use_source else step.prev
     if not spec.is_attention:
         return quadratic_energy(step.z, anchor, traj.coupling, lam)
     in_domain = spec.family == "attention" and spec.penalty.kind == "quadratic"
@@ -242,41 +246,57 @@ def audit_descent(traj: Trajectory, slack: float = DESCENT_SLACK) -> EnergyRepor
     return EnergyReport(energies=energies, violations=violations)
 
 
-def audit_bounds(traj: Trajectory) -> EnergyReport:
+def audit_bounds(traj: Trajectory,
+                 brackets: Sequence[SpectralBracket] | None = None) -> EnergyReport:
     """Check the per-step energy bracket
     (1 - tau*l1)^2 E_k <= E_{k+1} <= (1 - tau*l2)^2 E_k for a static
     coupling, with l1/l2 the largest/smallest singular values of its
-    Laplacian (an SVD of the dense coupling)."""
-    _check_one_state(traj.start, "the bound audit")
+    Laplacian: from `brackets`, one per slice (a 2-D run is one slice),
+    when the caller has them, else from an SVD of each dense coupling.
+    A stacked run is checked slice by slice: each violation names its
+    slice, and the report's bracket and ratio range are lists over the
+    slices."""
+    stacked = traj.start.ndim > 2
+    if stacked and traj.spec.is_attention:
+        raise DimensionError("the bound audit takes a stack of static runs only, not "
+                             f"an attention run of shape {traj.start.shape}")
     if traj.spec.is_attention or traj.config.use_source:
         raise ContractError("bound audit applies to plain static-coupling runs")
-    tau = traj.config.tau
-    bracket = laplacian_spectral_bracket(traj.coupling.dense())
-    if tau > 1.0 / bracket.lambda_max + 1e-12:
-        raise ContractError(
-            f"tau={tau} exceeds 1/lambda_max={1.0 / bracket.lambda_max}"
-        )
-    lo = (1.0 - tau * bracket.lambda_max) ** 2
-    hi = (1.0 - tau * bracket.lambda_min) ** 2
+    if brackets is None:
+        dense = traj.coupling.dense()
+        brackets = [laplacian_spectral_bracket(s)
+                    for s in dense.reshape((-1,) + dense.shape[-2:])]
+    taus = np.broadcast_to(traj.config.tau, traj.start.shape[:-2]).ravel().tolist()
+    if len(brackets) != len(taus):
+        raise DimensionError(f"{len(brackets)} brackets for {len(taus)} slices")
+    for b, (tau, bracket) in enumerate(zip(taus, brackets)):
+        if tau > 1.0 / bracket.lambda_max + 1e-12:
+            raise ContractError(f"{f'slice {b}: ' if stacked else ''}tau={tau} exceeds "
+                                f"1/lambda_max={1.0 / bracket.lambda_max}")
     energies = [_trajectory_energy(traj, step) for step in traj][1:]
-    pairs = list(zip(energies, energies[1:]))
-    violations = []
-    for k, (e_prev, e_next) in enumerate(pairs, 1):
-        slack = BOUND_REL_SLACK * max(e_prev, 1e-300)
-        if not lo * e_prev - slack <= e_next <= hi * e_prev + slack:
-            violations.append({
-                "step": k,
-                "ratio": e_next / e_prev if e_prev > 0 else float("inf"),
-                "bracket": [lo, hi],
-            })
-    ratios = [e_next / e_prev for e_prev, e_next in pairs if e_prev > 0]
-    return EnergyReport(
-        energies=energies,
-        violations=violations,
-        bracket=(bracket.lambda_max, bracket.lambda_min),
-        min_ratio=min(ratios) if ratios else None,
-        max_ratio=max(ratios) if ratios else None,
-    )
+    series = np.reshape(energies, (len(energies), -1)).T.tolist()
+    violations, lows, highs = [], [], []
+    for b, (tau, bracket, e) in enumerate(zip(taus, brackets, series)):
+        lo = (1.0 - tau * bracket.lambda_max) ** 2
+        hi = (1.0 - tau * bracket.lambda_min) ** 2
+        pairs = list(zip(e, e[1:]))
+        for k, (e_prev, e_next) in enumerate(pairs, 1):
+            slack = BOUND_REL_SLACK * max(e_prev, 1e-300)
+            if not lo * e_prev - slack <= e_next <= hi * e_prev + slack:
+                violations.append({
+                    **({"slice": b} if stacked else {}),
+                    "step": k,
+                    "ratio": e_next / e_prev if e_prev > 0 else float("inf"),
+                    "bracket": [lo, hi],
+                })
+        ratios = [e_next / e_prev for e_prev, e_next in pairs if e_prev > 0]
+        lows.append(min(ratios) if ratios else None)
+        highs.append(max(ratios) if ratios else None)
+    bracket = [(br.lambda_max, br.lambda_min) for br in brackets]
+    if not stacked:
+        bracket, lows, highs = bracket[0], lows[0], highs[0]
+    return EnergyReport(energies=energies, violations=violations, bracket=bracket,
+                        min_ratio=lows, max_ratio=highs)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -4,16 +4,18 @@ Each suite returns a report dict with at least: suite, seeds, lambda, tau,
 violations, passed. Descent/bound suites add min_ratio / max_ratio;
 collapse suites add diversity_initial / diversity_final.
 
-The attention runs (thm2, and oversmooth's attention cases) step their
-seeds as stacks of at most SEED_STACK states, one trajectory per stack;
-the static runs on per-seed graphs (thm1, prop1, oversmooth's static cases)
-go one seed at a time. A seeded suite takes only its seed count and
+Every diffusion suite (thm1, prop1, thm2, oversmooth) steps its seeds as
+stacks of at most SEED_STACK states, one trajectory per stack, each slice
+bit for bit the run of its seed alone. The static runs couple slice b
+along its own seed's graph, and thm1 and prop1 step each stack at its
+instances' own step sizes. A seeded suite takes only its seed count and
 gradcheck takes nothing: every other setting is a module constant.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 
 import numpy as np
 
@@ -61,31 +63,37 @@ def _seed_chunks(seeds: int) -> list[range]:
     return [range(lo, min(lo + SEED_STACK, seeds)) for lo in range(0, seeds, SEED_STACK)]
 
 
-def _static_run(seed: int):
-    """One sym-normalized static instance on ER(STATIC_N, 0.3) at
-    tau = 0.9 / lambda_max, or None for an edgeless graph."""
-    g = er_graph(STATIC_N, 0.3, seed)
-    z0 = np.random.default_rng((seed, 1)).standard_normal((STATIC_N, 4))
+def _static_instances(seeds: int):
+    """The sym-normalized static instances of seeds 0..seeds-1 on
+    ER(STATIC_N, 0.3), drawn as they are read, each as (graph, N x 4 start,
+    Laplacian bracket, tau = min(0.9 / lambda_max, 1)); an edgeless graph,
+    with nothing to diffuse, is left out."""
+    for seed in range(seeds):
+        g = er_graph(STATIC_N, 0.3, seed)
+        bracket = laplacian_spectral_bracket(g.sym_operator.dense())
+        if bracket.lambda_max > 0:
+            z0 = np.random.default_rng((seed, 1)).standard_normal((STATIC_N, 4))
+            yield g, z0, bracket, min(0.9 / bracket.lambda_max, 1.0)
+
+
+def _static_runs(seeds: int):
+    """One gcn_sym run of STATIC_STEPS steps per stack of at most SEED_STACK
+    static instances, each slice on its own graph at its own tau, with the
+    stack's brackets. Only one stack's instances are held at a time."""
     spec = CouplingSpec("gcn_sym")
-    bracket = laplacian_spectral_bracket(g.sym_operator.dense())
-    if bracket.lambda_max <= 0:
-        return None  # edgeless instance, nothing to diffuse
-    tau = min(0.9 / bracket.lambda_max, 1.0)
-    cfg = DiffusionConfig(tau=tau, steps=STATIC_STEPS)
-    return run_trajectory(z0, spec, cfg, g)
+    instances = _static_instances(seeds)
+    while stack := list(islice(instances, SEED_STACK)):
+        graphs, starts, brackets, taus = zip(*stack)
+        cfg = DiffusionConfig(tau=np.array(taus), steps=STATIC_STEPS)
+        yield run_trajectory(np.stack(starts), spec, cfg, graphs), brackets
 
 
 def suite_thm1(seeds: int = 100) -> dict:
     """Static-coupling energy descent, slack 1e-9."""
-    violations = 0
-    tested = 0
-    for seed in range(seeds):
-        traj = _static_run(seed)
-        if traj is None:
-            continue
-        rep = audit_descent(traj, slack=1e-9)
-        violations += rep.num_violations
-        tested += 1
+    tested = violations = 0
+    for traj, _ in _static_runs(seeds):
+        tested += len(traj.start)
+        violations += audit_descent(traj, slack=1e-9).num_violations
     return {
         "suite": "thm1",
         "seeds": tested,
@@ -98,37 +106,29 @@ def suite_thm1(seeds: int = 100) -> dict:
 
 def suite_prop1(seeds: int = 100) -> dict:
     """Per-step energy-ratio bracket plus monotonicity on connected graphs."""
-    violations = 0
-    tested = 0
-    min_ratio = np.inf
-    max_ratio = -np.inf
+    tested = violations = 0
+    lows, highs = [], []
     connected_checked = 0
-    for seed in range(seeds):
-        traj = _static_run(seed)
-        if traj is None:
-            continue
-        rep = audit_bounds(traj)
+    for traj, brackets in _static_runs(seeds):
+        tested += len(traj.start)
+        rep = audit_bounds(traj, brackets)
         violations += rep.num_violations
-        tested += 1
-        if rep.min_ratio is not None:
-            min_ratio = min(min_ratio, rep.min_ratio)
-            max_ratio = max(max_ratio, rep.max_ratio)
-        if is_connected(traj.graph):
-            connected_checked += 1
-            lam_min = rep.bracket[1]
-            if lam_min > 1e-7:
-                violations += 1
-            for k in range(1, len(rep.energies)):
-                if rep.energies[k] > rep.energies[k - 1] * (1.0 + 1e-8) + 1e-12:
-                    violations += 1
+        lows += [r for r in rep.min_ratio if r is not None]
+        highs += [r for r in rep.max_ratio if r is not None]
+        energies = np.array(rep.energies)
+        rising = np.sum(energies[1:] > energies[:-1] * (1.0 + 1e-8) + 1e-12, axis=0)
+        for g, (_, lam_min), count in zip(traj.graph, rep.bracket, rising.tolist()):
+            if is_connected(g):
+                connected_checked += 1
+                violations += int(lam_min > 1e-7) + count
     return {
         "suite": "prop1",
         "seeds": tested,
         "lambda": "tau per instance",
         "tau": "0.9 / lambda_max per instance",
         "violations": violations,
-        "min_ratio": float(min_ratio) if tested else None,
-        "max_ratio": float(max_ratio) if tested else None,
+        "min_ratio": float(min(lows, default=np.inf)) if tested else None,
+        "max_ratio": float(max(highs, default=-np.inf)) if tested else None,
         "connected_instances": connected_checked,
         "passed": violations == 0,
     }
@@ -191,11 +191,9 @@ def suite_oversmooth(seeds: int = 5) -> dict:
     ratios = {}
     for name, (spec, use_source) in cases.items():
         cfg = DiffusionConfig(tau=0.5, steps=OVERSMOOTH_STEPS, use_source=use_source)
-        if spec.is_attention:
-            runs = (run_trajectory(starts[chunk.start:chunk.stop], spec, cfg)
-                    for chunk in _seed_chunks(seeds))
-        else:
-            runs = (run_trajectory(z0, spec, cfg, g) for z0, g in zip(starts, graphs))
+        runs = (run_trajectory(starts[c.start:c.stop], spec, cfg,
+                               None if spec.is_attention else graphs[c.start:c.stop])
+                for c in _seed_chunks(seeds))
         ratio = np.hstack([diversity(deque(traj, maxlen=1).pop().z) / diversity(traj.start)
                            for traj in runs])
         ratios[name] = ratio.tolist()

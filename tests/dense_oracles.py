@@ -4,8 +4,8 @@ materialized coupling array as a `Coupling` (`DenseCoupling`), the scalar
 penalty pair, the scalar-draw block-model generator, the two-key edge
 sorts, the tape of composed primitives and the two attention heads built
 from them, the two-forward training loop, a trajectory's steps kept as a
-list and its coupling row sums rebuilt per state, the thm2 and oversmooth audits one seed at a time and
-the tie-by-tie ROC AUC. They loop, materialize, record node by node or
+list and its coupling row sums rebuilt per state, the thm1, prop1, thm2 and
+oversmooth audits one seed at a time and the tie-by-tie ROC AUC. They loop, materialize, record node by node or
 recompute on purpose and are meant for small N only."""
 
 import math
@@ -15,11 +15,12 @@ import numpy as np
 from endiff.coupling import (Z_SQ_MAX, CouplingSpec, PenaltyFamily, _check_rows,
                              attention_scores, build_coupling, coupling_operator)
 from endiff.diffusion import DiffusionConfig, run_trajectory
-from endiff.energy import audit_descent, diversity
+from endiff.energy import audit_bounds, audit_descent, diversity
 from endiff.errors import DimensionError, DomainError
-from endiff.graphs import Dataset, Graph
+from endiff.graphs import Dataset, Graph, er_graph, is_connected
 from endiff.model import Checkpoint, forward, init_model
-from endiff.numerics import NORM_EPS, as_stack, row_l2_divisors, row_l2_normalize
+from endiff.numerics import (NORM_EPS, as_stack, laplacian_spectral_bracket,
+                             row_l2_divisors, row_l2_normalize)
 from endiff.suites import _connected_er
 from endiff.tape import Eager, Tape, _unbroadcast
 from endiff.train import (AdamState, TrainResult, _evaluate, _metric_improved,
@@ -402,6 +403,76 @@ def rocauc_loop(scores, labels) -> float:
     n_neg = int(np.sum(labels == 0))
     u = float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
+
+
+def static_run_per_seed(seed: int, steps: int = 20, n: int = 16):
+    """The gcn_sym run of one static instance on ER(n, 0.3) at
+    tau = min(0.9 / lambda_max, 1), or None for an edgeless graph."""
+    g = er_graph(n, 0.3, seed)
+    z0 = np.random.default_rng((seed, 1)).standard_normal((n, 4))
+    bracket = laplacian_spectral_bracket(g.sym_operator.dense())
+    if bracket.lambda_max <= 0:
+        return None
+    cfg = DiffusionConfig(tau=min(0.9 / bracket.lambda_max, 1.0), steps=steps)
+    return run_trajectory(z0, CouplingSpec("gcn_sym"), cfg, g)
+
+
+def suite_thm1_per_seed(seeds: int = 100) -> dict:
+    """`suites.suite_thm1` with one trajectory per seed."""
+    violations = 0
+    tested = 0
+    for seed in range(seeds):
+        traj = static_run_per_seed(seed)
+        if traj is None:
+            continue
+        violations += audit_descent(traj, slack=1e-9).num_violations
+        tested += 1
+    return {
+        "suite": "thm1",
+        "seeds": tested,
+        "lambda": "tau per instance",
+        "tau": "0.9 / lambda_max per instance",
+        "violations": violations,
+        "passed": violations == 0,
+    }
+
+
+def suite_prop1_per_seed(seeds: int = 100) -> dict:
+    """`suites.suite_prop1` with one trajectory per seed, whose bound audit
+    takes the Laplacian's SVD again."""
+    violations = 0
+    tested = 0
+    min_ratio = np.inf
+    max_ratio = -np.inf
+    connected_checked = 0
+    for seed in range(seeds):
+        traj = static_run_per_seed(seed)
+        if traj is None:
+            continue
+        rep = audit_bounds(traj)
+        violations += rep.num_violations
+        tested += 1
+        if rep.min_ratio is not None:
+            min_ratio = min(min_ratio, rep.min_ratio)
+            max_ratio = max(max_ratio, rep.max_ratio)
+        if is_connected(traj.graph):
+            connected_checked += 1
+            if rep.bracket[1] > 1e-7:
+                violations += 1
+            for k in range(1, len(rep.energies)):
+                if rep.energies[k] > rep.energies[k - 1] * (1.0 + 1e-8) + 1e-12:
+                    violations += 1
+    return {
+        "suite": "prop1",
+        "seeds": tested,
+        "lambda": "tau per instance",
+        "tau": "0.9 / lambda_max per instance",
+        "violations": violations,
+        "min_ratio": float(min_ratio) if tested else None,
+        "max_ratio": float(max_ratio) if tested else None,
+        "connected_instances": connected_checked,
+        "passed": violations == 0,
+    }
 
 
 def suite_thm2_per_seed(seeds: int = 100, taus=(0.1, 0.25, 0.5),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from endiff import cli
+from endiff import cli, diffusion
 from endiff.cli import main
 from endiff.coupling import DIM_SCALE_MIN
 
@@ -325,6 +325,23 @@ def test_audit_all_keeps_its_digests(tmp_path, capsys):
     got = {name: hashlib.sha256((tmp_path / f"audit_{name}.json").read_bytes()).hexdigest()
            for name in AUDIT_DIGESTS}
     assert got == AUDIT_DIGESTS
+
+
+def test_audit_all_steps_the_dynamics_in_seed_stacks(tmp_path, capsys, monkeypatch):
+    # every diffusion suite steps stacks of up to SEED_STACK = 20 seeds:
+    # thm1 and prop1 5 stacks x 20 steps each, thm2 2 families x 5 taus x
+    # 5 stacks x 10 steps, oversmooth 4 cases x 500 steps on one stack of 5
+    steps = []
+    euler_step = diffusion.euler_step
+
+    def counted(*args):
+        steps.append(1)
+        return euler_step(*args)
+
+    monkeypatch.setattr(diffusion, "euler_step", counted)
+    code, _, _ = run_cli(["audit", "--suite", "all", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert len(steps) == 100 + 100 + 500 + 1000 + 1000
 
 
 def test_audit_violation_exit_code(tmp_path, capsys, monkeypatch):

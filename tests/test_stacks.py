@@ -1,8 +1,13 @@
-"""The stack convention of the attention dynamics: a (B, N, d) state is B
+"""The stack convention of the dynamics: a (B, N, d) state is B
 independent states, and every stacked coupling, step, run, energy and audit
 gives on each slice, bit for bit, what the slice alone gives as a 2-D
-state."""
+state. Attention stacks share no graph; a static or masked stack couples
+slice b along graph b of a sequence of B graphs on N nodes each, through
+one block-diagonal edge operator, at one step size or one per slice. The
+audit suites step their seeds in such stacks and report what a loop over
+the seeds reports."""
 
+import dataclasses
 import math
 import re
 
@@ -14,16 +19,17 @@ from hypothesis import strategies as st
 import endiff.coupling as coupling
 import endiff.energy as energy
 import endiff.suites as suites
-from dense_oracles import kept_steps, suite_oversmooth_per_seed, suite_thm2_per_seed
+from dense_oracles import (kept_steps, suite_oversmooth_per_seed, suite_prop1_per_seed,
+                           suite_thm1_per_seed, suite_thm2_per_seed)
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
                              PenaltyFamily, build_coupling, coupling_operator,
                              gat_masked_coupling)
 from endiff.diffusion import DiffusionConfig, euler_step, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent, diversity,
                            regularized_energy, write_trajectory_csv)
-from endiff.errors import ContractError, DimensionError
-from endiff.graphs import er_graph
-from endiff.numerics import row_l2_normalize
+from endiff.errors import ContractError, DimensionError, ParameterError
+from endiff.graphs import SLOT_MIN_ROWS, BlockEdgeOperator, Graph, er_graph
+from endiff.numerics import laplacian_spectral_bracket, row_l2_normalize
 from endiff.suites import SEED_STACK
 
 SIMPLE = CouplingSpec("attention", PenaltyFamily("simple"))
@@ -74,19 +80,23 @@ def test_stacked_couplings_and_steps_match_their_slices(case, kind, tau):
         _assert_slices(build_coupling(spec, z), [build_coupling(spec, zi) for zi in z])
 
 
-def _runs(z0, spec: CouplingSpec, cfg: DiffusionConfig):
-    """The stacked run of z0 and the run of each slice alone, or None when a
-    slice's run breaks the unit-row contract (tau = 1 sends antipodal rows
-    to their zero mean), which the stacked run must break too."""
+def _runs(z0, spec: CouplingSpec, cfg: DiffusionConfig, graphs=None):
+    """The stacked run of z0, on graphs when given, and the run of each
+    slice alone, on its own graph at its own tau; or None when a slice's
+    run breaks the unit-row contract (tau = 1 sends antipodal rows to their
+    zero mean), which the stacked run must break too."""
+    taus = np.broadcast_to(cfg.tau, len(z0)).tolist()
+    alone = [None] * len(z0) if graphs is None else graphs
     try:
-        runs = [run_trajectory(zi, spec, cfg) for zi in z0]
+        runs = [run_trajectory(zi, spec, dataclasses.replace(cfg, tau=tau), g)
+                for zi, tau, g in zip(z0, taus, alone)]
         for run in runs:
             kept_steps(run)
     except ContractError:
         with pytest.raises(ContractError):
-            kept_steps(run_trajectory(z0, spec, cfg))
+            kept_steps(run_trajectory(z0, spec, cfg, graphs))
         return None
-    return run_trajectory(z0, spec, cfg), runs
+    return run_trajectory(z0, spec, cfg, graphs), runs
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,11 +262,69 @@ def test_oversmooth_steps_its_attention_seeds_in_stacks(monkeypatch):
     seeds = SEED_STACK + 2
     shapes = _counted_runs(monkeypatch)
     report = suites.suite_oversmooth(seeds=seeds)
-    # the static cases run per seed on their own graphs, the attention ones
-    # in stacks
-    assert shapes.count(()) == 2 * seeds
-    assert sorted(s for s in shapes if s) == [(2,), (2,), (SEED_STACK,), (SEED_STACK,)]
+    # every case, the static ones on their seeds' graphs too, in a full
+    # stack and a ragged one
+    assert shapes == [(SEED_STACK,), (2,)] * 4
     assert report == suite_oversmooth_per_seed(seeds=seeds, steps=suites.OVERSMOOTH_STEPS)
+
+
+@pytest.mark.parametrize("suite, per_seed", [(suites.suite_thm1, suite_thm1_per_seed),
+                                             (suites.suite_prop1, suite_prop1_per_seed)])
+def test_static_suites_step_their_seeds_in_stacks(monkeypatch, suite, per_seed):
+    # two full stacks and a ragged one, each at its instances' own tau,
+    # against the audit one seed at a time
+    seeds = 2 * SEED_STACK + 3
+    shapes = _counted_runs(monkeypatch)
+    report = suite(seeds=seeds)
+    assert shapes == [(SEED_STACK,), (SEED_STACK,), (3,)]
+    assert report == per_seed(seeds=seeds)
+
+
+def test_prop1_takes_one_svd_per_instance(monkeypatch):
+    calls = []
+    for module in (suites, energy):
+        bracket = module.laplacian_spectral_bracket
+
+        def counted(s, _bracket=bracket):
+            calls.append(1)
+            return _bracket(s)
+
+        monkeypatch.setattr(module, "laplacian_spectral_bracket", counted)
+    seeds = SEED_STACK + 5
+    suites.suite_prop1(seeds=seeds)
+    assert len(calls) == seeds
+
+
+def _graph_stack(b: int, n: int, d: int, seed: int, isolated: int):
+    """B graphs on n nodes each, with uneven degrees (a hub on half the
+    nodes over a sparse random graph) and `isolated` nodes cut off in each;
+    and a (B, n, d) stack of starts."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(b):
+        edges = np.argwhere(np.triu(rng.random((n, n)) < rng.uniform(0.02, 0.15), 1))
+        hub = np.stack([np.full(n // 2, rng.integers(n)),
+                        rng.choice(n, n // 2, replace=False)], axis=1)
+        edges = np.concatenate([edges, hub])
+        cut = np.isin(edges, rng.choice(n, isolated, replace=False)).any(axis=1)
+        graphs.append(Graph.from_edge_list(n, edges[~cut]))
+    return graphs, rng.standard_normal((b, n, d))
+
+
+# N >= SLOT_MIN_ROWS, so that neighbour slots long enough to be summed
+# apart from the pooled short entries occur
+_graph_stacks = st.builds(_graph_stack, st.integers(1, 3),
+                          st.integers(SLOT_MIN_ROWS + 8, SLOT_MIN_ROWS + 32),
+                          st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(0, 6))
+LONG_SLOTS = (3, SLOT_MIN_ROWS + 8, 2, 5, 4)
+
+
+def test_the_graph_stacks_reach_long_slots_and_isolated_nodes():
+    graphs, _ = _graph_stack(*LONG_SLOTS)
+    for g in graphs:
+        assert g.neighbours.slots
+        assert np.count_nonzero(g.neighbours.deg == 0) >= 1
+        assert len(set(g.neighbours.deg.tolist())) > 3
 
 
 @settings(max_examples=100, deadline=None)
@@ -291,3 +359,130 @@ def test_quadratic_attention_with_a_source_keeps_every_pair_in_the_domain(
         # rows whose mean is zero, and the next coupling rejects the state
         assert re.search(r"; row \d+ has norm 0\.0$", str(exc))
         assert 0 < made <= steps
+
+
+MASKED = ("gat_masked",)
+
+
+def _spec(family: str) -> CouplingSpec:
+    return CouplingSpec(family, PenaltyFamily("simple") if family in MASKED else None)
+
+
+def _starts(spec: CouplingSpec, z0: np.ndarray) -> np.ndarray:
+    return row_l2_normalize(z0) if spec.is_attention else z0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graph_stacks, st.sampled_from(STATIC_FAMILIES + MASKED))
+@example(_graph_stack(*LONG_SLOTS), "gcn_sym")
+@example(_graph_stack(*LONG_SLOTS), "gin")  # a diagonal added after the entries
+def test_the_block_operator_matches_each_graphs_own(case, family):
+    graphs, v = case
+    spec = _spec(family)
+    z = _starts(spec, v)
+    op = coupling_operator(spec, z, graphs)
+    alone = [coupling_operator(spec, zi, g) for zi, g in zip(z, graphs)]
+    if family != "all_one":
+        assert isinstance(op, BlockEdgeOperator)
+    _assert_slices(op.apply(v), [s.apply(vi) for s, vi in zip(alone, v)])
+    _assert_slices(op.row_sums(), [s.row_sums() for s in alone])
+    _assert_slices(op.dense(), [s.dense() for s in alone])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graph_stacks, st.sampled_from(STATIC_FAMILIES + MASKED), st.booleans(),
+       st.integers(1, 4), st.floats(0.05, 1.0), st.booleans(),
+       st.sampled_from((1e-9, -1e-3)))
+@example(_graph_stack(*LONG_SLOTS), "gcn_sym", False, 4, 0.9, True, 1e-9)
+@example(_graph_stack(*LONG_SLOTS), "gin", True, 3, 0.5, False, -1e-3)
+def test_stacked_static_runs_match_each_graph_alone(case, family, use_source, steps,
+                                                     frac, per_slice_tau, slack):
+    graphs, z0 = case
+    spec = _spec(family)
+    z0 = _starts(spec, z0)
+    # the source would take a masked run's rows out of the unit ball
+    use_source = use_source and not spec.is_attention
+    alone = [coupling_operator(spec, zi, g) for zi, g in zip(z0, graphs)]
+    brackets = [laplacian_spectral_bracket(s.dense()) for s in alone]
+    taus = [min(frac / br.lambda_max, 1.0) if br.lambda_max > 0 else frac for br in brackets]
+    cfg = DiffusionConfig(tau=np.array(taus) if per_slice_tau else frac, steps=steps,
+                          use_source=use_source)
+    runs = _runs(z0, spec, cfg, graphs)
+    if runs is None:
+        return
+    traj, runs = runs
+    stacked, each = kept_steps(traj), [kept_steps(run) for run in runs]
+    for k, step in enumerate(stacked):
+        _assert_slices(step.z, [run[k].z for run in each])
+        _assert_slices(step.row_sums, [run[k].row_sums for run in each])
+        if k:
+            _assert_slices(energy._trajectory_energy(traj, step),
+                           [energy._trajectory_energy(run, steps_b[k])
+                            for run, steps_b in zip(runs, each)])
+    if steps >= 2:
+        rep, reps = audit_descent(traj, slack), [audit_descent(run, slack) for run in runs]
+        assert rep.violations == [{"slice": b, **v} for b, r in enumerate(reps)
+                                  for v in r.violations]
+    if spec.is_attention or use_source or not all(
+            br.lambda_max > 0 and tau <= 1.0 / br.lambda_max
+            for br, tau in zip(brackets, np.broadcast_to(cfg.tau, len(graphs)))):
+        return
+    # the bracket each slice's audit takes from its own SVD, and one whose
+    # upper edge is its lower, which nearly every step breaks
+    tight = [type(br)(br.lambda_max, br.lambda_max) for br in brackets]
+    for given_brackets, per_run in ((brackets, None), (None, None), (tight, tight)):
+        rep = audit_bounds(traj, given_brackets)
+        reps = [audit_bounds(run, None if per_run is None else [per_run[b]])
+                for b, run in enumerate(runs)]
+        for k, energies in enumerate(rep.energies):
+            _assert_slices(energies, [r.energies[k] for r in reps])
+        assert rep.violations == [{"slice": b, **v} for b, r in enumerate(reps)
+                                  for v in r.violations]
+        assert rep.bracket == [r.bracket for r in reps]
+        assert rep.min_ratio == [r.min_ratio for r in reps]
+        assert rep.max_ratio == [r.max_ratio for r in reps]
+
+
+def test_stacked_graph_runs_reject_a_mismatch_up_front():
+    graphs = [er_graph(6, 0.5, seed) for seed in range(3)]
+    z = np.random.default_rng(5).standard_normal((3, 6, 2))
+    spec, cfg = CouplingSpec("gcn_sym"), DiffusionConfig(tau=0.5, steps=2)
+    with pytest.raises(DimensionError, match=r"3 graphs on 6 nodes couple a \(3, 6, d\)"):
+        run_trajectory(z[:2], spec, cfg, graphs)
+    with pytest.raises(DimensionError, match="2 graphs on 6 nodes"):
+        run_trajectory(z, spec, cfg, graphs[:2])
+    with pytest.raises(DimensionError, match="one node count"):
+        run_trajectory(z, spec, cfg, graphs[:2] + [er_graph(7, 0.5, 0)])
+    with pytest.raises(ParameterError, match="at least one"):
+        run_trajectory(z, spec, cfg, [])
+    with pytest.raises(DimensionError, match="one N x d state"):
+        run_trajectory(z, spec, cfg, graphs[0])
+    for tau in (np.full(2, 0.5), np.full((3, 1), 0.5), np.full(1, 0.5)):
+        with pytest.raises(DimensionError, match="tau of shape"):
+            run_trajectory(z, spec, DiffusionConfig(tau=tau, steps=2), graphs)
+    with pytest.raises(DimensionError, match="tau of shape"):
+        run_trajectory(z[0], spec, DiffusionConfig(tau=np.full(1, 0.5)), graphs[0])
+    traj = run_trajectory(z, spec, DiffusionConfig(tau=np.full(3, 0.5), steps=2), graphs)
+    with pytest.raises(DimensionError, match="2 brackets for 3 slices"):
+        audit_bounds(traj, [laplacian_spectral_bracket(g.sym_operator.dense())
+                            for g in graphs[:2]])
+    with pytest.raises(DimensionError, match=r"applied to shape \(2, 6, 2\)"):
+        traj.coupling.apply(z[:2])
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, np.nan, True, np.bool_(True), "0.5",
+                                 [0.5, 0.0], np.array([0.5, 1.01]), np.array([True]),
+                                 np.array([0.5, np.nan])])
+def test_a_tau_outside_the_unit_interval_or_a_bool_is_rejected(tau):
+    with pytest.raises(ParameterError, match="tau must be in"):
+        DiffusionConfig(tau=tau)
+
+
+def test_a_per_slice_tau_is_a_read_only_copy():
+    taus = np.array([0.25, 1.0])
+    cfg = DiffusionConfig(tau=taus)
+    taus[0] = 0.5
+    assert cfg.tau.tolist() == [0.25, 1.0]
+    assert not cfg.tau.flags.writeable
+    assert cfg.step_size.shape == (2, 1, 1)
+    assert DiffusionConfig(tau=0.25).step_size == 0.25
