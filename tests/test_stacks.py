@@ -9,7 +9,6 @@ the seeds reports."""
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent, dive
                            regularized_energy, write_trajectory_csv)
 from endiff.errors import ContractError, DimensionError, ParameterError
 from endiff.graphs import SLOT_MIN_ROWS, BlockEdgeOperator, Graph, er_graph
-from endiff.numerics import laplacian_spectral_bracket, row_l2_normalize
+from endiff.numerics import NORM_EPS, laplacian_spectral_bracket, row_l2_normalize, row_norms
 from endiff.suites import SEED_STACK
 
 SIMPLE = CouplingSpec("attention", PenaltyFamily("simple"))
@@ -332,6 +331,7 @@ def test_the_graph_stacks_reach_long_slots_and_isolated_nodes():
        st.floats(0.01, 1.0), st.booleans(), st.integers(1, 6), st.booleans())
 @example(2, 2, 0, 0.5, True, 3, True)
 @example(2, 1, 0, 1.0, False, 2, False)  # two antipodal rows collapse to zero
+@example(2, 1, 0, 1.0 - 2**-53, False, 1, False)  # ... and to 1e-16, below NORM_EPS
 def test_quadratic_attention_with_a_source_keeps_every_pair_in_the_domain(
         n, d, seed, tau, use_source, steps, antipodes):
     # the closed-form energy of these runs takes no unit-ball gate; its
@@ -339,9 +339,10 @@ def test_quadratic_attention_with_a_source_keeps_every_pair_in_the_domain(
     z0 = np.random.default_rng(seed).standard_normal((n, d))
     if antipodes:  # pairs of rows at u = 4
         z0[1::2] = -z0[: n // 2 * 2 : 2]
+    spec = _attention("quadratic")
     cfg = DiffusionConfig(tau=tau, steps=steps, use_source=use_source)
-    traj = run_trajectory(z0, _attention("quadratic"), cfg)
-    made = 0
+    traj = run_trajectory(z0, spec, cfg)
+    made, step = 0, None
     try:
         for step in traj:
             z = step.z
@@ -355,10 +356,19 @@ def test_quadratic_attention_with_a_source_keeps_every_pair_in_the_domain(
             assert energy._trajectory_energy(traj, step) == pytest.approx(
                 pairwise, rel=1e-12, abs=1e-12 * n * float(np.sum(z * z)))
     except ContractError as exc:
-        # a step sent a row to the origin, say tau = 1 without the source on
-        # rows whose mean is zero, and the next coupling rejects the state
-        assert re.search(r"; row \d+ has norm 0\.0$", str(exc))
+        # a step sent a row into the NORM_EPS ball round the origin, say tau
+        # at or next to 1 without the source on rows whose mean is zero, so
+        # re-normalizing leaves it short of unit norm, and the next coupling
+        # rejects the state, naming that row and its re-normalized norm
         assert 0 < made <= steps
+        state = row_l2_normalize(step.z)
+        z = euler_step(state, coupling_operator(spec, state), tau)
+        if use_source:
+            z = z + tau * traj.start
+        norms = row_norms(row_l2_normalize(z))
+        row = int(np.argmax(~(np.abs(norms - 1.0) <= 1e-6)))
+        assert float(np.sqrt(np.sum(z[row] ** 2))) < NORM_EPS
+        assert str(exc).endswith(f"; row {row} has norm {norms[row]}")
 
 
 MASKED = ("gat_masked",)
