@@ -193,12 +193,15 @@ def cmd_synth(args) -> int:
                       args.feat_dim, args.feat_shift, args.seed)
     paths = {name: out / f"{name}.txt"
              for name in ("features", "labels", "edges", "split")}
+    # %-formats over Python floats, ints and strings, one per feature row and
+    # one per other file: formatting numpy scalars one at a time is slower
+    row = " ".join(["%.17g"] * ds.features.shape[1]) + "\n"
     atomic_write_text(paths["features"], "".join(
-        " ".join(f"{v:.17g}" for v in row) + "\n" for row in ds.features))
-    atomic_write_text(paths["labels"], "".join(f"{v}\n" for v in ds.labels))
-    atomic_write_text(paths["edges"], "".join(
-        f"{u} {v}\n" for u, v in ds.graph.edges.tolist()))
-    atomic_write_text(paths["split"], "".join(f"{tag}\n" for tag in ds.split))
+        [row % tuple(values) for values in ds.features.tolist()]))
+    atomic_write_text(paths["labels"], "%d\n" * ds.n % tuple(ds.labels.tolist()))
+    atomic_write_text(paths["edges"], "%d %d\n" * len(ds.graph.edges)
+                      % tuple(ds.graph.edges.ravel().tolist()))
+    atomic_write_text(paths["split"], "%s\n" * ds.n % tuple(ds.split.tolist()))
     write_manifest(out, "synth", _public_config(args), [],
                    list(paths.values()), started)
     print(json.dumps({"nodes": ds.n, "edges": len(ds.graph.edges),

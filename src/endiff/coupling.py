@@ -368,6 +368,10 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
     if z is not None and spec.family != "attention" and np.ndim(z) != 2:
         raise DimensionError(f"{spec.family} couples one N x d state, not an array "
                              f"of shape {np.shape(z)}")
+    if (z is not None and g is not None and not spec.is_attention
+            and np.shape(z)[0] != g.n):
+        raise DimensionError(f"{spec.family} on {g.n} nodes needs {g.n} rows, got a "
+                             f"state of shape {np.shape(z)}")
     if spec.family in ("identity", "all_one"):
         if g is None and z is None:
             raise ParameterError(f"{spec.family} needs a graph or embeddings for N")

@@ -270,7 +270,8 @@ def audit_bounds(traj: Trajectory,
     if len(brackets) != len(taus):
         raise DimensionError(f"{len(brackets)} brackets for {len(taus)} slices")
     for b, (tau, bracket) in enumerate(zip(taus, brackets)):
-        if tau > 1.0 / bracket.lambda_max + 1e-12:
+        # a zero Laplacian leaves every state put, so no tau is too large
+        if bracket.lambda_max > 0.0 and tau > 1.0 / bracket.lambda_max + 1e-12:
             raise ContractError(f"{f'slice {b}: ' if stacked else ''}tau={tau} exceeds "
                                 f"1/lambda_max={1.0 / bracket.lambda_max}")
     energies = [_trajectory_energy(traj, step) for step in traj][1:]

@@ -141,15 +141,15 @@ class NeighbourLayout:
             targets = self.order[targets]
         pos = np.concatenate(short_pos)
         self.short = (targets, pos, self.cols[pos])
-        # Flat scatter targets for the last column count d; a model applies
-        # one d throughout, and a stacked forward's d changes per stack.
-        self._short_index = (0, np.zeros(0, np.int64))
+        self._short_index = {}  # flat scatter targets per column count d
 
     def short_index(self, d: int) -> np.ndarray:
         """Flat targets in an N x d block of the pooled short entries."""
-        if self._short_index[0] != d:
-            self._short_index = (d, (self.short[0][:, None] * d + np.arange(d)).ravel())
-        return self._short_index[1]
+        index = self._short_index.get(d)
+        if index is None:
+            index = (self.short[0][:, None] * d + np.arange(d)).ravel()
+            self._short_index[d] = index
+        return index
 
 
 class EdgeOperator:
@@ -351,8 +351,12 @@ def sbm_generate(
 
     The edges take one uniform draw per pair i < j whose probability is
     above 0, in row-major order, after the features and before the split;
-    pairs at p = 0 draw nothing. The draw runs in blocks of SBM_BLOCK_ROWS
-    rows, so its scratch is O(SBM_BLOCK_ROWS * N), never one entry per pair.
+    pairs at p = 0 draw nothing. The blocks are contiguous, so row i's
+    pairs are two runs of columns: the rest of its own block at p_in, then
+    every later block at p_out. Each SBM_BLOCK_ROWS rows draw their runs
+    with one `rng.random` and one comparison, and the kept positions map
+    back to (i, j) through the run offsets, so the scratch is
+    O(SBM_BLOCK_ROWS * N), never one entry per pair.
     """
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ParameterError(f"need 0 <= p_out <= p_in <= 1, got {p_in}, {p_out}")
@@ -366,17 +370,25 @@ def sbm_generate(
     feats = rng.standard_normal((n, feat_dim))
     for b in range(blocks):
         feats[labels == b, b % feat_dim] += feat_shift
-    cols = np.arange(n)
+    # Row i's two runs start at i + 1 and at the end of its block, laid out
+    # flat as run 2i and 2i + 1; a run at p = 0 has length 0.
+    block_end = (labels + 1) * per_block
+    starts = np.stack([np.arange(1, n + 1), block_end], axis=1).ravel()
+    lengths = np.stack([(block_end - np.arange(1, n + 1)) * (p_in > 0.0),
+                        (n - block_end) * (p_out > 0.0)], axis=1).ravel()
+    probs = np.tile([p_in, p_out], n)
     edges = []
     for lo in range(0, n, SBM_BLOCK_ROWS):
-        same = labels[lo:lo + SBM_BLOCK_ROWS, None] == labels
-        live = cols > cols[lo:lo + SBM_BLOCK_ROWS, None]
-        live &= np.where(same, p_in > 0.0, p_out > 0.0)
+        runs = slice(2 * lo, 2 * (lo + SBM_BLOCK_ROWS))
+        length = lengths[runs]
+        ends = np.cumsum(length)
         # one array draw is the stream of that many scalar draws
-        live[live] = rng.random(np.count_nonzero(live)) < np.where(same[live], p_in, p_out)
-        i, j = np.nonzero(live)
-        edges.append(np.stack([i + lo, j], axis=1))
-    graph = Graph.from_edge_list(n, np.concatenate(edges))
+        kept = np.flatnonzero(rng.random(ends[-1]) < np.repeat(probs[runs], length))
+        run = np.searchsorted(ends, kept, side="right")
+        # a kept draw's column is its run's start plus its place in the run
+        j = starts[runs][run] + kept - (ends - length)[run]
+        edges.append(np.stack([lo + run // 2, j], axis=1))
+    graph = Graph(n, np.concatenate(edges))  # (i, j) rows, already ascending
     split = np.empty(n, dtype=object)
     for b in range(blocks):
         idx = rng.permutation(np.flatnonzero(labels == b))

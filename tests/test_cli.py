@@ -156,6 +156,37 @@ def test_synth_benchmark_inputs_keep_their_digests(tmp_path, capsys, seed):
     assert got == BENCH_DIGESTS[seed]
 
 
+# sha256 of the files `synth` writes at its defaults and these flags, as the
+# scalar-draw generator makes them. Row i draws its pairs j > i as two runs,
+# the rest of its block at p_in and every later block at p_out: the first set
+# skips every later-block run (p_out = 0) on N = 135, not a multiple of
+# SBM_BLOCK_ROWS; the second has every same-block run empty (one node per
+# block) on N = 67, one past a row block.
+EDGE_RUN_DIGESTS = {
+    "--blocks 3 --per-block 45 --p-in 0.2 --p-out 0": {
+        "features": "35d1d41c841525637aadbfef95c62649fb9793d706b38d73f739802d8a6b4ce2",
+        "labels": "7c4ea36ebca797c0c1c0b60480cc26698ab90dcbd690d62247a2936bd6514efe",
+        "edges": "df62861ed0607dc802514b92d2dca8da73bed0a90e80300d0b0eaa4cc7a78dbc",
+        "split": "98834d85a994e5822ffcd38bba170e03036425bdc7ae1d70c33f62af16c47d8b",
+    },
+    "--blocks 67 --per-block 1 --p-in 0.9 --p-out 0.1": {
+        "features": "bc22b12959a68593163dba5890b737f6cdac57edd6b4d072e8e0bbaee8425416",
+        "labels": "f711b6116f1ac25ab845a9d310bb626af7539352c2b2fe0a644870c8b965537a",
+        "edges": "08488bc05dd9e50f1799c7b277ffad0842b8d3174a36000f9ab3ca1c27fd594f",
+        "split": "9c22e5f2fb7539a5cd13a94a5733d94e9ed79142d5aac7c22d2fd1700fbef590",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", sorted(EDGE_RUN_DIGESTS))
+def test_synth_run_edge_cases_keep_their_digests(tmp_path, capsys, flags):
+    code, _, _ = run_cli(["synth", *flags.split(), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    got = {name: hashlib.sha256((tmp_path / f"{name}.txt").read_bytes()).hexdigest()
+           for name in EDGE_RUN_DIGESTS[flags]}
+    assert got == EDGE_RUN_DIGESTS[flags]
+
+
 @pytest.mark.parametrize("seed", sorted(BENCH_DIGESTS))
 def test_benchmark_features_parse_as_float_does(tmp_path, capsys, monkeypatch, seed):
     import endiff.graphs as graphs

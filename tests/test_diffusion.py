@@ -8,7 +8,7 @@ from endiff.diffusion import (DiffusionConfig, euler_step, linear_simple_propaga
                               run_trajectory)
 from endiff.energy import write_trajectory_csv
 from endiff.errors import ContractError, DimensionError, ParameterError
-from endiff.graphs import er_graph
+from endiff.graphs import NeighbourLayout, er_graph
 from endiff.numerics import laplacian, row_l2_normalize
 
 
@@ -83,6 +83,14 @@ def test_run_trajectory_static_records_every_step():
         assert np.allclose(step.z, manual, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["gcn_sym", "gin", "identity"])
+def test_run_trajectory_rejects_a_start_off_its_graph_at_the_call(family):
+    # one graph on 4 nodes, a start of 5 rows: the call raises, before any step
+    with pytest.raises(DimensionError, match="on 4 nodes needs 4 rows"):
+        run_trajectory(np.ones((5, 2)), CouplingSpec(family), DiffusionConfig(),
+                       er_graph(4, 0.9, 0))
+
+
 def test_run_trajectory_attention_normalizes_state_per_step():
     rng = np.random.default_rng(8)
     z0 = rng.standard_normal((10, 4))
@@ -149,6 +157,25 @@ def test_a_trajectory_iterated_twice_yields_the_same_steps(spec, g):
         assert (a.prev is None) == (b.prev is None)
         assert a.prev is None or np.array_equal(a.prev, b.prev)
         assert np.array_equal(a.row_sums, b.row_sums)
+
+
+def test_a_static_run_builds_each_scatter_index_once(tmp_path, monkeypatch):
+    # the Euler step applies the operator at d, the CSV's energy at d + 1
+    # ([Y | b]); each column count builds its flat index once for the run
+    built = []  # keeps every index alive, so a rebuilt one is a new object
+    short_index = NeighbourLayout.short_index
+
+    def record(self, d):
+        built.append(short_index(self, d))
+        return built[-1]
+
+    monkeypatch.setattr(NeighbourLayout, "short_index", record)
+    g = er_graph(300, 0.05, 0)
+    z0 = np.random.default_rng(0).standard_normal((300, 16))
+    traj = run_trajectory(z0, CouplingSpec("gcn_sym"), DiffusionConfig(steps=20), g)
+    write_trajectory_csv(traj, tmp_path / "traj.csv")
+    assert len(built) == 40  # 20 steps at d = 16 and 20 energies at d + 1
+    assert len({id(index) for index in built}) == 2
 
 
 def test_row_stochastic_update_is_convex_combination():

@@ -151,6 +151,21 @@ def test_audit_bounds_rejects_excessive_tau():
         audit_bounds(traj)
 
 
+@pytest.mark.parametrize("family, g", [("gcn_sym", Graph(4, ())),
+                                        ("identity", er_graph(4, 0.9, 0)),
+                                        ("identity", None)])
+def test_audit_bounds_passes_a_zero_laplacian_at_any_tau(family, g):
+    # lambda_max = 0: no tau is too large, the bracket is [1, 1] and the
+    # energy stays put, as does every state
+    z0 = np.random.default_rng(5).standard_normal((4, 2))
+    traj = run_trajectory(z0, CouplingSpec(family), DiffusionConfig(tau=1.0, steps=4), g)
+    rep = audit_bounds(traj)
+    assert rep.num_violations == 0
+    assert rep.bracket == (0.0, 0.0)
+    assert rep.energies == [rep.energies[0]] * 4
+    assert all(np.array_equal(step.z, z0) for step in traj)
+
+
 def test_audit_bounds_rejects_attention_runs():
     rng = np.random.default_rng(4)
     z0 = row_l2_normalize(rng.standard_normal((8, 3)))
