@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .graphs import (Dataset, atomic_write_text, er_graph, load_dataset,
                      read_edges, read_features, sbm_generate)
 from .model import Checkpoint, ModelConfig, forward
 from .numerics import row_l2_normalize
-from .suites import SEEDED_SUITES, SUITES, run_suite
+from .suites import SEEDED_SUITES, SUITES, run_suites
 from .tape import Eager
 from .train import TrainConfig, metric, train_loop, write_history_csv
 
@@ -271,15 +272,14 @@ def cmd_audit(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     outputs = []
-    seeds = {} if args.seeds is None else {"seeds": args.seeds}
-    for name in names:
-        report = run_suite(name, **(seeds if name in SEEDED_SUITES else {}))
-        reports.append(report)
-        path = out / f"audit_{name}.json"
-        atomic_write_text(path, json.dumps(report, indent=2, default=float) + "\n")
-        outputs.append(path)
-        print(f"{name}: {'pass' if report['passed'] else 'FAIL'} "
-              f"({report['violations']} violation(s))")
+    with closing(run_suites(names, args.seeds)) as runs:
+        for name, report in runs:
+            reports.append(report)
+            path = out / f"audit_{name}.json"
+            atomic_write_text(path, json.dumps(report, indent=2, default=float) + "\n")
+            outputs.append(path)
+            print(f"{name}: {'pass' if report['passed'] else 'FAIL'} "
+                  f"({report['violations']} violation(s))")
     write_manifest(out, "audit", _public_config(args), [], outputs, started)
     return EXIT_OK if all(r["passed"] for r in reports) else EXIT_VIOLATION
 

@@ -10,10 +10,17 @@ bit for bit the run of its seed alone. The static runs couple slice b
 along its own seed's graph, and thm1 and prop1 step each stack at its
 instances' own step sizes. A seeded suite takes only its seed count and
 gradcheck takes nothing: every other setting is a module constant.
+
+`run_suites` runs several suites in order. With two CPUs or more it runs
+gradcheck, which shares nothing with the others, in one forked worker
+while this process runs the rest; the reports are the same either way.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
 from collections import deque
 from itertools import islice
 
@@ -22,7 +29,7 @@ import numpy as np
 from .coupling import CouplingSpec, PenaltyFamily, SimpleAttention
 from .diffusion import DiffusionConfig, linear_simple_propagate, run_trajectory
 from .energy import audit_bounds, audit_descent, diversity
-from .errors import ParameterError
+from .errors import EndiffError, ParameterError
 from .graphs import Graph, er_graph, is_connected
 from .model import ModelConfig, forward, init_model
 from .numerics import (finite_diff_grad, laplacian_spectral_bracket,
@@ -33,9 +40,12 @@ SEEDED_SUITES = ("thm1", "prop1", "thm2", "oversmooth", "linear_equiv")
 SUITES = SEEDED_SUITES + ("gradcheck",)
 
 # Most bumped parameter copies one gradcheck forward evaluates. Each copy
-# carries its own activations: stacks of 128 raised the peak memory of
-# `audit --suite all` by about 2 MB, stacks of 32 by about 0.4 MB, and the
-# larger stacks saved under 0.1 s.
+# carries its own activations: run in one process, `audit --suite all`
+# peaked at 39.8 MB with stacks of 32, 42.8 MB with 128 and 45.8 MB with
+# one stack per parameter (2 CPUs, one BLAS thread), and the larger stacks
+# saved under 0.1 s. With gradcheck in its forked worker (`run_suites`), the
+# CLI process peaked at 40.0 MB whatever the stack, the worker at 31.2,
+# 34.3 and 37.6 MB.
 GRADCHECK_STACK = 32
 
 # Most seeds one stacked attention run steps at once. A run holds only its
@@ -368,3 +378,72 @@ def run_suite(name: str, **kwargs) -> dict:
     for key in _REPORT_KEYS:
         report.setdefault(key, None)
     return report
+
+
+def _gradcheck_worker(conn) -> None:
+    """The forked worker: gradcheck's report, or the exception it raised,
+    sent back once."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent stops it
+    try:
+        result = run_suite("gradcheck"), None
+    except Exception as exc:
+        result = None, exc
+    conn.send(result)
+
+
+def _fork_gradcheck():
+    """A started worker that runs gradcheck, and the end its result arrives on."""
+    import multiprocessing  # only here, so that importing endiff stays as fast
+
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    # a child that flushes a buffer it inherited would print its lines twice
+    sys.stdout.flush()
+    sys.stderr.flush()
+    worker = ctx.Process(target=_gradcheck_worker, args=(send,), daemon=True)
+    worker.start()
+    send.close()  # so that a worker dying before it sends reads as end of file
+    return worker, receive
+
+
+def _worker_report(worker, receive) -> dict:
+    """The worker's report, or the exception it raised, once it has exited."""
+    try:
+        report, exc = receive.recv()
+    except EOFError:
+        worker.join()
+        raise EndiffError(f"the gradcheck worker exited with code {worker.exitcode} "
+                          "before sending its report") from None
+    worker.join()
+    if exc is not None:
+        raise exc
+    return report
+
+
+def run_suites(names, seeds: int | None = None):
+    """Yield (name, report) for each suite of `names`, in order; `seeds`,
+    if given, goes to the seeded suites. When `names` holds gradcheck and
+    another suite, and this process may run on two CPUs or more, gradcheck
+    runs in a forked worker beside the others. Its report, or the exception
+    it raised, is yielded or raised at its turn, and the worker is reaped
+    however the run ends."""
+    names = list(names)
+    kwargs = {} if seeds is None else {"seeds": seeds}
+    worker = None
+    if ("gradcheck" in names and len(names) > 1 and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        worker, receive = _fork_gradcheck()
+    try:
+        for name in names:
+            if worker is not None and name == "gradcheck":
+                report = _worker_report(worker, receive)
+            else:
+                report = run_suite(name, **(kwargs if name in SEEDED_SUITES else {}))
+            yield name, report
+    finally:
+        if worker is not None:
+            receive.close()
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+            worker.close()

@@ -4,8 +4,12 @@ import io
 import json
 import math
 import os
+import signal
 import stat
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from endiff import cli, diffusion
+from endiff import cli, diffusion, suites
 from endiff.cli import main
 from endiff.coupling import DIM_SCALE_MIN
+from endiff.errors import ParameterError
 
 
 def run_cli(args, capsys):
@@ -375,10 +380,157 @@ def test_audit_all_steps_the_dynamics_in_seed_stacks(tmp_path, capsys, monkeypat
     assert len(steps) == 100 + 100 + 500 + 1000 + 1000
 
 
-def test_audit_violation_exit_code(tmp_path, capsys, monkeypatch):
-    import endiff.cli as cli
+# `audit` runs gradcheck in a forked worker when the process may use two
+# CPUs; these tests grant it two, whatever the host has.
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
-    monkeypatch.setattr(cli, "run_suite",
+
+def _audit_env() -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def test_audit_all_stdout_on_a_pipe_keeps_its_digest(tmp_path):
+    done = subprocess.run([sys.executable, "-m", "endiff.cli", "audit", "--suite", "all",
+                           "--out", str(tmp_path)], env=_audit_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == AUDIT_STDOUT_DIGEST
+
+
+def test_audit_all_prints_a_callers_buffered_line_once(tmp_path):
+    # a line the caller left in stdout's buffer is flushed before the fork,
+    # so the worker cannot print it a second time when it exits
+    script = ("import sys\nfrom endiff.cli import main\nprint('before')\n"
+              f"sys.exit(main(['audit', '--suite', 'all', '--out', {str(tmp_path)!r}]))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_audit_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300)
+    assert done.returncode == 0, done.stderr
+    before, rest = done.stdout.split(b"\n", 1)
+    assert before == b"before"
+    assert hashlib.sha256(rest).hexdigest() == AUDIT_STDOUT_DIGEST
+
+
+def test_audit_all_runs_gradcheck_in_one_forked_worker(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    _two_cpus(monkeypatch)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    code, out, _ = run_cli(["audit", "--suite", "all", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert len(forks) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_STDOUT_DIGEST
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("suite", ["all", "gradcheck"])
+def test_audit_without_two_cpus_or_two_suites_does_not_fork(suite, tmp_path, capsys,
+                                                            monkeypatch):
+    if suite == "all":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        _two_cpus(monkeypatch)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, _ = run_cli(["audit", "--suite", suite, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    names = list(AUDIT_DIGESTS) if suite == "all" else [suite]
+    got = {name: hashlib.sha256((tmp_path / f"audit_{name}.json").read_bytes()).hexdigest()
+           for name in names}
+    assert got == {name: AUDIT_DIGESTS[name] for name in names}
+    if suite == "all":
+        assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_STDOUT_DIGEST
+    else:
+        assert out == "gradcheck: pass (0 violation(s))\n"
+
+
+def test_audit_all_reports_a_wrong_gradient_found_in_the_worker(tmp_path, capsys,
+                                                                monkeypatch):
+    import multiprocessing
+
+    from test_model import _skew_vjp
+
+    _two_cpus(monkeypatch)
+    _skew_vjp(monkeypatch, "layer_norm")
+    code, out, _ = run_cli(["audit", "--suite", "all", "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert out.splitlines()[-1].startswith("gradcheck: FAIL")
+    assert json.loads((tmp_path / "audit_gradcheck.json").read_text())["passed"] is False
+    others = {name: hashlib.sha256((tmp_path / f"audit_{name}.json").read_bytes()).hexdigest()
+              for name in AUDIT_DIGESTS if name != "gradcheck"}
+    assert others == {k: v for k, v in AUDIT_DIGESTS.items() if k != "gradcheck"}
+    assert multiprocessing.active_children() == []
+
+
+def test_audit_all_reports_the_workers_error(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    def fail():
+        raise ParameterError(f"planted in process {os.getpid()}")
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setitem(suites._SUITE_FNS, "gradcheck", fail)
+    code, out, err = run_cli(["audit", "--suite", "all", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: planted in process ")
+    assert int(err.split()[-1]) != os.getpid()  # raised in the worker
+    assert "Traceback" not in err
+    assert len(out.splitlines()) == 5  # every suite before gradcheck reported
+    assert multiprocessing.active_children() == []
+
+
+def test_audit_all_error_in_this_process_stops_the_worker(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    def fail(seeds=100):
+        raise ParameterError("planted")
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setitem(suites._SUITE_FNS, "gradcheck", lambda: time.sleep(60))
+    monkeypatch.setitem(suites._SUITE_FNS, "thm2", fail)
+    started = time.monotonic()
+    code, _, err = run_cli(["audit", "--suite", "all", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == "error: planted\n"
+    assert time.monotonic() - started < 30  # the sleeping worker was terminated
+    assert multiprocessing.active_children() == []
+
+
+def test_audit_all_worker_killed_before_it_reports_is_an_error(tmp_path, capsys,
+                                                               monkeypatch):
+    import multiprocessing
+
+    def die():
+        if os.getpid() != parent:  # never this process, should it run gradcheck itself
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    parent = os.getpid()
+    _two_cpus(monkeypatch)
+    monkeypatch.setitem(suites._SUITE_FNS, "gradcheck", die)
+    code, _, err = run_cli(["audit", "--suite", "all", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == ("error: the gradcheck worker exited with code -9 "
+                   "before sending its report\n")
+    assert not (tmp_path / "audit_gradcheck.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_audit_violation_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(suites, "run_suite",
                         lambda name, **kw: {"suite": name, "passed": False,
                                             "violations": 3})
     code, out, _ = run_cli(["audit", "--suite", "thm1",
