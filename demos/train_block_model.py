@@ -8,10 +8,11 @@ synthetic-learning acceptance gate.
 Run: python3 demos/train_block_model.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from endiff import ModelConfig, TrainConfig, sbm_generate, train_loop
-from endiff.train import mlp_mode_config
 
 accs = {"all-pair": [], "per-node": []}
 for seed in range(3):
@@ -27,7 +28,9 @@ for seed in range(3):
     print(f"seed {seed}: all-pair test accuracy {res.test_metric:.3f} "
           f"(best epoch {res.best_epoch})")
 
-    res = train_loop(ds, mlp_mode_config(cfg), tcfg)
+    # Matched baseline with all pairwise propagation removed: identity
+    # coupling per head and no graph channel, everything else unchanged.
+    res = train_loop(ds, replace(cfg, variant="mlp", use_graph=False), tcfg)
     accs["per-node"].append(res.test_metric)
     print(f"seed {seed}: per-node baseline     {res.test_metric:.3f}")
 

@@ -55,8 +55,6 @@ Z_SQ_MAX = 4.0
 _DOMAIN_SLACK = 1e-9
 # Below this dim_scale the softmax delta(4) = 2 (e - 1/e) exp(1/sqrt(d)) overflows.
 DIM_SCALE_MIN = math.log(np.finfo(float).max / (2.0 * (math.e - math.exp(-1.0)))) ** -2
-_CONJUGATE_TOL = 1e-10  # golden-section bracket width
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LANDSCAPE_STEP = 0.01
 
 
@@ -129,32 +127,22 @@ def penalty_f_range(p: PenaltyFamily) -> tuple[float, float]:
 
 def penalty_conjugate(p: PenaltyFamily, omega):
     """Concave conjugate delta~(omega) = inf_{y in [0,4]} (omega*y - delta(y))
-    of a float or elementwise of an array.
-
-    Closed form for the simple family; otherwise a bracketed golden-section
-    search, run on every omega at once (the objective is unimodal because f
-    is monotone).
+    of a float or elementwise of an array. The objective is convex, as f is
+    non-increasing, so its minimizer is f^-1(omega) clipped to [0, 4]; the
+    quadratic family's f is constant and its objective linear in y.
     """
     lo, hi = penalty_f_range(p)
     w = _check_within("omega", omega, lo, hi)
-
-    def objective(y):
-        return w * y - penalty_delta(p, y)
-
     if p.kind == "simple":
-        return objective(np.clip(2.0 * (2.0 - w), 0.0, Z_SQ_MAX))
-    a, b = np.zeros_like(w), np.full_like(w, Z_SQ_MAX)
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while np.max(b - a, initial=0.0) > _CONJUGATE_TOL:
-        left = fc < fd  # the minimum lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        fx = objective(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return np.minimum(objective(0.5 * (a + b)),
-                      np.minimum(objective(0.0), objective(Z_SQ_MAX)))[()]
+        y = 2.0 * (2.0 - w)
+    elif p.kind == "advanced":
+        y = 2.0 + 2.0 * np.log(1.0 / w - 1.0)
+    elif p.kind == "softmax":
+        y = 2.0 - 2.0 * np.log(w / p.softmax_scale)
+    else:
+        y = np.where(w < 1.0, Z_SQ_MAX, 0.0)
+    y = np.clip(y, 0.0, Z_SQ_MAX)
+    return (w * y - penalty_delta(p, y))[()]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ be stacks of copies that run one forward each.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,10 +33,6 @@ from .graphs import Graph, atomic_write_text
 from .tape import Eager, Ref, Tape
 
 VARIANTS = ("simple", "advanced", "mlp")  # mlp: identity coupling, no mixing
-
-# Config keys of older checkpoints, with the one value every CLI run wrote:
-# a checkpoint holding it loads, any other value is a bad config.
-_RETIRED_CONFIG = {"use_feature_transform": True, "activation_between_layers": "none"}
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,9 @@ class ModelConfig:
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
                 raise ParameterError(f"{name} must be true or false, got {value!r}")
-        if isinstance(self.tau, bool) or not (0.0 < self.tau <= 1.0):
+        if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float, np.integer)):
+            raise ParameterError(f"tau must be a number, got {self.tau!r}")
+        if not 0.0 < self.tau <= 1.0:
             raise ParameterError(f"tau must be in (0, 1], got {self.tau}")
 
 
@@ -180,6 +178,10 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # the count first: a config's layers may be too many to lay out
+        roles = len(_ROLES[self.config.variant])
+        if len(self.params) != 4 + self.config.layers * roles:
+            raise ContractError("checkpoint parameters do not match config")
         expected = parameter_shapes(self.config)
         if set(self.params) != set(expected):
             raise ContractError("checkpoint parameters do not match config")
@@ -213,15 +215,14 @@ class Checkpoint:
         for key in ("config", "params"):
             if not isinstance(payload.get(key), dict):
                 raise FormatError(f"{path}: missing {key!r} object")
-        config = dict(payload["config"])
-        for key, kept in _RETIRED_CONFIG.items():
-            old = config.pop(key, kept)
-            if type(old) is not type(kept) or old != kept:
-                raise FormatError(f"{path}: bad config: {key} must be "
-                                  f"{json.dumps(kept)}, got {old!r}")
+        config = payload["config"]
+        known = {f.name for f in fields(ModelConfig)}
+        for key in config:
+            if key not in known:
+                raise FormatError(f"{path}: bad config: {key} is not a config key")
         try:
             cfg = ModelConfig(**config)
-        except (TypeError, ParameterError) as exc:
+        except ParameterError as exc:
             raise FormatError(f"{path}: bad config: {exc}") from exc
         params = {}
         for name, value in payload["params"].items():
@@ -231,32 +232,7 @@ class Checkpoint:
                 raise FormatError(
                     f"{path}: parameter {name} is not a numeric array") from None
         try:
-            if "W_V_0_0" in params:
-                params = _from_per_head(params, cfg)
             return Checkpoint(config=cfg, params=params,
                               meta=payload.get("meta", {}))
         except ContractError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-
-
-def _from_per_head(params: dict[str, np.ndarray], cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """Parameters of a checkpoint in the older per-head layout, where W_I and
-    each head's W_{role}_{k}_{h} were the transposes of the matrices the
-    forward multiplies by, in the current layout. mlp's Q and K heads, which
-    its forward never read, are dropped."""
-    d = cfg.hidden_dim
-    if "W_I" in params:
-        params["W_I"] = params["W_I"].T.copy()
-    for k in range(cfg.layers):
-        for role in "QKV":
-            heads = [params.pop(f"W_{role}_{k}_{h}", None) for h in range(cfg.heads)]
-            if role not in _ROLES[cfg.variant]:
-                continue
-            for h, w in enumerate(heads):
-                if w is None:
-                    raise ContractError(f"checkpoint parameter W_{role}_{k}_{h} is missing")
-                if w.shape != (d, d):
-                    raise ContractError(f"checkpoint parameter W_{role}_{k}_{h} has shape "
-                                        f"{w.shape}, want {(d, d)}")
-            params[f"W_{role}_{k}"] = np.stack(heads).swapaxes(1, 2).copy()
-    return params

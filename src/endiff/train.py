@@ -7,7 +7,7 @@ subgraph; cross-batch edges are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,9 +262,3 @@ def write_history_csv(history: list[dict], path) -> None:
     atomic_write_text(path, "epoch,train_loss,val_metric,test_metric\n" + "".join(
         f"{row['epoch']},{row['train_loss']:.17g},"
         f"{row['val_metric']:.17g},{row['test_metric']:.17g}\n" for row in history))
-
-
-def mlp_mode_config(cfg: ModelConfig) -> ModelConfig:
-    """Matched baseline with all pairwise propagation removed: identity
-    coupling per head and no graph channel, everything else unchanged."""
-    return replace(cfg, variant="mlp", use_graph=False)

@@ -6,6 +6,7 @@ measured quantity so the run log doubles as the audit record.
 
 import logging
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from endiff.numerics import row_l2_normalize
 from endiff.suites import (SUITES, run_suite, suite_gradcheck,
                            suite_linear_equiv, suite_oversmooth, suite_prop1,
                            suite_thm1, suite_thm2)
-from endiff.train import TrainConfig, mlp_mode_config, train_loop
+from endiff.train import TrainConfig, train_loop
 
 log = logging.getLogger("acceptance")
 
@@ -143,7 +144,8 @@ def test_synthetic_learning():
                           use_graph=True)
         tcfg = TrainConfig(lr=0.01, epochs=500, patience=50, seed=seed)
         model_accs.append(train_loop(ds, cfg, tcfg).test_metric)
-        mlp_accs.append(train_loop(ds, mlp_mode_config(cfg), tcfg).test_metric)
+        mlp_cfg = replace(cfg, variant="mlp", use_graph=False)
+        mlp_accs.append(train_loop(ds, mlp_cfg, tcfg).test_metric)
     wall = time.monotonic() - t0
     mean_model = float(np.mean(model_accs))
     mean_mlp = float(np.mean(mlp_accs))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import signal
 import stat
 import subprocess
@@ -386,7 +387,7 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-def _audit_env() -> dict:
+def _subprocess_env() -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -396,7 +397,7 @@ def _audit_env() -> dict:
 
 def test_audit_all_stdout_on_a_pipe_keeps_its_digest(tmp_path):
     done = subprocess.run([sys.executable, "-m", "endiff.cli", "audit", "--suite", "all",
-                           "--out", str(tmp_path)], env=_audit_env(),
+                           "--out", str(tmp_path)], env=_subprocess_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300)
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == AUDIT_STDOUT_DIGEST
@@ -407,7 +408,7 @@ def test_audit_all_prints_a_callers_buffered_line_once(tmp_path):
     # so the worker cannot print it a second time when it exits
     script = ("import sys\nfrom endiff.cli import main\nprint('before')\n"
               f"sys.exit(main(['audit', '--suite', 'all', '--out', {str(tmp_path)!r}]))\n")
-    done = subprocess.run([sys.executable, "-c", script], env=_audit_env(),
+    done = subprocess.run([sys.executable, "-c", script], env=_subprocess_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300)
     assert done.returncode == 0, done.stderr
     before, rest = done.stdout.split(b"\n", 1)
@@ -700,12 +701,15 @@ def test_eval_with_a_zero_attention_denominator_is_runtime_error(tmp_path, capsy
     assert err.startswith("error: ") and "denominator" in err
 
 
-def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys):
+def _trained_checkpoint(tmp_path, capsys, *flags) -> dict:
     run = tmp_path / "r"
     assert run_cli(["train", "--synth", "sbm", "--per-block", "10", "--epochs", "1",
-                    "--hidden", "4", "--layers", "1", "--out", str(run)], capsys)[0] == 0
-    ckpt = run / "checkpoint.json"
-    payload = json.loads(ckpt.read_text())
+                    "--hidden", "4", "--layers", "1", *flags, "--out", str(run)], capsys)[0] == 0
+    return json.loads((run / "checkpoint.json").read_text())
+
+
+def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys):
+    payload = _trained_checkpoint(tmp_path, capsys)
     for name, bad, why in (("W_O", float("nan"), "is not finite"),
                            ("b_I", float("inf"), "is not finite"),
                            ("W_O", "x", "is not a numeric array"),
@@ -740,55 +744,48 @@ def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys):
         assert err == f"error: {path}: {why}\n"
 
 
-# Checkpoints in the per-head layout of older versions (W_I and one
-# W_{role}_{k}_{h} per head, each the transpose of the matrix the forward
-# multiplies by), written by `train --synth sbm --per-block 10 --epochs 5
-# --hidden 4 --layers 2 --heads 2` with `--use-graph --use-source`, and with
-# `--variant mlp`, and the lines that version's `eval --synth sbm
-# --per-block 50` printed for them.
-CHECKPOINTS = Path(__file__).parent / "data"
-PER_HEAD_EVALS = {
-    ("per_head_simple.json", "accuracy"):
-        '{"metric": "accuracy", "train": 0.6, "val": 0.2, "test": 0.5}',
-    ("per_head_simple.json", "rocauc"):
-        '{"metric": "rocauc", "train": 0.32, "val": 0.04, "test": 0.46875}',
-    ("per_head_mlp.json", "accuracy"):
-        '{"metric": "accuracy", "train": 0.6, "val": 0.2, "test": 0.5125}',
-    ("per_head_mlp.json", "rocauc"):
-        '{"metric": "rocauc", "train": 0.56, "val": 0.04, "test": 0.47625}',
-}
-
-
-@pytest.mark.parametrize("name,metric", sorted(PER_HEAD_EVALS))
-def test_per_head_checkpoints_evaluate_as_they_did(tmp_path, capsys, name, metric):
-    code, out, err = run_cli(["eval", "--synth", "sbm", "--per-block", "50",
-                              "--metric", metric, "--checkpoint", str(CHECKPOINTS / name),
-                              "--out", str(tmp_path)], capsys)
-    assert (code, err) == (0, "")
-    assert out == PER_HEAD_EVALS[name, metric] + "\n"
-
-
-def test_per_head_checkpoint_with_a_bad_head_is_runtime_error(tmp_path, capsys):
-    payload = json.loads((CHECKPOINTS / "per_head_simple.json").read_text())
-    params = payload["params"]
-    assert np.shape(params["W_V_1_1"]) == (4, 4)
-    for name, value, why in (
-            ("W_K_1_1", None, "checkpoint parameter W_K_1_1 is missing"),
-            ("W_Q_0_1", params["W_Q_0_1"][:3], "checkpoint parameter W_Q_0_1 has shape "
-                                               "(3, 4), want (4, 4)"),
-            ("W_V_1_0", [row[:3] if i == 2 else row for i, row in enumerate(params["W_V_1_0"])],
-             "parameter W_V_1_0 is not a numeric array")):
-        trial = json.loads(json.dumps(payload))
-        if value is None:
-            del trial["params"][name]
-        else:
-            trial["params"][name] = value
-        path = tmp_path / "legacy.json"
+def test_eval_rejects_an_older_checkpoint_layout(tmp_path, capsys):
+    # load reads what save writes: the per-head layout of older versions (W_I
+    # and one W_{role}_{k}_{h} per head, each transposed) and their retired
+    # config keys exit 1 through the checks every checkpoint passes
+    payload = _trained_checkpoint(tmp_path, capsys, "--heads", "2")
+    per_head = json.loads(json.dumps(payload))
+    params = per_head["params"]
+    params["W_I"] = np.transpose(params["W_I"]).tolist()
+    for role in "QKV":
+        for h, w in enumerate(params.pop(f"W_{role}_0")):
+            params[f"W_{role}_0_{h}"] = np.transpose(w).tolist()
+    retired = json.loads(json.dumps(payload))
+    retired["config"]["use_feature_transform"] = True
+    path = tmp_path / "old.json"
+    for trial, why in ((per_head, "checkpoint parameters do not match config"),
+                       (retired, "bad config: use_feature_transform is not a config key")):
         path.write_text(json.dumps(trial))
         code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
                                 "--checkpoint", str(path),
                                 "--out", str(tmp_path / "e")], capsys)
         assert (code, err) == (1, f"error: {path}: {why}\n")
+
+
+def _address_space_limit():
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+def test_eval_checks_a_checkpoints_parameter_count_before_its_layout(tmp_path, capsys):
+    # a config's layers could ask for more parameter names than memory holds;
+    # the child's address-space limit turns a regression into a MemoryError
+    # instead of a host out of memory
+    payload = _trained_checkpoint(tmp_path, capsys)
+    payload["config"]["layers"] = 10 ** 30
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    done = subprocess.run([sys.executable, "-m", "endiff.cli", "eval", "--synth", "sbm",
+                           "--per-block", "10", "--checkpoint", str(path),
+                           "--out", str(tmp_path / "e")],
+                          env=_subprocess_env(), preexec_fn=_address_space_limit,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+    assert (done.returncode, done.stderr.decode()) == (
+        1, f"error: {path}: checkpoint parameters do not match config\n")
 
 
 @pytest.mark.parametrize("coupling", ["attention", "gat_masked"])

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,36 @@ def test_no_module_imports_a_name_it_never_uses(path):
     # __init__.py imports to re-export, so it is left out
     source = (Path(endiff.__file__).parent / path).read_text()
     assert _unused_imports(source) == []
+
+
+def _foreign_imports(source: str) -> list:
+    """The modules a source imports, at any depth of its code, from outside
+    the standard library, numpy and endiff, with their lines."""
+    allowed = sys.stdlib_module_names | {"numpy", "endiff"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:  # relative imports stay inside endiff
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in allowed]
+    return sorted(found)
+
+
+def test_foreign_import_scan_sees_nested_ones():
+    source = ("import os, scipy.sparse\nfrom . import x\n"
+              "def f():\n    from torch import nn\n    import numpy.linalg\n")
+    assert _foreign_imports(source) == [(1, "scipy.sparse"), (4, "torch")]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in Path(endiff.__file__).parent.glob("*.py")))
+def test_runtime_imports_only_numpy_and_the_standard_library(path):
+    # the runtime dependency is numpy alone
+    source = (Path(endiff.__file__).parent / path).read_text()
+    assert _foreign_imports(source) == []
 
 
 def _keywords_passed(source: str, callee: str) -> set:

@@ -333,35 +333,6 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.meta["epoch"] == 3
     for name in params:
         assert np.array_equal(loaded.params[name], params[name])
-    # written when the config had these keys, with the values every run wrote
-    payload = json.loads(path.read_text())
-    payload["config"].update(use_feature_transform=True, activation_between_layers="none")
-    path.write_text(json.dumps(payload))
-    assert Checkpoint.load(path).config == cfg
-
-
-@pytest.mark.parametrize("variant", ["simple", "mlp"])
-def test_per_head_checkpoint_loads_as_head_stacks(tmp_path, variant):
-    # the older layout: W_I and one matrix per head and role, each the
-    # transpose of the matrix the forward multiplies by; mlp held Q and K too
-    cfg = _cfg(variant=variant, layers=2, heads=3)
-    params = init_model(cfg, 4)
-    legacy = {name: params[name].tolist() for name in ("b_I", "W_O", "b_O")}
-    legacy["W_I"] = params["W_I"].T.tolist()
-    unread = np.full((4, 4), 9.0)
-    for k in range(2):
-        for h in range(3):
-            for role in "QKV":
-                name = f"W_{role}_{k}"
-                w = params[name][h] if name in params else unread
-                legacy[f"{name}_{h}"] = w.T.tolist()
-    path = tmp_path / "legacy.json"
-    path.write_text(json.dumps({"config": asdict(cfg), "params": legacy}))
-    loaded = Checkpoint.load(path)
-    assert set(loaded.params) == set(params)
-    for name, value in params.items():
-        assert np.array_equal(loaded.params[name], value)
-        assert loaded.params[name].flags.c_contiguous
 
 
 def test_checkpoint_shape_validation(tmp_path):
@@ -383,15 +354,24 @@ def test_checkpoint_load_errors(tmp_path):
         Checkpoint.load(missing)
     cfg = _cfg()
     params = {k: v.tolist() for k, v in init_model(cfg, 0).items()}
-    for key, value in (("heads", 2.5), ("layers", 1.5), ("heads", True),
-                       ("use_graph", "no"), ("use_source", 0), ("tau", True),
-                       ("use_feature_transform", False), ("use_feature_transform", 1),
-                       ("activation_between_layers", "relu")):
+    # the config keys of older versions, retired, are unknown keys like any other
+    for key, value, why in (
+            ("heads", 2.5, "heads must be an integer, got 2.5"),
+            ("layers", 1.5, "layers must be an integer, got 1.5"),
+            ("heads", True, "heads must be an integer, got True"),
+            ("use_graph", "no", "use_graph must be true or false, got 'no'"),
+            ("use_source", 0, "use_source must be true or false, got 0"),
+            ("tau", True, "tau must be a number, got True"),
+            ("tau", "0.5", "tau must be a number, got '0.5'"),
+            ("dropout", 0.1, "dropout is not a config key"),
+            ("use_feature_transform", True, "use_feature_transform is not a config key"),
+            ("activation_between_layers", "none",
+             "activation_between_layers is not a config key")):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({"config": {**asdict(cfg), key: value}, "params": params}))
         with pytest.raises(FormatError) as exc:
             Checkpoint.load(path)
-        assert str(exc.value).startswith(f"{path}: bad config: {key} must be")
+        assert str(exc.value) == f"{path}: bad config: {why}"
 
 
 _EVALUATOR_CASES = [
