@@ -78,30 +78,13 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--use-source", action="store_true")
 
 
-# The block model's settings, by dest: type and default. train and eval take
-# them only with --synth sbm, so there they default to None (train's --seed,
-# which seeds its training too, aside), and a value that is not None was
-# given, on the command line or in --config.
-_GENERATOR = {"seed": (int, 0), "blocks": (int, 2), "per_block": (int, 100),
-              "p_in": (float, 0.2), "p_out": (float, 0.02), "feat_dim": (int, 8),
-              "feat_shift": (float, 0.5)}
-
-
-def _add_generator_flags(p: argparse.ArgumentParser, unset=()) -> None:
-    for dest, (kind, default) in _GENERATOR.items():
-        p.add_argument("--" + dest.replace("_", "-"), type=kind,
-                       default=None if dest in unset else default)
-
-
+# The files synth writes, and the flags train and eval read them from.
 _DATA_FILES = ("features", "labels", "edges", "split")
 
 
-def _add_dataset_flags(p: argparse.ArgumentParser, unset) -> None:
+def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     for name in _DATA_FILES:
         p.add_argument(f"--{name}", type=Path)
-    p.add_argument("--synth", choices=("sbm",),
-                   help="generate a dataset instead of loading files")
-    _add_generator_flags(p, unset)
 
 
 def _config_defaults(path: Path, parser: argparse.ArgumentParser) -> dict:
@@ -145,36 +128,15 @@ def _config_value(path: Path, key: str, action: argparse.Action, value):
     return converted
 
 
-def _resolve_dataset(args) -> tuple[Dataset, list[Path]]:
-    """train's or eval's dataset: generated by --synth sbm, which takes no
-    data file, or read from data files, which take no generator setting.
-    A setting not given takes its default, which the manifest records."""
+def _read_dataset(args) -> tuple[Dataset, list[Path]]:
+    """train's or eval's dataset, read from its data files. The check is
+    here rather than argparse's `required`, so that --config can name them."""
+    missing = [f"--{name}" for name in ("features", "labels")
+               if getattr(args, name) is None]
+    if missing:
+        args.parser.error(f"the following arguments are required: {', '.join(missing)}")
     files = (args.features, args.labels, args.edges, args.split)
-    generator = {"seed": args.seed, "blocks": args.blocks, "per_block": args.per_block,
-                 "p_in": args.p_in, "p_out": args.p_out, "feat_dim": args.feat_dim,
-                 "feat_shift": args.feat_shift}
-    if args.command == "train":  # train's --seed seeds its training too
-        del generator["seed"]
-    if args.synth == "sbm":
-        given = [f"--{name}" for name, p in zip(_DATA_FILES, files) if p is not None]
-        if given:
-            args.parser.error(f"--synth sbm does not take {', '.join(given)}")
-    else:
-        given = ["--" + dest.replace("_", "-")
-                 for dest, value in generator.items() if value is not None]
-        if given:
-            args.parser.error(f"data files do not take {', '.join(given)}")
-    for dest, value in generator.items():
-        if value is None:
-            setattr(args, dest, _GENERATOR[dest][1])
-    if args.synth == "sbm":
-        ds = sbm_generate(args.blocks, args.per_block, args.p_in, args.p_out,
-                          args.feat_dim, args.feat_shift, args.seed)
-        return ds, []
-    if args.features is None or args.labels is None:
-        raise EndiffError("need --features and --labels, or --synth sbm")
-    ds = load_dataset(*files)
-    return ds, [p for p in files if p is not None]
+    return load_dataset(*files), [p for p in files if p is not None]
 
 
 def _public_config(args) -> dict:
@@ -192,8 +154,7 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ds = sbm_generate(args.blocks, args.per_block, args.p_in, args.p_out,
                       args.feat_dim, args.feat_shift, args.seed)
-    paths = {name: out / f"{name}.txt"
-             for name in ("features", "labels", "edges", "split")}
+    paths = {name: out / f"{name}.txt" for name in _DATA_FILES}
     # %-formats over Python floats, ints and strings, one per feature row and
     # one per other file: formatting numpy scalars one at a time is slower
     row = " ".join(["%.17g"] * ds.features.shape[1]) + "\n"
@@ -286,7 +247,7 @@ def cmd_audit(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    ds, inputs = _resolve_dataset(args)
+    ds, inputs = _read_dataset(args)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     model_cfg = ModelConfig(
@@ -315,7 +276,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    ds, inputs = _resolve_dataset(args)
+    ds, inputs = _read_dataset(args)
     ckpt = Checkpoint.load(args.checkpoint)
     inputs.append(args.checkpoint)
     logits, _ = forward(ckpt.params, ds.features, ds.graph, ckpt.config,
@@ -359,7 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a block-model dataset")
     _add_common(p)
-    _add_generator_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--blocks", type=int, default=2)
+    p.add_argument("--per-block", type=int, default=100)
+    p.add_argument("--p-in", type=float, default=0.2)
+    p.add_argument("--p-out", type=float, default=0.02)
+    p.add_argument("--feat-dim", type=int, default=8)
+    p.add_argument("--feat-shift", type=float, default=0.5)
     p.set_defaults(func=cmd_synth, parser=p)
 
     p = sub.add_parser("diffuse", help="run a diffusion trajectory to CSV")
@@ -387,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     _add_common(p)
-    _add_dataset_flags(p, unset=set(_GENERATOR) - {"seed"})
+    _add_dataset_flags(p)
     _add_model_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--epochs", type=int, default=200)
@@ -400,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_common(p)
-    _add_dataset_flags(p, unset=set(_GENERATOR))
+    _add_dataset_flags(p)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--metric", default="accuracy",
                    choices=("accuracy", "rocauc", "mse"))
@@ -426,11 +394,11 @@ def main(argv=None) -> int:
         if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take no negative seed
             args.parser.error(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except EndiffError as exc:
+    except (EndiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # a model or state larger than memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

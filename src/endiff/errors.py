@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check the
+configs share."""
+
+from numbers import Integral
 
 
 class EndiffError(Exception):
@@ -27,3 +30,12 @@ class FormatError(EndiffError, ValueError):
 
 class UndefinedMetricError(EndiffError, ValueError):
     """The requested metric is undefined for the given labels."""
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raise ParameterError unless value is an integer (a bool is not one)
+    of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}")

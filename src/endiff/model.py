@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, FormatError, ParameterError
+from .errors import (ContractError, DimensionError, FormatError, ParameterError,
+                     check_integer)
 from .graphs import Graph, atomic_write_text
 from .tape import Eager, Ref, Tape
 
@@ -51,11 +52,7 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown variant {self.variant!r}")
         for name in ("input_dim", "hidden_dim", "output_dim", "layers", "heads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ParameterError(f"{name} must be >= 1")
+            check_integer(name, getattr(self, name), 1)
         for name in ("use_graph", "use_source"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
@@ -91,21 +88,26 @@ def init_model(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     each head's matrices are drawn d_out x d_in and stored transposed, in
     the order (W_I; per layer, per head: Q, K, V; W_O) of the layout that
     kept one parameter per head, so a seed gives the numbers it gave then.
-    mlp still draws the Q and K matrices it does not keep, which keeps its
-    later draws where they were."""
+    Every layer's heads come from one draw, so a model too large for memory
+    fails at that one allocation. mlp still draws the Q and K matrices it
+    does not keep, which keeps its later draws where they were."""
     rng = np.random.default_rng(seed)
     d = cfg.hidden_dim
 
-    def glorot(rows, cols):
-        limit = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-limit, limit, size=(rows, cols))
+    def glorot(*shape):
+        limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+        return rng.uniform(-limit, limit, size=shape)
 
     params = {"W_I": glorot(d, cfg.input_dim).T.copy(), "b_I": np.zeros((1, d))}
+    try:
+        heads = glorot(cfg.layers, cfg.heads, 3, d, d)
+    except ValueError as exc:  # a shape numpy cannot form
+        raise ParameterError(f"a model of layers={cfg.layers}, heads={cfg.heads}, "
+                             f"hidden_dim={d} is too large: {exc}") from None
     for k in range(cfg.layers):
-        heads = np.array([[glorot(d, d) for _ in "QKV"] for _ in range(cfg.heads)])
         for i, role in enumerate("QKV"):
             if role in _ROLES[cfg.variant]:
-                params[f"W_{role}_{k}"] = heads[:, i].swapaxes(1, 2).copy()
+                params[f"W_{role}_{k}"] = heads[k, :, i].swapaxes(1, 2).copy()
     params["W_O"] = glorot(d, cfg.output_dim)
     params["b_O"] = np.zeros((1, cfg.output_dim))
     return params

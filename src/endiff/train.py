@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParameterError, UndefinedMetricError
+from .errors import (ContractError, DimensionError, ParameterError, UndefinedMetricError,
+                     check_integer)
 from .graphs import Dataset, Graph, atomic_write_text
 from .model import Checkpoint, ModelConfig, forward, init_model
 from .tape import Eager
@@ -36,15 +37,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.lr < np.inf:
             raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
-        if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
-        if self.patience < 0:
-            raise ParameterError("patience must be >= 0")
+        for name, least in (("epochs", 1), ("batch_size", 0), ("patience", 0), ("seed", 0)):
+            check_integer(name, getattr(self, name), least)
         if not 0 <= self.weight_decay < np.inf:
             raise ParameterError(
                 f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.batch_size < 0:
-            raise ParameterError("batch_size must be >= 0")
         if self.metric not in METRIC_KINDS:
             raise ParameterError(f"unknown metric {self.metric!r}")
 

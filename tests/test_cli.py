@@ -22,12 +22,34 @@ from endiff import cli, diffusion, suites
 from endiff.cli import main
 from endiff.coupling import DIM_SCALE_MIN
 from endiff.errors import ParameterError
+from endiff.graphs import sbm_generate
+from endiff.model import ModelConfig
+from endiff.train import TrainConfig, train_loop, write_history_csv
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _synth_files(out: Path, *flags) -> list[str]:
+    """Write a block-model dataset with `synth`; return the flags with
+    which train and eval read it."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", *flags, "--out", str(out)]) == 0
+    return [arg for name in ("features", "labels", "edges", "split")
+            for arg in (f"--{name}", str(out / f"{name}.txt"))]
+
+
+@pytest.fixture(scope="module")
+def sbm10(tmp_path_factory):
+    return _synth_files(tmp_path_factory.mktemp("sbm10"), "--per-block", "10")
+
+
+@pytest.fixture(scope="module")
+def sbm4(tmp_path_factory):
+    return _synth_files(tmp_path_factory.mktemp("sbm4"), "--per-block", "4")
 
 
 def test_unknown_suite_is_usage_error(capsys):
@@ -109,9 +131,30 @@ def test_synth_then_train_then_eval(tmp_path, capsys):
     assert 0.0 <= values["test"] <= 1.0
 
 
-def test_train_and_eval_with_the_mse_metric(tmp_path, capsys):
+@pytest.mark.parametrize("batch_size", [0, 16])
+def test_synth_then_train_writes_what_train_loop_writes_on_the_generated_dataset(
+        tmp_path, capsys, batch_size):
+    # the files synth writes read back as the dataset sbm_generate draws, so
+    # a run from them trains on the generator's own arrays and graph
+    data = _synth_files(tmp_path / "data", "--per-block", "30", "--seed", "3")
+    run = tmp_path / "run"
+    assert run_cli(["train", *data, "--use-graph", "--hidden", "8", "--heads", "2",
+                    "--epochs", "5", "--batch-size", str(batch_size), "--seed", "3",
+                    "--out", str(run)], capsys)[0] == 0
+    ds = sbm_generate(blocks=2, per_block=30, p_in=0.2, p_out=0.02, feat_dim=8,
+                      feat_shift=0.5, seed=3)
+    model_cfg = ModelConfig(input_dim=8, hidden_dim=8, output_dim=ds.num_classes,
+                            heads=2, use_graph=True)
+    result = train_loop(ds, model_cfg, TrainConfig(epochs=5, batch_size=batch_size, seed=3))
+    result.checkpoint.save(tmp_path / "checkpoint.json")
+    write_history_csv(result.history, tmp_path / "history.csv")
+    for name in ("checkpoint.json", "history.csv"):
+        assert (run / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_train_and_eval_with_the_mse_metric(tmp_path, capsys, sbm10):
     # mse regresses the label value, so the model has one output
-    data = ["--synth", "sbm", "--per-block", "10", "--metric", "mse"]
+    data = [*sbm10, "--metric", "mse"]
     run = tmp_path / "run"
     code, out, err = run_cli(["train", *data, "--epochs", "3", "--hidden", "4",
                               "--out", str(run)], capsys)
@@ -232,20 +275,41 @@ def test_interrupted_synth_leaves_the_old_files_whole(tmp_path, capsys, monkeypa
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_train_reruns_are_byte_identical(tmp_path, capsys):
+def test_train_reruns_are_byte_identical(tmp_path, capsys, sbm10):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["train", "--synth", "sbm", "--per-block", "12", "--epochs", "4",
-            "--hidden", "4", "--layers", "1", "--seed", "5"]
+    args = ["train", *sbm10, "--epochs", "4", "--hidden", "4", "--layers", "1",
+            "--seed", "5"]
     assert run_cli(args + ["--out", str(out1)], capsys)[0] == 0
     assert run_cli(args + ["--out", str(out2)], capsys)[0] == 0
     assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
     assert (out1 / "checkpoint.json").read_bytes() == (out2 / "checkpoint.json").read_bytes()
 
 
-def test_train_missing_dataset_is_runtime_error(tmp_path, capsys):
-    code, _, err = run_cli(["train", "--out", str(tmp_path)], capsys)
-    assert code == 1
-    assert "error" in err
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_missing_data_files_are_usage_errors(tmp_path, capsys, sbm10, command):
+    # checked after --config is applied, so a config can name the files
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "eval":
+        argv += ["--checkpoint", str(tmp_path / "missing.json")]
+    for given, missing in (([], "--features, --labels"), (sbm10[:2], "--labels"),
+                           (sbm10[2:4], "--features")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *given])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"the following arguments are required: {missing}\n" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_reads_the_data_files_a_config_names(tmp_path, capsys, sbm10):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: path for flag, path in zip(sbm10[::2], sbm10[1::2])}))
+    argv = ["--epochs", "2", "--hidden", "4", "--layers", "1"]
+    for out, data in (("a", sbm10), ("b", ["--config", str(cfg)])):
+        assert run_cli(["train", *data, *argv, "--out", str(tmp_path / out)], capsys)[0] == 0
+    assert ((tmp_path / "a" / "checkpoint.json").read_bytes()
+            == (tmp_path / "b" / "checkpoint.json").read_bytes())
 
 
 def test_train_malformed_file_names_file_and_line(tmp_path, capsys):
@@ -682,10 +746,10 @@ def test_malformed_config_is_runtime_error(tmp_path, capsys, data):
     assert err.startswith(f"error: {cfg}")
 
 
-def test_eval_with_a_zero_attention_denominator_is_runtime_error(tmp_path, capsys):
+def test_eval_with_a_zero_attention_denominator_is_runtime_error(tmp_path, capsys, sbm10):
     run = tmp_path / "r"
-    assert run_cli(["train", "--synth", "sbm", "--per-block", "10", "--epochs", "1",
-                    "--hidden", "4", "--layers", "1", "--out", str(run)], capsys)[0] == 0
+    assert run_cli(["train", *sbm10, "--epochs", "1", "--hidden", "4", "--layers", "1",
+                    "--out", str(run)], capsys)[0] == 0
     ckpt = run / "checkpoint.json"
     payload = json.loads(ckpt.read_text())
     assert payload["config"]["variant"] == "simple"
@@ -695,21 +759,21 @@ def test_eval_with_a_zero_attention_denominator_is_runtime_error(tmp_path, capsy
     payload["params"]["W_Q_0"] = [w_q]
     payload["params"]["W_K_0"] = [[[-x for x in row] for row in w_q]]
     ckpt.write_text(json.dumps(payload))
-    code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
-                            "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")], capsys)
+    code, _, err = run_cli(["eval", *sbm10, "--checkpoint", str(ckpt),
+                            "--out", str(tmp_path / "e")], capsys)
     assert code == 1
     assert err.startswith("error: ") and "denominator" in err
 
 
-def _trained_checkpoint(tmp_path, capsys, *flags) -> dict:
+def _trained_checkpoint(tmp_path, capsys, data, *flags) -> dict:
     run = tmp_path / "r"
-    assert run_cli(["train", "--synth", "sbm", "--per-block", "10", "--epochs", "1",
-                    "--hidden", "4", "--layers", "1", *flags, "--out", str(run)], capsys)[0] == 0
+    assert run_cli(["train", *data, "--epochs", "1", "--hidden", "4", "--layers", "1",
+                    *flags, "--out", str(run)], capsys)[0] == 0
     return json.loads((run / "checkpoint.json").read_text())
 
 
-def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys):
-    payload = _trained_checkpoint(tmp_path, capsys)
+def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys, sbm10):
+    payload = _trained_checkpoint(tmp_path, capsys, sbm10)
     for name, bad, why in (("W_O", float("nan"), "is not finite"),
                            ("b_I", float("inf"), "is not finite"),
                            ("W_O", "x", "is not a numeric array"),
@@ -719,8 +783,7 @@ def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys):
         (row[0] if isinstance(row[0], list) else row)[0] = bad
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(trial))  # json writes NaN / Infinity
-        code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
-                                "--checkpoint", str(path),
+        code, _, err = run_cli(["eval", *sbm10, "--checkpoint", str(path),
                                 "--out", str(tmp_path / "e")], capsys)
         assert code == 1
         assert err == f"error: {path}: parameter {name} {why}\n"
@@ -729,26 +792,24 @@ def test_eval_rejects_a_malformed_checkpoint_parameter(tmp_path, capsys):
         trial["config"][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(trial))
-        code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
-                                "--checkpoint", str(path),
+        code, _, err = run_cli(["eval", *sbm10, "--checkpoint", str(path),
                                 "--out", str(tmp_path / "e")], capsys)
         assert code == 1
         assert err.startswith(f"error: {path}: bad config: {key} must be")
     for text, why in (("5", "expected a JSON object"),
                       ('{"config": {}, "params": [1, 2]}', "missing 'params' object")):
         path.write_text(text)
-        code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
-                                "--checkpoint", str(path),
+        code, _, err = run_cli(["eval", *sbm10, "--checkpoint", str(path),
                                 "--out", str(tmp_path / "e")], capsys)
         assert code == 1
         assert err == f"error: {path}: {why}\n"
 
 
-def test_eval_rejects_an_older_checkpoint_layout(tmp_path, capsys):
+def test_eval_rejects_an_older_checkpoint_layout(tmp_path, capsys, sbm10):
     # load reads what save writes: the per-head layout of older versions (W_I
     # and one W_{role}_{k}_{h} per head, each transposed) and their retired
     # config keys exit 1 through the checks every checkpoint passes
-    payload = _trained_checkpoint(tmp_path, capsys, "--heads", "2")
+    payload = _trained_checkpoint(tmp_path, capsys, sbm10, "--heads", "2")
     per_head = json.loads(json.dumps(payload))
     params = per_head["params"]
     params["W_I"] = np.transpose(params["W_I"]).tolist()
@@ -761,8 +822,7 @@ def test_eval_rejects_an_older_checkpoint_layout(tmp_path, capsys):
     for trial, why in ((per_head, "checkpoint parameters do not match config"),
                        (retired, "bad config: use_feature_transform is not a config key")):
         path.write_text(json.dumps(trial))
-        code, _, err = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
-                                "--checkpoint", str(path),
+        code, _, err = run_cli(["eval", *sbm10, "--checkpoint", str(path),
                                 "--out", str(tmp_path / "e")], capsys)
         assert (code, err) == (1, f"error: {path}: {why}\n")
 
@@ -771,21 +831,44 @@ def _address_space_limit():
     resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
 
-def test_eval_checks_a_checkpoints_parameter_count_before_its_layout(tmp_path, capsys):
-    # a config's layers could ask for more parameter names than memory holds;
-    # the child's address-space limit turns a regression into a MemoryError
-    # instead of a host out of memory
-    payload = _trained_checkpoint(tmp_path, capsys)
+def _run_limited(argv, cwd=None):
+    """`endiff` in a child whose address space is limited, so that a run
+    that asks for more memory than the host has fails its allocation
+    instead of running the host out of memory."""
+    return subprocess.run([sys.executable, "-m", "endiff.cli", *argv], cwd=cwd,
+                          env=_subprocess_env(), preexec_fn=_address_space_limit,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+
+
+def test_eval_checks_a_checkpoints_parameter_count_before_its_layout(tmp_path, capsys,
+                                                                     sbm10):
+    # a config's layers could ask for more parameter names than memory holds
+    payload = _trained_checkpoint(tmp_path, capsys, sbm10)
     payload["config"]["layers"] = 10 ** 30
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(payload))
-    done = subprocess.run([sys.executable, "-m", "endiff.cli", "eval", "--synth", "sbm",
-                           "--per-block", "10", "--checkpoint", str(path),
-                           "--out", str(tmp_path / "e")],
-                          env=_subprocess_env(), preexec_fn=_address_space_limit,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+    done = _run_limited(["eval", *sbm10, "--checkpoint", str(path),
+                         "--out", str(tmp_path / "e")])
     assert (done.returncode, done.stderr.decode()) == (
         1, f"error: {path}: checkpoint parameters do not match config\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--hidden", "1000000000"], "error: out of memory: Unable to allocate "),
+    (["train", "--heads", "100000000"], "error: out of memory: Unable to allocate "),
+    (["train", "--config", "layers.json"],
+     "error: a model of layers=1000000000000000000000, heads=1, hidden_dim=16 is too "
+     "large: Maximum allowed dimension exceeded\n"),
+    (["diffuse", "--n", "1000000000"], "error: out of memory: Unable to allocate "),
+], ids=["train-hidden", "train-heads", "train-layers", "diffuse-n"])
+def test_a_run_larger_than_memory_is_runtime_error(tmp_path, sbm4, argv, message):
+    (tmp_path / "layers.json").write_text(json.dumps({"layers": 10 ** 21}))
+    data = sbm4 if argv[0] == "train" else []
+    done = _run_limited([*argv, *data, "--out", "out"], cwd=tmp_path)
+    err = done.stderr.decode()
+    assert done.returncode == 1, err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("coupling", ["attention", "gat_masked"])
@@ -870,8 +953,7 @@ def test_diffuse_tau_above_the_row_sum_bound_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-_TRAIN_TINY = ["train", "--synth", "sbm", "--per-block", "4", "--epochs", "1",
-               "--hidden", "2"]
+_TRAIN_TINY = ["train", "--epochs", "1", "--hidden", "2"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -887,9 +969,10 @@ _TRAIN_TINY = ["train", "--synth", "sbm", "--per-block", "4", "--epochs", "1",
     ([*_TRAIN_TINY, "--weight-decay", "nan"],
      "weight_decay must be finite and >= 0, got nan"),
 ])
-def test_non_finite_settings_are_runtime_errors(tmp_path, capsys, argv, message):
+def test_non_finite_settings_are_runtime_errors(tmp_path, capsys, sbm4, argv, message):
     out = tmp_path / "out"
-    code, _, err = run_cli([*argv, "--out", str(out)], capsys)
+    data = sbm4 if argv[0] == "train" else []
+    code, _, err = run_cli([*argv, *data, "--out", str(out)], capsys)
     assert code == 1
     assert err == f"error: {message}\n"
     assert not out.exists() or not any(out.iterdir())
@@ -926,14 +1009,13 @@ def test_diffuse_size_below_one_is_usage_error(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_eval_records_no_tape(tmp_path, capsys, monkeypatch):
+def test_eval_records_no_tape(tmp_path, capsys, monkeypatch, sbm10):
     from endiff.tape import Tape
 
     run = tmp_path / "r"
-    assert run_cli(["train", "--synth", "sbm", "--per-block", "10", "--use-graph",
-                    "--epochs", "2", "--hidden", "4", "--out", str(run)], capsys)[0] == 0
-    code, out, _ = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
-                            "--checkpoint", str(run / "checkpoint.json"),
+    assert run_cli(["train", *sbm10, "--use-graph", "--epochs", "2", "--hidden", "4",
+                    "--out", str(run)], capsys)[0] == 0
+    code, out, _ = run_cli(["eval", *sbm10, "--checkpoint", str(run / "checkpoint.json"),
                             "--out", str(tmp_path / "e1")], capsys)
     assert code == 0
 
@@ -941,8 +1023,7 @@ def test_eval_records_no_tape(tmp_path, capsys, monkeypatch):
         raise AssertionError("eval recorded a tape node")
 
     monkeypatch.setattr(Tape, "_record", refuse)
-    code, out2, _ = run_cli(["eval", "--synth", "sbm", "--per-block", "10",
-                             "--checkpoint", str(run / "checkpoint.json"),
+    code, out2, _ = run_cli(["eval", *sbm10, "--checkpoint", str(run / "checkpoint.json"),
                              "--out", str(tmp_path / "e2")], capsys)
     assert code == 0
     assert out2 == out
@@ -953,7 +1034,7 @@ def test_eval_records_no_tape(tmp_path, capsys, monkeypatch):
     (["audit", "--suite", "thm1", "--seeds", "-1"], "--seeds must be >= 1, got -1"),
     (["synth", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["diffuse", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    (["train", "--synth", "sbm", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["train", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["audit", "--suite", "gradcheck", "--seeds", "7"],
      "--seeds does not apply to --suite gradcheck"),
     # audit and landscape draw no random numbers: they take no --seed
@@ -968,36 +1049,6 @@ def test_seed_counts_out_of_range_are_usage_errors(tmp_path, capsys, argv, messa
     assert not (tmp_path / "out").exists()
 
 
-_SYNTH_SBM = {"train": ["train", "--synth", "sbm", "--per-block", "4", "--epochs", "1"],
-              "eval": ["eval", "--synth", "sbm", "--per-block", "4",
-                       "--checkpoint", "missing.json"]}
-
-
-@pytest.mark.parametrize("flag", ["--features", "--labels", "--edges", "--split"])
-@pytest.mark.parametrize("command", sorted(_SYNTH_SBM))
-def test_synth_with_a_data_file_is_usage_error(tmp_path, capsys, command, flag):
-    # the generated dataset would leave the file unread
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([*_SYNTH_SBM[command], flag, str(tmp_path / "missing.txt"), "--out", str(out)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert f"--synth sbm does not take {flag}\n" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
-def test_synth_with_a_data_file_from_the_config_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"features": "missing.txt", "labels": "missing.txt"}))
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([*_SYNTH_SBM["train"], "--config", str(cfg), "--out", str(out)])
-    assert exc.value.code == 2
-    assert "--synth sbm does not take --features, --labels\n" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def _tiny_data_files(tmp_path) -> list[str]:
     (tmp_path / "features.txt").write_text("0 1\n1 0\n1 1\n0 0\n")
     (tmp_path / "labels.txt").write_text("0\n1\n1\n0\n")
@@ -1010,10 +1061,11 @@ _GENERATOR = ("--per-block", "--blocks", "--p-in", "--p-out", "--feat-dim", "--f
 
 
 @pytest.mark.parametrize("command, flag", [
-    *(("train", flag) for flag in _GENERATOR),
-    *(("eval", flag) for flag in _GENERATOR + ("--seed",))])
+    *(("train", flag) for flag in _GENERATOR + ("--synth",)),
+    *(("eval", flag) for flag in _GENERATOR + ("--synth", "--seed"))])
 def test_data_files_with_a_generator_flag_is_usage_error(tmp_path, capsys, command, flag):
-    # the loaded dataset would leave the generator's setting unread
+    # train and eval read their dataset from files only: the generator's
+    # flags are synth's alone, and --synth is gone
     out = tmp_path / "out"
     argv = [command, *_tiny_data_files(tmp_path), flag, "1", "--out", str(out)]
     if command == "eval":
@@ -1022,23 +1074,21 @@ def test_data_files_with_a_generator_flag_is_usage_error(tmp_path, capsys, comma
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert f"data files do not take {flag}\n" in captured.err
+    assert f"unrecognized arguments: {flag} 1\n" in captured.err
     assert captured.out == ""
     assert not out.exists()
 
 
-def test_data_files_with_a_generator_setting_from_the_config_is_usage_error(tmp_path, capsys):
+def test_a_generator_setting_in_a_train_config_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"blocks": 2, "feat_shift": 0.5}))
-    with pytest.raises(SystemExit) as exc:
-        main(["train", *_tiny_data_files(tmp_path), "--config", str(cfg),
-              "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert "data files do not take --blocks, --feat-shift\n" in capsys.readouterr().err
+    code, _, err = run_cli(["train", *_tiny_data_files(tmp_path), "--config", str(cfg),
+                            "--out", str(tmp_path / "out")], capsys)
+    assert (code, err) == (1, f"error: {cfg}: unknown config key 'blocks'\n")
     assert not (tmp_path / "out").exists()
 
 
-def test_train_on_data_files_takes_its_own_seed_and_records_the_generator_defaults(
+def test_train_on_data_files_takes_its_own_seed_and_records_no_generator_setting(
         tmp_path, capsys):
     out = tmp_path / "out"
     code, _, _ = run_cli(["train", *_tiny_data_files(tmp_path), "--seed", "3",
@@ -1046,8 +1096,8 @@ def test_train_on_data_files_takes_its_own_seed_and_records_the_generator_defaul
     assert code == 0
     config = json.loads((out / "manifest_train.json").read_text())["config"]
     assert config["seed"] == 3
-    assert {key: config[key] for key in cli._GENERATOR if key != "seed"} == {
-        key: default for key, (_, default) in cli._GENERATOR.items() if key != "seed"}
+    assert set(config) & {"synth", "blocks", "per_block", "p_in", "p_out", "feat_dim",
+                          "feat_shift"} == set()
 
 
 # A small run of each command; flags drawn after these override them.
@@ -1055,11 +1105,10 @@ _CHEAP = {
     "synth": ["--per-block", "4"],
     "diffuse": ["--n", "4", "--steps", "2"],
     "audit": ["--suite", "thm1", "--seeds", "1"],
-    "train": ["--synth", "sbm", "--per-block", "4", "--epochs", "1", "--hidden", "2"],
-    "eval": ["--synth", "sbm", "--per-block", "4"],
+    "train": ["--epochs", "1", "--hidden", "2"],
+    "eval": [],
     "landscape": ["--family", "simple"],
 }
-_DATA = _GENERATOR + ("--synth",)
 _DATA_FILES = ("--features", "--labels", "--edges", "--split")
 _MODEL = ("--tau", "--layers", "--hidden", "--heads", "--variant")
 # Per command: (flags that take a value, switches, flags that take a file).
@@ -1068,10 +1117,10 @@ _FLAGS = {
     "diffuse": (("--coupling", "--penalty", "--tau", "--steps", "--n", "--dim"),
                 ("--use-source",), ("--features", "--edges")),
     "audit": (("--suite", "--seeds"), (), ()),
-    "train": (_DATA + _MODEL + ("--lr", "--weight-decay", "--epochs", "--batch-size",
-                                "--patience", "--metric"),
+    "train": (_MODEL + ("--lr", "--weight-decay", "--epochs", "--batch-size",
+                        "--patience", "--metric"),
               ("--use-graph", "--use-source"), _DATA_FILES),
-    "eval": (_DATA + ("--metric",), (), _DATA_FILES + ("--checkpoint",)),
+    "eval": (("--metric",), (), _DATA_FILES + ("--checkpoint",)),
     "landscape": (("--family", "--dim-scale"), (), ()),
 }
 # Numbers and words, half and half; none large enough to make a run slow.
@@ -1114,10 +1163,10 @@ def _tokens(command):
 
 
 @pytest.fixture(scope="module")
-def small_checkpoint(tmp_path_factory):
+def small_checkpoint(tmp_path_factory, sbm4):
     out = tmp_path_factory.mktemp("ckpt")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["train", *_CHEAP["train"], "--out", str(out)]) == 0
+        assert main(["train", *_CHEAP["train"], *sbm4, "--out", str(out)]) == 0
     return out / "checkpoint.json"
 
 
@@ -1129,7 +1178,7 @@ def small_checkpoint(tmp_path_factory):
 @example(("landscape", [("--dim-scale", "nan")]))
 @example(("synth", [("--feat-shift", "inf")]))
 @example(("eval", [("--metric", "mse")]))
-def test_every_exit_code_is_documented_and_no_traceback(small_checkpoint, run):
+def test_every_exit_code_is_documented_and_no_traceback(small_checkpoint, sbm4, run):
     """Bad flag values, unknown choices and flags, missing and malformed
     files: every run ends in 0, 1, 2 or 3 with a one-line error, never an
     uncaught exception, and a run that exits 0 wrote only finite numbers."""
@@ -1137,6 +1186,8 @@ def test_every_exit_code_is_documented_and_no_traceback(small_checkpoint, run):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         argv = [command, *_CHEAP[command], "--out", str(tmp / "out")]
+        if command in ("train", "eval"):
+            argv += sbm4
         if command == "eval":
             argv += ["--checkpoint", str(small_checkpoint)]
         for i, token in enumerate(tokens):

@@ -66,6 +66,10 @@ def test_diffusion_config_validation():
         DiffusionConfig(tau=1.5)
     with pytest.raises(ParameterError):
         DiffusionConfig(steps=0)
+    for value in (2.5, True, "3", None):
+        with pytest.raises(ParameterError, match=f"steps must be an integer, got {value!r}"):
+            DiffusionConfig(steps=value)
+    assert DiffusionConfig(steps=np.int64(3)).steps == 3
 
 
 def test_run_trajectory_static_records_every_step():

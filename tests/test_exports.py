@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -173,48 +174,19 @@ def test_suites_take_only_their_seed_count(name):
     assert [(p.name, p.default is not p.empty) for p in params] == expected
 
 
-def _branch_reads(source: str, func: str, test_attr: str) -> tuple[set, set]:
-    """The `args.<name>` attributes `func` reads on each branch of the `if`
-    statements that test `args.<test_attr>`: (reads when the test holds,
-    reads when it fails). Every other statement counts for both, and a
-    branch that returns ends its path."""
-    fn, = [node for node in ast.walk(ast.parse(source))
-           if isinstance(node, ast.FunctionDef) and node.name == func]
-
-    def reads(nodes):
-        return {node.attr for stmt in nodes for node in ast.walk(stmt)
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id == "args"}
-
-    def path(taken: bool) -> set:
-        seen = set()
-        for stmt in fn.body:
-            if isinstance(stmt, ast.If) and test_attr in reads([stmt.test]):
-                branch = stmt.body if taken else stmt.orelse
-                seen |= reads([stmt.test]) | reads(branch)
-                if branch and isinstance(branch[-1], ast.Return):
-                    return seen
-            else:
-                seen |= reads([stmt])
-        return seen
-
-    return path(True), path(False)
-
-
-def test_branch_scan_sees_a_flag_read_on_one_branch():
-    source = ("def f(args):\n    x = args.a\n    if args.s:\n        return args.b\n"
-              "    if args.s:\n        y = args.c\n    else:\n        y = args.d\n"
-              "    return args.e\n")
-    assert _branch_reads(source, "f", "s") == ({"a", "s", "b"}, {"a", "s", "d", "e"})
-
-
-def test_dataset_flags_are_read_on_both_branches():
-    # a flag read only where --synth sbm generates the dataset would be
-    # accepted and ignored next to data files, and the other way round
-    synth, files = _branch_reads(Path(cli.__file__).read_text(), "_resolve_dataset", "synth")
-    parser = cli.build_parser()
+def _long_options(parser: argparse.ArgumentParser) -> dict:
+    """Per subcommand, its long options other than --help."""
     commands, = [a.choices for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction)]
-    flags = {a.dest for command in ("train", "eval") for a in commands[command]._actions}
-    assert "blocks" in synth & files
-    assert (synth ^ files) & flags == set()
+    return {command: {flag for a in sub._actions for flag in a.option_strings
+                      if flag.startswith("--") and flag != "--help"}
+            for command, sub in commands.items()}
+
+
+def test_every_long_option_is_in_the_readme():
+    # an option the README never names is one a user cannot find
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = {command: sorted(flag for flag in flags
+                               if not re.search(re.escape(flag) + r"(?![\w-])", readme))
+               for command, flags in _long_options(cli.build_parser()).items()}
+    assert {command: flags for command, flags in missing.items() if flags} == {}

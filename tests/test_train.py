@@ -23,6 +23,14 @@ def test_train_config_validation():
         TrainConfig(patience=-1)
     with pytest.raises(ParameterError):
         TrainConfig(metric="f1")
+    for key, value in (("epochs", 2.5), ("batch_size", 1.5), ("patience", "2"),
+                       ("seed", True), ("seed", 1.0)):
+        with pytest.raises(ParameterError, match=f"{key} must be an integer, got {value!r}"):
+            TrainConfig(**{key: value})
+    for key, value, least in (("batch_size", -1, 0), ("seed", -1, 0)):
+        with pytest.raises(ParameterError, match=f"{key} must be >= {least}"):
+            TrainConfig(**{key: value})
+    assert TrainConfig(epochs=np.int64(3), seed=np.uint32(2)).seed == 2
 
 
 def test_adam_zero_grad_no_motion():
