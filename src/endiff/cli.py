@@ -26,11 +26,11 @@ from .energy import write_trajectory_csv
 from .errors import EndiffError, FormatError
 from .graphs import (Dataset, atomic_write_text, er_graph, load_dataset,
                      read_edges, read_features, sbm_generate)
-from .model import Checkpoint, ModelConfig, forward
+from .model import VARIANTS, Checkpoint, ModelConfig, forward
 from .numerics import row_l2_normalize
 from .suites import SEEDED_SUITES, SUITES, run_suites
 from .tape import Eager
-from .train import TrainConfig, metric, train_loop, write_history_csv
+from .train import METRIC_KINDS, TrainConfig, metric, train_loop, write_history_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -72,8 +72,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--hidden", type=int, default=16)
     p.add_argument("--heads", type=int, default=1)
-    p.add_argument("--variant", choices=("simple", "advanced", "mlp"),
-                   default="simple")
+    p.add_argument("--variant", choices=VARIANTS, default="simple")
     p.add_argument("--use-graph", action="store_true")
     p.add_argument("--use-source", action="store_true")
 
@@ -246,6 +245,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.use_graph and args.edges is None:
+        args.parser.error("--use-graph needs --edges")
     started = time.monotonic()
     ds, inputs = _read_dataset(args)
     out = args.out
@@ -362,16 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=0)
     p.add_argument("--patience", type=int, default=0)
-    p.add_argument("--metric", default="accuracy",
-                   choices=("accuracy", "rocauc", "mse"))
+    p.add_argument("--metric", default="accuracy", choices=METRIC_KINDS)
     p.set_defaults(func=cmd_train, parser=p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_common(p)
     _add_dataset_flags(p)
     p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--metric", default="accuracy",
-                   choices=("accuracy", "rocauc", "mse"))
+    p.add_argument("--metric", default="accuracy", choices=METRIC_KINDS)
     p.set_defaults(func=cmd_eval, parser=p)
 
     p = sub.add_parser("landscape", help="emit penalty-family tables")

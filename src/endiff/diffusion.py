@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .coupling import Coupling, CouplingSpec, SimpleAttention, coupling_operator
-from .errors import DimensionError, ParameterError, check_integer
+from .errors import DimensionError, ParameterError, check_flag, check_integer
 from .graphs import Graph
 from .numerics import as_stack, row_l2_normalize
 
@@ -49,9 +49,7 @@ class DiffusionConfig:
             tau.flags.writeable = False
             object.__setattr__(self, "tau", tau)
         check_integer("steps", self.steps, 1)
-        if not isinstance(self.use_source, (bool, np.bool_)):
-            raise ParameterError(
-                f"use_source must be true or false, got {self.use_source!r}")
+        check_flag("use_source", self.use_source)
 
     @cached_property
     def step_size(self):

@@ -1,7 +1,9 @@
-"""Exception types shared across the library, and the integer check the
-configs share."""
+"""Exception types shared across the library, and the integer and flag
+checks the configs share."""
 
 from numbers import Integral
+
+import numpy as np
 
 
 class EndiffError(Exception):
@@ -39,3 +41,9 @@ def check_integer(name: str, value, least: int) -> None:
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ParameterError(f"{name} must be >= {least}")
+
+
+def check_flag(name: str, value) -> None:
+    """Raise ParameterError unless value is a bool (numpy's included)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ParameterError(f"{name} must be true or false, got {value!r}")

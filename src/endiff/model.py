@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import (ContractError, DimensionError, FormatError, ParameterError,
-                     check_integer)
+                     check_flag, check_integer)
 from .graphs import Graph, atomic_write_text
 from .tape import Eager, Ref, Tape
 
@@ -53,10 +53,8 @@ class ModelConfig:
             raise ParameterError(f"unknown variant {self.variant!r}")
         for name in ("input_dim", "hidden_dim", "output_dim", "layers", "heads"):
             check_integer(name, getattr(self, name), 1)
-        for name in ("use_graph", "use_source"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ParameterError(f"{name} must be true or false, got {value!r}")
+        check_flag("use_graph", self.use_graph)
+        check_flag("use_source", self.use_source)
         if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float, np.integer)):
             raise ParameterError(f"tau must be a number, got {self.tau!r}")
         if not 0.0 < self.tau <= 1.0:

@@ -1,8 +1,10 @@
 """Seeded invariant suites behind `endiff audit` and the acceptance tests.
 
-Each suite returns a report dict with at least: suite, seeds, lambda, tau,
-violations, passed. Descent/bound suites add min_ratio / max_ratio;
-collapse suites add diversity_initial / diversity_final.
+Each suite returns a report dict built by `_report`: suite, seeds, lambda,
+tau and violations, then the suite's own keys, then passed. Descent/bound
+suites add min_ratio / max_ratio; collapse suites add diversity_initial /
+diversity_final. gradcheck differences each parameter through one
+non-recording forward over the stack of all its bumped copies.
 
 Every diffusion suite (thm1, prop1, thm2, oversmooth) steps its seeds as
 stacks of at most SEED_STACK states, one trajectory per stack, each slice
@@ -39,15 +41,6 @@ from .tape import Eager
 SEEDED_SUITES = ("thm1", "prop1", "thm2", "oversmooth", "linear_equiv")
 SUITES = SEEDED_SUITES + ("gradcheck",)
 
-# Most bumped parameter copies one gradcheck forward evaluates. Each copy
-# carries its own activations: run in one process, `audit --suite all`
-# peaked at 39.8 MB with stacks of 32, 42.8 MB with 128 and 45.8 MB with
-# one stack per parameter (2 CPUs, one BLAS thread), and the larger stacks
-# saved under 0.1 s. With gradcheck in its forked worker (`run_suites`), the
-# CLI process peaked at 40.0 MB whatever the stack, the worker at 31.2,
-# 34.3 and 37.6 MB.
-GRADCHECK_STACK = 32
-
 # Most seeds one stacked attention run steps at once. A run holds only its
 # start and current states, so a stack costs a few states and one step's
 # temporaries per slice: in-process `audit --suite all` peaked at 39.2,
@@ -66,6 +59,13 @@ OVERSMOOTH_STEPS = 500
 LINEAR_EQUIV_N, LINEAR_EQUIV_D = 64, 8
 GRADCHECK_TOL = 1e-5
 GRADCHECK_SEED, GRADCHECK_N, GRADCHECK_H = 0, 12, 1e-5
+
+
+def _report(suite: str, seeds, lam, tau, violations: int, **extra) -> dict:
+    """A suite's report: the keys every suite writes, its own keys, then
+    whether it passed."""
+    return {"suite": suite, "seeds": seeds, "lambda": lam, "tau": tau,
+            "violations": violations, **extra, "passed": violations == 0}
 
 
 def _seed_chunks(seeds: int) -> list[range]:
@@ -104,14 +104,8 @@ def suite_thm1(seeds: int = 100) -> dict:
     for traj, _ in _static_runs(seeds):
         tested += len(traj.start)
         violations += audit_descent(traj, slack=1e-9).num_violations
-    return {
-        "suite": "thm1",
-        "seeds": tested,
-        "lambda": "tau per instance",
-        "tau": "0.9 / lambda_max per instance",
-        "violations": violations,
-        "passed": violations == 0,
-    }
+    return _report("thm1", tested, "tau per instance", "0.9 / lambda_max per instance",
+                   violations)
 
 
 def suite_prop1(seeds: int = 100) -> dict:
@@ -131,17 +125,11 @@ def suite_prop1(seeds: int = 100) -> dict:
             if is_connected(g):
                 connected_checked += 1
                 violations += int(lam_min > 1e-7) + count
-    return {
-        "suite": "prop1",
-        "seeds": tested,
-        "lambda": "tau per instance",
-        "tau": "0.9 / lambda_max per instance",
-        "violations": violations,
-        "min_ratio": float(min(lows, default=np.inf)) if tested else None,
-        "max_ratio": float(max(highs, default=-np.inf)) if tested else None,
-        "connected_instances": connected_checked,
-        "passed": violations == 0,
-    }
+    return _report("prop1", tested, "tau per instance", "0.9 / lambda_max per instance",
+                   violations,
+                   min_ratio=float(min(lows, default=np.inf)) if tested else None,
+                   max_ratio=float(max(highs, default=-np.inf)) if tested else None,
+                   connected_instances=connected_checked)
 
 
 def suite_thm2(seeds: int = 100) -> dict:
@@ -166,16 +154,8 @@ def suite_thm2(seeds: int = 100) -> dict:
             reported[key] = count
             (gated if tau in THM2_TAUS else ungated)[key] = count
     violations = sum(gated.values())
-    return {
-        "suite": "thm2",
-        "seeds": seeds,
-        "lambda": "lambda = tau",
-        "tau": list(THM2_TAUS),
-        "violations": violations,
-        "ungated_violations": ungated,
-        "per_setting": reported,
-        "passed": violations == 0,
-    }
+    return _report("thm2", seeds, "lambda = tau", list(THM2_TAUS), violations,
+                   ungated_violations=ungated, per_setting=reported)
 
 
 def _connected_er(seed: int, n: int = 16, p: float = 0.3) -> Graph:
@@ -210,16 +190,8 @@ def suite_oversmooth(seeds: int = 5) -> dict:
         violations += int(np.sum(ratio < 0.01 if use_source else ratio > 1e-6))
     summary = {k: {"min": float(min(v)), "max": float(max(v))}
                for k, v in ratios.items()}
-    return {
-        "suite": "oversmooth",
-        "seeds": seeds,
-        "lambda": "lambda = tau",
-        "tau": 0.5,
-        "violations": violations,
-        "diversity_initial": 1.0,
-        "diversity_final": summary,
-        "passed": violations == 0,
-    }
+    return _report("oversmooth", seeds, "lambda = tau", 0.5, violations,
+                   diversity_initial=1.0, diversity_final=summary)
 
 
 def _dense_simple_forward(params, x, g, cfg: ModelConfig) -> np.ndarray:
@@ -279,24 +251,16 @@ def suite_linear_equiv(seeds: int = 50) -> dict:
         ref = _dense_simple_forward(params, x, None, cfg)
         max_model = max(max_model, float(np.max(np.abs(logits.value - ref))))
     violations = int(max_prop > 1e-10) + int(max_model > 1e-9)
-    return {
-        "suite": "linear_equiv",
-        "seeds": seeds,
-        "lambda": None,
-        "tau": cfg.tau,
-        "violations": violations,
-        "max_abs_diff": max_prop,
-        "max_abs_diff_model": max_model,
-        "passed": violations == 0,
-    }
+    return _report("linear_equiv", seeds, None, cfg.tau, violations,
+                   max_abs_diff=max_prop, max_abs_diff_model=max_model)
 
 
 def gradcheck_model(cfg: ModelConfig) -> dict[str, float]:
     """Relative error of every tape gradient against central differences
     for a masked cross-entropy loss on random data: for a stack of heads,
     the largest over its matrices, each relative to its own differences.
-    The differences of one parameter come from non-recording forwards over
-    the stack of its bumped copies, GRADCHECK_STACK copies at a time."""
+    The differences of one parameter come from one non-recording forward
+    over the stack of its bumped copies."""
     seed, n = GRADCHECK_SEED, GRADCHECK_N
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, cfg.input_dim))
@@ -313,12 +277,8 @@ def gradcheck_model(cfg: ModelConfig) -> dict[str, float]:
     errors = {}
     for name in params:
         def stacked_loss(stack, _name=name):
-            losses = []
-            for i in range(0, len(stack), GRADCHECK_STACK):
-                lg, ev = forward({**params, _name: stack[i:i + GRADCHECK_STACK]},
-                                 x, g, cfg, tape=Eager())
-                losses.append(ev.masked_cross_entropy(lg, labels, mask)[..., 0, 0])
-            return np.concatenate(losses)
+            lg, ev = forward({**params, _name: stack}, x, g, cfg, tape=Eager())
+            return ev.masked_cross_entropy(lg, labels, mask)[..., 0, 0]
 
         fd = finite_diff_grad(stacked_loss, params[name], GRADCHECK_H)
         err = np.max(np.abs(grads[name] - fd), axis=(-2, -1))
@@ -345,16 +305,8 @@ def suite_gradcheck() -> dict:
                 key = f"{variant}_graph{int(use_graph)}_source{int(use_source)}"
                 detail[key] = {"max_rel_err": max(errs.values()),
                                "failures": sorted(bad)}
-    return {
-        "suite": "gradcheck",
-        "seeds": 1,
-        "lambda": None,
-        "tau": 0.5,
-        "violations": violations,
-        "max_rel_err": worst,
-        "per_config": detail,
-        "passed": violations == 0,
-    }
+    return _report("gradcheck", 1, None, 0.5, violations,
+                   max_rel_err=worst, per_config=detail)
 
 
 _SUITE_FNS = {
@@ -367,8 +319,8 @@ _SUITE_FNS = {
 }
 
 
-_REPORT_KEYS = ("suite", "seeds", "lambda", "tau", "violations", "min_ratio",
-                "max_ratio", "diversity_initial", "diversity_final", "passed")
+# The optional report keys, None where a suite does not write them.
+_REPORT_KEYS = ("min_ratio", "max_ratio", "diversity_initial", "diversity_final")
 
 
 def run_suite(name: str, **kwargs) -> dict:

@@ -39,7 +39,7 @@ import numpy as np
 from .coupling import (PenaltyFamily, attention_apply, attention_scores, row_reciprocals,
                        simple_attention)
 from .errors import ContractError, DimensionError
-from .numerics import LAYER_NORM_EPS, NORM_EPS, as_matrix, row_l2_divisors
+from .numerics import LAYER_NORM_EPS, NORM_EPS, as_matrix, as_stack, row_l2_divisors
 
 _ADVANCED = PenaltyFamily("advanced")  # its f(2 - 2 q~.k~) is sigmoid(q~.k~)
 
@@ -65,15 +65,6 @@ class Ref:
 def _mT(x: np.ndarray) -> np.ndarray:
     """x with its last two axes swapped: a view."""
     return x.swapaxes(-1, -2)
-
-
-def _leaf(value) -> np.ndarray:
-    """A leaf's value: float64 with two axes or more, a matrix or a stack of
-    them."""
-    value = np.asarray(value, dtype=np.float64)
-    if value.ndim < 2:
-        raise DimensionError(f"expected a matrix or a stack of them, got ndim={value.ndim}")
-    return value
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -116,13 +107,13 @@ class Tape:
         return Ref(self, len(self.nodes) - 1, value)
 
     def constant(self, value) -> Ref:
-        return self._record(_leaf(value), (), None)
+        return self._record(as_stack(value), (), None)
 
     def parameter(self, name: str, value) -> Ref:
         """A named leaf, not a node: its adjoint accumulates under its name."""
         if name in self.params:
             raise ContractError(f"parameter {name!r} already registered")
-        value = _leaf(value)
+        value = as_stack(value)
         self.params[name] = value.shape
         return Ref(self, name, value)
 

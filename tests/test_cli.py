@@ -312,6 +312,40 @@ def test_train_reads_the_data_files_a_config_names(tmp_path, capsys, sbm10):
             == (tmp_path / "b" / "checkpoint.json").read_bytes())
 
 
+def test_train_use_graph_without_edges_is_usage_error_before_any_read(
+        tmp_path, capsys, monkeypatch, sbm10):
+    def unread(*args):
+        raise AssertionError("a data file was read")
+
+    monkeypatch.setattr(cli, "load_dataset", unread)
+    data = sbm10[:4] + sbm10[6:]  # all but --edges
+    with pytest.raises(SystemExit) as exc:
+        main(["train", *data, "--use-graph", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--use-graph needs --edges" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_use_graph_takes_its_edges_from_a_config(tmp_path, capsys, sbm10):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"edges": sbm10[5]}))
+    data = sbm10[:4] + sbm10[6:]  # all but --edges
+    argv = [*data, "--use-graph", "--epochs", "2", "--hidden", "4", "--layers", "1"]
+    for out, extra in (("a", sbm10[4:6]), ("b", ["--config", str(cfg)])):
+        assert run_cli(["train", *argv, *extra, "--out", str(tmp_path / out)],
+                       capsys)[0] == 0
+    assert ((tmp_path / "a" / "checkpoint.json").read_bytes()
+            == (tmp_path / "b" / "checkpoint.json").read_bytes())
+    # only the checkpoint tells eval that it needs a graph: a runtime error
+    code, out, err = run_cli(["eval", "--checkpoint", str(tmp_path / "a" / "checkpoint.json"),
+                              *data, "--out", str(tmp_path / "eval")], capsys)
+    assert code == 1
+    assert err == "error: use_graph set but no graph given\n"
+    assert out == ""
+
+
 def test_train_malformed_file_names_file_and_line(tmp_path, capsys):
     f = tmp_path / "features.txt"
     f.write_text("1.0\nbroken\n")

@@ -597,6 +597,27 @@ def test_gradcheck_suite_catches_a_wrong_adjoint_for_one_head(monkeypatch):
         assert detail["failures"] == ["W_K_1"]  # every configuration sees it
 
 
+@pytest.mark.parametrize("variant", ["simple", "advanced"])
+def test_gradcheck_model_makes_one_eager_forward_per_parameter(monkeypatch, variant):
+    from endiff import suites
+
+    tapes = []
+    real = suites.forward
+
+    def counted(params, x, g, cfg, tape=None):
+        tapes.append(type(tape).__name__)
+        return real(params, x, g, cfg, tape=tape)
+
+    monkeypatch.setattr(suites, "forward", counted)
+    # suite_gradcheck's configuration, whose W_Q/W_K/W_V stacks are (2, 8, 8):
+    # 256 bumped copies each
+    cfg = ModelConfig(variant=variant, input_dim=5, hidden_dim=8, output_dim=3,
+                      layers=2, heads=2, tau=0.5, use_graph=True, use_source=True)
+    errors = suites.gradcheck_model(cfg)
+    assert set(errors) == set(parameter_shapes(cfg))
+    assert tapes == ["NoneType"] + ["Eager"] * len(errors)
+
+
 def test_gradcheck_model_passes_on_mlp():
     from endiff.suites import gradcheck_model
 
