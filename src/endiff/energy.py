@@ -7,7 +7,9 @@ energies, which both audits and the CSV read, fix lam = tau in one place
 every audited statement (Thm 1, Prop 1, Thm 2) holds at lam = tau. Each
 audit and the CSV make one pass over the run's steps, reading each step's
 energy as it is made, and the two audits differ only in the test they
-apply to consecutive energies.
+apply to consecutive energies. `descent_violations` is the descent test
+alone, so a caller that holds a bound audit's report tests descent on the
+same energies without a second pass.
 
 Pairwise sums follow the all-ordered-pairs convention (i and j both range
 over all nodes, diagonal included), which matches the row-normalization
@@ -112,19 +114,21 @@ def _penalty_sum(penalty: PenaltyFamily, z: np.ndarray, in_domain: bool):
     u lies in the domain [0, 4]: for a slice whose rows all lie in the unit
     ball (up to rounding), or for every slice when the caller knows it
     (`in_domain`). With b_i = |y_i|^2: sum u = 2N sum b, in O(N d), and
-    sum u^2 = 2N sum b^2 + 2 (sum b)^2 + 4 ||Y^T Y||_F^2. Every other slice
-    goes pair by pair, which rejects a u outside the domain.
+    sum u^2 = 2N sum b^2 + 2 (sum b)^2 + 4 ||Y^T Y||_F^2. Every other slice,
+    and every slice of a family without a closed form, goes pair by pair,
+    which rejects a u outside the domain.
     """
-    closed = np.full(z.shape[:-2], penalty.kind in ("simple", "quadratic"))
-    if not in_domain:
-        closed &= np.max(np.sum(z * z, axis=-1), axis=-1) <= 1.0 + UNIT_BALL_SLACK
+    if penalty.kind not in ("simple", "quadratic"):
+        return _slice_sum(penalty_delta(penalty, _pairwise_sq_dists(z)))
+    if in_domain:
+        return _closed_penalty_sum(penalty, z)
+    closed = np.max(np.sum(z * z, axis=-1), axis=-1) <= 1.0 + UNIT_BALL_SLACK
     if closed.all():  # the common case, without copying the closed slices out
         return _closed_penalty_sum(penalty, z)
     sums = np.empty(z.shape[:-2])
     if closed.any():
         sums[closed] = _closed_penalty_sum(penalty, z[closed])
-    if not closed.all():
-        sums[~closed] = _slice_sum(penalty_delta(penalty, _pairwise_sq_dists(z[~closed])))
+    sums[~closed] = _slice_sum(penalty_delta(penalty, _pairwise_sq_dists(z[~closed])))
     return sums
 
 
@@ -228,22 +232,33 @@ def _trajectory_energy(traj: Trajectory, step: Step):
     return _regularized(step.z, anchor, spec.penalty, lam, in_domain)
 
 
-def audit_descent(traj: Trajectory, slack: float = DESCENT_SLACK) -> EnergyReport:
-    """Check E(Z^(k+1), k) <= E(Z^(k), k-1) along a trajectory. A stacked
-    run is checked slice by slice, and each violation names its slice (in
-    C order over the leading axes)."""
-    energies = [_trajectory_energy(traj, step) for step in traj][1:]
+def _energies(traj: Trajectory) -> list:
+    """E(Z^(k), k-1) for k = 1..K, from one pass over the run's steps."""
+    return [_trajectory_energy(traj, step) for step in traj][1:]
+
+
+def descent_violations(energies: list, slack: float = DESCENT_SLACK) -> list[dict]:
+    """The descent rule E(Z^(k+1), k) <= E(Z^(k), k-1) + slack over a run's
+    per-step energies, as an `EnergyReport` holds them: one dict per step
+    that broke it, slice by slice for a stacked run, each naming its slice
+    (in C order over the leading axes)."""
     if len(energies) < 2:
         raise ContractError("descent audit needs at least two steps")
     stacked = np.ndim(energies[0]) > 0
-    violations = [
+    return [
         {**({"slice": b} if stacked else {}), "step": k, "energy_prev": e_prev,
          "energy_next": e_next, "excess": e_next - e_prev}
         for b, series in enumerate(np.reshape(energies, (len(energies), -1)).T.tolist())
         for k, (e_prev, e_next) in enumerate(zip(series, series[1:]), 1)
         if not e_next <= e_prev + slack
     ]
-    return EnergyReport(energies=energies, violations=violations)
+
+
+def audit_descent(traj: Trajectory, slack: float = DESCENT_SLACK) -> EnergyReport:
+    """Check the descent rule (`descent_violations`) along a trajectory,
+    from one pass over its steps."""
+    energies = _energies(traj)
+    return EnergyReport(energies=energies, violations=descent_violations(energies, slack))
 
 
 def audit_bounds(traj: Trajectory,
@@ -274,7 +289,7 @@ def audit_bounds(traj: Trajectory,
         if bracket.lambda_max > 0.0 and tau > 1.0 / bracket.lambda_max + 1e-12:
             raise ContractError(f"{f'slice {b}: ' if stacked else ''}tau={tau} exceeds "
                                 f"1/lambda_max={1.0 / bracket.lambda_max}")
-    energies = [_trajectory_energy(traj, step) for step in traj][1:]
+    energies = _energies(traj)
     series = np.reshape(energies, (len(energies), -1)).T.tolist()
     violations, lows, highs = [], [], []
     for b, (tau, bracket, e) in enumerate(zip(taus, brackets, series)):

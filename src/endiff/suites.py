@@ -13,9 +13,13 @@ along its own seed's graph, and thm1 and prop1 step each stack at its
 instances' own step sizes. A seeded suite takes only its seed count and
 gradcheck takes nothing: every other setting is a module constant.
 
-`run_suites` runs several suites in order. With two CPUs or more it runs
-gradcheck, which shares nothing with the others, in one forked worker
-while this process runs the rest; the reports are the same either way.
+`run_suites` runs several suites in order. When it runs both thm1 and
+prop1, they read one pass over the static instances: each graph, SVD,
+stacked run and per-step energy is made once, and the descent rule and
+the ratio bracket are applied to the same energies. With two CPUs or more
+it runs the model suites (linear_equiv, then gradcheck), which share
+nothing with the dynamics suites, in one forked worker while this process
+runs the rest; the reports are the same either way.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .coupling import CouplingSpec, PenaltyFamily, SimpleAttention
 from .diffusion import DiffusionConfig, linear_simple_propagate, run_trajectory
-from .energy import audit_bounds, audit_descent, diversity
+from .energy import audit_bounds, audit_descent, descent_violations, diversity
 from .errors import EndiffError, ParameterError
 from .graphs import Graph, er_graph, is_connected
 from .model import ModelConfig, forward, init_model
@@ -40,13 +44,18 @@ from .tape import Eager
 
 SEEDED_SUITES = ("thm1", "prop1", "thm2", "oversmooth", "linear_equiv")
 SUITES = SEEDED_SUITES + ("gradcheck",)
+# The suites that read one pass over the same static instances, and those
+# that run a model rather than the dynamics and so share nothing with the rest.
+STATIC_SUITES = ("thm1", "prop1")
+MODEL_SUITES = ("linear_equiv", "gradcheck")
 
 # Most seeds one stacked attention run steps at once. A run holds only its
 # start and current states, so a stack costs a few states and one step's
-# temporaries per slice: in-process `audit --suite all` peaked at 39.2,
-# 39.1, 39.5 and 41.6 MB with stacks of 10, 20, 50 and 100 (2 CPUs, one
-# BLAS thread), and every size from 10 up cut its time from 3.0 s one seed
-# at a time to 1.2-1.6 s.
+# temporaries per slice: the CLI process of `audit --suite all`, with the
+# model suites in its forked worker, peaked at 39.4, 39.9, 41.4 and 43.6 MB
+# with stacks of 10, 20, 50 and 100 (2 CPUs, one BLAS thread). When stacks
+# came in, every size from 10 up cut audit-all's time from 3.0 s one seed at
+# a time to 1.2-1.6 s.
 SEED_STACK = 20
 
 # Static instances (thm1, prop1): steps and ER nodes. thm2: the gated step
@@ -98,25 +107,22 @@ def _static_runs(seeds: int):
         yield run_trajectory(np.stack(starts), spec, cfg, graphs), brackets
 
 
-def suite_thm1(seeds: int = 100) -> dict:
-    """Static-coupling energy descent, slack 1e-9."""
-    tested = violations = 0
-    for traj, _ in _static_runs(seeds):
-        tested += len(traj.start)
-        violations += audit_descent(traj, slack=1e-9).num_violations
-    return _report("thm1", tested, "tau per instance", "0.9 / lambda_max per instance",
-                   violations)
-
-
-def suite_prop1(seeds: int = 100) -> dict:
-    """Per-step energy-ratio bracket plus monotonicity on connected graphs."""
-    tested = violations = 0
+def _static_reports(seeds: int, wanted: tuple[str, ...]) -> dict[str, dict]:
+    """The reports of the static suites in `wanted`, thm1 and prop1 or one
+    of them, from one pass over the static instances. With prop1, each
+    stack's per-step energies are read once, by its bound audit, and thm1's
+    descent rule is applied to the same energies."""
+    tested = descent = bounds = connected_checked = 0
     lows, highs = [], []
-    connected_checked = 0
     for traj, brackets in _static_runs(seeds):
         tested += len(traj.start)
+        if "prop1" not in wanted:
+            descent += audit_descent(traj, slack=1e-9).num_violations
+            continue
         rep = audit_bounds(traj, brackets)
-        violations += rep.num_violations
+        if "thm1" in wanted:
+            descent += len(descent_violations(rep.energies, slack=1e-9))
+        bounds += rep.num_violations
         lows += [r for r in rep.min_ratio if r is not None]
         highs += [r for r in rep.max_ratio if r is not None]
         energies = np.array(rep.energies)
@@ -124,12 +130,42 @@ def suite_prop1(seeds: int = 100) -> dict:
         for g, (_, lam_min), count in zip(traj.graph, rep.bracket, rising.tolist()):
             if is_connected(g):
                 connected_checked += 1
-                violations += int(lam_min > 1e-7) + count
-    return _report("prop1", tested, "tau per instance", "0.9 / lambda_max per instance",
-                   violations,
-                   min_ratio=float(min(lows, default=np.inf)) if tested else None,
-                   max_ratio=float(max(highs, default=-np.inf)) if tested else None,
-                   connected_instances=connected_checked)
+                bounds += int(lam_min > 1e-7) + count
+    lam, tau = "tau per instance", "0.9 / lambda_max per instance"
+    reports = {}
+    if "thm1" in wanted:
+        reports["thm1"] = _report("thm1", tested, lam, tau, descent)
+    if "prop1" in wanted:
+        reports["prop1"] = _report(
+            "prop1", tested, lam, tau, bounds,
+            min_ratio=float(min(lows, default=np.inf)) if tested else None,
+            max_ratio=float(max(highs, default=-np.inf)) if tested else None,
+            connected_instances=connected_checked)
+    return reports
+
+
+# While `run_suites` runs both static suites, the reports of their one shared
+# pass by seed count; None at any other time, so that a suite run alone
+# makes its own report only and nothing outlives the run.
+_shared_static: dict[int, dict] | None = None
+
+
+def _static_report(suite: str, seeds: int) -> dict:
+    if _shared_static is None:
+        return _static_reports(seeds, (suite,))[suite]
+    if seeds not in _shared_static:
+        _shared_static[seeds] = _static_reports(seeds, STATIC_SUITES)
+    return _shared_static[seeds][suite]
+
+
+def suite_thm1(seeds: int = 100) -> dict:
+    """Static-coupling energy descent, slack 1e-9."""
+    return _static_report("thm1", seeds)
+
+
+def suite_prop1(seeds: int = 100) -> dict:
+    """Per-step energy-ratio bracket plus monotonicity on connected graphs."""
+    return _static_report("prop1", seeds)
 
 
 def suite_thm2(seeds: int = 100) -> dict:
@@ -247,9 +283,9 @@ def suite_linear_equiv(seeds: int = 50) -> dict:
 
         x = rng.standard_normal((n, d))
         params = init_model(cfg, seed)
-        logits, _ = forward(params, x, None, cfg)
+        logits, _ = forward(params, x, None, cfg, tape=Eager())
         ref = _dense_simple_forward(params, x, None, cfg)
-        max_model = max(max_model, float(np.max(np.abs(logits.value - ref))))
+        max_model = max(max_model, float(np.max(np.abs(logits - ref))))
     violations = int(max_prop > 1e-10) + int(max_model > 1e-9)
     return _report("linear_equiv", seeds, None, cfg.tau, violations,
                    max_abs_diff=max_prop, max_abs_diff_model=max_model)
@@ -332,19 +368,26 @@ def run_suite(name: str, **kwargs) -> dict:
     return report
 
 
-def _gradcheck_worker(conn) -> None:
-    """The forked worker: gradcheck's report, or the exception it raised,
-    sent back once."""
+def _run(name: str, kwargs: dict) -> dict:
+    """Suite `name`'s report; `kwargs` go to a seeded suite only."""
+    return run_suite(name, **(kwargs if name in SEEDED_SUITES else {}))
+
+
+def _suite_worker(conn, names: list[str], kwargs: dict) -> None:
+    """The forked worker: the report of each suite of `names` in turn, each
+    sent back as it is made, or the exception one raised, which ends it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent stops it
-    try:
-        result = run_suite("gradcheck"), None
-    except Exception as exc:
-        result = None, exc
-    conn.send(result)
+    for name in names:
+        try:
+            conn.send((_run(name, kwargs), None))
+        except Exception as exc:
+            conn.send((None, exc))
+            return
 
 
-def _fork_gradcheck():
-    """A started worker that runs gradcheck, and the end its result arrives on."""
+def _fork_worker(names: list[str], kwargs: dict):
+    """A started worker that runs the suites `names`, and the end their
+    results arrive on."""
     import multiprocessing  # only here, so that importing endiff stays as fast
 
     ctx = multiprocessing.get_context("fork")
@@ -352,21 +395,21 @@ def _fork_gradcheck():
     # a child that flushes a buffer it inherited would print its lines twice
     sys.stdout.flush()
     sys.stderr.flush()
-    worker = ctx.Process(target=_gradcheck_worker, args=(send,), daemon=True)
+    worker = ctx.Process(target=_suite_worker, args=(send, names, kwargs), daemon=True)
     worker.start()
     send.close()  # so that a worker dying before it sends reads as end of file
     return worker, receive
 
 
-def _worker_report(worker, receive) -> dict:
-    """The worker's report, or the exception it raised, once it has exited."""
+def _worker_report(worker, receive, name: str) -> dict:
+    """The worker's next report, that of suite `name`, or the exception it
+    raised."""
     try:
         report, exc = receive.recv()
     except EOFError:
         worker.join()
-        raise EndiffError(f"the gradcheck worker exited with code {worker.exitcode} "
+        raise EndiffError(f"the {name} worker exited with code {worker.exitcode} "
                           "before sending its report") from None
-    worker.join()
     if exc is not None:
         raise exc
     return report
@@ -374,25 +417,35 @@ def _worker_report(worker, receive) -> dict:
 
 def run_suites(names, seeds: int | None = None):
     """Yield (name, report) for each suite of `names`, in order; `seeds`,
-    if given, goes to the seeded suites. When `names` holds gradcheck and
-    another suite, and this process may run on two CPUs or more, gradcheck
-    runs in a forked worker beside the others. Its report, or the exception
-    it raised, is yielded or raised at its turn, and the worker is reaped
-    however the run ends."""
+    if given, goes to the seeded suites. thm1 and prop1 read one shared
+    pass when both run. When `names` holds a model suite and a dynamics
+    suite, and this process may run on two CPUs or more, the model suites
+    run in a forked worker beside the others. Each of its reports, or the
+    exception it raised, is yielded or raised at its turn, and the worker
+    is reaped however the run ends."""
+    global _shared_static
     names = list(names)
     kwargs = {} if seeds is None else {"seeds": seeds}
-    worker = None
-    if ("gradcheck" in names and len(names) > 1 and hasattr(os, "sched_getaffinity")
+    forked = [name for name in names if name in MODEL_SUITES]
+    if not (forked and len(forked) < len(names) and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2):
-        worker, receive = _fork_gradcheck()
+        forked = []
+    worker = None
+    if forked:
+        worker, receive = _fork_worker(forked, kwargs)
+    if set(STATIC_SUITES) <= set(names):
+        _shared_static = {}
     try:
         for name in names:
-            if worker is not None and name == "gradcheck":
-                report = _worker_report(worker, receive)
+            if name in forked:
+                report = _worker_report(worker, receive, name)
             else:
-                report = run_suite(name, **(kwargs if name in SEEDED_SUITES else {}))
+                report = _run(name, kwargs)
             yield name, report
+        if worker is not None:
+            worker.join()  # it exits once it has sent its last report
     finally:
+        _shared_static = None
         if worker is not None:
             receive.close()
             if worker.is_alive():

@@ -464,7 +464,7 @@ def test_audit_all_keeps_its_digests(tmp_path, capsys):
 
 def test_audit_all_steps_the_dynamics_in_seed_stacks(tmp_path, capsys, monkeypatch):
     # every diffusion suite steps stacks of up to SEED_STACK = 20 seeds:
-    # thm1 and prop1 5 stacks x 20 steps each, thm2 2 families x 5 taus x
+    # thm1 and prop1 share 5 stacks x 20 steps, thm2 2 families x 5 taus x
     # 5 stacks x 10 steps, oversmooth 4 cases x 500 steps on one stack of 5
     steps = []
     euler_step = diffusion.euler_step
@@ -476,7 +476,7 @@ def test_audit_all_steps_the_dynamics_in_seed_stacks(tmp_path, capsys, monkeypat
     monkeypatch.setattr(diffusion, "euler_step", counted)
     code, _, _ = run_cli(["audit", "--suite", "all", "--out", str(tmp_path)], capsys)
     assert code == 0
-    assert len(steps) == 100 + 100 + 500 + 1000 + 1000
+    assert len(steps) == 100 + 500 + 1000 + 1000
 
 
 # `audit` runs gradcheck in a forked worker when the process may use two
@@ -533,7 +533,72 @@ def test_audit_all_runs_gradcheck_in_one_forked_worker(tmp_path, capsys, monkeyp
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("suite", ["all", "gradcheck"])
+def test_audit_all_runs_the_model_suites_in_the_worker(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    _two_cpus(monkeypatch)
+    for name, fn in list(suites._SUITE_FNS.items()):
+        def recorded(_fn=fn, **kwargs):
+            return {**_fn(**kwargs), "pid": os.getpid()}
+
+        monkeypatch.setitem(suites._SUITE_FNS, name, recorded)
+    code, _, _ = run_cli(["audit", "--suite", "all", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    pids = {name: json.loads((tmp_path / f"audit_{name}.json").read_text())["pid"]
+            for name in suites.SUITES}
+    assert [name for name, pid in pids.items() if pid == os.getpid()] == [
+        "thm1", "prop1", "thm2", "oversmooth"]
+    assert pids["linear_equiv"] == pids["gradcheck"] != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+def test_audit_all_writes_the_same_bytes_on_one_cpu_and_on_two(tmp_path, capsys,
+                                                               monkeypatch):
+    # on two CPUs --seeds reaches linear_equiv in the worker
+    written = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, _cpus=cpus: _cpus)
+        out = tmp_path / str(len(cpus))
+        code, stdout, _ = run_cli(["audit", "--suite", "all", "--seeds", "3",
+                                   "--out", str(out)], capsys)
+        assert code == 0
+        written.append((stdout, {name: (out / f"audit_{name}.json").read_bytes()
+                                 for name in suites.SUITES}))
+    assert written[0] == written[1]
+    assert json.loads(written[1][1]["linear_equiv"])["seeds"] == 3
+
+
+def test_audit_all_reads_one_static_pass_for_thm1_and_prop1(tmp_path, capsys,
+                                                            monkeypatch):
+    from endiff import energy
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    svds, stacks = [], []
+    for module in (suites, energy):
+        bracket = module.laplacian_spectral_bracket
+
+        def counted_svd(s, _bracket=bracket):
+            svds.append(1)
+            return _bracket(s)
+
+        monkeypatch.setattr(module, "laplacian_spectral_bracket", counted_svd)
+    run = suites.run_trajectory
+
+    def counted_run(z0, spec, cfg, g=None):
+        if spec.family == "gcn_sym" and cfg.steps == suites.STATIC_STEPS:
+            stacks.append(np.shape(z0)[:-2])
+        return run(z0, spec, cfg, g)
+
+    monkeypatch.setattr(suites, "run_trajectory", counted_run)
+    code, out, _ = run_cli(["audit", "--suite", "all", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_STDOUT_DIGEST
+    assert len(svds) == 100
+    assert stacks == [(suites.SEED_STACK,)] * 5
+    assert suites._shared_static is None  # nothing outlives the run
+
+
+@pytest.mark.parametrize("suite", ["all", "gradcheck", "linear_equiv"])
 def test_audit_without_two_cpus_or_two_suites_does_not_fork(suite, tmp_path, capsys,
                                                             monkeypatch):
     if suite == "all":
@@ -554,7 +619,7 @@ def test_audit_without_two_cpus_or_two_suites_does_not_fork(suite, tmp_path, cap
     if suite == "all":
         assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_STDOUT_DIGEST
     else:
-        assert out == "gradcheck: pass (0 violation(s))\n"
+        assert out == f"{suite}: pass (0 violation(s))\n"
 
 
 def test_audit_all_reports_a_wrong_gradient_found_in_the_worker(tmp_path, capsys,
