@@ -10,7 +10,8 @@ conjugate, landscape tables) goes through them and their one domain check.
 
 The kernel takes query rows Q~ and key rows K~ apart: a model layer passes
 its row-normalized projections, the dynamics Q~ = K~ = Z. Simple attention
-runs through accumulators (`simple_attention`, O(N d d')); the dense
+runs through the accumulators K~^T V, 1^T K~ and 1^T V, with no ones
+column appended to V (`simple_attention`, O(N d d')); the dense
 families score every pair (`attention_scores`) and apply S V = (A V) r, r
 the reciprocal row sums (`row_reciprocals`, `attention_apply`).
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, ParameterError
 from .graphs import BlockEdgeOperator, EdgeOperator, Graph, atomic_write_text
-from .numerics import as_matrix, as_stack, row_norms
+from .numerics import as_matrix, as_stack, row_dots, row_norms
 
 PENALTY_KINDS = ("simple", "advanced", "softmax", "quadratic")
 STATIC_FAMILIES = ("identity", "all_one", "gcn_sym", "gin")
@@ -189,19 +190,19 @@ def attention_apply(a: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def simple_attention(qt: np.ndarray, kt: np.ndarray, v: np.ndarray):
     """Simple attention S V, s_ij = (1 + q~_i.k~_j) / sum_l (1 + q~_i.k~_l),
-    in O(N d d'): with V1 = [V 1], K~^T V1 and 1^T V1 give each row's
-    numerators and, in the ones column, its denominator N + q~_i.sum_j k~_j.
-    Returns S V, the denominator column and K~^T V1, which a gradient
-    reads. Unit rows keep a denominator at 2 or more when Q~ = K~; one that
+    in O(N d d'): (Q~ K~^T V + 1 1^T V) / (Q~ K~^T 1 + N) row by row, from
+    K~^T V, 1^T K~ and 1^T V. Returns S V, the denominator column, K~^T V and
+    1^T K~. Unit rows keep a denominator at 2 or more when Q~ = K~; one that
     signed projections cancel to 0 or below raises DomainError."""
-    v1 = np.concatenate([v, np.ones(v.shape[:-1] + (1,))], axis=-1)
-    kv1 = np.swapaxes(kt, -1, -2) @ v1
-    acc = v1.sum(axis=-2, keepdims=True) + qt @ kv1  # [numerators | denominators]
-    del v1
-    denom = acc[..., -1:].copy()  # a gradient keeps this column, not acc
+    ones = np.ones(v.shape[-2])
+    kv, k_sum = np.swapaxes(kt, -1, -2) @ v, ones @ kt
+    denom = qt @ k_sum[..., None] + v.shape[-2]
     if np.any(denom <= 0):
         raise DomainError("simple attention denominator N + q~.sum(k~) is not positive")
-    return acc[..., :-1] / denom, denom, kv1
+    out = qt @ kv
+    out += (ones @ v)[..., None, :]
+    out /= denom
+    return out, denom, kv, k_sum
 
 
 def _first_bad_row(bad: np.ndarray) -> tuple[tuple, str]:
@@ -255,8 +256,8 @@ def gat_masked_coupling(p: PenaltyFamily, z: np.ndarray, g: Graph) -> EdgeOperat
     if z.shape[0] != g.n:
         raise DimensionError(f"graph n={g.n} does not match embeddings {z.shape}")
     lay = g.neighbours
-    edge = penalty_f(p, _unit_sq_dists(np.einsum("ij,ij->i", z[lay.rows], z[lay.cols])))
-    loop = penalty_f(p, _unit_sq_dists(np.einsum("ij,ij->i", z, z)))
+    edge = penalty_f(p, _unit_sq_dists(row_dots(z[lay.rows], z[lay.cols])))
+    loop = penalty_f(p, _unit_sq_dists(row_dots(z, z)))
     sums = _row_normalizers(np.bincount(lay.rows, weights=edge, minlength=g.n) + loop)
     return EdgeOperator(lay, edge / sums[lay.rows], loop / sums)
 
@@ -286,8 +287,8 @@ def _check_rows(n: int, v: np.ndarray) -> np.ndarray:
 
 class SimpleAttention:
     """Simple attention at unit-norm rows Z (..., N, d), without forming S.
-    Its row sums S 1 are exactly 1: the kernel divides the ones column's
-    numerators by themselves."""
+    Its row sums S 1 are exactly 1: each row of S is its weights over
+    their own sum."""
 
     def __init__(self, z: np.ndarray):
         self.z = z = _unit_rows(z)

@@ -4,8 +4,9 @@ copies.
 
 The Laplacian and its bracket work on 2-D numpy arrays of float64. The
 row helpers take a matrix or a stack of them over leading axes (`as_stack`),
-and `finite_diff_grad` takes an array of any rank. The bracket is the
-extreme singular values from LAPACK's SVD (`numpy.linalg.svd`).
+and each row dot or squared row norm is one einsum (`row_dots`).
+`finite_diff_grad` takes an array of any rank. The bracket is the extreme
+singular values from LAPACK's SVD (`numpy.linalg.svd`).
 """
 
 from __future__ import annotations
@@ -37,12 +38,18 @@ def as_stack(x) -> np.ndarray:
     return m
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i of each pair of rows along the last axis, (...,); with
+    a = b the squared row norms."""
+    return np.einsum("...ij,...ij->...i", a, b)
+
+
 def row_l2_divisors(m: np.ndarray) -> np.ndarray:
     """max(L2 norm, NORM_EPS) of each row of m, as a column: what
     `row_l2_normalize` divides by, and the attention-head tape primitives
     their Q and K rows. Rows run along the last axis; leading axes are a
     batch."""
-    return np.maximum(np.sqrt(np.sum(m * m, axis=-1, keepdims=True)), NORM_EPS)
+    return np.maximum(np.sqrt(row_dots(m, m))[..., None], NORM_EPS)
 
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:
@@ -52,7 +59,8 @@ def row_l2_normalize(m: np.ndarray) -> np.ndarray:
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(as_stack(m) ** 2, axis=-1))
+    m = as_stack(m)
+    return np.sqrt(row_dots(m, m))
 
 
 def laplacian(s: np.ndarray) -> np.ndarray:

@@ -14,12 +14,13 @@ instances' own step sizes. A seeded suite takes only its seed count and
 gradcheck takes nothing: every other setting is a module constant.
 
 `run_suites` runs several suites in order. When it runs both thm1 and
-prop1, they read one pass over the static instances: each graph, SVD,
-stacked run and per-step energy is made once, and the descent rule and
-the ratio bracket are applied to the same energies. With two CPUs or more
-it runs the model suites (linear_equiv, then gradcheck), which share
-nothing with the dynamics suites, in one forked worker while this process
-runs the rest; the reports are the same either way.
+prop1, it makes one pass over the static instances and hands each suite
+its report from it: each graph, SVD, stacked run and per-step energy is
+made once, and the descent rule and the ratio bracket are applied to the
+same energies. A suite run alone makes its own report only. With two
+CPUs or more it runs the model suites (linear_equiv, then gradcheck),
+which share nothing with the dynamics suites, in one forked worker while
+this process runs the rest; the reports are the same either way.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def _static_runs(seeds: int):
         yield run_trajectory(np.stack(starts), spec, cfg, graphs), brackets
 
 
-def _static_reports(seeds: int, wanted: tuple[str, ...]) -> dict[str, dict]:
+def _static_reports(wanted: tuple[str, ...], seeds: int = 100) -> dict[str, dict]:
     """The reports of the static suites in `wanted`, thm1 and prop1 or one
     of them, from one pass over the static instances. With prop1, each
     stack's per-step energies are read once, by its bound audit, and thm1's
@@ -144,28 +145,14 @@ def _static_reports(seeds: int, wanted: tuple[str, ...]) -> dict[str, dict]:
     return reports
 
 
-# While `run_suites` runs both static suites, the reports of their one shared
-# pass by seed count; None at any other time, so that a suite run alone
-# makes its own report only and nothing outlives the run.
-_shared_static: dict[int, dict] | None = None
-
-
-def _static_report(suite: str, seeds: int) -> dict:
-    if _shared_static is None:
-        return _static_reports(seeds, (suite,))[suite]
-    if seeds not in _shared_static:
-        _shared_static[seeds] = _static_reports(seeds, STATIC_SUITES)
-    return _shared_static[seeds][suite]
-
-
 def suite_thm1(seeds: int = 100) -> dict:
     """Static-coupling energy descent, slack 1e-9."""
-    return _static_report("thm1", seeds)
+    return _static_reports(("thm1",), seeds)["thm1"]
 
 
 def suite_prop1(seeds: int = 100) -> dict:
     """Per-step energy-ratio bracket plus monotonicity on connected graphs."""
-    return _static_report("prop1", seeds)
+    return _static_reports(("prop1",), seeds)["prop1"]
 
 
 def suite_thm2(seeds: int = 100) -> dict:
@@ -362,7 +349,10 @@ _REPORT_KEYS = ("min_ratio", "max_ratio", "diversity_initial", "diversity_final"
 def run_suite(name: str, **kwargs) -> dict:
     if name not in _SUITE_FNS:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITES} or all")
-    report = _SUITE_FNS[name](**kwargs)
+    return _with_optional_keys(_SUITE_FNS[name](**kwargs))
+
+
+def _with_optional_keys(report: dict) -> dict:
     for key in _REPORT_KEYS:
         report.setdefault(key, None)
     return report
@@ -417,13 +407,12 @@ def _worker_report(worker, receive, name: str) -> dict:
 
 def run_suites(names, seeds: int | None = None):
     """Yield (name, report) for each suite of `names`, in order; `seeds`,
-    if given, goes to the seeded suites. thm1 and prop1 read one shared
-    pass when both run. When `names` holds a model suite and a dynamics
-    suite, and this process may run on two CPUs or more, the model suites
-    run in a forked worker beside the others. Each of its reports, or the
-    exception it raised, is yielded or raised at its turn, and the worker
-    is reaped however the run ends."""
-    global _shared_static
+    if given, goes to the seeded suites. thm1 and prop1 take their reports
+    from one static pass made for this call when both run. When `names`
+    holds a model suite and a dynamics suite, and this process may run on
+    two CPUs or more, the model suites run in a forked worker beside the
+    others. Each of its reports, or the exception it raised, is yielded or
+    raised at its turn, and the worker is reaped however the run ends."""
     names = list(names)
     kwargs = {} if seeds is None else {"seeds": seeds}
     forked = [name for name in names if name in MODEL_SUITES]
@@ -433,19 +422,20 @@ def run_suites(names, seeds: int | None = None):
     worker = None
     if forked:
         worker, receive = _fork_worker(forked, kwargs)
-    if set(STATIC_SUITES) <= set(names):
-        _shared_static = {}
+    static = None  # the shared static pass's reports, once made
     try:
         for name in names:
             if name in forked:
                 report = _worker_report(worker, receive, name)
+            elif name in STATIC_SUITES and set(STATIC_SUITES) <= set(names):
+                static = static or _static_reports(STATIC_SUITES, **kwargs)
+                report = _with_optional_keys(static[name])
             else:
                 report = _run(name, kwargs)
             yield name, report
         if worker is not None:
             worker.join()  # it exits once it has sent its last report
     finally:
-        _shared_static = None
         if worker is not None:
             receive.close()
             if worker.is_alive():

@@ -21,10 +21,11 @@ Q and K itself and computes no score or S V of its own: it takes its value
 from the attention kernel in `coupling`, the one the diffusion dynamics
 use, and keeps only its VJP, which reads the kernel's state.
 `linear_attention` (simple) runs its gradient through the kernel's O(N d^2)
-accumulators; `sigmoid_attention` (advanced) through its dense scores and
-their row reciprocals. The tape has only the primitives a model forward and
-its loss run; composed forms used as test oracles live with the tests. A
-tape is confined to a single thread for its lifetime.
+accumulators K~^T V and 1^T K~, with no ones column and no (..., N, d+1)
+adjoint; `sigmoid_attention` (advanced) through its dense scores and their
+row reciprocals. The tape has only the primitives a model forward and its
+loss run; composed forms used as test oracles live with the tests. A tape
+is confined to a single thread for its lifetime.
 
 `Eager` overrides only the two hooks and the two leaves: its operands are
 plain arrays and `_record` returns the bare value, so forwards that are
@@ -39,7 +40,8 @@ import numpy as np
 from .coupling import (PenaltyFamily, attention_apply, attention_scores, row_reciprocals,
                        simple_attention)
 from .errors import ContractError, DimensionError
-from .numerics import LAYER_NORM_EPS, NORM_EPS, as_matrix, as_stack, row_l2_divisors
+from .numerics import (LAYER_NORM_EPS, NORM_EPS, as_matrix, as_stack, row_dots,
+                       row_l2_divisors)
 
 _ADVANCED = PenaltyFamily("advanced")  # its f(2 - 2 q~.k~) is sigmoid(q~.k~)
 
@@ -81,7 +83,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _row_normalized_vjp(g: np.ndarray, y: np.ndarray, div: np.ndarray) -> np.ndarray:
     """The adjoint of x from g, that of y = x / div, in one array beside g.
     Rows at/below NORM_EPS are a plain 1/NORM_EPS scaling: no projection."""
-    out = y * np.where(div <= NORM_EPS, 0.0, np.sum(g * y, axis=-1, keepdims=True))
+    out = y * np.where(div <= NORM_EPS, 0.0, row_dots(g, y)[..., None])
     np.subtract(g, out, out=out)
     out /= div
     return _unbroadcast(out, y.shape)
@@ -150,29 +152,29 @@ class Tape:
     def linear_attention(self, q: Ref, k: Ref, v: Ref) -> Ref:
         """Simple attention S V on the row-normalized projections Q~ and K~,
         its value `coupling.simple_attention`'s: O(N d^2) through the
-        accumulators K~^T [V 1] and 1^T [V 1], with no N x N array. The VJP
+        accumulators K~^T V, 1^T K~ and 1^T V, with no N x N array. The VJP
         is the non-causal linear-transformer gradient through the same
         accumulators (Katharopoulos et al. 2020, sec. 3), then through both
         normalizations."""
         qt, q_div, kt, k_div, vv = self._head_operands("linear", q, k, v)
-        out, denom, kv1 = simple_attention(qt, kt, vv)
+        out, denom, kv, k_sum = simple_attention(qt, kt, vv)
 
         def vjp(g):
-            # adjoint of [numerators | denominators], then of the accumulators;
-            # each N x d adjoint is made once the one before it is final
+            # adjoints of the numerators and denominators, of K~^T V, 1^T K~
+            # and 1^T V, then of Q~, K~ and V: at most three N x d at once
             g_num = g / denom
-            g_acc = np.concatenate(
-                [g_num, -np.sum(g_num * out, axis=-1, keepdims=True)], axis=-1)
-            g_ones = g_num.sum(axis=-2, keepdims=True)
+            g_den = -row_dots(g_num, out)[..., None]
+            g_kv, g_ksum = _mT(qt) @ g_num, _mT(g_den) @ qt
+            g_vsum = (np.ones(g.shape[-2]) @ g_num)[..., None, :]
+            g_q = g_num @ _mT(kv)
             del g_num
-            g_kv1 = _mT(qt) @ g_acc
-            g_q = _row_normalized_vjp(g_acc @ _mT(kv1), qt, q_div)
-            del g_acc
-            g_k = vv @ _mT(g_kv1[..., :-1])
-            g_k += g_kv1[..., None, :, -1]  # the ones column adds a row
+            g_q += g_den * k_sum[..., None, :]
+            g_q = _row_normalized_vjp(g_q, qt, q_div)
+            g_k = vv @ _mT(g_kv)
+            g_k += g_ksum
             g_k = _row_normalized_vjp(g_k, kt, k_div)
-            g_v = kt @ g_kv1[..., :-1]
-            g_v += g_ones
+            g_v = kt @ g_kv
+            g_v += g_vsum
             return g_q, g_k, _unbroadcast(g_v, vv.shape)
 
         return self._record(out, (q, k, v), vjp)
@@ -190,7 +192,7 @@ class Tape:
 
         def vjp(g):
             g_av = g * r
-            g_rs = -np.sum(g * out, axis=-1, keepdims=True) * r
+            g_rs = -row_dots(g, out)[..., None] * r
             g_scores = (g_rs + g_av @ _mT(vv)) * a * (1.0 - a)
             return (_row_normalized_vjp(g_scores @ kt, qt, q_div),
                     _row_normalized_vjp(_mT(g_scores) @ qt, kt, k_div),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import endiff.coupling as coupling_module
 from dense_oracles import (SPARSE_CASES, DenseCoupling, adjacency, penalty_delta_scalar,
                            penalty_f_scalar, sparse_case)
 from endiff.coupling import (DIM_SCALE_MIN, PENALTY_KINDS, Z_SQ_MAX, CouplingSpec,
@@ -12,7 +13,8 @@ from endiff.coupling import (DIM_SCALE_MIN, PENALTY_KINDS, Z_SQ_MAX, CouplingSpe
                              SimpleAttention, attention_scores, build_coupling,
                              coupling_operator, gat_masked_coupling,
                              penalty_conjugate, penalty_delta, penalty_f,
-                             penalty_f_range, write_penalty_landscape)
+                             penalty_f_range, simple_attention,
+                             write_penalty_landscape)
 from endiff.diffusion import euler_step
 from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
 from endiff.graphs import EdgeOperator, Graph, er_graph
@@ -277,6 +279,56 @@ def test_simple_attention_requires_unit_rows():
         SimpleAttention(np.ones((4, 3)))
     with pytest.raises(DimensionError):
         SimpleAttention(np.eye(3)).apply(np.ones((4, 2)))
+
+
+@st.composite
+def _kernel_stack(draw):
+    """Unit key rows K~ (B, H, N, d), query rows Q~ that are K~'s in another
+    order or zero, and values (B, H, N, d'): each denominator is at least 2."""
+    b, h, n, d, dv = (draw(st.integers(1, hi)) for hi in (3, 3, 12, 5, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kt = row_l2_normalize(rng.standard_normal((b, h, n, d)))
+    qt = kt[..., rng.permutation(n), :]
+    qt[..., : draw(st.integers(0, n - 1)), :] = 0.0  # a model's floored zero rows
+    return qt, kt, rng.standard_normal((b, h, n, dv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_stack())
+def test_simple_attention_on_a_stack_is_each_slice_bit_for_bit(case):
+    qt, kt, v = case
+    stacked = simple_attention(qt, kt, v)
+    for i in np.ndindex(qt.shape[:2]):
+        for got, want in zip(stacked, simple_attention(qt[i], kt[i], v[i])):
+            assert np.array_equal(got[i], want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit_rows_and_block(), st.integers(1, 7))
+def test_simple_attention_matches_the_dense_coupling_at_other_widths(case, dv):
+    # V of any width d' != d: the accumulators are d x d' and d' long
+    z, _ = case
+    if dv == z.shape[1]:
+        dv += 1
+    v = np.random.default_rng(dv).standard_normal((len(z), dv))
+    want = build_coupling(SIMPLE, z) @ v
+    got, denom, kv, k_sum = simple_attention(z, z, v)
+    assert got.shape == want.shape and kv.shape == (z.shape[1], dv)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(v))
+    assert np.max(np.abs(denom[:, 0] - (len(z) + z @ z.sum(axis=0)))) <= 1e-12 * len(z)
+
+
+def test_simple_attention_rejects_a_non_positive_denominator(monkeypatch):
+    # Unit rows keep every denominator at 2 or more, so the dynamics reach a
+    # non-positive one only past their unit-row contract, lifted here. The
+    # tape's heads, which take signed Q~ and K~, are held to the same check
+    # in test_tape.py.
+    monkeypatch.setattr(coupling_module, "_unit_rows", np.asarray)
+    z = np.array([[1.0, 0.0], [-4.0, 0.0]])  # row 0: 2 + 1 * (1 - 4) = -1
+    with pytest.raises(DomainError, match="denominator"):
+        SimpleAttention(z).apply(z)
+    with pytest.raises(DomainError, match="denominator"):
+        SimpleAttention(np.stack([np.eye(2), z])).apply(np.ones((2, 2, 1)))
 
 
 def test_dense_coupling_and_sum():
