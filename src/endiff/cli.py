@@ -171,8 +171,20 @@ def cmd_synth(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
+    static = args.coupling in STATIC_FAMILIES
+    # The parser leaves these flags None. One the run would ignore is a
+    # usage error, and one it reads takes its default here, so that the
+    # manifest records only the settings the run used.
+    ignored = {"penalty": f"--coupling {args.coupling}"} if static else {}
+    if args.features is not None:
+        ignored |= dict.fromkeys(("n", "dim", "seed"), "--features")
+    for flag, default in (("penalty", "simple"), ("n", 32), ("dim", 8), ("seed", 0)):
+        if flag in ignored and getattr(args, flag) is not None:
+            args.parser.error(f"--{flag} does not apply with {ignored[flag]}")
+        if flag not in ignored and getattr(args, flag) is None:
+            setattr(args, flag, default)
     for flag in ("n", "dim"):
-        if getattr(args, flag) < 1:
+        if flag not in ignored and getattr(args, flag) < 1:
             args.parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if args.edges is not None and args.features is None:
         args.parser.error("--edges needs --features")
@@ -200,7 +212,6 @@ def cmd_diffuse(args) -> int:
         z0 = rng.standard_normal((args.n, args.dim))
         if args.coupling in GRAPH_FAMILIES:  # a seeded ER graph
             g = er_graph(args.n, 0.3, args.seed)
-    static = args.coupling in STATIC_FAMILIES
     spec = CouplingSpec(args.coupling, None if static else PenaltyFamily(args.penalty))
     cfg = DiffusionConfig(tau=args.tau, steps=args.steps, use_source=args.use_source)
     traj = run_trajectory(z0 if static else row_l2_normalize(z0), spec, cfg, g)
@@ -330,17 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feat-shift", type=float, default=0.5)
     p.set_defaults(func=cmd_synth, parser=p)
 
+    # --seed, --penalty, --n and --dim default in cmd_diffuse, where a run
+    # that ignores one rejects it
     p = sub.add_parser("diffuse", help="run a diffusion trajectory to CSV")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--coupling", default="gcn_sym",
                    choices=STATIC_FAMILIES + ATTENTION_FAMILIES)
-    p.add_argument("--penalty", default="simple", choices=PENALTY_KINDS)
+    p.add_argument("--penalty", choices=PENALTY_KINDS)
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--use-source", action="store_true")
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--dim", type=int, default=8)
+    p.add_argument("--n", type=int)
+    p.add_argument("--dim", type=int)
     p.add_argument("--features", type=Path)
     p.add_argument("--edges", type=Path)
     p.set_defaults(func=cmd_diffuse, parser=p)

@@ -450,33 +450,23 @@ def read_features(path) -> np.ndarray:
 
 def _feature_matrix(path, lines) -> np.ndarray:
     """Matrix of the whitespace-separated floats of each (line number, text)
-    line, or a FormatError naming the first line with a bad float, a ragged
-    row or a non-finite value."""
+    line, or a FormatError naming the first line with a bad float or a
+    ragged row, else the first with a non-finite value."""
     if not lines:
         raise FormatError(f"{path}: no feature rows")
-    try:
-        features = np.array([[float(tok) for tok in line.split()] for _, line in lines])
-    except ValueError:  # a bad float, or rows of unequal length
-        raise _feature_error(path, lines) from None
+    rows = []
+    for ln, line in lines:
+        try:
+            rows.append([float(tok) for tok in line.split()])
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: bad float") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise FormatError(f"{path}:{ln}: inconsistent column count")
+    features = np.array(rows)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}:{lines[bad[0]][0]}: non-finite value")
     return features
-
-
-def _feature_error(path, lines) -> FormatError:
-    """The error of the first line that stops a features file from parsing."""
-    width = None
-    for ln, line in lines:
-        try:
-            row = [float(tok) for tok in line.split()]
-        except ValueError:
-            return FormatError(f"{path}:{ln}: bad float")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            return FormatError(f"{path}:{ln}: inconsistent column count")
-    return FormatError(f"{path}: malformed features")
 
 
 def atomic_write_text(path, text: str) -> None:

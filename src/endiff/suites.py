@@ -13,11 +13,11 @@ along its own seed's graph, and thm1 and prop1 step each stack at its
 instances' own step sizes. A seeded suite takes only its seed count and
 gradcheck takes nothing: every other setting is a module constant.
 
-`run_suites` runs several suites in order. When it runs both thm1 and
-prop1, it makes one pass over the static instances and hands each suite
-its report from it: each graph, SVD, stacked run and per-step energy is
-made once, and the descent rule and the ratio bracket are applied to the
-same energies. A suite run alone makes its own report only. With two
+thm1 and prop1 both come from one pass over the static instances: each
+graph, SVD, stacked run and per-step energy is made once, and the descent
+rule and the ratio bracket are applied to the same energies. Either suite
+run alone makes that pass and keeps its own report; `run_suites` running
+both makes it once and hands each suite its report. With two
 CPUs or more it runs the model suites (linear_equiv, then gradcheck),
 which share nothing with the dynamics suites, in one forked worker while
 this process runs the rest; the reports are the same either way.
@@ -29,7 +29,6 @@ import os
 import signal
 import sys
 from collections import deque
-from itertools import islice
 
 import numpy as np
 
@@ -83,46 +82,37 @@ def _seed_chunks(seeds: int) -> list[range]:
     return [range(lo, min(lo + SEED_STACK, seeds)) for lo in range(0, seeds, SEED_STACK)]
 
 
-def _static_instances(seeds: int):
-    """The sym-normalized static instances of seeds 0..seeds-1 on
-    ER(STATIC_N, 0.3), drawn as they are read, each as (graph, N x 4 start,
-    Laplacian bracket, tau = min(0.9 / lambda_max, 1)); an edgeless graph,
-    with nothing to diffuse, is left out."""
-    for seed in range(seeds):
-        g = er_graph(STATIC_N, 0.3, seed)
-        bracket = laplacian_spectral_bracket(g.sym_operator.dense())
-        if bracket.lambda_max > 0:
-            z0 = np.random.default_rng((seed, 1)).standard_normal((STATIC_N, 4))
-            yield g, z0, bracket, min(0.9 / bracket.lambda_max, 1.0)
-
-
 def _static_runs(seeds: int):
     """One gcn_sym run of STATIC_STEPS steps per stack of at most SEED_STACK
-    static instances, each slice on its own graph at its own tau, with the
-    stack's brackets. Only one stack's instances are held at a time."""
+    seeds, with the stack's Laplacian brackets. Slice b diffuses its seed's
+    N x 4 start on its seed's ER(STATIC_N, 0.3) graph, sym-normalized, at
+    tau = min(0.9 / lambda_max, 1); an edgeless graph, with nothing to
+    diffuse, is left out of its stack."""
     spec = CouplingSpec("gcn_sym")
-    instances = _static_instances(seeds)
-    while stack := list(islice(instances, SEED_STACK)):
-        graphs, starts, brackets, taus = zip(*stack)
-        cfg = DiffusionConfig(tau=np.array(taus), steps=STATIC_STEPS)
-        yield run_trajectory(np.stack(starts), spec, cfg, graphs), brackets
+    for chunk in _seed_chunks(seeds):
+        stack = []
+        for seed in chunk:
+            g = er_graph(STATIC_N, 0.3, seed)
+            bracket = laplacian_spectral_bracket(g.sym_operator.dense())
+            if bracket.lambda_max > 0:
+                z0 = np.random.default_rng((seed, 1)).standard_normal((STATIC_N, 4))
+                stack.append((g, z0, bracket, min(0.9 / bracket.lambda_max, 1.0)))
+        if stack:
+            graphs, starts, brackets, taus = zip(*stack)
+            cfg = DiffusionConfig(tau=np.array(taus), steps=STATIC_STEPS)
+            yield run_trajectory(np.stack(starts), spec, cfg, graphs), brackets
 
 
-def _static_reports(wanted: tuple[str, ...], seeds: int = 100) -> dict[str, dict]:
-    """The reports of the static suites in `wanted`, thm1 and prop1 or one
-    of them, from one pass over the static instances. With prop1, each
-    stack's per-step energies are read once, by its bound audit, and thm1's
-    descent rule is applied to the same energies."""
+def _static_reports(seeds: int = 100) -> dict[str, dict]:
+    """The thm1 and prop1 reports from one pass over the static instances:
+    each stack's per-step energies are read once, by its bound audit, and
+    thm1's descent rule is applied to the same energies."""
     tested = descent = bounds = connected_checked = 0
     lows, highs = [], []
     for traj, brackets in _static_runs(seeds):
         tested += len(traj.start)
-        if "prop1" not in wanted:
-            descent += audit_descent(traj, slack=1e-9).num_violations
-            continue
         rep = audit_bounds(traj, brackets)
-        if "thm1" in wanted:
-            descent += len(descent_violations(rep.energies, slack=1e-9))
+        descent += len(descent_violations(rep.energies, slack=1e-9))
         bounds += rep.num_violations
         lows += [r for r in rep.min_ratio if r is not None]
         highs += [r for r in rep.max_ratio if r is not None]
@@ -133,26 +123,22 @@ def _static_reports(wanted: tuple[str, ...], seeds: int = 100) -> dict[str, dict
                 connected_checked += 1
                 bounds += int(lam_min > 1e-7) + count
     lam, tau = "tau per instance", "0.9 / lambda_max per instance"
-    reports = {}
-    if "thm1" in wanted:
-        reports["thm1"] = _report("thm1", tested, lam, tau, descent)
-    if "prop1" in wanted:
-        reports["prop1"] = _report(
-            "prop1", tested, lam, tau, bounds,
-            min_ratio=float(min(lows, default=np.inf)) if tested else None,
-            max_ratio=float(max(highs, default=-np.inf)) if tested else None,
-            connected_instances=connected_checked)
-    return reports
+    return {"thm1": _report("thm1", tested, lam, tau, descent),
+            "prop1": _report(
+                "prop1", tested, lam, tau, bounds,
+                min_ratio=float(min(lows, default=np.inf)) if tested else None,
+                max_ratio=float(max(highs, default=-np.inf)) if tested else None,
+                connected_instances=connected_checked)}
 
 
 def suite_thm1(seeds: int = 100) -> dict:
     """Static-coupling energy descent, slack 1e-9."""
-    return _static_reports(("thm1",), seeds)["thm1"]
+    return _static_reports(seeds)["thm1"]
 
 
 def suite_prop1(seeds: int = 100) -> dict:
     """Per-step energy-ratio bracket plus monotonicity on connected graphs."""
-    return _static_reports(("prop1",), seeds)["prop1"]
+    return _static_reports(seeds)["prop1"]
 
 
 def suite_thm2(seeds: int = 100) -> dict:
@@ -428,7 +414,7 @@ def run_suites(names, seeds: int | None = None):
             if name in forked:
                 report = _worker_report(worker, receive, name)
             elif name in STATIC_SUITES and set(STATIC_SUITES) <= set(names):
-                static = static or _static_reports(STATIC_SUITES, **kwargs)
+                static = static or _static_reports(**kwargs)
                 report = _with_optional_keys(static[name])
             else:
                 report = _run(name, kwargs)

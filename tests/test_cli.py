@@ -613,7 +613,7 @@ def test_audit_all_reads_one_static_pass_for_thm1_and_prop1(tmp_path, capsys,
     assert len(svds) == 200                     # one makes its own pass
 
 
-@pytest.mark.parametrize("suite", ["all", "gradcheck", "linear_equiv"])
+@pytest.mark.parametrize("suite", ["all", "gradcheck", "linear_equiv", "thm1", "prop1"])
 def test_audit_without_two_cpus_or_two_suites_does_not_fork(suite, tmp_path, capsys,
                                                             monkeypatch):
     if suite == "all":
@@ -782,6 +782,51 @@ def test_diffuse_graph_family_with_features_needs_edges(tmp_path, capsys, coupli
     assert exc.value.code == 2
     assert f"--coupling {coupling} with --features needs --edges" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--coupling", "gcn_sym", "--penalty", "simple"],
+     "--penalty does not apply with --coupling gcn_sym"),
+    (["--coupling", "identity", "--config", "penalty.json"],
+     "--penalty does not apply with --coupling identity"),
+    (["--coupling", "attention", "--features", "features.txt", "--n", "3"],
+     "--n does not apply with --features"),
+    (["--coupling", "attention", "--features", "features.txt", "--dim", "2"],
+     "--dim does not apply with --features"),
+    (["--coupling", "attention", "--features", "features.txt", "--seed", "0"],
+     "--seed does not apply with --features"),
+], ids=["penalty", "penalty-config", "n", "dim", "seed"])
+def test_diffuse_flag_the_run_would_ignore_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                          argv, message):
+    # a static coupling has no penalty, and a start read from --features
+    # draws no random numbers: the manifest would record a setting never used
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "features.txt").write_text("1 0\n0 1\n1 1\n")
+    (tmp_path / "penalty.json").write_text(json.dumps({"penalty": "advanced"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["diffuse", *argv, "--out", "out"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["--coupling", "attention"], {"penalty": "simple", "n": 32, "dim": 8, "seed": 0}),
+    (["--coupling", "gcn_sym"], {"penalty": None, "n": 32, "dim": 8, "seed": 0}),
+    (["--coupling", "attention", "--features", "features.txt"],
+     {"penalty": "simple", "n": None, "dim": None, "seed": None}),
+])
+def test_diffuse_manifest_records_only_the_settings_the_run_used(tmp_path, capsys,
+                                                                 monkeypatch, argv, recorded):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "features.txt").write_text("1 0\n0 1\n1 1\n")
+    code, _, _ = run_cli(["diffuse", *argv, "--steps", "2", "--out", "out"], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "out" / "manifest_diffuse.json").read_text())
+    assert {key: manifest["config"][key] for key in recorded} == recorded
+    assert manifest["seed"] == recorded["seed"]
 
 
 def test_diffuse_attention_builds_one_coupling_per_step_and_one_more(

@@ -89,6 +89,45 @@ def test_runtime_imports_only_numpy_and_the_standard_library(path):
     assert _foreign_imports(source) == []
 
 
+def _endiff_imports(source: str) -> set:
+    """(module, name) of each endiff name a source imports, at any depth of
+    its code; name is None for an `import endiff...` of a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "endiff"}
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "endiff"):
+            found |= {(node.module, alias.name) for alias in node.names}
+    return found
+
+
+def test_endiff_import_scan_sees_nested_ones():
+    source = ("import os, endiff.cli as cli\nfrom numpy import x\n"
+              "def f():\n    from endiff.energy import A, B\n")
+    assert _endiff_imports(source) == {("endiff.cli", None), ("endiff.energy", "A"),
+                                       ("endiff.energy", "B")}
+
+
+def test_every_endiff_name_the_benchmark_imports_resolves():
+    # the benchmark imports endiff inside its functions: a deletion it still
+    # reaches would otherwise fail only when a benchmark runs
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    imported = set().union(*(_endiff_imports(p.read_text()) for p in bench.glob("*.py")))
+    assert ("endiff.cli", None) in imported
+    missing = []
+    for module, name in sorted(imported, key=str):
+        target = module if name is None else f"{module}.{name}"
+        try:
+            mod = importlib.import_module(module)
+            if name is not None and not hasattr(mod, name):
+                importlib.import_module(target)  # `from package import module`
+        except ImportError:
+            missing.append(target)
+    assert missing == []
+
+
 def _keywords_passed(source: str, callee: str) -> set:
     """The keyword names some call to `callee` in source passes."""
     return {kw.arg for node in ast.walk(ast.parse(source))

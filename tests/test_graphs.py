@@ -476,6 +476,9 @@ def _feature_files(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_feature_files())
+@example(b"1 2\nnan 3\n4 x\n")  # a non-finite row, then a bad float: the bad float
+@example(b"inf 1\n2\n")  # a non-finite row, then a ragged one: the ragged row
+@example(b"1_0 2\n3 4\n")  # valid, but not for the fast path
 def test_read_features_matches_the_line_by_line_reader(data):
     import tempfile
     from pathlib import Path
