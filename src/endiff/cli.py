@@ -24,7 +24,7 @@ from .coupling import (ATTENTION_FAMILIES, GRAPH_FAMILIES, PENALTY_KINDS,
 from .diffusion import DiffusionConfig, run_trajectory
 from .energy import write_trajectory_csv
 from .errors import EndiffError, FormatError
-from .graphs import (Dataset, atomic_write_text, er_graph, load_dataset,
+from .graphs import (atomic_write_text, er_graph, load_dataset,
                      read_edges, read_features, sbm_generate)
 from .model import VARIANTS, Checkpoint, ModelConfig, forward
 from .numerics import row_l2_normalize
@@ -127,15 +127,22 @@ def _config_value(path: Path, key: str, action: argparse.Action, value):
     return converted
 
 
-def _read_dataset(args) -> tuple[Dataset, list[Path]]:
-    """train's or eval's dataset, read from its data files. The check is
-    here rather than argparse's `required`, so that --config can name them."""
+def _data_files(args) -> tuple:
+    """train's or eval's data files. --features and --labels are checked
+    here rather than by argparse, so that --config can name them."""
     missing = [f"--{name}" for name in ("features", "labels")
                if getattr(args, name) is None]
     if missing:
         args.parser.error(f"the following arguments are required: {', '.join(missing)}")
-    files = (args.features, args.labels, args.edges, args.split)
-    return load_dataset(*files), [p for p in files if p is not None]
+    return args.features, args.labels, args.edges, args.split
+
+
+def _check_edges(args, use_graph: bool, channel: str) -> None:
+    """A usage error unless --edges is given exactly when the model has the
+    graph channel, which `channel` names."""
+    if use_graph != (args.edges is not None):
+        args.parser.error(f"{channel} needs --edges" if use_graph
+                          else f"--edges needs {channel}")
 
 
 def _public_config(args) -> dict:
@@ -256,10 +263,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.use_graph and args.edges is None:
-        args.parser.error("--use-graph needs --edges")
+    files = _data_files(args)
+    _check_edges(args, args.use_graph, "--use-graph")
     started = time.monotonic()
-    ds, inputs = _read_dataset(args)
+    ds = load_dataset(*files)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     model_cfg = ModelConfig(
@@ -277,7 +284,7 @@ def cmd_train(args) -> int:
     hist_path = out / "history.csv"
     result.checkpoint.save(ckpt_path)
     write_history_csv(result.history, hist_path)
-    write_manifest(out, "train", _public_config(args), inputs,
+    write_manifest(out, "train", _public_config(args), list(filter(None, files)),
                    [ckpt_path, hist_path], started)
     print(json.dumps({"best_epoch": result.best_epoch,
                       "val_metric": result.checkpoint.meta["metrics"]["val"],
@@ -287,10 +294,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    files = _data_files(args)
     started = time.monotonic()
-    ds, inputs = _read_dataset(args)
     ckpt = Checkpoint.load(args.checkpoint)
-    inputs.append(args.checkpoint)
+    _check_edges(args, ckpt.config.use_graph, "a checkpoint trained with --use-graph")
+    ds = load_dataset(*files)
     logits, _ = forward(ckpt.params, ds.features, ds.graph, ckpt.config,
                         tape=Eager())
     values = {}
@@ -299,7 +307,8 @@ def cmd_eval(args) -> int:
             values[tag] = metric(args.metric, logits, ds.labels, ds.mask(tag))
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    write_manifest(out, "eval", _public_config(args), inputs, [], started)
+    write_manifest(out, "eval", _public_config(args),
+                   [*filter(None, files), args.checkpoint], [], started)
     print(json.dumps({"metric": args.metric, **values}))
     return EXIT_OK
 

@@ -15,12 +15,13 @@ gradcheck takes nothing: every other setting is a module constant.
 
 thm1 and prop1 both come from one pass over the static instances: each
 graph, SVD, stacked run and per-step energy is made once, and the descent
-rule and the ratio bracket are applied to the same energies. Either suite
-run alone makes that pass and keeps its own report; `run_suites` running
-both makes it once and hands each suite its report. With two
-CPUs or more it runs the model suites (linear_equiv, then gradcheck),
-which share nothing with the dynamics suites, in one forked worker while
-this process runs the rest; the reports are the same either way.
+rule and the ratio bracket are applied to the same energies. `_reports`
+turns suite names into reports: it makes that pass once per call and hands
+each of the two suites its report at its turn. `run_suites` iterates it for
+the suites this process runs. With two CPUs or more the model suites
+(linear_equiv, then gradcheck), which share nothing with the dynamics
+suites, run in one forked worker that iterates it too; the reports are the
+same either way.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .tape import Eager
 
 SEEDED_SUITES = ("thm1", "prop1", "thm2", "oversmooth", "linear_equiv")
 SUITES = SEEDED_SUITES + ("gradcheck",)
-# The suites that read one pass over the same static instances, and those
-# that run a model rather than the dynamics and so share nothing with the rest.
+# The suites whose reports both come from one static pass, and those that
+# run a model rather than the dynamics and so share nothing with the rest.
 STATIC_SUITES = ("thm1", "prop1")
 MODEL_SUITES = ("linear_equiv", "gradcheck")
 
@@ -129,16 +130,6 @@ def _static_reports(seeds: int = 100) -> dict[str, dict]:
                 min_ratio=float(min(lows, default=np.inf)) if tested else None,
                 max_ratio=float(max(highs, default=-np.inf)) if tested else None,
                 connected_instances=connected_checked)}
-
-
-def suite_thm1(seeds: int = 100) -> dict:
-    """Static-coupling energy descent, slack 1e-9."""
-    return _static_reports(seeds)["thm1"]
-
-
-def suite_prop1(seeds: int = 100) -> dict:
-    """Per-step energy-ratio bracket plus monotonicity on connected graphs."""
-    return _static_reports(seeds)["prop1"]
 
 
 def suite_thm2(seeds: int = 100) -> dict:
@@ -319,8 +310,8 @@ def suite_gradcheck() -> dict:
 
 
 _SUITE_FNS = {
-    "thm1": suite_thm1,
-    "prop1": suite_prop1,
+    "thm1": _static_reports,
+    "prop1": _static_reports,
     "thm2": suite_thm2,
     "oversmooth": suite_oversmooth,
     "linear_equiv": suite_linear_equiv,
@@ -332,33 +323,37 @@ _SUITE_FNS = {
 _REPORT_KEYS = ("min_ratio", "max_ratio", "diversity_initial", "diversity_final")
 
 
+def _reports(names, kwargs: dict):
+    """Yield the report of each suite of `names` in turn, with every
+    optional key; `kwargs` go to the seeded suites only. The static pass is
+    made once per call, at the first of thm1 and prop1, and the other takes
+    its report from it at its own turn."""
+    made = {}  # reports made before their suite's turn
+    for name in names:
+        if name not in _SUITE_FNS:
+            raise ParameterError(f"unknown suite {name!r}; choose from {SUITES} or all")
+        if name not in made:
+            result = _SUITE_FNS[name](**(kwargs if name in SEEDED_SUITES else {}))
+            made.update(result if name in STATIC_SUITES else {name: result})
+        report = made.pop(name)
+        for key in _REPORT_KEYS:
+            report.setdefault(key, None)
+        yield report
+
+
 def run_suite(name: str, **kwargs) -> dict:
-    if name not in _SUITE_FNS:
-        raise ParameterError(f"unknown suite {name!r}; choose from {SUITES} or all")
-    return _with_optional_keys(_SUITE_FNS[name](**kwargs))
-
-
-def _with_optional_keys(report: dict) -> dict:
-    for key in _REPORT_KEYS:
-        report.setdefault(key, None)
-    return report
-
-
-def _run(name: str, kwargs: dict) -> dict:
-    """Suite `name`'s report; `kwargs` go to a seeded suite only."""
-    return run_suite(name, **(kwargs if name in SEEDED_SUITES else {}))
+    return next(_reports([name], kwargs))
 
 
 def _suite_worker(conn, names: list[str], kwargs: dict) -> None:
     """The forked worker: the report of each suite of `names` in turn, each
     sent back as it is made, or the exception one raised, which ends it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent stops it
-    for name in names:
-        try:
-            conn.send((_run(name, kwargs), None))
-        except Exception as exc:
-            conn.send((None, exc))
-            return
+    try:
+        for report in _reports(names, kwargs):
+            conn.send((report, None))
+    except Exception as exc:
+        conn.send((None, exc))
 
 
 def _fork_worker(names: list[str], kwargs: dict):
@@ -393,12 +388,12 @@ def _worker_report(worker, receive, name: str) -> dict:
 
 def run_suites(names, seeds: int | None = None):
     """Yield (name, report) for each suite of `names`, in order; `seeds`,
-    if given, goes to the seeded suites. thm1 and prop1 take their reports
-    from one static pass made for this call when both run. When `names`
-    holds a model suite and a dynamics suite, and this process may run on
-    two CPUs or more, the model suites run in a forked worker beside the
-    others. Each of its reports, or the exception it raised, is yielded or
-    raised at its turn, and the worker is reaped however the run ends."""
+    if given, goes to the seeded suites. When `names` holds a model suite
+    and a dynamics suite, and this process may run on two CPUs or more, the
+    model suites run in a forked worker beside the others. Both processes
+    make their reports through `_reports`. Each report of the worker, or the
+    exception it raised, is yielded or raised at its turn, and the worker is
+    reaped however the run ends."""
     names = list(names)
     kwargs = {} if seeds is None else {"seeds": seeds}
     forked = [name for name in names if name in MODEL_SUITES]
@@ -408,17 +403,11 @@ def run_suites(names, seeds: int | None = None):
     worker = None
     if forked:
         worker, receive = _fork_worker(forked, kwargs)
-    static = None  # the shared static pass's reports, once made
+    here = _reports([name for name in names if name not in forked], kwargs)
     try:
         for name in names:
-            if name in forked:
-                report = _worker_report(worker, receive, name)
-            elif name in STATIC_SUITES and set(STATIC_SUITES) <= set(names):
-                static = static or _static_reports(**kwargs)
-                report = _with_optional_keys(static[name])
-            else:
-                report = _run(name, kwargs)
-            yield name, report
+            yield name, (_worker_report(worker, receive, name) if name in forked
+                         else next(here))
         if worker is not None:
             worker.join()  # it exits once it has sent its last report
     finally:

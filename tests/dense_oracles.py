@@ -418,7 +418,7 @@ def static_run_per_seed(seed: int, steps: int = 20, n: int = 16):
 
 
 def suite_thm1_per_seed(seeds: int = 100) -> dict:
-    """`suites.suite_thm1` with one trajectory per seed."""
+    """The thm1 report of `suites._static_reports` with one trajectory per seed."""
     violations = 0
     tested = 0
     for seed in range(seeds):
@@ -438,8 +438,8 @@ def suite_thm1_per_seed(seeds: int = 100) -> dict:
 
 
 def suite_prop1_per_seed(seeds: int = 100) -> dict:
-    """`suites.suite_prop1` with one trajectory per seed, whose bound audit
-    takes the Laplacian's SVD again."""
+    """The prop1 report of `suites._static_reports` with one trajectory per
+    seed, whose bound audit takes the Laplacian's SVD again."""
     violations = 0
     tested = 0
     min_ratio = np.inf

@@ -17,8 +17,7 @@ from endiff.graphs import sbm_generate
 from endiff.model import ModelConfig
 from endiff.numerics import row_l2_normalize
 from endiff.suites import (SUITES, run_suite, suite_gradcheck,
-                           suite_linear_equiv, suite_oversmooth, suite_prop1,
-                           suite_thm1, suite_thm2)
+                           suite_linear_equiv, suite_oversmooth, suite_thm2)
 from endiff.train import TrainConfig, train_loop
 
 log = logging.getLogger("acceptance")
@@ -34,7 +33,7 @@ def _verdict(name, passed, detail=""):
 
 def test_static_descent():
     t0 = time.monotonic()
-    report = suite_thm1(seeds=100)
+    report = run_suite("thm1", seeds=100)
     wall = time.monotonic() - t0
     _verdict("static-descent", report["violations"] == 0 and wall < 10.0,
              f"{report['seeds']} instances, {report['violations']} violations, "
@@ -42,7 +41,7 @@ def test_static_descent():
 
 
 def test_energy_ratio_bracket():
-    report = suite_prop1(seeds=100)
+    report = run_suite("prop1", seeds=100)
     _verdict("energy-ratio-bracket", report["violations"] == 0,
              f"ratios in [{report['min_ratio']:.3g}, {report['max_ratio']:.3g}], "
              f"{report['connected_instances']} connected")

@@ -35,11 +35,17 @@ def run_cli(args, capsys):
 
 def _synth_files(out: Path, *flags) -> list[str]:
     """Write a block-model dataset with `synth`; return the flags with
-    which train and eval read it."""
+    which train and eval read it without the graph channel. A graph run
+    adds `_edges` of them."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", *flags, "--out", str(out)]) == 0
-    return [arg for name in ("features", "labels", "edges", "split")
+    return [arg for name in ("features", "labels", "split")
             for arg in (f"--{name}", str(out / f"{name}.txt"))]
+
+
+def _edges(data: list[str]) -> list[str]:
+    """The --edges flag of the dataset whose flags `_synth_files` returned."""
+    return ["--edges", str(Path(data[1]).with_name("edges.txt"))]
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +110,6 @@ def test_synth_then_train_then_eval(tmp_path, capsys):
     code, out, _ = run_cli([
         "train", "--features", str(data / "features.txt"),
         "--labels", str(data / "labels.txt"),
-        "--edges", str(data / "edges.txt"),
         "--split", str(data / "split.txt"),
         "--epochs", "5", "--hidden", "4", "--layers", "1",
         "--out", str(run)], capsys)
@@ -116,12 +121,11 @@ def test_synth_then_train_then_eval(tmp_path, capsys):
     assert hist[0] == "epoch,train_loss,val_metric,test_metric"
     assert len(hist) == 6
     manifest = json.loads((run / "manifest_train.json").read_text())
-    assert len(manifest["input_digests"]) == 4
+    assert len(manifest["input_digests"]) == 3
 
     code, out, _ = run_cli([
         "eval", "--features", str(data / "features.txt"),
         "--labels", str(data / "labels.txt"),
-        "--edges", str(data / "edges.txt"),
         "--split", str(data / "split.txt"),
         "--checkpoint", str(run / "checkpoint.json"),
         "--out", str(tmp_path / "eval")], capsys)
@@ -138,9 +142,9 @@ def test_synth_then_train_writes_what_train_loop_writes_on_the_generated_dataset
     # a run from them trains on the generator's own arrays and graph
     data = _synth_files(tmp_path / "data", "--per-block", "30", "--seed", "3")
     run = tmp_path / "run"
-    assert run_cli(["train", *data, "--use-graph", "--hidden", "8", "--heads", "2",
-                    "--epochs", "5", "--batch-size", str(batch_size), "--seed", "3",
-                    "--out", str(run)], capsys)[0] == 0
+    assert run_cli(["train", *data, *_edges(data), "--use-graph", "--hidden", "8",
+                    "--heads", "2", "--epochs", "5", "--batch-size", str(batch_size),
+                    "--seed", "3", "--out", str(run)], capsys)[0] == 0
     ds = sbm_generate(blocks=2, per_block=30, p_in=0.2, p_out=0.02, feat_dim=8,
                       feat_shift=0.5, seed=3)
     model_cfg = ModelConfig(input_dim=8, hidden_dim=8, output_dim=ds.num_classes,
@@ -318,9 +322,8 @@ def test_train_use_graph_without_edges_is_usage_error_before_any_read(
         raise AssertionError("a data file was read")
 
     monkeypatch.setattr(cli, "load_dataset", unread)
-    data = sbm10[:4] + sbm10[6:]  # all but --edges
     with pytest.raises(SystemExit) as exc:
-        main(["train", *data, "--use-graph", "--out", str(tmp_path / "out")])
+        main(["train", *sbm10, "--use-graph", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "--use-graph needs --edges" in captured.err
@@ -328,22 +331,83 @@ def test_train_use_graph_without_edges_is_usage_error_before_any_read(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_train_edges_without_use_graph_is_usage_error_before_any_read(
+        tmp_path, capsys, monkeypatch, sbm10, given):
+    def unread(*args):
+        raise AssertionError("a data file was read")
+
+    monkeypatch.setattr(cli, "load_dataset", unread)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"edges": _edges(sbm10)[1]}))
+    edges = _edges(sbm10) if given == "flag" else ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(["train", *sbm10, *edges, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--edges needs --use-graph" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("graph", [False, True], ids=["edges-no-graph", "graph-no-edges"])
+def test_eval_edges_that_do_not_match_the_checkpoint_are_usage_errors_before_any_data_read(
+        tmp_path, capsys, monkeypatch, sbm10, graph):
+    # eval reads the checkpoint, which alone tells whether the model has the
+    # graph channel, and then checks --edges against it
+    graph_flags = [*_edges(sbm10), "--use-graph"] if graph else []
+    _trained_checkpoint(tmp_path, capsys, sbm10, *graph_flags)
+
+    def unread(*args):
+        raise AssertionError("a data file was read")
+
+    monkeypatch.setattr(cli, "load_dataset", unread)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", *sbm10, *([] if graph else _edges(sbm10)),
+              "--checkpoint", str(tmp_path / "r" / "checkpoint.json"),
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert ("a checkpoint trained with --use-graph needs --edges" if graph
+            else "--edges needs a checkpoint trained with --use-graph") in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("graph", [False, True], ids=["no-graph", "graph"])
+def test_train_and_eval_manifests_list_the_files_the_run_read(tmp_path, capsys, sbm10,
+                                                              graph):
+    data = [*sbm10, *(_edges(sbm10) if graph else [])]
+    _trained_checkpoint(tmp_path, capsys, data, *(["--use-graph"] if graph else []))
+    ckpt = tmp_path / "r" / "checkpoint.json"
+    assert run_cli(["eval", *data, "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "e")], capsys)[0] == 0
+    files = data[1::2]
+    assert len(files) == (4 if graph else 3)
+    for manifest, read in ((tmp_path / "r" / "manifest_train.json", files),
+                           (tmp_path / "e" / "manifest_eval.json", [*files, str(ckpt)])):
+        digests = json.loads(manifest.read_text())["input_digests"]
+        assert digests == {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                           for path in read}
+
+
 def test_train_use_graph_takes_its_edges_from_a_config(tmp_path, capsys, sbm10):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"edges": sbm10[5]}))
-    data = sbm10[:4] + sbm10[6:]  # all but --edges
-    argv = [*data, "--use-graph", "--epochs", "2", "--hidden", "4", "--layers", "1"]
-    for out, extra in (("a", sbm10[4:6]), ("b", ["--config", str(cfg)])):
+    cfg.write_text(json.dumps({"edges": _edges(sbm10)[1]}))
+    argv = [*sbm10, "--use-graph", "--epochs", "2", "--hidden", "4", "--layers", "1"]
+    for out, extra in (("a", _edges(sbm10)), ("b", ["--config", str(cfg)])):
         assert run_cli(["train", *argv, *extra, "--out", str(tmp_path / out)],
                        capsys)[0] == 0
     assert ((tmp_path / "a" / "checkpoint.json").read_bytes()
             == (tmp_path / "b" / "checkpoint.json").read_bytes())
-    # only the checkpoint tells eval that it needs a graph: a runtime error
-    code, out, err = run_cli(["eval", "--checkpoint", str(tmp_path / "a" / "checkpoint.json"),
-                              *data, "--out", str(tmp_path / "eval")], capsys)
-    assert code == 1
-    assert err == "error: use_graph set but no graph given\n"
-    assert out == ""
+    # only the checkpoint tells eval that it needs a graph: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(tmp_path / "a" / "checkpoint.json"), *sbm10,
+              "--out", str(tmp_path / "eval")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "a checkpoint trained with --use-graph needs --edges" in captured.err
+    assert captured.out == ""
 
 
 def test_train_malformed_file_names_file_and_line(tmp_path, capsys):
@@ -544,18 +608,12 @@ def test_audit_all_runs_the_model_suites_in_the_worker(tmp_path, capsys, monkeyp
     import multiprocessing
 
     _two_cpus(monkeypatch)
-    for name, fn in list(suites._SUITE_FNS.items()):
-        def recorded(_fn=fn, **kwargs):
-            return {**_fn(**kwargs), "pid": os.getpid()}
+    report = suites._report  # every suite's report is built by it
 
-        monkeypatch.setitem(suites._SUITE_FNS, name, recorded)
-    static_reports = suites._static_reports  # the pass thm1 and prop1 share
+    def recorded(*args, **kwargs):
+        return {**report(*args, **kwargs), "pid": os.getpid()}
 
-    def recorded_static(*args, **kwargs):
-        return {name: {**report, "pid": os.getpid()}
-                for name, report in static_reports(*args, **kwargs).items()}
-
-    monkeypatch.setattr(suites, "_static_reports", recorded_static)
+    monkeypatch.setattr(suites, "_report", recorded)
     code, _, _ = run_cli(["audit", "--suite", "all", "--out", str(tmp_path)], capsys)
     assert code == 0
     pids = {name: json.loads((tmp_path / f"audit_{name}.json").read_text())["pid"]
@@ -611,6 +669,43 @@ def test_audit_all_reads_one_static_pass_for_thm1_and_prop1(tmp_path, capsys,
     assert stacks == [(suites.SEED_STACK,)] * 5
     list(suites.run_suites(["thm1", "prop1"]))  # nothing outlives a run: the next
     assert len(svds) == 200                     # one makes its own pass
+
+
+@pytest.fixture(scope="module")
+def reports_alone():
+    """Each suite's report at 3 seeds, run alone, as JSON."""
+    return {name: json.dumps(suites.run_suite(name, seeds=3)) for name in suites.SUITES}
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("names", [["prop1", "thm1"], ["thm1", "prop1"], ["prop1"],
+                                   ["oversmooth", "prop1", "gradcheck", "thm1"],
+                                   list(reversed(suites.SUITES))], ids=",".join)
+def test_run_suites_in_any_order_writes_each_suites_report_alone(
+        names, cpus, reports_alone, monkeypatch):
+    import multiprocessing
+
+    from endiff import energy
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    svds = []
+    for module in (suites, energy):
+        bracket = module.laplacian_spectral_bracket
+
+        def counted_svd(s, _bracket=bracket):
+            svds.append(1)
+            return _bracket(s)
+
+        monkeypatch.setattr(module, "laplacian_spectral_bracket", counted_svd)
+    got = [(name, json.dumps(report)) for name, report in suites.run_suites(names, 3)]
+    assert got == [(name, reports_alone[name]) for name in names]
+    assert len(svds) == 3  # one static pass, one SVD per instance
+    assert multiprocessing.active_children() == []
+
+
+def test_run_suite_rejects_an_unknown_name():
+    with pytest.raises(ParameterError, match="unknown suite 'bogus'"):
+        suites.run_suite("bogus")
 
 
 @pytest.mark.parametrize("suite", ["all", "gradcheck", "linear_equiv", "thm1", "prop1"])
@@ -709,9 +804,12 @@ def test_audit_all_worker_killed_before_it_reports_is_an_error(tmp_path, capsys,
 
 
 def test_audit_violation_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(suites, "run_suite",
-                        lambda name, **kw: {"suite": name, "passed": False,
-                                            "violations": 3})
+    report = suites._report
+
+    def three_violations(suite, seeds, lam, tau, violations, **extra):
+        return report(suite, seeds, lam, tau, 3, **extra)
+
+    monkeypatch.setattr(suites, "_report", three_violations)
     code, out, _ = run_cli(["audit", "--suite", "thm1",
                             "--out", str(tmp_path)], capsys)
     assert code == 3
@@ -1172,9 +1270,10 @@ def test_eval_records_no_tape(tmp_path, capsys, monkeypatch, sbm10):
     from endiff.tape import Tape
 
     run = tmp_path / "r"
-    assert run_cli(["train", *sbm10, "--use-graph", "--epochs", "2", "--hidden", "4",
-                    "--out", str(run)], capsys)[0] == 0
-    code, out, _ = run_cli(["eval", *sbm10, "--checkpoint", str(run / "checkpoint.json"),
+    assert run_cli(["train", *sbm10, *_edges(sbm10), "--use-graph", "--epochs", "2",
+                    "--hidden", "4", "--out", str(run)], capsys)[0] == 0
+    code, out, _ = run_cli(["eval", *sbm10, *_edges(sbm10),
+                            "--checkpoint", str(run / "checkpoint.json"),
                             "--out", str(tmp_path / "e1")], capsys)
     assert code == 0
 
@@ -1182,7 +1281,8 @@ def test_eval_records_no_tape(tmp_path, capsys, monkeypatch, sbm10):
         raise AssertionError("eval recorded a tape node")
 
     monkeypatch.setattr(Tape, "_record", refuse)
-    code, out2, _ = run_cli(["eval", *sbm10, "--checkpoint", str(run / "checkpoint.json"),
+    code, out2, _ = run_cli(["eval", *sbm10, *_edges(sbm10),
+                             "--checkpoint", str(run / "checkpoint.json"),
                              "--out", str(tmp_path / "e2")], capsys)
     assert code == 0
     assert out2 == out

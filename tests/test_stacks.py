@@ -267,14 +267,14 @@ def test_oversmooth_steps_its_attention_seeds_in_stacks(monkeypatch):
     assert report == suite_oversmooth_per_seed(seeds=seeds, steps=suites.OVERSMOOTH_STEPS)
 
 
-@pytest.mark.parametrize("suite, per_seed", [(suites.suite_thm1, suite_thm1_per_seed),
-                                             (suites.suite_prop1, suite_prop1_per_seed)])
+@pytest.mark.parametrize("suite, per_seed", [("thm1", suite_thm1_per_seed),
+                                             ("prop1", suite_prop1_per_seed)])
 def test_static_suites_step_their_seeds_in_stacks(monkeypatch, suite, per_seed):
     # two full stacks and a ragged one, each at its instances' own tau,
     # against the audit one seed at a time
     seeds = 2 * SEED_STACK + 3
     shapes = _counted_runs(monkeypatch)
-    report = suite(seeds=seeds)
+    report = suites._static_reports(seeds=seeds)[suite]
     assert shapes == [(SEED_STACK,), (SEED_STACK,), (3,)]
     assert report == per_seed(seeds=seeds)
 
@@ -290,7 +290,7 @@ def test_prop1_takes_one_svd_per_instance(monkeypatch):
 
         monkeypatch.setattr(module, "laplacian_spectral_bracket", counted)
     seeds = SEED_STACK + 5
-    suites.suite_prop1(seeds=seeds)
+    suites.run_suite("prop1", seeds=seeds)
     assert len(calls) == seeds
 
 
