@@ -107,7 +107,11 @@ def euler_step(z: np.ndarray, s: Coupling, tau) -> np.ndarray:
     if s.n != z.shape[-2]:
         raise DimensionError(
             f"coupling on {s.n} nodes does not match embeddings {z.shape}")
-    return z - tau * (s.row_sums()[..., None] * z - s.apply(z))
+    row_sums = s.row_sums()
+    # Row sums of exactly 1 (simple attention, the mean coupling) keep Z as
+    # it is: 1.0 * z == z, so skipping the product changes no bit.
+    kept = z if np.all(row_sums == 1.0) else row_sums[..., None] * z
+    return z - tau * (kept - s.apply(z))
 
 
 def linear_simple_propagate(z: np.ndarray) -> np.ndarray:

@@ -156,8 +156,11 @@ class EdgeOperator:
     """The coupling S = W + diag(c): one weight of W per entry of a
     `NeighbourLayout`, in its row order, and an optional diagonal c.
 
-    `apply(V)` costs O(E d) time and scratch and never forms an N x N array;
-    the entries are summed in one fixed order, the diagonal added last.
+    `apply(V)` costs O(E d) time and never forms an N x N array; the
+    entries are summed in one fixed order, the diagonal added last. Its one
+    N x d scratch is its output: each long slot's products pass through the
+    head of that array before the row sums are permuted into it, and a
+    diagonal's products go into the spent sums.
     """
 
     def __init__(self, layout: NeighbourLayout, weights: np.ndarray,
@@ -180,16 +183,28 @@ class EdgeOperator:
         if n != self.n:
             raise DimensionError(f"operator on {self.n} nodes applied to {n} rows")
         _, cols, weights = self._short
-        out = np.bincount(self.layout.short_index(d), weights=(weights * v[cols]).ravel(),
+        short = v[cols]
+        short *= weights
+        # astype: with no short entries at all, bincount returns int zeros
+        out = np.bincount(self.layout.short_index(d), weights=short.ravel(),
                           minlength=n * d).reshape(n, d).astype(np.float64, copy=False)
+        del short  # gone before the slots' scratch is made
+        acc = None
         if self._slots:
-            acc = out
+            # Each slot's products go through the head of the output array,
+            # which the final permutation then overwrites. mode="clip" lets
+            # np.take write into `part` directly (the default "raise" buffers
+            # the whole gather); the layout's columns are node ids of a
+            # validated Graph, so nothing is ever clipped.
+            acc, out = out, np.empty_like(out)
             for count, slot_cols, slot_weights in self._slots:
-                acc[:count] += slot_weights * v[slot_cols]
-            out = np.empty_like(acc)
+                part = out[:count]
+                np.take(v, slot_cols, axis=0, out=part, mode="clip")
+                part *= slot_weights
+                acc[:count] += part
             out[self.layout.order] = acc
-        if self.diagonal is not None:
-            out += self.diagonal[:, None] * v
+        if self.diagonal is not None:  # its products into the spent accumulator
+            out += np.multiply(self.diagonal[:, None], v, out=acc)
         return out
 
     def row_sums(self) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dense_oracles import DenseCoupling, kept_steps, normalized_adjacency, rebuilt_row_sums
-from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
+from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec, MeanCoupling,
                              PenaltyFamily, SimpleAttention, build_coupling)
 from endiff.diffusion import (DiffusionConfig, euler_step, linear_simple_propagate,
                               run_trajectory)
@@ -35,6 +35,24 @@ def test_euler_step_preserves_column_means_for_symmetric_coupling():
     s = 0.5 * (s + s.T)
     out = euler_step(z, DenseCoupling(s), 0.25)
     assert np.allclose(out.mean(axis=0), z.mean(axis=0), atol=1e-12)
+
+
+def _euler_case(name):
+    z = row_l2_normalize(np.random.default_rng(3).standard_normal((2, 12, 3)))
+    tau = np.array([0.1, 0.5])[:, None, None]
+    if name == "simple_attention":
+        return z, SimpleAttention(z), tau
+    if name == "mean":
+        return z, MeanCoupling(12, (2,)), tau
+    return z[0], er_graph(12, 0.3, 1).sym_operator, 0.25  # row sums not all 1
+
+
+@pytest.mark.parametrize("name", ["simple_attention", "mean", "gcn_sym"])
+def test_euler_step_is_the_row_sum_form_bit_for_bit(name):
+    # the product by row sums of exactly 1 is skipped; it changed no bit
+    z, s, tau = _euler_case(name)
+    want = z - tau * (s.row_sums()[..., None] * z - s.apply(z))
+    assert euler_step(z, s, tau).tobytes() == want.tobytes()
 
 
 def test_euler_step_shape_errors():

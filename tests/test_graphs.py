@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from dense_oracles import (adjacency, from_edge_list_lexsort, layout_lexsort,
                            normalized_adjacency, sbm_generate_loop)
 from endiff.errors import DimensionError, FormatError, ParameterError
-from endiff.graphs import (SBM_BLOCK_ROWS, Dataset, Graph, er_graph, is_connected,
-                           load_dataset, read_edges, read_features,
-                           sbm_generate)
+from endiff.graphs import (SBM_BLOCK_ROWS, SLOT_MIN_ROWS, Dataset, EdgeOperator,
+                           Graph, er_graph, is_connected, load_dataset, read_edges,
+                           read_features, sbm_generate)
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -141,10 +141,13 @@ def test_sym_operator_matches_dense(case):
     assert np.all(got[isolated] == 0.0)
 
 
-@pytest.mark.parametrize("graph", [
+LONG_SLOT_GRAPHS = [
     er_graph(160, 0.1, 0),
     Graph.from_edge_list(161, [(0, j) for j in range(1, 160)]),  # star + isolated
-])
+]
+
+
+@pytest.mark.parametrize("graph", LONG_SLOT_GRAPHS)
 def test_sym_operator_long_and_short_slots_match_dense(graph):
     # both kernels run: slots reaching >= SLOT_MIN_ROWS rows and the short rest
     op = graph.sym_operator
@@ -153,6 +156,91 @@ def test_sym_operator_long_and_short_slots_match_dense(graph):
         v = np.random.default_rng(d).standard_normal((graph.n, d))
         want = normalized_adjacency(graph, "sym") @ v
         assert np.max(np.abs(op.apply(v) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def _long_slot_graph(draw, chords_per_node=4.0):
+    """A ring through m >= SLOT_MIN_ROWS nodes, so slots 0 and 1 are long,
+    with drawn chords and a few isolated nodes after it."""
+    m = draw(st.integers(SLOT_MIN_ROWS, 2 * SLOT_MIN_ROWS))
+    pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    chords = draw(st.lists(pairs, max_size=int(chords_per_node * m)))
+    ring = [(i, (i + 1) % m) for i in range(m)]
+    return Graph.from_edge_list(m + draw(st.integers(0, 3)), ring + chords)
+
+
+def _input_kinds(n: int, d: int, seed: int) -> dict:
+    """One N x d input per layout `apply` must take: strided, Fortran-ordered
+    and int64."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, d))
+    wide = np.zeros((2 * n, 3 * d))
+    wide[::2, ::3] = v
+    return {"strided": wide[::2, ::3], "fortran": np.asfortranarray(v),
+            "int64": rng.integers(-9, 10, (n, d))}
+
+
+def _check_long_slot_apply(op, want, isolated, d, seed):
+    # bit for bit the apply of a C-contiguous float64 copy, the dense oracle
+    # to 1e-12, and the rows of isolated nodes exactly the oracle's (0 when
+    # there is no diagonal)
+    for kind, x in _input_kinds(op.n, d, seed).items():
+        got = op.apply(x)
+        assert got.dtype == np.float64 and got.shape == x.shape, kind
+        assert got.tobytes() == op.apply(np.ascontiguousarray(x, dtype=np.float64)).tobytes(), kind
+        dense = want @ x
+        scale = max(float(np.max(np.abs(dense))), 1.0)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * scale, kind
+        assert np.array_equal(got[isolated], dense[isolated]), kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(LONG_SLOT_GRAPHS), _long_slot_graph()),
+       st.sampled_from((1, 33)), st.integers(0, 2**32 - 1))
+def test_sym_operator_apply_with_long_slots_takes_any_input_layout(graph, d, seed):
+    op = graph.sym_operator
+    assert op._slots
+    _check_long_slot_apply(op, normalized_adjacency(graph, "sym"), graph.neighbours.deg == 0,
+                           d, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.sampled_from(LONG_SLOT_GRAPHS), _long_slot_graph()),
+       st.sampled_from((1, 33)), st.integers(0, 2**32 - 1))
+def test_edge_operator_diagonal_after_long_slots_matches_dense(graph, d, seed):
+    # the diagonal's products go through the spent sums of the long slots
+    rng = np.random.default_rng(seed)
+    lay = graph.neighbours
+    weights, diagonal = rng.uniform(-1.0, 2.0, len(lay.rows)), rng.uniform(-1.0, 2.0, graph.n)
+    want = np.diag(diagonal)
+    np.add.at(want, (lay.rows, lay.cols), weights)
+    _check_long_slot_apply(EdgeOperator(lay, weights, diagonal), want, lay.deg == 0, d, seed)
+
+
+def _apply_peak(op, v) -> int:
+    import tracemalloc
+
+    op.apply(v)  # builds the layout's short-entry index for this d, kept after
+    tracemalloc.start()
+    try:
+        op.apply(v)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(st.sampled_from(LONG_SLOT_GRAPHS), _long_slot_graph(chords_per_node=0.5)))
+def test_sym_operator_apply_scratch_is_one_block_beside_its_output(graph):
+    # The peak is the short entries' products beside the sums, then the sums
+    # beside one scratch block: no temporary per long slot. Few chords keep
+    # the short entries near N or below. Every broadcast product also takes
+    # numpy's ufunc buffer (np.getbufsize() values, whatever N is), so d
+    # keeps it within a tenth of an N x d block.
+    d = -(-10 * np.getbufsize() // graph.n)
+    block = graph.n * d * 8
+    peak = _apply_peak(graph.sym_operator, np.random.default_rng(0).standard_normal((graph.n, d)))
+    assert peak <= 2.5 * block, f"peak {peak / block:.2f} N x d blocks"
 
 
 def test_sym_operator_is_cached_and_checks_rows():
