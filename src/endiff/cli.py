@@ -190,9 +190,11 @@ def cmd_diffuse(args) -> int:
             args.parser.error(f"--{flag} does not apply with {ignored[flag]}")
         if flag not in ignored and getattr(args, flag) is None:
             setattr(args, flag, default)
-    for flag in ("n", "dim"):
+    for flag in ("n", "dim", "steps"):
         if flag not in ignored and getattr(args, flag) < 1:
             args.parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if not 0.0 < args.tau <= 1.0:  # NaN fails too
+        args.parser.error(f"--tau must be in (0, 1], got {args.tau}")
     if args.edges is not None and args.features is None:
         args.parser.error("--edges needs --features")
     if (args.features is not None and args.edges is None

@@ -29,8 +29,9 @@ Unmasked attention takes a (..., N, d) array over leading axes: that many
 couplings on N nodes, built and applied at once. The other families take a
 (B, N, d) stack with a sequence of B graphs on N nodes each, slice b
 coupled along graph b: the graphs' own operators joined into one
-`graphs.BlockEdgeOperator`. With one `Graph`, or none, they couple one
-N x d state and reject a stack with a `DimensionError`.
+`graphs.EdgeOperator` on their stacked layout, and gat_masked's unit rows
+checked over the whole stack first. With one `Graph`, or none, they couple
+one N x d state and reject a stack with a `DimensionError`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, ParameterError
-from .graphs import BlockEdgeOperator, EdgeOperator, Graph, atomic_write_text
+from .graphs import EdgeOperator, Graph, atomic_write_text
 from .numerics import as_matrix, as_stack, row_dots, row_norms
 
 PENALTY_KINDS = ("simple", "advanced", "softmax", "quadratic")
@@ -400,8 +401,9 @@ def _block_coupling(spec: CouplingSpec, z: np.ndarray | None,
                              f"{np.shape(z)}")
     if spec.family == "all_one":
         return MeanCoupling(n, (len(graphs),))
-    return BlockEdgeOperator([coupling_operator(spec, None if z is None else z[b], g)
-                              for b, g in enumerate(graphs)])
+    z = _unit_rows(z) if spec.is_attention else z  # a bad row named with its slice
+    return EdgeOperator.stack([coupling_operator(spec, None if z is None else z[b], g)
+                               for b, g in enumerate(graphs)])
 
 
 def write_penalty_landscape(path, p: PenaltyFamily) -> None:

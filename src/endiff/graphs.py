@@ -1,4 +1,5 @@
-"""Undirected graph container, its sparse edge operators, synthetic data.
+"""Undirected graph container, its neighbour layout, alone or stacked with
+others of equal N, the one sparse edge operator on it, synthetic data.
 
 File formats (plain text, one record per line):
   features  whitespace-separated floats, one node per line
@@ -11,6 +12,7 @@ File formats (plain text, one record per line):
 from __future__ import annotations
 
 import io
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -109,13 +111,14 @@ SLOT_MIN_ROWS = 64
 class NeighbourLayout:
     """Both directions of every edge as (row, col) entries sorted by row,
     then col, and the plan by which `EdgeOperator` sums them; every
-    operator on one graph shares it."""
+    operator on one graph shares it. `batch` is () for a graph's own layout
+    and (B,) for a stack of B of them (`stack`)."""
 
     def __init__(self, n: int, edges: np.ndarray):
         src = np.concatenate([edges[:, 0], edges[:, 1]])
         dst = np.concatenate([edges[:, 1], edges[:, 0]])
         by_row = np.argsort(src * n + dst)  # one key per entry: (row, col) order
-        self.n = n
+        self.n, self.batch = n, ()
         self.rows, self.cols = src[by_row], dst[by_row]
         self.deg = np.bincount(src, minlength=n)
         row_start = np.cumsum(self.deg) - self.deg
@@ -143,18 +146,51 @@ class NeighbourLayout:
         self.short = (targets, pos, self.cols[pos])
         self._short_index = {}  # flat scatter targets per column count d
 
+    @classmethod
+    def stack(cls, layouts: Sequence["NeighbourLayout"]) -> "NeighbourLayout":
+        """The layouts of B graphs on N nodes each as one plan over a (B, N, d)
+        stack, block b's node ids and entry positions after those of the
+        blocks before it. Every entry is pooled, each block's in its own sum
+        order, so one `np.bincount` sums every slice bit for bit as its own
+        plan does. The disjoint union of the graphs would not: its own long
+        slots would reorder the sums."""
+        n = layouts[0].n
+        sizes = [len(lay.rows) for lay in layouts]
+        nodes = np.repeat(n * np.arange(len(layouts)), sizes)
+        targets, pos = (np.concatenate(part) for part in
+                        zip(*(lay._sum_order() for lay in layouts)))
+        pos += np.repeat(np.cumsum(sizes) - sizes, sizes)
+        stacked = cls.__new__(cls)
+        stacked.n, stacked.batch, stacked.slots, stacked._short_index = (
+            n, (len(layouts),), [], {})
+        stacked.rows = np.concatenate([lay.rows for lay in layouts]) + nodes
+        stacked.cols = np.concatenate([lay.cols for lay in layouts]) + nodes
+        stacked.short = (targets + nodes, pos, stacked.cols[pos])
+        return stacked
+
     def short_index(self, d: int) -> np.ndarray:
-        """Flat targets in an N x d block of the pooled short entries."""
+        """Flat targets of the pooled short entries in the N x d (stacked:
+        B N x d) output."""
         index = self._short_index.get(d)
         if index is None:
             index = (self.short[0][:, None] * d + np.arange(d)).ravel()
             self._short_index[d] = index
         return index
 
+    def _sum_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(target node, entry position) of every entry, in the order
+        `EdgeOperator.apply` adds them into a row: the pooled short entries,
+        then the long slots 0, 1, ... in turn."""
+        targets, pos, _ = self.short
+        parts = [(self.order[targets] if self.slots else targets, pos)]
+        parts += [(self.order[:count], slot_pos) for count, slot_pos, _ in self.slots]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
 
 class EdgeOperator:
     """The coupling S = W + diag(c): one weight of W per entry of a
-    `NeighbourLayout`, in its row order, and an optional diagonal c.
+    `NeighbourLayout`, in its row order, and an optional diagonal c; block
+    diagonal on a stacked layout, whose (B, N, d) stack it applies as B N rows.
 
     `apply(V)` costs O(E d) time and never forms an N x N array; the
     entries are summed in one fixed order, the diagonal added last. Its one
@@ -173,15 +209,27 @@ class EdgeOperator:
                        for count, pos, cols in layout.slots]
         targets, pos, cols = layout.short
         self._short = (targets, cols, weights[pos][:, None])
-        sums = np.bincount(layout.rows, weights=weights, minlength=self.n)
-        self._row_sums = sums if diagonal is None else sums + diagonal
+        self._shape = layout.batch + (self.n,)
+        sums = np.bincount(layout.rows, weights=weights, minlength=math.prod(self._shape))
+        self._row_sums = (sums if diagonal is None else sums + diagonal).reshape(self._shape)
+
+    @staticmethod
+    def stack(blocks: Sequence["EdgeOperator"]) -> "EdgeOperator":
+        """The block-diagonal coupling of B operators on N nodes each, block
+        b on slice b of a (B, N, d) stack. One stack has one family, so their
+        diagonals are all present or all None."""
+        diagonal = None if blocks[0].diagonal is None else np.concatenate(
+            [op.diagonal for op in blocks])
+        return EdgeOperator(NeighbourLayout.stack([op.layout for op in blocks]),
+                            np.concatenate([op.weights for op in blocks]), diagonal)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """S @ v for an N x d matrix v."""
-        v = as_matrix(v)
-        n, d = v.shape
-        if n != self.n:
-            raise DimensionError(f"operator on {self.n} nodes applied to {n} rows")
+        """S @ v for v of shape (N, d), or (B, N, d) on a stacked layout."""
+        v = as_stack(v)
+        if v.shape[:-1] != self._shape:
+            raise DimensionError(f"operator on rows {self._shape} applied to shape {v.shape}")
+        n, d = math.prod(self._shape), v.shape[-1]
+        v = v.reshape(n, d)
         _, cols, weights = self._short
         short = v[cols]
         short *= weights
@@ -205,85 +253,20 @@ class EdgeOperator:
             out[self.layout.order] = acc
         if self.diagonal is not None:  # its products into the spent accumulator
             out += np.multiply(self.diagonal[:, None], v, out=acc)
-        return out
+        return out.reshape(self._shape + (d,))
 
     def row_sums(self) -> np.ndarray:
-        """S @ 1, computed once."""
+        """S @ 1, computed once; (B, N) on a stacked layout."""
         return self._row_sums
 
     def dense(self) -> np.ndarray:
-        """The N x N matrix S; for oracles and tests only."""
-        s = np.zeros((self.n, self.n))
-        s[self.layout.rows, self.layout.cols] = self.weights
+        """The N x N matrix S, or (B, N, N) blocks; for oracles and tests only."""
+        s = np.zeros((math.prod(self._shape), self.n))  # row b N + i: block b's row i
+        s[self.layout.rows, self.layout.cols % self.n] = self.weights
         if self.diagonal is not None:
-            s[np.diag_indices(self.n)] += self.diagonal
-        return s
-
-    def _sum_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(target row, column, weight) of every entry, in the order `apply`
-        adds them into a row: the pooled short entries, then the long slots
-        0, 1, ... in turn."""
-        targets, cols, weights = self._short
-        order = self.layout.order
-        parts = [(order[targets] if self._slots else targets, cols, weights)]
-        parts += [(order[:count], slot_cols, slot_weights)
-                  for count, slot_cols, slot_weights in self._slots]
-        rows, cols, weights = (np.concatenate(part) for part in zip(*parts))
-        return rows, cols, weights[:, 0]
-
-
-class BlockEdgeOperator:
-    """The block-diagonal coupling of B edge operators on N nodes each,
-    applied to a (B, N, d) stack: slice b goes through block b alone.
-
-    Its plan is every block's own summation order with the node ids of
-    block b offset by b N, so one `np.bincount` over the stack adds each
-    row's entries in the order its block's `apply` does, and every slice is
-    bit for bit what that `apply` gives. The disjoint union of the graphs
-    would not be: its own long slots would reorder the sums.
-    """
-
-    def __init__(self, blocks: Sequence[EdgeOperator]):
-        self.blocks = tuple(blocks)
-        self.n = self.blocks[0].n
-        if any(op.n != self.n for op in self.blocks):
-            raise DimensionError("stacked operators must share one node count, got "
-                                 f"{[op.n for op in self.blocks]}")
-        rows, cols, weights = zip(*(op._sum_order() for op in self.blocks))
-        offsets = np.repeat(self.n * np.arange(len(rows)), [len(r) for r in rows])
-        self._rows = np.concatenate(rows) + offsets
-        self._cols = np.concatenate(cols) + offsets
-        self._weights = np.concatenate(weights)[:, None]
-        self._row_sums = np.stack([op.row_sums() for op in self.blocks])
-        diagonals = [op.diagonal for op in self.blocks]
-        self.diagonal = None if all(c is None for c in diagonals) else np.stack(
-            [np.zeros(self.n) if c is None else c for c in diagonals])
-        self._index = {}  # flat targets per column count d
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Block b of S @ v for each slice of a (B, N, d) stack v."""
-        v = as_stack(v)
-        if v.shape[:-1] != self._row_sums.shape:
-            raise DimensionError(f"{len(self.blocks)} operators on {self.n} nodes "
-                                 f"applied to shape {v.shape}")
-        b, n, d = v.shape
-        index = self._index.get(d)
-        if index is None:
-            index = self._index[d] = (self._rows[:, None] * d + np.arange(d)).ravel()
-        flat = v.reshape(b * n, d)
-        out = np.bincount(index, weights=(self._weights * flat[self._cols]).ravel(),
-                          minlength=b * n * d).reshape(b, n, d).astype(np.float64, copy=False)
-        if self.diagonal is not None:
-            out += self.diagonal[..., None] * v
-        return out
-
-    def row_sums(self) -> np.ndarray:
-        """S @ 1 of each block, (B, N)."""
-        return self._row_sums
-
-    def dense(self) -> np.ndarray:
-        """The (B, N, N) stack of blocks; for oracles and tests only."""
-        return np.stack([op.dense() for op in self.blocks])
+            nodes = np.arange(len(s))
+            s[nodes, nodes % self.n] += self.diagonal
+        return s.reshape(self._shape + (self.n,))
 
 
 @dataclass

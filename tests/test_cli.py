@@ -1266,6 +1266,21 @@ def test_diffuse_size_below_one_is_usage_error(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--tau", "1.5"), ("--tau", "0"), ("--tau", "-0.5"),
+                                         ("--tau", "nan"), ("--steps", "0"),
+                                         ("--steps", "-2")])
+def test_diffuse_step_setting_out_of_range_is_usage_error(tmp_path, capsys, flag, value):
+    # the files do not exist: the setting is rejected before any is read
+    with pytest.raises(SystemExit) as exc:
+        main(["diffuse", "--coupling", "gcn_sym", "--features", str(tmp_path / "f.txt"),
+              "--edges", str(tmp_path / "e.txt"), f"{flag}={value}",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert (f"--tau must be in (0, 1], got {float(value)}" if flag == "--tau" else
+            f"--steps must be >= 1, got {value}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_records_no_tape(tmp_path, capsys, monkeypatch, sbm10):
     from endiff.tape import Tape
 

@@ -6,7 +6,7 @@ from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec, MeanC
                              PenaltyFamily, SimpleAttention, build_coupling)
 from endiff.diffusion import (DiffusionConfig, euler_step, linear_simple_propagate,
                               run_trajectory)
-from endiff.energy import write_trajectory_csv
+from endiff.energy import audit_descent, write_trajectory_csv
 from endiff.errors import ContractError, DimensionError, ParameterError
 from endiff.graphs import NeighbourLayout, er_graph
 from endiff.numerics import laplacian, row_l2_normalize
@@ -182,22 +182,30 @@ def test_a_trajectory_iterated_twice_yields_the_same_steps(spec, g):
 
 
 def test_a_static_run_builds_each_scatter_index_once(tmp_path, monkeypatch):
-    # the Euler step applies the operator at d, the CSV's energy at d + 1
-    # ([Y | b]); each column count builds its flat index once for the run
+    # the Euler step applies the operator at d, the energy at d + 1
+    # ([Y | b]); each column count builds its flat index once for the run, a
+    # stack of graphs on its stacked layout
     built = []  # keeps every index alive, so a rebuilt one is a new object
     short_index = NeighbourLayout.short_index
 
     def record(self, d):
-        built.append(short_index(self, d))
-        return built[-1]
+        built.append((self.batch, short_index(self, d)))
+        return built[-1][1]
 
     monkeypatch.setattr(NeighbourLayout, "short_index", record)
     g = er_graph(300, 0.05, 0)
     z0 = np.random.default_rng(0).standard_normal((300, 16))
     traj = run_trajectory(z0, CouplingSpec("gcn_sym"), DiffusionConfig(steps=20), g)
     write_trajectory_csv(traj, tmp_path / "traj.csv")
-    assert len(built) == 40  # 20 steps at d = 16 and 20 energies at d + 1
-    assert len({id(index) for index in built}) == 2
+    graphs = [er_graph(80, 0.1, seed) for seed in range(3)]
+    z0 = np.random.default_rng(1).standard_normal((3, 80, 16))
+    traj = run_trajectory(z0, CouplingSpec("gcn_sym"), DiffusionConfig(steps=20), graphs)
+    audit_descent(traj)
+    for batch in ((), (3,)):  # 20 steps at d = 16 and 20 energies at d + 1
+        indices = [index for b, index in built if b == batch]
+        assert len(indices) == 40
+        assert len({id(index) for index in indices}) == 2
+    assert len(built) == 80
 
 
 def test_row_stochastic_update_is_convex_combination():

@@ -9,6 +9,7 @@ the seeds reports."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from endiff.diffusion import DiffusionConfig, euler_step, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent, diversity,
                            regularized_energy, write_trajectory_csv)
 from endiff.errors import ContractError, DimensionError, ParameterError
-from endiff.graphs import SLOT_MIN_ROWS, BlockEdgeOperator, Graph, er_graph
+from endiff.graphs import SLOT_MIN_ROWS, EdgeOperator, Graph, er_graph
 from endiff.numerics import NORM_EPS, laplacian_spectral_bracket, row_l2_normalize, row_norms
 from endiff.suites import SEED_STACK
 
@@ -393,7 +394,7 @@ def test_the_block_operator_matches_each_graphs_own(case, family):
     op = coupling_operator(spec, z, graphs)
     alone = [coupling_operator(spec, zi, g) for zi, g in zip(z, graphs)]
     if family != "all_one":
-        assert isinstance(op, BlockEdgeOperator)
+        assert isinstance(op, EdgeOperator) and op.layout.batch == (len(graphs),)
     _assert_slices(op.apply(v), [s.apply(vi) for s, vi in zip(alone, v)])
     _assert_slices(op.row_sums(), [s.row_sums() for s in alone])
     _assert_slices(op.dense(), [s.dense() for s in alone])
@@ -478,6 +479,28 @@ def test_stacked_graph_runs_reject_a_mismatch_up_front():
                             for g in graphs[:2]])
     with pytest.raises(DimensionError, match=r"applied to shape \(2, 6, 2\)"):
         traj.coupling.apply(z[:2])
+
+
+def test_a_bad_row_of_a_masked_stack_is_named_with_its_slice():
+    graphs = [er_graph(8, 0.4, seed) for seed in range(3)]
+    z = row_l2_normalize(np.random.default_rng(9).standard_normal((3, 8, 4)))
+    z[2, 5] = 0.0
+    for spec, g in ((SIMPLE, None), (_spec("gat_masked"), graphs)):
+        with pytest.raises(ContractError) as exc:
+            coupling_operator(spec, z, g)
+        assert str(exc.value) == ("attention couplings require finite unit-norm "
+                                  "embedding rows; slice 2 row 5 has norm 0.0")
+
+
+def test_an_edge_operator_applies_only_to_its_own_rows():
+    graphs = [er_graph(6, 0.5, seed) for seed in range(3)]
+    alone = graphs[0].sym_operator
+    stacked = coupling_operator(CouplingSpec("gcn_sym"), None, graphs)
+    v = np.random.default_rng(4).standard_normal((3, 6, 2))
+    for op, bad in ((alone, v), (alone, v[0, :5]), (stacked, v[0]), (stacked, v[:2])):
+        with pytest.raises(DimensionError, match=f"applied to shape {re.escape(str(bad.shape))}"):
+            op.apply(bad)
+    assert alone.apply(v[0]).shape == (6, 2) and stacked.apply(v).shape == (3, 6, 2)
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, np.nan, True, np.bool_(True), "0.5",
