@@ -18,7 +18,7 @@ from .coupling import (CouplingSpec, PenaltyFamily, build_coupling, penalty_delt
 from .diffusion import (DiffusionConfig, Trajectory, euler_step,
                         linear_simple_propagate, run_trajectory)
 from .energy import (EnergyReport, audit_bounds, audit_descent, diversity,
-                     quadratic_energy, regularized_energy, surrogate_energy)
+                     regularized_energy, surrogate_energy)
 from .errors import EndiffError
 from .graphs import Dataset, Graph, load_dataset, sbm_generate
 from .model import Checkpoint, ModelConfig, forward, init_model
@@ -36,6 +36,6 @@ __all__ = [
     "euler_step", "forward", "init_model", "laplacian",
     "laplacian_spectral_bracket", "linear_simple_propagate",
     "load_dataset", "metric", "penalty_delta", "penalty_f",
-    "quadratic_energy", "regularized_energy", "row_l2_normalize",
+    "regularized_energy", "row_l2_normalize",
     "run_trajectory", "sbm_generate", "surrogate_energy", "train_loop",
 ]

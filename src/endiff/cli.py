@@ -137,6 +137,11 @@ def _data_files(args) -> tuple:
     return args.features, args.labels, args.edges, args.split
 
 
+def _check_tau(args) -> None:
+    if not 0.0 < args.tau <= 1.0:  # NaN fails too
+        args.parser.error(f"--tau must be in (0, 1], got {args.tau}")
+
+
 def _check_edges(args, use_graph: bool, channel: str) -> None:
     """A usage error unless --edges is given exactly when the model has the
     graph channel, which `channel` names."""
@@ -193,8 +198,7 @@ def cmd_diffuse(args) -> int:
     for flag in ("n", "dim", "steps"):
         if flag not in ignored and getattr(args, flag) < 1:
             args.parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    if not 0.0 < args.tau <= 1.0:  # NaN fails too
-        args.parser.error(f"--tau must be in (0, 1], got {args.tau}")
+    _check_tau(args)
     if args.edges is not None and args.features is None:
         args.parser.error("--edges needs --features")
     if (args.features is not None and args.edges is None
@@ -267,6 +271,7 @@ def cmd_audit(args) -> int:
 def cmd_train(args) -> int:
     files = _data_files(args)
     _check_edges(args, args.use_graph, "--use-graph")
+    _check_tau(args)
     started = time.monotonic()
     ds = load_dataset(*files)
     out = args.out

@@ -8,6 +8,11 @@ without materializing S. With `use_source` the step also adds the initial
 state at step size tau, the source term of the paper's DIFFormer layer:
 Z' = Z - tau * (diag(S 1) - S) Z + tau * Z^(0).
 
+A step applies S once. A static family applies it to the centred rows
+Y = Z - mean(Z), the same step as (diag(S 1) - S) 1 = 0, and the state's
+`Step` record keeps Y and S Y for its energy to read; a run whose energies
+nobody reads makes no more passes than steps.
+
 Every family also steps a stack of states: a (B, N, d) start runs B
 independent trajectories at once, one per slice, each bit for bit the run
 of its 2-D start alone. A 2-D start is the case without leading axes.
@@ -28,7 +33,7 @@ import numpy as np
 from .coupling import Coupling, CouplingSpec, SimpleAttention, coupling_operator
 from .errors import DimensionError, ParameterError, check_flag, check_integer
 from .graphs import Graph
-from .numerics import as_stack, row_l2_normalize
+from .numerics import as_stack, row_dots, row_l2_normalize
 
 
 @dataclass(frozen=True)
@@ -61,22 +66,45 @@ class DiffusionConfig:
 @dataclass(frozen=True)
 class Step:
     """Step k of a run: the state Z^(k), the state `prev` it stepped from
-    (None at k = 0), and the row sums S 1 of the coupling Z^(k) diffuses
-    with. A stacked run gives (..., N, d) states and (..., N) row sums."""
+    (None at k = 0) and the coupling S it diffuses with (None for a lone
+    state). Y, b, sum b and S Y are made once, when the next step or the
+    energy first reads them. A stack gives (..., N, d) states."""
 
     k: int
     z: np.ndarray
     prev: np.ndarray | None
-    row_sums: np.ndarray
+    coupling: Coupling | None
+
+    @property
+    def row_sums(self) -> np.ndarray:
+        return self.coupling.row_sums()
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        """Z - mean(Z), slice by slice, centred by BLAS column sums."""
+        n = self.z.shape[-2]
+        return self.z - (np.ones(n) @ self.z)[..., None, :] / n
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return row_dots(self.y, self.y)
+
+    @cached_property
+    def sum_b(self):
+        return self.b.sum(axis=-1)
+
+    @cached_property
+    def sy(self) -> np.ndarray:
+        return self.coupling.apply(self.y)
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """A run from its start Z^(0): iterating it steps the dynamics and
-    yields Z^(0), ..., Z^(K) as `Step`s, keeping only the current state, its
-    predecessor and the start. `coupling` is the coupling Z^(0) diffuses
-    with; a static family reuses it at every step, attention builds one per
-    step on the re-normalized state. Each pass steps the run afresh."""
+    yields Z^(0), ..., Z^(K) as `Step`s, keeping only the current record,
+    its predecessor's state and the start. `coupling` is the coupling Z^(0)
+    diffuses with; a static family reuses it at every step, attention builds
+    one per step on the re-normalized state. Each pass steps the run afresh."""
 
     start: np.ndarray
     config: DiffusionConfig
@@ -85,33 +113,36 @@ class Trajectory:
     coupling: Coupling
 
     def __iter__(self) -> Iterator[Step]:
-        cfg, spec, z, s = self.config, self.spec, self.start, self.coupling
+        cfg, spec, s = self.config, self.spec, self.coupling
         tau = cfg.step_size
-        state = row_l2_normalize(z) if spec.is_attention else z
-        yield Step(0, z, None, s.row_sums())
+        state = row_l2_normalize(self.start) if spec.is_attention else None
+        step = Step(0, self.start, None, s)
+        yield step
         for k in range(1, cfg.steps + 1):
-            prev, z = z, euler_step(state, s, tau)
+            base, y, sy = ((state, state, s.apply(state)) if spec.is_attention
+                           else (step.z, step.y, step.sy))
+            z = euler_step(base, y, sy, s.row_sums(), tau)
             if cfg.use_source:
                 z = z + tau * self.start
-            state = row_l2_normalize(z) if spec.is_attention else z
             if spec.is_attention:
+                state = row_l2_normalize(z)
                 s = coupling_operator(spec, state, self.graph)
-            yield Step(k, z, prev, s.row_sums())
+            step = Step(k, z, step.z, s)
+            yield step
 
 
-def euler_step(z: np.ndarray, s: Coupling, tau) -> np.ndarray:
-    """One explicit-Euler step Z' = Z - tau * (diag(S 1) - S) Z, slice by
-    slice for a stack; tau is a float or broadcasts over the stack, such as
-    a (B, 1, 1) array of per-slice step sizes."""
-    z = as_stack(z)
-    if s.n != z.shape[-2]:
-        raise DimensionError(
-            f"coupling on {s.n} nodes does not match embeddings {z.shape}")
-    row_sums = s.row_sums()
-    # Row sums of exactly 1 (simple attention, the mean coupling) keep Z as
-    # it is: 1.0 * z == z, so skipping the product changes no bit.
-    kept = z if np.all(row_sums == 1.0) else row_sums[..., None] * z
-    return z - tau * (kept - s.apply(z))
+def euler_step(z: np.ndarray, y: np.ndarray, sy: np.ndarray, row_sums: np.ndarray,
+               tau) -> np.ndarray:
+    """One explicit-Euler step Z' = Z - tau * (diag(S 1) - S) Y from one
+    pass (Y, S Y) and the row sums S 1, slice by slice for a stack: Y is Z,
+    or Z less a constant row per slice. tau is a float or broadcasts over
+    the stack, such as a (B, 1, 1) array of per-slice step sizes."""
+    if not z.shape == y.shape == sy.shape or row_sums.shape != z.shape[:-1]:
+        raise DimensionError(f"step shapes {z.shape}, {y.shape}, {sy.shape}, {row_sums.shape}")
+    # Row sums of exactly 1 (simple attention, the mean coupling) keep Y as
+    # it is: 1.0 * y == y, so skipping the product changes no bit.
+    kept = y if (row_sums == 1.0).all() else row_sums[..., None] * y
+    return z - tau * (kept - sy)
 
 
 def linear_simple_propagate(z: np.ndarray) -> np.ndarray:

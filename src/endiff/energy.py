@@ -1,26 +1,23 @@
 """Energy functionals, the descent and ratio-bracket audits, and the
 trajectory CSV.
 
-The functionals take the energy weight lam as an argument. A trajectory's
-energies, which both audits and the CSV read, fix lam = tau in one place
-(`_trajectory_energy`): the paper fixes the gradient step at one, so
-every audited statement (Thm 1, Prop 1, Thm 2) holds at lam = tau. Each
-audit and the CSV make one pass over the run's steps, reading each step's
-energy as it is made, and the two audits differ only in the test they
-apply to consecutive energies. `descent_violations` is the descent test
-alone, so a caller that holds a bound audit's report tests descent on the
-same energies without a second pass.
+Each coupling family has one energy E(Z^(k), k-1) = ||Z^(k) - A||_F^2 +
+lam * P(Z^(k)): the anchor A is Z^(k-1), plus tau Z^(0) with the source,
+and P the family's pair sum, which `_energy_of` chooses once per
+trajectory. A trajectory's energies fix lam = tau: the paper fixes the
+gradient step at one, so every audited statement (Thm 1, Prop 1, Thm 2)
+holds at lam = tau. Each audit and the CSV make one pass over the run's
+steps, reading each step's energy from its record (`diffusion.Step`); the
+audits differ only in the test applied to consecutive energies
+(`descent_violations` is the descent test alone).
 
 Pairwise sums follow the all-ordered-pairs convention (i and j both range
 over all nodes, diagonal included), which matches the row-normalization
-denominators of the attention couplings. A coupling-weighted pairwise sum
-takes one `apply` of the coupling (`_coupled_pair_sum`), so it costs
-O(E d) on a graph and never forms an N x N array.
-
-Pairwise distances do not change when every row is shifted by the same
-vector, so diversity and the quadratic and simple families' penalties are
-evaluated in closed form on the centred rows Y = Z - mean(Z), in O(N d) for
-the first two and O(N d^2) for the last.
+denominators of the attention couplings. Pairwise distances do not change
+when every row is shifted by the same vector, so the closed forms read the
+record's centred rows Y = Z - mean(Z): a static family's coupled sum reads
+the S Y its Euler step made and adds O(N d); diversity and the quadratic
+penalty cost O(N d), the simple penalty O(N d^2), the others go pairwise.
 
 The energies, `diversity` and both audits take stacked runs: states
 (..., N, d) reduce slice by slice to one value per slice, each bit for bit
@@ -32,14 +29,15 @@ takes one N x d trajectory and rejects a stack with a `DimensionError`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .coupling import Coupling, PenaltyFamily, penalty_conjugate, penalty_delta
+from .coupling import PenaltyFamily, penalty_conjugate, penalty_delta
 from .diffusion import Step, Trajectory
-from .errors import ContractError, DimensionError, ParameterError
+from .errors import ContractError, DimensionError
 from .graphs import atomic_write_text
 from .numerics import (SpectralBracket, as_matrix, as_stack, laplacian_spectral_bracket,
                        row_dots)
@@ -58,11 +56,6 @@ def _pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
     return np.maximum(sq[..., :, None] + sq[..., None, :] - 2.0 * gram, 0.0)
 
 
-def _slice_sum(x: np.ndarray) -> np.ndarray:
-    """The sum of every entry of each matrix slice of x (..., N, d)."""
-    return np.sum(x, axis=(-2, -1))
-
-
 def _slice_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_ij a_ij b_ij of each pair of slices (..., N, d): one BLAS dot per
     slice, bit for bit as alone (einsum's is not past 8192 entries)."""
@@ -75,79 +68,51 @@ def _per_slice(x: np.ndarray):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _check_one_state(z: np.ndarray, what: str) -> None:
-    if z.ndim != 2:
-        raise DimensionError(f"{what} takes one N x d trajectory, not a stack of "
-                             f"shape {z.shape}")
-
-
 def _check_same_shape(z: np.ndarray, z_prev: np.ndarray) -> None:
     if z.shape != z_prev.shape:
         raise DimensionError(f"shape mismatch: {z.shape} vs {z_prev.shape}")
 
 
-def _coupled_pair_sum(s: Coupling, z: np.ndarray) -> np.ndarray:
-    """sum_ij s_ij ||z_i - z_j||^2 = sum_i r_i b_i + (S b)_i - 2 y_i.(S Y)_i
-    over the centred rows Y = Z - mean(Z), with b_i = ||y_i||^2 and r = S 1,
-    from one `apply` on [Y | b]; exact for an asymmetric S too. Centring
-    keeps the terms small when the rows gather around a common point, and
-    a diagonal entry's terms cancel exactly row by row. One value per slice
-    of a stack."""
-    if s.n != z.shape[-2]:
-        raise DimensionError(f"coupling on {s.n} nodes does not match {z.shape}")
-    y = z - z.mean(axis=-2, keepdims=True)
-    b = np.sum(y * y, axis=-1)
-    sy = s.apply(np.concatenate([y, b[..., None]], axis=-1))
-    per_row = s.row_sums() * b + sy[..., -1] - 2.0 * np.sum(y * sy[..., :-1], axis=-1)
-    return np.sum(per_row, axis=-1)
+def _energy(step: Step, anchor: np.ndarray, lam, pair_sum: Callable[[Step], np.ndarray]):
+    """||Z - anchor||_F^2 + lam * pair_sum(step), a float or one per slice."""
+    diff = step.z - anchor
+    return _per_slice(_slice_dot(diff, diff) + lam * pair_sum(step))
 
 
-def quadratic_energy(z, z_prev, s: Coupling, lam):
-    """||Z - Z_prev||_F^2 + lam * sum_ij s_ij ||z_i - z_j||^2: a float, or
-    one value per slice of a stack, whose lam may be one per slice."""
-    z = as_stack(z)
-    z_prev = as_stack(z_prev)
-    _check_same_shape(z, z_prev)
-    if np.any(np.less(lam, 0)):
-        raise ParameterError("lam must be >= 0")
-    local = _slice_sum((z - z_prev) ** 2)
-    return _per_slice(local + lam * _coupled_pair_sum(s, z))
+def _coupled_pair_sum(step: Step) -> np.ndarray:
+    """sum_ij s_ij ||z_i - z_j||^2 = 2 sum_i r_i b_i - y_i.(S Y)_i, per slice,
+    from the record's centred rows Y, b_i = ||y_i||^2, S Y and r = S 1:
+    every static coupling is symmetric, so sum_i (S b)_i = (S^T 1).b = r.b.
+    A diagonal entry's terms cancel exactly row by row."""
+    return 2.0 * np.sum(step.row_sums * step.b - row_dots(step.y, step.sy), axis=-1)
 
 
-def _penalty_sum(penalty: PenaltyFamily, z: np.ndarray, in_domain: bool):
-    """sum_ij delta(||z_i - z_j||^2) over all ordered pairs, per slice.
-
-    The quadratic family, delta(u) = u, and the simple family,
-    delta(u) = 2u - u^2/4, take their exact closed forms when every pairwise
-    u lies in the domain [0, 4]: for a slice whose rows all lie in the unit
-    ball (up to rounding), or for every slice when the caller knows it
-    (`in_domain`). With b_i = |y_i|^2: sum u = 2N sum b, in O(N d), and
-    sum u^2 = 2N sum b^2 + 2 (sum b)^2 + 4 ||Y^T Y||_F^2. Every other slice,
-    and every slice of a family without a closed form, goes pair by pair,
-    which rejects a u outside the domain.
-    """
+def _penalty_sum(penalty: PenaltyFamily, step: Step):
+    """sum_ij delta(||z_i - z_j||^2) of a step's state, per slice. The
+    quadratic, delta(u) = u, and simple, delta(u) = 2u - u^2/4, families
+    take their closed forms on a slice whose rows all lie in the unit ball
+    (up to rounding); other slices go pair by pair, rejecting a u > 4."""
+    z = step.z
     if penalty.kind not in ("simple", "quadratic"):
-        return _slice_sum(penalty_delta(penalty, _pairwise_sq_dists(z)))
-    if in_domain:
-        return _closed_penalty_sum(penalty, z)
+        return penalty_delta(penalty, _pairwise_sq_dists(z)).sum(axis=(-2, -1))
     closed = np.max(row_dots(z, z), axis=-1) <= 1.0 + UNIT_BALL_SLACK
     if closed.all():  # the common case, without copying the closed slices out
-        return _closed_penalty_sum(penalty, z)
+        return _closed_penalty_sum(penalty.kind, step.y, step.b, step.sum_b)
     sums = np.empty(z.shape[:-2])
     if closed.any():
-        sums[closed] = _closed_penalty_sum(penalty, z[closed])
-    sums[~closed] = _slice_sum(penalty_delta(penalty, _pairwise_sq_dists(z[~closed])))
+        sums[closed] = _closed_penalty_sum(penalty.kind, step.y[closed], step.b[closed],
+                                           step.sum_b[closed])
+    sums[~closed] = penalty_delta(penalty, _pairwise_sq_dists(z[~closed])).sum(axis=(-2, -1))
     return sums
 
 
-def _closed_penalty_sum(penalty: PenaltyFamily, z: np.ndarray) -> np.ndarray:
-    """The closed forms of `_penalty_sum`, per slice."""
-    n = z.shape[-2]
-    y = z - (np.ones(n) @ z)[..., None, :] / n
-    b = row_dots(y, y)
-    sum_b = b.sum(axis=-1)
+def _closed_penalty_sum(kind: str, y: np.ndarray, b: np.ndarray, sum_b) -> np.ndarray:
+    """The quadratic or simple penalty sum per slice from the centred rows Y,
+    b_i = |y_i|^2 and sum b: sum u = 2N sum b and
+    sum u^2 = 2N sum b^2 + 2 (sum b)^2 + 4 ||Y^T Y||_F^2."""
+    n = y.shape[-2]
     sum_u = 2.0 * n * sum_b
-    if penalty.kind == "quadratic":
+    if kind == "quadratic":
         return sum_u
     gram = np.swapaxes(y, -1, -2) @ y
     b_dot_b = (b[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -156,18 +121,12 @@ def _closed_penalty_sum(penalty: PenaltyFamily, z: np.ndarray) -> np.ndarray:
     return 2.0 * sum_u - 0.25 * sum_u2
 
 
-def _regularized(z, z_prev, penalty: PenaltyFamily, lam: float, in_domain: bool):
-    z = as_stack(z)
-    z_prev = as_stack(z_prev)
-    _check_same_shape(z, z_prev)
-    step = z - z_prev
-    return _per_slice(_slice_dot(step, step) + lam * _penalty_sum(penalty, z, in_domain))
-
-
 def regularized_energy(z, z_prev, penalty: PenaltyFamily, lam: float):
     """||Z - Z_prev||_F^2 + lam * sum_ij delta(||z_i - z_j||^2): a float,
     or one value per slice of a stack."""
-    return _regularized(z, z_prev, penalty, lam, in_domain=False)
+    z, z_prev = as_stack(z), as_stack(z_prev)
+    _check_same_shape(z, z_prev)
+    return _energy(Step(1, z, z_prev, None), z_prev, lam, partial(_penalty_sum, penalty))
 
 
 def surrogate_energy(z, z_prev, omega, penalty: PenaltyFamily, lam: float) -> float:
@@ -192,8 +151,7 @@ def diversity(z):
     embedding-collapse diagnostic, in O(N d): a float, or one value per
     slice of a stack."""
     z = as_stack(z)
-    y = z - (np.ones(z.shape[-2]) @ z)[..., None, :] / z.shape[-2]
-    return _per_slice(z.shape[-2] * _slice_dot(y, y))
+    return _per_slice(z.shape[-2] * Step(0, z, None, None).sum_b)
 
 
 @dataclass
@@ -217,32 +175,35 @@ class EnergyReport:
         return len(self.violations)
 
 
-def _trajectory_energy(traj: Trajectory, step: Step):
-    """E(Z^(k), k-1) of step k with the energy form matching the trajectory:
-    quadratic for static couplings, regularized for attention, at
-    lam = tau; NaN at k = 0, which has no predecessor. The source term
-    shifts the anchor to Z^(k-1) + tau * Z^(0).
-
-    Under quadratic attention (S = 1/N), the pair differences of every
-    state are (1 - tau)(s_i - s_j), plus tau (z0_i - z0_j) with the
-    source, with s the unit rows the step diffused and z0 the unit-row
-    start: a mix of unit-row differences with total weight at most 1, so
-    every u <= 4 and the closed form needs no gate."""
-    if step.prev is None:
-        return float("nan")
-    cfg = traj.config
-    spec = traj.spec
-    lam = cfg.tau
-    anchor = step.prev + cfg.step_size * traj.start if cfg.use_source else step.prev
+def _energy_of(traj: Trajectory) -> Callable[[Step], float | np.ndarray]:
+    """E(Z^(k), k-1) at lam = tau as a function of step k, NaN at k = 0,
+    with its family's pair sum chosen once. Quadratic attention's closed
+    form takes no unit-ball gate: under S = 1/N every state's pair
+    differences are (1 - tau)(s_i - s_j), plus tau (z0_i - z0_j) with the
+    source, of the unit rows s the step diffused and z0 the unit-row start,
+    so every u <= 4."""
+    cfg, spec = traj.config, traj.spec
     if not spec.is_attention:
-        return quadratic_energy(step.z, anchor, traj.coupling, lam)
-    in_domain = spec.family == "attention" and spec.penalty.kind == "quadratic"
-    return _regularized(step.z, anchor, spec.penalty, lam, in_domain)
+        pair_sum = _coupled_pair_sum
+    elif spec.family == "attention" and spec.penalty.kind == "quadratic":
+        pair_sum = lambda step: _closed_penalty_sum("quadratic", step.y, step.b, step.sum_b)
+    else:
+        pair_sum = partial(_penalty_sum, spec.penalty)
+    source = cfg.step_size * traj.start if cfg.use_source else None
+
+    def energy(step: Step):
+        if step.prev is None:
+            return float("nan")
+        anchor = step.prev if source is None else step.prev + source
+        return _energy(step, anchor, cfg.tau, pair_sum)
+
+    return energy
 
 
 def _energies(traj: Trajectory) -> list:
     """E(Z^(k), k-1) for k = 1..K, from one pass over the run's steps."""
-    return [_trajectory_energy(traj, step) for step in traj][1:]
+    energy = _energy_of(traj)
+    return [energy(step) for step in traj][1:]
 
 
 def descent_violations(energies: list, slack: float = DESCENT_SLACK) -> list[dict]:
@@ -331,10 +292,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     diffuses with. The text is built first and written once, so a run that
     fails part way leaves no partial file.
     """
-    _check_one_state(traj.start, "the trajectory CSV")
+    if traj.start.ndim != 2:
+        raise DimensionError("the trajectory CSV takes one N x d trajectory, not a "
+                             f"stack of shape {traj.start.shape}")
+    energy, n = _energy_of(traj), traj.start.shape[0]
     lines = ["step,energy,diversity,min_row_sum,max_row_sum\n"]
-    for step in traj:
-        lines.append(f"{step.k},{_trajectory_energy(traj, step):.17g},"
-                     f"{diversity(step.z):.17g},{step.row_sums.min():.17g},"
-                     f"{step.row_sums.max():.17g}\n")
+    for step in traj:  # diversity(step.z), from the centring the energy reads
+        lines.append(f"{step.k},{energy(step):.17g},{n * step.sum_b:.17g},"
+                     f"{step.row_sums.min():.17g},{step.row_sums.max():.17g}\n")
     atomic_write_text(path, "".join(lines))

@@ -14,7 +14,7 @@ import numpy as np
 
 from endiff.coupling import (Z_SQ_MAX, CouplingSpec, PenaltyFamily, _check_rows,
                              attention_scores, build_coupling, coupling_operator)
-from endiff.diffusion import DiffusionConfig, run_trajectory
+from endiff.diffusion import DiffusionConfig, euler_step, run_trajectory
 from endiff.energy import audit_bounds, audit_descent, diversity
 from endiff.errors import DimensionError, DomainError
 from endiff.graphs import Dataset, Graph, er_graph, is_connected
@@ -89,7 +89,8 @@ def pair_sum_loop(z, s) -> float:
 
 
 def quadratic_energy_loop(z, z_prev, s, lam: float) -> float:
-    """Double-loop form of quadratic_energy with a dense coupling s."""
+    """||Z - Z_prev||_F^2 + lam * sum_ij s_ij ||z_i - z_j||^2, a static
+    family's energy, with a dense coupling s and one pair at a time."""
     return float(np.sum((z - z_prev) ** 2)) + lam * pair_sum_loop(z, s)
 
 
@@ -367,6 +368,13 @@ def train_loop_two_forwards(dataset, model_cfg, train_cfg):
     )
     return TrainResult(checkpoint=ckpt, history=history,
                        best_epoch=best_epoch, test_metric=test_best)
+
+
+def coupled_step(z, s, tau):
+    """`euler_step` on z's own operator pass (Y = Z, S Z): the step an
+    attention run makes from its unit rows, with any coupling s."""
+    z = as_stack(z)
+    return euler_step(z, z, s.apply(z), s.row_sums(), tau)
 
 
 def kept_steps(traj) -> list:

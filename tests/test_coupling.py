@@ -15,7 +15,6 @@ from endiff.coupling import (DIM_SCALE_MIN, PENALTY_KINDS, Z_SQ_MAX, CouplingSpe
                              penalty_conjugate, penalty_delta, penalty_f,
                              penalty_f_range, simple_attention,
                              write_penalty_landscape)
-from endiff.diffusion import euler_step
 from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
 from endiff.graphs import EdgeOperator, Graph, er_graph
 from endiff.numerics import row_l2_normalize
@@ -342,8 +341,6 @@ def test_dense_coupling_and_sum():
         DenseCoupling(np.ones((3, 4)))
     with pytest.raises(DimensionError):
         op.apply(np.ones((4, 2)))
-    with pytest.raises(DimensionError):
-        euler_step(np.ones((5, 3)), DenseCoupling(np.eye(3)), 0.5)
 
 
 def test_coupling_operator_picks_the_accumulator_form_for_simple_attention():

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from dense_oracles import DenseCoupling, kept_steps, normalized_adjacency, rebuilt_row_sums
+from dense_oracles import (DenseCoupling, coupled_step, kept_steps, normalized_adjacency,
+                           rebuilt_row_sums)
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec, MeanCoupling,
                              PenaltyFamily, SimpleAttention, build_coupling)
 from endiff.diffusion import (DiffusionConfig, euler_step, linear_simple_propagate,
                               run_trajectory)
 from endiff.energy import audit_descent, write_trajectory_csv
 from endiff.errors import ContractError, DimensionError, ParameterError
-from endiff.graphs import NeighbourLayout, er_graph
+from endiff.graphs import EdgeOperator, NeighbourLayout, er_graph
 from endiff.numerics import laplacian, row_l2_normalize
 
 
@@ -18,13 +19,17 @@ def test_euler_step_matches_laplacian_form():
     s = np.abs(rng.standard_normal((6, 6)))
     tau = 0.3
     expected = z - tau * laplacian(s) @ z
-    assert np.allclose(euler_step(z, DenseCoupling(s), tau), expected, atol=1e-12)
+    assert np.allclose(coupled_step(z, DenseCoupling(s), tau), expected, atol=1e-12)
+    # on the centred rows, as a static run steps: (diag(S 1) - S) 1 = 0
+    y = z - z.mean(axis=0)
+    got = euler_step(z, y, s @ y, s.sum(axis=1), tau)
+    assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_euler_step_identity_coupling_fixed_point():
     # S = I: the Laplacian vanishes, nothing moves
     z = np.random.default_rng(2).standard_normal((4, 3))
-    assert np.allclose(euler_step(z, DenseCoupling(np.eye(4)), 0.7), z)
+    assert np.allclose(coupled_step(z, DenseCoupling(np.eye(4)), 0.7), z)
 
 
 def test_euler_step_preserves_column_means_for_symmetric_coupling():
@@ -33,7 +38,7 @@ def test_euler_step_preserves_column_means_for_symmetric_coupling():
     z = rng.standard_normal((8, 4))
     s = np.abs(rng.standard_normal((8, 8)))
     s = 0.5 * (s + s.T)
-    out = euler_step(z, DenseCoupling(s), 0.25)
+    out = coupled_step(z, DenseCoupling(s), 0.25)
     assert np.allclose(out.mean(axis=0), z.mean(axis=0), atol=1e-12)
 
 
@@ -52,14 +57,19 @@ def test_euler_step_is_the_row_sum_form_bit_for_bit(name):
     # the product by row sums of exactly 1 is skipped; it changed no bit
     z, s, tau = _euler_case(name)
     want = z - tau * (s.row_sums()[..., None] * z - s.apply(z))
-    assert euler_step(z, s, tau).tobytes() == want.tobytes()
+    assert euler_step(z, z, s.apply(z), s.row_sums(), tau).tobytes() == want.tobytes()
 
 
 def test_euler_step_shape_errors():
+    z = np.ones((3, 2))
     with pytest.raises(DimensionError):
-        euler_step(np.ones((3, 2)), DenseCoupling(np.ones((4, 4))), 0.5)
+        euler_step(z, z, np.ones((4, 2)), np.ones(3), 0.5)
     with pytest.raises(DimensionError):
-        euler_step(np.ones((3, 2)), DenseCoupling(np.ones((3, 4))), 0.5)
+        euler_step(z, np.ones((3, 3)), np.ones((3, 3)), np.ones(3), 0.5)
+    with pytest.raises(DimensionError):
+        euler_step(z, z, z, np.ones(4), 0.5)
+    with pytest.raises(DimensionError):
+        coupled_step(z, DenseCoupling(np.ones((4, 4))), 0.5)
 
 
 def test_linear_simple_propagate_matches_dense():
@@ -101,7 +111,7 @@ def test_run_trajectory_static_records_every_step():
     manual = z0.copy()
     for before, step in zip(steps, steps[1:]):
         assert step.prev is before.z
-        manual = euler_step(manual, DenseCoupling(s), 0.5)
+        manual = coupled_step(manual, DenseCoupling(s), 0.5)
         assert np.allclose(step.z, manual, atol=1e-12)
 
 
@@ -127,7 +137,7 @@ def test_run_trajectory_attention_normalizes_state_per_step():
         assert step.prev is before.z
         state = row_l2_normalize(before.z)
         s = build_coupling(spec, state)
-        assert np.allclose(step.z, euler_step(state, DenseCoupling(s), 0.25), atol=1e-12)
+        assert np.allclose(step.z, coupled_step(state, DenseCoupling(s), 0.25), atol=1e-12)
 
 
 def test_run_trajectory_source_defaults_to_initial_state():
@@ -138,7 +148,7 @@ def test_run_trajectory_source_defaults_to_initial_state():
                           DiffusionConfig(steps=2, use_source=True), g)
     assert np.array_equal(traj.start, z0)
     s = normalized_adjacency(g, "sym")
-    step1 = euler_step(z0, DenseCoupling(s), 0.5) + 0.5 * z0
+    step1 = coupled_step(z0, DenseCoupling(s), 0.5) + 0.5 * z0
     assert np.allclose(kept_steps(traj)[1].z, step1, atol=1e-12)
 
 
@@ -182,16 +192,23 @@ def test_a_trajectory_iterated_twice_yields_the_same_steps(spec, g):
 
 
 def test_a_static_run_builds_each_scatter_index_once(tmp_path, monkeypatch):
-    # the Euler step applies the operator at d, the energy at d + 1
-    # ([Y | b]); each column count builds its flat index once for the run, a
-    # stack of graphs on its stacked layout
-    built = []  # keeps every index alive, so a rebuilt one is a new object
-    short_index = NeighbourLayout.short_index
+    # a K-step static run whose energies are read applies its operator
+    # K + 1 times, all at d columns: each state's step and energy share one
+    # pass, and the last state's energy makes one more. Unread, the run
+    # makes K. Each run builds one flat scatter index, a stack of graphs on
+    # its stacked layout; a gat_masked run applies each step's coupling once
+    applied, built = [], []  # built keeps every index alive: a rebuilt one is new
+    apply, short_index = EdgeOperator.apply, NeighbourLayout.short_index
+
+    def counted(self, v):
+        applied.append((self.layout.batch, v.shape[-1]))
+        return apply(self, v)
 
     def record(self, d):
         built.append((self.batch, short_index(self, d)))
         return built[-1][1]
 
+    monkeypatch.setattr(EdgeOperator, "apply", counted)
     monkeypatch.setattr(NeighbourLayout, "short_index", record)
     g = er_graph(300, 0.05, 0)
     z0 = np.random.default_rng(0).standard_normal((300, 16))
@@ -201,11 +218,17 @@ def test_a_static_run_builds_each_scatter_index_once(tmp_path, monkeypatch):
     z0 = np.random.default_rng(1).standard_normal((3, 80, 16))
     traj = run_trajectory(z0, CouplingSpec("gcn_sym"), DiffusionConfig(steps=20), graphs)
     audit_descent(traj)
-    for batch in ((), (3,)):  # 20 steps at d = 16 and 20 energies at d + 1
-        indices = [index for b, index in built if b == batch]
-        assert len(indices) == 40
-        assert len({id(index) for index in indices}) == 2
-    assert len(built) == 80
+    for batch in ((), (3,)):
+        assert [d for b, d in applied if b == batch] == [16] * 21
+        assert len({id(index) for b, index in built if b == batch}) == 1
+    applied.clear()
+    assert len(kept_steps(traj)) == 21 and applied == [((3,), 16)] * 20
+    applied.clear()
+    masked = CouplingSpec("gat_masked", PenaltyFamily("simple"))
+    z0 = row_l2_normalize(np.random.default_rng(2).standard_normal((300, 16)))
+    write_trajectory_csv(run_trajectory(z0, masked, DiffusionConfig(tau=0.1, steps=20), g),
+                         tmp_path / "masked.csv")
+    assert applied == [((), 16)] * 20
 
 
 def test_row_stochastic_update_is_convex_combination():
@@ -214,7 +237,7 @@ def test_row_stochastic_update_is_convex_combination():
     z = row_l2_normalize(rng.standard_normal((15, 4)))
     spec = CouplingSpec("attention", PenaltyFamily("simple"))
     s = build_coupling(spec, z)
-    out = euler_step(z, DenseCoupling(s), 0.5)
+    out = coupled_step(z, DenseCoupling(s), 0.5)
     for j in range(z.shape[1]):
         assert out[:, j].max() <= z[:, j].max() + 1e-12
         assert out[:, j].min() >= z[:, j].min() - 1e-12

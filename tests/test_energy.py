@@ -8,43 +8,57 @@ from hypothesis import strategies as st
 
 import endiff.diffusion as diffusion
 import endiff.energy as energy
-from dense_oracles import (SPARSE_CASES, DenseCoupling, normalized_adjacency,
-                           quadratic_energy_loop, sparse_case)
-from endiff.coupling import (CouplingSpec, PenaltyFamily, attention_scores,
-                             coupling_operator, penalty_delta)
+from dense_oracles import (STATIC_FAMILY_MODES, kept_steps, normalized_adjacency,
+                           quadratic_energy_loop)
+from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec, PenaltyFamily,
+                             attention_scores, coupling_operator, penalty_delta)
 from endiff.diffusion import DiffusionConfig, euler_step, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent,
-                           diversity, quadratic_energy, regularized_energy,
-                           surrogate_energy, write_trajectory_csv)
-from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
-from endiff.graphs import EdgeOperator, Graph, er_graph
+                           diversity, regularized_energy, surrogate_energy,
+                           write_trajectory_csv)
+from endiff.errors import ContractError, DimensionError, DomainError
+from endiff.graphs import Graph, er_graph
 from endiff.numerics import row_l2_normalize
 
 
+def _static_energies(traj, dense) -> list:
+    """(energy of step k, its pairwise oracle, the oracle's rounding floor)
+    for k = 1..K of a 2-D static run whose coupling is the dense array."""
+    cfg, out = traj.config, []
+    energy_of = energy._energy_of(traj)
+    for step in kept_steps(traj)[1:]:
+        anchor = step.prev + cfg.tau * traj.start if cfg.use_source else step.prev
+        out.append((energy_of(step), quadratic_energy_loop(step.z, anchor, dense, cfg.tau),
+                    1e-12 * cfg.tau * _pair_terms(step.z, dense)))
+    return out
+
+
 def test_quadratic_energy_matches_double_loop():
-    # trace identity against the explicit pairwise sum
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal((7, 3))
-    zp = rng.standard_normal((7, 3))
-    s = np.abs(rng.standard_normal((7, 7)))
-    fast = quadratic_energy(z, zp, DenseCoupling(s), 0.7)
-    slow = quadratic_energy_loop(z, zp, s, 0.7)
-    assert fast == pytest.approx(slow, rel=1e-12)
+    # each static family's per-step energy against the explicit pairwise sum
+    g = er_graph(9, 0.4, 2)
+    z0 = np.random.default_rng(0).standard_normal((9, 3))
+    for family, use_source in itertools.product(STATIC_FAMILIES, (False, True)):
+        cfg = DiffusionConfig(tau=0.15, steps=4, use_source=use_source)
+        traj = run_trajectory(z0, CouplingSpec(family), cfg, g)
+        for fast, slow, _ in _static_energies(traj, traj.coupling.dense()):
+            assert fast == pytest.approx(slow, rel=1e-12)
 
 
 def test_quadratic_energy_zero_at_rest_with_identity_coupling():
-    z = np.random.default_rng(1).standard_normal((4, 2))
-    assert quadratic_energy(z, z, DenseCoupling(np.eye(4)), 1.0) == pytest.approx(0.0, abs=1e-12)
+    # a consensus start stays put under every static family: energy 0
+    z0 = np.tile(np.random.default_rng(1).standard_normal((1, 2)), (4, 1))
+    for family in STATIC_FAMILIES:
+        traj = run_trajectory(z0, CouplingSpec(family), DiffusionConfig(tau=0.5, steps=3),
+                              er_graph(4, 0.9, 0))
+        assert audit_descent(traj).energies == pytest.approx([0.0] * 3, abs=1e-12)
 
 
 def test_quadratic_energy_errors():
-    z = np.ones((3, 2))
+    # the quadratic penalty's energy takes one state shape and its predecessor's
     with pytest.raises(DimensionError):
-        quadratic_energy(z, np.ones((4, 2)), DenseCoupling(np.ones((3, 3))), 1.0)
+        regularized_energy(np.ones((3, 2)), np.ones((4, 2)), QUADRATIC_P, 1.0)
     with pytest.raises(DimensionError):
-        quadratic_energy(z, z, DenseCoupling(np.ones((4, 4))), 1.0)
-    with pytest.raises(ParameterError):
-        quadratic_energy(z, z, DenseCoupling(np.ones((3, 3))), -1.0)
+        regularized_energy(np.ones(3), np.ones(3), QUADRATIC_P, 1.0)
 
 
 def test_regularized_energy_quadratic_family_matches_quadratic_form():
@@ -52,12 +66,8 @@ def test_regularized_energy_quadratic_family_matches_quadratic_form():
     rng = np.random.default_rng(3)
     z = row_l2_normalize(rng.standard_normal((6, 3)))
     zp = rng.standard_normal((6, 3))
-    p = PenaltyFamily("quadratic")
-    reg = regularized_energy(z, zp, p, 0.4)
-    ones = np.ones((6, 6))
-    # sum_ij ||z_i - z_j||^2 = 2 * tr(Z^T (N I - 11^T) Z)
-    half = DenseCoupling(0.5 * ones)
-    assert reg == pytest.approx(quadratic_energy(z, zp, half, 0.8), rel=1e-10)
+    reg = regularized_energy(z, zp, QUADRATIC_P, 0.4)
+    assert reg == pytest.approx(quadratic_energy_loop(z, zp, np.ones((6, 6)), 0.4), rel=1e-12)
 
 
 def test_surrogate_tight_at_inferred_omega():
@@ -109,8 +119,8 @@ def test_audit_descent_flags_fabricated_violation(monkeypatch):
     # corrupt the third step's state so the energy must jump
     made = itertools.count(1)
 
-    def corrupted(z, s, tau):
-        return euler_step(z, s, tau) + (50.0 if next(made) == 3 else 0.0)
+    def corrupted(z, y, sy, row_sums, tau):
+        return euler_step(z, y, sy, row_sums, tau) + (50.0 if next(made) == 3 else 0.0)
 
     monkeypatch.setattr(diffusion, "euler_step", corrupted)
     rep = audit_descent(traj)
@@ -118,13 +128,33 @@ def test_audit_descent_flags_fabricated_violation(monkeypatch):
     assert rep.violations[0]["excess"] > 0
 
 
-def test_audit_descent_attention():
-    rng = np.random.default_rng(2)
-    z0 = row_l2_normalize(rng.standard_normal((12, 5)))
+def _attention_traj():
+    z0 = row_l2_normalize(np.random.default_rng(2).standard_normal((12, 5)))
     spec = CouplingSpec("attention", PenaltyFamily("simple"))
-    traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.25, steps=8))
-    rep = audit_descent(traj, slack=1e-8)
+    return run_trajectory(z0, spec, DiffusionConfig(tau=0.25, steps=8))
+
+
+def test_audit_descent_attention():
+    rep = audit_descent(_attention_traj(), slack=1e-8)
     assert rep.num_violations == 0
+
+
+@pytest.mark.parametrize("weight", [2.0, -1.0])
+def test_a_planted_family_energy_is_caught(monkeypatch, weight):
+    # a static pair term weighted by 2 tau instead of tau misses the
+    # pairwise oracle. Descent cannot see it: every term of a static run
+    # contracts on its own, whatever its positive weight. One of the wrong
+    # sign, for a static or an attention family, breaks descent too
+    traj = _static_traj()
+    pair_sum, penalty_sum = energy._coupled_pair_sum, energy._penalty_sum
+    monkeypatch.setattr(energy, "_coupled_pair_sum", lambda step: weight * pair_sum(step))
+    monkeypatch.setattr(energy, "_penalty_sum",
+                        lambda p, step: weight * penalty_sum(p, step))
+    assert not any(fast == pytest.approx(slow, rel=1e-12)
+                   for fast, slow, _ in _static_energies(traj, traj.coupling.dense()))
+    if weight < 0:
+        assert audit_descent(traj).num_violations >= 1
+        assert audit_descent(_attention_traj(), slack=1e-8).num_violations >= 1
 
 
 def test_audit_bounds_bracket_holds():
@@ -335,30 +365,20 @@ def test_a_run_holds_its_current_states_only(consumer, tmp_path):
 
 
 @st.composite
-def _coupled_case(draw):
-    """A coupling on a random graph (N = 1, no edges and isolated nodes
-    included) with its dense oracle, rows Z in the unit ball, Z_prev, H."""
-    n = draw(st.integers(1, 10))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    g = Graph.from_edge_list(n, draw(st.lists(pairs, max_size=3 * n)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(1, 4))
-    unit = row_l2_normalize(rng.standard_normal((n, d)))
-    name = draw(st.sampled_from(SPARSE_CASES + ("asymmetric", "dense_asymmetric")))
-    if name == "asymmetric":  # an edge operator with one-sided weights
-        lay = g.neighbours
-        op = EdgeOperator(lay, rng.uniform(0.0, 2.0, len(lay.rows)),
-                          rng.uniform(0.0, 2.0, n))
-        want = np.zeros((n, n))
-        want[lay.rows, lay.cols] = op.weights
-        want += np.diag(op.diagonal)
-    elif name == "dense_asymmetric":
-        want = rng.uniform(0.0, 2.0, (n, n))
-        op = DenseCoupling(want)
-    else:
-        op, want = sparse_case(name, g, unit)
-    z = unit * rng.uniform(0.0, 1.0, (n, 1))
-    return g, op, want, z, rng.standard_normal((n, d)), rng.standard_normal((n, d))
+def _static_case(draw):
+    """B random graphs on N nodes (N = 1, no edges and isolated nodes
+    included), a static family, its (B, N, d) start, a step size of at most
+    1 / (largest row sum), the step count and the source flag."""
+    n, b = draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    graphs = [Graph.from_edge_list(n, draw(pairs)) for _ in range(b)]
+    family = draw(st.sampled_from(STATIC_FAMILIES))
+    z0 = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (b, n, draw(st.integers(1, 4))))
+    rmax = max(coupling_operator(CouplingSpec(family), None, g).row_sums().max()
+               for g in graphs)
+    tau = min(draw(st.floats(0.05, 1.0)) / max(rmax, 1e-300), 1.0)
+    return graphs, family, z0, tau, draw(st.integers(1, 4)), draw(st.booleans())
 
 
 def _pair_terms(z, s):
@@ -368,34 +388,51 @@ def _pair_terms(z, s):
     return float(np.sum(np.abs(s) * (b[:, None] + b[None, :])))
 
 
-def _fixed_case(name, n, edges):
-    g = Graph.from_edge_list(n, edges)
-    rng = np.random.default_rng(n)
-    z = 0.9 * row_l2_normalize(rng.standard_normal((n, 3)))
-    op, want = sparse_case(name, g, z / 0.9)
-    return g, op, want, z, rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_coupled_case(), st.floats(0.0, 2.0), st.floats(0.0, 1.5))
-@example(_fixed_case("gin", 1, []), 0.7, 0.3)  # N = 1
-@example(_fixed_case("gat_simple", 4, []), 0.7, 0.3)  # no edges
-@example(_fixed_case("gcn_sym", 6, [(0, 1), (1, 2)]), 0.7, 0.3)  # isolated nodes
-def test_coupled_energies_match_the_pairwise_loop(case, lam, eta):
-    g, op, s, z, z_prev, h = case
-    with pytest.MonkeyPatch.context() as mp:  # the fast forms stay sparse
-        mp.setattr(type(op), "dense", _refuse)
-        fast = quadratic_energy(z, z_prev, op, lam)
-        fast_source = quadratic_energy(z, z_prev + eta * h, op, lam)
-    floor = 1e-12 * lam * _pair_terms(z, s)
-    assert fast == pytest.approx(quadratic_energy_loop(z, z_prev, s, lam),
-                                 rel=1e-12, abs=floor)
-    assert fast_source == pytest.approx(
-        quadratic_energy_loop(z, z_prev + eta * h, s, lam), rel=1e-12, abs=floor)
+@settings(max_examples=150, deadline=None)
+@given(_static_case())
+@example(([Graph(1, ())], "gin", np.ones((1, 1, 2)), 0.5, 2, True))  # N = 1
+@example(([Graph.from_edge_list(6, [(0, 1), (1, 2)])] * 2, "gcn_sym",
+          np.arange(24.0).reshape(2, 6, 2), 0.7, 3, False))  # isolated nodes
+def test_coupled_energies_match_the_pairwise_loop(case):
+    # each static family's step energies, 2-D and stacked, against the
+    # pairwise loop; each slice's energy is bit for bit the slice alone's
+    graphs, family, z0, tau, steps, use_source = case
+    spec, cfg = CouplingSpec(family), DiffusionConfig(tau=tau, steps=steps,
+                                                      use_source=use_source)
+    stacked = energy._energies(run_trajectory(z0, spec, cfg, graphs))
+    for b, g in enumerate(graphs):
+        traj = run_trajectory(z0[b], spec, cfg, g)
+        with pytest.MonkeyPatch.context() as mp:  # the energies stay sparse
+            mp.setattr(type(traj.coupling), "dense", _refuse)
+            oracle = _static_energies(traj, normalized_adjacency(g, STATIC_FAMILY_MODES[family]))
+        assert [e[b] for e in stacked] == [fast for fast, _, _ in oracle]
+        for fast, slow, floor in oracle:
+            assert fast == pytest.approx(slow, rel=1e-12, abs=floor)
 
 
 def test_quadratic_energy_is_exact_on_a_diagonal_coupling():
     # each diagonal entry's terms cancel row by row: S = I gives exactly 0
-    z = np.random.default_rng(3).standard_normal((6, 4))
-    op = coupling_operator(CouplingSpec("identity"), z)
-    assert quadratic_energy(z, z, op, 0.7) == 0.0
+    z0 = np.random.default_rng(3).standard_normal((6, 4))
+    traj = run_trajectory(z0, CouplingSpec("identity"), DiffusionConfig(tau=0.7, steps=3))
+    assert audit_descent(traj).energies == [0.0] * 3
+
+
+def _every_family() -> list:
+    """Each static family, gat_masked under each penalty and attention under
+    each penalty, as (spec, graph)."""
+    g = er_graph(30, 0.2, 4)
+    return ([pytest.param(CouplingSpec(f), g, id=f) for f in STATIC_FAMILIES]
+            + [pytest.param(CouplingSpec(family, PenaltyFamily(k)), g, id=f"{family}-{k}")
+               for family in ("gat_masked", "attention") for k in PENALTY_KINDS])
+
+
+@pytest.mark.parametrize("spec, g", _every_family())
+def test_the_csv_diversity_is_the_records(spec, g, tmp_path):
+    # the diversity column is N sum b from each step's record
+    z0 = row_l2_normalize(np.random.default_rng(7).standard_normal((30, 5)))
+    traj = run_trajectory(z0, spec, DiffusionConfig(tau=0.1, steps=6), g)
+    write_trajectory_csv(traj, tmp_path / "traj.csv")
+    column = [float(line.split(",")[2])
+              for line in (tmp_path / "traj.csv").read_text().splitlines()[1:]]
+    want = [diversity(step.z) for step in traj]
+    assert column == pytest.approx(want, rel=1e-13)

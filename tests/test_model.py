@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dense_oracles import ComposedEager
+from dense_oracles import ComposedEager, coupled_step
 from endiff.errors import ContractError, DimensionError, FormatError, ParameterError
 from endiff.graphs import er_graph
 from endiff.model import (Checkpoint, ModelConfig, forward, init_model,
@@ -172,7 +172,6 @@ def test_a_layer_is_one_euler_step_of_the_dynamics(monkeypatch, variant):
     # one head, no graph, identity Q/K/V weights and a unit-row state: the
     # blend a layer hands its LayerNorm is one explicit-Euler step at tau
     from endiff.coupling import CouplingSpec, PenaltyFamily, coupling_operator
-    from endiff.diffusion import euler_step
     from endiff.model import _layer
     from endiff.numerics import row_l2_normalize
 
@@ -186,7 +185,7 @@ def test_a_layer_is_one_euler_step_of_the_dynamics(monkeypatch, variant):
     _layer(Eager(), z[None], z[None], refs, 0, _cfg(variant=variant, hidden_dim=d, tau=tau),
            None)
     spec = CouplingSpec("attention", PenaltyFamily(variant))
-    step = euler_step(z, coupling_operator(spec, z), tau)
+    step = coupled_step(z, coupling_operator(spec, z), tau)
     assert len(blends) == 1 and blends[0].shape == step.shape
     assert np.max(np.abs(blends[0] - step)) <= 1e-12 * np.max(np.abs(step))
 

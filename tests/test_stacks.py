@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 import endiff.coupling as coupling
 import endiff.energy as energy
 import endiff.suites as suites
-from dense_oracles import (kept_steps, suite_oversmooth_per_seed, suite_prop1_per_seed,
-                           suite_thm1_per_seed, suite_thm2_per_seed)
+from dense_oracles import (coupled_step, kept_steps, suite_oversmooth_per_seed,
+                           suite_prop1_per_seed, suite_thm1_per_seed, suite_thm2_per_seed)
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
                              PenaltyFamily, build_coupling, coupling_operator,
                              gat_masked_coupling)
-from endiff.diffusion import DiffusionConfig, euler_step, run_trajectory
+from endiff.diffusion import DiffusionConfig, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent, diversity,
                            regularized_energy, write_trajectory_csv)
 from endiff.errors import ContractError, DimensionError, ParameterError
@@ -75,7 +75,8 @@ def test_stacked_couplings_and_steps_match_their_slices(case, kind, tau):
     _assert_slices(op.apply(v), [s.apply(vi) for s, vi in zip(slices, v)])
     _assert_slices(op.row_sums(), [s.row_sums() for s in slices])
     _assert_slices(op.dense(), [s.dense() for s in slices])
-    _assert_slices(euler_step(z, op, tau), [euler_step(zi, s, tau) for zi, s in zip(z, slices)])
+    _assert_slices(coupled_step(z, op, tau),
+                   [coupled_step(zi, s, tau) for zi, s in zip(z, slices)])
     if kind != "quadratic":
         _assert_slices(build_coupling(spec, z), [build_coupling(spec, zi) for zi in z])
 
@@ -354,7 +355,7 @@ def test_quadratic_attention_with_a_source_keeps_every_pair_in_the_domain(
             # the closed form against the pair sum
             anchor = step.prev + (tau * traj.start if use_source else 0.0)
             pairwise = float(np.sum((z - anchor) ** 2) + tau * np.sum(_pairwise_sq_dists(z)))
-            assert energy._trajectory_energy(traj, step) == pytest.approx(
+            assert energy._energy_of(traj)(step) == pytest.approx(
                 pairwise, rel=1e-12, abs=1e-12 * n * float(np.sum(z * z)))
     except ContractError as exc:
         # a step sent a row into the NORM_EPS ball round the origin, say tau
@@ -363,7 +364,7 @@ def test_quadratic_attention_with_a_source_keeps_every_pair_in_the_domain(
         # rejects the state, naming that row and its re-normalized norm
         assert 0 < made <= steps
         state = row_l2_normalize(step.z)
-        z = euler_step(state, coupling_operator(spec, state), tau)
+        z = coupled_step(state, coupling_operator(spec, state), tau)
         if use_source:
             z = z + tau * traj.start
         norms = row_norms(row_l2_normalize(z))
@@ -427,8 +428,8 @@ def test_stacked_static_runs_match_each_graph_alone(case, family, use_source, st
         _assert_slices(step.z, [run[k].z for run in each])
         _assert_slices(step.row_sums, [run[k].row_sums for run in each])
         if k:
-            _assert_slices(energy._trajectory_energy(traj, step),
-                           [energy._trajectory_energy(run, steps_b[k])
+            _assert_slices(energy._energy_of(traj)(step),
+                           [energy._energy_of(run)(steps_b[k])
                             for run, steps_b in zip(runs, each)])
     if steps >= 2:
         rep, reps = audit_descent(traj, slack), [audit_descent(run, slack) for run in runs]
