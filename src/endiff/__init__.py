@@ -13,8 +13,7 @@ Library layout:
   cli        the `endiff` executable
 """
 
-from .coupling import (CouplingSpec, PenaltyFamily, build_coupling, penalty_delta,
-                       penalty_f)
+from .coupling import CouplingSpec, PenaltyFamily, penalty_delta, penalty_f
 from .diffusion import (DiffusionConfig, Trajectory, euler_step,
                         linear_simple_propagate, run_trajectory)
 from .energy import (EnergyReport, audit_bounds, audit_descent, diversity,
@@ -32,7 +31,7 @@ __all__ = [
     "AdamState", "Checkpoint", "CouplingSpec", "Dataset", "DiffusionConfig",
     "EndiffError", "EnergyReport", "Graph", "ModelConfig", "PenaltyFamily",
     "Tape", "TrainConfig", "Trajectory", "adam_step", "audit_bounds",
-    "audit_descent", "build_coupling", "diversity",
+    "audit_descent", "diversity",
     "euler_step", "forward", "init_model", "laplacian",
     "laplacian_spectral_bracket", "linear_simple_propagate",
     "load_dataset", "metric", "penalty_delta", "penalty_f",

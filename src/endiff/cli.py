@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -161,10 +162,10 @@ def _public_config(args) -> dict:
 
 def cmd_synth(args) -> int:
     started = time.monotonic()
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     ds = sbm_generate(args.blocks, args.per_block, args.p_in, args.p_out,
                       args.feat_dim, args.feat_shift, args.seed)
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.txt" for name in _DATA_FILES}
     # %-formats over Python floats, ints and strings, one per feature row and
     # one per other file: formatting numpy scalars one at a time is slower
@@ -272,20 +273,22 @@ def cmd_train(args) -> int:
     files = _data_files(args)
     _check_edges(args, args.use_graph, "--use-graph")
     _check_tau(args)
-    started = time.monotonic()
-    ds = load_dataset(*files)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    model_cfg = ModelConfig(
-        variant=args.variant, input_dim=ds.features.shape[1], hidden_dim=args.hidden,
-        # mse regresses the label value: one output per node
-        output_dim=1 if args.metric == "mse" else max(ds.num_classes, 1),
-        layers=args.layers, heads=args.heads, tau=args.tau,
-        use_graph=args.use_graph, use_source=args.use_source)
+    # every setting is checked before a file is read; the data fixes the
+    # model's input and output sizes after
+    model_cfg = ModelConfig(variant=args.variant, hidden_dim=args.hidden,
+                            layers=args.layers, heads=args.heads, tau=args.tau,
+                            use_graph=args.use_graph, use_source=args.use_source)
     train_cfg = TrainConfig(lr=args.lr, weight_decay=args.weight_decay,
                             epochs=args.epochs, batch_size=args.batch_size,
                             patience=args.patience, seed=args.seed,
                             metric=args.metric)
+    started = time.monotonic()
+    ds = load_dataset(*files)
+    model_cfg = replace(model_cfg, input_dim=ds.features.shape[1],
+                        # mse regresses the label value: one output per node
+                        output_dim=1 if args.metric == "mse" else max(ds.num_classes, 1))
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
     result = train_loop(ds, model_cfg, train_cfg)
     ckpt_path = out / "checkpoint.json"
     hist_path = out / "history.csv"
@@ -322,16 +325,17 @@ def cmd_eval(args) -> int:
 
 def cmd_landscape(args) -> int:
     started = time.monotonic()
+    families = [PenaltyFamily(kind, dim_scale=args.dim_scale) for kind in
+                (PENALTY_KINDS if args.family == "all" else (args.family,))]
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    families = PENALTY_KINDS if args.family == "all" else (args.family,)
     outputs = []
-    for kind in families:
-        path = out / f"landscape_{kind}.csv"
-        write_penalty_landscape(path, PenaltyFamily(kind, dim_scale=args.dim_scale))
+    for p in families:
+        path = out / f"landscape_{p.kind}.csv"
+        write_penalty_landscape(path, p)
         outputs.append(path)
     write_manifest(out, "landscape", _public_config(args), [], outputs, started)
-    print(json.dumps({"families": list(families), "out": str(out)}))
+    print(json.dumps({"families": [p.kind for p in families], "out": str(out)}))
     return EXIT_OK
 
 

@@ -11,17 +11,17 @@ conjugate, landscape tables) goes through them and their one domain check.
 The kernel takes query rows Q~ and key rows K~ apart: a model layer passes
 its row-normalized projections, the dynamics Q~ = K~ = Z. Simple attention
 runs through the accumulators K~^T V, 1^T K~ and 1^T V, with no ones
-column appended to V (`simple_attention`, O(N d d')); the dense
-families score every pair (`attention_scores`) and apply S V = (A V) r, r
-the reciprocal row sums (`row_reciprocals`, `attention_apply`).
+column appended to V (`simple_attention`, O(N d d')). Dense attention,
+run time and oracle alike, is one object, `DenseAttention`: the scores
+A = f(2 - 2 Q~ K~^T), the reciprocal row sums r, S V = (A V) r, and S.
 
 The dynamics see a coupling only through the `Coupling` protocol, built by
 `coupling_operator`, where they check for unit rows: identity, gin, gcn_sym
 and gat_masked are sparse edge operators (`graphs.EdgeOperator`), all_one
 and quadratic attention the column mean (`MeanCoupling`), simple attention
 `SimpleAttention`, and advanced and softmax attention `DenseAttention`, the
-only one holding an N x N array. `build_coupling` materializes S for the
-dense oracles. The GRAPH_FAMILIES take their graph from `g`.
+only one holding an N x N array. The GRAPH_FAMILIES take their graph from
+`g`.
 
 Every family takes a stack of states too, each slice bit for bit what its
 2-D state alone gives; a 2-D state is the case without leading axes.
@@ -172,23 +172,6 @@ def _unit_sq_dists(gram: np.ndarray) -> np.ndarray:
     return np.clip(2.0 - 2.0 * gram, 0.0, Z_SQ_MAX)
 
 
-def attention_scores(p: PenaltyFamily, qt: np.ndarray, kt: np.ndarray) -> np.ndarray:
-    """Pairwise scores f(||q~_i - k~_j||^2) of rows Q~ and K~ via the identity
-    ||q~_i - k~_j||^2 = 2 - 2 q~_i.k~_j of unit rows, per slice of a stack;
-    a shorter row (a model's floored zero row) at its clipped distance."""
-    return penalty_f(p, _unit_sq_dists(qt @ np.swapaxes(kt, -1, -2)))
-
-
-def row_reciprocals(a: np.ndarray) -> np.ndarray:
-    """r = 1 / (A 1) of scores A, a column (..., N, 1)."""
-    return 1.0 / _row_normalizers(a.sum(axis=-1))[..., None]
-
-
-def attention_apply(a: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """S V = (A V) r, the dense families' one application, O(N^2 d')."""
-    return (a @ v) * r
-
-
 def simple_attention(qt: np.ndarray, kt: np.ndarray, v: np.ndarray):
     """Simple attention S V, s_ij = (1 + q~_i.k~_j) / sum_l (1 + q~_i.k~_l),
     in O(N d d'): (Q~ K~^T V + 1 1^T V) / (Q~ K~^T 1 + N) row by row, from
@@ -235,18 +218,6 @@ def _row_normalizers(sums: np.ndarray) -> np.ndarray:
         where, name = _first_bad_row(bad)
         raise ContractError(f"attention {name} has score sum {sums[where]}, not positive")
     return sums
-
-
-def build_coupling(spec: CouplingSpec, z: np.ndarray) -> np.ndarray:
-    """The N x N unmasked attention coupling at unit-norm embeddings z:
-    pairwise scores, row-normalized; (..., N, N) for a stack. The dense
-    oracle of the couplings and of the linear_equiv audit."""
-    if spec.family != "attention":
-        raise ParameterError(f"{spec.family} is not an attention family with a "
-                             "dense form; use coupling_operator")
-    z = _unit_rows(z)
-    omega = attention_scores(spec.penalty, z, z)
-    return omega / _row_normalizers(omega.sum(axis=-1))[..., None]
 
 
 def gat_masked_coupling(p: PenaltyFamily, z: np.ndarray, g: Graph) -> EdgeOperator:
@@ -303,28 +274,32 @@ class SimpleAttention:
         return self._row_sums
 
     def dense(self) -> np.ndarray:
-        return build_coupling(CouplingSpec("attention", PenaltyFamily("simple")), self.z)
+        return DenseAttention(PenaltyFamily("simple"), self.z, self.z).dense()
 
 
 class DenseAttention:
-    """Advanced or softmax attention at unit-norm rows Z: the scores A, and
-    r, applied as (A V) r; (..., N, N) scores for a stack."""
+    """Dense attention of query rows Q~ over key rows K~, (..., N, d) each:
+    the scores A = f(||q~_i - k~_j||^2) = f(2 - 2 Q~ K~^T) of penalty p and
+    the column r = 1 / (A 1), applied as S V = (A V) r in O(N^2 d'). It
+    checks no rows: a model head's floored zero row scores at its clipped
+    distance. Its row sums S 1 are made on the first call to `row_sums`."""
 
-    def __init__(self, p: PenaltyFamily, z: np.ndarray):
-        z = _unit_rows(z)
-        self.n = z.shape[-2]
-        self.a = attention_scores(p, z, z)
-        self.r = row_reciprocals(self.a)
-        self._row_sums = self.apply(np.ones(z.shape[:-1] + (1,)))[..., 0]
+    def __init__(self, p: PenaltyFamily, qt: np.ndarray, kt: np.ndarray):
+        self.n = kt.shape[-2]
+        self.a = penalty_f(p, _unit_sq_dists(qt @ np.swapaxes(kt, -1, -2)))
+        self.r = 1.0 / _row_normalizers(self.a.sum(axis=-1))[..., None]
+        self._row_sums = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return attention_apply(self.a, self.r, _check_rows(self.n, v))
+        return (self.a @ _check_rows(self.n, v)) * self.r
 
     def row_sums(self) -> np.ndarray:
+        if self._row_sums is None:
+            self._row_sums = self.apply(np.ones(self.a.shape[:-1] + (1,)))[..., 0]
         return self._row_sums
 
     def dense(self) -> np.ndarray:
-        return self.a * self.r
+        return self.a / self.a.sum(axis=-1)[..., None]
 
 
 class MeanCoupling:
@@ -379,10 +354,10 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
         return gat_masked_coupling(spec.penalty, z, g)
     if spec.penalty.kind == "simple":
         return SimpleAttention(z)
+    z = _unit_rows(z)
     if spec.penalty.kind == "quadratic":  # f = 1, so every s_ij = 1/N
-        z = _unit_rows(z)
         return MeanCoupling(z.shape[-2], z.shape[:-2])
-    return DenseAttention(spec.penalty, z)
+    return DenseAttention(spec.penalty, z, z)
 
 
 def _block_coupling(spec: CouplingSpec, z: np.ndarray | None,

@@ -117,12 +117,10 @@ def _static_reports(seeds: int = 100) -> dict[str, dict]:
         bounds += rep.num_violations
         lows += [r for r in rep.min_ratio if r is not None]
         highs += [r for r in rep.max_ratio if r is not None]
-        energies = np.array(rep.energies)
-        rising = np.sum(energies[1:] > energies[:-1] * (1.0 + 1e-8) + 1e-12, axis=0)
-        for g, (_, lam_min), count in zip(traj.graph, rep.bracket, rising.tolist()):
+        for g, (_, lam_min) in zip(traj.graph, rep.bracket):
             if is_connected(g):
                 connected_checked += 1
-                bounds += int(lam_min > 1e-7) + count
+                bounds += int(lam_min > 1e-7)
     lam, tau = "tau per instance", "0.9 / lambda_max per instance"
     return {"thm1": _report("thm1", tested, lam, tau, descent),
             "prop1": _report(

@@ -22,10 +22,10 @@ from the attention kernel in `coupling`, the one the diffusion dynamics
 use, and keeps only its VJP, which reads the kernel's state.
 `linear_attention` (simple) runs its gradient through the kernel's O(N d^2)
 accumulators K~^T V and 1^T K~, with no ones column and no (..., N, d+1)
-adjoint; `sigmoid_attention` (advanced) through its dense scores and their
-row reciprocals. The tape has only the primitives a model forward and its
-loss run; composed forms used as test oracles live with the tests. A tape
-is confined to a single thread for its lifetime.
+adjoint; `sigmoid_attention` (advanced) through the scores and row
+reciprocals of one `DenseAttention`. The tape has only the primitives a
+model forward and its loss run; composed forms used as test oracles live
+with the tests. A tape is confined to a single thread for its lifetime.
 
 `Eager` overrides only the two hooks and the two leaves: its operands are
 plain arrays and `_record` returns the bare value, so forwards that are
@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coupling import (PenaltyFamily, attention_apply, attention_scores, row_reciprocals,
-                       simple_attention)
+from .coupling import DenseAttention, PenaltyFamily, simple_attention
 from .errors import ContractError, DimensionError
 from .numerics import (LAYER_NORM_EPS, NORM_EPS, as_matrix, as_stack, row_dots,
                        row_l2_divisors)
@@ -181,14 +180,14 @@ class Tape:
 
     def sigmoid_attention(self, q: Ref, k: Ref, v: Ref) -> Ref:
         """Advanced attention S V = (A V) r on the row-normalized projections
-        Q~ and K~, in O(N^2 d): the advanced penalty's scores
-        A = f(2 - 2 Q~ K~^T) = sigmoid(Q~ K~^T) and r, the reciprocals of
-        their row sums, applied by `coupling.attention_apply`. The VJP runs
-        back through r, A V and the sigmoid's derivative A (1 - A)."""
+        Q~ and K~, in O(N^2 d), its value a `coupling.DenseAttention`'s: the
+        advanced penalty's scores A = f(2 - 2 Q~ K~^T) = sigmoid(Q~ K~^T)
+        and r, the reciprocals of their row sums. The VJP reads its A and r
+        and runs back through r, A V and the sigmoid's derivative A (1 - A)."""
         qt, q_div, kt, k_div, vv = self._head_operands("sigmoid", q, k, v)
-        a = attention_scores(_ADVANCED, qt, kt)
-        r = row_reciprocals(a)
-        out = attention_apply(a, r, vv)
+        att = DenseAttention(_ADVANCED, qt, kt)
+        a, r = att.a, att.r
+        out = att.apply(vv)
 
         def vjp(g):
             g_av = g * r

@@ -20,3 +20,28 @@ def coupling_builds(monkeypatch) -> list:
         if name.startswith("endiff") and getattr(module, "coupling_operator", None) is build:
             monkeypatch.setattr(module, "coupling_operator", counted)
     return calls
+
+
+@pytest.fixture
+def dense_attention_passes(monkeypatch) -> list:
+    """Per `DenseAttention` built while the test runs, in build order, its
+    row-sum passes: [while it was built, since]. A row-sum pass is an apply
+    to one column of ones."""
+    records = []
+    cls = endiff.coupling.DenseAttention
+    init, apply = cls.__init__, cls.apply
+
+    def counted_init(self, *args, **kwargs):
+        self.row_sum_passes = [0]
+        records.append(self.row_sum_passes)
+        init(self, *args, **kwargs)
+        self.row_sum_passes.append(0)
+
+    def counted_apply(self, v):
+        if v.shape[-1] == 1 and (v == 1.0).all():
+            self.row_sum_passes[-1] += 1
+        return apply(self, v)
+
+    monkeypatch.setattr(cls, "__init__", counted_init)
+    monkeypatch.setattr(cls, "apply", counted_apply)
+    return records

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from endiff.coupling import PenaltyFamily, attention_scores, penalty_delta, penalty_f
+from endiff.coupling import DenseAttention, PenaltyFamily, penalty_delta, penalty_f
 from endiff.energy import regularized_energy, surrogate_energy
 from endiff.graphs import sbm_generate
 from endiff.model import ModelConfig
@@ -67,7 +67,7 @@ def test_surrogate_tightness_and_bound():
         p = PenaltyFamily(kind)
         reg = regularized_energy(z, zp, p, lam)
         z_unit = row_l2_normalize(z)
-        omega = attention_scores(p, z_unit, z_unit)
+        omega = DenseAttention(p, z_unit, z_unit).a
         worst_gap = max(worst_gap, abs(surrogate_energy(z, zp, omega, p, lam) - reg))
         f_lo = penalty_f(p, 4.0)
         f_hi = penalty_f(p, 0.0)

@@ -1158,9 +1158,8 @@ def test_diffuse_simple_attention_builds_no_dense_array(tmp_path, capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("N x N array built on the simple-attention path")
 
-    for mod, name in ((coupling, "build_coupling"), (coupling, "attention_scores"),
-                      (energy, "_pairwise_sq_dists")):
-        monkeypatch.setattr(mod, name, refuse)
+    for obj, name in ((coupling.DenseAttention, "__init__"), (energy, "_pairwise_sq_dists")):
+        monkeypatch.setattr(obj, name, refuse)
     code, out, _ = run_cli(["diffuse", "--coupling", "attention", "--penalty", "simple",
                             "--tau", "0.25", "--steps", "6", "--n", "40",
                             "--out", str(tmp_path)], capsys)
@@ -1172,6 +1171,25 @@ def test_diffuse_simple_attention_builds_no_dense_array(tmp_path, capsys, monkey
     assert all(b <= a for a, b in zip(energies, energies[1:]))
     sums = np.array([[float(r[3]), float(r[4])] for r in rows])
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("penalty", ["advanced", "softmax"])
+def test_diffuse_dense_attention_sums_each_coupling_once(tmp_path, capsys, monkeypatch,
+                                                         dense_attention_passes, penalty):
+    # one DenseAttention per state Z^(0)..Z^(K); its step and the CSV's two
+    # row-sum columns read its row sums, made once, at the first read
+    import endiff.coupling as coupling
+
+    reads, row_sums = [], coupling.DenseAttention.row_sums
+    monkeypatch.setattr(coupling.DenseAttention, "row_sums",
+                        lambda self: reads.append(1) or row_sums(self))
+    steps = 5
+    code, _, _ = run_cli(["diffuse", "--coupling", "attention", "--penalty", penalty,
+                          "--tau", "0.25", "--steps", str(steps), "--n", "20",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert dense_attention_passes == [[0, 1]] * (steps + 1)
+    assert len(reads) == 3 * steps + 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -1193,7 +1211,7 @@ def test_diffuse_sparse_families_build_no_dense_array(tmp_path, capsys, monkeypa
     for cls in (graphs.EdgeOperator, coupling.DenseAttention,
                 coupling.MeanCoupling, coupling.SimpleAttention):
         monkeypatch.setattr(cls, "dense", refuse)
-    monkeypatch.setattr(coupling, "build_coupling", refuse)
+    monkeypatch.setattr(coupling.DenseAttention, "__init__", refuse)
     monkeypatch.setattr(numerics, "laplacian", refuse)
     monkeypatch.setattr(energy, "_pairwise_sq_dists", refuse)
     code, out, _ = run_cli(["diffuse", "--tau", "0.25", *argv, "--steps", "4",
@@ -1230,14 +1248,34 @@ _TRAIN_TINY = ["train", "--epochs", "1", "--hidden", "2"]
      "weight_decay must be finite and >= 0, got inf"),
     ([*_TRAIN_TINY, "--weight-decay", "nan"],
      "weight_decay must be finite and >= 0, got nan"),
+    (["synth", "--blocks", "0"], "blocks, per_block and feat_dim must be >= 1"),
+    (["landscape", "--dim-scale", "0"], "dim_scale must be positive and finite, got 0.0"),
+    ([*_TRAIN_TINY, "--epochs", "0"], "epochs must be >= 1"),
+    ([*_TRAIN_TINY, "--hidden", "0"], "hidden_dim must be >= 1"),
+    ([*_TRAIN_TINY, "--batch-size", "-1"], "batch_size must be >= 0"),
+    ([*_TRAIN_TINY, "--patience", "-1"], "patience must be >= 0"),
+    ([*_TRAIN_TINY, "--weight-decay", "-1"], "weight_decay must be finite and >= 0, got -1.0"),
 ])
 def test_non_finite_settings_are_runtime_errors(tmp_path, capsys, sbm4, argv, message):
+    # a non-finite or out-of-range setting stops its command before any
+    # file is read or written
     out = tmp_path / "out"
     data = sbm4 if argv[0] == "train" else []
     code, _, err = run_cli([*argv, *data, "--out", str(out)], capsys)
     assert code == 1
     assert err == f"error: {message}\n"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_train_checks_its_settings_before_it_reads_a_file(tmp_path, capsys):
+    # the bad setting is reported, not the missing features file
+    out = tmp_path / "out"
+    code, _, err = run_cli(["train", "--features", str(tmp_path / "missing.txt"),
+                            "--labels", str(tmp_path / "labels.txt"), "--epochs", "0",
+                            "--out", str(out)], capsys)
+    assert code == 1
+    assert err == "error: epochs must be >= 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dim_scale", [1e-6, float(np.nextafter(DIM_SCALE_MIN, 0.0))])
@@ -1249,7 +1287,7 @@ def test_landscape_dim_scale_whose_penalty_overflows_is_runtime_error(tmp_path, 
     assert code == 1
     assert err == (f"error: dim_scale must be >= {DIM_SCALE_MIN!r}, below which the "
                    f"softmax penalty overflows, got {dim_scale!r}\n")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_landscape_at_the_smallest_dim_scale_is_finite(tmp_path, capsys):

@@ -10,8 +10,7 @@ from dense_oracles import (SPARSE_CASES, DenseCoupling, adjacency, penalty_delta
                            penalty_f_scalar, sparse_case)
 from endiff.coupling import (DIM_SCALE_MIN, PENALTY_KINDS, Z_SQ_MAX, CouplingSpec,
                              DenseAttention, MeanCoupling, PenaltyFamily,
-                             SimpleAttention, attention_scores, build_coupling,
-                             coupling_operator, gat_masked_coupling,
+                             SimpleAttention, coupling_operator, gat_masked_coupling,
                              penalty_conjugate, penalty_delta, penalty_f,
                              penalty_f_range, simple_attention,
                              write_penalty_landscape)
@@ -166,7 +165,7 @@ def test_attention_scores_dot_identity():
     rng = np.random.default_rng(0)
     z = row_l2_normalize(rng.standard_normal((10, 5)))
     p = PenaltyFamily("advanced")
-    scores = attention_scores(p, z, z)
+    scores = DenseAttention(p, z, z).a
     for i in range(10):
         for j in range(10):
             d2 = float(np.sum((z[i] - z[j]) ** 2))
@@ -176,7 +175,7 @@ def test_attention_scores_dot_identity():
 def test_build_coupling_attention_row_stochastic():
     rng = np.random.default_rng(1)
     z = row_l2_normalize(rng.standard_normal((12, 6)))
-    s = build_coupling(CouplingSpec("attention", PenaltyFamily("simple")), z)
+    s = coupling_operator(CouplingSpec("attention", PenaltyFamily("simple")), z).dense()
     assert np.all(s >= 0)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
@@ -184,8 +183,9 @@ def test_build_coupling_attention_row_stochastic():
 def test_build_coupling_requires_unit_rows():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((5, 3)) * 3
-    with pytest.raises(ContractError):
-        build_coupling(CouplingSpec("attention", PenaltyFamily("simple")), z)
+    for kind in PENALTY_KINDS:
+        with pytest.raises(ContractError):
+            coupling_operator(CouplingSpec("attention", PenaltyFamily(kind)), z)
 
 
 def test_build_coupling_gat_masked_support():
@@ -202,16 +202,16 @@ def test_build_coupling_static_families():
     # static families are edge operators, never dense arrays
     g = Graph.from_edge_list(3, [(0, 1), (1, 2)])
     for family in ("identity", "all_one", "gcn_sym", "gin"):
-        with pytest.raises(ParameterError, match="not an attention family"):
-            build_coupling(CouplingSpec(family), np.eye(3))
+        op = coupling_operator(CouplingSpec(family), np.eye(3), g)
+        assert isinstance(op, (EdgeOperator, MeanCoupling))
     op = coupling_operator(CouplingSpec("identity"), g=g)
     assert np.array_equal(op.dense(), np.eye(3))
     assert np.allclose(coupling_operator(CouplingSpec("all_one"), g=g).dense(), 1.0 / 3)
     gin = coupling_operator(CouplingSpec("gin"), g=g).dense()
     assert np.array_equal(gin, adjacency(g) + np.eye(3))
     gat = CouplingSpec("gat_masked", PenaltyFamily("simple"))
-    with pytest.raises(ParameterError, match="not an attention family"):
-        build_coupling(gat, np.eye(3))  # its dense form is a test oracle
+    # its dense form is a test oracle
+    assert isinstance(coupling_operator(gat, np.eye(3), g), EdgeOperator)
     for spec in (CouplingSpec("gcn_sym"), gat):
         with pytest.raises(ParameterError, match="requires a graph"):
             coupling_operator(spec, np.eye(3))
@@ -265,7 +265,7 @@ def _unit_rows_and_block(draw):
 def test_simple_attention_matches_dense_coupling(case):
     # accumulator form against the materialized row-normalized coupling
     z, v = case
-    s = build_coupling(SIMPLE, z)
+    s = DenseAttention(PenaltyFamily("simple"), z, z).dense()
     op = SimpleAttention(z)
     scale = float(np.max(np.abs(v)))  # S is row-stochastic: |S V| <= max |V|
     assert np.max(np.abs(op.apply(v) - s @ v)) <= 1e-12 * scale
@@ -310,7 +310,7 @@ def test_simple_attention_matches_the_dense_coupling_at_other_widths(case, dv):
     if dv == z.shape[1]:
         dv += 1
     v = np.random.default_rng(dv).standard_normal((len(z), dv))
-    want = build_coupling(SIMPLE, z) @ v
+    want = SimpleAttention(z).dense() @ v
     got, denom, kv, k_sum = simple_attention(z, z, v)
     assert got.shape == want.shape and kv.shape == (z.shape[1], dv)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(v))
@@ -353,7 +353,7 @@ def test_coupling_operator_picks_the_accumulator_form_for_simple_attention():
         op = coupling_operator(spec, z, g)
         assert isinstance(op, DenseAttention)
         # (A V) r against A / (A 1): the same S up to rounding
-        assert np.max(np.abs(op.dense() - build_coupling(spec, z))) <= 1e-15
+        assert np.max(np.abs(op.apply(np.eye(6)) - op.dense())) <= 1e-15
     assert coupling_operator(CouplingSpec("gcn_sym"), z, g) is g.sym_operator
     for family in ("identity", "gin"):
         assert isinstance(coupling_operator(CouplingSpec(family), z, g), EdgeOperator)
@@ -425,7 +425,9 @@ def test_attention_row_sum_that_is_not_positive_breaks_the_contract(monkeypatch)
     gat = CouplingSpec("gat_masked", PenaltyFamily("simple"))
     monkeypatch.setattr(coupling, "penalty_f", lambda p, u: np.zeros_like(u))
     for build in (lambda: coupling_operator(gat, z, g),
-                  lambda: build_coupling(CouplingSpec("attention", PenaltyFamily()), z)):
+                  lambda: DenseAttention(PenaltyFamily(), z, z),
+                  lambda: coupling_operator(CouplingSpec("attention", PenaltyFamily("advanced")),
+                                            z)):
         with pytest.raises(ContractError, match="row 0 has score sum 0.0"):
             build()
 
@@ -441,7 +443,7 @@ def test_attention_couplings_reject_non_finite_rows(bad):
             coupling_operator(spec, z, g)
         if spec.family == "attention":
             with pytest.raises(ContractError, match=f"row 1 has norm {bad}"):
-                build_coupling(spec, z)
+                coupling_operator(spec, z)
 
 
 def test_gat_masked_coupling_checks_its_inputs():

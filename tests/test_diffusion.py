@@ -4,7 +4,7 @@ import pytest
 from dense_oracles import (DenseCoupling, coupled_step, kept_steps, normalized_adjacency,
                            rebuilt_row_sums)
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec, MeanCoupling,
-                             PenaltyFamily, SimpleAttention, build_coupling)
+                             DenseAttention, PenaltyFamily, SimpleAttention)
 from endiff.diffusion import (DiffusionConfig, euler_step, linear_simple_propagate,
                               run_trajectory)
 from endiff.energy import audit_descent, write_trajectory_csv
@@ -136,7 +136,7 @@ def test_run_trajectory_attention_normalizes_state_per_step():
     for before, step in zip(steps, steps[1:]):
         assert step.prev is before.z
         state = row_l2_normalize(before.z)
-        s = build_coupling(spec, state)
+        s = DenseAttention(spec.penalty, state, state).dense()
         assert np.allclose(step.z, coupled_step(state, DenseCoupling(s), 0.25), atol=1e-12)
 
 
@@ -236,7 +236,7 @@ def test_row_stochastic_update_is_convex_combination():
     rng = np.random.default_rng(11)
     z = row_l2_normalize(rng.standard_normal((15, 4)))
     spec = CouplingSpec("attention", PenaltyFamily("simple"))
-    s = build_coupling(spec, z)
+    s = DenseAttention(spec.penalty, z, z).dense()
     out = coupled_step(z, DenseCoupling(s), 0.5)
     for j in range(z.shape[1]):
         assert out[:, j].max() <= z[:, j].max() + 1e-12

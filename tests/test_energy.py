@@ -10,8 +10,8 @@ import endiff.diffusion as diffusion
 import endiff.energy as energy
 from dense_oracles import (STATIC_FAMILY_MODES, kept_steps, normalized_adjacency,
                            quadratic_energy_loop)
-from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec, PenaltyFamily,
-                             attention_scores, coupling_operator, penalty_delta)
+from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec, DenseAttention,
+                             PenaltyFamily, coupling_operator, penalty_delta)
 from endiff.diffusion import DiffusionConfig, euler_step, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent,
                            diversity, regularized_energy, surrogate_energy,
@@ -76,7 +76,7 @@ def test_surrogate_tight_at_inferred_omega():
     zp = rng.standard_normal((8, 4))
     for kind in ("simple", "advanced"):
         p = PenaltyFamily(kind)
-        omega = attention_scores(p, z, z)
+        omega = DenseAttention(p, z, z).a
         sur = surrogate_energy(z, zp, omega, p, 0.6)
         reg = regularized_energy(z, zp, p, 0.6)
         assert abs(sur - reg) <= 1e-7

@@ -143,10 +143,13 @@ def test_keyword_scan_sees_every_call():
 @pytest.mark.parametrize("config", [ModelConfig, DiffusionConfig, TrainConfig],
                          ids=lambda cls: cls.__name__)
 def test_every_config_field_has_a_command_line_caller(config):
-    # a field no command sets is a switch only its own tests reach
+    # a field no command sets is a switch only its own tests reach; a
+    # command sets it in the config's call, or by `replace` once the data
+    # it depends on is read
     source = (Path(endiff.__file__).parent / "cli.py").read_text()
     fields = {f.name for f in dataclasses.fields(config)}
-    assert fields - _keywords_passed(source, config.__name__) == set()
+    passed = _keywords_passed(source, config.__name__) | _keywords_passed(source, "replace")
+    assert fields - passed == set()
 
 
 def test_diffusion_source_switch_is_a_bool():
@@ -229,3 +232,46 @@ def test_every_long_option_is_in_the_readme():
                                if not re.search(re.escape(flag) + r"(?![\w-])", readme))
                for command, flags in _long_options(cli.build_parser()).items()}
     assert {command: flags for command, flags in missing.items() if flags} == {}
+
+
+def _module_table_names(readme: str) -> dict:
+    """Per `endiff.<module>` row of the README's module table, the
+    backticked names that are snake_case with an underscore or CamelCase,
+    dotted paths and a trailing `()` included."""
+    ident = (r"_[a-z][a-z0-9]*(?:_[a-z0-9]+)*|[a-z][a-z0-9]*(?:_[a-z0-9]+)+"
+             r"|[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*")
+    name = re.compile(rf"(?:[A-Za-z_]\w*\.)*(?:{ident})(?:\.[A-Za-z_]\w*)*(?:\(\))?")
+    rows = re.findall(r"^\| `endiff\.(\w+)` \|(.*)\|$", readme, re.MULTILINE)
+    return {module: [n.removesuffix("()") for n in re.findall(r"`([^`]+)`", row)
+                     if name.fullmatch(n)] for module, row in rows}
+
+
+def test_module_table_scan_sees_names():
+    readme = ("| `endiff.a` | x (`foo_bar`, `Baz.qux()`, `abc`, `S V`, `f_b()`) |\n"
+              "| `endiff.b` | `Ref`s, `N x d`, `_run` |\n")
+    assert _module_table_names(readme) == {"a": ["foo_bar", "Baz.qux", "f_b"],
+                                           "b": ["Ref", "_run"]}
+
+
+def test_readme_module_table_names_only_code_that_exists():
+    # a deleted function the table still names is documentation of nothing;
+    # suite names are names of reports, not of code
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = _module_table_names(readme)
+    assert "coupling" in table
+    missing = {}
+    for module, names in table.items():
+        mod = importlib.import_module(f"endiff.{module}")
+        classes = [obj for obj in vars(mod).values() if inspect.isclass(obj)]
+        for dotted in names:
+            head, *rest = dotted.split(".")
+            owners = [obj for obj in (mod, *classes) if hasattr(obj, head)]
+            found = bool(owners)
+            if found and rest:
+                obj = getattr(owners[0], head)
+                for attr in rest:
+                    found = hasattr(obj, attr)
+                    obj = getattr(obj, attr, None)
+            if not found and dotted not in suites.SUITES:
+                missing.setdefault(module, []).append(dotted)
+    assert missing == {}

@@ -190,7 +190,7 @@ def test_a_layer_is_one_euler_step_of_the_dynamics(monkeypatch, variant):
     assert np.max(np.abs(blends[0] - step)) <= 1e-12 * np.max(np.abs(step))
 
 
-_KERNEL = ("simple_attention", "attention_scores", "attention_apply")
+_KERNEL = ("simple_attention", "DenseAttention")
 
 
 @pytest.mark.parametrize("evaluator", [Tape, Eager])
@@ -210,8 +210,21 @@ def test_heads_take_their_values_from_the_coupling_kernel(monkeypatch, variant, 
     x = np.random.default_rng(8).standard_normal((6, cfg.input_dim))
     forward(init_model(cfg, 0), x, None, cfg, tape=evaluator())
     per_layer = {"simple": ("simple_attention",),
-                 "advanced": ("attention_scores", "attention_apply")}[variant]
+                 "advanced": ("DenseAttention",)}[variant]
     assert calls == {name: cfg.layers if name in per_layer else 0 for name in _KERNEL}
+
+
+@pytest.mark.parametrize("evaluator", [Tape, Eager])
+def test_an_advanced_forward_builds_one_dense_attention_per_layer(dense_attention_passes,
+                                                                  evaluator):
+    # a head reads the scores and their reciprocal row sums, never S 1: not
+    # in the forward, and not in the backward
+    cfg = _cfg(variant="advanced", layers=3, heads=2)
+    x = np.random.default_rng(8).standard_normal((6, cfg.input_dim))
+    logits, t = forward(init_model(cfg, 0), x, None, cfg, tape=evaluator())
+    if evaluator is Tape:
+        t.backward(t.masked_cross_entropy(logits, np.zeros(6, dtype=int), np.ones(6, dtype=bool)))
+    assert dense_attention_passes == [[0, 0]] * cfg.layers
 
 
 def test_the_tape_computes_no_attention_score():
@@ -283,7 +296,7 @@ def test_graph_forward_builds_no_dense_adjacency(monkeypatch):
     for cls in (graphs.EdgeOperator, coupling.DenseAttention,
                 coupling.MeanCoupling, coupling.SimpleAttention):
         monkeypatch.setattr(cls, "dense", refuse)
-    monkeypatch.setattr(coupling, "build_coupling", refuse)
+    monkeypatch.setattr(coupling.DenseAttention, "__init__", refuse)
     monkeypatch.setattr(numerics, "laplacian", refuse)
     cfg = _cfg(layers=2, heads=2, use_graph=True)
     params = init_model(cfg, 0)

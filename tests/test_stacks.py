@@ -22,7 +22,7 @@ import endiff.suites as suites
 from dense_oracles import (coupled_step, kept_steps, suite_oversmooth_per_seed,
                            suite_prop1_per_seed, suite_thm1_per_seed, suite_thm2_per_seed)
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
-                             PenaltyFamily, build_coupling, coupling_operator,
+                             DenseAttention, PenaltyFamily, coupling_operator,
                              gat_masked_coupling)
 from endiff.diffusion import DiffusionConfig, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent, diversity,
@@ -78,7 +78,8 @@ def test_stacked_couplings_and_steps_match_their_slices(case, kind, tau):
     _assert_slices(coupled_step(z, op, tau),
                    [coupled_step(zi, s, tau) for zi, s in zip(z, slices)])
     if kind != "quadratic":
-        _assert_slices(build_coupling(spec, z), [build_coupling(spec, zi) for zi in z])
+        oracle = DenseAttention(spec.penalty, z, z).dense()
+        _assert_slices(oracle, [DenseAttention(spec.penalty, zi, zi).dense() for zi in z])
 
 
 def _runs(z0, spec: CouplingSpec, cfg: DiffusionConfig, graphs=None):
@@ -233,7 +234,7 @@ def test_contract_errors_name_the_slice_and_the_row(monkeypatch):
 
     monkeypatch.setattr(coupling, "penalty_f", zero_second_slice)
     with pytest.raises(ContractError, match="attention slice 1 row 0 has score sum 0.0"):
-        build_coupling(_attention("advanced"), row_l2_normalize(z))
+        coupling_operator(_attention("advanced"), row_l2_normalize(z))
 
 
 def _counted_runs(monkeypatch) -> list:
@@ -294,6 +295,24 @@ def test_prop1_takes_one_svd_per_instance(monkeypatch):
     seeds = SEED_STACK + 5
     suites.run_suite("prop1", seeds=seeds)
     assert len(calls) == seeds
+
+
+def test_prop1_counts_a_rising_step_once(monkeypatch):
+    # a rise planted at one step pair of every instance leaves the upper
+    # bracket, whose factor (1 - tau lambda_min)^2 is at most 1: one
+    # violation per instance, in the stacked suite and the per-seed oracle
+    real = energy._energies
+
+    def planted(traj):
+        e = np.array(real(traj))
+        e[10:] *= 1.01 * e[9] / e[10]
+        return list(e)
+
+    monkeypatch.setattr(energy, "_energies", planted)
+    report = suites.run_suite("prop1", seeds=3)
+    assert report["seeds"] == report["connected_instances"] == 3
+    assert report["violations"] == 3
+    assert suite_prop1_per_seed(seeds=3)["violations"] == 3
 
 
 def _graph_stack(b: int, n: int, d: int, seed: int, isolated: int):
