@@ -175,18 +175,21 @@ def _unit_sq_dists(gram: np.ndarray) -> np.ndarray:
 def simple_attention(qt: np.ndarray, kt: np.ndarray, v: np.ndarray):
     """Simple attention S V, s_ij = (1 + q~_i.k~_j) / sum_l (1 + q~_i.k~_l),
     in O(N d d'): (Q~ K~^T V + 1 1^T V) / (Q~ K~^T 1 + N) row by row, from
-    K~^T V, 1^T K~ and 1^T V. Returns S V, the denominator column, K~^T V and
-    1^T K~. Unit rows keep a denominator at 2 or more when Q~ = K~; one that
-    signed projections cancel to 0 or below raises DomainError."""
+    K~^T V, 1^T K~ and 1^T V. Returns S V, the denominator column, K~^T V,
+    1^T K~ and 1^T V; `Tape.linear_attention`'s VJP rebuilds S V from them
+    with the same three operations, so the two must change together. Unit
+    rows keep a denominator at 2 or more when Q~ = K~; one that signed
+    projections cancel to 0 or below raises DomainError."""
     ones = np.ones(v.shape[-2])
     kv, k_sum = np.swapaxes(kt, -1, -2) @ v, ones @ kt
     denom = qt @ k_sum[..., None] + v.shape[-2]
     if np.any(denom <= 0):
         raise DomainError("simple attention denominator N + q~.sum(k~) is not positive")
+    v_sum = ones @ v
     out = qt @ kv
-    out += (ones @ v)[..., None, :]
+    out += v_sum[..., None, :]
     out /= denom
-    return out, denom, kv, k_sum
+    return out, denom, kv, k_sum, v_sum
 
 
 def _first_bad_row(bad: np.ndarray) -> tuple[tuple, str]:

@@ -14,16 +14,20 @@ operand, a bias, over the other's rows. The tape keeps no values: each lives
 as long as its Refs or a VJP that captured it. A leaf is a matrix or a
 stack of them; a parameter is a named leaf, not a node. `backward` runs
 reverse accumulation from a 1x1 loss, fills per-parameter gradients and
-releases the parameter registry and each node it runs, so a tape is
-differentiated once. `sym_apply` takes a symmetric operator instead of a
-dense matrix. An attention primitive takes raw Q, K and V, row-normalizes
-Q and K itself and computes no score or S V of its own: it takes its value
-from the attention kernel in `coupling`, the one the diffusion dynamics
-use, and keeps only its VJP, which reads the kernel's state.
-`linear_attention` (simple) runs its gradient through the kernel's O(N d^2)
-accumulators K~^T V and 1^T K~, with no ones column and no (..., N, d+1)
-adjoint; `sigmoid_attention` (advanced) through the scores and row
-reciprocals of one `DenseAttention`. The tape has only the primitives a
+releases the parameter registry, so a tape is differentiated once. It
+drops each node as it reaches it: once the node's VJP returns, the closure
+and the node's adjoint go before the contributions are summed into its
+parents' adjoints, and each contribution goes once it is summed, so no
+spent array is held through the next VJP. `sym_apply` takes a symmetric
+operator instead of a dense matrix. An attention primitive takes raw Q, K
+and V, row-normalizes Q and K itself and computes no score or S V of its
+own: it takes its value from the attention kernel in `coupling`, the one
+the diffusion dynamics use, and keeps only its VJP, which reads the
+kernel's state. `linear_attention` (simple) runs its gradient through the
+kernel's O(N d^2) accumulators K~^T V, 1^T K~ and 1^T V, with no ones
+column and no (..., N, d+1) adjoint, and rebuilds S V from them rather
+than keep it; `sigmoid_attention` (advanced) runs through the scores and
+row reciprocals of one `DenseAttention`. The tape has only the primitives a
 model forward and its loss run; composed forms used as test oracles live
 with the tests. A tape is confined to a single thread for its lifetime.
 
@@ -156,13 +160,21 @@ class Tape:
         accumulators (Katharopoulos et al. 2020, sec. 3), then through both
         normalizations."""
         qt, q_div, kt, k_div, vv = self._head_operands("linear", q, k, v)
-        out, denom, kv, k_sum = simple_attention(qt, kt, vv)
+        out, denom, kv, k_sum, v_sum = simple_attention(qt, kt, vv)
 
         def vjp(g):
             # adjoints of the numerators and denominators, of K~^T V, 1^T K~
-            # and 1^T V, then of Q~, K~ and V: at most three N x d at once
+            # and 1^T V, then of Q~, K~ and V. S V is not kept but rebuilt
+            # by the kernel's own operations in its order, so bit for bit,
+            # and dropped once the denominators' adjoint is formed. Beside g,
+            # at most three N x d at once: g_num and S V, then the three
+            # outputs, with one temporary while fewer than three exist.
             g_num = g / denom
+            out = qt @ kv
+            out += v_sum[..., None, :]
+            out /= denom
             g_den = -row_dots(g_num, out)[..., None]
+            del out
             g_kv, g_ksum = _mT(qt) @ g_num, _mT(g_den) @ qt
             g_vsum = (np.ones(g.shape[-2]) @ g_num)[..., None, :]
             g_q = g_num @ _mT(kv)
@@ -219,15 +231,20 @@ class Tape:
         return self._record(av * mask, (a,), lambda g: (g * mask,))
 
     def layer_norm(self, a: Ref) -> Ref:
+        """(a - mean) / std over each row, centred once and divided in
+        place. The VJP forms (g - mean(g) - y mean(g y)) / std in one output
+        buffer, in the order written."""
         av = self._value(a)
-        mean = av.mean(axis=-1, keepdims=True)
-        std = np.sqrt(np.mean((av - mean) ** 2, axis=-1, keepdims=True) + LAYER_NORM_EPS)
-        y = (av - mean) / std
+        y = av - av.mean(axis=-1, keepdims=True)
+        std = np.sqrt(np.mean(y ** 2, axis=-1, keepdims=True) + LAYER_NORM_EPS)
+        y /= std
 
         def vjp(g):
-            gm = g.mean(axis=-1, keepdims=True)
             gy = np.mean(g * y, axis=-1, keepdims=True)
-            return ((g - gm - y * gy) / std,)
+            out = g - g.mean(axis=-1, keepdims=True)
+            out -= y * gy
+            out /= std
+            return (out,)
 
         return self._record(y, (a,), vjp)
 
@@ -299,8 +316,8 @@ class Tape:
 
     def backward(self, loss: Ref) -> dict[str, np.ndarray]:
         """Reverse accumulation from a 1x1 loss; returns parameter grads.
-        The parameter registry is released first and each node once its VJP
-        has run, so a tape is differentiated once."""
+        The parameter registry is released first, so a tape is
+        differentiated once, and each node as it is reached."""
         if loss.tape is not self:
             raise ContractError("loss belongs to a different tape")
         if loss.shape != (1, 1):
@@ -317,8 +334,11 @@ class Tape:
             self.nodes[idx] = None
             if vjp is None:
                 continue
-            for parent, pg in zip(parents, vjp(g)):
+            grads = vjp(g)
+            del vjp, g  # the closure, with all it captured, goes before the sums
+            for parent, pg in zip(parents, grads):
                 adjoint[parent] = adjoint[parent] + pg if parent in adjoint else pg
+            del grads, pg  # and a summed contribution before the next VJP
         return {name: adjoint[name] if name in adjoint else np.zeros(shape)
                 for name, shape in params.items()}
 

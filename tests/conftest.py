@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 
@@ -45,3 +46,20 @@ def dense_attention_passes(monkeypatch) -> list:
     monkeypatch.setattr(cls, "__init__", counted_init)
     monkeypatch.setattr(cls, "apply", counted_apply)
     return records
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """The function that calls run() under tracemalloc and returns the peak
+    traced bytes while it ran, and run()'s value: the one set-up and
+    tear-down of the tests' memory bounds. Session-scoped, so hypothesis
+    tests take it too."""
+    def peak(run):
+        tracemalloc.start()
+        try:
+            value = run()
+            return tracemalloc.get_traced_memory()[1], value
+        finally:
+            tracemalloc.stop()
+
+    return peak

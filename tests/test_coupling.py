@@ -311,8 +311,9 @@ def test_simple_attention_matches_the_dense_coupling_at_other_widths(case, dv):
         dv += 1
     v = np.random.default_rng(dv).standard_normal((len(z), dv))
     want = SimpleAttention(z).dense() @ v
-    got, denom, kv, k_sum = simple_attention(z, z, v)
+    got, denom, kv, k_sum, v_sum = simple_attention(z, z, v)
     assert got.shape == want.shape and kv.shape == (z.shape[1], dv)
+    assert np.array_equal(v_sum, np.ones(len(z)) @ v)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(v))
     assert np.max(np.abs(denom[:, 0] - (len(z) + z @ z.sum(axis=0)))) <= 1e-12 * len(z)
 

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,25 +342,21 @@ def test_failed_trajectory_csv_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _traced_peak(consume, z0, steps: int) -> int:
-    """tracemalloc's peak bytes while a simple-attention run of the given
-    steps from z0 is made and handed to consume."""
-    tracemalloc.start()
-    try:
-        consume(run_trajectory(z0, CouplingSpec("attention", PenaltyFamily("simple")),
-                               DiffusionConfig(tau=0.25, steps=steps)))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("consumer", ["csv", "descent"])
-def test_a_run_holds_its_current_states_only(consumer, tmp_path):
+def test_a_run_holds_its_current_states_only(consumer, tmp_path, traced_peak):
     # ten times the steps cost no more memory: no consumer keeps the states
     z0 = row_l2_normalize(np.random.default_rng(6).standard_normal((2000, 16)))
     consume = {"csv": lambda traj: write_trajectory_csv(traj, tmp_path / "traj.csv"),
                "descent": audit_descent}[consumer]
-    assert _traced_peak(consume, z0, 200) <= 1.5 * _traced_peak(consume, z0, 20)
+
+    def peak(steps: int) -> int:
+        """The peak while a simple-attention run of `steps` from z0 is made
+        and handed to consume."""
+        return traced_peak(lambda: consume(run_trajectory(
+            z0, CouplingSpec("attention", PenaltyFamily("simple")),
+            DiffusionConfig(tau=0.25, steps=steps))))[0]
+
+    assert peak(200) <= 1.5 * peak(20)
 
 
 @st.composite

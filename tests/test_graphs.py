@@ -217,21 +217,9 @@ def test_edge_operator_diagonal_after_long_slots_matches_dense(graph, d, seed):
     _check_long_slot_apply(EdgeOperator(lay, weights, diagonal), want, lay.deg == 0, d, seed)
 
 
-def _apply_peak(op, v) -> int:
-    import tracemalloc
-
-    op.apply(v)  # builds the layout's short-entry index for this d, kept after
-    tracemalloc.start()
-    try:
-        op.apply(v)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @settings(max_examples=15, deadline=None)
 @given(st.one_of(st.sampled_from(LONG_SLOT_GRAPHS), _long_slot_graph(chords_per_node=0.5)))
-def test_sym_operator_apply_scratch_is_one_block_beside_its_output(graph):
+def test_sym_operator_apply_scratch_is_one_block_beside_its_output(traced_peak, graph):
     # The peak is the short entries' products beside the sums, then the sums
     # beside one scratch block: no temporary per long slot. Few chords keep
     # the short entries near N or below. Every broadcast product also takes
@@ -239,7 +227,9 @@ def test_sym_operator_apply_scratch_is_one_block_beside_its_output(graph):
     # keeps it within a tenth of an N x d block.
     d = -(-10 * np.getbufsize() // graph.n)
     block = graph.n * d * 8
-    peak = _apply_peak(graph.sym_operator, np.random.default_rng(0).standard_normal((graph.n, d)))
+    op, v = graph.sym_operator, np.random.default_rng(0).standard_normal((graph.n, d))
+    op.apply(v)  # builds the layout's short-entry index for this d, kept after
+    peak = traced_peak(lambda: op.apply(v))[0]
     assert peak <= 2.5 * block, f"peak {peak / block:.2f} N x d blocks"
 
 
@@ -405,17 +395,11 @@ def test_sbm_generate_matches_the_scalar_double_loop(blocks, per_block, p_a, p_b
     assert np.array_equal(got.graph.edges, want.graph.edges)
 
 
-def test_sbm_generate_scratch_is_row_blocks_not_pairs():
-    import tracemalloc
-
+def test_sbm_generate_scratch_is_row_blocks_not_pairs(traced_peak):
     n = 4000
     pair_array = n * n // 2 * 8  # one int64 or float64 per pair i < j: 64 MB
-    tracemalloc.start()
-    try:
-        ds = sbm_generate(4, n // 4, 0.002, 0.002, 2, 1.0, seed=0)  # every pair draws
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # every pair draws
+    peak, ds = traced_peak(lambda: sbm_generate(4, n // 4, 0.002, 0.002, 2, 1.0, seed=0))
     assert ds.n == n and len(ds.graph.edges) > 0
     assert peak < pair_array / 4, f"peak {peak / 1e6:.1f} MB"
 

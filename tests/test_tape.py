@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from dense_oracles import (ComposedEager, ComposedTape, linear_attention_compose
                            sigmoid_attention_composed)
 from endiff.errors import ContractError, DimensionError, DomainError
 from endiff.graphs import Graph
+from endiff.model import ModelConfig, forward, init_model
 from endiff.numerics import finite_diff_grad, row_l2_divisors
 from endiff.tape import Eager, Tape
 
@@ -480,3 +483,139 @@ def test_linear_attention_rejects_a_zero_denominator():
         t.linear_attention(t.constant(q), t.constant(q[:, :2]), t.constant(v))
     with pytest.raises(DimensionError):
         t.sigmoid_attention(t.constant(q), t.constant(q), t.constant(v[:3]))
+
+
+def _training_step(n: int):
+    """One training step of the simple model with the graph channel (hidden
+    32, 2 heads, 2 layers) on a seeded random graph with n nodes and 5n
+    edges, 16 features and 4 classes: a function that runs the forward and
+    backward on the tape it is given and returns the gradients. The graph's
+    operator is built here, not in the step."""
+    rng = np.random.default_rng(n)
+    graph = Graph.from_edge_list(n, rng.integers(0, n, (5 * n, 2)))
+    graph.sym_operator  # cached on the graph
+    cfg = ModelConfig(input_dim=16, hidden_dim=32, output_dim=4, layers=2, heads=2,
+                      use_graph=True)
+    params = init_model(cfg, 0)
+    x, labels, mask = rng.standard_normal((n, 16)), rng.integers(0, 4, n), rng.random(n) < 0.5
+
+    def step(tape: Tape) -> dict:
+        logits, t = forward(params, x, graph, cfg, tape)
+        return t.backward(t.masked_cross_entropy(logits, labels, mask))
+
+    return step
+
+
+class _WatchedTape(Tape):
+    """A Tape whose every VJP, when backward calls it, first checks that
+    backward has let go of what the nodes that ran before it left: each
+    one's closure and adjoint, and every contribution summed into an
+    adjoint. Such an array may still be reachable only as a contribution
+    that is a parent's whole adjoint so far, or as the base of one: `add`
+    passes its adjoint on as it is, and `stack` a view of it."""
+
+    def __init__(self):
+        super().__init__()
+        self.closures = {}  # node -> weakref of its VJP
+        self.ran = []  # the nodes whose VJP was called, in call order
+        self.spent = []  # weakrefs of the arrays backward must have let go
+        # key -> weakref of its adjoint while that is one contribution as
+        # its VJP returned it; None once a second one was summed in
+        self.pending = {}
+
+    def _record(self, value, parents, vjp):
+        if vjp is not None:
+            idx, keys = len(self.nodes), tuple(p.idx for p in parents)
+
+            def watched(g, vjp=vjp):
+                self.check()
+                self.ran.append(idx)
+                self.pending.pop(idx, None)
+                grads = vjp(g)
+                self.spent.append(weakref.ref(g))
+                for key, pg in zip(keys, grads):
+                    if key not in self.pending:
+                        self.pending[key] = weakref.ref(pg)
+                        continue
+                    # summed with the adjoint so far: both are spent
+                    if self.pending[key] is not None:
+                        self.spent.append(self.pending[key])
+                    self.spent.append(weakref.ref(pg))
+                    self.pending[key] = None
+                return grads
+
+            self.closures[idx] = weakref.ref(watched)
+            vjp = watched
+        return super()._record(value, parents, vjp)
+
+    def check(self):
+        ran = [i for i in self.ran if self.closures[i]() is not None]
+        assert not ran, f"the closures of nodes {ran} outlived their VJP"
+        rightly = [x for x in (r() for r in self.pending.values() if r) if x is not None]
+        rightly = {id(x) for x in rightly} | {id(x.base) for x in rightly}
+        live = [x.shape for x in (r() for r in self.spent)
+                if x is not None and id(x) not in rightly]
+        assert not live, f"after nodes {self.ran}, spent arrays {live} are still held"
+
+
+def test_backward_lets_go_of_each_node_before_the_next_vjp():
+    tape = _WatchedTape()
+    grads = _training_step(50)(tape)
+    assert set(tape.ran) == set(tape.closures)  # every VJP ran, and checked
+    assert tape.spent
+    tape.check()
+    assert all(tape.pending[name]() is grads[name] for name in grads)
+
+
+_STACK_BUDGET = 13.0
+
+
+def _step_peak_in_stacks(traced_peak, n: int) -> float:
+    """The traced peak of one `_training_step` on n nodes, in head stacks:
+    (H, n, d) float64 arrays of 2 x n x 32 x 8 bytes."""
+    step = _training_step(n)
+    step(Tape())  # the graph operator's index for this d is built once and kept
+    return traced_peak(lambda: step(Tape()))[0] / (2 * n * 32 * 8)
+
+
+def test_a_training_step_holds_a_budget_of_head_stacks_at_n_and_2n(traced_peak):
+    """The peak comes in the last layer's attention VJP. Counting a head
+    stack as S, and the state, a head mean and their adjoints as S/2, the
+    live arrays there are:
+    - what later VJPs keep: per layer Q~, K~ and V, 3 S; layer 0's
+      LayerNorm output, which layer 1's projections read, S/2; the input
+      block's LayerNorm and ReLU outputs, S/2 each, and the ReLU mask, S/16
+      (one byte per value). 7.56 S in all: no raw Q or K, no attention
+      output, no head mean;
+    - the pending adjoints: the attention's own, V's from the graph channel
+      and the state's from the blend, 3 x S/2;
+    - the VJP's working set: its three outputs, with one temporary beside
+      them while fewer than three exist, 3 S.
+    That is 12.06 S. Columns of N values (row divisors, denominators,
+    LayerNorm's std, 4 logits per row) and fixed overhead take less than
+    the rest of a stack: 13 S. Every array above is O(N), so the peak at 2N
+    is at most 2.2 times the peak at N."""
+    small, large = (_step_peak_in_stacks(traced_peak, n) for n in (1000, 2000))
+    assert max(small, large) <= _STACK_BUDGET, f"{small:.2f}, {large:.2f} stacks"
+    assert 2 * large <= 2.2 * small, f"{small:.2f}, {large:.2f} stacks"
+
+
+def test_an_attention_vjp_that_keeps_its_output_breaks_the_stack_budget(
+        traced_peak, monkeypatch):
+    # one more stack per layer, held until each layer's VJP has run
+    linear_attention = Tape.linear_attention
+
+    def keeping(self, q, k, v):
+        ref = linear_attention(self, q, k, v)
+        parents, vjp = self.nodes[ref.idx]
+        out = ref.value
+
+        def vjp_keeping_out(g):
+            assert out is not None  # a closure over the output
+            return vjp(g)
+
+        self.nodes[ref.idx] = (parents, vjp_keeping_out)
+        return ref
+
+    monkeypatch.setattr(Tape, "linear_attention", keeping)
+    assert _step_peak_in_stacks(traced_peak, 1000) > _STACK_BUDGET
