@@ -9,6 +9,7 @@ bit-for-bit. Exit codes: 0 success, 1 runtime/data error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -416,7 +417,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
+# values `main` fixes them at. By default glibc moves both thresholds with
+# the size of the last mapped block freed, so which block went last decides
+# when the heap top is trimmed, and a training epoch faults its working set
+# in anew. Fixed, blocks under 4 MiB (an N=2000 head stack is 1 MB) are
+# recycled from the heap, which gives its top back only once 64 MiB lie free
+# there, and larger blocks are mapped and unmapped as before. A 32 MiB mmap
+# threshold keeps blocks up to 32 MiB on the heap, where they fragment it:
+# the peak RSS of a 2-epoch N=10^5 training rose from 733 to 777 MB.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 4 << 20
+
+
+def _fix_heap_policy() -> None:
+    """Fix glibc's heap thresholds; nothing off Linux or where libc has no
+    mallopt (musl's takes the call and does nothing)."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _fix_heap_policy()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

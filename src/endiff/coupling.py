@@ -176,8 +176,7 @@ def simple_attention(qt: np.ndarray, kt: np.ndarray, v: np.ndarray):
     """Simple attention S V, s_ij = (1 + q~_i.k~_j) / sum_l (1 + q~_i.k~_l),
     in O(N d d'): (Q~ K~^T V + 1 1^T V) / (Q~ K~^T 1 + N) row by row, from
     K~^T V, 1^T K~ and 1^T V. Returns S V, the denominator column, K~^T V,
-    1^T K~ and 1^T V; `Tape.linear_attention`'s VJP rebuilds S V from them
-    with the same three operations, so the two must change together. Unit
+    1^T K~ and 1^T V, which `Tape.linear_attention`'s VJP reads. Unit
     rows keep a denominator at 2 or more when Q~ = K~; one that signed
     projections cancel to 0 or below raises DomainError."""
     ones = np.ones(v.shape[-2])

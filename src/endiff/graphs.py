@@ -420,10 +420,11 @@ def _load_numeric(path, file_bytes: bytes, dtype) -> np.ndarray | None:
         return None
     if not data.strip():
         return np.zeros((0, 0), dtype)
+    # decoded as it is read, not into one str of 4 bytes per character;
     # newline=None breaks lines at \r\n, \r and \n, as the line scan's text
     # mode does; loadtxt skips blank lines, as _read_lines does, and raises
     # on a bad number, a ragged row and an integer past int64
-    text = io.StringIO(data.decode("ascii"), newline=None)
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None)
     try:
         return np.loadtxt(text, dtype=dtype, ndmin=2, comments=None)
     except ValueError:

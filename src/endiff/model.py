@@ -115,12 +115,13 @@ def _layer(t, z, z0, refs, k: int, cfg: ModelConfig, graph_op):
     """Layer k on a state z and source z0 that carry a unit head axis: the
     mean of every head's attention, plus the graph channel on the mean of
     their V, blended with the state at step tau (plus the source), then
-    LayerNorm. Intermediate values die with the call, the heads' attention
-    outputs with their mean, which keeps an `Eager` forward's memory low."""
+    LayerNorm. Intermediate values die with the call, the raw Q and K with
+    the attention call that normalizes them and the heads' attention
+    outputs with their mean, which keeps a forward's memory low."""
     proj = {role: t.matmul(z, refs[f"W_{role}_{k}"]) for role in _ROLES[cfg.variant]}
     v = proj["V"]
     attention = {"simple": t.linear_attention, "advanced": t.sigmoid_attention}
-    p_bar = t.head_mean(attention[cfg.variant](proj["Q"], proj["K"], v)
+    p_bar = t.head_mean(attention[cfg.variant](proj.pop("Q"), proj.pop("K"), v)
                         if cfg.variant in attention else v)
     if graph_op is not None:
         p_bar = t.add(p_bar, t.sym_apply(graph_op, t.head_mean(v)))

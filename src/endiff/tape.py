@@ -25,8 +25,9 @@ own: it takes its value from the attention kernel in `coupling`, the one
 the diffusion dynamics use, and keeps only its VJP, which reads the
 kernel's state. `linear_attention` (simple) runs its gradient through the
 kernel's O(N d^2) accumulators K~^T V, 1^T K~ and 1^T V, with no ones
-column and no (..., N, d+1) adjoint, and rebuilds S V from them rather
-than keep it; `sigmoid_attention` (advanced) runs through the scores and
+column and no (..., N, d+1) adjoint, and neither keeps S V nor rebuilds
+it: the denominators' adjoint reads Q~'s own adjoint through the
+numerators; `sigmoid_attention` (advanced) runs through the scores and
 row reciprocals of one `DenseAttention`. The tape has only the primitives a
 model forward and its loss run; composed forms used as test oracles live
 with the tests. A tape is confined to a single thread for its lifetime.
@@ -164,20 +165,19 @@ class Tape:
 
         def vjp(g):
             # adjoints of the numerators and denominators, of K~^T V, 1^T K~
-            # and 1^T V, then of Q~, K~ and V. S V is not kept but rebuilt
-            # by the kernel's own operations in its order, so bit for bit,
-            # and dropped once the denominators' adjoint is formed. Beside g,
-            # at most three N x d at once: g_num and S V, then the three
-            # outputs, with one temporary while fewer than three exist.
+            # and 1^T V, then of Q~, K~ and V. S V is neither kept nor
+            # rebuilt: with G_a = g_num (K~^T V)^T, Q~'s adjoint through the
+            # numerators, g_num_i . (S V)_i = (G_a_i . q~_i + g_num_i . 1^T V)
+            # / den_i. Beside g, at most three N x d at once: g_num and G_a,
+            # then the three outputs, with one temporary while fewer than
+            # three exist.
             g_num = g / denom
-            out = qt @ kv
-            out += v_sum[..., None, :]
-            out /= denom
-            g_den = -row_dots(g_num, out)[..., None]
-            del out
+            g_q = g_num @ _mT(kv)
+            g_den = row_dots(g_q, qt)[..., None]
+            g_den += g_num @ v_sum[..., None]
+            g_den /= -denom
             g_kv, g_ksum = _mT(qt) @ g_num, _mT(g_den) @ qt
             g_vsum = (np.ones(g.shape[-2]) @ g_num)[..., None, :]
-            g_q = g_num @ _mT(kv)
             del g_num
             g_q += g_den * k_sum[..., None, :]
             g_q = _row_normalized_vjp(g_q, qt, q_div)

@@ -489,6 +489,19 @@ def test_read_features_parses_a_plain_file_without_the_line_scan(tmp_path, monke
     assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
+def test_read_features_holds_under_three_times_the_files_bytes(traced_peak, tmp_path):
+    # a features file as `synth` writes it at N=2000 and 16 features, about
+    # 640 KB; decoded into one str it would be held at 4 bytes a character
+    values = np.random.default_rng(5).standard_normal((2000, 16))
+    path = tmp_path / "features.txt"
+    row = " ".join(["%.17g"] * 16) + "\n"
+    path.write_text("".join(row % tuple(r) for r in values.tolist()))
+    peak, got = traced_peak(lambda: read_features(path))
+    assert np.array_equal(got, values)
+    ratio = peak / path.stat().st_size
+    assert ratio <= 3.0, f"peak {ratio:.2f} x the file's bytes"
+
+
 def test_read_features_matches_float_on_repr_floats(tmp_path):
     rng = np.random.default_rng(12)
     bits = rng.integers(0, 2**63, size=(300, 7), dtype=np.int64) * rng.choice([-1, 1], (300, 7))

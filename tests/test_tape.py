@@ -485,12 +485,13 @@ def test_linear_attention_rejects_a_zero_denominator():
         t.sigmoid_attention(t.constant(q), t.constant(q), t.constant(v[:3]))
 
 
-def _training_step(n: int):
+def _training_step(n: int, backward: bool = True):
     """One training step of the simple model with the graph channel (hidden
     32, 2 heads, 2 layers) on a seeded random graph with n nodes and 5n
     edges, 16 features and 4 classes: a function that runs the forward and
-    backward on the tape it is given and returns the gradients. The graph's
-    operator is built here, not in the step."""
+    backward on the tape it is given and returns the gradients, or with
+    `backward` false runs the forward alone and returns the logits. The
+    graph's operator is built here, not in the step."""
     rng = np.random.default_rng(n)
     graph = Graph.from_edge_list(n, rng.integers(0, n, (5 * n, 2)))
     graph.sym_operator  # cached on the graph
@@ -499,8 +500,10 @@ def _training_step(n: int):
     params = init_model(cfg, 0)
     x, labels, mask = rng.standard_normal((n, 16)), rng.integers(0, 4, n), rng.random(n) < 0.5
 
-    def step(tape: Tape) -> dict:
+    def step(tape: Tape):
         logits, t = forward(params, x, graph, cfg, tape)
+        if not backward:
+            return logits
         return t.backward(t.masked_cross_entropy(logits, labels, mask))
 
     return step
@@ -568,12 +571,13 @@ def test_backward_lets_go_of_each_node_before_the_next_vjp():
 
 
 _STACK_BUDGET = 13.0
+_FORWARD_BUDGET = 11.5
 
 
-def _step_peak_in_stacks(traced_peak, n: int) -> float:
+def _step_peak_in_stacks(traced_peak, n: int, backward: bool = True) -> float:
     """The traced peak of one `_training_step` on n nodes, in head stacks:
     (H, n, d) float64 arrays of 2 x n x 32 x 8 bytes."""
-    step = _training_step(n)
+    step = _training_step(n, backward)
     step(Tape())  # the graph operator's index for this d is built once and kept
     return traced_peak(lambda: step(Tape()))[0] / (2 * n * 32 * 8)
 
@@ -590,13 +594,42 @@ def test_a_training_step_holds_a_budget_of_head_stacks_at_n_and_2n(traced_peak):
     - the pending adjoints: the attention's own, V's from the graph channel
       and the state's from the blend, 3 x S/2;
     - the VJP's working set: its three outputs, with one temporary beside
-      them while fewer than three exist, 3 S.
+      them while fewer than three exist, 3 S. Before its first output it
+      holds two, the numerators' adjoint and Q~'s adjoint through them,
+      from which it takes the denominators' adjoint: it keeps no S V and
+      rebuilds none.
     That is 12.06 S. Columns of N values (row divisors, denominators,
     LayerNorm's std, 4 logits per row) and fixed overhead take less than
-    the rest of a stack: 13 S. Every array above is O(N), so the peak at 2N
-    is at most 2.2 times the peak at N."""
+    the rest of a stack: 13 S. The step reads 12.7 S at N=1000 and 12.5 S
+    at N=2000. Every array above is O(N), so the peak at 2N is at most 2.2
+    times the peak at N."""
     small, large = (_step_peak_in_stacks(traced_peak, n) for n in (1000, 2000))
     assert max(small, large) <= _STACK_BUDGET, f"{small:.2f}, {large:.2f} stacks"
+    assert 2 * large <= 2.2 * small, f"{small:.2f}, {large:.2f} stacks"
+
+
+def test_a_tape_forward_holds_a_budget_of_head_stacks_at_n_and_2n(traced_peak):
+    """The forward's peak comes in layer 1's attention, as it forms its
+    value. Counting a head stack as S, and the state as S/2, the live
+    arrays there are:
+    - what the VJPs keep from the input block and layer 0: the input
+      block's LayerNorm and ReLU outputs, S/2 each, and the ReLU mask,
+      S/16; layer 0's Q~, K~ and V, 3 S; layer 0's LayerNorm output, S/2.
+      4.56 S in all;
+    - layer 1's projections: its raw Q and K, which the attention call
+      holds as its operands, 2 S, and V, S; the Q~ and K~ its VJP keeps,
+      2 S;
+    - the attention output, S.
+    That is 10.56 S. Columns of N values (per layer two row divisors and
+    the denominators, S/32 each, and LayerNorm's std) take 0.22 S, and
+    fixed overhead less than 0.25 S at N=1000: 11.5 S. The forward reads
+    11.0 S at N=1000 and 10.9 S at N=2000. A layer that held its raw Q and
+    K to its end would keep them through its graph channel, where layer 1
+    would then reach 12 S. The peak at 2N is at most 2.2 times the peak
+    at N."""
+    small, large = (_step_peak_in_stacks(traced_peak, n, backward=False)
+                    for n in (1000, 2000))
+    assert max(small, large) <= _FORWARD_BUDGET, f"{small:.2f}, {large:.2f} stacks"
     assert 2 * large <= 2.2 * small, f"{small:.2f}, {large:.2f} stacks"
 
 
