@@ -98,6 +98,50 @@ def test_landscape_tables_keep_their_digests(tmp_path, capsys):
     assert got == LANDSCAPE_DIGESTS
 
 
+# sha256 of `landscape --family all --dim-scale 4`: only softmax reads the
+# scale. The same exp/log caveat as LANDSCAPE_DIGESTS holds.
+LANDSCAPE_DIM4_DIGESTS = LANDSCAPE_DIGESTS | {
+    "softmax": "f935b9e761c85b9a1d9416007ef94069d5f17ca1d0775404cf0c6c508c9ac701",
+}
+
+
+def test_landscape_tables_at_a_dim_scale_keep_their_digests(tmp_path, capsys):
+    assert run_cli(["landscape", "--family", "all", "--dim-scale", "4",
+                    "--out", str(tmp_path)], capsys)[0] == 0
+    got = {kind: hashlib.sha256((tmp_path / f"landscape_{kind}.csv").read_bytes()).hexdigest()
+           for kind in LANDSCAPE_DIM4_DIGESTS}
+    assert got == LANDSCAPE_DIM4_DIGESTS
+
+
+# sha256 of the `diffuse` trajectory CSV of --coupling, --penalty and any
+# more flags, at --n 40 --dim 6 --steps 5 --tau 0.25 --seed 3. Every energy
+# but the quadratic family's goes through numpy's exp, log or BLAS sums,
+# whose last digits may differ between numpy builds and CPUs.
+TRAJECTORY_DIGESTS = {
+    ("attention", "simple"): "41c48726c8a1cca8a68c37532f85ac1f7caf8fd858a5c1030a9f754910222870",
+    ("attention", "advanced"): "0a41558ed37c0ae18999dcdfd46ae839d11fcd0cf7e0335e95334d9f98dc4c66",
+    ("attention", "softmax"): "c9761e415c6a098935b08c1392c28a7a1f46dd8b91c1ef88a054c7cf7f92d984",
+    ("attention", "quadratic"): "af1e0cd5c2beb88cf95c912638ef60b21e11a0faa9697305b476bc485583908b",
+    ("attention", "quadratic", "--use-source"):
+        "ceea318275097981fb6f593db469007d9a2751b55e02c535ae7b35832547c6fa",
+    ("gat_masked", "simple"): "23edb8d8b57d0672f3fad32e2e9a0f2734c35329b9dda69a1dee9478b8ed44ec",
+    ("gat_masked", "advanced"): "c935df207b7129a9a6508ad4419330a13b39eddd66e620ac0cda78353384705f",
+    ("gat_masked", "softmax"): "932f448d67747a3bb01271f4fafb58caeee1619c7258d76485037dedfcb907fd",
+    ("gat_masked", "quadratic"): "09d8d4e1499cc9cfacbe10c2d89067109bf799ce62c66a1fd96f14e0c6f46af6",
+}
+
+
+@pytest.mark.parametrize("run", sorted(TRAJECTORY_DIGESTS), ids="-".join)
+def test_diffuse_trajectory_csvs_keep_their_digests(tmp_path, capsys, run):
+    coupling, penalty, *more = run
+    code, out, _ = run_cli(["diffuse", "--coupling", coupling, "--penalty", penalty, *more,
+                            "--n", "40", "--dim", "6", "--steps", "5", "--tau", "0.25",
+                            "--seed", "3", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    csv_path = Path(json.loads(out.strip().splitlines()[-1])["csv"])
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == TRAJECTORY_DIGESTS[run]
+
+
 def test_synth_then_train_then_eval(tmp_path, capsys):
     data = tmp_path / "data"
     code, out, _ = run_cli(["synth", "--per-block", "15", "--blocks", "2",
