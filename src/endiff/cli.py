@@ -22,7 +22,7 @@ import numpy as np
 
 from .coupling import (ATTENTION_FAMILIES, GRAPH_FAMILIES, PENALTY_KINDS,
                        STATIC_FAMILIES, CouplingSpec, PenaltyFamily,
-                       write_penalty_landscape)
+                       penalty_f_range, write_penalty_landscape)
 from .diffusion import DiffusionConfig, run_trajectory
 from .energy import write_trajectory_csv
 from .errors import EndiffError, FormatError
@@ -206,13 +206,14 @@ def cmd_diffuse(args) -> int:
     if (args.features is not None and args.edges is None
             and args.coupling in GRAPH_FAMILIES):
         args.parser.error(f"--coupling {args.coupling} with --features needs --edges")
-    if (args.use_source and args.coupling in ATTENTION_FAMILIES
-            and (args.coupling, args.penalty) != ("attention", "quadratic")):
+    if args.use_source and not static:
         # The source pushes pairwise distances past 4, out of the penalty's
-        # domain. Only the unmasked quadratic family (S = 1/N) keeps every
-        # step's differences a convex mix of unit-row differences.
-        args.parser.error(f"--use-source is not supported with --coupling "
-                          f"{args.coupling} --penalty {args.penalty}")
+        # domain. Only unmasked attention with a constant f (S = 1/N) keeps
+        # every step's differences a convex mix of unit-row differences.
+        lo, hi = penalty_f_range(PenaltyFamily(args.penalty))
+        if args.coupling != "attention" or lo != hi:
+            args.parser.error(f"--use-source is not supported with --coupling "
+                              f"{args.coupling} --penalty {args.penalty}")
     started = time.monotonic()
     inputs = []
     g = None

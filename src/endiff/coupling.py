@@ -3,10 +3,10 @@ and the one attention kernel that the dynamics and the model share.
 
 Each attention family is defined by a penalty delta of the squared pairwise
 distance; its derivative f is the un-normalized attention score. Valid
-squared distances lie in [0, 4] (unit-norm embeddings). `penalty_f` and
-`penalty_delta` are the one definition of each family's pair: they take a
-float or an array, and every caller (couplings, model heads, energies,
-conjugate, landscape tables) goes through them and their one domain check.
+squared distances lie in [0, 4] (unit-norm embeddings). `PENALTIES` holds
+one entry per family, README's family table; every caller goes through
+`penalty_f`, `penalty_delta` and `penalty_conjugate`, which read it behind
+one domain check, of a float or an array.
 
 The kernel takes query rows Q~ and key rows K~ apart: a model layer passes
 its row-normalized projections, the dynamics Q~ = K~ = Z. Simple attention
@@ -16,12 +16,9 @@ run time and oracle alike, is one object, `DenseAttention`: the scores
 A = f(2 - 2 Q~ K~^T), the reciprocal row sums r, S V = (A V) r, and S.
 
 The dynamics see a coupling only through the `Coupling` protocol, built by
-`coupling_operator`, where they check for unit rows: identity, gin, gcn_sym
-and gat_masked are sparse edge operators (`graphs.EdgeOperator`), all_one
-and quadratic attention the column mean (`MeanCoupling`), simple attention
-`SimpleAttention`, and advanced and softmax attention `DenseAttention`, the
-only one holding an N x N array. The GRAPH_FAMILIES take their graph from
-`g`.
+`coupling_operator`: the graph families are sparse edge operators
+(`graphs.EdgeOperator`), all_one the column mean (`MeanCoupling`), and
+unmasked attention its family's entry. GRAPH_FAMILIES take their graph from `g`.
 
 Every family takes a stack of states too, each slice bit for bit what its
 2-D state alone gives; a 2-D state is the case without leading axes.
@@ -37,7 +34,7 @@ one N x d state and reject a stack with a `DimensionError`.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -47,7 +44,6 @@ from .errors import ContractError, DimensionError, DomainError, ParameterError
 from .graphs import EdgeOperator, Graph, atomic_write_text
 from .numerics import as_matrix, as_stack, row_dots, row_norms
 
-PENALTY_KINDS = ("simple", "advanced", "softmax", "quadratic")
 STATIC_FAMILIES = ("identity", "all_one", "gcn_sym", "gin")
 ATTENTION_FAMILIES = ("attention", "gat_masked")
 COUPLING_FAMILIES = STATIC_FAMILIES + ATTENTION_FAMILIES
@@ -96,29 +92,13 @@ def _domain(z_sq) -> np.ndarray:
 
 
 def penalty_f(p: PenaltyFamily, z_sq):
-    """Un-normalized attention score f(z^2), the derivative of delta, of a
-    float or elementwise of an array."""
-    u = _domain(z_sq)
-    if p.kind == "simple":
-        return 2.0 - 0.5 * u
-    if p.kind == "advanced":
-        return 1.0 / (1.0 + np.exp(0.5 * u - 1.0))
-    if p.kind == "softmax":
-        return np.exp(1.0 - 0.5 * u) * p.softmax_scale
-    return np.ones_like(u)[()]  # quadratic: delta(u) = u; [()] unwraps a 0-d result
+    """Attention score f(z^2) = delta'(z^2), of a float or elementwise of an array."""
+    return PENALTIES[p.kind].f(p, _domain(z_sq))
 
 
 def penalty_delta(p: PenaltyFamily, z_sq):
-    """Penalty delta(z^2) of a float or elementwise of an array; the softmax
-    family is the antiderivative of f anchored at delta(0) = 0."""
-    u = _domain(z_sq)
-    if p.kind == "simple":
-        return 2.0 * u - 0.25 * u * u
-    if p.kind == "advanced":
-        return u - 2.0 * np.log(np.exp(0.5 * u - 1.0) + 1.0)
-    if p.kind == "softmax":
-        return 2.0 * p.softmax_scale * (math.e - np.exp(1.0 - 0.5 * u))
-    return u
+    """Penalty delta(z^2) of a float or elementwise of an array."""
+    return PENALTIES[p.kind].delta(p, _domain(z_sq))
 
 
 def penalty_f_range(p: PenaltyFamily) -> tuple[float, float]:
@@ -130,20 +110,9 @@ def penalty_f_range(p: PenaltyFamily) -> tuple[float, float]:
 def penalty_conjugate(p: PenaltyFamily, omega):
     """Concave conjugate delta~(omega) = inf_{y in [0,4]} (omega*y - delta(y))
     of a float or elementwise of an array. The objective is convex, as f is
-    non-increasing, so its minimizer is f^-1(omega) clipped to [0, 4]; the
-    quadratic family's f is constant and its objective linear in y.
-    """
-    lo, hi = penalty_f_range(p)
-    w = _check_within("omega", omega, lo, hi)
-    if p.kind == "simple":
-        y = 2.0 * (2.0 - w)
-    elif p.kind == "advanced":
-        y = 2.0 + 2.0 * np.log(1.0 / w - 1.0)
-    elif p.kind == "softmax":
-        y = 2.0 - 2.0 * np.log(w / p.softmax_scale)
-    else:
-        y = np.where(w < 1.0, Z_SQ_MAX, 0.0)
-    y = np.clip(y, 0.0, Z_SQ_MAX)
+    non-increasing, so its minimizer is f^-1(omega) clipped to [0, 4]."""
+    w = _check_within("omega", omega, *penalty_f_range(p))
+    y = np.clip(PENALTIES[p.kind].f_inverse(p, w), 0.0, Z_SQ_MAX)
     return (w * y - penalty_delta(p, y))[()]
 
 
@@ -323,11 +292,53 @@ class MeanCoupling:
         return np.full(self.batch + (self.n, self.n), 1.0 / self.n)
 
 
+def _at_unit_rows(build: Callable) -> Callable[[PenaltyFamily, np.ndarray], Coupling]:
+    """build(p, z) at the rows z, once they are checked to be unit rows."""
+    return lambda p, z: build(p, _unit_rows(z))
+
+
+@dataclass(frozen=True)
+class PenaltyEntry:
+    """One penalty family; each callable takes the family p first."""
+
+    f: Callable  # f(p, u) of a float or an array u of squared distances
+    delta: Callable  # delta(p, u), whose derivative is f
+    f_inverse: Callable  # argmin of omega*y - delta(y) before its clip to [0, 4]
+    coupling: Callable[[PenaltyFamily, np.ndarray], Coupling]  # S at unit rows z, checked
+    poly: tuple[float, float] | None = None  # (a, b) if delta(u) = a u + b u^2: a closed sum
+
+
+PENALTIES = {
+    "simple": PenaltyEntry(
+        f=lambda p, u: 2.0 - 0.5 * u,
+        delta=lambda p, u: 2.0 * u - 0.25 * u * u,
+        f_inverse=lambda p, w: 2.0 * (2.0 - w),
+        coupling=lambda p, z: SimpleAttention(z),  # which checks its own rows
+        poly=(2.0, -0.25)),
+    "advanced": PenaltyEntry(
+        f=lambda p, u: 1.0 / (1.0 + np.exp(0.5 * u - 1.0)),
+        delta=lambda p, u: u - 2.0 * np.log(np.exp(0.5 * u - 1.0) + 1.0),
+        f_inverse=lambda p, w: 2.0 + 2.0 * np.log(1.0 / w - 1.0),
+        coupling=_at_unit_rows(lambda p, z: DenseAttention(p, z, z))),
+    "softmax": PenaltyEntry(  # delta is f's antiderivative anchored at delta(0) = 0
+        f=lambda p, u: np.exp(1.0 - 0.5 * u) * p.softmax_scale,
+        delta=lambda p, u: 2.0 * p.softmax_scale * (math.e - np.exp(1.0 - 0.5 * u)),
+        f_inverse=lambda p, w: 2.0 - 2.0 * np.log(w / p.softmax_scale),
+        coupling=_at_unit_rows(lambda p, z: DenseAttention(p, z, z))),
+    "quadratic": PenaltyEntry(  # f = 1: every s_ij = 1/N, and omega*y - delta(y) is linear
+        f=lambda p, u: np.ones_like(u)[()],  # [()] unwraps a 0-d result
+        delta=lambda p, u: u,
+        f_inverse=lambda p, w: np.where(w < 1.0, Z_SQ_MAX, 0.0),
+        coupling=_at_unit_rows(lambda p, z: MeanCoupling(z.shape[-2], z.shape[:-2])),
+        poly=(1.0, 0.0)),
+}
+PENALTY_KINDS = tuple(PENALTIES)
+
+
 def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
                       g: Graph | Sequence[Graph] | None = None) -> Coupling:
     """The coupling of spec at embeddings z (attention) or on graph g (a
-    static family); gat_masked needs both. Only unmasked advanced and
-    softmax attention hold an N x N array. Unmasked attention takes a stack
+    static family); gat_masked needs both. Unmasked attention takes a stack
     of states; every other family one N x d state on one graph, or a
     (B, N, d) stack on a sequence of B graphs."""
     if spec.family != "attention" and g is not None and not isinstance(g, Graph):
@@ -354,12 +365,7 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
         return EdgeOperator(g.neighbours, np.ones(len(g.neighbours.rows)), np.ones(g.n))
     if spec.family == "gat_masked":
         return gat_masked_coupling(spec.penalty, z, g)
-    if spec.penalty.kind == "simple":
-        return SimpleAttention(z)
-    z = _unit_rows(z)
-    if spec.penalty.kind == "quadratic":  # f = 1, so every s_ij = 1/N
-        return MeanCoupling(z.shape[-2], z.shape[:-2])
-    return DenseAttention(spec.penalty, z, z)
+    return PENALTIES[spec.penalty.kind].coupling(spec.penalty, z)
 
 
 def _block_coupling(spec: CouplingSpec, z: np.ndarray | None,

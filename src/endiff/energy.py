@@ -16,8 +16,7 @@ over all nodes, diagonal included), which matches the row-normalization
 denominators of the attention couplings. Pairwise distances do not change
 when every row is shifted by the same vector, so the closed forms read the
 record's centred rows Y = Z - mean(Z): a static family's coupled sum reads
-the S Y its Euler step made and adds O(N d); diversity and the quadratic
-penalty cost O(N d), the simple penalty O(N d^2), the others go pairwise.
+the S Y its Euler step made and adds O(N d), and diversity costs O(N d).
 
 The energies, `diversity` and both audits take stacked runs: states
 (..., N, d) reduce slice by slice to one value per slice, each bit for bit
@@ -35,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .coupling import PenaltyFamily, penalty_conjugate, penalty_delta
+from .coupling import PENALTIES, MeanCoupling, PenaltyFamily, penalty_conjugate, penalty_delta
 from .diffusion import Step, Trajectory
 from .errors import ContractError, DimensionError
 from .graphs import atomic_write_text
@@ -88,37 +87,40 @@ def _coupled_pair_sum(step: Step) -> np.ndarray:
 
 
 def _penalty_sum(penalty: PenaltyFamily, step: Step):
-    """sum_ij delta(||z_i - z_j||^2) of a step's state, per slice. The
-    quadratic, delta(u) = u, and simple, delta(u) = 2u - u^2/4, families
-    take their closed forms on a slice whose rows all lie in the unit ball
-    (up to rounding); other slices go pair by pair, rejecting a u > 4."""
-    z = step.z
-    if penalty.kind not in ("simple", "quadratic"):
+    """sum_ij delta(||z_i - z_j||^2) of a step's state, per slice. A family
+    with a polynomial delta takes its closed form on a slice whose rows lie
+    in the unit ball (up to rounding), and on any slice under the mean
+    coupling S = 1/N, whose pair differences (1 - tau)(s_i - s_j), plus
+    tau (z0_i - z0_j) with the source, of unit rows s and z0, keep every
+    u <= 4. Other slices go pair by pair, rejecting a u > 4."""
+    z, poly = step.z, PENALTIES[penalty.kind].poly
+    if poly is None:
         return penalty_delta(penalty, _pairwise_sq_dists(z)).sum(axis=(-2, -1))
-    closed = np.max(row_dots(z, z), axis=-1) <= 1.0 + UNIT_BALL_SLACK
-    if closed.all():  # the common case, without copying the closed slices out
-        return _closed_penalty_sum(penalty.kind, step.y, step.b, step.sum_b)
+    closed = (isinstance(step.coupling, MeanCoupling)
+              or np.max(row_dots(z, z), axis=-1) <= 1.0 + UNIT_BALL_SLACK)
+    if np.all(closed):  # the common case, without copying the closed slices out
+        return _closed_penalty_sum(*poly, step.y, step.b, step.sum_b)
     sums = np.empty(z.shape[:-2])
     if closed.any():
-        sums[closed] = _closed_penalty_sum(penalty.kind, step.y[closed], step.b[closed],
+        sums[closed] = _closed_penalty_sum(*poly, step.y[closed], step.b[closed],
                                            step.sum_b[closed])
     sums[~closed] = penalty_delta(penalty, _pairwise_sq_dists(z[~closed])).sum(axis=(-2, -1))
     return sums
 
 
-def _closed_penalty_sum(kind: str, y: np.ndarray, b: np.ndarray, sum_b) -> np.ndarray:
-    """The quadratic or simple penalty sum per slice from the centred rows Y,
-    b_i = |y_i|^2 and sum b: sum u = 2N sum b and
+def _closed_penalty_sum(a: float, c: float, y: np.ndarray, b: np.ndarray, sum_b):
+    """sum_ij delta(u_ij) per slice for delta(u) = a u + c u^2 from the
+    centred rows Y, b_i = |y_i|^2 and sum b: sum u = 2N sum b and
     sum u^2 = 2N sum b^2 + 2 (sum b)^2 + 4 ||Y^T Y||_F^2."""
     n = y.shape[-2]
     sum_u = 2.0 * n * sum_b
-    if kind == "quadratic":
-        return sum_u
+    if not c:  # a linear delta needs no second moment: O(N d)
+        return a * sum_u
     gram = np.swapaxes(y, -1, -2) @ y
     b_dot_b = (b[..., None, :] @ b[..., :, None])[..., 0, 0]
     # sum_b * sum_b: a scalar sum_b**2 (a 2-D state) may round apart via pow
     sum_u2 = 2.0 * n * b_dot_b + 2.0 * sum_b * sum_b + 4.0 * _slice_dot(gram, gram)
-    return 2.0 * sum_u - 0.25 * sum_u2
+    return a * sum_u + c * sum_u2
 
 
 def regularized_energy(z, z_prev, penalty: PenaltyFamily, lam: float):
@@ -177,18 +179,9 @@ class EnergyReport:
 
 def _energy_of(traj: Trajectory) -> Callable[[Step], float | np.ndarray]:
     """E(Z^(k), k-1) at lam = tau as a function of step k, NaN at k = 0,
-    with its family's pair sum chosen once. Quadratic attention's closed
-    form takes no unit-ball gate: under S = 1/N every state's pair
-    differences are (1 - tau)(s_i - s_j), plus tau (z0_i - z0_j) with the
-    source, of the unit rows s the step diffused and z0 the unit-row start,
-    so every u <= 4."""
+    with its family's pair sum chosen once."""
     cfg, spec = traj.config, traj.spec
-    if not spec.is_attention:
-        pair_sum = _coupled_pair_sum
-    elif spec.family == "attention" and spec.penalty.kind == "quadratic":
-        pair_sum = lambda step: _closed_penalty_sum("quadratic", step.y, step.b, step.sum_b)
-    else:
-        pair_sum = partial(_penalty_sum, spec.penalty)
+    pair_sum = partial(_penalty_sum, spec.penalty) if spec.is_attention else _coupled_pair_sum
     source = cfg.step_size * traj.start if cfg.use_source else None
 
     def energy(step: Step):

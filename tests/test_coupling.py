@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import endiff.coupling as coupling_module
 from dense_oracles import (SPARSE_CASES, DenseCoupling, adjacency, penalty_delta_scalar,
                            penalty_f_scalar, sparse_case)
-from endiff.coupling import (DIM_SCALE_MIN, PENALTY_KINDS, Z_SQ_MAX, CouplingSpec,
+from endiff.coupling import (DIM_SCALE_MIN, PENALTIES, PENALTY_KINDS, Z_SQ_MAX, CouplingSpec,
                              DenseAttention, MeanCoupling, PenaltyFamily,
                              SimpleAttention, coupling_operator, gat_masked_coupling,
                              penalty_conjugate, penalty_delta, penalty_f,
@@ -18,8 +18,9 @@ from endiff.errors import ContractError, DimensionError, DomainError, ParameterE
 from endiff.graphs import EdgeOperator, Graph, er_graph
 from endiff.numerics import row_l2_normalize
 
-FD_FAMILIES = [PenaltyFamily("simple"), PenaltyFamily("advanced"),
-               PenaltyFamily("softmax", dim_scale=4.0)]
+# Every entry of the family table at a dim_scale other than 1, which only
+# the softmax family reads.
+FAMILIES = [PenaltyFamily(kind, dim_scale=4.0) for kind in PENALTY_KINDS]
 
 
 def test_penalty_simple_values():
@@ -51,7 +52,7 @@ def test_penalty_quadratic():
     assert penalty_delta(p, 1.7) == 1.7
 
 
-@pytest.mark.parametrize("p", FD_FAMILIES, ids=lambda p: p.kind)
+@pytest.mark.parametrize("p", FAMILIES, ids=lambda p: p.kind)
 def test_f_is_derivative_of_delta(p):
     # central differences of delta against f on an interior grid
     grid = np.linspace(0.05, 3.95, 200)
@@ -61,12 +62,21 @@ def test_f_is_derivative_of_delta(p):
         assert fd == pytest.approx(penalty_f(p, u), rel=1e-6, abs=1e-9)
 
 
-@pytest.mark.parametrize("p", FD_FAMILIES, ids=lambda p: p.kind)
+@pytest.mark.parametrize("p", FAMILIES, ids=lambda p: p.kind)
 def test_f_nonincreasing_nonnegative(p):
     grid = np.linspace(0.0, 4.0, 401)
     vals = [penalty_f(p, u) for u in grid]
     assert all(v >= 0.0 for v in vals)
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("p", [p for p in FAMILIES if PENALTIES[p.kind].poly],
+                         ids=lambda p: p.kind)
+def test_a_polynomial_entry_is_its_delta(p):
+    # the closed pair sum reads (a, b) in place of delta: both must agree
+    a, b = PENALTIES[p.kind].poly
+    u = np.linspace(0.0, Z_SQ_MAX, 401)
+    assert np.array_equal(a * u + b * u * u, penalty_delta(p, u))
 
 
 def test_penalty_domain_error():
@@ -130,7 +140,7 @@ def test_conjugate_simple_closed_form():
         assert penalty_conjugate(p, w) == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("p", FD_FAMILIES, ids=lambda p: p.kind)
+@pytest.mark.parametrize("p", FAMILIES, ids=lambda p: p.kind)
 def test_conjugate_against_grid_oracle(p):
     lo, hi = penalty_f_range(p)
     ys = np.linspace(0.0, 4.0, 40001)

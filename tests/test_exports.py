@@ -12,6 +12,7 @@ import pytest
 
 import endiff
 from endiff import cli, suites
+from endiff.coupling import PENALTY_KINDS
 from endiff.diffusion import DiffusionConfig
 from endiff.errors import ParameterError
 from endiff.model import ModelConfig
@@ -57,6 +58,56 @@ def test_no_module_imports_a_name_it_never_uses(path):
     # __init__.py imports to re-export, so it is left out
     source = (Path(endiff.__file__).parent / path).read_text()
     assert _unused_imports(source) == []
+
+
+def _kind_comparisons(source: str) -> list:
+    """The lines of comparisons with an operand that is a `.kind` attribute
+    or a penalty-name literal, alone or in a tuple: a branch on a penalty
+    family outside its entry in `coupling.PENALTIES`. A membership test in
+    the table's keys reads the table and is left out, and so is numpy's
+    `dtype.kind`."""
+    def names_a_kind(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names_a_kind, node.elts))
+        return ((isinstance(node, ast.Attribute) and node.attr == "kind"
+                 and not (isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"))
+                or (isinstance(node, ast.Constant) and node.value in PENALTY_KINDS))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        reads_table = (len(node.ops) == 1 and isinstance(node.ops[0], (ast.In, ast.NotIn))
+                       and isinstance(node.comparators[0], ast.Name)
+                       and node.comparators[0].id in ("PENALTIES", "PENALTY_KINDS"))
+        if not reads_table and any(map(names_a_kind, (node.left, *node.comparators))):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_kind_scan_sees_a_branch_on_a_penalty():
+    source = ('if p.kind == "simple":\n    pass\n'
+              'ok = kind not in PENALTY_KINDS and x.dtype.kind in "iuf"\n'
+              'bad = (a, b) != ("attention", "quadratic") or "softmax" in kinds\n'
+              'fine = spec.penalty.kind in PENALTIES or family == "gat_masked"\n'
+              'worse = PENALTIES[p.kind].poly is None or p.kind in PENALTY_KINDS[:1]\n')
+    assert _kind_comparisons(source) == [1, 4, 4, 6]
+
+
+def test_kind_scan_sees_a_branch_planted_in_the_energy():
+    source = (Path(endiff.__file__).parent / "energy.py").read_text()
+    planted = source.replace("    z, poly = step.z", '    if penalty.kind == "simple":\n'
+                             "        return 0.0\n    z, poly = step.z", 1)
+    line = source[:source.index("    z, poly = step.z")].count("\n") + 1
+    assert _kind_comparisons(planted) == [line]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in Path(endiff.__file__).parent.glob("*.py")))
+def test_no_module_compares_a_penalty_kind(path):
+    # a family is its one entry in coupling.PENALTIES: a comparison on its
+    # name elsewhere is a second definition that a new entry would miss
+    source = (Path(endiff.__file__).parent / path).read_text()
+    assert _kind_comparisons(source) == []
 
 
 def _foreign_imports(source: str) -> list:
