@@ -6,7 +6,7 @@ Library layout:
   graphs     graph container, sparse edge operators, synthetic and file datasets
   coupling   penalty families (f, delta) and coupling-matrix construction
   diffusion  explicit-Euler steppers and trajectory runner
-  energy     energy functionals and descent / bound audits
+  energy     the energies runs descend, descent / bound audits, trajectory CSV
   model      trainable multi-head propagation network on the tape
   train      Adam, losses, metrics, training loop
   suites     seeded invariant suites used by `endiff audit`
@@ -16,8 +16,7 @@ Library layout:
 from .coupling import CouplingSpec, PenaltyFamily, penalty_delta, penalty_f
 from .diffusion import (DiffusionConfig, Trajectory, euler_step,
                         linear_simple_propagate, run_trajectory)
-from .energy import (EnergyReport, audit_bounds, audit_descent, diversity,
-                     regularized_energy, surrogate_energy)
+from .energy import EnergyReport, audit_bounds, audit_descent, diversity
 from .errors import EndiffError
 from .graphs import Dataset, Graph, load_dataset, sbm_generate
 from .model import Checkpoint, ModelConfig, forward, init_model
@@ -35,6 +34,5 @@ __all__ = [
     "euler_step", "forward", "init_model", "laplacian",
     "laplacian_spectral_bracket", "linear_simple_propagate",
     "load_dataset", "metric", "penalty_delta", "penalty_f",
-    "regularized_energy", "row_l2_normalize",
-    "run_trajectory", "sbm_generate", "surrogate_energy", "train_loop",
+    "row_l2_normalize", "run_trajectory", "sbm_generate", "train_loop",
 ]

@@ -5,8 +5,8 @@ Each attention family is defined by a penalty delta of the squared pairwise
 distance; its derivative f is the un-normalized attention score. Valid
 squared distances lie in [0, 4] (unit-norm embeddings). `PENALTIES` holds
 one entry per family, README's family table; every caller goes through
-`penalty_f`, `penalty_delta` and `penalty_conjugate`, which read it behind
-one domain check, of a float or an array.
+`penalty_f` and `penalty_delta`, which read it behind one domain check, of
+a float or an array.
 
 The kernel takes query rows Q~ and key rows K~ apart: a model layer passes
 its row-normalized projections, the dynamics Q~ = K~ = Z. Simple attention
@@ -19,6 +19,8 @@ The dynamics see a coupling only through the `Coupling` protocol, built by
 `coupling_operator`: the graph families are sparse edge operators
 (`graphs.EdgeOperator`), all_one the column mean (`MeanCoupling`), and
 unmasked attention its family's entry. GRAPH_FAMILIES take their graph from `g`.
+An attention state's rows are checked for unit norm there, once per build;
+the couplings it builds from them take them as checked.
 
 Every family takes a stack of states too, each slice bit for bit what its
 2-D state alone gives; a 2-D state is the case without leading axes.
@@ -27,7 +29,7 @@ couplings on N nodes, built and applied at once. The other families take a
 (B, N, d) stack with a sequence of B graphs on N nodes each, slice b
 coupled along graph b: the graphs' own operators joined into one
 `graphs.EdgeOperator` on their stacked layout, and gat_masked's unit rows
-checked over the whole stack first. With one `Graph`, or none, they couple
+checked once, over the whole stack. With one `Graph`, or none, they couple
 one N x d state and reject a stack with a `DimensionError`.
 """
 
@@ -105,15 +107,6 @@ def penalty_f_range(p: PenaltyFamily) -> tuple[float, float]:
     """Range of f over the valid interval (f is non-increasing)."""
     lo, hi = penalty_f(p, np.array([Z_SQ_MAX, 0.0]))
     return float(lo), float(hi)
-
-
-def penalty_conjugate(p: PenaltyFamily, omega):
-    """Concave conjugate delta~(omega) = inf_{y in [0,4]} (omega*y - delta(y))
-    of a float or elementwise of an array. The objective is convex, as f is
-    non-increasing, so its minimizer is f^-1(omega) clipped to [0, 4]."""
-    w = _check_within("omega", omega, *penalty_f_range(p))
-    y = np.clip(PENALTIES[p.kind].f_inverse(p, w), 0.0, Z_SQ_MAX)
-    return (w * y - penalty_delta(p, y))[()]
 
 
 @dataclass(frozen=True)
@@ -194,8 +187,9 @@ def _row_normalizers(sums: np.ndarray) -> np.ndarray:
 def gat_masked_coupling(p: PenaltyFamily, z: np.ndarray, g: Graph) -> EdgeOperator:
     """The gat_masked coupling on the edges of g plus self-loops in O(E d):
     scores f(2 - 2 z_i.z_j) of unit rows, each row normalized by its sum
-    (`np.bincount`). z is one N x d state, not a stack."""
-    z = _unit_rows(as_matrix(z))
+    (`np.bincount`). z is one N x d state, not a stack, of rows
+    `coupling_operator` has checked."""
+    z = as_matrix(z)
     if z.shape[0] != g.n:
         raise DimensionError(f"graph n={g.n} does not match embeddings {z.shape}")
     lay = g.neighbours
@@ -229,12 +223,12 @@ def _check_rows(n: int, v: np.ndarray) -> np.ndarray:
 
 
 class SimpleAttention:
-    """Simple attention at unit-norm rows Z (..., N, d), without forming S.
-    Its row sums S 1 are exactly 1: each row of S is its weights over
-    their own sum."""
+    """Simple attention at unit-norm rows Z (..., N, d), as
+    `coupling_operator` checks them, without forming S. Its row sums S 1
+    are exactly 1: each row of S is its weights over their own sum."""
 
     def __init__(self, z: np.ndarray):
-        self.z = z = _unit_rows(z)
+        self.z = z
         self.n = z.shape[-2]
         self._row_sums = np.ones(z.shape[:-1])
 
@@ -292,19 +286,13 @@ class MeanCoupling:
         return np.full(self.batch + (self.n, self.n), 1.0 / self.n)
 
 
-def _at_unit_rows(build: Callable) -> Callable[[PenaltyFamily, np.ndarray], Coupling]:
-    """build(p, z) at the rows z, once they are checked to be unit rows."""
-    return lambda p, z: build(p, _unit_rows(z))
-
-
 @dataclass(frozen=True)
 class PenaltyEntry:
     """One penalty family; each callable takes the family p first."""
 
     f: Callable  # f(p, u) of a float or an array u of squared distances
     delta: Callable  # delta(p, u), whose derivative is f
-    f_inverse: Callable  # argmin of omega*y - delta(y) before its clip to [0, 4]
-    coupling: Callable[[PenaltyFamily, np.ndarray], Coupling]  # S at unit rows z, checked
+    coupling: Callable[[PenaltyFamily, np.ndarray], Coupling]  # S at checked unit rows z
     poly: tuple[float, float] | None = None  # (a, b) if delta(u) = a u + b u^2: a closed sum
 
 
@@ -312,24 +300,20 @@ PENALTIES = {
     "simple": PenaltyEntry(
         f=lambda p, u: 2.0 - 0.5 * u,
         delta=lambda p, u: 2.0 * u - 0.25 * u * u,
-        f_inverse=lambda p, w: 2.0 * (2.0 - w),
-        coupling=lambda p, z: SimpleAttention(z),  # which checks its own rows
+        coupling=lambda p, z: SimpleAttention(z),
         poly=(2.0, -0.25)),
     "advanced": PenaltyEntry(
         f=lambda p, u: 1.0 / (1.0 + np.exp(0.5 * u - 1.0)),
         delta=lambda p, u: u - 2.0 * np.log(np.exp(0.5 * u - 1.0) + 1.0),
-        f_inverse=lambda p, w: 2.0 + 2.0 * np.log(1.0 / w - 1.0),
-        coupling=_at_unit_rows(lambda p, z: DenseAttention(p, z, z))),
+        coupling=lambda p, z: DenseAttention(p, z, z)),
     "softmax": PenaltyEntry(  # delta is f's antiderivative anchored at delta(0) = 0
         f=lambda p, u: np.exp(1.0 - 0.5 * u) * p.softmax_scale,
         delta=lambda p, u: 2.0 * p.softmax_scale * (math.e - np.exp(1.0 - 0.5 * u)),
-        f_inverse=lambda p, w: 2.0 - 2.0 * np.log(w / p.softmax_scale),
-        coupling=_at_unit_rows(lambda p, z: DenseAttention(p, z, z))),
-    "quadratic": PenaltyEntry(  # f = 1: every s_ij = 1/N, and omega*y - delta(y) is linear
+        coupling=lambda p, z: DenseAttention(p, z, z)),
+    "quadratic": PenaltyEntry(  # f = 1: every s_ij = 1/N
         f=lambda p, u: np.ones_like(u)[()],  # [()] unwraps a 0-d result
         delta=lambda p, u: u,
-        f_inverse=lambda p, w: np.where(w < 1.0, Z_SQ_MAX, 0.0),
-        coupling=_at_unit_rows(lambda p, z: MeanCoupling(z.shape[-2], z.shape[:-2])),
+        coupling=lambda p, z: MeanCoupling(z.shape[-2], z.shape[:-2]),
         poly=(1.0, 0.0)),
 }
 PENALTY_KINDS = tuple(PENALTIES)
@@ -340,7 +324,9 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
     """The coupling of spec at embeddings z (attention) or on graph g (a
     static family); gat_masked needs both. Unmasked attention takes a stack
     of states; every other family one N x d state on one graph, or a
-    (B, N, d) stack on a sequence of B graphs."""
+    (B, N, d) stack on a sequence of B graphs. An attention state's rows
+    are checked here, once per build, a stack's bad row named with its
+    slice."""
     if spec.family != "attention" and g is not None and not isinstance(g, Graph):
         return _block_coupling(spec, z, list(g))
     if z is not None and spec.family != "attention" and np.ndim(z) != 2:
@@ -363,6 +349,7 @@ def coupling_operator(spec: CouplingSpec, z: np.ndarray | None = None,
         return g.sym_operator
     if spec.family == "gin":  # A + I
         return EdgeOperator(g.neighbours, np.ones(len(g.neighbours.rows)), np.ones(g.n))
+    z = _unit_rows(z)  # only the attention families are left
     if spec.family == "gat_masked":
         return gat_masked_coupling(spec.penalty, z, g)
     return PENALTIES[spec.penalty.kind].coupling(spec.penalty, z)
@@ -384,7 +371,10 @@ def _block_coupling(spec: CouplingSpec, z: np.ndarray | None,
                              f"{np.shape(z)}")
     if spec.family == "all_one":
         return MeanCoupling(n, (len(graphs),))
-    z = _unit_rows(z) if spec.is_attention else z  # a bad row named with its slice
+    if spec.is_attention:  # the stack's rows checked once, a bad row named with its slice
+        z = _unit_rows(z)
+        return EdgeOperator.stack([gat_masked_coupling(spec.penalty, z[b], g)
+                                   for b, g in enumerate(graphs)])
     return EdgeOperator.stack([coupling_operator(spec, None if z is None else z[b], g)
                                for b, g in enumerate(graphs)])
 

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coupling import Coupling, CouplingSpec, SimpleAttention, coupling_operator
+from .coupling import Coupling, CouplingSpec, PenaltyFamily, coupling_operator
 from .errors import DimensionError, ParameterError, check_flag, check_integer
 from .graphs import Graph
 from .numerics import as_stack, row_dots, row_l2_normalize
@@ -146,10 +146,11 @@ def euler_step(z: np.ndarray, y: np.ndarray, sy: np.ndarray, row_sums: np.ndarra
 
 
 def linear_simple_propagate(z: np.ndarray) -> np.ndarray:
-    """Simple-attention propagation S Z of unit rows z in O(N d^2). It stays
-    as the one call that replays a propagation: the linear_equiv audit and
-    the benchmark's diffuse check (perfbench/checks.py) use it."""
-    return SimpleAttention(z).apply(z)
+    """Simple-attention propagation S Z of unit rows z in O(N d^2), built
+    through `coupling_operator`, which checks them. It stays as the one call
+    that replays a propagation: the linear_equiv audit and the benchmark's
+    diffuse check (perfbench/checks.py) use it."""
+    return coupling_operator(CouplingSpec("attention", PenaltyFamily("simple")), z).apply(z)
 
 
 def run_trajectory(z0: np.ndarray, spec: CouplingSpec, cfg: DiffusionConfig,

@@ -1,5 +1,5 @@
-"""Energy functionals, the descent and ratio-bracket audits, and the
-trajectory CSV.
+"""The energy each coupling family's run descends, the descent and
+ratio-bracket audits, and the trajectory CSV.
 
 Each coupling family has one energy E(Z^(k), k-1) = ||Z^(k) - A||_F^2 +
 lam * P(Z^(k)): the anchor A is Z^(k-1), plus tau Z^(0) with the source,
@@ -9,7 +9,9 @@ gradient step at one, so every audited statement (Thm 1, Prop 1, Thm 2)
 holds at lam = tau. Each audit and the CSV make one pass over the run's
 steps, reading each step's energy from its record (`diffusion.Step`); the
 audits differ only in the test applied to consecutive energies
-(`descent_violations` is the descent test alone).
+(`descent_violations` is the descent test alone). Thm 2's surrogate
+energy and the concave conjugate behind it belong to the proof, not to a
+run: no command computes them, and tests/dense_oracles.py holds them.
 
 Pairwise sums follow the all-ordered-pairs convention (i and j both range
 over all nodes, diagonal included), which matches the row-normalization
@@ -34,12 +36,11 @@ from functools import partial
 
 import numpy as np
 
-from .coupling import PENALTIES, MeanCoupling, PenaltyFamily, penalty_conjugate, penalty_delta
+from .coupling import PENALTIES, MeanCoupling, PenaltyFamily, penalty_delta
 from .diffusion import Step, Trajectory
 from .errors import ContractError, DimensionError
 from .graphs import atomic_write_text
-from .numerics import (SpectralBracket, as_matrix, as_stack, laplacian_spectral_bracket,
-                       row_dots)
+from .numerics import SpectralBracket, as_stack, laplacian_spectral_bracket, row_dots
 
 DESCENT_SLACK = 1e-9
 BOUND_REL_SLACK = 1e-8
@@ -65,11 +66,6 @@ def _slice_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _per_slice(x: np.ndarray):
     """A float for a 2-D state's value, the array of values for a stack."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _check_same_shape(z: np.ndarray, z_prev: np.ndarray) -> None:
-    if z.shape != z_prev.shape:
-        raise DimensionError(f"shape mismatch: {z.shape} vs {z_prev.shape}")
 
 
 def _energy(step: Step, anchor: np.ndarray, lam, pair_sum: Callable[[Step], np.ndarray]):
@@ -121,31 +117,6 @@ def _closed_penalty_sum(a: float, c: float, y: np.ndarray, b: np.ndarray, sum_b)
     # sum_b * sum_b: a scalar sum_b**2 (a 2-D state) may round apart via pow
     sum_u2 = 2.0 * n * b_dot_b + 2.0 * sum_b * sum_b + 4.0 * _slice_dot(gram, gram)
     return a * sum_u + c * sum_u2
-
-
-def regularized_energy(z, z_prev, penalty: PenaltyFamily, lam: float):
-    """||Z - Z_prev||_F^2 + lam * sum_ij delta(||z_i - z_j||^2): a float,
-    or one value per slice of a stack."""
-    z, z_prev = as_stack(z), as_stack(z_prev)
-    _check_same_shape(z, z_prev)
-    return _energy(Step(1, z, z_prev, None), z_prev, lam, partial(_penalty_sum, penalty))
-
-
-def surrogate_energy(z, z_prev, omega, penalty: PenaltyFamily, lam: float) -> float:
-    """Variational upper bound: the pairwise penalty is replaced by
-    omega_ij * ||z_i - z_j||^2 - delta~(omega_ij) with the concave
-    conjugate delta~."""
-    z = as_matrix(z)
-    z_prev = as_matrix(z_prev)
-    omega = as_matrix(omega)
-    _check_same_shape(z, z_prev)
-    if omega.shape != (z.shape[0], z.shape[0]):
-        raise DimensionError(f"omega {omega.shape} does not match {z.shape}")
-    d2 = _pairwise_sq_dists(z)
-    local = float(np.sum((z - z_prev) ** 2))
-    pair = float(np.sum(omega * d2))
-    conj = float(np.sum(penalty_conjugate(penalty, omega)))
-    return local + lam * (pair - conj)
 
 
 def diversity(z):

@@ -339,10 +339,6 @@ def _reports(names, kwargs: dict):
         yield report
 
 
-def run_suite(name: str, **kwargs) -> dict:
-    return next(_reports([name], kwargs))
-
-
 def _suite_worker(conn, names: list[str], kwargs: dict) -> None:
     """The forked worker: the report of each suite of `names` in turn, each
     sent back as it is made, or the exception one raised, which ends it."""

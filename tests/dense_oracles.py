@@ -1,25 +1,30 @@
 """Dense N x N reference forms that the sparse couplings (the masked
 attention coupling among them) and the energies are checked against, a
 materialized coupling array as a `Coupling` (`DenseCoupling`), the scalar
-penalty pair, the scalar-draw block-model generator, the two-key edge
-sorts, the tape of composed primitives and the two attention heads built
+penalty pair, the concave conjugate and the surrogate energy of Thm 2's
+proof with the regularized energy it bounds (no command computes them), the
+scalar-draw block-model generator, the two-key edge sorts, the tape of
+composed primitives and the two attention heads built
 from them, the two-forward training loop, a trajectory's steps kept as a
 list and its coupling row sums rebuilt per state, the thm1, prop1, thm2 and
 oversmooth audits one seed at a time and the tie-by-tie ROC AUC. They loop, materialize, record node by node or
 recompute on purpose and are meant for small N only."""
 
 import math
+from functools import partial
 
 import numpy as np
 
 from endiff.coupling import (Z_SQ_MAX, CouplingSpec, DenseAttention, PenaltyFamily,
-                             _check_rows, coupling_operator)
-from endiff.diffusion import DiffusionConfig, euler_step, run_trajectory
-from endiff.energy import audit_bounds, audit_descent, diversity
+                             _check_rows, _check_within, coupling_operator, penalty_delta,
+                             penalty_f_range)
+from endiff.diffusion import DiffusionConfig, Step, euler_step, run_trajectory
+from endiff.energy import (_energy, _pairwise_sq_dists, _penalty_sum, audit_bounds,
+                           audit_descent, diversity)
 from endiff.errors import DimensionError, DomainError
 from endiff.graphs import Dataset, Graph, er_graph, is_connected
 from endiff.model import Checkpoint, forward, init_model
-from endiff.numerics import (NORM_EPS, as_stack, laplacian_spectral_bracket,
+from endiff.numerics import (NORM_EPS, as_matrix, as_stack, laplacian_spectral_bracket,
                              row_l2_divisors, row_l2_normalize)
 from endiff.suites import _connected_er
 from endiff.tape import Eager, Tape, _unbroadcast
@@ -153,6 +158,55 @@ def penalty_delta_scalar(p: PenaltyFamily, z_sq: float) -> float:
         scale = math.exp(1.0 / math.sqrt(p.dim_scale))
         return 2.0 * scale * (math.e - math.exp(1.0 - 0.5 * u))
     return u
+
+
+# f^-1 per penalty kind: the argmin of omega*y - delta(y) before its clip to
+# [0, 4]. Quadratic's objective is linear in y, so it sits at an end.
+F_INVERSE = {
+    "simple": lambda p, w: 2.0 * (2.0 - w),
+    "advanced": lambda p, w: 2.0 + 2.0 * np.log(1.0 / w - 1.0),
+    "softmax": lambda p, w: 2.0 - 2.0 * np.log(w / p.softmax_scale),
+    "quadratic": lambda p, w: np.where(w < 1.0, Z_SQ_MAX, 0.0),
+}
+
+
+def penalty_conjugate(p: PenaltyFamily, omega):
+    """Concave conjugate delta~(omega) = inf_{y in [0,4]} (omega*y - delta(y))
+    of a float or elementwise of an array. The objective is convex, as f is
+    non-increasing, so its minimizer is f^-1(omega) clipped to [0, 4]."""
+    w = _check_within("omega", omega, *penalty_f_range(p))
+    y = np.clip(F_INVERSE[p.kind](p, w), 0.0, Z_SQ_MAX)
+    return (w * y - penalty_delta(p, y))[()]
+
+
+def _check_same_shape(z: np.ndarray, z_prev: np.ndarray) -> None:
+    if z.shape != z_prev.shape:
+        raise DimensionError(f"shape mismatch: {z.shape} vs {z_prev.shape}")
+
+
+def regularized_energy(z, z_prev, penalty: PenaltyFamily, lam: float):
+    """||Z - Z_prev||_F^2 + lam * sum_ij delta(||z_i - z_j||^2): a float,
+    or one value per slice of a stack."""
+    z, z_prev = as_stack(z), as_stack(z_prev)
+    _check_same_shape(z, z_prev)
+    return _energy(Step(1, z, z_prev, None), z_prev, lam, partial(_penalty_sum, penalty))
+
+
+def surrogate_energy(z, z_prev, omega, penalty: PenaltyFamily, lam: float) -> float:
+    """Variational upper bound: the pairwise penalty is replaced by
+    omega_ij * ||z_i - z_j||^2 - delta~(omega_ij) with the concave
+    conjugate delta~."""
+    z = as_matrix(z)
+    z_prev = as_matrix(z_prev)
+    omega = as_matrix(omega)
+    _check_same_shape(z, z_prev)
+    if omega.shape != (z.shape[0], z.shape[0]):
+        raise DimensionError(f"omega {omega.shape} does not match {z.shape}")
+    d2 = _pairwise_sq_dists(z)
+    local = float(np.sum((z - z_prev) ** 2))
+    pair = float(np.sum(omega * d2))
+    conj = float(np.sum(penalty_conjugate(penalty, omega)))
+    return local + lam * (pair - conj)
 
 
 def sbm_generate_loop(blocks, per_block, p_in, p_out, feat_dim, feat_shift, seed):

@@ -11,12 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dense_oracles import regularized_energy, surrogate_energy
 from endiff.coupling import DenseAttention, PenaltyFamily, penalty_delta, penalty_f
-from endiff.energy import regularized_energy, surrogate_energy
 from endiff.graphs import sbm_generate
 from endiff.model import ModelConfig
 from endiff.numerics import row_l2_normalize
-from endiff.suites import (SUITES, run_suite, suite_gradcheck,
+from endiff.suites import (SUITES, run_suites, suite_gradcheck,
                            suite_linear_equiv, suite_oversmooth, suite_thm2)
 from endiff.train import TrainConfig, train_loop
 
@@ -33,7 +33,7 @@ def _verdict(name, passed, detail=""):
 
 def test_static_descent():
     t0 = time.monotonic()
-    report = run_suite("thm1", seeds=100)
+    report = dict(run_suites(["thm1"], 100))["thm1"]
     wall = time.monotonic() - t0
     _verdict("static-descent", report["violations"] == 0 and wall < 10.0,
              f"{report['seeds']} instances, {report['violations']} violations, "
@@ -41,7 +41,7 @@ def test_static_descent():
 
 
 def test_energy_ratio_bracket():
-    report = run_suite("prop1", seeds=100)
+    report = dict(run_suites(["prop1"], 100))["prop1"]
     _verdict("energy-ratio-bracket", report["violations"] == 0,
              f"ratios in [{report['min_ratio']:.3g}, {report['max_ratio']:.3g}], "
              f"{report['connected_instances']} connected")
@@ -155,7 +155,8 @@ def test_synthetic_learning():
 
 def test_full_audit_suite_runtime():
     t0 = time.monotonic()
-    reports = [run_suite(name) for name in SUITES]
+    # one suite per call keeps each in this process, unforked
+    reports = [dict(run_suites([name]))[name] for name in SUITES]
     wall = time.monotonic() - t0
     failed = [r["suite"] for r in reports if not r["passed"]]
     _verdict("full-audit-runtime", not failed and wall < 300.0,

@@ -778,7 +778,8 @@ def test_audit_all_reads_one_static_pass_for_thm1_and_prop1(tmp_path, capsys,
 @pytest.fixture(scope="module")
 def reports_alone():
     """Each suite's report at 3 seeds, run alone, as JSON."""
-    return {name: json.dumps(suites.run_suite(name, seeds=3)) for name in suites.SUITES}
+    return {name: json.dumps(dict(suites.run_suites([name], 3))[name])
+            for name in suites.SUITES}
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
@@ -809,7 +810,7 @@ def test_run_suites_in_any_order_writes_each_suites_report_alone(
 
 def test_run_suite_rejects_an_unknown_name():
     with pytest.raises(ParameterError, match="unknown suite 'bogus'"):
-        suites.run_suite("bogus")
+        list(suites.run_suites(["bogus"]))
 
 
 @pytest.mark.parametrize("suite", ["all", "gradcheck", "linear_equiv", "thm1", "prop1"])

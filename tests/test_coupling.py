@@ -6,12 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import endiff.coupling as coupling_module
-from dense_oracles import (SPARSE_CASES, DenseCoupling, adjacency, penalty_delta_scalar,
-                           penalty_f_scalar, sparse_case)
+from dense_oracles import (SPARSE_CASES, DenseCoupling, adjacency, penalty_conjugate,
+                           penalty_delta_scalar, penalty_f_scalar, sparse_case)
 from endiff.coupling import (DIM_SCALE_MIN, PENALTIES, PENALTY_KINDS, Z_SQ_MAX, CouplingSpec,
                              DenseAttention, MeanCoupling, PenaltyFamily,
-                             SimpleAttention, coupling_operator, gat_masked_coupling,
-                             penalty_conjugate, penalty_delta, penalty_f,
+                             SimpleAttention, coupling_operator, penalty_delta, penalty_f,
                              penalty_f_range, simple_attention,
                              write_penalty_landscape)
 from endiff.errors import ContractError, DimensionError, DomainError, ParameterError
@@ -285,7 +284,7 @@ def test_simple_attention_matches_dense_coupling(case):
 
 def test_simple_attention_requires_unit_rows():
     with pytest.raises(ContractError):
-        SimpleAttention(np.ones((4, 3)))
+        coupling_operator(SIMPLE, np.ones((4, 3)))
     with pytest.raises(DimensionError):
         SimpleAttention(np.eye(3)).apply(np.ones((4, 2)))
 
@@ -328,12 +327,12 @@ def test_simple_attention_matches_the_dense_coupling_at_other_widths(case, dv):
     assert np.max(np.abs(denom[:, 0] - (len(z) + z @ z.sum(axis=0)))) <= 1e-12 * len(z)
 
 
-def test_simple_attention_rejects_a_non_positive_denominator(monkeypatch):
+def test_simple_attention_rejects_a_non_positive_denominator():
     # Unit rows keep every denominator at 2 or more, so the dynamics reach a
-    # non-positive one only past their unit-row contract, lifted here. The
-    # tape's heads, which take signed Q~ and K~, are held to the same check
-    # in test_tape.py.
-    monkeypatch.setattr(coupling_module, "_unit_rows", np.asarray)
+    # non-positive one only past their unit-row contract, which
+    # coupling_operator checks and SimpleAttention, built here directly,
+    # does not. The tape's heads, which take signed Q~ and K~, are held to
+    # the same check in test_tape.py.
     z = np.array([[1.0, 0.0], [-4.0, 0.0]])  # row 0: 2 + 1 * (1 - 4) = -1
     with pytest.raises(DomainError, match="denominator"):
         SimpleAttention(z).apply(z)
@@ -459,7 +458,32 @@ def test_attention_couplings_reject_non_finite_rows(bad):
 
 def test_gat_masked_coupling_checks_its_inputs():
     g = Graph.from_edge_list(3, [(0, 1)])
+    gat = CouplingSpec("gat_masked", PenaltyFamily("simple"))
     with pytest.raises(ContractError):
-        gat_masked_coupling(PenaltyFamily("simple"), np.ones((3, 2)), g)
+        coupling_operator(gat, np.ones((3, 2)), g)
     with pytest.raises(DimensionError):
-        gat_masked_coupling(PenaltyFamily("simple"), np.eye(4), g)
+        coupling_operator(gat, np.eye(4), g)
+
+
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+def test_every_attention_build_checks_its_rows_once(kind, monkeypatch):
+    # the unit-row check is coupling_operator's alone: one pass over a
+    # build's rows, 2-D or stacked, and none again per slice or inside the
+    # coupling it builds
+    check, shapes = coupling_module._unit_rows, []
+
+    def counted(z):
+        shapes.append(np.shape(z))
+        return check(z)
+
+    monkeypatch.setattr(coupling_module, "_unit_rows", counted)
+    graphs = [er_graph(10, 0.4, seed) for seed in range(3)]
+    z = row_l2_normalize(np.random.default_rng(0).standard_normal((3, 10, 4)))
+    attention, gat = (CouplingSpec(family, PenaltyFamily(kind))
+                      for family in ("attention", "gat_masked"))
+    for spec, state, g in [(attention, z[0], None), (gat, z[0], graphs[0]),
+                           (attention, z, None), (attention, z.reshape(3, 1, 10, 4), None),
+                           (gat, z, graphs)]:
+        shapes.clear()
+        coupling_operator(spec, state, g)
+        assert shapes == [state.shape]

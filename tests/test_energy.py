@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 import endiff.diffusion as diffusion
 import endiff.energy as energy
 from dense_oracles import (STATIC_FAMILY_MODES, kept_steps, normalized_adjacency,
-                           quadratic_energy_loop)
+                           quadratic_energy_loop, regularized_energy, surrogate_energy)
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec, DenseAttention,
                              PenaltyFamily, coupling_operator, penalty_delta)
 from endiff.diffusion import DiffusionConfig, euler_step, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent,
-                           diversity, regularized_energy, surrogate_energy,
-                           write_trajectory_csv)
+                           diversity, write_trajectory_csv)
 from endiff.errors import ContractError, DimensionError, DomainError
 from endiff.graphs import Graph, er_graph
 from endiff.numerics import row_l2_normalize

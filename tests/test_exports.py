@@ -179,6 +179,58 @@ def test_every_endiff_name_the_benchmark_imports_resolves():
     assert missing == []
 
 
+def _unread_public_names(defined: dict, readers: list) -> list:
+    """(module, name) of each public module-level function or class that a
+    source of `defined` (module name to source) defines and no source of
+    `readers` reads, as a name, an attribute or an imported name. Its own
+    definition is not a read of it."""
+    read = set()
+    for node in (n for source in readers for n in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return sorted((module, node.name) for module, source in defined.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
+
+
+def _library_sources() -> tuple[dict, list]:
+    """endiff's modules other than __init__.py, name to source, and the
+    source of every other Python file of the repository outside tests/.
+    __init__.py only re-exports, so it reads nothing."""
+    root = Path(__file__).resolve().parents[1]
+    package = Path(endiff.__file__).parent
+    modules = {p.stem: p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"}
+    others = [p.read_text() for p in root.rglob("*.py")
+              if p.parent != package and not {"tests", ".git"} & set(p.relative_to(root).parts)]
+    return modules, others
+
+
+def test_library_scan_sees_a_name_no_reader_reads():
+    source = ("def a():\n    pass\nclass B:\n    pass\n"
+              "def _c():\n    pass\ndef d():\n    return a\n")
+    assert _unread_public_names({"m": source}, [source, "from m import B\nx.e\n"]) == [
+        ("m", "d")]
+
+
+def test_library_scan_sees_a_function_only_the_tests_call():
+    modules, others = _library_sources()
+    modules["energy"] += "\n\ndef only_for_tests(z):\n    return z\n"
+    assert _unread_public_names(modules, [*modules.values(), *others]) == [
+        ("energy", "only_for_tests")]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # a public function or class that only the tests reach is API surface
+    # kept for its own tests: a test oracle belongs in tests/dense_oracles.py
+    modules, others = _library_sources()
+    assert _unread_public_names(modules, [*modules.values(), *others]) == []
+
+
 def _keywords_passed(source: str, callee: str) -> set:
     """The keyword names some call to `callee` in source passes."""
     return {kw.arg for node in ast.walk(ast.parse(source))

@@ -19,14 +19,15 @@ from hypothesis import strategies as st
 import endiff.coupling as coupling
 import endiff.energy as energy
 import endiff.suites as suites
-from dense_oracles import (coupled_step, kept_steps, suite_oversmooth_per_seed,
-                           suite_prop1_per_seed, suite_thm1_per_seed, suite_thm2_per_seed)
+from dense_oracles import (coupled_step, kept_steps, regularized_energy,
+                           suite_oversmooth_per_seed, suite_prop1_per_seed,
+                           suite_thm1_per_seed, suite_thm2_per_seed)
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
                              DenseAttention, PenaltyFamily, coupling_operator,
                              gat_masked_coupling)
 from endiff.diffusion import DiffusionConfig, run_trajectory
 from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent, diversity,
-                           regularized_energy, write_trajectory_csv)
+                           write_trajectory_csv)
 from endiff.errors import ContractError, DimensionError, ParameterError
 from endiff.graphs import SLOT_MIN_ROWS, EdgeOperator, Graph, er_graph
 from endiff.numerics import NORM_EPS, laplacian_spectral_bracket, row_l2_normalize, row_norms
@@ -293,7 +294,7 @@ def test_prop1_takes_one_svd_per_instance(monkeypatch):
 
         monkeypatch.setattr(module, "laplacian_spectral_bracket", counted)
     seeds = SEED_STACK + 5
-    suites.run_suite("prop1", seeds=seeds)
+    list(suites.run_suites(["prop1"], seeds))
     assert len(calls) == seeds
 
 
@@ -309,7 +310,7 @@ def test_prop1_counts_a_rising_step_once(monkeypatch):
         return list(e)
 
     monkeypatch.setattr(energy, "_energies", planted)
-    report = suites.run_suite("prop1", seeds=3)
+    report = dict(suites.run_suites(["prop1"], 3))["prop1"]
     assert report["seeds"] == report["connected_instances"] == 3
     assert report["violations"] == 3
     assert suite_prop1_per_seed(seeds=3)["violations"] == 3
