@@ -1,7 +1,7 @@
 """Energy-constrained graph diffusion with linear all-pair attention.
 
 Library layout:
-  numerics   dense linear algebra helpers, spectral brackets, finite diffs
+  numerics   dense linear algebra helpers, Laplacian lambda_max, finite diffs
   tape       reverse-mode autodiff over float64 matrices
   graphs     graph container, sparse edge operators, synthetic and file datasets
   coupling   penalty families (f, delta) and coupling-matrix construction
@@ -20,7 +20,7 @@ from .energy import EnergyReport, audit_bounds, audit_descent, diversity
 from .errors import EndiffError
 from .graphs import Dataset, Graph, load_dataset, sbm_generate
 from .model import Checkpoint, ModelConfig, forward, init_model
-from .numerics import laplacian, laplacian_spectral_bracket, row_l2_normalize
+from .numerics import laplacian, laplacian_lambda_max, row_l2_normalize
 from .tape import Tape
 from .train import AdamState, TrainConfig, adam_step, metric, train_loop
 
@@ -32,7 +32,7 @@ __all__ = [
     "Tape", "TrainConfig", "Trajectory", "adam_step", "audit_bounds",
     "audit_descent", "diversity",
     "euler_step", "forward", "init_model", "laplacian",
-    "laplacian_spectral_bracket", "linear_simple_propagate",
+    "laplacian_lambda_max", "linear_simple_propagate",
     "load_dataset", "metric", "penalty_delta", "penalty_f",
     "row_l2_normalize", "run_trajectory", "sbm_generate", "train_loop",
 ]

@@ -25,7 +25,7 @@ from .coupling import (ATTENTION_FAMILIES, GRAPH_FAMILIES, PENALTY_KINDS,
                        penalty_f_range, write_penalty_landscape)
 from .diffusion import DiffusionConfig, run_trajectory
 from .energy import write_trajectory_csv
-from .errors import EndiffError, FormatError
+from .errors import EndiffError, FormatError, ParameterError
 from .graphs import (atomic_write_text, er_graph, load_dataset,
                      read_edges, read_features, sbm_generate)
 from .model import VARIANTS, Checkpoint, ModelConfig, forward
@@ -310,6 +310,13 @@ def cmd_eval(args) -> int:
     started = time.monotonic()
     ckpt = Checkpoint.load(args.checkpoint)
     _check_edges(args, ckpt.config.use_graph, "a checkpoint trained with --use-graph")
+    # a regression's one output has no class to take the argmax of; a
+    # hand-made checkpoint's meta may be any JSON value, or missing
+    trained = ckpt.meta.get("metrics") if isinstance(ckpt.meta, dict) else None
+    if (args.metric != "mse" and isinstance(trained, dict)
+            and trained.get("metric_kind") == "mse"):
+        raise ParameterError(f"{args.checkpoint}: a checkpoint trained with --metric mse "
+                             f"is scored by --metric mse, not --metric {args.metric}")
     ds = load_dataset(*files)
     logits, _ = forward(ckpt.params, ds.features, ds.graph, ckpt.config,
                         tape=Eager())

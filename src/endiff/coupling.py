@@ -211,9 +211,6 @@ class Coupling(Protocol):
     def row_sums(self) -> np.ndarray:
         """S @ 1 as an N-vector, or (..., N) for a stack."""
 
-    def dense(self) -> np.ndarray:
-        """The N x N matrix S, or (..., N, N); for oracles and tests only."""
-
 
 def _check_rows(n: int, v: np.ndarray) -> np.ndarray:
     v = as_stack(v)
@@ -237,9 +234,6 @@ class SimpleAttention:
 
     def row_sums(self) -> np.ndarray:
         return self._row_sums
-
-    def dense(self) -> np.ndarray:
-        return DenseAttention(PenaltyFamily("simple"), self.z, self.z).dense()
 
 
 class DenseAttention:
@@ -281,9 +275,6 @@ class MeanCoupling:
 
     def row_sums(self) -> np.ndarray:
         return np.ones(self.batch + (self.n,))
-
-    def dense(self) -> np.ndarray:
-        return np.full(self.batch + (self.n, self.n), 1.0 / self.n)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .coupling import PENALTIES, MeanCoupling, PenaltyFamily, penalty_delta
 from .diffusion import Step, Trajectory
 from .errors import ContractError, DimensionError
 from .graphs import atomic_write_text
-from .numerics import SpectralBracket, as_stack, laplacian_spectral_bracket, row_dots
+from .numerics import as_stack, row_dots
 
 DESCENT_SLACK = 1e-9
 BOUND_REL_SLACK = 1e-8
@@ -133,13 +133,13 @@ class EnergyReport:
     E(Z^(k), k-1) for k = 1..K at lam = tau (an array over the slices of a
     stacked run), and one dict per step that broke the audited statement
     (per slice and step in a stacked run). The bound audit adds the
-    Laplacian's (lambda_max, lambda_min) and the range of the observed
+    Laplacian's lambda_max it was given and the range of the observed
     energy ratios, None without a positive energy to divide by; a stacked
     run gives a list of them, one per slice."""
 
     energies: list
     violations: list[dict]
-    bracket: tuple[float, float] | list | None = None
+    lambda_max: float | list | None = None
     min_ratio: float | list | None = None
     max_ratio: float | list | None = None
 
@@ -194,57 +194,51 @@ def audit_descent(traj: Trajectory, slack: float = DESCENT_SLACK) -> EnergyRepor
     return EnergyReport(energies=energies, violations=descent_violations(energies, slack))
 
 
-def audit_bounds(traj: Trajectory,
-                 brackets: Sequence[SpectralBracket] | None = None) -> EnergyReport:
+def audit_bounds(traj: Trajectory, lambda_max: float | Sequence[float]) -> EnergyReport:
     """Check the per-step energy bracket
-    (1 - tau*l1)^2 E_k <= E_{k+1} <= (1 - tau*l2)^2 E_k for a static
-    coupling, with l1/l2 the largest/smallest singular values of its
-    Laplacian: from `brackets`, one per slice (a 2-D run is one slice),
-    when the caller has them, else from an SVD of each dense coupling.
-    A stacked run is checked slice by slice: each violation names its
-    slice, and the report's bracket and ratio range are lists over the
-    slices."""
+    (1 - tau*l1)^2 E_k <= E_{k+1} <= E_k for a static coupling, with l1
+    the largest singular value of its Laplacian: `lambda_max`, one per
+    slice from the caller (a float for a 2-D run, which is one slice). The
+    upper factor (1 - tau*l2)^2 is 1, as the smallest singular value l2 is
+    0: L 1 = S 1 - S 1 = 0. A stacked run is checked slice by slice: each
+    violation names its slice, and the report's lambda_max and ratio range
+    are lists over the slices."""
     stacked = traj.start.ndim > 2
     if stacked and traj.spec.is_attention:
         raise DimensionError("the bound audit takes a stack of static runs only, not "
                              f"an attention run of shape {traj.start.shape}")
     if traj.spec.is_attention or traj.config.use_source:
         raise ContractError("bound audit applies to plain static-coupling runs")
-    if brackets is None:
-        dense = traj.coupling.dense()
-        brackets = [laplacian_spectral_bracket(s)
-                    for s in dense.reshape((-1,) + dense.shape[-2:])]
+    lams = np.ravel(lambda_max).tolist()
     taus = np.broadcast_to(traj.config.tau, traj.start.shape[:-2]).ravel().tolist()
-    if len(brackets) != len(taus):
-        raise DimensionError(f"{len(brackets)} brackets for {len(taus)} slices")
-    for b, (tau, bracket) in enumerate(zip(taus, brackets)):
+    if len(lams) != len(taus):
+        raise DimensionError(f"{len(lams)} lambda_max values for {len(taus)} slices")
+    for b, (tau, lam) in enumerate(zip(taus, lams)):
         # a zero Laplacian leaves every state put, so no tau is too large
-        if bracket.lambda_max > 0.0 and tau > 1.0 / bracket.lambda_max + 1e-12:
+        if lam > 0.0 and tau > 1.0 / lam + 1e-12:
             raise ContractError(f"{f'slice {b}: ' if stacked else ''}tau={tau} exceeds "
-                                f"1/lambda_max={1.0 / bracket.lambda_max}")
+                                f"1/lambda_max={1.0 / lam}")
     energies = _energies(traj)
     series = np.reshape(energies, (len(energies), -1)).T.tolist()
     violations, lows, highs = [], [], []
-    for b, (tau, bracket, e) in enumerate(zip(taus, brackets, series)):
-        lo = (1.0 - tau * bracket.lambda_max) ** 2
-        hi = (1.0 - tau * bracket.lambda_min) ** 2
+    for b, (tau, lam, e) in enumerate(zip(taus, lams, series)):
+        lo = (1.0 - tau * lam) ** 2
         pairs = list(zip(e, e[1:]))
         for k, (e_prev, e_next) in enumerate(pairs, 1):
             slack = BOUND_REL_SLACK * max(e_prev, 1e-300)
-            if not lo * e_prev - slack <= e_next <= hi * e_prev + slack:
+            if not lo * e_prev - slack <= e_next <= e_prev + slack:
                 violations.append({
                     **({"slice": b} if stacked else {}),
                     "step": k,
                     "ratio": e_next / e_prev if e_prev > 0 else float("inf"),
-                    "bracket": [lo, hi],
+                    "bracket": [lo, 1.0],
                 })
         ratios = [e_next / e_prev for e_prev, e_next in pairs if e_prev > 0]
         lows.append(min(ratios) if ratios else None)
         highs.append(max(ratios) if ratios else None)
-    bracket = [(br.lambda_max, br.lambda_min) for br in brackets]
     if not stacked:
-        bracket, lows, highs = bracket[0], lows[0], highs[0]
-    return EnergyReport(energies=energies, violations=violations, bracket=bracket,
+        lams, lows, highs = lams[0], lows[0], highs[0]
+    return EnergyReport(energies=energies, violations=violations, lambda_max=lams,
                         min_ratio=lows, max_ratio=highs)
 
 

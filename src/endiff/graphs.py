@@ -260,7 +260,7 @@ class EdgeOperator:
         return self._row_sums
 
     def dense(self) -> np.ndarray:
-        """The N x N matrix S, or (B, N, N) blocks; for oracles and tests only."""
+        """The N x N matrix S, or (B, N, N) blocks; for prop1's lambda_max and oracles."""
         s = np.zeros((math.prod(self._shape), self.n))  # row b N + i: block b's row i
         s[self.layout.rows, self.layout.cols % self.n] = self.weights
         if self.diagonal is not None:

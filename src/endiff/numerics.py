@@ -1,17 +1,15 @@
 """Dense float64 helpers: row normalization, coupling Laplacians and their
-spectral bracket, and central-difference gradients over a stack of bumped
-copies.
+largest singular value, and central-difference gradients over a stack of
+bumped copies.
 
-The Laplacian and its bracket work on 2-D numpy arrays of float64. The
+The Laplacian and its lambda_max work on 2-D numpy arrays of float64. The
 row helpers take a matrix or a stack of them over leading axes (`as_stack`),
 and each row dot or squared row norm is one einsum (`row_dots`).
-`finite_diff_grad` takes an array of any rank. The bracket is the extreme
-singular values from LAPACK's SVD (`numpy.linalg.svd`).
+`finite_diff_grad` takes an array of any rank. lambda_max is the largest
+singular value from LAPACK's SVD (`numpy.linalg.svd`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,24 +69,10 @@ def laplacian(s: np.ndarray) -> np.ndarray:
     return np.diag(s.sum(axis=1)) - s
 
 
-@dataclass(frozen=True)
-class SpectralBracket:
-    """Largest and smallest singular values of a Laplacian."""
-
-    lambda_max: float
-    lambda_min: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lambda_min <= self.lambda_max + 1e-12):
-            raise ContractError(
-                f"invalid bracket ({self.lambda_max}, {self.lambda_min})"
-            )
-
-
-def laplacian_spectral_bracket(s: np.ndarray) -> SpectralBracket:
-    """Bracket (largest, smallest singular value) of the Laplacian of s."""
-    sv = np.linalg.svd(laplacian(s), compute_uv=False)
-    return SpectralBracket(lambda_max=float(sv[0]), lambda_min=float(sv[-1]))
+def laplacian_lambda_max(s: np.ndarray) -> float:
+    """Largest singular value of the Laplacian of s. The smallest is 0 and
+    needs no solve: L 1 = S 1 - S 1 = 0."""
+    return float(np.linalg.svd(laplacian(s), compute_uv=False)[0])
 
 
 def finite_diff_grad(fn, at: np.ndarray, h: float = 1e-5) -> np.ndarray:

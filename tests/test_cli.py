@@ -221,6 +221,35 @@ def test_train_and_eval_with_the_mse_metric(tmp_path, capsys, sbm10):
                                                summary["test_metric"])
 
 
+@pytest.mark.parametrize("metric", ["accuracy", "rocauc"])
+def test_eval_rejects_a_class_metric_on_a_regression_checkpoint(tmp_path, capsys, sbm10,
+                                                                 monkeypatch, metric):
+    # one output has no argmax to score: exit 1 before any data file is read
+    run = tmp_path / "run"
+    code, _, err = run_cli(["train", *sbm10, "--metric", "mse", "--epochs", "1",
+                            "--hidden", "4", "--out", str(run)], capsys)
+    assert code == 0, err
+    # without its meta a checkpoint does not say what it was trained for
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({**json.loads((run / "checkpoint.json").read_text()),
+                                "meta": [1]}))
+    code, _, err = run_cli(["eval", *sbm10, "--metric", metric, "--checkpoint", str(bare),
+                            "--out", str(tmp_path / "bare")], capsys)
+    assert code == 0, err
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("data read before the checkpoint's metric was checked")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    ckpt = run / "checkpoint.json"
+    code, out, err = run_cli(["eval", *sbm10, "--metric", metric, "--checkpoint", str(ckpt),
+                              "--out", str(tmp_path / "eval")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {ckpt}: ")
+    assert "--metric mse" in err and f"--metric {metric}" in err
+    assert not (tmp_path / "eval").exists()
+
+
 # The benchmark's synth flags (perfbench/workloads.py, size "full").
 BENCH_SYNTH = ["--blocks", "4", "--per-block", "500", "--p-in", "0.02", "--p-out", "0.002",
                "--feat-dim", "16", "--feat-shift", "1.0"]
@@ -746,18 +775,9 @@ def test_audit_all_writes_the_same_bytes_on_one_cpu_and_on_two(tmp_path, capsys,
 
 def test_audit_all_reads_one_static_pass_for_thm1_and_prop1(tmp_path, capsys,
                                                             monkeypatch):
-    from endiff import energy
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    svds, stacks = [], []
-    for module in (suites, energy):
-        bracket = module.laplacian_spectral_bracket
-
-        def counted_svd(s, _bracket=bracket):
-            svds.append(1)
-            return _bracket(s)
-
-        monkeypatch.setattr(module, "laplacian_spectral_bracket", counted_svd)
+    svds, stacks, svd = [], [], suites.laplacian_lambda_max
+    monkeypatch.setattr(suites, "laplacian_lambda_max", lambda s: svds.append(1) or svd(s))
     run = suites.run_trajectory
 
     def counted_run(z0, spec, cfg, g=None):
@@ -790,18 +810,9 @@ def test_run_suites_in_any_order_writes_each_suites_report_alone(
         names, cpus, reports_alone, monkeypatch):
     import multiprocessing
 
-    from endiff import energy
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    svds = []
-    for module in (suites, energy):
-        bracket = module.laplacian_spectral_bracket
-
-        def counted_svd(s, _bracket=bracket):
-            svds.append(1)
-            return _bracket(s)
-
-        monkeypatch.setattr(module, "laplacian_spectral_bracket", counted_svd)
+    svds, svd = [], suites.laplacian_lambda_max
+    monkeypatch.setattr(suites, "laplacian_lambda_max", lambda s: svds.append(1) or svd(s))
     got = [(name, json.dumps(report)) for name, report in suites.run_suites(names, 3)]
     assert got == [(name, reports_alone[name]) for name in names]
     assert len(svds) == 3  # one static pass, one SVD per instance
@@ -1308,8 +1319,7 @@ def test_diffuse_sparse_families_build_no_dense_array(tmp_path, capsys, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("N x N array built on a sparse coupling path")
 
-    for cls in (graphs.EdgeOperator, coupling.DenseAttention,
-                coupling.MeanCoupling, coupling.SimpleAttention):
+    for cls in (graphs.EdgeOperator, coupling.DenseAttention):
         monkeypatch.setattr(cls, "dense", refuse)
     monkeypatch.setattr(coupling.DenseAttention, "__init__", refuse)
     monkeypatch.setattr(numerics, "laplacian", refuse)

@@ -78,7 +78,7 @@ def test_linear_simple_propagate_matches_dense():
         rng = np.random.default_rng(seed)
         z = row_l2_normalize(rng.standard_normal((40, 8)))
         linear = linear_simple_propagate(z)
-        dense = SimpleAttention(z).dense() @ z
+        dense = DenseAttention(PenaltyFamily("simple"), z, z).dense() @ z
         assert np.max(np.abs(linear - dense)) <= 1e-10
 
 

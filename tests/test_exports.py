@@ -110,6 +110,52 @@ def test_no_module_compares_a_penalty_kind(path):
     assert _kind_comparisons(source) == []
 
 
+def _dense_calls(module: str, source: str) -> list:
+    """`module.function` of each call of an attribute named `dense` or of a
+    function under `np.linalg` in source, with the functions it sits in
+    dotted, one entry per call, in source order."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = where + (node.name,)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            chain, value = [node.func.attr], node.func.value
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if chain[0] == "dense" or "linalg" in chain[1:]:
+                found.append(".".join((module,) + where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_dense_call_scan_sees_a_call_planted_in_another_module():
+    source = (Path(endiff.__file__).parent / "energy.py").read_text()
+    planted = source.replace("    energies = _energies(traj)\n    series",
+                             "    energies = _energies(traj)\n"
+                             "    np.linalg.norm(traj.coupling.dense())\n    series", 1)
+    assert _dense_calls("energy", source) == []
+    assert _dense_calls("energy", planted) == ["energy.audit_bounds"] * 2
+    assert _dense_calls("m", "class A:\n    def f(self):\n        numpy.linalg.svd(x)\n"
+                             "def g():\n    def h():\n        return a.b.dense()\n") == [
+        "m.A.f", "m.g.h"]
+
+
+def test_dense_forms_are_built_only_for_an_audit_or_an_oracle():
+    # aim 1: an N x N form or a dense solve only where an audit needs
+    # lambda_max (prop1) or a suite needs an oracle (linear_equiv); the run
+    # time couplings have no dense() to call
+    package = Path(endiff.__file__).parent
+    assert sorted(call for path in package.glob("*.py")
+                  for call in _dense_calls(path.stem, path.read_text())) == [
+        "numerics.laplacian_lambda_max", "suites._dense_simple_forward",
+        "suites._static_runs", "suites.suite_linear_equiv"]
+
+
 def _foreign_imports(source: str) -> list:
     """The modules a source imports, at any depth of its code, from outside
     the standard library, numpy and endiff, with their lines."""

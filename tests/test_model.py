@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import weakref
@@ -8,9 +9,10 @@ import pytest
 
 from dense_oracles import ComposedEager, coupled_step
 from endiff.errors import ContractError, DimensionError, FormatError, ParameterError
-from endiff.graphs import er_graph
+from endiff.graphs import SLOT_MIN_ROWS, Graph, er_graph
 from endiff.model import (Checkpoint, ModelConfig, forward, init_model,
                           parameter_shapes)
+from endiff.suites import suite_gradcheck
 from endiff.tape import Eager, Tape
 
 
@@ -291,10 +293,9 @@ def test_graph_forward_builds_no_dense_adjacency(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense adjacency built on the model path")
 
-    # the dense builders that remain: every operator's dense() and the
+    # the dense builders that remain: the two couplings' dense() and the
     # N x N attention and Laplacian arrays
-    for cls in (graphs.EdgeOperator, coupling.DenseAttention,
-                coupling.MeanCoupling, coupling.SimpleAttention):
+    for cls in (graphs.EdgeOperator, coupling.DenseAttention):
         monkeypatch.setattr(cls, "dense", refuse)
     monkeypatch.setattr(coupling.DenseAttention, "__init__", refuse)
     monkeypatch.setattr(numerics, "laplacian", refuse)
@@ -657,3 +658,72 @@ def test_every_parameter_reaches_the_loss(variant, use_graph, use_source):
     for name, grad in grads.items():
         matrices = grad.reshape((-1,) + grad.shape[-2:])
         assert all(np.any(m != 0.0) for m in matrices), name  # every head too
+
+
+# The Taylor remainder test (Farrell, Ham, Funke and Rognes, SIAM J. Sci.
+# Comput. 35(4), 2013): along a direction u, r(h) = |L(p + h u) - L(p) -
+# h <grad L, u>| falls as h^2 exactly when the gradient is right, at any N.
+# N = 200 on 5N drawn pairs gives neighbour slots of SLOT_MIN_ROWS rows and
+# more, which gradcheck's 12 nodes never reach. u leaves W_I and b_I out, so
+# no step crosses a kink of the input ReLU.
+TAYLOR_N, TAYLOR_HS = 200, 1e-2 * 0.5 ** np.arange(4)
+
+
+def _taylor_ratios(variant: str, use_graph: bool, use_source: bool) -> np.ndarray:
+    """r(h) / r(h/2) over TAYLOR_HS for a masked cross-entropy loss: about 4
+    for a right gradient."""
+    cfg = _cfg(variant=variant, input_dim=5, hidden_dim=8, output_dim=3, layers=2,
+               heads=2, use_graph=use_graph, use_source=use_source)
+    rng = np.random.default_rng(0)
+    g = None
+    if use_graph:
+        g = Graph.from_edge_list(TAYLOR_N, rng.integers(0, TAYLOR_N, (5 * TAYLOR_N, 2)))
+        assert g.neighbours.slots[0][0] >= SLOT_MIN_ROWS
+    x = rng.standard_normal((TAYLOR_N, cfg.input_dim))
+    labels = rng.integers(0, cfg.output_dim, TAYLOR_N)
+    mask = rng.random(TAYLOR_N) < 0.5
+    params = init_model(cfg, 0)
+    logits, tape = forward(params, x, g, cfg)
+    grads = tape.backward(tape.masked_cross_entropy(logits, labels, mask))
+    u = {name: np.zeros_like(p) if name in ("W_I", "b_I") else rng.standard_normal(p.shape)
+         for name, p in params.items()}
+
+    def loss(h):
+        lg, ev = forward({name: p + h * u[name] for name, p in params.items()}, x, g, cfg,
+                         tape=Eager())
+        return float(ev.masked_cross_entropy(lg, labels, mask)[0, 0])
+
+    slope = sum(float(np.sum(grads[name] * u[name])) for name in params)
+    r = np.array([abs(loss(h) - loss(0.0) - h * slope) for h in TAYLOR_HS])
+    return r[:-1] / r[1:]
+
+
+@pytest.mark.parametrize("use_source", [False, True], ids=["plain", "source"])
+@pytest.mark.parametrize("use_graph", [False, True], ids=["no_graph", "graph"])
+@pytest.mark.parametrize("variant", ["simple", "advanced"])
+def test_gradients_pass_the_taylor_remainder_test_past_gradchecks_size(variant, use_graph,
+                                                                       use_source):
+    assert np.all(_taylor_ratios(variant, use_graph, use_source) >= 3.0)
+
+
+def _sym_apply_dropping_long_slots(self, op, a):
+    """`Tape.sym_apply` with a VJP that leaves out the long slots' sums."""
+    short_only = copy.copy(op)
+    short_only._slots = []
+
+    def apply(x, operator):
+        rows = np.moveaxis(x, -2, 0)
+        return np.moveaxis(operator.apply(rows.reshape(len(rows), -1)).reshape(rows.shape),
+                           0, -2)
+
+    return self._record(apply(self._value(a), op), (a,), lambda g: (apply(g, short_only),))
+
+
+@pytest.mark.parametrize("variant", ["simple", "advanced"])
+def test_the_taylor_test_catches_a_vjp_that_gradcheck_passes(monkeypatch, variant):
+    # the planted VJP is wrong only on slots of SLOT_MIN_ROWS rows or more:
+    # gradcheck's 12 nodes never reach one, the Taylor test's 200 do
+    monkeypatch.setattr(Tape, "sym_apply", _sym_apply_dropping_long_slots)
+    assert np.all(_taylor_ratios(variant, True, False) < 3.0)
+    if variant == "simple":
+        assert suite_gradcheck()["violations"] == 0

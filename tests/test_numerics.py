@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from endiff.coupling import CouplingSpec, coupling_operator
+from dense_oracles import dense_of
+from endiff.coupling import STATIC_FAMILIES, CouplingSpec, coupling_operator
 from endiff.errors import ContractError, DimensionError
-from endiff.graphs import Graph
-from endiff.numerics import (NORM_EPS, finite_diff_grad, laplacian,
-                             laplacian_spectral_bracket, row_l2_normalize)
+from endiff.graphs import Graph, er_graph, is_connected
+from endiff.numerics import (NORM_EPS, finite_diff_grad, laplacian, laplacian_lambda_max,
+                             row_l2_normalize)
+from test_graphs import LONG_SLOT_GRAPHS
 
 
 def test_row_l2_normalize_unit_rows():
@@ -44,19 +46,18 @@ def test_spectral_bracket_matches_svd(n):
     # singular values 1 - cos(2 pi k / n): 0, and 2 for even n or
     # 1 + cos(pi / n) for odd n
     g = Graph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-    bracket = laplacian_spectral_bracket(g.sym_operator.dense())
+    s = g.sym_operator.dense()
     top = 2.0 if n % 2 == 0 else 1.0 + np.cos(np.pi / n)
-    assert bracket.lambda_max == pytest.approx(top, rel=1e-12)
-    assert bracket.lambda_min == pytest.approx(0.0, abs=1e-12)
+    assert laplacian_lambda_max(s) == pytest.approx(top, rel=1e-12)
+    assert _lambda_min(s) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 70])
 def test_spectral_bracket_all_one(n):
     # ones/N: the Laplacian I - J/N projects out the all-ones vector
-    s = coupling_operator(CouplingSpec("all_one"), z=np.zeros((n, 1))).dense()
-    bracket = laplacian_spectral_bracket(s)
-    assert bracket.lambda_max == pytest.approx(1.0 if n > 1 else 0.0, abs=1e-12)
-    assert bracket.lambda_min == pytest.approx(0.0, abs=1e-12)
+    s = dense_of(coupling_operator(CouplingSpec("all_one"), z=np.zeros((n, 1))))
+    assert laplacian_lambda_max(s) == pytest.approx(1.0 if n > 1 else 0.0, abs=1e-12)
+    assert _lambda_min(s) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_spectral_bracket_non_symmetric():
@@ -68,19 +69,47 @@ def test_spectral_bracket_non_symmetric():
     s[0] *= 3.0
     delta = laplacian(s)
     eigs = np.linalg.eigvalsh(delta.T @ delta)
-    bracket = laplacian_spectral_bracket(s)
-    assert bracket.lambda_max == pytest.approx(np.sqrt(eigs[-1]), rel=1e-12)
+    lam = laplacian_lambda_max(s)
+    assert lam == pytest.approx(np.sqrt(eigs[-1]), rel=1e-12)
     # rows of the Laplacian sum to zero, so the smallest singular value is 0,
     # which the Gram route resolves only to about sqrt(machine epsilon)
-    assert bracket.lambda_min == pytest.approx(0.0, abs=1e-12)
-    assert bracket.lambda_max > np.max(np.abs(np.linalg.eigvals(delta))) + 1e-3
+    assert _lambda_min(s) == pytest.approx(0.0, abs=1e-12)
+    assert lam > np.max(np.abs(np.linalg.eigvals(delta))) + 1e-3
 
 
 def test_spectral_bracket_zero_min_on_row_sum_laplacian():
     # the Laplacian annihilates the all-ones vector, so lambda_min = 0
     rng = np.random.default_rng(7)
     s = np.abs(rng.standard_normal((10, 10)))
-    assert laplacian_spectral_bracket(s).lambda_min == pytest.approx(0.0, abs=1e-8)
+    assert _lambda_min(s) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_every_static_laplacian_sends_ones_to_zero():
+    # lambda_min = 0, so Prop 1's upper factor (1 - tau lambda_min)^2 is 1
+    # and the bound audit takes lambda_max alone. On prop1's instances the
+    # smallest singular value of each connected graph's Laplacian is 0 up
+    # to rounding
+    connected = [g for g in (er_graph(16, 0.3, seed) for seed in range(100))
+                 if is_connected(g)]
+    assert len(connected) == 90
+    assert max(_lambda_min(g.sym_operator.dense()) for g in connected) <= 1e-7
+    # and L 1 = S 1 - S 1 = 0 for every static family, as each operator's
+    # row sums are its product with ones: on isolated nodes, on long
+    # neighbour slots, and on a stack of graphs
+    isolated = Graph.from_edge_list(7, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    for g in (isolated, *LONG_SLOT_GRAPHS):
+        for graphs in (g, [g, er_graph(g.n, 0.1, 1)]):
+            for family in STATIC_FAMILIES:
+                op = coupling_operator(CouplingSpec(family), g=graphs)
+                sums = op.row_sums()
+                ones = np.ones(sums.shape + (1,))
+                assert np.max(np.abs(op.apply(ones)[..., 0] - sums)) <= (
+                    1e-12 * np.max(np.abs(sums)))
+
+
+def _lambda_min(s) -> float:
+    """The smallest singular value of the Laplacian of s, from the SVD."""
+    return float(np.linalg.svd(laplacian(s), compute_uv=False)[-1])
 
 
 def test_finite_diff_grad_quadratic():

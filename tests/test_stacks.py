@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import endiff.coupling as coupling
 import endiff.energy as energy
 import endiff.suites as suites
-from dense_oracles import (coupled_step, kept_steps, regularized_energy,
+from dense_oracles import (coupled_step, dense_of, kept_steps, regularized_energy,
                            suite_oversmooth_per_seed, suite_prop1_per_seed,
                            suite_thm1_per_seed, suite_thm2_per_seed)
 from endiff.coupling import (PENALTY_KINDS, STATIC_FAMILIES, CouplingSpec,
@@ -30,7 +30,7 @@ from endiff.energy import (_pairwise_sq_dists, audit_bounds, audit_descent, dive
                            write_trajectory_csv)
 from endiff.errors import ContractError, DimensionError, ParameterError
 from endiff.graphs import SLOT_MIN_ROWS, EdgeOperator, Graph, er_graph
-from endiff.numerics import NORM_EPS, laplacian_spectral_bracket, row_l2_normalize, row_norms
+from endiff.numerics import NORM_EPS, laplacian_lambda_max, row_l2_normalize, row_norms
 from endiff.suites import SEED_STACK
 
 SIMPLE = CouplingSpec("attention", PenaltyFamily("simple"))
@@ -75,7 +75,7 @@ def test_stacked_couplings_and_steps_match_their_slices(case, kind, tau):
     assert op.n == z.shape[1]
     _assert_slices(op.apply(v), [s.apply(vi) for s, vi in zip(slices, v)])
     _assert_slices(op.row_sums(), [s.row_sums() for s in slices])
-    _assert_slices(op.dense(), [s.dense() for s in slices])
+    _assert_slices(dense_of(op), [dense_of(s) for s in slices])
     _assert_slices(coupled_step(z, op, tau),
                    [coupled_step(zi, s, tau) for zi, s in zip(z, slices)])
     if kind != "quadratic":
@@ -207,7 +207,7 @@ def test_stacks_reach_no_single_state_consumer(tmp_path):
         write_trajectory_csv(traj, tmp_path / "traj.csv")
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(DimensionError, match="bound audit"):
-        audit_bounds(traj)
+        audit_bounds(traj, [1.0, 1.0])
     with pytest.raises(DimensionError):
         gat_masked_coupling(PenaltyFamily("simple"), z, g)
     gat = CouplingSpec("gat_masked", PenaltyFamily("simple"))
@@ -284,15 +284,9 @@ def test_static_suites_step_their_seeds_in_stacks(monkeypatch, suite, per_seed):
 
 
 def test_prop1_takes_one_svd_per_instance(monkeypatch):
-    calls = []
-    for module in (suites, energy):
-        bracket = module.laplacian_spectral_bracket
-
-        def counted(s, _bracket=bracket):
-            calls.append(1)
-            return _bracket(s)
-
-        monkeypatch.setattr(module, "laplacian_spectral_bracket", counted)
+    calls, svd = [], suites.laplacian_lambda_max
+    monkeypatch.setattr(suites, "laplacian_lambda_max",
+                        lambda s: calls.append(1) or svd(s))
     seeds = SEED_STACK + 5
     list(suites.run_suites(["prop1"], seeds))
     assert len(calls) == seeds
@@ -300,8 +294,8 @@ def test_prop1_takes_one_svd_per_instance(monkeypatch):
 
 def test_prop1_counts_a_rising_step_once(monkeypatch):
     # a rise planted at one step pair of every instance leaves the upper
-    # bracket, whose factor (1 - tau lambda_min)^2 is at most 1: one
-    # violation per instance, in the stacked suite and the per-seed oracle
+    # bracket, whose factor (1 - tau lambda_min)^2 is 1: one violation per
+    # instance, in the stacked suite and the per-seed oracle
     real = energy._energies
 
     def planted(traj):
@@ -418,7 +412,7 @@ def test_the_block_operator_matches_each_graphs_own(case, family):
         assert isinstance(op, EdgeOperator) and op.layout.batch == (len(graphs),)
     _assert_slices(op.apply(v), [s.apply(vi) for s, vi in zip(alone, v)])
     _assert_slices(op.row_sums(), [s.row_sums() for s in alone])
-    _assert_slices(op.dense(), [s.dense() for s in alone])
+    _assert_slices(dense_of(op), [dense_of(s) for s in alone])
 
 
 @settings(max_examples=40, deadline=None)
@@ -435,8 +429,8 @@ def test_stacked_static_runs_match_each_graph_alone(case, family, use_source, st
     # the source would take a masked run's rows out of the unit ball
     use_source = use_source and not spec.is_attention
     alone = [coupling_operator(spec, zi, g) for zi, g in zip(z0, graphs)]
-    brackets = [laplacian_spectral_bracket(s.dense()) for s in alone]
-    taus = [min(frac / br.lambda_max, 1.0) if br.lambda_max > 0 else frac for br in brackets]
+    lams = [laplacian_lambda_max(dense_of(s)) for s in alone]
+    taus = [min(frac / lam, 1.0) if lam > 0 else frac for lam in lams]
     cfg = DiffusionConfig(tau=np.array(taus) if per_slice_tau else frac, steps=steps,
                           use_source=use_source)
     runs = _runs(z0, spec, cfg, graphs)
@@ -456,21 +450,19 @@ def test_stacked_static_runs_match_each_graph_alone(case, family, use_source, st
         assert rep.violations == [{"slice": b, **v} for b, r in enumerate(reps)
                                   for v in r.violations]
     if spec.is_attention or use_source or not all(
-            br.lambda_max > 0 and tau <= 1.0 / br.lambda_max
-            for br, tau in zip(brackets, np.broadcast_to(cfg.tau, len(graphs)))):
+            lam > 0 and tau <= 1.0 / lam
+            for lam, tau in zip(lams, np.broadcast_to(cfg.tau, len(graphs)))):
         return
-    # the bracket each slice's audit takes from its own SVD, and one whose
-    # upper edge is its lower, which nearly every step breaks
-    tight = [type(br)(br.lambda_max, br.lambda_max) for br in brackets]
-    for given_brackets, per_run in ((brackets, None), (None, None), (tight, tight)):
-        rep = audit_bounds(traj, given_brackets)
-        reps = [audit_bounds(run, None if per_run is None else [per_run[b]])
-                for b, run in enumerate(runs)]
+    # each slice's own lambda_max, and lambda_max = 0, whose lower edge 1
+    # nearly every step breaks
+    for given in (lams, [0.0] * len(lams)):
+        rep = audit_bounds(traj, given)
+        reps = [audit_bounds(run, lam) for run, lam in zip(runs, given)]
         for k, energies in enumerate(rep.energies):
             _assert_slices(energies, [r.energies[k] for r in reps])
         assert rep.violations == [{"slice": b, **v} for b, r in enumerate(reps)
                                   for v in r.violations]
-        assert rep.bracket == [r.bracket for r in reps]
+        assert rep.lambda_max == [r.lambda_max for r in reps]
         assert rep.min_ratio == [r.min_ratio for r in reps]
         assert rep.max_ratio == [r.max_ratio for r in reps]
 
@@ -495,8 +487,8 @@ def test_stacked_graph_runs_reject_a_mismatch_up_front():
     with pytest.raises(DimensionError, match="tau of shape"):
         run_trajectory(z[0], spec, DiffusionConfig(tau=np.full(1, 0.5)), graphs[0])
     traj = run_trajectory(z, spec, DiffusionConfig(tau=np.full(3, 0.5), steps=2), graphs)
-    with pytest.raises(DimensionError, match="2 brackets for 3 slices"):
-        audit_bounds(traj, [laplacian_spectral_bracket(g.sym_operator.dense())
+    with pytest.raises(DimensionError, match="2 lambda_max values for 3 slices"):
+        audit_bounds(traj, [laplacian_lambda_max(g.sym_operator.dense())
                             for g in graphs[:2]])
     with pytest.raises(DimensionError, match=r"applied to shape \(2, 6, 2\)"):
         traj.coupling.apply(z[:2])
